@@ -45,8 +45,6 @@ func main() {
 	deployPath := flag.String("deploy", "", "deployment JSON file")
 	showGantt := flag.Bool("gantt", false, "print a Gantt chart after the run")
 	width := flag.Int("width", 100, "gantt width")
-	solverWorkers := flag.Int("solver-workers", 0,
-		"worker pool bound for the parallel MaxMin component solve (0 = GOMAXPROCS, 1 = sequential)")
 	injectFaults := flag.Bool("faults", false,
 		"inject a seeded host-failure campaign; failed processes restart on host recovery")
 	faultSeed := flag.Int64("fault-seed", 1, "failure-campaign seed")
@@ -77,9 +75,7 @@ func main() {
 		log.Fatalf("loading deployment: %v", err)
 	}
 
-	cfg := surf.DefaultConfig()
-	cfg.SolverWorkers = *solverWorkers
-	env := msg.NewEnvironment(pf, cfg)
+	env := msg.NewEnvironment(pf, surf.DefaultConfig())
 	if *showGantt {
 		env.Gantt = &gantt.Recorder{}
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/instr"
+	"repro/internal/pool"
 )
 
 // This file is the factory for the pooled process workers: the only
@@ -53,22 +54,10 @@ var workerPool struct {
 // concurrent processes, not to size steady state.
 const maxPooledWorkers = 1 << 15
 
-// SetGoroutinePooling toggles the worker pool at runtime and returns
-// the previous setting — the A/B knob for benchmarks and equivalence
-// tests that compare pooled against fresh-spawn behaviour in one
-// binary. The -tags=nopool build starts with it off; already-parked
-// workers stay parked while disabled and become eligible again when
-// re-enabled.
-func SetGoroutinePooling(on bool) bool {
-	old := poolingEnabled
-	poolingEnabled = on
-	return old
-}
-
 // grabWorker returns a parked worker, or nil when the pool is empty or
 // pooling is disabled (the caller then creates a fresh one).
 func grabWorker() *worker {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		return nil
 	}
 	workerPool.Lock()
@@ -91,7 +80,7 @@ func grabWorker() *worker {
 // one wake per park and the worker consumed the last one to get here.
 func releaseWorker(w *worker) bool {
 	w.proc = nil
-	if !poolingEnabled {
+	if !pool.Enabled {
 		return false
 	}
 	workerPool.Lock()

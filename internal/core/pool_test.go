@@ -6,13 +6,15 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/pool"
 )
 
 // TestProcessPoolScrubbed pins the recycle contract: every worker
 // parked in the pool carries no trace of its previous assignment — no
 // process reference, no buffered wake.
 func TestProcessPoolScrubbed(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("pooling disabled (-tags=nopool)")
 	}
 	e := New()
@@ -47,9 +49,9 @@ func TestProcessPoolScrubbed(t *testing.T) {
 // requires a bit-identical event log: recycling carrier goroutines
 // must be unobservable to the simulation.
 func TestWorkerPoolingEquivalence(t *testing.T) {
-	run := func(pool bool) []string {
-		defer func(old bool) { poolingEnabled = old }(poolingEnabled)
-		poolingEnabled = pool
+	run := func(pooled bool) []string {
+		defer func(old bool) { pool.Enabled = old }(pool.Enabled)
+		pool.Enabled = pooled
 		e := New()
 		var log []string
 		record := func(tag string) {
@@ -85,7 +87,7 @@ func TestWorkerPoolingEquivalence(t *testing.T) {
 			}
 		})
 		if err := e.Run(); err != nil {
-			t.Fatalf("Run(pool=%v): %v", pool, err)
+			t.Fatalf("Run(pool=%v): %v", pooled, err)
 		}
 		return log
 	}
@@ -107,7 +109,7 @@ func TestWorkerPoolingEquivalence(t *testing.T) {
 // (zero on a warm pool), GoroutinesPeak the concurrent stack
 // high-water mark.
 func TestSpawnedVsGoroutineAccounting(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("pooling disabled (-tags=nopool)")
 	}
 	sleeper := func(p *Process) { _ = p.Sleep(0.1) }

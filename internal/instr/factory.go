@@ -1,5 +1,7 @@
 package instr
 
+import "repro/internal/pool"
+
 // Free list for trace event records. This is the only place an event
 // composite literal may appear (lint: pool-literal); grab everywhere,
 // release after formatting, scrub on release. The pool is
@@ -17,7 +19,7 @@ var eventPool struct {
 }
 
 func grabEvent() *event {
-	if poolingEnabled {
+	if pool.Enabled {
 		if n := len(eventPool.free); n > 0 {
 			ev := eventPool.free[n-1]
 			eventPool.free[n-1] = nil
@@ -40,7 +42,7 @@ func releaseEvent(ev *event) {
 	ev.time = 0
 	ev.hasVal = false
 	ev.val = 0
-	if poolingEnabled && len(eventPool.free) < maxPooledEvents {
+	if pool.Enabled && len(eventPool.free) < maxPooledEvents {
 		eventPool.free = append(eventPool.free, ev)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/pool"
 )
 
 func TestRegistryJSONDeterministic(t *testing.T) {
@@ -178,7 +180,7 @@ func TestTraceBytesStable(t *testing.T) {
 }
 
 func TestEventPoolRecycles(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("pooling disabled by build tag")
 	}
 	var b bytes.Buffer

@@ -1,5 +1,7 @@
 package maxmin
 
+import "repro/internal/pool"
+
 // This file is the factory for the pooled solver objects: the only
 // place allowed to construct (or scrub) a Variable or constraint
 // element by composite literal. simgrid-lint's pool-literal rule
@@ -12,7 +14,7 @@ package maxmin
 // RemoveVariable; only the visit generation mark may be live, and it
 // can never equal a future generation.
 func (s *System) grabVariable() *Variable {
-	if n := len(s.varPool); poolingEnabled && n > 0 {
+	if n := len(s.varPool); pool.Enabled && n > 0 {
 		v := s.varPool[n-1]
 		s.varPool[n-1] = nil
 		s.varPool = s.varPool[:n-1]
@@ -26,7 +28,7 @@ func (s *System) grabVariable() *Variable {
 // grabElem pops a recycled constraint element off the free list, or
 // allocates one.
 func (s *System) grabElem() *elem {
-	if n := len(s.elemPool); poolingEnabled && n > 0 {
+	if n := len(s.elemPool); pool.Enabled && n > 0 {
 		e := s.elemPool[n-1]
 		s.elemPool[n-1] = nil
 		s.elemPool = s.elemPool[:n-1]
@@ -42,7 +44,7 @@ func (s *System) grabElem() *elem {
 // lists.
 func (s *System) releaseElem(e *elem) {
 	*e = elem{}
-	if poolingEnabled {
+	if pool.Enabled {
 		s.elemPool = append(s.elemPool, e)
 	}
 }

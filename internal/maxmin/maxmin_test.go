@@ -3,6 +3,7 @@ package maxmin
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -425,6 +426,36 @@ func TestLargeSystemSolves(t *testing.T) {
 	s.Solve()
 	if problems := s.Validate(1e-5); len(problems) > 0 {
 		t.Errorf("large system invalid: %v", problems[:min(3, len(problems))])
+	}
+}
+
+// TestSolveSpawnsNoGoroutine pins the single solve path: the dirty
+// components — 200 independent islands here, re-solved in one call —
+// are filled one after the other on the caller's goroutine.
+func TestSolveSpawnsNoGoroutine(t *testing.T) {
+	const islands = 200
+	s := NewSystem()
+	vars := make([]*Variable, 0, 2*islands)
+	for i := 0; i < islands; i++ {
+		c := s.NewConstraint(10)
+		for j := 0; j < 2; j++ {
+			v := s.NewVariable(1, 0)
+			s.Expand(c, v, 1)
+			vars = append(vars, v)
+		}
+	}
+	before := runtime.NumGoroutine()
+	s.Solve()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines went %d -> %d across Solve", before, after)
+	}
+	if st := s.Stats(); st.Solves != 1 || st.MaxComponents != islands {
+		t.Errorf("stats = %+v, want 1 solve over %d components", st, islands)
+	}
+	for _, v := range vars {
+		if v.Value() != 5 {
+			t.Fatalf("island share = %g, want 5", v.Value())
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package maxmin
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/pool"
 )
 
 // TestVariablePoolScrubbed churns variables through a shared constraint
@@ -11,7 +13,7 @@ import (
 // struct carries nothing of its previous owner, and a variable handed
 // out by NewVariable exposes exactly the requested parameters.
 func TestVariablePoolScrubbed(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("pooling disabled (-tags=nopool)")
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -73,10 +75,10 @@ func TestVariablePoolScrubbed(t *testing.T) {
 // free lists on, then off — and requires bit-identical allocations:
 // recycling must be unobservable.
 func TestPoolingEquivalence(t *testing.T) {
-	defer func(old bool) { poolingEnabled = old }(poolingEnabled)
+	defer func(old bool) { pool.Enabled = old }(pool.Enabled)
 
-	run := func(pool bool) []float64 {
-		poolingEnabled = pool
+	run := func(pooled bool) []float64 {
+		pool.Enabled = pooled
 		rng := rand.New(rand.NewSource(7))
 		s := NewSystem()
 		var cnsts []*Constraint

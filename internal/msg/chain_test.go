@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pool"
 )
 
 // rec builds an event recorder whose entries embed the exact (hex
@@ -249,9 +250,9 @@ func TestChainDeterminism(t *testing.T) {
 // pooling on and off: recycled ChainProcs and rendezvous records must
 // be unobservable.
 func TestChainPoolingEquivalence(t *testing.T) {
-	run := func(pool bool) []string {
-		defer func(old bool) { poolingEnabled = old }(poolingEnabled)
-		poolingEnabled = pool
+	run := func(pooled bool) []string {
+		defer func(old bool) { pool.Enabled = old }(pool.Enabled)
+		pool.Enabled = pooled
 		env := NewEnvironment(lanPlatform(t), exact())
 		rec, log := chainRecorder(env)
 		spec := NewChain().
@@ -281,7 +282,7 @@ func TestChainPoolingEquivalence(t *testing.T) {
 		}
 		launch(0)
 		if err := env.Run(); err != nil {
-			t.Fatalf("Run(pool=%v): %v", pool, err)
+			t.Fatalf("Run(pool=%v): %v", pooled, err)
 		}
 		return *log
 	}
@@ -512,7 +513,7 @@ func TestChainAutoRestart(t *testing.T) {
 // TestChainPoolScrubbed: recycled ChainProcs carry nothing of their
 // previous life.
 func TestChainPoolScrubbed(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("free lists disabled (-tags=nopool)")
 	}
 	env := NewEnvironment(lanPlatform(t), exact())

@@ -1,5 +1,7 @@
 package msg
 
+import "repro/internal/pool"
+
 // This file is the factory for the pooled rendezvous records: the only
 // place allowed to construct or scrub a pendingSend/pendingRecv by
 // composite literal. simgrid-lint's pool-literal rule enforces that
@@ -9,7 +11,7 @@ package msg
 
 // grabSend returns a blank pendingSend, recycled when possible.
 func (env *Environment) grabSend() *pendingSend {
-	if n := len(env.sendPool); poolingEnabled && n > 0 {
+	if n := len(env.sendPool); pool.Enabled && n > 0 {
 		ps := env.sendPool[n-1]
 		env.sendPool[n-1] = nil
 		env.sendPool = env.sendPool[:n-1]
@@ -33,14 +35,14 @@ func (env *Environment) releaseSend(ps *pendingSend) {
 		a.Release() // no-op if somehow not done
 	}
 	*ps = pendingSend{}
-	if poolingEnabled {
+	if pool.Enabled {
 		env.sendPool = append(env.sendPool, ps)
 	}
 }
 
 // grabRecv returns a blank pendingRecv, recycled when possible.
 func (env *Environment) grabRecv() *pendingRecv {
-	if n := len(env.recvPool); poolingEnabled && n > 0 {
+	if n := len(env.recvPool); pool.Enabled && n > 0 {
 		pr := env.recvPool[n-1]
 		env.recvPool[n-1] = nil
 		env.recvPool = env.recvPool[:n-1]
@@ -55,7 +57,7 @@ func (env *Environment) grabRecv() *pendingRecv {
 // ownership rules as releaseSend apply, with get as the only caller.
 func (env *Environment) releaseRecv(pr *pendingRecv) {
 	*pr = pendingRecv{}
-	if poolingEnabled {
+	if pool.Enabled {
 		env.recvPool = append(env.recvPool, pr)
 	}
 }
@@ -64,7 +66,7 @@ func (env *Environment) releaseRecv(pr *pendingRecv) {
 // churn (millions of short-lived chains, or auto-restart cycling)
 // reuses terminated instances instead of allocating fresh ones.
 func (env *Environment) grabChain() *ChainProc {
-	if n := len(env.chainPool); poolingEnabled && n > 0 {
+	if n := len(env.chainPool); pool.Enabled && n > 0 {
 		c := env.chainPool[n-1]
 		env.chainPool[n-1] = nil
 		env.chainPool = env.chainPool[:n-1]
@@ -86,7 +88,7 @@ func (env *Environment) releaseChain(c *ChainProc) {
 	counters := c.counters[:0]
 	timer := c.sleepTimer
 	*c = ChainProc{counters: counters, sleepTimer: timer}
-	if poolingEnabled {
+	if pool.Enabled {
 		env.chainPool = append(env.chainPool, c)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/pool"
 )
 
 // TestInFlightLinkFailure fails the route's link in the middle of a
@@ -53,7 +55,7 @@ func TestInFlightLinkFailure(t *testing.T) {
 // lists scrubbed, and repeated churn must not grow the pools — the
 // "leaks safely" escape hatch is gone.
 func TestKillUnwindRecyclesRendezvous(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("free lists disabled (-tags=nopool)")
 	}
 	env := NewEnvironment(lanPlatform(t), exact())
@@ -322,7 +324,7 @@ func TestProcessPanicContained(t *testing.T) {
 // blocked Put takes the same abandon path as a kill — the record is
 // recycled, the peer is not left dangling forever.
 func TestPanicMidRendezvousRecyclesRecord(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("free lists disabled (-tags=nopool)")
 	}
 	env := NewEnvironment(lanPlatform(t), exact())

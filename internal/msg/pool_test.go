@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool"
 	"repro/internal/surf"
 )
 
@@ -12,10 +13,10 @@ import (
 // completion times: recycling pendingSend/pendingRecv records (and the
 // transfer actions they release) must be unobservable.
 func TestRendezvousPoolingEquivalence(t *testing.T) {
-	defer func(old bool) { poolingEnabled = old }(poolingEnabled)
+	defer func(old bool) { pool.Enabled = old }(pool.Enabled)
 
-	run := func(pool bool) []float64 {
-		poolingEnabled = pool
+	run := func(pooled bool) []float64 {
+		pool.Enabled = pooled
 		pf := platform.New()
 		for _, h := range []string{"a", "b"} {
 			if err := pf.AddHost(&platform.Host{Name: h, Power: 1e9}); err != nil {
@@ -56,7 +57,7 @@ func TestRendezvousPoolingEquivalence(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(env.sendPool) == 0 && pool {
+		if len(env.sendPool) == 0 && pooled {
 			t.Fatal("no pendingSend was ever pooled")
 		}
 		return times

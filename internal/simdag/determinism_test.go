@@ -1,8 +1,8 @@
 // Determinism guarantees for the kernel-driven DAG path: a seeded
-// workflow produces a bit-identical task-event order on every run, and
-// the batched same-instant release sweep cannot be told apart from the
-// sequential per-completion path (mirroring the MSG-level
-// TestLockstepBatchedEquivalence).
+// workflow produces a bit-identical task-event order on every run.
+// (That a same-instant batch of Completion-carrying actions is delivered
+// like one-at-a-time completion is pinned where the batching lives:
+// surf's TestCompletionBatchEquivalence.)
 package simdag
 
 import (
@@ -67,91 +67,6 @@ func TestSimDagDeterminism(t *testing.T) {
 		got := runSeededDAG(t, seed, surf.DefaultConfig())
 		diffLogs(t, ref, got, "rerun")
 	}
-}
-
-// TestSimDagBatchedEquivalence pins that the batched completion path
-// (equal-key bulk pop + one release sweep per instant) and the
-// sequential per-completion path produce bit-identical event orders on
-// a lock-step workload where whole layers finish at the same instant.
-func TestSimDagBatchedEquivalence(t *testing.T) {
-	run := func(sequential bool) []string {
-		pf := platform.New()
-		// 16 identical hosts: all tasks of a layer complete in lock-step.
-		for i := 0; i < 16; i++ {
-			if err := pf.AddHost(&platform.Host{Name: fmt.Sprintf("n%02d", i), Power: 1e9}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 16; i++ {
-			for j := i + 1; j < 16; j++ {
-				l := &platform.Link{Name: fmt.Sprintf("l%d_%d", i, j), Bandwidth: 1e8, Latency: 1e-4}
-				if err := pf.AddRoute(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", j), []*platform.Link{l}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		cfg := exactConfig()
-		cfg.SequentialCompletions = sequential
-		s := New(pf, cfg)
-		var log []string
-		s.OnTaskStateChange = func(task *Task) {
-			log = append(log, fmt.Sprintf("%.9e %s %s", s.Now(), task.Name(), task.State()))
-		}
-		// 6 layers × 16 identical tasks, barriers between layers, plus
-		// identical cross-host transfers: maximal same-instant batches.
-		var prev []*Task
-		var hosts []string
-		for _, h := range pf.Hosts() {
-			hosts = append(hosts, h.Name)
-		}
-		for l := 0; l < 6; l++ {
-			var layer []*Task
-			for w := 0; w < 16; w++ {
-				task := s.NewTask(fmt.Sprintf("l%dt%02d", l, w), 1e9)
-				if err := task.Schedule(hosts[w]); err != nil {
-					t.Fatal(err)
-				}
-				layer = append(layer, task)
-				if l == 0 {
-					continue
-				}
-				c := s.NewCommTask(fmt.Sprintf("x%dt%02d", l, w), 1e6)
-				if err := c.ScheduleComm(hosts[(w+1)%16], hosts[w]); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.AddDependency(prev[(w+1)%16], c); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.AddDependency(c, task); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if l > 0 {
-				barrier := s.NewSeqTask(fmt.Sprintf("barrier%d", l))
-				for _, p := range prev {
-					if err := s.AddDependency(p, barrier); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for _, n := range layer {
-					if err := s.AddDependency(barrier, n); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			prev = layer
-		}
-		if _, err := s.Simulate(); err != nil {
-			t.Fatalf("Simulate: %v", err)
-		}
-		if s.DoneCount() != len(s.Tasks()) {
-			t.Fatalf("only %d/%d tasks done", s.DoneCount(), len(s.Tasks()))
-		}
-		return log
-	}
-	batched := run(false)
-	sequential := run(true)
-	diffLogs(t, batched, sequential, "sequential-completions")
 }
 
 func diffLogs(t *testing.T, ref, got []string, label string) {

@@ -81,14 +81,40 @@ type chanKey struct {
 	src, dst, tag int
 }
 
+// pendingSend is one posted send; it observes its transfer as the
+// action's surf.Completion (ActionDone).
 type pendingSend struct {
 	data    any
 	bytes   float64
 	src     int
 	proc    *core.Process
 	action  *surf.Action
+	eager   bool         // shipped before any receiver matched
 	arrived bool         // eager transfer finished before a receiver matched
-	recv    *pendingRecv // receiver attached while the transfer is in flight
+	recv    *pendingRecv // matched receiver: known from the start (rendezvous) or attached in flight (eager)
+}
+
+// ActionDone delivers the finished transfer: the payload to the matched
+// receiver on success, then the outcome to both ends. An eager send
+// wakes the receiver (if one attached) before the sender, a rendezvous
+// the sender before the receiver — the order each protocol has always
+// resumed its ranks in, which the schedule's determinism rests on.
+func (ps *pendingSend) ActionDone(_ *surf.Action, err error) {
+	eng, pr := ps.proc.Engine(), ps.recv
+	if pr != nil && err == nil {
+		pr.data = ps.data
+		pr.src = ps.src
+	}
+	if !ps.eager {
+		eng.Wake(ps.proc, err)
+		eng.Wake(pr.proc, err)
+		return
+	}
+	ps.arrived = err == nil
+	if pr != nil {
+		eng.Wake(pr.proc, err)
+	}
+	eng.Wake(ps.proc, err)
 }
 
 type pendingRecv struct {
@@ -224,18 +250,8 @@ func (r *Rank) Send(dst, tag int, data any, bytes float64) error {
 		if err != nil {
 			return err
 		}
-		ps.action = a
-		a.SetOnComplete(func(cerr error) {
-			ps.arrived = cerr == nil
-			if pr := ps.recv; pr != nil {
-				if cerr == nil {
-					pr.data = ps.data
-					pr.src = ps.src
-				}
-				w.eng.Wake(pr.proc, cerr)
-			}
-			w.eng.Wake(ps.proc, cerr)
-		})
+		ps.action, ps.eager = a, true
+		a.SetCompletion(ps)
 	}
 	return r.proc.BlockOn(core.SimcallSend)
 }
@@ -288,7 +304,7 @@ func (r *Rank) Recv(src, tag int) (any, int, error) {
 }
 
 // startTransfer launches the network action joining a matched
-// send/recv pair and wires both wake-ups.
+// send/recv pair; ps.ActionDone wakes both ends.
 func (w *World) startTransfer(ps *pendingSend, pr *pendingRecv, dstRank int) error {
 	srcHost := w.hosts[ps.src]
 	dstHost := w.hosts[dstRank]
@@ -298,20 +314,13 @@ func (w *World) startTransfer(ps *pendingSend, pr *pendingRecv, dstRank int) err
 		w.eng.Wake(pr.proc, err)
 		return err
 	}
-	ps.action = a
-	deliver := func(cerr error) {
-		if cerr == nil {
-			pr.data = ps.data
-			pr.src = ps.src
-		}
-		w.eng.Wake(ps.proc, cerr)
-		w.eng.Wake(pr.proc, cerr)
-	}
+	ps.action, ps.recv = a, pr
 	if a.Done() {
-		cerr := a.Err()
-		w.eng.After(0, func() { deliver(cerr) })
+		// Dead on arrival (a link of the route is down): deliver from a
+		// timer, once both ends have blocked.
+		w.eng.After(0, func() { ps.ActionDone(a, a.Err()) })
 	} else {
-		a.SetOnComplete(deliver)
+		a.SetCompletion(ps)
 	}
 	return nil
 }

@@ -106,6 +106,65 @@ func TestRecvAnySource(t *testing.T) {
 	}
 }
 
+// TestTransferWakeOrder pins, per protocol, which end of a finished
+// transfer resumes first and that the payload and source rank reach the
+// receiver: an eager send resumes an attached receiver before the
+// sender, every matched (rendezvous) transfer the sender before the
+// receiver. Ranks log as they return from Send/Recv; same-instant
+// resumptions run in wake order.
+func TestTransferWakeOrder(t *testing.T) {
+	cases := []struct {
+		name     string
+		sender   int     // the other rank (of 2) receives
+		bytes    float64 // <= EagerThreshold ships eagerly when unmatched
+		recvFrom int     // Recv's source argument
+		delay    float64 // flops the receiver computes before posting
+		want     string
+	}{
+		// Rank 0 runs first, so it posts first.
+		{"eager, receiver attaches in flight", 0, 1e3, 0, 0, "recv send"},
+		{"eager, arrived before the receive", 0, 1e3, 0, 1e9, "send recv"},
+		{"rendezvous, sender first", 0, 1e6, 0, 0, "send recv"},
+		{"rendezvous, receiver first", 1, 1e6, 1, 0, "send recv"},
+		{"small message, receiver first", 1, 1e3, 1, 0, "send recv"},
+		{"AnySource, receiver first", 1, 1e3, AnySource, 0, "send recv"},
+		{"AnySource, eager in flight", 0, 1e3, AnySource, 0, "recv send"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var order []string
+			var sentAt, recvAt float64
+			run(t, 2, func(r *Rank) error {
+				if r.Rank() == c.sender {
+					err := r.Send(1-c.sender, 3, "payload", c.bytes)
+					order, sentAt = append(order, "send"), r.Wtime()
+					return err
+				}
+				if c.delay > 0 {
+					if err := r.Compute(c.delay); err != nil {
+						return err
+					}
+				}
+				v, src, err := r.Recv(c.recvFrom, 3)
+				order, recvAt = append(order, "recv"), r.Wtime()
+				if err != nil {
+					return err
+				}
+				if v != "payload" || src != c.sender {
+					return fmt.Errorf("received %v from rank %d, want payload from %d", v, src, c.sender)
+				}
+				return nil
+			})
+			if got := fmt.Sprint(order); got != "["+c.want+"]" {
+				t.Errorf("resume order %s, want [%s]", got, c.want)
+			}
+			if c.delay == 0 && sentAt != recvAt {
+				t.Errorf("sender resumed at %g, receiver at %g: want one instant", sentAt, recvAt)
+			}
+		})
+	}
+}
+
 func TestSendTakesNetworkTime(t *testing.T) {
 	var recvAt float64
 	w := run(t, 2, func(r *Rank) error {

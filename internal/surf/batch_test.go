@@ -3,11 +3,54 @@ package surf
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/platform"
 )
+
+// perPopModel is the pre-batching completion path, kept as the test
+// reference the batched AdvanceTo is compared against: one heap pop
+// and one complete() — one wake cycle — per due action. It shares
+// classifyDue and complete with the model, so only the event machinery
+// (popMin/push against collectDue/removeBatch/bulkPush) and the wake
+// sweep (Wake per action against one WakeAll) differ.
+type perPopModel struct{ *Model }
+
+// newPerPop is New with the reference AdvanceTo registered in place of
+// the model's own.
+func newPerPop(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
+	m := build(eng, pf, cfg)
+	eng.AddModel(perPopModel{m})
+	return m
+}
+
+func (r perPopModel) AdvanceTo(now, t float64) {
+	m := r.Model
+	m.refresh()
+	maxKey := t + eps + 1e-12*(1+t)
+	var finished, repush []*Action
+	for len(m.heap) > 0 && m.heap[0].key <= maxKey {
+		finished, repush = m.classifyDue(m.heap.popMin(), t, finished, repush)
+	}
+	for _, a := range repush {
+		m.heap.push(a)
+	}
+	sortActions(finished)
+	for _, a := range finished {
+		a.remaining = 0
+		a.lastSync = t
+		m.complete(a, nil)
+	}
+}
+
+// popMin removes and returns the action with the earliest event.
+func (h *actionHeap) popMin() *Action {
+	a := (*h)[0].a
+	h.remove(0)
+	return a
+}
 
 // TestActionHeapBulkOps fuzzes collectDue / removeBatch / bulkPush
 // against linear-scan models of the same operations, checking the heap
@@ -89,9 +132,10 @@ func TestActionHeapBulkOps(t *testing.T) {
 // a heap of n. Each iteration extracts the due run and re-inserts it
 // (steady state). `batched` = collectDue + removeBatch + bulkPush —
 // O(n) compaction/heapify when the run is large; `per-pop` = k
-// individual popMin/push pairs — O(k log n). The full-stack lock-step
-// benchmark (BenchmarkMSGScalingLockstep) shows how much of an MSG
-// step this machinery is; this one shows the machinery alone.
+// individual popMin/push pairs — O(k log n), the reference's machinery.
+// The full-stack lock-step benchmark (BenchmarkMSGScalingLockstep)
+// shows how much of an MSG step this machinery is; this one shows the
+// machinery alone.
 func BenchmarkActionHeapLockstep(b *testing.B) {
 	cases := []struct {
 		name string
@@ -172,13 +216,16 @@ func lockstepPlatform(t testing.TB, nPairs int) *platform.Platform {
 	return pf
 }
 
+// newModel is the signature New and newPerPop share.
+type newModel func(*core.Engine, *platform.Platform, Config) *Model
+
 // runLockstep drives rounds of simultaneous transfers + computes and
 // returns the completion log (time, action name) in wake order.
-func runLockstep(t *testing.T, cfg Config, nPairs, rounds int) []string {
+func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 	t.Helper()
 	pf := lockstepPlatform(t, nPairs)
 	eng := core.New()
-	m := New(eng, pf, cfg)
+	m := mk(eng, pf, DefaultConfig())
 	var log []string
 	for i := 0; i < nPairs; i++ {
 		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
@@ -213,26 +260,126 @@ func runLockstep(t *testing.T, cfg Config, nPairs, rounds int) []string {
 	return log
 }
 
-// TestLockstepBatchedEquivalence asserts that the batched same-instant
-// completion path (equal-key bulk-pop + one contiguous wake sweep) and
-// the sequential per-completion path produce the identical completion
-// log: same times, same actions, same wake order.
-func TestLockstepBatchedEquivalence(t *testing.T) {
-	base := DefaultConfig()
-	seq := base
-	seq.SequentialCompletions = true
-	batched := runLockstep(t, base, 60, 4)
-	sequential := runLockstep(t, seq, 60, 4)
-	if len(batched) != len(sequential) {
-		t.Fatalf("batched log has %d events, sequential %d", len(batched), len(sequential))
+// diffLogs fails at the first event where the batched and the per-pop
+// completion logs disagree.
+func diffLogs(t *testing.T, batched, perPop []string) {
+	t.Helper()
+	if len(batched) != len(perPop) {
+		t.Fatalf("batched log has %d events, per-pop %d", len(batched), len(perPop))
 	}
 	for i := range batched {
-		if batched[i] != sequential[i] {
-			t.Fatalf("event %d differs:\n  batched:    %s\n  sequential: %s", i, batched[i], sequential[i])
+		if batched[i] != perPop[i] {
+			t.Fatalf("event %d differs:\n  batched: %s\n  per-pop: %s", i, batched[i], perPop[i])
 		}
 	}
+}
+
+// TestLockstepBatchedEquivalence asserts that the batched same-instant
+// completion path (equal-key bulk-pop + one contiguous wake sweep) and
+// the per-pop reference produce the identical completion log for
+// directly waiting processes: same times, same actions, same wake
+// order.
+func TestLockstepBatchedEquivalence(t *testing.T) {
+	batched := runLockstep(t, New, 60, 4)
+	diffLogs(t, batched, runLockstep(t, newPerPop, 60, 4))
 	if len(batched) != 60*4*2 {
 		t.Fatalf("completion log has %d events, want %d", len(batched), 60*4*2)
+	}
+}
+
+// relay is a Completion-driven chain, the way simdag tasks and msg
+// rendezvous observe their actions: ActionDone logs the completion,
+// releases the action and starts the chain's next one (transfer and
+// compute alternating) from inside the handler — so successors enter
+// the heap, and recycled structs are handed out again, while the rest
+// of a same-instant batch is still being completed.
+type relay struct {
+	t        *testing.T
+	m        *Model
+	log      *[]string
+	src, dst string
+	left     int
+}
+
+// startStep starts a pair's action for the step with `left` steps to
+// go: a transfer on even counts, a compute on odd ones.
+func startStep(m *Model, src, dst string, left int) (*Action, error) {
+	if left%2 == 0 {
+		return m.Communicate(src, dst, 1e5)
+	}
+	return m.Execute(src, 1e6, 1)
+}
+
+func (r *relay) start() {
+	a, err := startStep(r.m, r.src, r.dst, r.left)
+	if err != nil {
+		r.t.Errorf("relay %s: %v", r.src, err)
+		return
+	}
+	a.SetCompletion(r)
+}
+
+func (r *relay) ActionDone(a *Action, err error) {
+	*r.log = append(*r.log, fmt.Sprintf("%.9g %s %v", r.m.eng.Now(), a.Name(), err))
+	a.Release()
+	if r.left--; r.left > 0 {
+		r.start()
+	}
+}
+
+// runRelays drives nPairs identical pairs through `steps` alternating
+// transfers and computes, every fourth pair by a process waiting on its
+// actions and the rest by relays — every step of every pair completes
+// at one instant, so each batch mixes Completion handlers with plain
+// waiters. It returns the completion log in delivery order.
+func runRelays(t *testing.T, mk newModel, nPairs, steps int) []string {
+	t.Helper()
+	pf := lockstepPlatform(t, nPairs)
+	eng := core.New()
+	m := mk(eng, pf, DefaultConfig())
+	var log []string
+	for i := 0; i < nPairs; i++ {
+		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
+		if i%4 != 0 {
+			r := &relay{t: t, m: m, log: &log, src: src, dst: dst, left: steps}
+			r.start()
+			continue
+		}
+		eng.Spawn(fmt.Sprintf("p%d", i), nil, func(p *core.Process) {
+			for left := steps; left > 0; left-- {
+				a, err := startStep(m, src, dst, left)
+				if err == nil {
+					err = a.Wait(p)
+				}
+				if err != nil {
+					t.Errorf("%s: %v", p.Name(), err)
+					return
+				}
+				log = append(log, fmt.Sprintf("%.9g %s woke", eng.Now(), a.Name()))
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return log
+}
+
+// TestCompletionBatchEquivalence is the handler-carrying counterpart
+// of TestLockstepBatchedEquivalence: a same-instant batch whose actions
+// carry Completion handlers that start successor actions from inside
+// ActionDone (simdag's release sweep, msg's rendezvous) is delivered in
+// the per-pop reference's order, successor by successor.
+func TestCompletionBatchEquivalence(t *testing.T) {
+	const nPairs, steps = 40, 8
+	batched := runRelays(t, New, nPairs, steps)
+	diffLogs(t, batched, runRelays(t, newPerPop, nPairs, steps))
+	if len(batched) != nPairs*steps {
+		t.Fatalf("completion log has %d events, want %d", len(batched), nPairs*steps)
+	}
+	first, _, _ := strings.Cut(batched[0], " ")
+	if last, _, _ := strings.Cut(batched[nPairs-1], " "); first != last {
+		t.Fatalf("first batch spans two instants (%s, %s): the pairs are not in lock-step", first, last)
 	}
 }
 

@@ -1,5 +1,7 @@
 package surf
 
+import "repro/internal/pool"
+
 // This file is the factory for pooled actions: the only place allowed
 // to construct or scrub an Action by composite literal. simgrid-lint's
 // pool-literal rule enforces that scope — a literal anywhere else
@@ -10,7 +12,7 @@ package surf
 // possible) with the shared creation bookkeeping filled in.
 func (m *Model) newAction(kind ActionKind, name string) *Action {
 	var a *Action
-	if n := len(m.actPool); poolingEnabled && n > 0 {
+	if n := len(m.actPool); pool.Enabled && n > 0 {
 		a = m.actPool[n-1]
 		m.actPool[n-1] = nil
 		m.actPool = m.actPool[:n-1]
@@ -34,7 +36,7 @@ func (m *Model) newAction(kind ActionKind, name string) *Action {
 // single owner of the "pools hold only zeroed structs" invariant.
 func (m *Model) poolAction(a *Action) {
 	*a = Action{}
-	if poolingEnabled {
+	if pool.Enabled {
 		m.actPool = append(m.actPool, a)
 	}
 }

@@ -115,13 +115,6 @@ func (h *actionHeap) remove(i int) {
 	a.heapIdx = -1
 }
 
-// popMin removes and returns the action with the earliest event.
-func (h *actionHeap) popMin() *Action {
-	a := (*h)[0].a
-	h.remove(0)
-	return a
-}
-
 // collectDue appends to buf every action whose event key is <= maxKey,
 // without restructuring the heap. The matching actions form a
 // parent-closed prefix of the tree (a child never keys below its

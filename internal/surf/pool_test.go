@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool"
 )
 
 func poolTestPlatform(t testing.TB, hosts int) *platform.Platform {
@@ -34,7 +35,7 @@ func poolTestPlatform(t testing.TB, hosts int) *platform.Platform {
 // no stale waiter, callback, heap index, rate, bound or error — and
 // that a recycled action exposes only its new parameters.
 func TestActionPoolScrubbed(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("pooling disabled (-tags=nopool)")
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -60,7 +61,7 @@ func TestActionPoolScrubbed(t *testing.T) {
 			if a.Done() || a.Err() != nil || a.Remaining() <= 0 {
 				t.Fatalf("fresh action in terminal state: done=%v err=%v rem=%g", a.Done(), a.Err(), a.Remaining())
 			}
-			if a.heapIdx < 0 || a.waiter != nil || a.onComplete != nil || a.compl != nil || a.suspended {
+			if a.heapIdx < 0 || a.waiter != nil || a.compl != nil || a.suspended {
 				t.Fatalf("recycled action leaked state: %+v", a)
 			}
 			acts = append(acts, a)
@@ -95,10 +96,10 @@ func TestActionPoolScrubbed(t *testing.T) {
 // free lists on, then off — and requires the identical completion
 // trace (finish times and outcomes): recycling must be unobservable.
 func TestActionPoolingEquivalence(t *testing.T) {
-	defer func(old bool) { poolingEnabled = old }(poolingEnabled)
+	defer func(old bool) { pool.Enabled = old }(pool.Enabled)
 
-	run := func(pool bool) []float64 {
-		poolingEnabled = pool
+	run := func(pooled bool) []float64 {
+		pool.Enabled = pooled
 		rng := rand.New(rand.NewSource(23))
 		eng := core.New()
 		pf := poolTestPlatform(t, 5)
@@ -147,7 +148,7 @@ func TestActionPoolingEquivalence(t *testing.T) {
 // action is a no-op, and a released action is actually recycled by the
 // next creation.
 func TestReleaseGuards(t *testing.T) {
-	if !poolingEnabled {
+	if !pool.Enabled {
 		t.Skip("pooling disabled (-tags=nopool)")
 	}
 	eng := core.New()

@@ -36,6 +36,7 @@ import (
 	"repro/internal/instr"
 	"repro/internal/maxmin"
 	"repro/internal/platform"
+	"repro/internal/pool"
 )
 
 // Errors delivered to processes waiting on failed or canceled actions.
@@ -70,17 +71,6 @@ type Config struct {
 	// RTTReference normalizes RTT weighting (weight = priority ×
 	// RTTReference / RTT); only relative weights matter.
 	RTTReference float64
-	// SolverWorkers bounds the worker pool solving independent MaxMin
-	// components in parallel (multi-island platforms): 1 forces a
-	// sequential solve, 0 uses GOMAXPROCS. Small solve scopes are
-	// always sequential regardless.
-	SolverWorkers int
-	// SequentialCompletions disables the batched same-instant
-	// completion path in AdvanceTo (equal-key bulk-pop of the event
-	// heap plus one contiguous wake sweep) and processes completions
-	// one heap pop at a time instead. Debug/benchmark knob: the two
-	// paths complete the same actions in the same order.
-	SequentialCompletions bool
 }
 
 // DefaultConfig returns the model defaults (CM02-flavoured).
@@ -148,11 +138,12 @@ type Action struct {
 	finish float64
 	seq    int64 // creation order, the final completion-sort tie-break
 
-	waiter     *core.Process
-	onComplete func(err error)
-	compl      Completion // allocation-free alternative to onComplete
-	done       bool
-	err        error
+	// An action is observed by exactly one of these: the process
+	// blocked in Wait, or the Completion registered by an upper layer.
+	waiter *core.Process
+	compl  Completion
+	done   bool
+	err    error
 
 	suspended bool
 }
@@ -161,7 +152,7 @@ type Action struct {
 // closure: a layer whose bookkeeping object outlives the action (msg's
 // pending rendezvous, a simdag task) registers itself via
 // SetCompletion, so steady-state churn allocates nothing. The handler
-// runs in kernel context, exactly like a SetOnComplete callback.
+// runs in kernel context.
 type Completion interface {
 	// ActionDone is invoked once when the action finishes; err is nil
 	// for success, else the failure cause (ErrCanceled, ErrHostFailed,
@@ -253,23 +244,10 @@ func (a *Action) Wait(p *core.Process) error {
 // MPI_Test flavour).
 func (a *Action) Test(p *core.Process) (bool, error) { return p.TestActivity(a) }
 
-// SetOnComplete registers a callback invoked in kernel context when the
-// action finishes (err nil on success). Layers needing to wake several
-// processes on one completion (e.g. MSG's sender+receiver) use this
-// instead of Wait. If the action is already done the callback fires
-// immediately. Steady-state callers should prefer SetCompletion, which
-// does not allocate a closure per action.
-func (a *Action) SetOnComplete(fn func(err error)) {
-	if a.done {
-		fn(a.err)
-		return
-	}
-	a.onComplete = fn
-}
-
-// SetCompletion registers h to receive the action's completion — the
-// closure-free twin of SetOnComplete. If the action is already done
-// the handler fires immediately.
+// SetCompletion registers h to receive the action's completion. Layers
+// needing to wake several processes on one completion (msg's and smpi's
+// sender+receiver) use this instead of Wait. If the action is already
+// done the handler fires immediately.
 func (a *Action) SetCompletion(h Completion) {
 	if a.done {
 		h.ActionDone(a, a.err)
@@ -315,7 +293,16 @@ func (a *Action) SetPriority(w float64) {
 		return
 	}
 	a.priority = w
-	if !a.suspended {
+	a.applyWeight()
+}
+
+// applyWeight hands the action's effective weight to the solver —
+// unless it is suspended, or still paying latency: a transfer takes no
+// bandwidth share until its latency phase ends, when classifyDue
+// applies the weight (a share taken earlier would starve the link's
+// other flows while the transfer itself does no work).
+func (a *Action) applyWeight() {
+	if !a.suspended && a.latUntil <= 0 {
 		a.model.sys.SetWeight(a.v, a.effWeight())
 	}
 }
@@ -336,7 +323,7 @@ func (a *Action) Resume() {
 		return
 	}
 	a.suspended = false
-	a.model.sys.SetWeight(a.v, a.effWeight())
+	a.applyWeight()
 }
 
 // Suspended reports whether the action is currently frozen.
@@ -429,10 +416,6 @@ type Model struct {
 	hostHandles  map[string]*HostHandle
 	routeHandles map[[2]string]*RouteHandle
 
-	// seqCompletions forces the one-pop-at-a-time completion path
-	// (Config.SequentialCompletions, benchmark/debug only).
-	seqCompletions bool
-
 	nextSeq int64 // action creation counter (completion-sort tie-break)
 
 	// markGen is the current ExecuteParallel dedup generation (see
@@ -459,6 +442,14 @@ type Model struct {
 // New builds the resource model for a platform, registering it with the
 // engine and scheduling all trace events.
 func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
+	m := build(eng, pf, cfg)
+	eng.AddModel(m)
+	return m
+}
+
+// build is New short of the engine registration, so the per-pop
+// reference model (batch_test.go) can register its own AdvanceTo.
+func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 	if cfg.BandwidthFactor <= 0 {
 		cfg.BandwidthFactor = 1
 	}
@@ -473,8 +464,6 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		cpus:  make(map[string]*resource),
 		links: make(map[string]*resource),
 	}
-	m.sys.SetWorkers(cfg.SolverWorkers)
-	m.seqCompletions = cfg.SequentialCompletions
 	for _, h := range pf.Hosts() {
 		r := &resource{
 			name:     h.Name,
@@ -528,7 +517,6 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 			l.Data = mk(l.Name)
 		}
 	}
-	eng.AddModel(m)
 	return m
 }
 
@@ -963,7 +951,7 @@ const eps = 1e-9
 // grabResources returns an empty resources slice, reusing a pooled one
 // when available.
 func (m *Model) grabResources() []*resource {
-	if n := len(m.resPool); poolingEnabled && n > 0 {
+	if n := len(m.resPool); pool.Enabled && n > 0 {
 		s := m.resPool[n-1]
 		m.resPool[n-1] = nil
 		m.resPool = m.resPool[:n-1]
@@ -980,7 +968,7 @@ func (m *Model) grabResources() []*resource {
 func (m *Model) releaseResources(a *Action) {
 	s := a.resources
 	a.resources = nil
-	if !poolingEnabled || cap(s) == 0 || cap(s) > 64 {
+	if !pool.Enabled || cap(s) == 0 || cap(s) > 64 {
 		return // nothing to pool / fat ptask slice: let the GC have it
 	}
 	for i := range s {
@@ -1054,10 +1042,6 @@ func (m *Model) AdvanceTo(now, t float64) {
 	// engine would spin on a next-event time that rounds to now);
 	// borderline actions collected but not yet due are re-pushed below.
 	maxKey := t + eps + 1e-12*(1+t)
-	if m.seqCompletions {
-		m.advanceSequential(t, maxKey)
-		return
-	}
 	due, stack := m.heap.collectDue(maxKey, m.dueBuf[:0], m.idxBuf)
 	m.idxBuf = stack
 	if len(due) == 0 {
@@ -1093,8 +1077,8 @@ func (m *Model) AdvanceTo(now, t float64) {
 // estimate is only solved next round — so it always goes back on the
 // heap), a finished action joins the completion set, and a borderline
 // action collected within the float-resolution slack but not yet due
-// goes back untouched. Shared by the batched and sequential paths so
-// the two cannot drift apart.
+// goes back untouched. Shared with the per-pop reference in
+// batch_test.go so the two cannot drift apart.
 func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (fin, rep []*Action) {
 	switch {
 	case a.latUntil > 0:
@@ -1102,9 +1086,7 @@ func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (f
 			a.latUntil = 0
 			a.lastSync = t
 			a.refreshEstimate(t)
-			if !a.suspended {
-				m.sys.SetWeight(a.v, a.effWeight())
-			}
+			a.applyWeight()
 		}
 		repush = append(repush, a)
 	case a.estFinish <= t+1e-12*(1+t):
@@ -1115,51 +1097,25 @@ func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (f
 	return finished, repush
 }
 
-// advanceSequential is the pre-batching completion path: one heap pop
-// and one wake cycle per due action (Config.SequentialCompletions).
-func (m *Model) advanceSequential(t, maxKey float64) {
-	finished := m.finBuf[:0]
-	repush := m.repushBuf[:0]
-	for len(m.heap) > 0 && m.heap[0].key <= maxKey {
-		finished, repush = m.classifyDue(m.heap.popMin(), t, finished, repush)
-	}
-	for _, a := range repush {
-		m.heap.push(a)
-	}
-	sortActions(finished)
-	for _, a := range finished {
-		a.remaining = 0
-		a.lastSync = t
-		m.complete(a, nil)
-	}
-	for i := range finished {
-		finished[i] = nil
-	}
-	m.finBuf = finished[:0]
-	for i := range repush {
-		repush[i] = nil
-	}
-	m.repushBuf = repush[:0]
-}
-
 // completeBatch finishes every action in finished (success). A batch
 // with no completion callbacks — the common case for direct waiters —
 // is one bookkeeping sweep (variables released, heap entries dropped)
 // followed by a single contiguous run-queue append (Engine.WakeAll);
 // per-action wake order equals slice order, so it matches the
-// sequential path exactly. As soon as any action carries an
-// onComplete callback, the whole batch defers to the per-action
-// complete() path instead: callbacks may observe — or cancel —
+// per-pop reference exactly. As soon as any action carries a
+// Completion handler, the whole batch defers to the per-action
+// complete() path instead: handlers may observe — or cancel —
 // sibling actions finishing at the same instant, and must see exactly
-// the intermediate state the sequential path would give them
-// (TestLockstepBatchedEquivalence pins the pure-waiter equivalence).
+// the intermediate state one-at-a-time completion would give them
+// (TestLockstepBatchedEquivalence and TestCompletionBatchEquivalence
+// pin both cases against the reference).
 func (m *Model) completeBatch(finished []*Action, t float64) {
 	if len(finished) == 0 {
 		return
 	}
 	hasCallbacks := false
 	for _, a := range finished {
-		if a.onComplete != nil || a.compl != nil {
+		if a.compl != nil {
 			hasCallbacks = true
 			break
 		}
@@ -1258,16 +1214,12 @@ func (m *Model) complete(a *Action, err error) {
 		a.waiter = nil
 		m.eng.Wake(w, err)
 	}
-	// Detach both handlers before invoking either: a handler may
-	// Release the action (simdag does), after which the struct belongs
-	// to the free list and must not be read again.
-	h, fn := a.compl, a.onComplete
-	a.compl, a.onComplete = nil, nil
-	if h != nil {
+	// Detach the handler before invoking it: it may Release the action
+	// (simdag does), after which the struct belongs to the free list and
+	// must not be read again.
+	if h := a.compl; h != nil {
+		a.compl = nil
 		h.ActionDone(a, err)
-	}
-	if fn != nil {
-		fn(err)
 	}
 }
 

@@ -221,6 +221,55 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	}
 }
 
+// TestLatencyPhaseTakesNoShare: a transfer still paying latency holds
+// no bandwidth share, whatever is done to its priority meanwhile. Flow
+// A (1e8 B on a 1e8 B/s, 1 s link) has the link to itself over [1, 2]
+// — flow B starts at t=1 and spends that second on its latency — so A
+// finishes at 2.0 in every variant.
+func TestLatencyPhaseTakesNoShare(t *testing.T) {
+	cases := []struct {
+		name  string
+		touch func(b *Action)
+	}{
+		{"untouched", func(*Action) {}},
+		{"SetPriority", func(b *Action) { b.SetPriority(1) }},
+		{"Suspend+Resume", func(b *Action) { b.Suspend(); b.Resume() }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := platform.New()
+			p.AddHost(&platform.Host{Name: "h1", Power: 1e9})
+			p.AddHost(&platform.Host{Name: "h2", Power: 1e9})
+			l := &platform.Link{Name: "l", Bandwidth: 1e8, Latency: 1}
+			if err := p.AddRoute("h1", "h2", []*platform.Link{l}); err != nil {
+				t.Fatal(err)
+			}
+			e := core.New()
+			m := New(e, p, exactCfg())
+			var doneA, doneB float64
+			e.Spawn("A", nil, func(pr *core.Process) {
+				a, _ := m.Communicate("h1", "h2", 1e8)
+				a.Wait(pr)
+				doneA = e.Now()
+			})
+			e.Spawn("B", nil, func(pr *core.Process) {
+				pr.Sleep(1)
+				b, _ := m.Communicate("h1", "h2", 1e8)
+				c.touch(b)
+				b.Wait(pr)
+				doneB = e.Now()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			// B: latency over [1, 2], then the whole link for 1 s.
+			if !approx(doneA, 2, 1e-6) || !approx(doneB, 3, 1e-6) {
+				t.Errorf("A/B finished at %g/%g, want 2/3", doneA, doneB)
+			}
+		})
+	}
+}
+
 func TestFatpipeDoesNotShare(t *testing.T) {
 	p := platform.New()
 	p.AddHost(&platform.Host{Name: "h1", Power: 1e9})

@@ -7,6 +7,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -167,10 +168,6 @@ func (w *WorkloadSpec) Build(s *simdag.Simulation, runSeed int64) error {
 // SolverSpec names one surf configuration.
 type SolverSpec struct {
 	Name string `json:"name"`
-	// Workers overrides Config.SolverWorkers (0 keeps the default).
-	Workers int `json:"workers,omitempty"`
-	// Sequential sets Config.SequentialCompletions.
-	Sequential bool `json:"sequential,omitempty"`
 	// NoRTTWeight disables Config.WeightByRTT.
 	NoRTTWeight bool `json:"no_rtt_weight,omitempty"`
 }
@@ -178,10 +175,6 @@ type SolverSpec struct {
 // Config materializes the surf configuration.
 func (sv *SolverSpec) Config() surf.Config {
 	cfg := surf.DefaultConfig()
-	if sv.Workers > 0 {
-		cfg.SolverWorkers = sv.Workers
-	}
-	cfg.SequentialCompletions = sv.Sequential
 	if sv.NoRTTWeight {
 		cfg.WeightByRTT = false
 	}
@@ -250,14 +243,19 @@ type Spec struct {
 	Seeds      []int64        `json:"seeds"`
 }
 
-// Load reads a Spec from a JSON file and validates it.
+// Load reads a Spec from a JSON file and validates it. Like the
+// platform and deployment loaders it rejects unknown fields: a typo, or
+// a knob that no longer exists, is an error rather than a silent
+// default.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var sp Spec
-	if err := json.Unmarshal(data, &sp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
 	if err := sp.Validate(); err != nil {

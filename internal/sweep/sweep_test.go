@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,6 +140,50 @@ func TestSpecValidate(t *testing.T) {
 			tc.mut(spec)
 			err := spec.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLoadStrict: a spec file round-trips through Load, and one naming
+// a field the schema does not have — a removed solver knob, a typo — is
+// an error, never a silent run of the defaults.
+func TestLoadStrict(t *testing.T) {
+	spec := Baseline()
+	if err := spec.Validate(); err != nil { // fills the default solver axis
+		t.Fatal(err)
+	}
+	good, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := `"solvers":[{"name":"default"`
+	if !bytes.Contains(good, []byte(solver)) {
+		t.Fatalf("baseline spec JSON has no %s to mutate", solver)
+	}
+	cases := []struct {
+		name, json string
+		want       string // error substring; "" = loads
+	}{
+		{"baseline", string(good), ""},
+		{"removed workers knob", strings.Replace(string(good), solver, solver+`,"workers":4`, 1), `unknown field "workers"`},
+		{"removed sequential knob", strings.Replace(string(good), solver, solver+`,"sequential":true`, 1), `unknown field "sequential"`},
+		{"typo", strings.Replace(string(good), `"seeds"`, `"seedz"`, 1), `unknown field "seedz"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "spec.json")
+			if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sp, err := Load(path)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Load: %v", err)
+			case tc.want == "" && sp.Name != Baseline().Name:
+				t.Fatalf("loaded campaign %q, want %q", sp.Name, Baseline().Name)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
