@@ -15,12 +15,14 @@
 package simgrid
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gantt"
 	"repro/internal/gras/codec"
+	"repro/internal/instr"
 	"repro/internal/maxmin"
 	"repro/internal/msg"
 	"repro/internal/packet"
@@ -106,7 +108,8 @@ func BenchmarkFigGantt(b *testing.B) {
 			b.Fatal(err)
 		}
 		env := msg.NewEnvironment(pf, surf.DefaultConfig())
-		env.Gantt = &gantt.Recorder{}
+		var traced bytes.Buffer
+		env.EnableTrace(instr.NewTrace(&traced))
 		for _, s := range servers {
 			if _, err := env.NewProcess(s, s, func(p *msg.Process) error {
 				p.Daemonize()
@@ -144,8 +147,15 @@ func BenchmarkFigGantt(b *testing.B) {
 		if err := env.Run(); err != nil {
 			b.Fatal(err)
 		}
-		if len(env.Gantt.Intervals()) == 0 {
-			b.Fatal("no gantt intervals recorded")
+		if err := env.Trace().Close(); err != nil {
+			b.Fatal(err)
+		}
+		td, err := instr.ReadTrace(&traced)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(gantt.FromTrace(td, "PSTATE").Intervals()) == 0 {
+			b.Fatal("no gantt intervals in the trace")
 		}
 	}
 }

@@ -2,7 +2,9 @@
 // client/server example with 2 servers and 3 clients; dark portions
 // (#) are computations, light portions (=) communications, dots are
 // receive waits. Concurrent transfers share the network links, so the
-// communications visibly stretch when they interfere.
+// communications visibly stretch when they interfere. The run is
+// traced in memory and the chart rendered from the trace's process
+// activity states — the same path -paje takes for a trace file.
 //
 // With -dag the chart switches to the SimDag view: a seeded random
 // workflow scheduled by min-min, one row per host, each span labeled
@@ -17,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +77,8 @@ func main() {
 	must(pf.ComputeRoutes())
 
 	env := msg.NewEnvironment(pf, surf.DefaultConfig())
-	env.Gantt = &gantt.Recorder{}
+	var traced bytes.Buffer
+	env.EnableTrace(instr.NewTrace(&traced))
 
 	for _, s := range servers {
 		_, err := env.NewProcess(s, s, func(p *msg.Process) error {
@@ -117,16 +121,20 @@ func main() {
 	}
 
 	must(env.Run())
+	must(env.Trace().Close())
+	td, err := instr.ReadTrace(&traced)
+	must(err)
+	chart := gantt.FromTrace(td, "PSTATE")
 
 	fmt.Printf("Gantt chart for %d clients × %d rounds against %d servers "+
 		"(ends at t=%.3f s)\n", len(clients), *rounds, len(servers), env.Now())
 	fmt.Println("dark (#): computation   light (=): communication   dots (.): waiting")
 	fmt.Println()
-	must(env.Gantt.Render(os.Stdout, *width))
+	must(chart.Render(os.Stdout, *width))
 
 	fmt.Println("\nper-track totals (seconds):")
-	for _, tr := range env.Gantt.Tracks() {
-		tot := env.Gantt.TotalByKind(tr)
+	for _, tr := range chart.Tracks() {
+		tot := chart.TotalByKind(tr)
 		fmt.Printf("  %-9s compute %6.3f   comm %6.3f   wait %6.3f\n",
 			tr, tot[gantt.Compute], tot[gantt.Comm], tot[gantt.Wait])
 	}
@@ -139,7 +147,6 @@ func renderDAG(width int, seed int64) {
 	pf, err := platform.GenerateWaxman(platform.DefaultWaxmanConfig(5, seed))
 	must(err)
 	sim := simdag.New(pf, surf.DefaultConfig())
-	sim.Gantt = &gantt.Recorder{}
 	tasks, err := simdag.RandomLayered(sim, simdag.DefaultRandomConfig(6, 6, seed+1))
 	must(err)
 	var hosts []string
@@ -155,58 +162,26 @@ func renderDAG(width int, seed int64) {
 		len(tasks), len(hosts), sim.Makespan(), sim.Engine().Spawned())
 	fmt.Println("dark (#): computation   light (=): communication   labels: task names")
 	fmt.Println()
-	must(sim.Gantt.RenderLabeled(os.Stdout, width))
+	must(gantt.FromTasks(sim.Tasks()).RenderLabeled(os.Stdout, width))
 }
 
 // renderPaje reconstructs a Gantt chart from a Paje trace file: every
 // activity interval the trace recorded lands on its container's row —
-// process activities (PSTATE) with their compute/put/get kinds, task
-// running spans (TSTATE), and resource downtime (STATE down) as waits.
+// process activities (PSTATE), task running spans (TSTATE), and
+// resource downtime (STATE down).
 func renderPaje(path string, width int) {
 	f, err := os.Open(path)
 	must(err)
 	defer f.Close()
 	td, err := instr.ReadTrace(f)
 	must(err)
-
-	rec := &gantt.Recorder{}
-	n := 0
-	for _, iv := range td.Intervals {
-		var kind gantt.Kind
-		switch iv.Type {
-		case "PSTATE":
-			switch iv.Value {
-			case "compute":
-				kind = gantt.Compute
-			case "put":
-				kind = gantt.Comm
-			case "get":
-				kind = gantt.Wait
-			default:
-				continue // the "killed" marker has no extent
-			}
-		case "TSTATE":
-			if iv.Value != "running" {
-				continue
-			}
-			kind = gantt.Compute
-		case "STATE":
-			if iv.Value != "down" {
-				continue
-			}
-			kind = gantt.Wait
-		default:
-			continue
-		}
-		rec.Add(iv.Container, kind, iv.Value, iv.Start, iv.End)
-		n++
-	}
+	chart := gantt.FromTrace(td, "PSTATE", "TSTATE", "STATE")
 
 	fmt.Printf("Paje trace %s: %d containers, %d intervals rendered, %d message links "+
-		"(ends at t=%.3f s)\n", path, len(td.Containers), n, len(td.Links), td.EndTime)
+		"(ends at t=%.3f s)\n", path, len(td.Containers), len(chart.Intervals()), len(td.Links), td.EndTime)
 	fmt.Println("dark (#): computation   light (=): communication   dots (.): waiting/down")
 	fmt.Println()
-	must(rec.Render(os.Stdout, width))
+	must(chart.Render(os.Stdout, width))
 }
 
 func must(err error) {

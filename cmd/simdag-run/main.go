@@ -64,7 +64,6 @@ func main() {
 	}
 
 	sim := simdag.New(pf, surf.DefaultConfig())
-	sim.Gantt = &gantt.Recorder{}
 	var traceFile *os.File
 	if *tracePath != "" {
 		traceFile, err = os.Create(*tracePath)
@@ -188,12 +187,13 @@ func main() {
 
 	if *showGantt {
 		fmt.Println("\nper-host schedule (labels are task names; =: transfers, #: computations):")
-		if err := sim.Gantt.RenderLabeled(os.Stdout, *ganttWidth); err != nil {
+		chart := gantt.FromTasks(sim.Tasks())
+		if err := chart.RenderLabeled(os.Stdout, *ganttWidth); err != nil {
 			log.Fatal(err)
 		}
 		busy := make(map[string]float64)
-		for _, tr := range sim.Gantt.Tracks() {
-			tot := sim.Gantt.TotalByKind(tr)
+		for _, tr := range chart.Tracks() {
+			tot := chart.TotalByKind(tr)
 			busy[tr] = tot[gantt.Compute] + tot[gantt.Comm]
 		}
 		var tracks []string

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -76,16 +78,23 @@ func main() {
 	}
 
 	env := msg.NewEnvironment(pf, surf.DefaultConfig())
-	if *showGantt {
-		env.Gantt = &gantt.Recorder{}
-	}
+	// The run is traced for -trace (to the file) and for -gantt (in
+	// memory): the chart is rendered from the trace's own bytes.
 	var traceFile *os.File
+	var chartTrace bytes.Buffer
+	var sinks []io.Writer
 	if *tracePath != "" {
 		traceFile, err = os.Create(*tracePath)
 		if err != nil {
 			log.Fatalf("trace: %v", err)
 		}
-		env.EnableTrace(instr.NewTrace(traceFile))
+		sinks = append(sinks, traceFile)
+	}
+	if *showGantt {
+		sinks = append(sinks, &chartTrace)
+	}
+	if len(sinks) > 0 {
+		env.EnableTrace(instr.NewTrace(io.MultiWriter(sinks...)))
 	}
 	var prof *instr.Profiler
 	if *profile {
@@ -137,10 +146,10 @@ func main() {
 		log.Fatalf("simulation: %v", err)
 	}
 	fmt.Printf("simulation finished at t=%.6f s\n", env.Now())
+	if err := env.Trace().Close(); err != nil { // nil-safe: no-op untraced
+		log.Fatalf("trace: %v", err)
+	}
 	if traceFile != nil {
-		if err := env.Trace().Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
 		if err := traceFile.Close(); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
@@ -171,8 +180,12 @@ func main() {
 		}
 	}
 	if *showGantt {
+		td, err := instr.ReadTrace(&chartTrace)
+		if err != nil {
+			log.Fatalf("gantt: %v", err)
+		}
 		fmt.Println()
-		if err := env.Gantt.Render(os.Stdout, *width); err != nil {
+		if err := gantt.FromTrace(td, "PSTATE").Render(os.Stdout, *width); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -3,17 +3,20 @@
 // on every run. The workload couples every pair through a shared
 // backbone link (so completions interact through the MaxMin share),
 // mixes transfers, computations, sleeps and same-instant completions,
-// and logs every wake. CI runs it with -count=5 so nondeterminism
-// introduced by a scheduler change is caught on every push.
+// and logs every wake. It is replayed five times with pooling on and
+// five with it off (pooltest.Replay), so nondeterminism introduced by a
+// scheduler or recycling change is caught by plain `go test`.
 package simgrid
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/msg"
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -103,19 +106,11 @@ func runSeededWorkload(t *testing.T, pf *platform.Platform, nPairs, rounds int, 
 
 func TestDeterminism(t *testing.T) {
 	const nPairs, rounds, seed = 40, 6, 12345
-	ref := runSeededWorkload(t, determinismPlatform(t, nPairs), nPairs, rounds, seed)
-	if len(ref) != nPairs*rounds*3 {
-		t.Fatalf("event log has %d entries, want %d", len(ref), nPairs*rounds*3)
-	}
-	for run := 1; run <= 2; run++ {
-		got := runSeededWorkload(t, determinismPlatform(t, nPairs), nPairs, rounds, seed)
-		if len(got) != len(ref) {
-			t.Fatalf("run %d: %d events, reference has %d", run, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("run %d: event %d differs:\n  ref: %s\n  got: %s", run, i, ref[i], got[i])
-			}
-		}
+	ref := pooltest.Replay(t, 5, func() []byte {
+		log := runSeededWorkload(t, determinismPlatform(t, nPairs), nPairs, rounds, seed)
+		return []byte(strings.Join(log, "\n"))
+	})
+	if n := strings.Count(string(ref), "\n") + 1; n != nPairs*rounds*3 {
+		t.Fatalf("event log has %d entries, want %d", n, nPairs*rounds*3)
 	}
 }

@@ -35,7 +35,6 @@ func main() {
 			return nil, err
 		}
 		sim := simdag.New(pf, surf.DefaultConfig())
-		sim.Gantt = &gantt.Recorder{}
 		if _, err := simdag.RandomLayered(sim, simdag.DefaultRandomConfig(*layers, *width, *seed+1)); err != nil {
 			return nil, err
 		}
@@ -75,7 +74,7 @@ func main() {
 
 	if *chart {
 		fmt.Println("\nmin-min schedule (one row per host, task-name labels):")
-		if err := mm.Gantt.RenderLabeled(os.Stdout, 100); err != nil {
+		if err := gantt.FromTasks(mm.Tasks()).RenderLabeled(os.Stdout, 100); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gantt"
+	"repro/internal/instr"
 	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/surf"
@@ -61,7 +63,8 @@ func main() {
 	must(pf.ComputeRoutes())
 
 	env := msg.NewEnvironment(pf, surf.DefaultConfig())
-	env.Gantt = &gantt.Recorder{}
+	var traced bytes.Buffer // the chart below is rendered from the run's trace
+	env.EnableTrace(instr.NewTrace(&traced))
 
 	done := make(map[string]int)
 
@@ -117,7 +120,10 @@ func main() {
 			wn, done[wn], pf.Host(wn).Power/1e9)
 	}
 	fmt.Println("\nGantt chart (# compute, = comm, . idle-wait):")
-	must(env.Gantt.Render(os.Stdout, 100))
+	must(env.Trace().Close())
+	td, err := instr.ReadTrace(&traced)
+	must(err)
+	must(gantt.FromTrace(td, "PSTATE").Render(os.Stdout, 100))
 }
 
 // runFairWeather is the classic failure-free bag-of-tasks: rendezvous

@@ -27,6 +27,7 @@ import (
 	"math"
 	"runtime/debug"
 	"sort"
+	"time"
 
 	"repro/internal/instr"
 )
@@ -215,6 +216,11 @@ func (p *Process) OnExit(fn func(err error)) { p.onExit = append(p.onExit, fn) }
 // Err returns the termination cause after the process is Done.
 func (p *Process) Err() error { return p.err }
 
+// SetErr records err as the termination cause of a process whose body
+// is about to return: upper layers with error-returning bodies (msg)
+// report a failed body through it. A later kill or panic overrides it.
+func (p *Process) SetErr(err error) { p.err = err }
+
 // timer is a scheduled callback in the future event set.
 type timer struct {
 	at       float64
@@ -350,6 +356,10 @@ type Engine struct {
 	// (report-only) and the timer heap's high-water mark.
 	prof      *instr.Profiler
 	timerPeak int
+	// Start of the kernel turn's open dispatch span (zero: none open).
+	// dispatch closes it before the token can leave this goroutine (see
+	// endDispatchSpan).
+	dispatchT0 time.Time
 }
 
 // New returns an empty simulation engine at time 0.
@@ -840,10 +850,8 @@ func (e *Engine) kernelTurn(self *Process) dispatchResult {
 		// process; its dispatch chain continues the round. The flag drops
 		// before the hand-off: the woken process runs its own code.
 		e.inKernel = false
-		t0 = e.prof.Begin()
-		r := e.dispatch(self)
-		e.prof.End(instr.PhaseDispatch, t0)
-		if r != dispatchNone {
+		e.dispatchT0 = e.prof.Begin() // zero without a profiler
+		if r := e.dispatch(self); r != dispatchNone {
 			return r
 		}
 		e.inKernel = true

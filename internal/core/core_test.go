@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/instr"
 )
 
 func TestEmptyEngineRuns(t *testing.T) {
@@ -652,4 +654,36 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestProfilerWithProcessHandoff runs goroutine processes with the
+// phase profiler attached. The kernel turn hands the token to another
+// goroutine from inside dispatch, so the dispatch span must be closed
+// before that send — under -race this test fails if the profiler is
+// touched after the hand-off. The span is still charged once per turn.
+func TestProfilerWithProcessHandoff(t *testing.T) {
+	e := New()
+	prof := instr.NewProfiler()
+	e.SetProfiler(prof)
+	const procs, rounds = 8, 50
+	for i := 0; i < procs; i++ {
+		d := 0.001 * float64(i+1)
+		e.Spawn("sleeper", nil, func(p *Process) {
+			for r := 0; r < rounds; r++ {
+				if err := p.Sleep(d); err != nil {
+					t.Errorf("Sleep: %v", err)
+				}
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	turns := prof.Count(instr.PhaseSweep)
+	if turns == 0 {
+		t.Fatal("profiler saw no kernel turn")
+	}
+	if got := prof.Count(instr.PhaseDispatch); got != turns {
+		t.Errorf("dispatch span charged %d times over %d kernel turns", got, turns)
+	}
 }

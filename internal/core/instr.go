@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/instr"
+import (
+	"time"
+
+	"repro/internal/instr"
+)
 
 // Observability wiring for the kernel. The engine carries an optional
 // phase profiler (wall-clock, report-only — see instr.Profiler) and
@@ -15,6 +19,17 @@ func (e *Engine) SetProfiler(p *instr.Profiler) { e.prof = p }
 
 // Profiler returns the attached phase profiler (nil when off).
 func (e *Engine) Profiler() *instr.Profiler { return e.prof }
+
+// endDispatchSpan charges the kernel turn's dispatch phase to the
+// profiler. dispatch calls it on every exit and BEFORE the hand-off
+// send: once another goroutine holds the token, this one may touch
+// neither the engine nor the profiler.
+func (e *Engine) endDispatchSpan() {
+	if !e.dispatchT0.IsZero() {
+		e.prof.End(instr.PhaseDispatch, e.dispatchT0)
+		e.dispatchT0 = time.Time{}
+	}
+}
 
 // TimerPeak returns the high-water mark of the timer heap.
 func (e *Engine) TimerPeak() int { return e.timerPeak }

@@ -142,19 +142,19 @@ func (e *Engine) dispatch(self *Process) dispatchResult {
 			p.pendingWake = &ec
 			continue
 		}
-		if p == self {
-			e.current = p
-			p.state = Running
-			return dispatchSelf
-		}
 		e.current = p
 		p.state = Running
+		e.endDispatchSpan()
+		if p == self {
+			return dispatchSelf
+		}
 		p.resume <- p.wakeErr
 		return dispatchNext
 	}
 	e.runQ = e.runQ[:0]
 	e.runHead = 0
 	e.current = nil
+	e.endDispatchSpan()
 	return dispatchNone
 }
 

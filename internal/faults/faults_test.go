@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -48,14 +50,9 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 			{Name: "wan", Links: []string{"l0", "l1"}, MTBF: 90, MTTR: 2, Dist: Weibull, Shape: 0.7},
 		},
 	}
-	ref := mustCompile(t, 42, p).String()
+	ref := string(pooltest.Replay(t, 5, func() []byte { return []byte(mustCompile(t, 42, p).String()) }))
 	if ref == "" {
 		t.Fatal("empty schedule: horizon/MTBF tuning produced no events")
-	}
-	for i := 0; i < 5; i++ {
-		if got := mustCompile(t, 42, p).String(); got != ref {
-			t.Fatalf("run %d: schedule differs from first compile:\n%s\nvs\n%s", i, got, ref)
-		}
 	}
 	if other := mustCompile(t, 43, p).String(); other == ref {
 		t.Fatal("different seed produced an identical schedule")
@@ -63,7 +60,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 
 	// Replaying the schedule through the injector must produce an
 	// identical event log across runs: same times, same order.
-	runLog := func() string {
+	pooltest.Replay(t, 5, func() []byte {
 		eng := core.New()
 		pf := faultsPlatform(t)
 		m := surf.New(eng, pf, surf.DefaultConfig())
@@ -75,7 +72,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b strings.Builder
+		var b bytes.Buffer
 		in.OnEvent = func(ev Event) {
 			fmt.Fprintf(&b, "%.9e %v %s %v\n", eng.Now(), ev.Link, ev.Name, ev.Up)
 		}
@@ -85,14 +82,8 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		if in.Applied() != sched.Len() {
 			t.Fatalf("applied %d of %d events", in.Applied(), sched.Len())
 		}
-		return b.String()
-	}
-	first := runLog()
-	for i := 0; i < 4; i++ {
-		if got := runLog(); got != first {
-			t.Fatalf("injection run %d: event log differs", i)
-		}
-	}
+		return b.Bytes()
+	})
 }
 
 // TestTrailingRecovery: every failure is paired with its recovery, even

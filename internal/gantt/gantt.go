@@ -1,20 +1,24 @@
-// Package gantt records per-process activity intervals during a
-// simulation and renders them as an ASCII Gantt chart, reproducing the
-// paper's execution figure ("Dark portions denote computations, light
-// portions denote communications").
+// Package gantt renders activity intervals as an ASCII Gantt chart,
+// reproducing the paper's execution figure ("Dark portions denote
+// computations, light portions denote communications").
 //
-// Key invariant: the recorder is a passive observer — recording is
-// driven entirely by the layers above (msg processes, simdag tasks)
-// and never influences virtual time or scheduling, so enabling a chart
-// cannot change a simulation's outcome.
+// Key invariant: a chart is a view built after the run — of a Paje
+// trace (FromTrace: the MSG figure, and any traced run) or of a
+// finished DAG's tasks (FromTasks) — so nothing records intervals
+// while the simulation runs, and a chart cannot disagree with the
+// trace it was rendered from.
 package gantt
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/instr"
+	"repro/internal/simdag"
 )
 
 // Kind classifies an interval.
@@ -71,7 +75,64 @@ func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 // Recorder accumulates intervals. The zero value is ready to use.
 type Recorder struct {
 	intervals []Interval
-	open      map[string]*Interval // per track, the in-flight interval
+}
+
+// traceKinds is the one trace→chart mapping: which (state type, value)
+// pairs of a Paje trace have extent on a chart, and as what kind.
+// Process activities (PSTATE) keep their compute/put/get kinds, a task's
+// running span (TSTATE) counts as computation, resource downtime (STATE
+// down) as waiting; markers such as PSTATE "killed" are not listed.
+var traceKinds = map[[2]string]Kind{
+	{"PSTATE", "compute"}: Compute,
+	{"PSTATE", "put"}:     Comm,
+	{"PSTATE", "get"}:     Wait,
+	{"TSTATE", "running"}: Compute,
+	{"STATE", "down"}:     Wait,
+}
+
+// FromTrace builds the chart of a decoded Paje trace, one track per
+// container, from the state types listed (see traceKinds). A state the
+// trace never closed — a daemon still blocked when the run ended — is
+// skipped.
+func FromTrace(td *instr.TraceData, stateTypes ...string) *Recorder {
+	r := &Recorder{}
+	for _, iv := range td.Intervals {
+		kind, ok := traceKinds[[2]string{iv.Type, iv.Value}]
+		if ok && !iv.Open && slices.Contains(stateTypes, iv.Type) {
+			r.Add(iv.Container, kind, iv.Value, iv.Start, iv.End)
+		}
+	}
+	return r
+}
+
+// FromTasks builds the per-host chart of a finished DAG: every task
+// that ran (to completion or to a failure of its own) is one span
+// labelled with its name, in finish order — a compute task on its host,
+// a transfer on its source host, a parallel task on the first of its
+// hosts (by convention). Sequencing tasks and tasks cancelled because a
+// dependency failed never ran and have no span.
+func FromTasks(tasks []*simdag.Task) *Recorder {
+	ran := make([]*simdag.Task, 0, len(tasks))
+	for _, t := range tasks {
+		terminal := t.State() == simdag.Done || t.State() == simdag.Failed
+		if terminal && t.Kind() != simdag.Seq && t.Err() != simdag.ErrDependencyFailed {
+			ran = append(ran, t)
+		}
+	}
+	sort.SliceStable(ran, func(i, j int) bool { return ran[i].Finish() < ran[j].Finish() })
+	r := &Recorder{}
+	for _, t := range ran {
+		track, kind := t.Host(), Compute
+		switch t.Kind() {
+		case simdag.Comm:
+			track, _ = t.Endpoints()
+			kind = Comm
+		case simdag.Parallel:
+			track = t.ParallelHosts()[0]
+		}
+		r.Add(track, kind, t.Name(), t.Start(), t.Finish())
+	}
+	return r
 }
 
 // Add records a closed interval.
@@ -82,29 +143,6 @@ func (r *Recorder) Add(track string, kind Kind, label string, start, end float64
 	r.intervals = append(r.intervals, Interval{
 		Track: track, Kind: kind, Label: label, Start: start, End: end,
 	})
-}
-
-// Begin opens an interval on a track; End closes it. At most one
-// interval may be open per track (nested activities close the previous
-// one first).
-func (r *Recorder) Begin(track string, kind Kind, label string, at float64) {
-	if r.open == nil {
-		r.open = make(map[string]*Interval)
-	}
-	if iv := r.open[track]; iv != nil {
-		r.Add(iv.Track, iv.Kind, iv.Label, iv.Start, at)
-	}
-	r.open[track] = &Interval{Track: track, Kind: kind, Label: label, Start: at}
-}
-
-// End closes the open interval on a track, if any.
-func (r *Recorder) End(track string, at float64) {
-	iv := r.open[track]
-	if iv == nil {
-		return
-	}
-	delete(r.open, track)
-	r.Add(iv.Track, iv.Kind, iv.Label, iv.Start, at)
 }
 
 // Intervals returns a copy of the recorded intervals sorted by track

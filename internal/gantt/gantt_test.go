@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/instr"
+	"repro/internal/platform"
+	"repro/internal/simdag"
+	"repro/internal/surf"
 )
 
 func TestAddAndIntervals(t *testing.T) {
@@ -33,38 +38,108 @@ func TestAddSwapsReversedBounds(t *testing.T) {
 	}
 }
 
-func TestBeginEnd(t *testing.T) {
-	var r Recorder
-	r.Begin("p", Compute, "work", 0)
-	r.End("p", 2)
-	ivs := r.Intervals()
-	if len(ivs) != 1 || ivs[0].Start != 0 || ivs[0].End != 2 || ivs[0].Kind != Compute {
-		t.Errorf("intervals = %+v", ivs)
+// TestFromTrace renders a hand-written trace: process activities keep
+// their kinds, the killed marker and a state the trace never closed are
+// skipped, and only the requested state types are charted.
+func TestFromTrace(t *testing.T) {
+	var buf bytes.Buffer
+	tr := instr.NewTrace(&buf)
+	host := tr.DefineContainerType("0", "HOST")
+	proc := tr.DefineContainerType(host, "PROCESS")
+	state := tr.DefineStateType(host, "STATE")
+	pstate := tr.DefineStateType(proc, "PSTATE")
+	h := tr.CreateContainer(0, host, "0", "h")
+	p := tr.CreateContainer(0, proc, h, "p")
+	d := tr.CreateContainer(0, proc, h, "daemon")
+	tr.PushState(0, pstate, p, "compute")
+	tr.PushState(0.5, pstate, d, "get") // still blocked when the trace ends
+	tr.PopState(1, pstate, p)
+	tr.PushState(1, pstate, p, "put")
+	tr.SetState(2, state, h, "down")
+	tr.PopState(3, pstate, p)
+	tr.PushState(3, pstate, p, "get")
+	tr.SetState(4, state, h, "up")
+	tr.PopState(4, pstate, p)
+	tr.SetState(4, pstate, p, "killed")
+	tr.DestroyContainer(4, proc, p)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	td, err := instr.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Interval{
+		{Track: "p", Kind: Compute, Label: "compute", Start: 0, End: 1},
+		{Track: "p", Kind: Comm, Label: "put", Start: 1, End: 3},
+		{Track: "p", Kind: Wait, Label: "get", Start: 3, End: 4},
+	}
+	got := FromTrace(td, "PSTATE").Intervals()
+	if len(got) != len(want) {
+		t.Fatalf("PSTATE chart = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("interval %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	all := FromTrace(td, "PSTATE", "STATE").Intervals()
+	if len(all) != 4 || all[0] != (Interval{Track: "h", Kind: Wait, Label: "down", Start: 2, End: 4}) {
+		t.Errorf("PSTATE+STATE chart = %+v, want the host's downtime first", all)
 	}
 }
 
-func TestBeginImplicitlyClosesPrevious(t *testing.T) {
-	var r Recorder
-	r.Begin("p", Compute, "a", 0)
-	r.Begin("p", Comm, "b", 1)
-	r.End("p", 3)
-	ivs := r.Intervals()
-	if len(ivs) != 2 {
-		t.Fatalf("got %d intervals, want 2", len(ivs))
+// TestFromTasks charts a finished DAG: spans in finish order on the
+// conventional track of each task kind; tasks that never ran have none.
+func TestFromTasks(t *testing.T) {
+	pf := platform.New()
+	for _, n := range []string{"a", "b"} {
+		if err := pf.AddHost(&platform.Host{Name: n, Power: 1e9}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ivs[0].Kind != Compute || ivs[0].End != 1 {
-		t.Errorf("first = %+v", ivs[0])
+	l := &platform.Link{Name: "l", Bandwidth: 1e8, Latency: 0}
+	if err := pf.AddRoute("a", "b", []*platform.Link{l}); err != nil {
+		t.Fatal(err)
 	}
-	if ivs[1].Kind != Comm || ivs[1].Start != 1 || ivs[1].End != 3 {
-		t.Errorf("second = %+v", ivs[1])
+	sim := simdag.New(pf, surf.Config{BandwidthFactor: 1, LatencyFactor: 1})
+	first := sim.NewTask("first", 1e9)
+	xfer := sim.NewCommTask("xfer", 1e8)
+	join := sim.NewSeqTask("join")
+	second := sim.NewTask("second", 2e9)
+	for _, dep := range [][2]*simdag.Task{{first, xfer}, {xfer, join}, {join, second}} {
+		if err := sim.AddDependency(dep[0], dep[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-func TestEndWithoutBeginIsNoop(t *testing.T) {
-	var r Recorder
-	r.End("ghost", 1)
-	if len(r.Intervals()) != 0 {
-		t.Error("spurious interval")
+	if err := first.Schedule("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := xfer.ScheduleComm("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Schedule("b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Simulate(); err != nil {
+		t.Fatal(err)
+	}
+	// Tasks() order is creation order; shuffle the input to show the
+	// chart is ordered by finish time, not by argument order.
+	tasks := []*simdag.Task{second, join, xfer, first}
+	r := FromTasks(tasks)
+	want := []Interval{
+		{Track: "a", Kind: Compute, Label: "first", Start: 0, End: 1},
+		{Track: "a", Kind: Comm, Label: "xfer", Start: 1, End: 2},
+		{Track: "b", Kind: Compute, Label: "second", Start: 2, End: 4},
+	}
+	if len(r.intervals) != len(want) {
+		t.Fatalf("chart = %+v, want %+v", r.intervals, want)
+	}
+	for i := range want {
+		if r.intervals[i] != want[i] {
+			t.Errorf("interval %d = %+v, want %+v", i, r.intervals[i], want[i])
+		}
 	}
 }
 

@@ -23,13 +23,15 @@ type Container struct {
 // StateInterval is one closed span of a state on a container:
 // [Start, End) during which the state held Value. Push/Pop pairs and
 // Set transitions both reduce to intervals; spans still open at
-// end-of-trace are closed at the trace's last timestamp.
+// end-of-trace are closed at the trace's last timestamp and flagged
+// Open.
 type StateInterval struct {
 	Container string
 	Type      string // state type name (e.g. PSTATE, TSTATE)
 	Value     string
 	Start     float64
 	End       float64
+	Open      bool // never closed by the trace: End is the trace's end
 }
 
 // LinkSpan is one matched StartLink/EndLink pair.
@@ -196,8 +198,12 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	closed := len(td.Intervals)
 	for _, st := range states {
 		closeState(td, st, td.EndTime)
+	}
+	for i := closed; i < len(td.Intervals); i++ {
+		td.Intervals[i].Open = true
 	}
 	return td, nil
 }

@@ -10,15 +10,16 @@ package msg
 // API uses, and the completion callback advances the program counter
 // and runs the next step. No goroutine, no stack, no channel handoff —
 // a chain's entire kernel-visible behaviour (rendezvous matching,
-// action ordering, gantt records, kill/restart semantics) is
+// action ordering, activity trace, kill/restart semantics) is
 // indistinguishable from the equivalent goroutine process, which the
 // equivalence suite in chain_test.go replays both ways to check.
 //
 // The form exists for scale: a 10M-activity run over goroutine
 // processes pays a stack and two channel operations per block/wake,
 // while the chain interpreter pays a pc increment and a virtual-step
-// dispatch. Chains share the PID space, the live count and the
-// Spawned() accounting with goroutine processes, so a mixed workload
+// dispatch. Both forms are one actor (actor.go) to the registry, the
+// failure sweep and the rendezvous, and share the PID space, the live
+// count and the Spawned() accounting, so a mixed workload
 // (examples/masterworker keeps its dispatcher as a goroutine and runs
 // workers as chains) needs no special casing anywhere.
 
@@ -27,8 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/gantt"
-	"repro/internal/platform"
 	"repro/internal/surf"
 )
 
@@ -51,7 +50,7 @@ const (
 // on op; the zero value of the rest is inert.
 type chainStep struct {
 	op      chainOp
-	name    string  // task/gantt label (opPut, opCompute)
+	name    string  // opPut task name
 	flops   float64 // opPut (payload), opCompute
 	bytes   float64 // opPut
 	dur     float64 // opSleep
@@ -159,9 +158,10 @@ func (b *ChainBuilder) Get(channel int) *ChainBuilder {
 }
 
 // Compute runs flops of work on the chain's host (MSG_task_execute as
-// a step); name labels the gantt interval.
+// a step). name labels the step for readers of the spec; the trace
+// records the activity itself, as PSTATE "compute".
 func (b *ChainBuilder) Compute(name string, flops float64) *ChainBuilder {
-	b.steps = append(b.steps, chainStep{op: opCompute, name: name, flops: flops})
+	b.steps = append(b.steps, chainStep{op: opCompute, flops: flops})
 	return b
 }
 
@@ -249,7 +249,7 @@ type ChainConfig struct {
 }
 
 // ChainProc is a running (or pooled) instance of a Chain on a host: the
-// processless counterpart of Process. It is this package's
+// processless form of an actor (actor.go). It is this package's
 // surf.Completion handler for the chain's compute actions; transfers
 // complete through the shared pendingSend handler, which advances the
 // chain endpoints inline.
@@ -259,17 +259,11 @@ type ChainConfig struct {
 // for a later StartChain, so holding the pointer past termination
 // reads another chain's state. Harvest results in OnExit.
 type ChainProc struct {
-	env  *Environment
-	host *platform.Host
-	name string
-	pid  int
+	actor
 	spec *Chain
 
-	daemon      bool
-	autoRestart bool
-	onExit      func(error)
-	// OnFailure mirrors Process.OnFailure (settable after StartChain).
-	OnFailure func(err error)
+	daemon bool
+	onExit func(error)
 
 	pc        int
 	counters  []int
@@ -287,10 +281,6 @@ type ChainProc struct {
 	restartPending bool // killed by host failure, parked in restartQ
 	inRun          bool // the interpreter loop is on the stack
 	releasePending bool // terminated inside run(): recycle at loop exit
-	ganttOpen      bool
-
-	pajeC    string // trace container alias ("" with tracing off)
-	pajeOpen bool   // a PSTATE push awaits its pop
 }
 
 // StartChain starts spec as a processless chain on hostName. It runs
@@ -306,7 +296,8 @@ func (env *Environment) StartChain(name, hostName string, spec *Chain, cfg *Chai
 		return nil, errors.New("msg: nil chain")
 	}
 	c := env.grabChain()
-	c.env, c.host, c.name, c.spec = env, h, name, spec
+	c.actor = actor{env: env, host: h, name: name, chain: c}
+	c.spec = spec
 	if cap(c.counters) < spec.numLoops {
 		c.counters = make([]int, spec.numLoops)
 	} else {
@@ -318,18 +309,22 @@ func (env *Environment) StartChain(name, hostName string, spec *Chain, cfg *Chai
 		c.onExit = cfg.OnExit
 		c.OnFailure = cfg.OnFailure
 	}
+	c.start()
+	return c, nil
+}
+
+// start begins a life of the chain — its first, or a restart: a fresh
+// PID, a place in the live counts and registries, then the program runs
+// up to its first blocking step.
+func (c *ChainProc) start() {
+	env := c.env
 	c.pid = env.eng.AllocPID()
 	if !c.daemon {
 		env.eng.AddLive(1)
 	}
 	env.chains[c.pid] = c
-	if env.chainsByHost[h.Name] == nil {
-		env.chainsByHost[h.Name] = make(map[*ChainProc]bool)
-	}
-	env.chainsByHost[h.Name][c] = true
-	c.pajeC = env.traceProcStart(name, h.Name)
+	c.enter()
 	c.run()
-	return c, nil
 }
 
 // LiveChains returns the number of chains currently registered (not yet
@@ -337,22 +332,6 @@ func (env *Environment) StartChain(name, hostName string, spec *Chain, cfg *Chai
 func (env *Environment) LiveChains() int { return len(env.chains) }
 
 // --- ChainProc accessors (valid until termination) ----------------------
-
-// Name returns the chain's process name.
-func (c *ChainProc) Name() string { return c.name }
-
-// PID returns the chain's process identifier (shared space with
-// goroutine processes; a restart allocates a fresh one).
-func (c *ChainProc) PID() int { return c.pid }
-
-// Host returns the host the chain runs on.
-func (c *ChainProc) Host() *platform.Host { return c.host }
-
-// Env returns the owning environment.
-func (c *ChainProc) Env() *Environment { return c.env }
-
-// Now returns the current simulated time.
-func (c *ChainProc) Now() float64 { return c.env.eng.Now() }
 
 // Task returns the task register: the task last received by Get or
 // stored by SetTask (nil initially).
@@ -462,11 +441,8 @@ func (c *ChainProc) step() {
 	}
 }
 
-// fail terminates the chain with a step error.
-func (c *ChainProc) fail(err error) { c.finish(err) }
-
-// finish terminates a chain that completed (or failed) under its own
-// power. kill is the external-termination twin.
+// finish terminates a chain that completed (err nil) or whose step
+// failed, under its own power. kill is the external-termination twin.
 func (c *ChainProc) finish(err error) {
 	if c.done {
 		return
@@ -479,13 +455,11 @@ func (c *ChainProc) finish(err error) {
 func (c *ChainProc) teardown(err error) {
 	c.err = err
 	env := c.env
-	env.traceProcEnd(c.pajeC, c.pajeOpen, err)
-	c.pajeC, c.pajeOpen = "", false
+	c.leave(err)
 	if !c.daemon {
 		env.eng.AddLive(-1)
 	}
 	delete(env.chains, c.pid)
-	delete(env.chainsByHost[c.host.Name], c)
 	if c.onExit != nil {
 		c.onExit(err)
 	}
@@ -499,9 +473,10 @@ func (c *ChainProc) teardown(err error) {
 }
 
 // kill terminates the chain from outside (Kill API or the host-failure
-// sweep), cleaning up whatever it is blocked on. An in-flight matched
-// transfer keeps flowing to the peer — exactly the goroutine-kill
-// semantics, where the record is abandoned to ActionDone.
+// sweep), cleaning up whatever it is blocked on. A rendezvous record is
+// abandoned exactly like a killed goroutine's: dequeued, or — matched
+// and in flight — left to ActionDone while the transfer keeps flowing
+// to the peer.
 func (c *ChainProc) kill(err error) {
 	if c.done {
 		return
@@ -512,50 +487,22 @@ func (c *ChainProc) kill(err error) {
 	}
 	if ps := c.sendRec; ps != nil {
 		c.sendRec = nil
-		if ps.delivery != nil {
-			ps.chainS = nil
-			ps.abandoned = true // ActionDone recycles it, peer still delivered
-		} else {
-			mb := c.env.mailbox(c.pendKey)
-			for i, q := range mb.sendQ {
-				if q == ps {
-					mb.sendQ = append(mb.sendQ[:i], mb.sendQ[i+1:]...)
-					c.env.noteQueued(-1, 0)
-					break
-				}
-			}
-			c.env.releaseSend(ps)
-		}
+		c.env.abandonSend(c.pendKey, ps)
 	}
 	if pr := c.recvRec; pr != nil {
 		c.recvRec = nil
-		if pr.matched != nil {
-			pr.chainR = nil
-			pr.abandoned = true
-		} else {
-			mb := c.env.mailbox(c.pendKey)
-			for i, q := range mb.recvQ {
-				if q == pr {
-					mb.recvQ = append(mb.recvQ[:i], mb.recvQ[i+1:]...)
-					c.env.noteQueued(0, -1)
-					break
-				}
-			}
-			c.env.releaseRecv(pr)
-		}
+		c.env.abandonRecv(c.pendKey, pr)
 	}
 	if c.sleepTimer != nil {
 		c.sleepTimer.Cancel()
 	}
-	c.ganttEndNow()
-	c.teardown(err)
+	c.teardown(err) // closes the open activity interval, if any
 }
 
 // rearm restarts a killed auto-restart chain from step 0 — fresh PID,
-// original name/host/spec/flags — when its host recovers. The chain
-// analogue of restartOn's process respawn.
+// original name/host/spec/flags — when its host recovers (the chain
+// half of actor.respawn).
 func (c *ChainProc) rearm() {
-	env := c.env
 	c.restartPending = false
 	c.done = false
 	c.err = nil
@@ -565,17 +512,7 @@ func (c *ChainProc) rearm() {
 	for i := range c.counters {
 		c.counters[i] = 0
 	}
-	c.pid = env.eng.AllocPID()
-	if !c.daemon {
-		env.eng.AddLive(1)
-	}
-	env.chains[c.pid] = c
-	if env.chainsByHost[c.host.Name] == nil {
-		env.chainsByHost[c.host.Name] = make(map[*ChainProc]bool)
-	}
-	env.chainsByHost[c.host.Name][c] = true
-	c.pajeC = env.traceProcStart(c.name, c.host.Name)
-	c.run()
+	c.start()
 }
 
 // --- step starters ------------------------------------------------------
@@ -584,26 +521,26 @@ func (c *ChainProc) rearm() {
 // finished inline (the interpreter keeps running) and false when the
 // chain blocked or failed.
 func (c *ChainProc) stepCompute(st *chainStep) bool {
-	flops, label := st.flops, st.name
+	flops := st.flops
 	if st.useTask {
 		if c.task == nil {
-			c.fail(errors.New("msg: chain: ComputeTask with empty task register"))
+			c.finish(errors.New("msg: chain: ComputeTask with empty task register"))
 			return false
 		}
-		flops, label = c.task.Flops, c.task.Name
+		flops = c.task.Flops
 	}
 	a, err := c.env.model.Execute(c.host.Name, flops, 1)
 	if err != nil {
-		c.fail(err)
+		c.finish(err)
 		return false
 	}
-	c.ganttBegin(gantt.Compute, label)
+	c.begin(stateCompute)
 	if a.Done() {
 		cerr := a.Err()
-		c.ganttEndNow()
+		c.end()
 		a.Release()
 		if cerr != nil {
-			c.fail(cerr)
+			c.finish(cerr)
 			return false
 		}
 		c.pc++
@@ -617,36 +554,44 @@ func (c *ChainProc) stepCompute(st *chainStep) bool {
 
 // ActionDone implements surf.Completion for the chain's compute
 // actions (transfers are completed by pendingSend.ActionDone, which
-// calls sendDone/recvDone on the chain endpoints instead).
+// advances the chain endpoints through unblock instead).
 func (c *ChainProc) ActionDone(a *surf.Action, err error) {
 	c.exec = nil
-	c.blockedOn = core.SimcallNone
-	c.ganttEndNow()
 	a.Release()
-	if c.done {
-		return // kill canceled the action; teardown already ran
-	}
-	if err != nil {
-		if err == ErrHostFailed && c.env.KillOnHostFailure {
-			// surf fails a dying host's actions BEFORE OnHostStateChange
-			// fires: the kill sweep for this very failure runs next and
-			// must find the chain alive to kill it (and queue its
-			// restart). Park here; the sweep finishes the job.
-			return
-		}
-		c.fail(err)
+	if err == ErrHostFailed && c.env.KillOnHostFailure && !c.done {
+		// surf fails a dying host's actions BEFORE OnHostStateChange
+		// fires: the kill sweep for this very failure runs next and
+		// must find the chain alive to kill it (and queue its
+		// restart). Park here; the sweep finishes the job.
+		c.blockedOn = core.SimcallNone
+		c.end()
 		return
 	}
-	c.pc++
-	c.run()
+	c.unblock(nil, err)
 }
 
 // sleepDone is the (single, re-armed) sleep timer's callback.
-func (c *ChainProc) sleepDone() {
+func (c *ChainProc) sleepDone() { c.unblock(nil, nil) }
+
+// unblock ends the chain's current block — compute, sleep or either
+// side of a rendezvous — with err and resumes the interpreter: the
+// chain half of resuming an actor (actor.advance). A receive hands over
+// the task for the register. A chain killed in the meantime (the kill
+// canceled the action, teardown already ran) just drops the outcome.
+func (c *ChainProc) unblock(task *Task, err error) {
+	c.sendRec, c.recvRec = nil, nil
+	c.blockedOn = core.SimcallNone
+	c.end()
 	if c.done {
 		return
 	}
-	c.blockedOn = core.SimcallNone
+	if err != nil {
+		c.finish(err)
+		return
+	}
+	if task != nil {
+		c.task = task
+	}
 	c.pc++
 	c.run()
 }
@@ -661,48 +606,34 @@ func (c *ChainProc) stepPut(st *chainStep) {
 	case st.makeTask != nil:
 		task = st.makeTask(c)
 		if task == nil {
-			c.fail(errors.New("msg: chain: PutTask factory returned nil"))
+			c.finish(errors.New("msg: chain: PutTask factory returned nil"))
 			return
 		}
 	case st.useTask:
 		task = c.task
 		if task == nil {
-			c.fail(errors.New("msg: chain: PutReg with empty task register"))
+			c.finish(errors.New("msg: chain: PutReg with empty task register"))
 			return
 		}
 	default:
 		task = NewTask(st.name, st.flops, st.bytes)
 	}
 	if env.pf.Host(st.dest) == nil {
-		c.fail(fmt.Errorf("msg: unknown destination host %q", st.dest))
+		c.finish(fmt.Errorf("msg: unknown destination host %q", st.dest))
 		return
 	}
 	task.source = c.host
 	task.sender = nil // chains have no *Process identity
 
 	key := mailboxKey{host: st.dest, channel: st.channel}
-	mb := env.mailbox(key)
 	ps := env.grabSend()
-	ps.task, ps.env, ps.srcHost, ps.chainS = task, env, c.host, c
-	ps.srcC = c.pajeC
+	ps.task, ps.env, ps.from, ps.ownerless = task, env, &c.actor, true
 	c.sendRec = ps
 	c.pendKey = key
 	c.blockedOn = core.SimcallSend
-	c.ganttBegin(gantt.Comm, task.Name)
-
-	if len(mb.recvQ) > 0 {
-		pr := mb.recvQ[0]
-		mb.recvQ = mb.recvQ[1:]
-		env.noteQueued(0, -1)
-		if err := env.startTransfer(key, ps, pr, c); err != nil {
-			c.sendRec = nil
-			env.releaseSend(ps)
-			c.ganttEndNow()
-			c.fail(err)
-		}
-	} else {
-		mb.sendQ = append(mb.sendQ, ps)
-		env.noteQueued(1, 0)
+	c.begin(statePut)
+	if err := env.postSend(key, ps); err != nil {
+		env.settleSend(ps, err)
 	}
 }
 
@@ -710,87 +641,13 @@ func (c *ChainProc) stepPut(st *chainStep) {
 func (c *ChainProc) stepGet(st *chainStep) {
 	env := c.env
 	key := mailboxKey{host: c.host.Name, channel: st.channel}
-	mb := env.mailbox(key)
 	pr := env.grabRecv()
-	pr.chainR = c
-	pr.dstC = c.pajeC
+	pr.to, pr.dstC, pr.ownerless = &c.actor, c.pajeC, true
 	c.recvRec = pr
 	c.pendKey = key
 	c.blockedOn = core.SimcallRecv
-	c.ganttBegin(gantt.Wait, "recv")
-
-	if len(mb.sendQ) > 0 {
-		ps := mb.sendQ[0]
-		mb.sendQ = mb.sendQ[1:]
-		env.noteQueued(-1, 0)
-		if err := env.startTransfer(key, ps, pr, c); err != nil {
-			c.recvRec = nil
-			env.releaseRecv(pr)
-			c.ganttEndNow()
-			c.fail(err)
-		}
-	} else {
-		mb.recvQ = append(mb.recvQ, pr)
-		env.noteQueued(0, 1)
-	}
-}
-
-// sendDone resumes a chain whose Put transfer completed. Called by
-// pendingSend.ActionDone after the record was recycled.
-func (c *ChainProc) sendDone(err error) {
-	c.sendRec = nil
-	c.blockedOn = core.SimcallNone
-	c.ganttEndNow()
-	if c.done {
-		return
-	}
-	if err != nil {
-		c.fail(err)
-		return
-	}
-	c.pc++
-	c.run()
-}
-
-// recvDone resumes a chain whose Get matched and completed, loading
-// the task register.
-func (c *ChainProc) recvDone(task *Task, err error) {
-	c.recvRec = nil
-	c.blockedOn = core.SimcallNone
-	c.ganttEndNow()
-	if c.done {
-		return
-	}
-	if err != nil {
-		c.fail(err)
-		return
-	}
-	c.task = task
-	c.pc++
-	c.run()
-}
-
-// --- gantt --------------------------------------------------------------
-
-func (c *ChainProc) ganttBegin(kind gantt.Kind, label string) {
-	if c.env.Gantt != nil {
-		c.env.Gantt.Begin(c.name, kind, label, c.env.eng.Now())
-		c.ganttOpen = true
-	}
-	if mt := c.env.trace; mt != nil && c.pajeC != "" {
-		mt.tr.PushState(c.env.eng.Now(), mt.pstate, c.pajeC, pstateValue(kind))
-		c.pajeOpen = true
-	}
-}
-
-func (c *ChainProc) ganttEndNow() {
-	if c.ganttOpen {
-		c.env.Gantt.End(c.name, c.env.eng.Now())
-		c.ganttOpen = false
-	}
-	if c.pajeOpen {
-		mt := c.env.trace
-		mt.tr.PopState(c.env.eng.Now(), mt.pstate, c.pajeC)
-		c.pajeOpen = false
+	c.begin(stateGet)
+	if err := env.postRecv(key, pr); err != nil {
+		env.settleRecv(pr, err)
 	}
 }

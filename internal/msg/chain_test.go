@@ -8,10 +8,12 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/pool"
+	"repro/internal/pool/pooltest"
 )
 
 // rec builds an event recorder whose entries embed the exact (hex
@@ -235,14 +237,14 @@ func TestChainGoroutineEquivalence(t *testing.T) {
 	}
 }
 
-// TestChainDeterminism runs the declarative pair workload five times:
-// every run must produce the bit-identical event log (the repo-wide
-// replayability contract, extended to the processless form).
+// TestChainDeterminism replays the declarative pair workload five times
+// pooled and five times fresh: every run must produce the bit-identical
+// event log (the repo-wide replayability contract, extended to the
+// processless form).
 func TestChainDeterminism(t *testing.T) {
-	ref := chainPairWorkload(t, true, 3, 4, 0.013)
-	for i := 1; i < 5; i++ {
-		diffLogs(t, "run0", ref, fmt.Sprintf("run%d", i), chainPairWorkload(t, true, 3, 4, 0.013))
-	}
+	pooltest.Replay(t, 5, func() []byte {
+		return []byte(strings.Join(chainPairWorkload(t, true, 3, 4, 0.013), "\n"))
+	})
 }
 
 // TestChainPoolingEquivalence replays a chain-churn workload (waves of
@@ -296,47 +298,113 @@ func TestChainPoolingEquivalence(t *testing.T) {
 
 func waves3(waves int) int { return waves * 3 }
 
-// TestChainMixedRendezvous crosses the forms: a goroutine master farms
-// tasks to a declarative worker, poison pill included — the hybrid
-// shape examples/masterworker uses.
+// TestChainMixedRendezvous crosses the forms. "farm": a goroutine
+// master farms tasks to a declarative worker, poison pill included —
+// the hybrid shape examples/masterworker uses. The other two cases pin
+// the completion order of a mixed pair (chain sender → goroutine
+// receiver, and the reverse): the goroutine endpoint's wake is queued
+// BEFORE the chain endpoint advances, so whatever the chain's next
+// steps make runnable in the same instant — here a suspended bystander
+// it resumes, right before a follow-up Put — runs after the peer.
 func TestChainMixedRendezvous(t *testing.T) {
-	env := NewEnvironment(lanPlatform(t), exact())
-	var handled int
-	var workerErr = errors.New("sentinel")
-	worker := NewChain().
-		Loop(0). // forever, until the poison pill stops the chain
-		Get(1).
-		StopIf(func(task *Task) bool { return task.Data == "stop" }).
-		ComputeTask().
-		Do(func(c *ChainProc) { handled++ }).
-		End().
-		MustBuild()
-	if _, err := env.StartChain("worker", "server", worker, &ChainConfig{
-		OnExit: func(err error) { workerErr = err },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env.NewProcess("master", "client", func(p *Process) error {
-		for i := 0; i < 4; i++ {
-			if err := p.Put(NewTask(fmt.Sprintf("job%d", i), 1e6, 1e5), "server", 1); err != nil {
-				return err
-			}
+	t.Run("farm", func(t *testing.T) {
+		env := NewEnvironment(lanPlatform(t), exact())
+		var handled int
+		var workerErr = errors.New("sentinel")
+		worker := NewChain().
+			Loop(0). // forever, until the poison pill stops the chain
+			Get(1).
+			StopIf(func(task *Task) bool { return task.Data == "stop" }).
+			ComputeTask().
+			Do(func(c *ChainProc) { handled++ }).
+			End().
+			MustBuild()
+		if _, err := env.StartChain("worker", "server", worker, &ChainConfig{
+			OnExit: func(err error) { workerErr = err },
+		}); err != nil {
+			t.Fatal(err)
 		}
-		stop := NewTask("poison", 0, 1)
-		stop.Data = "stop"
-		return p.Put(stop, "server", 1)
+		env.NewProcess("master", "client", func(p *Process) error {
+			for i := 0; i < 4; i++ {
+				if err := p.Put(NewTask(fmt.Sprintf("job%d", i), 1e6, 1e5), "server", 1); err != nil {
+					return err
+				}
+			}
+			stop := NewTask("poison", 0, 1)
+			stop.Data = "stop"
+			return p.Put(stop, "server", 1)
+		})
+		if err := env.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if handled != 4 {
+			t.Errorf("worker handled %d tasks, want 4", handled)
+		}
+		if workerErr != nil {
+			t.Errorf("worker OnExit err = %v, want nil (StopIf is a normal exit)", workerErr)
+		}
+		if env.LiveChains() != 0 {
+			t.Errorf("LiveChains() = %d", env.LiveChains())
+		}
 	})
-	if err := env.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if handled != 4 {
-		t.Errorf("worker handled %d tasks, want 4", handled)
-	}
-	if workerErr != nil {
-		t.Errorf("worker OnExit err = %v, want nil (StopIf is a normal exit)", workerErr)
-	}
-	if env.LiveChains() != 0 {
-		t.Errorf("LiveChains() = %d", env.LiveChains())
+	for _, chainSends := range []bool{true, false} {
+		chainSends := chainSends
+		name := "order/goroutine-to-chain"
+		if chainSends {
+			name = "order/chain-to-goroutine"
+		}
+		t.Run(name, func(t *testing.T) {
+			env := NewEnvironment(lanPlatform(t), exact())
+			rec, log := chainRecorder(env)
+			// The bystander parks itself, is resumed by the chain, and
+			// takes the chain's follow-up message.
+			bystander, err := env.NewProcess("bystander", "client", func(p *Process) error {
+				p.Suspend()
+				rec("bystander resumed")
+				_, err := p.Get(2)
+				rec("bystander got follow-up")
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewChain()
+			if chainSends {
+				b.Put("m1", 0, 1e5, "client", 1)
+			} else {
+				b.Get(1)
+			}
+			spec := b.
+				Do(func(c *ChainProc) { rec("chain past m1"); bystander.Resume() }).
+				Put("follow-up", 0, 1e5, "client", 2).
+				Do(func(c *ChainProc) { rec("chain past follow-up") }).
+				MustBuild()
+			if _, err := env.StartChain("chain", "server", spec, nil); err != nil {
+				t.Fatal(err)
+			}
+			env.NewProcess("peer", "client", func(p *Process) error {
+				var err error
+				if chainSends {
+					_, err = p.Get(1)
+				} else {
+					err = p.Put(NewTask("m1", 0, 1e5), "server", 1)
+				}
+				rec("peer past m1")
+				return err
+			})
+			if err := env.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			const hop = 0.001 + 1e5/1e8 // latency + 100 kB at 1e8 B/s
+			want := []string{
+				fmt.Sprintf("%x chain past m1", hop),
+				fmt.Sprintf("%x peer past m1", hop),
+				fmt.Sprintf("%x bystander resumed", hop),
+				fmt.Sprintf("%x chain past follow-up", 2*hop),
+				fmt.Sprintf("%x bystander got follow-up", 2*hop),
+			}
+			diffLogs(t, "got", *log, "want", want)
+		})
 	}
 }
 

@@ -79,7 +79,7 @@ func (env *Environment) grabChain() *ChainProc {
 
 // releaseChain scrubs a terminated ChainProc and pools it. The caller
 // (teardown) guarantees the chain is deregistered and every pending
-// record, action and gantt interval has been settled. Two allocations
+// record, action and activity interval has been settled. Two allocations
 // survive the scrub on purpose: the counters slice (capacity reused by
 // the next occupant) and the sleep timer (tied to this environment's
 // engine and re-armed rather than re-allocated — its callback reads

@@ -348,3 +348,108 @@ func TestPanicMidRendezvousRecyclesRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedFormHostFailureOrder interleaves goroutine processes and
+// chains by PID on one host, fails the host and recovers it: hooks,
+// kills and restarts follow PID order across the two forms. A chain
+// dies inline in the sweep (its OnExit follows its OnFailure directly);
+// a goroutine process is only queued there and unwinds once the sweep
+// is over, still in PID order.
+func TestMixedFormHostFailureOrder(t *testing.T) {
+	env := NewEnvironment(lanPlatform(t), exact())
+	rec, log := chainRecorder(env)
+	lives := map[string][]int{} // name -> PID of each incarnation
+	spec := NewChain().Sleep(100).MustBuild()
+	for i := 1; i <= 4; i++ {
+		name := fmt.Sprintf("a%d", i)
+		onFailure := func(err error) { rec(fmt.Sprintf("failure %s %v", name, err)) }
+		onExit := func(err error) { rec(fmt.Sprintf("exit %s %v", name, err)) }
+		if i%2 == 1 {
+			p, err := env.NewProcess(name, "server", func(p *Process) error {
+				lives[name] = append(lives[name], p.PID())
+				return p.Sleep(100)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetAutoRestart(true)
+			p.OnFailure = onFailure
+			p.Core().OnExit(onExit)
+			continue
+		}
+		c, err := env.StartChain(name, "server", spec, &ChainConfig{
+			AutoRestart: true, OnFailure: onFailure, OnExit: onExit,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lives[name] = append(lives[name], c.PID())
+		env.Engine().After(3, func() { lives[name] = append(lives[name], c.PID()) })
+	}
+	env.NewProcess("bystander", "client", func(p *Process) error { return p.Sleep(5) })
+	eng := env.Engine()
+	eng.After(1, func() { _ = env.Model().FailHost("server") })
+	eng.After(2, func() { _ = env.Model().RestoreHost("server") })
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	at := func(ts float64, s string) string { return fmt.Sprintf("%x %s", ts, s) }
+	want := []string{
+		at(1, "failure a1 "+ErrHostFailed.Error()),
+		at(1, "failure a2 "+ErrHostFailed.Error()),
+		at(1, "exit a2 "+ErrKilled.Error()),
+		at(1, "failure a3 "+ErrHostFailed.Error()),
+		at(1, "failure a4 "+ErrHostFailed.Error()),
+		at(1, "exit a4 "+ErrKilled.Error()),
+		at(1, "exit a1 "+ErrKilled.Error()),
+		at(1, "exit a3 "+ErrKilled.Error()),
+		// Second lives run to completion. A re-armed chain keeps its
+		// OnExit; a respawned process is a fresh kernel process and
+		// inherits only OnFailure.
+		at(102, "exit a2 <nil>"),
+		at(102, "exit a4 <nil>"),
+	}
+	diffLogs(t, "got", *log, "want", want)
+	// First lives took PIDs 1..4 in creation order; the restart queue
+	// replays the kill order, so the second lives take 6..9 (5 is the
+	// bystander) in the same a1..a4 order regardless of form.
+	for i := 1; i <= 4; i++ {
+		name := fmt.Sprintf("a%d", i)
+		if l := lives[name]; len(l) != 2 || l[0] != i || l[1] != 5+i {
+			t.Errorf("%s lived as PIDs %v, want [%d %d]", name, l, i, 5+i)
+		}
+	}
+}
+
+// TestProcessBodyErrorRecorded: a body that returns an error terminates
+// its process with that cause — Core().Err() and OnExit report it —
+// just as a chain whose step fails reports the step error to OnExit.
+func TestProcessBodyErrorRecorded(t *testing.T) {
+	env := NewEnvironment(lanPlatform(t), exact())
+	boom := errors.New("body failed")
+	var exitErr = errors.New("sentinel: OnExit never ran")
+	p, err := env.NewProcess("failing", "client", func(p *Process) error {
+		if err := p.Sleep(1); err != nil {
+			return err
+		}
+		return boom
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Core().OnExit(func(err error) { exitErr = err })
+	var chainErr error
+	if _, err := env.StartChain("failing-chain", "client", NewChain().Sleep(1).PutReg("server", 1).MustBuild(),
+		&ChainConfig{OnExit: func(err error) { chainErr = err }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if exitErr != boom || p.Core().Err() != boom {
+		t.Errorf("process ended with OnExit=%v Err()=%v, want %v for both", exitErr, p.Core().Err(), boom)
+	}
+	if chainErr == nil {
+		t.Error("chain with a failing step reported a nil termination cause")
+	}
+}

@@ -3,16 +3,15 @@ package msg
 import (
 	"strconv"
 
-	"repro/internal/gantt"
 	"repro/internal/instr"
 )
 
 // Observability wiring for the MSG layer. On top of surf's platform
-// band, the environment traces one PROCESS container per process or
-// chain (under its host), an activity state (PSTATE: compute/put/get)
-// pushed and popped alongside the existing gantt plumbing, message
-// links between the communicating processes, and the mailbox backlog
-// as root-container variables. All hooks are nil-guarded; the paired
+// band, the environment traces one PROCESS container per actor (under
+// its host), an activity state (PSTATE: compute/put/get) pushed and
+// popped around every block (actor.begin/end), message links between
+// the communicating processes, and the mailbox backlog as
+// root-container variables. All hooks are nil-guarded; the paired
 // counters underneath (queue depths, retries, pool scoreboards) are
 // plain always-on fields.
 
@@ -40,10 +39,10 @@ func (env *Environment) EnableTrace(tr *instr.Trace) {
 	mt := &msgTrace{tr: tr, root: env.model.TraceRoot()}
 	mt.procType = tr.DefineContainerType(env.model.TraceHostType(), "PROCESS")
 	mt.pstate = tr.DefineStateType(mt.procType, "PSTATE")
-	tr.DefineEntityValue(mt.pstate, "compute")
-	tr.DefineEntityValue(mt.pstate, "put")
-	tr.DefineEntityValue(mt.pstate, "get")
-	tr.DefineEntityValue(mt.pstate, "killed")
+	tr.DefineEntityValue(mt.pstate, stateCompute)
+	tr.DefineEntityValue(mt.pstate, statePut)
+	tr.DefineEntityValue(mt.pstate, stateGet)
+	tr.DefineEntityValue(mt.pstate, stateKilled)
 	mt.linkType = tr.DefineLinkType(env.model.TraceRootType(), mt.procType, mt.procType, "MSG")
 	mt.qSendVar = tr.DefineVariableType(env.model.TraceRootType(), "queued_sends")
 	mt.qRecvVar = tr.DefineVariableType(env.model.TraceRootType(), "queued_recvs")
@@ -56,46 +55,6 @@ func (env *Environment) Trace() *instr.Trace {
 		return nil
 	}
 	return env.trace.tr
-}
-
-// pstateValue maps a gantt interval kind to its Paje PSTATE value, so
-// the trace and the in-memory recorder stay two views of one event.
-func pstateValue(kind gantt.Kind) string {
-	switch kind {
-	case gantt.Compute:
-		return "compute"
-	case gantt.Comm:
-		return "put"
-	default:
-		return "get"
-	}
-}
-
-// traceProcStart creates a process/chain container under its host and
-// returns its alias ("" with tracing off).
-func (env *Environment) traceProcStart(name, hostName string) string {
-	mt := env.trace
-	if mt == nil {
-		return ""
-	}
-	return mt.tr.CreateContainer(env.eng.Now(), mt.procType, env.model.HostContainer(hostName), name)
-}
-
-// traceProcEnd closes a process/chain container: an abnormal death is
-// marked with the "killed" state before the container goes away.
-func (env *Environment) traceProcEnd(alias string, open bool, err error) {
-	mt := env.trace
-	if mt == nil || alias == "" {
-		return
-	}
-	now := env.eng.Now()
-	if open {
-		mt.tr.PopState(now, mt.pstate, alias)
-	}
-	if err != nil {
-		mt.tr.SetState(now, mt.pstate, alias, "killed")
-	}
-	mt.tr.DestroyContainer(now, mt.procType, alias)
 }
 
 // linkKey mints the next deterministic message-link key.

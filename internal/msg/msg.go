@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/gantt"
 	"repro/internal/platform"
 	"repro/internal/surf"
 )
@@ -73,24 +72,13 @@ func (t *Task) Source() *platform.Host { return t.source }
 // Sender returns the process that sent the task (nil before Put).
 func (t *Task) Sender() *Process { return t.sender }
 
-// Process is a simulated application process bound to a host.
+// Process is a simulated application process bound to a host: the
+// goroutine form of an actor (actor.go), its body a Go function.
 type Process struct {
+	actor
 	cp   *core.Process
-	env  *Environment
-	host *platform.Host
-	exec *surf.Action // in-flight execution, for suspend propagation
-
-	pajeC    string // trace container alias ("" with tracing off)
-	pajeOpen bool   // a PSTATE push awaits its pop
-
-	fn          func(*Process) error // original body, kept for auto-restart
-	autoRestart bool
-
-	// OnFailure, when non-nil, is invoked in kernel context right before
-	// the process is killed by a host failure (and before any restart is
-	// queued). It must not issue simcalls; use it for accounting and
-	// event logs.
-	OnFailure func(err error)
+	exec *surf.Action         // in-flight execution, for suspend propagation
+	fn   func(*Process) error // original body, kept for auto-restart
 }
 
 // Environment owns a simulated platform and the processes running on
@@ -101,13 +89,11 @@ type Environment struct {
 	pf    *platform.Platform
 
 	mailboxes map[mailboxKey]*mailbox
-	byHost    map[string]map[*Process]bool
+	byHost    map[string]map[*actor]bool // live actors per host, both forms
 
-	// Declarative activity chains (chain.go): the live population by
-	// PID, and by host for the failure sweep. Chains share the PID
-	// space and liveness accounting with goroutine processes.
-	chains       map[int]*ChainProc
-	chainsByHost map[string]map[*ChainProc]bool
+	// Declarative activity chains (chain.go), the live population by
+	// PID: no goroutine stands for them in the kernel's own accounting.
+	chains map[int]*ChainProc
 
 	// Free lists for the rendezvous churn: every Put/Get cycle reuses a
 	// scrubbed pendingSend/pendingRecv instead of allocating fresh ones
@@ -117,14 +103,9 @@ type Environment struct {
 	recvPool  []*pendingRecv
 	chainPool []*ChainProc
 
-	// restartQ holds, per host, the processes and chains killed by that
-	// host's failure that must respawn when it recovers, in kill (PID)
-	// order — one merged queue so mixed workloads restart in exactly
-	// their kill order.
-	restartQ map[string][]restartEntry
-
-	// Gantt, when non-nil, records per-process compute/comm intervals.
-	Gantt *gantt.Recorder
+	// restartQ holds, per host, the actors killed by that host's failure
+	// that must respawn when it recovers, in kill (PID) order.
+	restartQ map[string][]*actor
 
 	// KillOnHostFailure controls whether processes on a failing host
 	// are killed (the paper's volatile-hosts behaviour). Default true.
@@ -153,13 +134,6 @@ type mailboxKey struct {
 	channel int
 }
 
-// restartEntry is one killed party queued for respawn at host
-// recovery: a goroutine process or a declarative chain, never both.
-type restartEntry struct {
-	p *Process
-	c *ChainProc
-}
-
 // pendingSend is a sender blocked in Put (or an in-flight transfer).
 // It doubles as the transfer's completion handler (surf.Completion),
 // and is recycled through the environment's free list: the sender's
@@ -168,27 +142,25 @@ type restartEntry struct {
 type pendingSend struct {
 	task     *Task
 	env      *Environment
-	srcHost  *platform.Host
-	sender   *core.Process // goroutine sender (nil for a chain)
-	chainS   *ChainProc    // chain sender (nil for a goroutine)
+	from     *actor // the blocked sender; nil once it unwound mid-transfer
 	action   *surf.Action
 	delivery *pendingRecv
-	srcC     string // sender's trace container ("" with tracing off)
 	linkKey  string // message-link key, minted at transfer start
-	// abandoned marks a record whose owner unwound (kill or contained
-	// panic) while a delivery was still pending: ownership moved to
-	// ActionDone, which recycles it after severing the cross-references.
-	abandoned bool
+	// ownerless marks a record no returning Put frame will recycle: a
+	// chain's (it has no frame), or one whose goroutine unwound (kill or
+	// contained panic) while a delivery was still pending. Whoever ends
+	// the block — ActionDone, or a failed transfer start — recycles it,
+	// after the cross-references are severed.
+	ownerless bool
 }
 
 // pendingRecv is a receiver blocked in Get, recycled by get on return.
 type pendingRecv struct {
-	receiver  *core.Process // goroutine receiver (nil for a chain)
-	chainR    *ChainProc    // chain receiver (nil for a goroutine)
-	task      *Task         // filled in at completion
+	to        *actor // the blocked receiver; nil once it unwound mid-transfer
+	task      *Task  // filled in at completion
 	matched   *pendingSend
-	abandoned bool   // see pendingSend.abandoned
-	dstC      string // receiver's trace container ("" with tracing off)
+	ownerless bool   // see pendingSend.ownerless
+	dstC      string // receiver's trace container, kept past a severed `to`
 }
 
 // ActionDone implements surf.Completion: the transfer finished (err is
@@ -196,14 +168,10 @@ type pendingRecv struct {
 // cross-references are severed here: a timeout timer firing later in
 // the same instant must fall through to its queue scan (a no-op)
 // instead of touching a transfer that already ended — that is what
-// makes the put/get release points safe. A side that unwound before
-// delivery left its record flagged abandoned; with the references
-// severed nothing can reach such a record anymore, so it is recycled
-// right here instead of by the (dead) owner's return path.
-// Chain endpoints are advanced inline instead of woken — sender first,
-// then receiver, the same order the goroutine wake queue produces — and
-// their records are recycled here, since no returning Put/Get frame
-// will do it for them.
+// makes the put/get release points safe. With the references severed
+// nothing can reach an ownerless record anymore either, so those are
+// recycled right here. The order is the actor's resume rule (actor.go):
+// both wakes are queued, then the endpoints advance, sender first.
 func (ps *pendingSend) ActionDone(_ *surf.Action, cerr error) {
 	pr := ps.delivery
 	if cerr == nil {
@@ -213,29 +181,31 @@ func (ps *pendingSend) ActionDone(_ *surf.Action, cerr error) {
 	if mt := env.trace; mt != nil && ps.linkKey != "" && pr.dstC != "" {
 		mt.tr.EndLink(env.eng.Now(), mt.linkType, mt.root, pr.dstC, ps.task.Name, ps.linkKey)
 	}
-	cs, cr := ps.chainS, pr.chainR
-	task := pr.task
-	if ps.sender != nil {
-		env.eng.Wake(ps.sender, cerr)
-	}
-	if pr.receiver != nil {
-		env.eng.Wake(pr.receiver, cerr)
-	}
+	ps.from.wake(cerr)
+	pr.to.wake(cerr)
 	pr.matched = nil
 	ps.delivery = nil
-	if pr.abandoned {
-		env.releaseRecv(pr)
-	}
-	if ps.abandoned {
+	env.settleSend(ps, cerr)
+	env.settleRecv(pr, cerr)
+}
+
+// settleSend finishes the sender's side of a block that ended with err
+// once its wake is queued: an ownerless record is recycled and its
+// actor advanced. An owned one stays with the woken Put frame.
+func (env *Environment) settleSend(ps *pendingSend, err error) {
+	if ps.ownerless {
+		from := ps.from
 		env.releaseSend(ps)
+		from.advance(nil, err)
 	}
-	if cs != nil {
-		env.releaseSend(ps)
-		cs.sendDone(cerr)
-	}
-	if cr != nil {
+}
+
+// settleRecv is settleSend for the receiver, who also gets the task.
+func (env *Environment) settleRecv(pr *pendingRecv, err error) {
+	if pr.ownerless {
+		to, task := pr.to, pr.task
 		env.releaseRecv(pr)
-		cr.recvDone(task, cerr)
+		to.advance(task, err)
 	}
 }
 
@@ -258,116 +228,37 @@ func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 		model:             surf.New(eng, pf, cfg),
 		pf:                pf,
 		mailboxes:         make(map[mailboxKey]*mailbox),
-		byHost:            make(map[string]map[*Process]bool),
+		byHost:            make(map[string]map[*actor]bool),
 		chains:            make(map[int]*ChainProc),
-		chainsByHost:      make(map[string]map[*ChainProc]bool),
-		restartQ:          make(map[string][]restartEntry),
+		restartQ:          make(map[string][]*actor),
 		KillOnHostFailure: true,
 	}
-	// Declarative chains have no goroutine for the kernel to count as
-	// blocked: name them in deadlock reports through this hook.
-	eng.ExternalBlocked = func() ([]string, []core.SimcallKind) {
-		if len(env.chains) == 0 {
-			return nil, nil
-		}
-		pids := make([]int, 0, len(env.chains))
-		for pid := range env.chains { //lint:allow det-maprange sorted below before any output
-			pids = append(pids, pid)
-		}
-		sort.Ints(pids)
-		var names []string
-		var calls []core.SimcallKind
-		for _, pid := range pids {
-			c := env.chains[pid]
-			if c.daemon {
-				continue
-			}
-			names = append(names, c.name)
-			calls = append(calls, c.blockedOn)
-		}
-		return names, calls
-	}
-	env.model.OnHostStateChange = func(h *platform.Host, up bool) {
-		if up {
-			env.restartOn(h)
-			return
-		}
-		if !env.KillOnHostFailure {
-			return
-		}
-		// Kill in PID order, not map order: each kill is an observable
-		// event (unwind, OnExit callbacks, wake of rendezvous peers),
-		// so the sweep's order is part of the replayable event log.
-		// Goroutine processes and declarative chains die in one merged
-		// sweep, ordered by their shared PID space.
-		type victim struct {
-			pid int
-			p   *Process
-			c   *ChainProc
-		}
-		victims := make([]victim, 0, len(env.byHost[h.Name])+len(env.chainsByHost[h.Name]))
-		for p := range env.byHost[h.Name] { //lint:allow det-maprange victims are sorted by PID below before any observable effect
-			victims = append(victims, victim{pid: p.cp.PID(), p: p})
-		}
-		for c := range env.chainsByHost[h.Name] { //lint:allow det-maprange victims are sorted by PID below before any observable effect
-			victims = append(victims, victim{pid: c.pid, c: c})
-		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i].pid < victims[j].pid })
-		for _, v := range victims {
-			if v.p != nil {
-				p := v.p
-				if p.OnFailure != nil {
-					p.OnFailure(ErrHostFailed)
-				}
-				if p.autoRestart || env.RestartOnRecovery {
-					env.restartQ[h.Name] = append(env.restartQ[h.Name], restartEntry{p: p})
-				}
-				p.cp.Kill()
-			} else {
-				c := v.c
-				if c.OnFailure != nil {
-					c.OnFailure(ErrHostFailed)
-				}
-				if c.autoRestart || env.RestartOnRecovery {
-					c.restartPending = true
-					env.restartQ[h.Name] = append(env.restartQ[h.Name], restartEntry{c: c})
-				}
-				c.kill(ErrKilled)
-			}
-		}
-	}
+	eng.ExternalBlocked = env.blockedChains
+	env.model.OnHostStateChange = env.hostStateChanged
 	return env
 }
 
-// restartOn respawns, in their original kill order, the auto-restart
-// processes and chains that died with host h. A process respawn is a
-// fresh process (new PID, the original body run from the top)
-// inheriting the old one's name, host, daemon-ness, restart flag and
-// OnFailure hook — the MSG analogue of a node coming back and its
-// services being re-launched by init. A chain respawn re-arms the same
-// ChainProc from step 0 under a fresh PID.
-func (env *Environment) restartOn(h *platform.Host) {
-	dead := env.restartQ[h.Name]
-	if len(dead) == 0 {
-		return
+// blockedChains names the live non-daemon chains, in PID order, with
+// the call each is blocked in. Chains have no goroutine for the kernel
+// to count as blocked: its deadlock reports learn of them through this
+// hook (Engine.ExternalBlocked).
+func (env *Environment) blockedChains() ([]string, []core.SimcallKind) {
+	pids := make([]int, 0, len(env.chains))
+	for pid := range env.chains { //lint:allow det-maprange sorted below before any output
+		pids = append(pids, pid)
 	}
-	delete(env.restartQ, h.Name)
-	for _, en := range dead {
-		if en.c != nil {
-			en.c.rearm()
+	sort.Ints(pids)
+	var names []string
+	var calls []core.SimcallKind
+	for _, pid := range pids {
+		c := env.chains[pid]
+		if c.daemon {
 			continue
 		}
-		old := en.p
-		np, err := env.NewProcess(old.cp.Name(), h.Name, old.fn)
-		if err != nil {
-			continue // the host vanished from the platform: nothing to do
-		}
-		np.autoRestart = old.autoRestart
-		np.OnFailure = old.OnFailure
-		if old.cp.Daemon() {
-			np.Daemonize()
-		}
+		names = append(names, c.name)
+		calls = append(calls, c.blockedOn)
 	}
+	return names, calls
 }
 
 // Engine exposes the underlying kernel (for tests and advanced use).
@@ -395,25 +286,16 @@ func (env *Environment) NewProcess(name, hostName string, fn func(*Process) erro
 	if h == nil {
 		return nil, fmt.Errorf("msg: unknown host %q", hostName)
 	}
-	p := &Process{env: env, host: h, fn: fn}
+	p := &Process{fn: fn}
+	p.actor = actor{env: env, host: h, name: name, proc: p}
 	p.cp = env.eng.Spawn(name, h, func(cp *core.Process) {
 		if err := fn(p); err != nil {
-			// Recorded for OnExit inspection; the kernel treats a
-			// returning process as terminated either way.
-			_ = err
+			cp.SetErr(err)
 		}
 	})
-	p.pajeC = env.traceProcStart(name, h.Name)
-	if env.byHost[h.Name] == nil {
-		env.byHost[h.Name] = make(map[*Process]bool)
-	}
-	env.byHost[h.Name][p] = true
-	p.cp.OnExit(func(err error) {
-		delete(env.byHost[p.host.Name], p)
-		env.ganttEnd(p)
-		env.traceProcEnd(p.pajeC, p.pajeOpen, err)
-		p.pajeOpen = false
-	})
+	p.pid = p.cp.PID()
+	p.enter()
+	p.cp.OnExit(p.leave)
 	return p, nil
 }
 
@@ -424,23 +306,8 @@ func (env *Environment) Run() error { return env.eng.Run() }
 
 // --- Process API --------------------------------------------------------
 
-// Env returns the environment the process belongs to.
-func (p *Process) Env() *Environment { return p.env }
-
-// Host returns the host the process runs on.
-func (p *Process) Host() *platform.Host { return p.host }
-
-// Name returns the process name.
-func (p *Process) Name() string { return p.cp.Name() }
-
-// PID returns the process identifier.
-func (p *Process) PID() int { return p.cp.PID() }
-
 // Core returns the underlying kernel process.
 func (p *Process) Core() *core.Process { return p.cp }
-
-// Now returns the current simulated time.
-func (p *Process) Now() float64 { return p.env.eng.Now() }
 
 // Sleep suspends execution for d simulated seconds (MSG_process_sleep).
 func (p *Process) Sleep(d float64) error { return p.cp.Sleep(d) }
@@ -495,14 +362,10 @@ func (p *Process) Migrate(hostName string) error {
 	if h == p.host {
 		return nil
 	}
-	old := p.host
-	delete(p.env.byHost[old.Name], p)
+	delete(p.env.byHost[p.host.Name], &p.actor)
 	p.host = h
 	p.cp.SetHost(h)
-	if p.env.byHost[h.Name] == nil {
-		p.env.byHost[h.Name] = make(map[*Process]bool)
-	}
-	p.env.byHost[h.Name][p] = true
+	p.env.register(&p.actor)
 	return nil
 }
 
@@ -519,9 +382,9 @@ func (p *Process) ExecuteWithPriority(task *Task, priority float64) error {
 		return err
 	}
 	p.exec = a
-	p.ganttBegin(gantt.Compute, task.Name)
+	p.begin(stateCompute)
 	err = a.Wait(p.cp)
-	p.ganttEndNow()
+	p.end()
 	p.exec = nil
 	// Wait only returns once the action is final, and it never escaped
 	// this frame: recycle it. (A killed process unwinds through Wait's
@@ -556,10 +419,8 @@ func (p *Process) put(task *Task, destHost string, channel int, timeout float64)
 	task.sender = p
 
 	key := mailboxKey{host: destHost, channel: channel}
-	mb := p.env.mailbox(key)
 	ps := p.env.grabSend()
-	ps.task, ps.env, ps.srcHost, ps.sender = task, p.env, p.host, p.cp
-	ps.srcC = p.pajeC
+	ps.task, ps.env, ps.from = task, p.env, &p.actor
 
 	var timer *core.Timer
 	// The single release point, on return AND on unwind (kill, contained
@@ -569,9 +430,7 @@ func (p *Process) put(task *Task, destHost string, channel int, timeout float64)
 	// queued or owning an undelivered transfer.
 	unwound := true
 	defer func() {
-		if timer != nil {
-			timer.Cancel()
-		}
+		timer.Cancel() // nil-safe: no timeout, no timer
 		if unwound {
 			p.env.abandonSend(key, ps)
 			return
@@ -584,22 +443,13 @@ func (p *Process) put(task *Task, destHost string, channel int, timeout float64)
 		})
 	}
 
-	if len(mb.recvQ) > 0 {
-		pr := mb.recvQ[0]
-		mb.recvQ = mb.recvQ[1:]
-		p.env.noteQueued(0, -1)
-		if err := p.env.startTransfer(key, ps, pr, nil); err != nil {
-			unwound = false
-			return err
-		}
-	} else {
-		mb.sendQ = append(mb.sendQ, ps)
-		p.env.noteQueued(1, 0)
+	if err := p.env.postSend(key, ps); err != nil {
+		unwound = false
+		return err
 	}
-
-	p.ganttBegin(gantt.Comm, task.Name)
+	p.begin(statePut)
 	err := p.cp.BlockOn(core.SimcallSend)
-	p.ganttEndNow()
+	p.end()
 	unwound = false
 	return err
 }
@@ -618,19 +468,15 @@ func (p *Process) GetWithTimeout(channel int, timeout float64) (*Task, error) {
 
 func (p *Process) get(channel int, timeout float64) (*Task, error) {
 	key := mailboxKey{host: p.host.Name, channel: channel}
-	mb := p.env.mailbox(key)
 	pr := p.env.grabRecv()
-	pr.receiver = p.cp
-	pr.dstC = p.pajeC
+	pr.to, pr.dstC = &p.actor, p.pajeC
 
 	var timer *core.Timer
 	// Single release point, mirroring put: cancel the timeout first,
 	// then recycle — via the abandon path when unwinding.
 	unwound := true
 	defer func() {
-		if timer != nil {
-			timer.Cancel()
-		}
+		timer.Cancel() // nil-safe: no timeout, no timer
 		if unwound {
 			p.env.abandonRecv(key, pr)
 			return
@@ -643,31 +489,15 @@ func (p *Process) get(channel int, timeout float64) (*Task, error) {
 		})
 	}
 
-	if len(mb.sendQ) > 0 {
-		ps := mb.sendQ[0]
-		mb.sendQ = mb.sendQ[1:]
-		p.env.noteQueued(-1, 0)
-		if err := p.env.startTransfer(key, ps, pr, nil); err != nil {
-			// A goroutine ps stays with its sender: the wake above hands
-			// it back to put, which releases it. A chain ps was failed
-			// and recycled inside startTransfer.
-			unwound = false
-			return nil, err
-		}
-	} else {
-		mb.recvQ = append(mb.recvQ, pr)
-		p.env.noteQueued(0, 1)
-	}
-
-	p.ganttBegin(gantt.Wait, "recv")
-	err := p.cp.BlockOn(core.SimcallRecv)
-	p.ganttEndNow()
-	unwound = false
-	task := pr.task
-	if err != nil {
+	if err := p.env.postRecv(key, pr); err != nil {
+		unwound = false
 		return nil, err
 	}
-	return task, nil
+	p.begin(stateGet)
+	err := p.cp.BlockOn(core.SimcallRecv)
+	p.end()
+	unwound = false
+	return pr.task, err // the task is only handed over on success
 }
 
 // --- Environment internals ----------------------------------------------
@@ -681,46 +511,62 @@ func (env *Environment) mailbox(key mailboxKey) *mailbox {
 	return mb
 }
 
-// startTransfer matches a sender and a receiver and launches the
-// network action; both sides are woken (or, for chain endpoints,
-// advanced) at completion. caller identifies the chain currently
-// executing the matching step, if any: on error it handles its own
-// record and gets the failure as the return value, while the opposite
-// side is notified here.
-func (env *Environment) startTransfer(key mailboxKey, ps *pendingSend, pr *pendingRecv, caller *ChainProc) error {
-	a, err := env.model.Communicate(ps.srcHost.Name, key.host, ps.task.Bytes)
+// postSend is the sender's half of the rendezvous, shared by both
+// forms: start the transfer if a receiver is already waiting on the
+// mailbox, queue the record otherwise. When the transfer cannot start,
+// the party that posted gets the error as the return value (and settles
+// its own record); the queued peer is resumed with it right here.
+func (env *Environment) postSend(key mailboxKey, ps *pendingSend) error {
+	mb := env.mailbox(key)
+	if len(mb.recvQ) == 0 {
+		mb.sendQ = append(mb.sendQ, ps)
+		env.noteQueued(1, 0)
+		return nil
+	}
+	pr := mb.recvQ[0]
+	mb.recvQ = mb.recvQ[1:]
+	env.noteQueued(0, -1)
+	err := env.startTransfer(key, ps, pr)
 	if err != nil {
-		// Malformed route: deliver the error to both sides. A goroutine
-		// caller also gets it as a return value; the Wake targeting it
-		// is a no-op. A chain endpoint other than the caller is failed
-		// and its record recycled right here — no returning frame owns
-		// it.
-		if ps.sender != nil {
-			env.eng.Wake(ps.sender, err)
-		}
-		if pr.receiver != nil {
-			env.eng.Wake(pr.receiver, err)
-		}
-		if cs := ps.chainS; cs != nil && cs != caller {
-			cs.sendRec = nil
-			env.releaseSend(ps)
-			cs.ganttEndNow()
-			cs.fail(err)
-		}
-		if cr := pr.chainR; cr != nil && cr != caller {
-			cr.recvRec = nil
-			env.releaseRecv(pr)
-			cr.ganttEndNow()
-			cr.fail(err)
-		}
+		pr.to.wake(err)
+		env.settleRecv(pr, err)
+	}
+	return err
+}
+
+// postRecv is postSend for the receiver.
+func (env *Environment) postRecv(key mailboxKey, pr *pendingRecv) error {
+	mb := env.mailbox(key)
+	if len(mb.sendQ) == 0 {
+		mb.recvQ = append(mb.recvQ, pr)
+		env.noteQueued(0, 1)
+		return nil
+	}
+	ps := mb.sendQ[0]
+	mb.sendQ = mb.sendQ[1:]
+	env.noteQueued(-1, 0)
+	err := env.startTransfer(key, ps, pr)
+	if err != nil {
+		ps.from.wake(err)
+		env.settleSend(ps, err)
+	}
+	return err
+}
+
+// startTransfer launches the network action of a matched pair; both
+// sides are resumed by ActionDone at completion. An error (malformed
+// route) leaves the records untouched for the caller to fail.
+func (env *Environment) startTransfer(key mailboxKey, ps *pendingSend, pr *pendingRecv) error {
+	a, err := env.model.Communicate(ps.from.host.Name, key.host, ps.task.Bytes)
+	if err != nil {
 		return err
 	}
 	ps.action = a
 	ps.delivery = pr
 	pr.matched = ps
-	if mt := env.trace; mt != nil && ps.srcC != "" {
+	if mt := env.trace; mt != nil && ps.from.pajeC != "" {
 		ps.linkKey = mt.newKey()
-		mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.srcC, ps.task.Name, ps.linkKey)
+		mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.from.pajeC, ps.task.Name, ps.linkKey)
 	}
 	if a.Done() {
 		// Already finished (e.g. the route's link is down): defer the
@@ -733,28 +579,49 @@ func (env *Environment) startTransfer(key mailboxKey, ps *pendingSend, pr *pendi
 	return nil
 }
 
-// abandonSend recycles a pendingSend whose owner is unwinding (killed,
-// or a contained panic) instead of returning from put. Three cases:
-// a delivery is still pending (matched, ActionDone not yet run) — the
-// record is flagged and ownership moves to ActionDone, which recycles
-// it once the cross-references are severed; still queued — dequeue and
+// dequeueSend takes ps out of its mailbox's send queue, keeping the
+// order of the rest, and reports whether it was queued.
+func (env *Environment) dequeueSend(key mailboxKey, ps *pendingSend) bool {
+	mb := env.mailbox(key)
+	for i, q := range mb.sendQ {
+		if q == ps {
+			mb.sendQ = append(mb.sendQ[:i], mb.sendQ[i+1:]...)
+			env.noteQueued(-1, 0)
+			return true
+		}
+	}
+	return false
+}
+
+// dequeueRecv is dequeueSend for the receive queue.
+func (env *Environment) dequeueRecv(key mailboxKey, pr *pendingRecv) bool {
+	mb := env.mailbox(key)
+	for i, q := range mb.recvQ {
+		if q == pr {
+			mb.recvQ = append(mb.recvQ[:i], mb.recvQ[i+1:]...)
+			env.noteQueued(0, -1)
+			return true
+		}
+	}
+	return false
+}
+
+// abandonSend gives up a pendingSend whose owner is going away without
+// its block ending: a goroutine unwinding out of put (killed, or a
+// contained panic), or a chain being killed. Three cases: a delivery is
+// still pending (matched, ActionDone not yet run) — the transfer keeps
+// flowing to the peer, the record is severed from its owner and left
+// ownerless for ActionDone to recycle; still queued — dequeue and
 // recycle now; already delivered (or never matched and dequeued by a
 // timeout) — nothing can reach it, recycle now. The caller has already
-// canceled the timeout timer.
+// canceled any timeout timer.
 func (env *Environment) abandonSend(key mailboxKey, ps *pendingSend) {
 	if ps.delivery != nil {
-		ps.abandoned = true
+		ps.from, ps.ownerless = nil, true
 		return
 	}
 	if ps.action == nil {
-		mb := env.mailbox(key)
-		for i, q := range mb.sendQ {
-			if q == ps {
-				mb.sendQ = append(mb.sendQ[:i], mb.sendQ[i+1:]...)
-				env.noteQueued(-1, 0)
-				break
-			}
-		}
+		env.dequeueSend(key, ps)
 	}
 	env.releaseSend(ps)
 }
@@ -762,17 +629,10 @@ func (env *Environment) abandonSend(key mailboxKey, ps *pendingSend) {
 // abandonRecv is abandonSend for the receiver side.
 func (env *Environment) abandonRecv(key mailboxKey, pr *pendingRecv) {
 	if pr.matched != nil {
-		pr.abandoned = true
+		pr.to, pr.ownerless = nil, true
 		return
 	}
-	mb := env.mailbox(key)
-	for i, q := range mb.recvQ {
-		if q == pr {
-			mb.recvQ = append(mb.recvQ[:i], mb.recvQ[i+1:]...)
-			env.noteQueued(0, -1)
-			break
-		}
-	}
+	env.dequeueRecv(key, pr)
 	env.releaseRecv(pr)
 }
 
@@ -784,14 +644,8 @@ func (env *Environment) timeoutSend(key mailboxKey, ps *pendingSend) {
 		}
 		return
 	}
-	mb := env.mailbox(key)
-	for i, q := range mb.sendQ {
-		if q == ps {
-			mb.sendQ = append(mb.sendQ[:i], mb.sendQ[i+1:]...)
-			env.noteQueued(-1, 0)
-			env.eng.Wake(ps.sender, ErrTimeout)
-			return
-		}
+	if env.dequeueSend(key, ps) {
+		ps.from.wake(ErrTimeout)
 	}
 }
 
@@ -803,42 +657,7 @@ func (env *Environment) timeoutRecv(key mailboxKey, pr *pendingRecv) {
 		}
 		return
 	}
-	mb := env.mailbox(key)
-	for i, q := range mb.recvQ {
-		if q == pr {
-			mb.recvQ = append(mb.recvQ[:i], mb.recvQ[i+1:]...)
-			env.noteQueued(0, -1)
-			env.eng.Wake(pr.receiver, ErrTimeout)
-			return
-		}
-	}
-}
-
-// --- Gantt plumbing -------------------------------------------------------
-
-func (p *Process) ganttBegin(kind gantt.Kind, label string) {
-	if p.env.Gantt != nil {
-		p.env.Gantt.Begin(p.Name(), kind, label, p.env.eng.Now())
-	}
-	if mt := p.env.trace; mt != nil && p.pajeC != "" {
-		mt.tr.PushState(p.env.eng.Now(), mt.pstate, p.pajeC, pstateValue(kind))
-		p.pajeOpen = true
-	}
-}
-
-func (p *Process) ganttEndNow() {
-	if p.env.Gantt != nil {
-		p.env.Gantt.End(p.Name(), p.env.eng.Now())
-	}
-	if p.pajeOpen {
-		mt := p.env.trace
-		mt.tr.PopState(p.env.eng.Now(), mt.pstate, p.pajeC)
-		p.pajeOpen = false
-	}
-}
-
-func (env *Environment) ganttEnd(p *Process) {
-	if env.Gantt != nil {
-		env.Gantt.End(p.Name(), env.eng.Now())
+	if env.dequeueRecv(key, pr) {
+		pr.to.wake(ErrTimeout)
 	}
 }

@@ -7,9 +7,11 @@ package simdag
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -54,29 +56,15 @@ func runSeededDAG(t *testing.T, seed int64, cfg surf.Config) []string {
 	return log
 }
 
-// TestSimDagDeterminism is run 5× by CI (-count=5): any nondeterminism
-// in the release sweep, the completion batching or the scheduler shows
-// up as a diverging event log.
+// TestSimDagDeterminism replays the seeded DAG 5× pooled and 5× fresh:
+// any nondeterminism in the release sweep, the completion batching or
+// the scheduler shows up as a diverging event log.
 func TestSimDagDeterminism(t *testing.T) {
 	const seed = 4242
-	ref := runSeededDAG(t, seed, surf.DefaultConfig())
+	ref := pooltest.Replay(t, 5, func() []byte {
+		return []byte(strings.Join(runSeededDAG(t, seed, surf.DefaultConfig()), "\n"))
+	})
 	if len(ref) == 0 {
 		t.Fatal("empty event log")
-	}
-	for run := 1; run <= 2; run++ {
-		got := runSeededDAG(t, seed, surf.DefaultConfig())
-		diffLogs(t, ref, got, "rerun")
-	}
-}
-
-func diffLogs(t *testing.T, ref, got []string, label string) {
-	t.Helper()
-	if len(got) != len(ref) {
-		t.Fatalf("%s: %d events, reference has %d", label, len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("%s: event %d differs:\n  ref: %s\n  got: %s", label, i, ref[i], got[i])
-		}
 	}
 }

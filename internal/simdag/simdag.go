@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/gantt"
 	"repro/internal/platform"
 	"repro/internal/surf"
 )
@@ -340,12 +339,6 @@ type Simulation struct {
 	// the always-on count of failure-diverted reschedules.
 	trace       *dagTrace
 	reschedules uint64
-
-	// Gantt, when non-nil, records every finished task as a closed
-	// interval: compute tasks on their host's track, comm tasks on the
-	// source host's track (comm kind), so the chart reads one row per
-	// host.
-	Gantt *gantt.Recorder
 
 	// OnTaskStateChange, when non-nil, is invoked (in kernel context)
 	// at every task state transition — the observer hook the
@@ -769,7 +762,6 @@ func (s *Simulation) taskFinished(t *Task, err error) {
 		t.action = nil
 	}
 	s.nDone++
-	s.record(t)
 	s.notify(t)
 	s.watch(t)
 	for it := t.succIter(); ; {
@@ -806,7 +798,6 @@ func (s *Simulation) failTerminal(t *Task, err error) {
 		t.action = nil
 	}
 	s.nFailed++
-	s.record(t)
 	s.notify(t)
 	s.watch(t)
 	for it := t.succIter(); ; {
@@ -848,21 +839,4 @@ func (s *Simulation) watch(t *Task) {
 	}
 	s.watchHits = append(s.watchHits, t)
 	s.eng.Stop()
-}
-
-// record adds the finished task's span to the Gantt recorder.
-func (s *Simulation) record(t *Task) {
-	if s.Gantt == nil || t.kind == Seq {
-		return
-	}
-	track := t.host
-	kind := gantt.Compute
-	switch t.kind {
-	case Comm:
-		track = t.src
-		kind = gantt.Comm
-	case Parallel:
-		track = t.phosts[0] // by convention: the ptask's first host carries its span
-	}
-	s.Gantt.Add(track, kind, t.name, t.start, t.finish)
 }

@@ -7,47 +7,34 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/pool/pooltest"
 )
 
 // TestSweepDeterminism is the campaign contract: the report's bytes are
-// a pure function of (grid, seed) — identical across repeats and across
-// fanout settings. The CI lanes repeat this through the cmd/sweep
-// binary 5× in both pooling modes; this in-process version catches
-// regressions at `go test` speed.
+// a pure function of (grid, seed) — identical across repeats in either
+// pooling mode (the report carries the pool scoreboards, so the two
+// modes differ from each other) and across fanout settings. CI
+// additionally byte-compares the cmd/sweep binary's output files.
 func TestSweepDeterminism(t *testing.T) {
-	spec := Baseline()
-	ref, err := Execute(spec, 1, Options{Fanout: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBytes, err := Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 2; rep++ {
-		again, err := Execute(Baseline(), 1, Options{Fanout: 1})
+	report := func(fanout int) []byte {
+		rep, err := Execute(Baseline(), 1, Options{Fanout: fanout})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Marshal(again)
+		b, err := Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(refBytes, b) {
-			t.Fatalf("repeat %d: report bytes differ", rep)
+		return b
+	}
+	pooltest.ReplayPerMode(t, 5, func() []byte {
+		narrow := report(1)
+		if !bytes.Equal(narrow, report(4)) {
+			t.Fatal("fanout 4 report differs from fanout 1")
 		}
-	}
-	wide, err := Execute(Baseline(), 1, Options{Fanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Marshal(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refBytes, b) {
-		t.Fatal("fanout 4 report differs from fanout 1")
-	}
+		return narrow
+	})
 }
 
 // TestSweepSeedStability: a run's seed derives from its key, not its

@@ -1,8 +1,8 @@
 // TestTraceDeterminism pins the observability contract: with tracing
 // enabled, the Paje trace bytes are a pure function of the run — five
 // executions of the seeded backbone workload (the TestDeterminism
-// platform) produce bit-identical output, in both the pooled and the
-// -tags=nopool lanes. TestDisabledHooksAllocFree pins the other half
+// platform) produce bit-identical output, with pooling on and with it
+// off (pooltest.Replay). TestDisabledHooksAllocFree pins the other half
 // of the contract: the disabled-instrumentation surface (nil trace,
 // nil profiler, nil registry handles) allocates nothing, so a run that
 // never calls EnableTrace pays pointer tests only.
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/instr"
 	"repro/internal/msg"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -77,28 +78,10 @@ func runTracedWorkload(t *testing.T, nPairs, rounds int, seed int64) []byte {
 }
 
 func TestTraceDeterminism(t *testing.T) {
-	const nPairs, rounds, seed, runs = 20, 5, 12345, 5
-	ref := runTracedWorkload(t, nPairs, rounds, seed)
+	const nPairs, rounds, seed = 20, 5, 12345
+	ref := pooltest.Replay(t, 5, func() []byte { return runTracedWorkload(t, nPairs, rounds, seed) })
 	if len(ref) == 0 {
 		t.Fatal("empty trace")
-	}
-	for run := 1; run < runs; run++ {
-		got := runTracedWorkload(t, nPairs, rounds, seed)
-		if !bytes.Equal(got, ref) {
-			refLines := bytes.Split(ref, []byte("\n"))
-			gotLines := bytes.Split(got, []byte("\n"))
-			for i := range refLines {
-				if i >= len(gotLines) || !bytes.Equal(refLines[i], gotLines[i]) {
-					gotLine := []byte("<missing>")
-					if i < len(gotLines) {
-						gotLine = gotLines[i]
-					}
-					t.Fatalf("run %d: trace line %d differs:\n  ref: %s\n  got: %s",
-						run, i+1, refLines[i], gotLine)
-				}
-			}
-			t.Fatalf("run %d: trace differs in length: ref %d bytes, got %d", run, len(ref), len(got))
-		}
 	}
 
 	// The bytes must also decode: every band's events round-trip
