@@ -9,7 +9,10 @@
 package simgrid
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -112,5 +115,105 @@ func TestDeterminism(t *testing.T) {
 	})
 	if n := strings.Count(string(ref), "\n") + 1; n != nPairs*rounds*3 {
 		t.Fatalf("event log has %d entries, want %d", n, nPairs*rounds*3)
+	}
+}
+
+// runBackboneScenario is the msg_backbone benchmark's shape at a size
+// plain `go test` affords: nPairs goroutine pairs, each route one
+// private link (seven bandwidth classes, five latency classes, hence
+// five RTT weights) plus one backbone sized to be the bottleneck of
+// all flows, every sender starting at t=0 so that each latency class
+// enters the bandwidth phase in one instant and every completion
+// re-solves one nPairs-variable MaxMin component. It returns an FNV-1a
+// digest of every process's finish time, bit for bit.
+func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) uint64 {
+	t.Helper()
+	pf := platform.New()
+	backbone := &platform.Link{Name: "backbone", Bandwidth: 1e6 * float64(nPairs), Latency: 1e-4}
+	for i := 0; i < nPairs; i++ {
+		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
+		if err := pf.AddHost(&platform.Host{Name: src, Power: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.AddHost(&platform.Host{Name: dst, Power: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+		private := &platform.Link{
+			Name:      fmt.Sprintf("l%d", i),
+			Bandwidth: 1e8 * (1 + 0.15*float64(i%7)),
+			Latency:   1e-4 * (1 + float64(i%5)),
+		}
+		if err := pf.AddRoute(src, dst, []*platform.Link{private, backbone}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	env := msg.NewEnvironment(pf, surf.DefaultConfig())
+	finish := make([]float64, 2*nPairs)
+	const channel = 1
+	for i := 0; i < nPairs; i++ {
+		i := i
+		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
+		bytes := 1e5 * (3 + 4*rng.Float64())
+		flops := 1e6 * (1 + 3*rng.Float64())
+		if _, err := env.NewProcess("recv", dst, func(p *msg.Process) error {
+			for r := 0; r < rounds; r++ {
+				if _, err := p.Get(channel); err != nil {
+					return err
+				}
+			}
+			finish[2*i+1] = p.Now()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.NewProcess("send", src, func(p *msg.Process) error {
+			for r := 0; r < rounds; r++ {
+				if err := p.Put(msg.NewTask("t", 0, bytes), dst, channel); err != nil {
+					return err
+				}
+				if err := p.Execute(msg.NewTask("c", flops, 0)); err != nil {
+					return err
+				}
+			}
+			finish[2*i] = p.Now()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, f := range finish {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestBackboneDigest pins the bits of the contended-link case: the
+// digests below were generated at ce66eea (PR 13), before the solver
+// round was fused and surf's rate-change re-key went bulk, and a
+// last-bit drift in any rate moves them. bench/golden.json pins the
+// same thing at 2000 flows, but takes the two-minute benchmark to check.
+func TestBackboneDigest(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want uint64
+	}{
+		{1, 0x4b9820952759fe4c},
+		{2, 0x003232cc3bdec3c4},
+	} {
+		c := c
+		pooltest.Replay(t, 1, func() []byte {
+			got := runBackboneScenario(t, 200, 2, c.seed)
+			if got != c.want {
+				t.Errorf("seed %d: finish-time digest %#016x, want %#016x", c.seed, got, c.want)
+			}
+			return []byte(fmt.Sprintf("%016x", got))
+		})
 	}
 }

@@ -1,0 +1,402 @@
+package maxmin
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/pool/pooltest"
+)
+
+// referenceSolve is Solve with referenceSolveComponent as the kernel:
+// the same scope walk (collectScope is shared — the walk order is part
+// of the contract, loads being accumulated in it), the same
+// per-component loop and the same Updated rule. Its two side arrays
+// (loads by Constraint.idx, fixed by Variable.idx) are local, so the
+// reference depends on no scratch field the production kernel may drop.
+func referenceSolve(s *System) {
+	if !s.Dirty() {
+		s.updated = s.updated[:0]
+		return
+	}
+	s.collectScope()
+	sv, sc := s.solveVars, s.solveCnsts
+	loads := make([]float64, len(s.cnsts))
+	fixed := make([]bool, len(s.vars))
+	oldVals := make([]float64, len(sv))
+	for i, v := range sv {
+		oldVals[i] = v.value
+	}
+	var active []*Variable
+	for _, cr := range s.comps {
+		active = referenceSolveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], loads, fixed, active[:0])
+	}
+	updated := s.updated[:0]
+	for i, v := range sv {
+		if v.value != oldVals[i] {
+			updated = append(updated, v)
+		}
+	}
+	s.updated = updated
+}
+
+// referenceSolveComponent is the multi-pass progressive-filling round
+// as it stood before the fused kernel (PR 13, ce66eea), verbatim but
+// for v.fixed → fixed[v.idx]: loads in a side array, the freeze
+// predicate re-evaluated per edge, mark → fallback → subtract → compact
+// as separate passes. -tags=maxmincheck runs the production solve
+// against itself; this is the independent statement of what the bits
+// must be.
+func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, fixed []bool, active []*Variable) []*Variable {
+	// Reset scope state; variables on a zero-capacity constraint (shared
+	// or fatpipe alike) are fixed at 0 immediately.
+	for _, v := range sv {
+		fixed[v.idx] = true
+		v.value = 0
+		if v.weight <= eps || len(v.cnsts) == 0 {
+			continue // inactive or unconstrained-with-no-resource
+		}
+		starved := false
+		for _, e := range v.cnsts {
+			if e.c.capacity <= eps {
+				starved = true
+				break
+			}
+		}
+		if !starved {
+			fixed[v.idx] = false
+			active = append(active, v)
+		}
+	}
+	for _, c := range sc {
+		c.remCap = c.capacity
+	}
+
+	for len(active) > 0 {
+		// loads[c.idx] = sum over active vars on c of weight*factor.
+		for _, c := range sc {
+			loads[c.idx] = 0
+		}
+		for _, v := range active {
+			for _, e := range v.cnsts {
+				loads[e.c.idx] += v.weight * e.factor
+			}
+		}
+
+		// Candidate growth limit from constraints: r such that
+		// r * weightedLoad == remCap (shared) or per-variable for fatpipes.
+		minR := math.Inf(1)
+		for _, c := range sc {
+			if !c.shared {
+				// Fatpipe: each variable independently limited by
+				// capacity/(weight*factor); handled below per variable.
+				continue
+			}
+			if wl := loads[c.idx]; wl > eps {
+				if r := c.remCap / wl; r < minR {
+					minR = r
+				}
+			}
+		}
+		// Candidate growth limit from variable bounds and fatpipes.
+		for _, v := range active {
+			if v.bound > 0 {
+				if r := v.bound / v.weight; r < minR {
+					minR = r
+				}
+			}
+			for _, e := range v.cnsts {
+				if !e.c.shared && e.factor > eps {
+					if r := e.c.remCap / (v.weight * e.factor); r < minR {
+						minR = r
+					}
+				}
+			}
+		}
+		if math.IsInf(minR, 1) {
+			// No limiting factor: variables are unconstrained. This
+			// only happens when every active variable sits on fatpipe
+			// constraints with infinite capacity; clamp to bound-less
+			// infinity is meaningless, so freeze at +Inf guarded by eps.
+			for _, v := range active {
+				v.value = math.Inf(1)
+				fixed[v.idx] = true
+			}
+			active = active[:0]
+			break
+		}
+		if minR < 0 {
+			minR = 0
+		}
+
+		// Mark everything that saturates at r = minR against the
+		// round-start remaining capacities, then apply the freezes. The
+		// two-phase sweep keeps the round order-independent and freezes
+		// every variable of a saturating constraint in one pass.
+		frozen := 0
+		for _, v := range active {
+			val := minR * v.weight
+			atBound := v.bound > 0 && val >= v.bound-1e-9*math.Max(1, v.bound)
+			atCnst := false
+			for _, e := range v.cnsts {
+				if e.c.shared {
+					wl := loads[e.c.idx]
+					if wl > eps && math.Abs(e.c.remCap/wl-minR) <= 1e-9*math.Max(1, minR) {
+						atCnst = true
+						break
+					}
+				} else if e.factor > eps {
+					if math.Abs(e.c.remCap/(v.weight*e.factor)-minR) <= 1e-9*math.Max(1, minR) {
+						atCnst = true
+						break
+					}
+				}
+			}
+			if atBound || atCnst {
+				if atBound && (v.bound < val || !atCnst) {
+					val = v.bound
+				}
+				v.value = val
+				fixed[v.idx] = true
+				frozen++
+			}
+		}
+		if frozen == 0 {
+			// Numerical stall: freeze the variable with the smallest
+			// weight to guarantee progress.
+			var worst *Variable
+			for _, v := range active {
+				if worst == nil || v.weight < worst.weight {
+					worst = v
+				}
+			}
+			worst.value = minR * worst.weight
+			fixed[worst.idx] = true
+		}
+		// Subtract frozen consumption and compact the active set.
+		n := 0
+		for _, v := range active {
+			if !fixed[v.idx] {
+				active[n] = v
+				n++
+				continue
+			}
+			for _, e := range v.cnsts {
+				if e.c.shared {
+					e.c.remCap -= v.value * e.factor
+					if e.c.remCap < 0 {
+						e.c.remCap = 0
+					}
+				}
+			}
+		}
+		active = active[:n]
+	}
+
+	// Record usage on the re-solved constraints.
+	for _, c := range sc {
+		u := 0.0
+		for _, e := range c.elems {
+			u += e.v.value * e.factor
+		}
+		c.usage = u
+	}
+	return active[:0]
+}
+
+// kernelChurn drives one seeded mutation sequence through two mirrored
+// systems — got solved by Solve, want by referenceSolve — and fails at
+// the first solve after which any Value, any Usage or the Updated
+// sequence differs in a single bit. It returns the bits of every value
+// after every solve, so pooltest.Replay can also hold the pooled and
+// the -tags=nopool free-list states to the same bytes.
+//
+// The systems are several islands of constraints (so most solves cover
+// some components and skip others) with one wide bottleneck island in
+// the msg_backbone shape: every variable crosses the bottleneck plus a
+// private constraint, weights come from five classes, and bounds sit
+// around the fair share so that some bind and some do not.
+func kernelChurn(t *testing.T, seed int64) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	got, want := NewSystem(), NewSystem()
+	type pair struct{ g, w *Variable }
+	type cpair struct{ g, w *Constraint }
+	var vars []pair
+	var islands [][]cpair
+	var out bytes.Buffer
+
+	newCnst := func(island int, capacity float64, shared bool) cpair {
+		c := cpair{got.NewConstraint(capacity), want.NewConstraint(capacity)}
+		got.SetShared(c.g, shared)
+		want.SetShared(c.w, shared)
+		islands[island] = append(islands[island], c)
+		return c
+	}
+	randCap := func() float64 {
+		switch rng.Intn(12) {
+		case 0:
+			return 0 // failed resource
+		case 1:
+			return math.Inf(1)
+		}
+		return 1 + rng.Float64()*200
+	}
+	expand := func(c cpair, v pair, f float64) {
+		got.Expand(c.g, v.g, f)
+		want.Expand(c.w, v.w, f)
+	}
+	classWeight := func() float64 {
+		if rng.Intn(10) == 0 {
+			return 0 // latency phase / suspended
+		}
+		return 1e-3 / (2e-4 * float64(1+rng.Intn(5))) // RTTReference / RTT, five classes
+	}
+	addVar := func() {
+		island := rng.Intn(len(islands))
+		var v pair
+		if island == 0 {
+			// Bottleneck shape: bottleneck (islands[0][0]) + one private link.
+			w := classWeight()
+			bound := 0.0
+			if rng.Intn(2) == 0 {
+				bound = rng.Float64() * 40
+			}
+			v = pair{got.NewVariable(w, bound), want.NewVariable(w, bound)}
+			expand(newCnst(0, 50+rng.Float64()*100, true), v, 1)
+			expand(islands[0][0], v, 1)
+		} else {
+			w := 0.5 + rng.Float64()*4
+			if rng.Intn(10) == 0 {
+				w = 0
+			}
+			bound := 0.0
+			if rng.Intn(3) == 0 {
+				bound = 0.5 + rng.Float64()*60
+			}
+			v = pair{got.NewVariable(w, bound), want.NewVariable(w, bound)}
+			cs := islands[island]
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				expand(cs[rng.Intn(len(cs))], v, 0.5+rng.Float64()*2)
+			}
+			if rng.Intn(25) == 0 {
+				// A route crossing into another island merges two components.
+				other := islands[rng.Intn(len(islands))]
+				expand(other[rng.Intn(len(other))], v, 0.5+rng.Float64()*2)
+			}
+		}
+		vars = append(vars, v)
+	}
+
+	islands = make([][]cpair, 2+rng.Intn(4))
+	newCnst(0, 300+rng.Float64()*300, true) // the bottleneck
+	for i := 1; i < len(islands); i++ {
+		for n := 2 + rng.Intn(4); n > 0; n-- {
+			newCnst(i, randCap(), rng.Intn(4) != 0)
+		}
+	}
+	for n := 30 + rng.Intn(60); n > 0; n-- {
+		addVar()
+	}
+
+	compare := func(step int) {
+		t.Helper()
+		got.Solve()
+		referenceSolve(want)
+		gu, wu := got.Updated(), want.Updated()
+		if len(gu) != len(wu) {
+			t.Fatalf("seed %d step %d: Updated has %d entries, reference %d", seed, step, len(gu), len(wu))
+		}
+		for i := range gu {
+			if gu[i].id != wu[i].id {
+				t.Fatalf("seed %d step %d: Updated[%d] = V%d, reference V%d", seed, step, i, gu[i].id, wu[i].id)
+			}
+		}
+		var b [8]byte
+		for _, v := range vars {
+			g, w := math.Float64bits(v.g.Value()), math.Float64bits(v.w.Value())
+			if g != w {
+				t.Fatalf("seed %d step %d: V%d = %v (%#x), reference %v (%#x)\n%s",
+					seed, step, v.g.id, v.g.Value(), g, v.w.Value(), w, got.String())
+			}
+			binary.LittleEndian.PutUint64(b[:], g)
+			out.Write(b[:])
+		}
+		for _, cs := range islands {
+			for _, c := range cs {
+				g, w := math.Float64bits(c.g.Usage()), math.Float64bits(c.w.Usage())
+				if g != w {
+					t.Fatalf("seed %d step %d: C%d usage = %v (%#x), reference %v (%#x)",
+						seed, step, c.g.id, c.g.Usage(), g, c.w.Usage(), w)
+				}
+				binary.LittleEndian.PutUint64(b[:], g)
+				out.Write(b[:])
+			}
+		}
+	}
+
+	compare(-1)
+	for step := 0; step < 120; step++ {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			switch rng.Intn(8) {
+			case 0, 1:
+				addVar()
+			case 2, 3:
+				if len(vars) > 1 {
+					i := rng.Intn(len(vars))
+					got.RemoveVariable(vars[i].g)
+					want.RemoveVariable(vars[i].w)
+					vars[i] = vars[len(vars)-1]
+					vars = vars[:len(vars)-1]
+				}
+			case 4:
+				v := vars[rng.Intn(len(vars))]
+				w := classWeight()
+				got.SetWeight(v.g, w)
+				want.SetWeight(v.w, w)
+			case 5:
+				v := vars[rng.Intn(len(vars))]
+				bound := rng.Float64()*50 - 10 // <= 0 unbounds
+				got.SetBound(v.g, bound)
+				want.SetBound(v.w, bound)
+			case 6:
+				cs := islands[rng.Intn(len(islands))]
+				c := cs[rng.Intn(len(cs))]
+				capacity := randCap()
+				got.SetCapacity(c.g, capacity)
+				want.SetCapacity(c.w, capacity)
+			case 7:
+				// The workload's triple: remove, zero-weight join, activate.
+				i := rng.Intn(len(vars))
+				got.RemoveVariable(vars[i].g)
+				want.RemoveVariable(vars[i].w)
+				vars[i] = vars[len(vars)-1]
+				vars = vars[:len(vars)-1]
+				compare(step)
+				addVar()
+				v := vars[len(vars)-1]
+				got.SetWeight(v.g, 0)
+				want.SetWeight(v.w, 0)
+				compare(step)
+				got.SetWeight(v.g, 2.5)
+				want.SetWeight(v.w, 2.5)
+			}
+		}
+		compare(step)
+	}
+	return out.Bytes()
+}
+
+// TestSolveKernelBitwise holds the production kernel to the reference
+// round bit for bit: math.Float64bits of every Value and Usage and the
+// Updated sequence after every incremental Solve, over randomized
+// systems under add / SetWeight / SetBound / SetCapacity / remove
+// churn, pooled and unpooled.
+func TestSolveKernelBitwise(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		seed := seed
+		pooltest.Replay(t, 1, func() []byte { return kernelChurn(t, seed) })
+	}
+}

@@ -194,6 +194,52 @@ func BenchmarkActionHeapLockstep(b *testing.B) {
 	}
 }
 
+// BenchmarkRefreshBulkRekey is refresh when one capacity change moves
+// many rates at once, the msg_backbone situation at every completion:
+// n computations share one CPU, k more share a second one, and each
+// iteration rescales the availability of one of the two, so refresh
+// re-integrates and re-keys every action on it inside a heap of n+k.
+// `all` re-keys n of n+k (the rebuild side of the bulk crossover),
+// `sixteenth` k = n/16 of them (the per-action sift side). One
+// single-edge solve per action is included in both; the heap work is
+// what differs between them.
+func BenchmarkRefreshBulkRekey(b *testing.B) {
+	const n = 2000
+	for _, c := range []struct{ name, host string }{{"all", "big"}, {"sixteenth", "small"}} {
+		b.Run(c.name, func(b *testing.B) {
+			pf := platform.New()
+			for _, h := range []string{"big", "small"} {
+				if err := pf.AddHost(&platform.Host{Name: h, Power: 1e9}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m := New(core.New(), pf, DefaultConfig())
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < n+n/16; i++ {
+				h := "big"
+				if i >= n {
+					h = "small"
+				}
+				if _, err := m.Execute(h, 1e9*(1+rng.Float64()), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.refresh()
+			r, k := m.cpus[c.host], n
+			if c.host == "small" {
+				k = n / 16
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.setResourceAvail(r, 0.5+0.5*float64(i&1))
+				m.refresh()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/action")
+		})
+	}
+}
+
 // lockstepModel builds nPairs identical disjoint sender/receiver pairs:
 // every transfer and compute completes at the same instant, the
 // workload class the equal-key bulk-pop and batched wake target.

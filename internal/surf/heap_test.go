@@ -2,6 +2,7 @@ package surf
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -167,8 +168,9 @@ func (hc *heapChecker) AdvanceTo(now, t float64) {
 
 // TestHeapEquivalenceRandomized drives a randomized mutation/advance
 // sequence — transfers and computations starting, completing, being
-// canceled, suspended, reprioritized, plus link/host failures — with
-// the heapChecker cross-validating every NextEventTime and AdvanceTo
+// canceled, suspended, reprioritized one at a time and in bursts of up
+// to the whole population, plus link/host failures — with the
+// heapChecker cross-validating every NextEventTime and AdvanceTo
 // against a forced linear rescan.
 func TestHeapEquivalenceRandomized(t *testing.T) {
 	pf, err := platform.GenerateWaxman(platform.DefaultWaxmanConfig(10, 99))
@@ -185,6 +187,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var live []*Action
 	completions := 0
+	bigBursts, smallBursts := 0, 0
 	failedLinks := map[string]bool{}
 
 	eng.Spawn("driver", nil, func(p *core.Process) {
@@ -201,7 +204,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 			}
 			live = live[:n]
 
-			switch r := rng.Intn(20); {
+			switch r := rng.Intn(23); {
 			case r < 7: // start a transfer
 				src := hosts[rng.Intn(len(hosts))].Name
 				dst := hosts[rng.Intn(len(hosts))].Name
@@ -229,6 +232,34 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 				}
 			case r < 17 && len(live) > 0: // reprioritize
 				live[rng.Intn(len(live))].SetPriority(0.5 + rng.Float64()*4)
+			case r >= 20:
+				// Top the population up to a few dozen, then re-rate between
+				// n/8 and all n in-flight actions in one instant, so a single
+				// refresh re-keys a burst: small bursts sift one by one, large
+				// ones rebuild the heap, and both are held to the linear rescan.
+				for want := 12 + rng.Intn(40); len(live) < want; {
+					h := hosts[rng.Intn(len(hosts))].Name
+					if a, err := m.Execute(h, math.Pow(10, 7+rng.Float64()*2), 1+rng.Float64()*3); err == nil {
+						live = append(live, a)
+					}
+				}
+				n := len(live)
+				k := n/8 + rng.Intn(n-n/8+1)
+				if k*bits.Len(uint(n)) >= 4*n {
+					bigBursts++
+				} else {
+					smallBursts++
+				}
+				for _, i := range rng.Perm(n)[:k] {
+					switch a := live[i]; {
+					case a.Suspended():
+						a.Resume()
+					case rng.Intn(3) == 0:
+						a.Suspend()
+					default:
+						a.SetPriority(0.5 + rng.Float64()*4)
+					}
+				}
 			default: // link failure / repair
 				l := links[rng.Intn(len(links))].Name
 				if failedLinks[l] {
@@ -254,6 +285,9 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 	}
 	if hc.checks < 100 || hc.sweeps < 50 {
 		t.Fatalf("checker barely exercised: %d checks, %d sweeps", hc.checks, hc.sweeps)
+	}
+	if bigBursts < 10 || smallBursts < 10 {
+		t.Fatalf("re-rate bursts on the two sides of the bulk crossover: %d large, %d small; want at least 10 of each", bigBursts, smallBursts)
 	}
 	if completions < 50 {
 		t.Fatalf("only %d actions completed; workload too weak to trust the equivalence run", completions)
