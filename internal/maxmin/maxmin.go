@@ -26,15 +26,16 @@
 // Solve reports the variables whose allocation actually changed via
 // Updated, letting callers refresh only the affected activities.
 //
-// All per-solve bookkeeping (weighted loads, the active set, the
-// component worklist) lives in scratch slices reused across solves, so
-// a steady-state re-solve performs no heap allocation. The
-// same holds for the activity churn itself: RemoveVariable scrubs and
-// free-lists the Variable and its constraint elements, and
-// NewVariable/Expand reuse them, so the add/solve/remove cycle of a
-// simulated activity is allocation-free at steady state (disable with
-// -tags=nopool; the paper counterpart is SimGrid's lmm system, and the
-// key invariant is that pooled and unpooled builds are bit-identical).
+// All per-solve bookkeeping lives in storage reused across solves (the
+// active set and the component worklist in scratch slices, a round's
+// per-constraint quantities on the Constraint itself), so a
+// steady-state re-solve performs no heap allocation. The same holds
+// for the activity churn itself: RemoveVariable scrubs and free-lists
+// the Variable and its constraint elements, and NewVariable/Expand
+// reuse them, so the add/solve/remove cycle of a simulated activity is
+// allocation-free at steady state (disable with -tags=nopool; the
+// paper counterpart is SimGrid's lmm system, and the key invariant is
+// that pooled and unpooled builds are bit-identical).
 package maxmin
 
 import (
@@ -61,7 +62,6 @@ type Variable struct {
 	Data any
 
 	sys    *System
-	fixed  bool
 	dirtyQ int32  // position in sys.dirtyVars; -1 when not queued
 	visit  uint64 // component-walk generation mark
 }
@@ -93,11 +93,19 @@ type Constraint struct {
 	// User cookie: the surf resource owning this constraint.
 	Data any
 
-	sys    *System
-	remCap float64 // scratch for Solve
-	usage  float64 // post-solve total load
-	dirty  bool    // queued in sys.dirtyCnsts
-	visit  uint64  // component-walk generation mark
+	sys   *System
+	usage float64 // post-solve total load
+	visit uint64  // component-walk generation mark
+	dirty bool    // queued in sys.dirtyCnsts
+
+	// Scratch of one progressive-filling round (solveComponent), kept on
+	// the constraint so the round reads it through the edge it is already
+	// following: the capacity not yet frozen, the weighted load of the
+	// active variables, the share ratio remCap/load at which the
+	// constraint saturates, and (sat, sharing dirty's word: the struct
+	// stays in the 128-byte size class) whether that is this round's ratio.
+	sat             bool
+	remCap, load, r float64
 }
 
 // component is one connected component of the dirty scope, as ranges
@@ -125,7 +133,6 @@ type System struct {
 	visitGen uint64 // current component-walk generation
 
 	// Scratch storage reused across solves (no steady-state allocation).
-	loads      []float64 // weighted load per constraint, indexed by Constraint.idx
 	solveVars  []*Variable
 	solveCnsts []*Constraint
 	comps      []component
@@ -288,7 +295,6 @@ func (s *System) RemoveVariable(v *Variable) {
 	v.sys = nil
 	v.id, v.idx = 0, 0
 	v.weight, v.bound, v.value = 0, 0, 0
-	v.fixed = false
 	v.Data = nil
 	if pool.Enabled {
 		s.varPool = append(s.varPool, v)
@@ -482,13 +488,18 @@ func (s *System) collectScope() {
 	s.allDirty = false
 }
 
-// scopeAddC marks a constraint visited, appending it to the scope and
-// the walk worklist.
-func (s *System) scopeAddC(c *Constraint) {
+// scopeAddC marks a constraint visited, appending it to the scope and,
+// if it may lead to unvisited variables, to the walk worklist. Reached
+// from a variable (from != nil) a constraint with a single element
+// leads nowhere — the element is that variable's — so a private link is
+// recorded without being walked; the scope order is the same.
+func (s *System) scopeAddC(c *Constraint, from *Variable) {
 	if c.sys == s && c.visit != s.visitGen {
 		c.visit = s.visitGen
 		s.solveCnsts = append(s.solveCnsts, c)
-		s.queue = append(s.queue, c)
+		if from == nil || len(c.elems) > 1 {
+			s.queue = append(s.queue, c)
+		}
 	}
 }
 
@@ -499,7 +510,7 @@ func (s *System) scopeAddV(v *Variable) {
 		v.visit = s.visitGen
 		s.solveVars = append(s.solveVars, v)
 		for _, e := range v.cnsts {
-			s.scopeAddC(e.c)
+			s.scopeAddC(e.c, v)
 		}
 	}
 }
@@ -513,7 +524,7 @@ func (s *System) walkComponentFrom(v *Variable, c *Constraint) {
 	if v != nil {
 		s.scopeAddV(v)
 	} else {
-		s.scopeAddC(c)
+		s.scopeAddC(c, nil)
 	}
 	for len(s.queue) > 0 {
 		cc := s.queue[len(s.queue)-1]
@@ -543,12 +554,6 @@ func (s *System) solve() {
 		s.stats.MaxComponents = len(s.comps)
 	}
 
-	// Size the constraint-indexed load scratch to the current system.
-	if cap(s.loads) < len(s.cnsts) {
-		s.loads = make([]float64, len(s.cnsts))
-	}
-	loads := s.loads[:cap(s.loads)]
-
 	// Remember pre-solve values to report changes.
 	oldVals := s.oldVals[:0]
 	for _, v := range sv {
@@ -558,7 +563,7 @@ func (s *System) solve() {
 
 	active := s.active
 	for _, cr := range s.comps {
-		active = solveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], loads, active[:0])
+		active = solveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], active[:0])
 	}
 	s.active = active[:0]
 
@@ -574,62 +579,65 @@ func (s *System) solve() {
 
 // solveComponent runs progressive filling on one connected component
 // (sv/sc are the component's members) and stores values and usage on
-// its variables and constraints. loads is the system-wide
-// constraint-indexed scratch (components touch disjoint entries);
-// active is the caller's scratch for the active set, returned for
-// reuse.
-func solveComponent(sv []*Variable, sc []*Constraint, loads []float64, active []*Variable) []*Variable {
-	// Reset scope state; variables on a zero-capacity constraint (shared
-	// or fatpipe alike) are fixed at 0 immediately.
+// its variables and constraints; active is the caller's scratch for
+// the active set, returned for reuse.
+//
+// A round is four passes. Over the active variables: each
+// constraint's weighted load, and the share ratios at which bounds (and
+// fatpipe edges) bind. Over the constraints: the ratio r = remCap/load
+// at which each shared one saturates; the smallest ratio of all is the
+// round's minR. Over the constraints again: sat, whether r is minR
+// within tolerance. Over the active variables once more: freeze those
+// at their bound or on a sat constraint, subtract their consumption,
+// keep the rest.
+// Freezing and subtracting share a pass because nothing the freeze
+// test reads changes during it — sat and minR are settled, and a
+// fatpipe's remCap is never subtracted from — so each shared remCap
+// still loses the same terms in the same (active, then edge) order as
+// if all freezes had been marked first, and every bit is the same.
+//
+// Every round freezes at least one variable, so the loop needs no
+// stall fallback: remCap is clamped at 0 and capacities, loads, bounds
+// and weights are positive, so minR >= 0; whatever attains it freezes
+// something — a constraint with r == minR is sat and has an active
+// variable (load > eps), a bound with b/w == minR gives minR*w within
+// rounding of b, far inside the 1e-9 tolerance, and a fatpipe edge
+// re-evaluates to the same quotient.
+func solveComponent(sv []*Variable, sc []*Constraint, active []*Variable) []*Variable {
+	// Reset scope state. Most components have neither a dead constraint
+	// nor a fatpipe: noticing that here spares every variable the scan
+	// for one, and every round the per-edge fatpipe branches.
+	dead, fatpipe := false, false
+	for _, c := range sc {
+		c.remCap = c.capacity
+		dead = dead || c.capacity <= eps
+		fatpipe = fatpipe || !c.shared
+	}
+	// Variables on a zero-capacity constraint (shared or fatpipe alike)
+	// are fixed at 0 immediately.
+reset:
 	for _, v := range sv {
-		v.fixed = true
 		v.value = 0
 		if v.weight <= eps || len(v.cnsts) == 0 {
 			continue // inactive or unconstrained-with-no-resource
 		}
-		starved := false
-		for _, e := range v.cnsts {
-			if e.c.capacity <= eps {
-				starved = true
-				break
-			}
-		}
-		if !starved {
-			v.fixed = false
-			active = append(active, v)
-		}
-	}
-	for _, c := range sc {
-		c.remCap = c.capacity
-	}
-
-	for len(active) > 0 {
-		// loads[c.idx] = sum over active vars on c of weight*factor.
-		for _, c := range sc {
-			loads[c.idx] = 0
-		}
-		for _, v := range active {
+		if dead {
 			for _, e := range v.cnsts {
-				loads[e.c.idx] += v.weight * e.factor
-			}
-		}
-
-		// Candidate growth limit from constraints: r such that
-		// r * weightedLoad == remCap (shared) or per-variable for fatpipes.
-		minR := math.Inf(1)
-		for _, c := range sc {
-			if !c.shared {
-				// Fatpipe: each variable independently limited by
-				// capacity/(weight*factor); handled below per variable.
-				continue
-			}
-			if wl := loads[c.idx]; wl > eps {
-				if r := c.remCap / wl; r < minR {
-					minR = r
+				if e.c.capacity <= eps {
+					continue reset
 				}
 			}
 		}
-		// Candidate growth limit from variable bounds and fatpipes.
+		active = append(active, v)
+	}
+
+	for len(active) > 0 {
+		// c.load = sum over active vars on c of weight*factor; on the
+		// same visit, the growth limit from variable bounds and fatpipes.
+		for _, c := range sc {
+			c.load = 0
+		}
+		minR := math.Inf(1)
 		for _, v := range active {
 			if v.bound > 0 {
 				if r := v.bound / v.weight; r < minR {
@@ -637,86 +645,73 @@ func solveComponent(sv []*Variable, sc []*Constraint, loads []float64, active []
 				}
 			}
 			for _, e := range v.cnsts {
-				if !e.c.shared && e.factor > eps {
+				e.c.load += v.weight * e.factor
+				if fatpipe && !e.c.shared && e.factor > eps {
 					if r := e.c.remCap / (v.weight * e.factor); r < minR {
 						minR = r
 					}
 				}
 			}
 		}
+		// Growth limit from constraints: r such that r * load == remCap.
+		for _, c := range sc {
+			if c.shared && c.load > eps {
+				c.r = c.remCap / c.load
+				if c.r < minR {
+					minR = c.r
+				}
+			}
+		}
 		if math.IsInf(minR, 1) {
-			// No limiting factor: variables are unconstrained. This
-			// only happens when every active variable sits on fatpipe
-			// constraints with infinite capacity; clamp to bound-less
-			// infinity is meaningless, so freeze at +Inf guarded by eps.
+			// No limiting factor: every active variable sits on fatpipe
+			// constraints of infinite capacity only, and is unbounded.
 			for _, v := range active {
 				v.value = math.Inf(1)
-				v.fixed = true
 			}
-			active = active[:0]
 			break
 		}
-		if minR < 0 {
-			minR = 0
+
+		tol := 1e-9
+		if minR > 1 {
+			tol = 1e-9 * minR
+		}
+		for _, c := range sc {
+			c.sat = c.shared && c.load > eps && math.Abs(c.r-minR) <= tol
 		}
 
-		// Mark everything that saturates at r = minR against the
-		// round-start remaining capacities, then apply the freezes. The
-		// two-phase sweep keeps the round order-independent and freezes
-		// every variable of a saturating constraint in one pass.
-		frozen := 0
-		for _, v := range active {
-			val := minR * v.weight
-			atBound := v.bound > 0 && val >= v.bound-1e-9*math.Max(1, v.bound)
-			atCnst := false
-			for _, e := range v.cnsts {
-				if e.c.shared {
-					wl := loads[e.c.idx]
-					if wl > eps && math.Abs(e.c.remCap/wl-minR) <= 1e-9*math.Max(1, minR) {
-						atCnst = true
-						break
-					}
-				} else if e.factor > eps {
-					if math.Abs(e.c.remCap/(v.weight*e.factor)-minR) <= 1e-9*math.Max(1, minR) {
-						atCnst = true
-						break
-					}
-				}
-			}
-			if atBound || atCnst {
-				if atBound && (v.bound < val || !atCnst) {
-					val = v.bound
-				}
-				v.value = val
-				v.fixed = true
-				frozen++
-			}
-		}
-		if frozen == 0 {
-			// Numerical stall: freeze the variable with the smallest
-			// weight to guarantee progress.
-			var worst *Variable
-			for _, v := range active {
-				if worst == nil || v.weight < worst.weight {
-					worst = v
-				}
-			}
-			worst.value = minR * worst.weight
-			worst.fixed = true
-		}
-		// Subtract frozen consumption and compact the active set.
 		n := 0
 		for _, v := range active {
-			if !v.fixed {
+			val := minR * v.weight
+			atBound := false
+			if v.bound > 0 {
+				btol := 1e-9
+				if v.bound > 1 {
+					btol = 1e-9 * v.bound
+				}
+				atBound = val >= v.bound-btol
+			}
+			atCnst := false
+			for _, e := range v.cnsts {
+				if e.c.sat || fatpipe && !e.c.shared && e.factor > eps &&
+					math.Abs(e.c.remCap/(v.weight*e.factor)-minR) <= tol {
+					atCnst = true
+					break
+				}
+			}
+			if !atBound && !atCnst {
 				active[n] = v
 				n++
 				continue
 			}
+			if atBound && (v.bound < val || !atCnst) {
+				val = v.bound
+			}
+			v.value = val
 			for _, e := range v.cnsts {
-				if e.c.shared {
-					e.c.remCap -= v.value * e.factor
-					if e.c.remCap < 0 {
-						e.c.remCap = 0
+				if c := e.c; c.shared {
+					c.remCap -= val * e.factor
+					if c.remCap < 0 {
+						c.remCap = 0
 					}
 				}
 			}

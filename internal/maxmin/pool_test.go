@@ -35,9 +35,9 @@ func TestVariablePoolScrubbed(t *testing.T) {
 			if v.Weight() != w || v.Bound() != bound {
 				t.Fatalf("fresh variable carries weight %g bound %g, want %g %g", v.Weight(), v.Bound(), w, bound)
 			}
-			if v.Value() != 0 || v.Data != nil || len(v.cnsts) != 0 || v.fixed {
-				t.Fatalf("recycled variable leaked state: value=%g data=%v deg=%d fixed=%v",
-					v.Value(), v.Data, len(v.cnsts), v.fixed)
+			if v.Value() != 0 || v.Data != nil || len(v.cnsts) != 0 {
+				t.Fatalf("recycled variable leaked state: value=%g data=%v deg=%d",
+					v.Value(), v.Data, len(v.cnsts))
 			}
 			v.Data = op // pollute the cookie to catch leaks on reuse
 			deg := 1 + rng.Intn(3)
@@ -58,7 +58,7 @@ func TestVariablePoolScrubbed(t *testing.T) {
 				t.Fatalf("removed variable was not pooled")
 			}
 			if p.sys != nil || p.weight != 0 || p.bound != 0 || p.value != 0 ||
-				p.Data != nil || len(p.cnsts) != 0 || p.fixed {
+				p.Data != nil || len(p.cnsts) != 0 {
 				t.Fatalf("pooled variable carries stale state: %+v", p)
 			}
 		}

@@ -10,18 +10,19 @@ import (
 	"repro/internal/pool/pooltest"
 )
 
-// referenceSolve is Solve with referenceSolveComponent as the kernel:
-// the same scope walk (collectScope is shared — the walk order is part
-// of the contract, loads being accumulated in it), the same
-// per-component loop and the same Updated rule. Its two side arrays
-// (loads by Constraint.idx, fixed by Variable.idx) are local, so the
-// reference depends on no scratch field the production kernel may drop.
+// referenceSolve is Solve as it stood at PR 13 (ce66eea): the scope
+// walk (referenceCollectScope — the walk order is part of the result,
+// loads being accumulated in it), the per-component loop, the
+// multi-pass round (referenceSolveComponent) and the Updated rule. Its
+// two side arrays (loads by Constraint.idx, fixed by Variable.idx) are
+// local, so the reference depends on no scratch field the production
+// kernel may drop.
 func referenceSolve(s *System) {
 	if !s.Dirty() {
 		s.updated = s.updated[:0]
 		return
 	}
-	s.collectScope()
+	referenceCollectScope(s)
 	sv, sc := s.solveVars, s.solveCnsts
 	loads := make([]float64, len(s.cnsts))
 	fixed := make([]bool, len(s.vars))
@@ -40,6 +41,75 @@ func referenceSolve(s *System) {
 		}
 	}
 	s.updated = updated
+}
+
+// referenceCollectScope is collectScope with every visited constraint
+// walked, single-element ones included (the production walk records
+// those without queueing them).
+func referenceCollectScope(s *System) {
+	s.solveVars = s.solveVars[:0]
+	s.solveCnsts = s.solveCnsts[:0]
+	s.comps = s.comps[:0]
+	s.queue = s.queue[:0]
+	s.visitGen++
+	addC := func(c *Constraint) {
+		if c.sys == s && c.visit != s.visitGen {
+			c.visit = s.visitGen
+			s.solveCnsts = append(s.solveCnsts, c)
+			s.queue = append(s.queue, c)
+		}
+	}
+	addV := func(v *Variable) {
+		if v.sys == s && v.visit != s.visitGen {
+			v.visit = s.visitGen
+			s.solveVars = append(s.solveVars, v)
+			for _, e := range v.cnsts {
+				addC(e.c)
+			}
+		}
+	}
+	walkFrom := func(v *Variable, c *Constraint) {
+		v0, c0 := len(s.solveVars), len(s.solveCnsts)
+		if v != nil {
+			addV(v)
+		} else {
+			addC(c)
+		}
+		for len(s.queue) > 0 {
+			cc := s.queue[len(s.queue)-1]
+			s.queue = s.queue[:len(s.queue)-1]
+			for _, e := range cc.elems {
+				addV(e.v)
+			}
+		}
+		if len(s.solveVars) > v0 || len(s.solveCnsts) > c0 {
+			s.comps = append(s.comps, component{v0: v0, v1: len(s.solveVars), c0: c0, c1: len(s.solveCnsts)})
+		}
+	}
+	if s.allDirty {
+		for _, v := range s.vars {
+			walkFrom(v, nil)
+		}
+		for _, c := range s.cnsts {
+			walkFrom(nil, c)
+		}
+	} else {
+		for _, v := range s.dirtyVars {
+			walkFrom(v, nil)
+		}
+		for _, c := range s.dirtyCnsts {
+			walkFrom(nil, c)
+		}
+	}
+	for _, v := range s.dirtyVars {
+		v.dirtyQ = -1
+	}
+	for _, c := range s.dirtyCnsts {
+		c.dirty = false
+	}
+	s.dirtyVars = s.dirtyVars[:0]
+	s.dirtyCnsts = s.dirtyCnsts[:0]
+	s.allDirty = false
 }
 
 // referenceSolveComponent is the multi-pass progressive-filling round
@@ -208,8 +278,8 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 
 // kernelChurn drives one seeded mutation sequence through two mirrored
 // systems — got solved by Solve, want by referenceSolve — and fails at
-// the first solve after which any Value, any Usage or the Updated
-// sequence differs in a single bit. It returns the bits of every value
+// the first solve whose scope order differs, or after which any Value,
+// any Usage or the Updated sequence differs in a single bit. It returns the bits of every value
 // after every solve, so pooltest.Replay can also hold the pooled and
 // the -tags=nopool free-list states to the same bytes.
 //
@@ -305,6 +375,25 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 		t.Helper()
 		got.Solve()
 		referenceSolve(want)
+		if len(got.solveVars) != len(want.solveVars) || len(got.solveCnsts) != len(want.solveCnsts) || len(got.comps) != len(want.comps) {
+			t.Fatalf("seed %d step %d: scope of %d vars, %d constraints, %d components; reference %d, %d, %d", seed, step,
+				len(got.solveVars), len(got.solveCnsts), len(got.comps), len(want.solveVars), len(want.solveCnsts), len(want.comps))
+		}
+		for i, v := range got.solveVars {
+			if v.id != want.solveVars[i].id {
+				t.Fatalf("seed %d step %d: scope variable %d is V%d, reference V%d", seed, step, i, v.id, want.solveVars[i].id)
+			}
+		}
+		for i, c := range got.solveCnsts {
+			if c.id != want.solveCnsts[i].id {
+				t.Fatalf("seed %d step %d: scope constraint %d is C%d, reference C%d", seed, step, i, c.id, want.solveCnsts[i].id)
+			}
+		}
+		for i, cr := range got.comps {
+			if cr != want.comps[i] {
+				t.Fatalf("seed %d step %d: component %d spans %+v, reference %+v", seed, step, i, cr, want.comps[i])
+			}
+		}
 		gu, wu := got.Updated(), want.Updated()
 		if len(gu) != len(wu) {
 			t.Fatalf("seed %d step %d: Updated has %d entries, reference %d", seed, step, len(gu), len(wu))

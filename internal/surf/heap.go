@@ -85,6 +85,21 @@ func (h actionHeap) down(i int) {
 	}
 }
 
+// bulkCheaper is the one crossover between touching k of the heap's n
+// entries one sift at a time — about k·log n swap steps — and a rebuild
+// by linear passes over all n (mark or rewrite, compact, heapify: about
+// four). Batch removal, batch insertion and the rate-change re-key all
+// choose by it.
+func bulkCheaper(k, n int) bool { return k*bits.Len(uint(n)) >= 4*n }
+
+// heapify restores the invariant over arbitrary keys in one O(n)
+// bottom-up pass (Floyd).
+func (h actionHeap) heapify() {
+	for i := (len(h) - 2) / heapArity; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
 // push inserts a (which must not be in the heap) and records its index.
 func (h *actionHeap) push(a *Action) {
 	a.heapIdx = len(*h)
@@ -162,10 +177,9 @@ func (h actionHeap) collectDue(maxKey float64, buf []*Action, stack []int) ([]*A
 }
 
 // removeBatch removes every action in batch (all of which must be in
-// the heap). Small batches sift each removal out — O(log n) apiece —
-// but a batch that is a large fraction of the heap is cheaper as one
-// compaction followed by an O(n) heapify: the equal-key bulk-pop that
-// lock-step completions rely on, shaving the per-action log factor.
+// the heap): one sift-out apiece, or past the bulkCheaper crossover one
+// compaction and a heapify — the equal-key bulk-pop that lock-step
+// completions rely on.
 func (h *actionHeap) removeBatch(batch []*Action) {
 	n, k := len(*h), len(batch)
 	if k == 0 {
@@ -180,9 +194,7 @@ func (h *actionHeap) removeBatch(batch []*Action) {
 		*h = (*h)[:0]
 		return
 	}
-	// Crossover: k sifts cost ~k·log n swap steps, the rebuild ~4 linear
-	// passes (mark, compact, heapify, plus the re-insert's share).
-	if k*bits.Len(uint(n)) < 4*n {
+	if !bulkCheaper(k, n) {
 		for _, a := range batch {
 			h.remove(a.heapIdx)
 		}
@@ -206,22 +218,19 @@ func (h *actionHeap) removeBatch(batch []*Action) {
 		old[i] = heapEntry{} // release for the collector
 	}
 	*h = old[:w]
-	for i := (w - 2) / heapArity; i >= 0; i-- {
-		(*h).down(i)
-	}
+	(*h).heapify()
 }
 
 // bulkPush inserts every action in as (none of which may be in the
-// heap). A batch that rivals the heap size is appended and heapified in
-// one O(n) pass instead of k sifts — the re-insertion half of the
-// lock-step latency-phase transition.
+// heap): one sift-up apiece, or past the bulkCheaper crossover an append
+// and a heapify — the re-insertion half of the lock-step latency-phase
+// transition.
 func (h *actionHeap) bulkPush(as []*Action) {
 	k := len(as)
 	if k == 0 {
 		return
 	}
-	n := len(*h) + k
-	if k*bits.Len(uint(n)) < 4*n {
+	if !bulkCheaper(k, len(*h)+k) {
 		for _, a := range as {
 			h.push(a)
 		}
@@ -231,7 +240,5 @@ func (h *actionHeap) bulkPush(as []*Action) {
 		a.heapIdx = len(*h)
 		*h = append(*h, heapEntry{key: a.eventKey(), a: a})
 	}
-	for i := (n - 2) / heapArity; i >= 0; i-- {
-		(*h).down(i)
-	}
+	(*h).heapify()
 }

@@ -2,7 +2,6 @@ package surf
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -245,7 +244,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 				}
 				n := len(live)
 				k := n/8 + rng.Intn(n-n/8+1)
-				if k*bits.Len(uint(n)) >= 4*n {
+				if bulkCheaper(k, n) {
 					bigBursts++
 				} else {
 					smallBursts++

@@ -981,14 +981,21 @@ func (m *Model) releaseResources(a *Action) {
 // progress of exactly the actions whose allocation changed (the
 // partial-solve result reported by maxmin.System.Updated), and re-keys
 // them in the event heap; every other action keeps its remaining-work
-// sync point, absolute completion estimate and heap position.
+// sync point and absolute completion estimate. When the changed set is
+// a large share of the heap (a completion on a contended link moves
+// every rate on it) the keys are rewritten in place and the heap rebuilt
+// once, instead of one sift per action. The two leave entries of equal
+// key in different places; completions cannot tell, their due set being
+// gathered by key and finished in actionLess order.
 func (m *Model) refresh() {
 	if !m.sys.Dirty() {
 		return
 	}
 	m.sys.Solve()
 	now := m.eng.Now()
-	for _, v := range m.sys.Updated() {
+	updated := m.sys.Updated()
+	bulk := bulkCheaper(len(updated), len(m.heap))
+	for _, v := range updated {
 		a, ok := v.Data.(*Action)
 		if !ok || a.done {
 			continue
@@ -1003,7 +1010,14 @@ func (m *Model) refresh() {
 		a.syncProgress(now)
 		a.rate = v.Value()
 		a.refreshEstimate(now)
-		m.heap.fix(a.heapIdx)
+		if bulk {
+			m.heap[a.heapIdx].key = a.eventKey()
+		} else {
+			m.heap.fix(a.heapIdx)
+		}
+	}
+	if bulk {
+		m.heap.heapify()
 	}
 	if m.trace != nil {
 		m.emitShares(now)
