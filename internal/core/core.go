@@ -526,26 +526,6 @@ func (e *Engine) Wake(p *Process, err error) {
 	e.runQ = append(e.runQ, p)
 }
 
-// WakeAll wakes every process in ps with the same error in one
-// bookkeeping pass: the run queue is grown once and the waiters are
-// appended contiguously, so k same-instant completions cost a single
-// scheduling sweep instead of k interleaved wake/scan cycles. Resource
-// models batching same-instant completions (surf.Model.AdvanceTo) use
-// this for their waiters.
-func (e *Engine) WakeAll(ps []*Process, err error) {
-	if len(ps) == 0 {
-		return
-	}
-	if need := len(e.runQ) + len(ps); cap(e.runQ) < need {
-		grown := make([]*Process, len(e.runQ), need)
-		copy(grown, e.runQ)
-		e.runQ = grown
-	}
-	for _, p := range ps {
-		e.Wake(p, err)
-	}
-}
-
 // Kill forcibly terminates the target process. A process killing itself
 // unwinds immediately; killing another process takes effect the next
 // time that process is scheduled (its pending simcall aborts).
@@ -558,24 +538,24 @@ func (p *Process) Kill() {
 	if e.current == p {
 		panic(killedSignal{})
 	}
-	switch p.state {
-	case Waiting:
-		p.suspended = false
-		// Drop any wake that arrived while the process was suspended: a
-		// stale pending error must not shadow ErrKilled if the victim
-		// is touched by Resume before it is drained.
-		p.pendingWake = nil
-		p.wakeErr = ErrKilled
-		p.state = Runnable
-		e.runQ = append(e.runQ, p)
-	case Created:
-		// Not yet started: schedule so the goroutine can terminate.
-		p.pendingWake = nil
-		p.wakeErr = ErrKilled
-		p.state = Runnable
-		e.runQ = append(e.runQ, p)
+	e.wakeKilled(p)
+}
+
+// wakeKilled schedules a killed process that is parked — Waiting, or
+// Created and not yet started — so its goroutine can unwind; a Runnable
+// one dies when popped from the queue. Unlike Wake it overrides a
+// suspension and drops any wake that arrived during it: a stale pending
+// error must not shadow ErrKilled if the victim is touched by Resume
+// before it is drained.
+func (e *Engine) wakeKilled(p *Process) {
+	if p.state != Waiting && p.state != Created {
+		return
 	}
-	// Runnable processes die when popped from the queue.
+	p.suspended = false
+	p.pendingWake = nil
+	p.wakeErr = ErrKilled
+	p.state = Runnable
+	e.runQ = append(e.runQ, p)
 }
 
 // Suspend pauses the process. Suspending the current process blocks it
@@ -632,46 +612,22 @@ func (p *Process) Suspended() bool { return p.suspended }
 // on the stack of the last process to park in each round. Run regains
 // control once per simulation, when it has ended.
 func (e *Engine) Run() error {
-	if e.running {
-		return errors.New("core: engine already running")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	e.stopErr = nil
-	e.stopReq = false
-
-	if e.dispatch(nil) == dispatchNext || e.kernelTurn(nil) == dispatchNext {
-		<-e.schedCh // the token is out; wait for the simulation to end
-	}
-	if e.fatal != nil {
-		return e.fatal
-	}
-	if e.stopErr != nil {
-		return e.stopErr
+	if err := e.drive(false); err != nil {
+		return err
 	}
 	e.shutdownDaemons()
-	if e.fatal != nil {
-		return e.fatal
-	}
-	return nil
+	return e.fatal
 }
 
-// RunUntilIdle drives the kernel without requiring any live process:
-// model events and timers fire, and any process that does wake is
-// scheduled, until nothing remains to simulate (or MaxTime is reached,
-// or Stop is called). This is the drive loop for purely kernel-level
-// workloads — DAG task graphs (package simdag) attach surf actions
-// directly, so a simulation of any size spawns zero goroutines.
-// Unlike Run, quiescence with pending activities never started is not a
-// deadlock: the caller owns the notion of completeness. RunUntilIdle
-// may be called repeatedly; each call resumes from the current state.
-func (e *Engine) RunUntilIdle() error {
+// drive is the body Run and RunUntilIdle share: seed the first
+// dispatch, wait for the token to come back, report how the drive
+// ended.
+func (e *Engine) drive(idle bool) error {
 	if e.running {
 		return errors.New("core: engine already running")
 	}
-	e.running = true
-	e.idleDrive = true
-	defer func() { e.running = false; e.idleDrive = false }()
+	e.running, e.idleDrive = true, idle
+	defer func() { e.running, e.idleDrive = false, false }()
 	e.stopErr = nil
 	e.stopReq = false
 
@@ -684,6 +640,17 @@ func (e *Engine) RunUntilIdle() error {
 	}
 	return e.stopErr
 }
+
+// RunUntilIdle drives the kernel without requiring any live process:
+// model events and timers fire, and any process that does wake is
+// scheduled, until nothing remains to simulate (or MaxTime is reached,
+// or Stop is called). This is the drive loop for purely kernel-level
+// workloads — DAG task graphs (package simdag) attach surf actions
+// directly, so a simulation of any size spawns zero goroutines.
+// Unlike Run, quiescence with pending activities never started is not a
+// deadlock: the caller owns the notion of completeness. RunUntilIdle
+// may be called repeatedly; each call resumes from the current state.
+func (e *Engine) RunUntilIdle() error { return e.drive(true) }
 
 // Stop requests the drive loop to return before its next scheduling
 // round. It is the kernel half of watch points: a completion callback
@@ -865,14 +832,7 @@ func (e *Engine) shutdownDaemons() {
 	e.draining = true
 	for _, p := range e.Processes() {
 		p.killed = true
-		switch p.state {
-		case Waiting, Created:
-			p.suspended = false
-			p.pendingWake = nil
-			p.wakeErr = ErrKilled
-			p.state = Runnable
-			e.runQ = append(e.runQ, p)
-		}
+		e.wakeKilled(p)
 	}
 	if e.dispatch(nil) == dispatchNext {
 		<-e.schedCh

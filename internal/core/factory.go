@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/instr"
 	"repro/internal/pool"
 )
 
@@ -44,8 +43,7 @@ type worker struct {
 // mutex: engines themselves are single-threaded by the kernel token.
 var workerPool struct {
 	sync.Mutex
-	free      []*worker
-	hit, miss uint64
+	free pool.List[*worker]
 }
 
 // maxPooledWorkers bounds the parked population; beyond it, finished
@@ -57,20 +55,10 @@ const maxPooledWorkers = 1 << 15
 // grabWorker returns a parked worker, or nil when the pool is empty or
 // pooling is disabled (the caller then creates a fresh one).
 func grabWorker() *worker {
-	if !pool.Enabled {
-		return nil
-	}
 	workerPool.Lock()
 	defer workerPool.Unlock()
-	if n := len(workerPool.free); n > 0 {
-		w := workerPool.free[n-1]
-		workerPool.free[n-1] = nil
-		workerPool.free = workerPool.free[:n-1]
-		workerPool.hit++
-		return w
-	}
-	workerPool.miss++
-	return nil
+	w, _ := workerPool.free.Get()
+	return w
 }
 
 // releaseWorker scrubs the worker and parks it in the pool, reporting
@@ -80,25 +68,22 @@ func grabWorker() *worker {
 // one wake per park and the worker consumed the last one to get here.
 func releaseWorker(w *worker) bool {
 	w.proc = nil
-	if !pool.Enabled {
-		return false
-	}
 	workerPool.Lock()
 	defer workerPool.Unlock()
-	if len(workerPool.free) >= maxPooledWorkers {
-		return false
+	n := workerPool.free.Len()
+	if n < maxPooledWorkers {
+		workerPool.free.Put(w)
 	}
-	workerPool.free = append(workerPool.free, w)
-	return true
+	return workerPool.free.Len() > n // Put keeps nothing with pooling off
 }
 
-// WorkerPoolStats reports the shared worker-stack free list's
+// workerPoolStat reports the shared worker-stack free list's
 // scoreboard: hits are processes that reused a parked stack, misses
 // are grabs that fell through to a fresh goroutine spawn.
-func WorkerPoolStats() instr.PoolStat {
+func workerPoolStat() pool.Stat {
 	workerPool.Lock()
 	defer workerPool.Unlock()
-	return instr.PoolStat{Hit: workerPool.hit, Miss: workerPool.miss, Free: len(workerPool.free)}
+	return workerPool.free.Stat()
 }
 
 // newWorker creates a fresh carrier goroutine — THE goroutine spawn

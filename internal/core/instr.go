@@ -49,5 +49,5 @@ func (e *Engine) MetricsInto(r *instr.Registry) {
 	r.Gauge("core.timer_peak").SetMax(float64(e.timerPeak))
 	r.Gauge("core.timers").Set(float64(len(e.timers)))
 	r.Counter("core.fault_panics").Add(uint64(len(e.panics)))
-	r.SetPool("core.worker_pool", WorkerPoolStats())
+	r.SetPool("core.worker_pool", workerPoolStat())
 }

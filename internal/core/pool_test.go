@@ -29,10 +29,10 @@ func TestProcessPoolScrubbed(t *testing.T) {
 	}
 	workerPool.Lock()
 	defer workerPool.Unlock()
-	if len(workerPool.free) == 0 {
+	if workerPool.free.Len() == 0 {
 		t.Fatal("no worker was ever pooled")
 	}
-	for i, w := range workerPool.free {
+	for i, w := range workerPool.free.Items() {
 		if w.proc != nil {
 			t.Errorf("pooled worker %d still references process %q", i, w.proc.name)
 		}

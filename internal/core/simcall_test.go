@@ -327,7 +327,7 @@ func TestSuspendRunnableRedeliversWake(t *testing.T) {
 	}
 }
 
-// TestResumeAfterSameInstantWake: two waiters woken in the same batch;
+// TestResumeAfterSameInstantWake: two waiters woken in the same instant;
 // one is suspended in the same instant and must only see its wake after
 // Resume.
 func TestResumeAfterSameInstantWake(t *testing.T) {
@@ -349,7 +349,8 @@ func TestResumeAfterSameInstantWake(t *testing.T) {
 		woke2 = e.Now()
 	})
 	e.At(1, func() {
-		e.WakeAll([]*Process{w1, w2}, nil)
+		e.Wake(w1, nil)
+		e.Wake(w2, nil)
 		w2.Suspend() // same instant: w2 must stay parked
 	})
 	e.At(2, func() { w2.Resume() })
@@ -361,34 +362,6 @@ func TestResumeAfterSameInstantWake(t *testing.T) {
 	}
 	if woke2 != 2 {
 		t.Errorf("w2 woke at %g, want 2 (after resume)", woke2)
-	}
-}
-
-// TestWakeAllRunsInOrder: a batched wake enqueues the waiters
-// contiguously, in slice order.
-func TestWakeAllRunsInOrder(t *testing.T) {
-	e := New()
-	const n = 5
-	procs := make([]*Process, n)
-	var order []int
-	for i := 0; i < n; i++ {
-		i := i
-		procs[i] = e.Spawn("w", nil, func(p *Process) {
-			if err := p.Block(); err != nil {
-				t.Errorf("w%d: %v", i, err)
-			}
-			order = append(order, i)
-		})
-	}
-	e.At(1, func() { e.WakeAll([]*Process{procs[3], procs[1], procs[4], procs[0], procs[2]}, nil) })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []int{3, 1, 4, 0, 2}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 

@@ -13,22 +13,12 @@ import "repro/internal/pool"
 // event recycles.
 const maxPooledEvents = 4096
 
-var eventPool struct {
-	free      []*event
-	hit, miss uint64
-}
+var eventPool pool.List[*event]
 
 func grabEvent() *event {
-	if pool.Enabled {
-		if n := len(eventPool.free); n > 0 {
-			ev := eventPool.free[n-1]
-			eventPool.free[n-1] = nil
-			eventPool.free = eventPool.free[:n-1]
-			eventPool.hit++
-			return ev
-		}
+	if ev, ok := eventPool.Get(); ok {
+		return ev
 	}
-	eventPool.miss++
 	return &event{args: make([]string, 0, 6)}
 }
 
@@ -42,12 +32,10 @@ func releaseEvent(ev *event) {
 	ev.time = 0
 	ev.hasVal = false
 	ev.val = 0
-	if pool.Enabled && len(eventPool.free) < maxPooledEvents {
-		eventPool.free = append(eventPool.free, ev)
+	if eventPool.Len() < maxPooledEvents {
+		eventPool.Put(ev)
 	}
 }
 
 // EventPoolStats reports the trace event free list's scoreboard.
-func EventPoolStats() PoolStat {
-	return PoolStat{Hit: eventPool.hit, Miss: eventPool.miss, Free: len(eventPool.free)}
-}
+func EventPoolStats() PoolStat { return eventPool.Stat() }

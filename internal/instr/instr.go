@@ -25,17 +25,12 @@
 // (factory.go, -tags=nopool to disable), so steady-state tracing adds
 // no per-event allocation after warm-up.
 //
-// This package deliberately imports nothing from the rest of the
-// module, so every layer can depend on it without cycles.
+// This package imports nothing from the rest of the module but the
+// leaf package pool, so every layer can depend on it without cycles.
 package instr
 
-// PoolStat is one free list's scoreboard: how many grabs were served
-// from the pool (Hit) vs freshly allocated (Miss), and the pool's
-// current population (Free — at quiescence, the steady-state
-// occupancy). Every pooled type across the stack reports one of these
-// (cmd/benchstats surfaces them per tier).
-type PoolStat struct {
-	Hit  uint64 `json:"hit"`
-	Miss uint64 `json:"miss"`
-	Free int    `json:"steady_free"`
-}
+import "repro/internal/pool"
+
+// PoolStat is one free list's scoreboard, as every pooled type across
+// the stack reports it (Registry.SetPool).
+type PoolStat = pool.Stat

@@ -1,7 +1,5 @@
 package maxmin
 
-import "repro/internal/pool"
-
 // This file is the factory for the pooled solver objects: the only
 // place allowed to construct (or scrub) a Variable or constraint
 // element by composite literal. simgrid-lint's pool-literal rule
@@ -14,28 +12,18 @@ import "repro/internal/pool"
 // RemoveVariable; only the visit generation mark may be live, and it
 // can never equal a future generation.
 func (s *System) grabVariable() *Variable {
-	if n := len(s.varPool); pool.Enabled && n > 0 {
-		v := s.varPool[n-1]
-		s.varPool[n-1] = nil
-		s.varPool = s.varPool[:n-1]
-		s.varPoolHit++
+	if v, ok := s.varPool.Get(); ok {
 		return v
 	}
-	s.varPoolMiss++
 	return &Variable{dirtyQ: -1}
 }
 
 // grabElem pops a recycled constraint element off the free list, or
 // allocates one.
 func (s *System) grabElem() *elem {
-	if n := len(s.elemPool); pool.Enabled && n > 0 {
-		e := s.elemPool[n-1]
-		s.elemPool[n-1] = nil
-		s.elemPool = s.elemPool[:n-1]
-		s.elemPoolHit++
+	if e, ok := s.elemPool.Get(); ok {
 		return e
 	}
-	s.elemPoolMiss++
 	return &elem{}
 }
 
@@ -44,7 +32,5 @@ func (s *System) grabElem() *elem {
 // lists.
 func (s *System) releaseElem(e *elem) {
 	*e = elem{}
-	if pool.Enabled {
-		s.elemPool = append(s.elemPool, e)
-	}
+	s.elemPool.Put(e)
 }

@@ -146,14 +146,12 @@ type System struct {
 	// its constraint elements, NewVariable/Expand reuse them, so the
 	// steady-state add/remove cycle of a simulated activity performs no
 	// heap allocation. Disabled under -tags=nopool.
-	varPool  []*Variable
-	elemPool []*elem
+	varPool  pool.List[*Variable]
+	elemPool pool.List[*elem]
 
-	// Observability (stats.go): solver work counters and pool
-	// hit/miss scoreboards. Plain fields, always on.
-	stats                     SolveStats
-	varPoolHit, varPoolMiss   uint64
-	elemPoolHit, elemPoolMiss uint64
+	// Observability (stats.go): solver work counters. Plain fields,
+	// always on.
+	stats SolveStats
 }
 
 // NewSystem returns an empty linear MaxMin system.
@@ -296,9 +294,7 @@ func (s *System) RemoveVariable(v *Variable) {
 	v.id, v.idx = 0, 0
 	v.weight, v.bound, v.value = 0, 0, 0
 	v.Data = nil
-	if pool.Enabled {
-		s.varPool = append(s.varPool, v)
-	}
+	s.varPool.Put(v)
 	if len(s.vars) == 0 && len(s.cnsts) == 0 {
 		// Nothing left to solve, but the books must still close.
 		s.allDirty = true

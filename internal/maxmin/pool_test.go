@@ -53,7 +53,7 @@ func TestVariablePoolScrubbed(t *testing.T) {
 			live = live[:len(live)-1]
 			// The struct sitting in the pool must be fully scrubbed
 			// (dirty/visit bookkeeping aside, which the solver owns).
-			p := s.varPool[len(s.varPool)-1]
+			p := s.varPool.Items()[s.varPool.Len()-1]
 			if p != v {
 				t.Fatalf("removed variable was not pooled")
 			}

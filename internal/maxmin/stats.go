@@ -17,16 +17,6 @@ type SolveStats struct {
 // Stats returns the accumulated solver counters.
 func (s *System) Stats() SolveStats { return s.stats }
 
-// VarPoolStats reports the variable free list's scoreboard.
-func (s *System) VarPoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: s.varPoolHit, Miss: s.varPoolMiss, Free: len(s.varPool)}
-}
-
-// ElemPoolStats reports the constraint-element free list's scoreboard.
-func (s *System) ElemPoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: s.elemPoolHit, Miss: s.elemPoolMiss, Free: len(s.elemPool)}
-}
-
 // MetricsInto dumps the solver's counters and pool scoreboards into r
 // under the maxmin.* namespace.
 func (s *System) MetricsInto(r *instr.Registry) {
@@ -43,6 +33,6 @@ func (s *System) MetricsInto(r *instr.Registry) {
 	r.Gauge("maxmin.max_components").SetMax(float64(s.stats.MaxComponents))
 	r.Gauge("maxmin.vars").Set(float64(len(s.vars)))
 	r.Gauge("maxmin.constraints").Set(float64(len(s.cnsts)))
-	r.SetPool("maxmin.var_pool", s.VarPoolStats())
-	r.SetPool("maxmin.elem_pool", s.ElemPoolStats())
+	r.SetPool("maxmin.var_pool", s.varPool.Stat())
+	r.SetPool("maxmin.elem_pool", s.elemPool.Stat())
 }

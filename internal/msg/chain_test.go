@@ -596,10 +596,10 @@ func TestChainPoolScrubbed(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(env.chainPool) == 0 {
+	if env.chainPool.Len() == 0 {
 		t.Fatal("no ChainProc was pooled")
 	}
-	for i, c := range env.chainPool {
+	for i, c := range env.chainPool.Items() {
 		clean := c.env == nil && c.spec == nil && c.task == nil && c.exec == nil &&
 			c.sendRec == nil && c.recvRec == nil && c.onExit == nil && c.OnFailure == nil &&
 			!c.done && c.pc == 0 && c.pid == 0 && len(c.counters) == 0

@@ -1,7 +1,5 @@
 package msg
 
-import "repro/internal/pool"
-
 // This file is the factory for the pooled rendezvous records: the only
 // place allowed to construct or scrub a pendingSend/pendingRecv by
 // composite literal. simgrid-lint's pool-literal rule enforces that
@@ -11,14 +9,9 @@ import "repro/internal/pool"
 
 // grabSend returns a blank pendingSend, recycled when possible.
 func (env *Environment) grabSend() *pendingSend {
-	if n := len(env.sendPool); pool.Enabled && n > 0 {
-		ps := env.sendPool[n-1]
-		env.sendPool[n-1] = nil
-		env.sendPool = env.sendPool[:n-1]
-		env.sendPoolHit++
+	if ps, ok := env.sendPool.Get(); ok {
 		return ps
 	}
-	env.sendPoolMiss++
 	return &pendingSend{}
 }
 
@@ -35,21 +28,14 @@ func (env *Environment) releaseSend(ps *pendingSend) {
 		a.Release() // no-op if somehow not done
 	}
 	*ps = pendingSend{}
-	if pool.Enabled {
-		env.sendPool = append(env.sendPool, ps)
-	}
+	env.sendPool.Put(ps)
 }
 
 // grabRecv returns a blank pendingRecv, recycled when possible.
 func (env *Environment) grabRecv() *pendingRecv {
-	if n := len(env.recvPool); pool.Enabled && n > 0 {
-		pr := env.recvPool[n-1]
-		env.recvPool[n-1] = nil
-		env.recvPool = env.recvPool[:n-1]
-		env.recvPoolHit++
+	if pr, ok := env.recvPool.Get(); ok {
 		return pr
 	}
-	env.recvPoolMiss++
 	return &pendingRecv{}
 }
 
@@ -57,23 +43,16 @@ func (env *Environment) grabRecv() *pendingRecv {
 // ownership rules as releaseSend apply, with get as the only caller.
 func (env *Environment) releaseRecv(pr *pendingRecv) {
 	*pr = pendingRecv{}
-	if pool.Enabled {
-		env.recvPool = append(env.recvPool, pr)
-	}
+	env.recvPool.Put(pr)
 }
 
 // grabChain returns a blank ChainProc, recycled when possible: chain
 // churn (millions of short-lived chains, or auto-restart cycling)
 // reuses terminated instances instead of allocating fresh ones.
 func (env *Environment) grabChain() *ChainProc {
-	if n := len(env.chainPool); pool.Enabled && n > 0 {
-		c := env.chainPool[n-1]
-		env.chainPool[n-1] = nil
-		env.chainPool = env.chainPool[:n-1]
-		env.chainPoolHit++
+	if c, ok := env.chainPool.Get(); ok {
 		return c
 	}
-	env.chainPoolMiss++
 	return &ChainProc{}
 }
 
@@ -88,7 +67,5 @@ func (env *Environment) releaseChain(c *ChainProc) {
 	counters := c.counters[:0]
 	timer := c.sleepTimer
 	*c = ChainProc{counters: counters, sleepTimer: timer}
-	if pool.Enabled {
-		env.chainPool = append(env.chainPool, c)
-	}
+	env.chainPool.Put(c)
 }

@@ -129,12 +129,12 @@ func TestKillUnwindRecyclesRendezvous(t *testing.T) {
 			}
 
 			if i == 0 {
-				steadySend, steadyRecv = len(env.sendPool), len(env.recvPool)
+				steadySend, steadyRecv = env.sendPool.Len(), env.recvPool.Len()
 				continue
 			}
-			if len(env.sendPool) != steadySend || len(env.recvPool) != steadyRecv {
+			if env.sendPool.Len() != steadySend || env.recvPool.Len() != steadyRecv {
 				t.Errorf("cycle %d: pools %d/%d, steady state %d/%d — kill churn leaks or over-returns",
-					i, len(env.sendPool), len(env.recvPool), steadySend, steadyRecv)
+					i, env.sendPool.Len(), env.recvPool.Len(), steadySend, steadyRecv)
 			}
 		}
 		return nil
@@ -145,15 +145,15 @@ func TestKillUnwindRecyclesRendezvous(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(env.sendPool) == 0 || len(env.recvPool) == 0 {
-		t.Fatalf("kill churn recycled nothing (pools %d/%d)", len(env.sendPool), len(env.recvPool))
+	if env.sendPool.Len() == 0 || env.recvPool.Len() == 0 {
+		t.Fatalf("kill churn recycled nothing (pools %d/%d)", env.sendPool.Len(), env.recvPool.Len())
 	}
-	for i, ps := range env.sendPool {
+	for i, ps := range env.sendPool.Items() {
 		if *ps != (pendingSend{}) {
 			t.Errorf("pooled pendingSend %d not scrubbed: %+v", i, *ps)
 		}
 	}
-	for i, pr := range env.recvPool {
+	for i, pr := range env.recvPool.Items() {
 		if *pr != (pendingRecv{}) {
 			t.Errorf("pooled pendingRecv %d not scrubbed: %+v", i, *pr)
 		}
@@ -342,7 +342,7 @@ func TestPanicMidRendezvousRecyclesRecord(t *testing.T) {
 	if len(env.Engine().Panics()) != 1 {
 		t.Fatalf("want 1 contained panic, got %d", len(env.Engine().Panics()))
 	}
-	for i, ps := range env.sendPool {
+	for i, ps := range env.sendPool.Items() {
 		if *ps != (pendingSend{}) {
 			t.Errorf("pooled pendingSend %d not scrubbed: %+v", i, *ps)
 		}

@@ -89,21 +89,6 @@ func (env *Environment) noteQueued(dSend, dRecv int) {
 	}
 }
 
-// SendPoolStats reports the pendingSend free list's scoreboard.
-func (env *Environment) SendPoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: env.sendPoolHit, Miss: env.sendPoolMiss, Free: len(env.sendPool)}
-}
-
-// RecvPoolStats reports the pendingRecv free list's scoreboard.
-func (env *Environment) RecvPoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: env.recvPoolHit, Miss: env.recvPoolMiss, Free: len(env.recvPool)}
-}
-
-// ChainPoolStats reports the ChainProc free list's scoreboard.
-func (env *Environment) ChainPoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: env.chainPoolHit, Miss: env.chainPoolMiss, Free: len(env.chainPool)}
-}
-
 // Retries returns how many Retry re-attempts ran in this environment.
 func (env *Environment) Retries() uint64 { return env.retries }
 
@@ -119,9 +104,9 @@ func (env *Environment) MetricsInto(r *instr.Registry) {
 	r.Gauge("msg.queued_recvs").Set(float64(env.queuedRecvs))
 	r.Gauge("msg.queued_peak").SetMax(float64(env.queuedPeak))
 	r.Gauge("msg.live_chains").Set(float64(len(env.chains)))
-	r.SetPool("msg.send_pool", env.SendPoolStats())
-	r.SetPool("msg.recv_pool", env.RecvPoolStats())
-	r.SetPool("msg.chain_pool", env.ChainPoolStats())
+	r.SetPool("msg.send_pool", env.sendPool.Stat())
+	r.SetPool("msg.recv_pool", env.recvPool.Stat())
+	r.SetPool("msg.chain_pool", env.chainPool.Stat())
 	env.model.MetricsInto(r)
 	env.eng.MetricsInto(r)
 }

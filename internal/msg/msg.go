@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool"
 	"repro/internal/surf"
 )
 
@@ -99,9 +100,9 @@ type Environment struct {
 	// scrubbed pendingSend/pendingRecv instead of allocating fresh ones
 	// (disabled under -tags=nopool). chainPool recycles terminated
 	// ChainProcs the same way.
-	sendPool  []*pendingSend
-	recvPool  []*pendingRecv
-	chainPool []*ChainProc
+	sendPool  pool.List[*pendingSend]
+	recvPool  pool.List[*pendingRecv]
+	chainPool pool.List[*ChainProc]
 
 	// restartQ holds, per host, the actors killed by that host's failure
 	// that must respawn when it recovers, in kill (PID) order.
@@ -117,16 +118,12 @@ type Environment struct {
 	RestartOnRecovery bool
 
 	// Observability (instr.go): optional Paje trace band, mailbox
-	// backlog counters, Retry re-attempts, and pool scoreboards. The
-	// counters are plain always-on fields; trace is nil until
-	// EnableTrace.
-	trace                       *msgTrace
-	queuedSends, queuedRecvs    int
-	queuedPeak                  int
-	retries                     uint64
-	sendPoolHit, sendPoolMiss   uint64
-	recvPoolHit, recvPoolMiss   uint64
-	chainPoolHit, chainPoolMiss uint64
+	// backlog counters and Retry re-attempts. The counters are plain
+	// always-on fields; trace is nil until EnableTrace.
+	trace                    *msgTrace
+	queuedSends, queuedRecvs int
+	queuedPeak               int
+	retries                  uint64
 }
 
 type mailboxKey struct {

@@ -57,7 +57,7 @@ func TestRendezvousPoolingEquivalence(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(env.sendPool) == 0 && pooled {
+		if env.sendPool.Len() == 0 && pooled {
 			t.Fatal("no pendingSend was ever pooled")
 		}
 		return times

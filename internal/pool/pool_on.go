@@ -1,10 +1,11 @@
 //go:build !nopool
 
-// Package pool holds the one switch behind every free list in the
-// stack: core's parked process goroutines, maxmin's variables and
-// constraint elements, surf's actions and resources slices, msg's
-// rendezvous and chain records, instr's trace events. The factories
-// read Enabled; nothing but tests writes it.
+// Package pool holds the one free list (List) every pooled type in the
+// stack is kept on — core's parked process goroutines, maxmin's
+// variables and constraint elements, surf's actions and resources
+// slices, msg's rendezvous and chain records, instr's trace events —
+// and the one switch behind it. Only List reads Enabled; nothing but
+// tests writes it.
 //
 // Build with -tags=nopool to start with it off: everything is then
 // allocated (or spawned) fresh, the reference behaviour the pooled

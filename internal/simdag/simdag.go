@@ -663,8 +663,7 @@ func (s *Simulation) notify(t *Task) {
 // of the instant arms a single timer at the current time (re-arming
 // the same timer object every instant), and the sweep then starts the
 // whole batch back-to-back — k lock-step releases cost one timer and
-// one contiguous start pass, the kernel-level analog of the batched
-// process wake (Engine.WakeAll).
+// one contiguous start pass.
 func (s *Simulation) enqueue(t *Task) {
 	t.state = Runnable
 	s.notify(t)
@@ -786,9 +785,11 @@ func (s *Simulation) failTask(t *Task, err error) {
 	s.failTerminal(t, err)
 }
 
-// failTerminal marks a task Failed and cancels its dependents
-// transitively: a workflow with a failed branch keeps executing the
-// independent branches, exactly like a workflow engine would.
+// failTerminal marks a task Failed and fails its unfinished dependents
+// transitively with ErrDependencyFailed: a workflow with a failed
+// branch keeps executing the independent branches, exactly like a
+// workflow engine would. A dependent holds no action: it can never be
+// Running, its failed predecessor being, by definition, unfinished.
 func (s *Simulation) failTerminal(t *Task, err error) {
 	t.state = Failed
 	t.err = err
@@ -805,29 +806,9 @@ func (s *Simulation) failTerminal(t *Task, err error) {
 		if !ok {
 			break
 		}
-		s.cancel(succ)
-	}
-}
-
-// cancel marks a dependent of a failed task Failed (recursively). A
-// dependent can never be Running here: its failed predecessor was, by
-// definition, unfinished.
-func (s *Simulation) cancel(t *Task) {
-	if t.terminal() {
-		return
-	}
-	t.state = Failed
-	t.err = ErrDependencyFailed
-	t.finish = s.eng.Now()
-	s.nFailed++
-	s.notify(t)
-	s.watch(t)
-	for it := t.succIter(); ; {
-		succ, ok := it.next()
-		if !ok {
-			break
+		if !succ.terminal() {
+			s.failTerminal(succ, ErrDependencyFailed)
 		}
-		s.cancel(succ)
 	}
 }
 

@@ -208,13 +208,25 @@ func (r *Rank) Wtime() float64 { return r.world.eng.Now() }
 
 // Compute runs `flops` of local work through the CPU model.
 func (r *Rank) Compute(flops float64) error {
-	a, err := r.world.model.Execute(r.host.Name, flops, 1)
+	_, err := r.execute(flops)
+	return err
+}
+
+// execute charges flops of local work on the rank's host, blocks until
+// it is done and returns the simulated seconds it took.
+func (r *Rank) execute(flops float64) (float64, error) {
+	w := r.world
+	a, err := w.model.Execute(r.host.Name, flops, 1)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	start := w.eng.Now()
 	werr := a.Wait(r.proc)
 	a.Release() // the action never escapes this frame
-	return werr
+	if werr != nil {
+		return 0, werr
+	}
+	return w.eng.Now() - start, nil
 }
 
 // Send transmits data to a rank (MPI_Send, blocking until the matching
@@ -242,7 +254,6 @@ func (r *Rank) Send(dst, tag int, data any, bytes float64) error {
 		}
 		return r.proc.BlockOn(core.SimcallSend)
 	}
-	w.sendQ[key] = append(w.sendQ[key], ps)
 	if bytes <= EagerThreshold {
 		// Eager protocol: ship the data now; the receiver will find it
 		// (or attach to the in-flight transfer) when it posts.
@@ -253,6 +264,9 @@ func (r *Rank) Send(dst, tag int, data any, bytes float64) error {
 		ps.action, ps.eager = a, true
 		a.SetCompletion(ps)
 	}
+	// Queued only now: a send that failed to start must leave no record
+	// for a later Recv to match and wake this rank through.
+	w.sendQ[key] = append(w.sendQ[key], ps)
 	return r.proc.BlockOn(core.SimcallSend)
 }
 
@@ -331,26 +345,7 @@ func (w *World) startTransfer(ps *pendingSend, pr *pendingRecv, dstRank int) err
 // SMPI_BENCH_ONCE_RUN_ONCE_BEGIN/END. It returns the simulated seconds
 // charged on this rank's host.
 func (r *Rank) BenchOnce(key string, fn func()) (float64, error) {
-	w := r.world
-	dt, seen := w.benchCache[key]
-	if !seen {
-		t0 := time.Now() //lint:allow det-wallclock SMPI_BENCH seam: real compute is measured once, cached, and charged as simulated flops
-		fn()
-		dt = time.Since(t0).Seconds() //lint:allow det-wallclock SMPI_BENCH seam: real compute is measured once, cached, and charged as simulated flops
-		w.benchCache[key] = dt
-	}
-	flops := dt * w.ReferencePower
-	a, err := w.model.Execute(r.host.Name, flops, 1)
-	if err != nil {
-		return 0, err
-	}
-	start := w.eng.Now()
-	werr := a.Wait(r.proc)
-	a.Release()
-	if werr != nil {
-		return 0, werr
-	}
-	return w.eng.Now() - start, nil
+	return r.bench(key, fn, false)
 }
 
 // BenchAlways is BenchOnce except fn really runs on every call (so its
@@ -358,6 +353,12 @@ func (r *Rank) BenchOnce(key string, fn func()) (float64, error) {
 // the one measured on the first execution — SMPI_BENCH_ALWAYS with a
 // cached measurement. Use it when the computation's results matter.
 func (r *Rank) BenchAlways(key string, fn func()) (float64, error) {
+	return r.bench(key, fn, true)
+}
+
+// bench charges key's cached measurement of fn, taking it first if this
+// is the first call; always re-runs fn on the later ones too.
+func (r *Rank) bench(key string, fn func(), always bool) (float64, error) {
 	w := r.world
 	dt, seen := w.benchCache[key]
 	if !seen {
@@ -365,21 +366,10 @@ func (r *Rank) BenchAlways(key string, fn func()) (float64, error) {
 		fn()
 		dt = time.Since(t0).Seconds() //lint:allow det-wallclock SMPI_BENCH seam: real compute is measured once, cached, and charged as simulated flops
 		w.benchCache[key] = dt
-	} else {
+	} else if always {
 		fn()
 	}
-	flops := dt * w.ReferencePower
-	a, err := w.model.Execute(r.host.Name, flops, 1)
-	if err != nil {
-		return 0, err
-	}
-	start := w.eng.Now()
-	werr := a.Wait(r.proc)
-	a.Release()
-	if werr != nil {
-		return 0, werr
-	}
-	return w.eng.Now() - start, nil
+	return r.execute(dt * w.ReferencePower)
 }
 
 // SetBench pre-loads a benchmark measurement (for deterministic tests

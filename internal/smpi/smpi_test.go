@@ -541,3 +541,46 @@ func TestRankErrorPropagates(t *testing.T) {
 		t.Errorf("Run = %v, want boom", err)
 	}
 }
+
+// TestFailedEagerSendLeavesNoRecord: an eager Send whose transfer cannot
+// start (no route between the two hosts) returns the error and is over.
+// A later matching Recv must not find its record: it used to, ran
+// startTransfer on it and woke the sender — by then asleep in an
+// unrelated simcall — with the route error at t=1.
+func TestFailedEagerSendLeavesNoRecord(t *testing.T) {
+	pf := platform.New()
+	hosts := []string{"a", "b"}
+	for _, h := range hosts {
+		if err := pf.AddHost(&platform.Host{Name: h, Power: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := New(pf, exact(), hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sendErr, sleepErr error
+	var sleptUntil float64
+	if err := w.Run(func(r *Rank) error {
+		if r.Rank() == 0 {
+			sendErr = r.Send(1, 0, "x", 8)
+			sleepErr = r.proc.Sleep(10)
+			sleptUntil = r.Wtime()
+			return nil
+		}
+		if err := r.proc.Sleep(1); err != nil {
+			return err
+		}
+		r.proc.Daemonize() // nothing is in flight to it: this Recv never returns
+		_, _, err := r.Recv(0, 0)
+		return err
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if sendErr == nil {
+		t.Fatal("Send over a missing route succeeded")
+	}
+	if sleepErr != nil || sleptUntil != 10 {
+		t.Fatalf("sender's Sleep(10) returned %v at t=%g, want nil at t=10", sleepErr, sleptUntil)
+	}
+}

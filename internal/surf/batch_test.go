@@ -12,10 +12,9 @@ import (
 
 // perPopModel is the pre-batching completion path, kept as the test
 // reference the batched AdvanceTo is compared against: one heap pop
-// and one complete() — one wake cycle — per due action. It shares
-// classifyDue and complete with the model, so only the event machinery
-// (popMin/push against collectDue/removeBatch/bulkPush) and the wake
-// sweep (Wake per action against one WakeAll) differ.
+// and one complete() per due action. It shares classifyDue and
+// complete with the model, so only the event machinery (popMin/push
+// against collectDue/removeBatch/bulkPush) differs.
 type perPopModel struct{ *Model }
 
 // newPerPop is New with the reference AdvanceTo registered in place of
@@ -242,7 +241,7 @@ func BenchmarkRefreshBulkRekey(b *testing.B) {
 
 // lockstepModel builds nPairs identical disjoint sender/receiver pairs:
 // every transfer and compute completes at the same instant, the
-// workload class the equal-key bulk-pop and batched wake target.
+// workload class the equal-key bulk-pop targets.
 func lockstepPlatform(t testing.TB, nPairs int) *platform.Platform {
 	t.Helper()
 	pf := platform.New()

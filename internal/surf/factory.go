@@ -1,7 +1,5 @@
 package surf
 
-import "repro/internal/pool"
-
 // This file is the factory for pooled actions: the only place allowed
 // to construct or scrub an Action by composite literal. simgrid-lint's
 // pool-literal rule enforces that scope — a literal anywhere else
@@ -11,15 +9,9 @@ import "repro/internal/pool"
 // newAction returns a blank action (recycled from the free list when
 // possible) with the shared creation bookkeeping filled in.
 func (m *Model) newAction(kind ActionKind, name string) *Action {
-	var a *Action
-	if n := len(m.actPool); pool.Enabled && n > 0 {
-		a = m.actPool[n-1]
-		m.actPool[n-1] = nil
-		m.actPool = m.actPool[:n-1]
-		m.actPoolHit++
-	} else {
+	a, ok := m.actPool.Get()
+	if !ok {
 		a = &Action{}
-		m.actPoolMiss++
 	}
 	a.model = m
 	a.kind = kind
@@ -36,7 +28,5 @@ func (m *Model) newAction(kind ActionKind, name string) *Action {
 // single owner of the "pools hold only zeroed structs" invariant.
 func (m *Model) poolAction(a *Action) {
 	*a = Action{}
-	if pool.Enabled {
-		m.actPool = append(m.actPool, a)
-	}
+	m.actPool.Put(a)
 }

@@ -172,26 +172,9 @@ func (m *Model) EnableMetrics(r *instr.Registry) {
 	m.heapDepth = r.Weighted("surf.heap_depth_integral")
 }
 
-// ActionPoolStats reports the Action free list's scoreboard.
-func (m *Model) ActionPoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: m.actPoolHit, Miss: m.actPoolMiss, Free: len(m.actPool)}
-}
-
-// ResSlicePoolStats reports the resources-slice free list's
-// scoreboard.
-func (m *Model) ResSlicePoolStats() instr.PoolStat {
-	return instr.PoolStat{Hit: m.resPoolHit, Miss: m.resPoolMiss, Free: len(m.resPool)}
-}
-
 // SolverStats reports the underlying MaxMin system's cumulative solve
 // counters.
 func (m *Model) SolverStats() maxmin.SolveStats { return m.sys.Stats() }
-
-// VarPoolStats reports the MaxMin variable free list's scoreboard.
-func (m *Model) VarPoolStats() instr.PoolStat { return m.sys.VarPoolStats() }
-
-// ElemPoolStats reports the MaxMin element free list's scoreboard.
-func (m *Model) ElemPoolStats() instr.PoolStat { return m.sys.ElemPoolStats() }
 
 // MetricsInto dumps the resource layer's counters and pool
 // scoreboards into r (surf.* namespace) and delegates to the maxmin
@@ -204,7 +187,7 @@ func (m *Model) MetricsInto(r *instr.Registry) {
 	r.Gauge("surf.heap_depth").Set(float64(len(m.heap)))
 	r.Gauge("surf.heap_peak").SetMax(float64(m.heapPeak))
 	r.Gauge("surf.resources").Set(float64(len(m.resList)))
-	r.SetPool("surf.action_pool", m.ActionPoolStats())
-	r.SetPool("surf.res_slice_pool", m.ResSlicePoolStats())
+	r.SetPool("surf.action_pool", m.actPool.Stat())
+	r.SetPool("surf.res_slice_pool", m.resPool.Stat())
 	m.sys.MetricsInto(r)
 }

@@ -81,13 +81,13 @@ func TestActionPoolScrubbed(t *testing.T) {
 		}
 		// Everything in the pool must be indistinguishable from a zero
 		// Action.
-		for _, p := range m.actPool {
+		for _, p := range m.actPool.Items() {
 			if !reflect.DeepEqual(*p, blank) {
 				t.Fatalf("pooled action carries stale state: %+v", *p)
 			}
 		}
 	}
-	if len(m.actPool) == 0 {
+	if m.actPool.Len() == 0 {
 		t.Fatal("no action was ever pooled")
 	}
 }
@@ -160,7 +160,7 @@ func TestReleaseGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Release() // in flight: must be ignored
-	if len(m.actPool) != 0 {
+	if m.actPool.Len() != 0 {
 		t.Fatal("in-flight action was pooled")
 	}
 	a.Cancel()
@@ -168,8 +168,8 @@ func TestReleaseGuards(t *testing.T) {
 		t.Fatal("canceled action not done")
 	}
 	a.Release()
-	if len(m.actPool) != 1 {
-		t.Fatalf("pool has %d entries, want 1", len(m.actPool))
+	if m.actPool.Len() != 1 {
+		t.Fatalf("pool has %d entries, want 1", m.actPool.Len())
 	}
 	b, err := m.Execute("b", 1e6, 1)
 	if err != nil {

@@ -381,24 +381,23 @@ type Model struct {
 	// change. NextEventTime peeks it; AdvanceTo pops only due actions.
 	heap actionHeap
 
-	finBuf    []*Action       // scratch for AdvanceTo's completion sweep
-	repushBuf []*Action       // scratch for AdvanceTo's re-keyed actions
-	dueBuf    []*Action       // scratch for the equal-key bulk collect
-	idxBuf    []int           // scratch DFS stack for collectDue
-	waiterBuf []*core.Process // scratch for the batched wake sweep
+	finBuf    []*Action // scratch for AdvanceTo's completion sweep
+	repushBuf []*Action // scratch for AdvanceTo's re-keyed actions
+	dueBuf    []*Action // scratch for the equal-key bulk collect
+	idxBuf    []int     // scratch DFS stack for collectDue
 
 	// resPool recycles the resources slices of completed actions: at
 	// 100k+ activities the per-action []*resource is a measurable share
 	// of the allocation churn (ROADMAP's "allocation pressure at scale").
 	// Slices are reset (pointers cleared) when returned, capped so a
 	// single fat ptask slice does not pin memory forever.
-	resPool [][]*resource
+	resPool pool.List[[]*resource]
 
 	// actPool recycles Action structs released by their owning layer
 	// (Action.Release): together with the maxmin variable free list it
 	// makes the steady-state activity churn allocation-free. Disabled
 	// under -tags=nopool.
-	actPool []*Action
+	actPool pool.List[*Action]
 
 	// routeRes caches per-route transfer state — the resolved resource
 	// list and the diagnostic "comm src->dst" name — keyed by the
@@ -409,11 +408,9 @@ type Model struct {
 	routeRes    map[*platform.Route]*routeEntry
 	routeResGen uint64
 
-	// hostHandles / routeHandles back the shared placement handles
-	// (HostHandle / RouteHandle): one handle per host or pair for the
-	// model's lifetime, so callers that start many actions on the same
-	// placement (simdag tasks, schedulers) pay the name lookups once.
-	hostHandles  map[string]*HostHandle
+	// routeHandles backs the shared RouteHandles: one per pair for the
+	// model's lifetime, so callers that start many transfers on the
+	// same placement (simdag tasks, schedulers) pay the lookups once.
 	routeHandles map[[2]string]*RouteHandle
 
 	nextSeq int64 // action creation counter (completion-sort tie-break)
@@ -429,14 +426,12 @@ type Model struct {
 
 	// Observability (instr.go). resList is every resource in creation
 	// order — the deterministic walk order for trace emission. trace
-	// and heapDepth are nil until EnableTrace/EnableMetrics; the
-	// counters are plain always-on fields.
-	resList                 []*resource
-	trace                   *surfTrace
-	heapDepth               *instr.Weighted
-	heapPeak                int
-	actPoolHit, actPoolMiss uint64
-	resPoolHit, resPoolMiss uint64
+	// and heapDepth are nil until EnableTrace/EnableMetrics; heapPeak
+	// is a plain always-on field.
+	resList   []*resource
+	trace     *surfTrace
+	heapDepth *instr.Weighted
+	heapPeak  int
 }
 
 // New builds the resource model for a platform, registering it with the
@@ -561,32 +556,18 @@ func (m *Model) HostLoad(name string) float64 {
 
 // HostHandle is a resolved compute placement: callers that start many
 // executions on the same host (simdag tasks, schedulers) fetch it once
-// and skip the per-call name lookup. Handles are shared and stay valid
-// for the model's lifetime (host state changes flow through the
-// underlying resource).
-type HostHandle struct {
-	r *resource
-}
+// and skip the per-call name lookup. It is the host's resource under
+// an exported name, so handles are shared, cost nothing to keep and
+// stay valid for the model's lifetime.
+type HostHandle resource
 
 // Name returns the handle's host name.
-func (h *HostHandle) Name() string { return h.r.name }
+func (h *HostHandle) Name() string { return h.name }
 
 // HostHandle resolves a host name to its shared placement handle, or
 // nil for an unknown host.
 func (m *Model) HostHandle(name string) *HostHandle {
-	if h, ok := m.hostHandles[name]; ok {
-		return h
-	}
-	r, ok := m.cpus[name]
-	if !ok {
-		return nil
-	}
-	if m.hostHandles == nil {
-		m.hostHandles = make(map[string]*HostHandle)
-	}
-	h := &HostHandle{r: r}
-	m.hostHandles[name] = h
-	return h
+	return (*HostHandle)(m.cpus[name])
 }
 
 // Execute starts a computation of the given amount of flops on a host.
@@ -601,10 +582,10 @@ func (m *Model) Execute(hostName string, flops, priority float64) (*Action, erro
 // ExecuteHandle is Execute through a pre-resolved placement handle —
 // no map lookup on the hot path.
 func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, error) {
-	if h == nil || h.r == nil {
+	if h == nil || h.cnst == nil {
 		return nil, fmt.Errorf("surf: nil host handle")
 	}
-	return m.executeOn(h.r, flops, priority), nil
+	return m.executeOn((*resource)(h), flops, priority), nil
 }
 
 // executeOn starts a computation on a resolved CPU resource.
@@ -951,14 +932,9 @@ const eps = 1e-9
 // grabResources returns an empty resources slice, reusing a pooled one
 // when available.
 func (m *Model) grabResources() []*resource {
-	if n := len(m.resPool); pool.Enabled && n > 0 {
-		s := m.resPool[n-1]
-		m.resPool[n-1] = nil
-		m.resPool = m.resPool[:n-1]
-		m.resPoolHit++
+	if s, ok := m.resPool.Get(); ok {
 		return s
 	}
-	m.resPoolMiss++
 	return make([]*resource, 0, 4)
 }
 
@@ -968,13 +944,13 @@ func (m *Model) grabResources() []*resource {
 func (m *Model) releaseResources(a *Action) {
 	s := a.resources
 	a.resources = nil
-	if !pool.Enabled || cap(s) == 0 || cap(s) > 64 {
+	if cap(s) == 0 || cap(s) > 64 {
 		return // nothing to pool / fat ptask slice: let the GC have it
 	}
 	for i := range s {
 		s[i] = nil
 	}
-	m.resPool = append(m.resPool, s[:0])
+	m.resPool.Put(s[:0])
 }
 
 // refresh re-solves the MaxMin system if needed, re-integrates the
@@ -1045,10 +1021,9 @@ func (m *Model) NextEventTime(now float64) float64 {
 // Same-instant events are processed as one batch: the due run is
 // collected off the heap with a pruned DFS (equal keys are a
 // parent-closed prefix, so no per-pop sift), removed in a single
-// compaction+heapify when the run is large, and the finished actions'
-// waiters are enqueued contiguously in one scheduling sweep
-// (Engine.WakeAll) — k lock-step completions cost one bookkeeping pass
-// instead of k interleaved pop/wake cycles.
+// compaction+heapify when the run is large, and the finished actions
+// completed in one sweep — k lock-step completions cost one heap pass
+// instead of k interleaved pop/sift cycles.
 func (m *Model) AdvanceTo(now, t float64) {
 	m.refresh()
 	m.heapDepth.Observe(t, float64(len(m.heap)))
@@ -1068,9 +1043,14 @@ func (m *Model) AdvanceTo(now, t float64) {
 		finished, repush = m.classifyDue(a, t, finished, repush)
 	}
 	m.heap.bulkPush(repush)
-	// Deterministic completion order (by start time then name).
+	// Deterministic completion order (by start time then name), one
+	// action at a time: a completion handler may observe — or cancel —
+	// siblings finishing at the same instant.
 	sortActions(finished)
-	m.completeBatch(finished, t)
+	for _, a := range finished {
+		a.remaining, a.lastSync = 0, t
+		m.complete(a, nil)
+	}
 	for i := range finished {
 		finished[i] = nil // release completed actions for the collector
 	}
@@ -1109,66 +1089,6 @@ func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (f
 		repush = append(repush, a)
 	}
 	return finished, repush
-}
-
-// completeBatch finishes every action in finished (success). A batch
-// with no completion callbacks — the common case for direct waiters —
-// is one bookkeeping sweep (variables released, heap entries dropped)
-// followed by a single contiguous run-queue append (Engine.WakeAll);
-// per-action wake order equals slice order, so it matches the
-// per-pop reference exactly. As soon as any action carries a
-// Completion handler, the whole batch defers to the per-action
-// complete() path instead: handlers may observe — or cancel —
-// sibling actions finishing at the same instant, and must see exactly
-// the intermediate state one-at-a-time completion would give them
-// (TestLockstepBatchedEquivalence and TestCompletionBatchEquivalence
-// pin both cases against the reference).
-func (m *Model) completeBatch(finished []*Action, t float64) {
-	if len(finished) == 0 {
-		return
-	}
-	hasCallbacks := false
-	for _, a := range finished {
-		if a.compl != nil {
-			hasCallbacks = true
-			break
-		}
-	}
-	if hasCallbacks {
-		for _, a := range finished {
-			a.remaining = 0
-			a.lastSync = t
-			m.complete(a, nil)
-		}
-		return
-	}
-	waiters := m.waiterBuf[:0]
-	for _, a := range finished {
-		if a.done {
-			continue
-		}
-		a.remaining = 0
-		a.lastSync = t
-		a.done = true
-		a.finish = t
-		if a.v != nil {
-			m.sys.RemoveVariable(a.v)
-			a.v = nil
-		}
-		if a.heapIdx >= 0 {
-			m.heap.remove(a.heapIdx)
-		}
-		m.releaseResources(a)
-		if a.waiter != nil {
-			waiters = append(waiters, a.waiter)
-			a.waiter = nil
-		}
-	}
-	m.eng.WakeAll(waiters, nil)
-	for i := range waiters {
-		waiters[i] = nil
-	}
-	m.waiterBuf = waiters[:0]
 }
 
 // actionLess is the deterministic completion order: start time, then

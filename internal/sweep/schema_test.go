@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"os"
 	"testing"
 )
@@ -33,22 +32,5 @@ func TestSchemaGolden(t *testing.T) {
 	}
 	if rep.SchemaVersion != SchemaVersion {
 		t.Fatalf("report carries version %d, package says %d", rep.SchemaVersion, SchemaVersion)
-	}
-}
-
-// TestTierReportVersioned: benchstats' envelope carries the shared
-// schema version too.
-func TestTierReportVersioned(t *testing.T) {
-	rep := TierReport{SchemaVersion: SchemaVersion, Benchmark: "x"}
-	data, err := Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back TierReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.SchemaVersion != SchemaVersion {
-		t.Fatalf("round-trip lost the schema version: %d", back.SchemaVersion)
 	}
 }

@@ -3,10 +3,8 @@
 // expands to isolated runs — one core.Engine each — executed with
 // bounded fanout, and reported as schema-versioned JSON.
 //
-// This file owns the report schema shared by cmd/sweep and
-// cmd/benchstats: both binaries emit BENCH_*.json with the same
-// SchemaVersion and the same per-tier record, so downstream tooling
-// reads one format. The determinism contract is structural: a
+// This file owns the report schema cmd/sweep writes as
+// BENCH_sweep_*.json. The determinism contract is structural: a
 // CampaignReport marshalled without the perf subtree is a pure function
 // of (spec, campaign seed) — byte-identical across repeats and across
 // fanout settings. Wall-clock numbers are quarantined in PerfStat,
@@ -27,35 +25,6 @@ import (
 // a field changes meaning or shape; the CI drift check compares
 // structure, so additive evolution bumps it too.
 const SchemaVersion = 1
-
-// TierStat is one size tier of a scaling benchmark — the record
-// cmd/benchstats has emitted since PR 8, extracted here so cmd/sweep's
-// perf lane and benchstats share a schema.
-type TierStat struct {
-	Name            string  `json:"name"`
-	Form            string  `json:"form"` // goroutine | chain | dag
-	Activities      int     `json:"activities"`
-	UsPerActivity   float64 `json:"us_per_activity"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	BytesPerOp      int64   `json:"bytes_per_op"`
-	Spawned         int     `json:"spawned"`
-	GoroutineSpawns int     `json:"goroutine_spawns"`
-	GoroutinesPeak  int     `json:"goroutines_peak"`
-	SolverSolves    uint64  `json:"solver_solves"`
-	SolverParallel  uint64  `json:"solver_parallel_dispatches"` // always 0 (parallel solve removed); kept so the schema does not move
-	// Pools is the per-free-list scoreboard from the tier's last run.
-	// Go maps marshal with sorted keys, so the JSON stays
-	// byte-comparable across runs of the same build.
-	Pools map[string]instr.PoolStat `json:"pools"`
-}
-
-// TierReport is a benchstats output file.
-type TierReport struct {
-	SchemaVersion int        `json:"schema_version"`
-	Benchmark     string     `json:"benchmark"`
-	Small         bool       `json:"small"`
-	Tiers         []TierStat `json:"tiers"`
-}
 
 // PerfStat is the wall-clock side of one run, collected only when
 // Options.Perf is set (and fanout is 1, so timings aren't smeared by
