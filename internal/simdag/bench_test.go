@@ -144,3 +144,61 @@ func BenchmarkSimDagRandom(b *testing.B) {
 		}
 	}
 }
+
+// campaignShapes are the two `sweep_campaign` platforms of the repo
+// benchmark (bench/workloads.go): a homogeneous 32-host cluster and a
+// seeded 24-node Waxman topology.
+func campaignShapes(tb testing.TB) map[string]*platform.Platform {
+	tb.Helper()
+	cluster, _, err := platform.NewCluster(platform.ClusterConfig{
+		Prefix: "cluster32", Hosts: 32, Power: 1e9, Bandwidth: 1.25e8, Latency: 1e-4,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	waxman, err := platform.GenerateWaxman(platform.DefaultWaxmanConfig(24, 7))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]*platform.Platform{"cluster32": cluster, "waxman24": waxman}
+}
+
+// campaignDAG is the campaign's workload: a 20×40 layered DAG with a
+// tenth of the layer members drawn as 2-slot ptasks.
+func campaignDAG(tb testing.TB, pf *platform.Platform) (*Simulation, []string) {
+	tb.Helper()
+	s := New(pf, surf.DefaultConfig())
+	cfg := DefaultRandomConfig(20, 40, 1)
+	cfg.PtaskProb, cfg.PtaskSlots = 0.1, 2
+	if _, err := RandomLayered(s, cfg); err != nil {
+		tb.Fatal(err)
+	}
+	var hosts []string
+	for _, h := range pf.Hosts() {
+		hosts = append(hosts, h.Name)
+	}
+	return s, hosts
+}
+
+// benchScheduler times one placement pass (DAG generation excluded) on
+// each campaign shape; ns/op over the DAG's ~1200 tasks is the
+// scheduler's share of `sweep_campaign`.
+func benchScheduler(b *testing.B, sched func(*Simulation, []string) error) {
+	for _, name := range []string{"cluster32", "waxman24"} {
+		pf := campaignShapes(b)[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, hosts := campaignDAG(b, pf)
+				b.StartTimer()
+				if err := sched(s, hosts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkScheduleMinMin(b *testing.B) { benchScheduler(b, ScheduleMinMin) }
+func BenchmarkScheduleHEFT(b *testing.B)   { benchScheduler(b, ScheduleHEFT) }
