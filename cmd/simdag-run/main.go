@@ -114,12 +114,10 @@ func main() {
 	for _, h := range pf.Hosts() {
 		hosts = append(hosts, h.Name)
 	}
-	switch *sched {
-	case "minmin":
-		err = simdag.ScheduleMinMin(sim, hosts)
-	case "rr":
-		err = simdag.ScheduleRoundRobin(sim, hosts)
-	case "heft":
+	switch run := simdag.Scheduler(*sched); {
+	case run == nil:
+		err = fmt.Errorf("unknown scheduler %q", *sched)
+	case *sched == "heft": // same placement, with the analysis line
 		var st *simdag.HEFTStats
 		st, err = simdag.ScheduleHEFTStats(sim, hosts, nil)
 		if err == nil {
@@ -127,7 +125,7 @@ func main() {
 				st.CriticalPath, st.PlannedMakespan, st.MaxParallelism)
 		}
 	default:
-		err = fmt.Errorf("unknown scheduler %q", *sched)
+		err = run(sim, hosts)
 	}
 	if err != nil {
 		log.Fatalf("scheduling: %v", err)

@@ -184,8 +184,9 @@ func campaignDAG(tb testing.TB, pf *platform.Platform) (*Simulation, []string) {
 // each campaign shape; ns/op over the DAG's ~1200 tasks is the
 // scheduler's share of `sweep_campaign`.
 func benchScheduler(b *testing.B, sched func(*Simulation, []string) error) {
+	shapes := campaignShapes(b)
 	for _, name := range []string{"cluster32", "waxman24"} {
-		pf := campaignShapes(b)[name]
+		pf := shapes[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

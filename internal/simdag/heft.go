@@ -20,7 +20,6 @@
 package simdag
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -69,24 +68,29 @@ type HEFTStats struct {
 	// Plan lists the placed units in scheduling order.
 	Plan []PlannedTask
 
-	// ranks backs RankOf without freezing a map into the public schema.
-	ranks heftRanks
+	// sim and ranks (by creation index, NaN when unranked) back RankOf
+	// without freezing a table into the public schema.
+	sim   *Simulation
+	ranks []float64
 }
 
 // RankOf returns a task's upward rank from the last ScheduleHEFTStats
 // plan lookup table, or NaN when the task was not ranked.
 func (st *HEFTStats) RankOf(t *Task) float64 {
-	if st == nil || st.ranks == nil {
+	if st == nil || t == nil || t.sim != st.sim || int(t.seq) >= len(st.ranks) {
 		return math.NaN()
 	}
-	if r, ok := st.ranks[t]; ok {
-		return r
-	}
-	return math.NaN()
+	return st.ranks[t.seq]
 }
 
-// heftRanks is the upward-rank lookup table.
-type heftRanks = map[*Task]float64
+// nans returns n NaNs: "no value yet" in the by-creation-index tables.
+func nans(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	return out
+}
 
 // ScheduleHEFT places unscheduled compute tasks (and, via the shared
 // pre-pass, ptasks) with the HEFT heuristic, then wires comm tasks
@@ -99,56 +103,29 @@ func ScheduleHEFT(s *Simulation, hosts []string) error {
 // ScheduleHEFTStats is ScheduleHEFT returning the rank/plan/parallelism
 // analysis alongside.
 func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTStats, error) {
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("simdag: no hosts to schedule on")
-	}
-	if err := s.checkCycles(); err != nil {
-		return nil, err
-	}
-	for _, h := range hosts {
-		if s.pf.Host(h) == nil {
-			return nil, fmt.Errorf("simdag: unknown host %q", h)
-		}
-	}
-	if err := placeParallel(s, hosts); err != nil {
-		return nil, err
-	}
-	o := resolveHEFTOptions(s, hosts, opts)
-
-	// Creation index: the deterministic tie-break everywhere below.
-	idx := make(map[*Task]int, len(s.tasks))
-	for i, t := range s.tasks {
-		idx[t] = i
-	}
-
-	topo, err := topoOrder(s)
+	ct, topo, err := s.beginSchedule(hosts)
 	if err != nil {
 		return nil, err
 	}
+	o := resolveHEFTOptions(ct, opts)
 
 	// Upward ranks over the full graph, in reverse topological order:
 	// rank(t) = weight(t) + max over successors rank(succ), with comm
 	// nodes weighing their mean transfer estimate (the paper's
 	// c̄(t,succ) folded into the reified edge node).
-	ranks := make(heftRanks, len(topo))
+	ranks := nans(len(s.tasks))
+	cp := 0.0
 	for i := len(topo) - 1; i >= 0; i-- {
 		t := topo[i]
 		best := 0.0
-		for it := t.succIter(); ; {
-			succ, ok := it.next()
-			if !ok {
-				break
-			}
-			if r, ok2 := ranks[succ]; ok2 && r > best {
+		for it, succ := t.succs(); succ != nil; succ = it.next() {
+			if r := ranks[succ.seq]; r > best { // a terminal successor is unranked: NaN
 				best = r
 			}
 		}
-		ranks[t] = o.weight(t) + best
-	}
-	cp := 0.0
-	for _, t := range topo {
-		if ranks[t] > cp {
-			cp = ranks[t]
+		ranks[t.seq] = o.weight(t) + best
+		if ranks[t.seq] > cp {
+			cp = ranks[t.seq]
 		}
 	}
 
@@ -171,21 +148,15 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 		}
 	}
 	sort.SliceStable(units, func(i, j int) bool {
-		ri, rj := ranks[units[i]], ranks[units[j]]
+		ri, rj := ranks[units[i].seq], ranks[units[j].seq]
 		if d := ri - rj; d > rankTieEps || d < -rankTieEps {
 			return ri > rj
 		}
-		return idx[units[i]] < idx[units[j]]
+		return units[i].seq < units[j].seq
 	})
 
-	p := &heftPlanner{
-		s:     s,
-		o:     o,
-		hosts: hosts,
-		slots: make(map[string][]heftSpan, len(hosts)),
-		aft:   make(map[*Task]float64, len(topo)),
-	}
-	st := &HEFTStats{CriticalPath: cp, ranks: ranks}
+	p := &heftPlanner{o: o, slots: make([][]heftSpan, ct.n), aft: nans(len(s.tasks))}
+	st := &HEFTStats{CriticalPath: cp, sim: s, ranks: ranks}
 	for _, t := range units {
 		var pl PlannedTask
 		if t.kind == Parallel {
@@ -209,7 +180,7 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 		return nil, err
 	}
 
-	st.Levels = unitLevels(topo)
+	st.Levels = unitLevels(topo, len(s.tasks))
 	for _, n := range st.Levels {
 		if n > st.MaxParallelism {
 			st.MaxParallelism = n
@@ -226,13 +197,24 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 // mean-cost paths can differ by an ulp of float summation order.
 const rankTieEps = 1e-9
 
-// heftOpts is the resolved cost model (all hooks non-nil).
+// heftInput is one direct predecessor of the task being placed,
+// resolved once ahead of the candidate scan: its finish, or — for a
+// comm node — its producer's finish and host with that host's cost row.
+type heftInput struct {
+	fin  float64
+	comm *Task // nil unless the predecessor is a comm node
+	src  string
+	row  []wire
+}
+
+// heftOpts is the resolved cost model (all hooks non-nil), addressed by
+// the cost table's host ids. The default model is the hook that reads
+// the table; a user hook is handed the names behind the ids.
 type heftOpts struct {
-	cost     func(t *Task, host string) float64
-	commCost func(c *Task, src, dst string) float64
+	ct       *costTable
+	cost     func(t *Task, h int) float64
+	commCost func(in heftInput, h int) float64
 	meanComm func(c *Task) float64
-	hosts    []string
-	s        *Simulation
 }
 
 // weight is a task's rank contribution: mean execution cost for
@@ -242,60 +224,52 @@ func (o *heftOpts) weight(t *Task) float64 {
 	switch t.kind {
 	case Compute:
 		sum := 0.0
-		for _, h := range o.hosts {
+		for h := 0; h < o.ct.n; h++ {
 			sum += o.cost(t, h)
 		}
-		return sum / float64(len(o.hosts))
+		return sum / float64(o.ct.n)
 	case Comm:
 		return o.meanComm(t)
 	case Parallel:
-		sum := 0.0
-		for _, h := range t.phosts {
-			sum += o.s.pf.Host(h).Power
-		}
-		if sum <= 0 {
-			return 0
-		}
-		return t.amount / sum
+		return o.ct.coupled(t)
 	default:
 		return 0
 	}
 }
 
-func resolveHEFTOptions(s *Simulation, hosts []string, opts *HEFTOptions) *heftOpts {
-	o := &heftOpts{hosts: hosts, s: s}
+func resolveHEFTOptions(ct *costTable, opts *HEFTOptions) *heftOpts {
+	o := &heftOpts{ct: ct}
 	if opts != nil && opts.Cost != nil {
-		o.cost = opts.Cost
+		o.cost = func(t *Task, h int) float64 { return opts.Cost(t, ct.names[h]) }
 	} else {
-		o.cost = func(t *Task, host string) float64 {
-			return t.amount / s.pf.Host(host).Power
-		}
+		o.cost = func(t *Task, h int) float64 { return t.amount / ct.power[h] }
 	}
 	if opts != nil && opts.CommCost != nil {
-		o.commCost = opts.CommCost
+		o.commCost = func(in heftInput, h int) float64 { return opts.CommCost(in.comm, in.src, ct.names[h]) }
 	} else {
-		o.commCost = func(c *Task, src, dst string) float64 {
-			if src == dst || src == "" || dst == "" {
-				return 0
+		o.commCost = func(in heftInput, h int) float64 {
+			if h < ct.n {
+				return in.row[h].cost(in.comm.amount)
 			}
-			route, err := s.pf.Route(src, dst)
-			if err != nil || len(route.Links) == 0 {
-				return 0
-			}
-			return route.Latency() + c.amount/route.Bottleneck()
+			// A pre-placed unit's own off-pool host: no column for it.
+			return ct.wire(in.src, ct.names[h]).cost(in.comm.amount)
 		}
 	}
 	if opts != nil && opts.MeanCommCost != nil {
 		o.meanComm = opts.MeanCommCost
 	} else {
+		// Summed term by term in row-major order, unroutable pairs
+		// adding 0: factoring the sum (Σlat + bytes·Σ1/bw) changes the
+		// last bit and flips rankTieEps ties.
 		o.meanComm = func(c *Task) float64 {
 			sum, n := 0.0, 0
-			for i := range hosts {
-				for j := range hosts {
+			for i := 0; i < ct.n; i++ {
+				in := heftInput{comm: c, src: ct.names[i], row: ct.row(ct.names[i])}
+				for j := 0; j < ct.n; j++ {
 					if i == j {
 						continue
 					}
-					sum += o.commCost(c, hosts[i], hosts[j])
+					sum += o.commCost(in, j)
 					n++
 				}
 			}
@@ -308,70 +282,16 @@ func resolveHEFTOptions(s *Simulation, hosts []string, opts *HEFTOptions) *heftO
 	return o
 }
 
-// topoOrder returns every non-terminal task in a topological order
-// (Kahn over live in-degrees; ready queue drained in creation order).
-func topoOrder(s *Simulation) ([]*Task, error) {
-	order := make([]*Task, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		if t.terminal() {
-			t.indeg = -1
-			continue
-		}
-		c := 0
-		for it := t.predIter(); ; {
-			p, ok := it.next()
-			if !ok {
-				break
-			}
-			if !p.terminal() {
-				c++
-			}
-		}
-		t.indeg = c
-		if c == 0 {
-			order = append(order, t)
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		for it := order[i].succIter(); ; {
-			succ, ok := it.next()
-			if !ok {
-				break
-			}
-			if succ.indeg > 0 {
-				succ.indeg--
-				if succ.indeg == 0 {
-					order = append(order, succ)
-				}
-			}
-		}
-	}
-	live := 0
-	for _, t := range s.tasks {
-		if !t.terminal() {
-			live++
-		}
-	}
-	if len(order) != live {
-		return nil, fmt.Errorf("%w involving %d tasks", ErrCycle, live-len(order))
-	}
-	return order, nil
-}
-
 // unitLevels computes the per-level parallelism profile: a unit
 // (compute or ptask) sits one level below its deepest unit ancestor,
 // with comm and seq nodes transparent.
-func unitLevels(topo []*Task) []int {
-	depth := make(map[*Task]int, len(topo))
+func unitLevels(topo []*Task, ntasks int) []int {
+	depth := make([]int, ntasks) // by creation index; terminal tasks stay at 0
 	var levels []int
 	for _, t := range topo {
 		d := 0 // deepest unit-ancestor level + 1, carried through comm/seq
-		for it := t.predIter(); ; {
-			p, ok := it.next()
-			if !ok {
-				break
-			}
-			pd := depth[p]
+		for it, p := t.preds(); p != nil; p = it.next() {
+			pd := depth[p.seq]
 			switch p.kind {
 			case Compute, Parallel:
 				pd++
@@ -380,7 +300,7 @@ func unitLevels(topo []*Task) []int {
 				d = pd
 			}
 		}
-		depth[t] = d
+		depth[t.seq] = d
 		if t.kind == Compute || t.kind == Parallel {
 			for len(levels) <= d {
 				levels = append(levels, 0)
@@ -396,105 +316,95 @@ type heftSpan struct{ start, end float64 }
 
 // heftPlanner carries the placement state of one HEFT pass.
 type heftPlanner struct {
-	s     *Simulation
 	o     *heftOpts
-	hosts []string
-	slots map[string][]heftSpan // per-host planned intervals, sorted
-	aft   map[*Task]float64     // planned (or actual) finish per task
+	slots [][]heftSpan // by host id: planned intervals, sorted
+	aft   []float64    // by creation index: planned (or estimated) finish, NaN until known
+	ins   []heftInput  // the inputs of the task being placed (gather)
+}
+
+// slot returns the id — and so the interval list — of the host a unit
+// is already placed on, in the pool or not.
+func (p *heftPlanner) slot(name string) int {
+	h := p.o.ct.intern(name)
+	for len(p.slots) <= h {
+		p.slots = append(p.slots, nil)
+	}
+	return h
 }
 
 // aftOf resolves a predecessor's finish estimate: terminal tasks
 // report their actual finish, planned units their planned finish, seq
 // points pass their deepest predecessor through, running tasks
 // estimate start + weight, and comm nodes resolve to their producer
-// plus the mean transfer estimate (callers that know the candidate
-// host use readyOn instead for host-exact comm costs).
+// plus the mean transfer estimate (gather resolves a direct comm
+// predecessor host-exactly instead).
 func (p *heftPlanner) aftOf(t *Task) float64 {
 	if t.terminal() {
 		return t.finish
 	}
-	if v, ok := p.aft[t]; ok {
+	if v := p.aft[t.seq]; v == v {
 		return v
 	}
 	v := 0.0
+	src := ""
+	for it, pr := t.preds(); pr != nil; pr = it.next() {
+		if a := p.aftOf(pr); a > v {
+			v = a
+		}
+		if src == "" {
+			src = placementHost(pr)
+		}
+	}
 	switch t.kind {
 	case Seq:
-		for it := t.predIter(); ; {
-			pr, ok := it.next()
-			if !ok {
-				break
-			}
-			if a := p.aftOf(pr); a > v {
-				v = a
-			}
-		}
 	case Comm:
-		src := ""
-		for it := t.predIter(); ; {
-			pr, ok := it.next()
-			if !ok {
-				break
-			}
-			if a := p.aftOf(pr); a > v {
-				v = a
-			}
-			if src == "" {
-				src = placementHost(pr)
-			}
-		}
 		if src != "" {
 			v += p.o.meanComm(t)
 		}
 	default:
 		// Unplanned compute/ptask (e.g. running): preds + own weight.
-		for it := t.predIter(); ; {
-			pr, ok := it.next()
-			if !ok {
-				break
-			}
-			if a := p.aftOf(pr); a > v {
-				v = a
-			}
-		}
 		if t.state == Running {
 			v = t.start
 		}
 		v += p.o.weight(t)
 	}
-	p.aft[t] = v
+	p.aft[t.seq] = v
 	return v
 }
 
-// readyOn is the earliest a task's inputs can be complete on candidate
-// host h: direct predecessors contribute their finish, comm
-// predecessors their producer's finish plus the host-exact transfer
-// cost (zero when the producer already sits on h).
-func (p *heftPlanner) readyOn(t *Task, h string) float64 {
-	ready := 0.0
-	for it := t.predIter(); ; {
-		pr, ok := it.next()
-		if !ok {
-			break
-		}
-		var v float64
-		if pr.kind == Comm {
-			v = 0
-			src := ""
-			for it2 := pr.predIter(); ; {
-				pp, ok2 := it2.next()
-				if !ok2 {
-					break
+// gather resolves the inputs of the task about to be placed: direct
+// predecessors contribute their finish, comm predecessors their
+// producer's finish, to which readyOn adds the host-exact transfer cost.
+func (p *heftPlanner) gather(t *Task) {
+	p.ins = p.ins[:0]
+	for it, pr := t.preds(); pr != nil; pr = it.next() {
+		var in heftInput
+		if pr.kind != Comm {
+			in.fin = p.aftOf(pr)
+		} else {
+			in.comm = pr
+			for it2, pp := pr.preds(); pp != nil; pp = it2.next() {
+				if a := p.aftOf(pp); a > in.fin {
+					in.fin = a
 				}
-				if a := p.aftOf(pp); a > v {
-					v = a
-				}
-				if src == "" {
-					src = placementHost(pp)
+				if in.src == "" {
+					in.src = placementHost(pp)
 				}
 			}
-			v += p.o.commCost(pr, src, h)
-		} else {
-			v = p.aftOf(pr)
+			in.row = p.o.ct.row(in.src)
+		}
+		p.ins = append(p.ins, in)
+	}
+}
+
+// readyOn is the earliest the gathered inputs can be complete on
+// candidate host h (the transfer is free when the producer sits on h).
+func (p *heftPlanner) readyOn(h int) float64 {
+	ready := 0.0
+	for _, in := range p.ins {
+		v := in.fin
+		if in.comm != nil {
+			v += p.o.commCost(in, h)
 		}
 		if v > ready {
 			ready = v
@@ -506,7 +416,7 @@ func (p *heftPlanner) readyOn(t *Task, h string) float64 {
 // fit finds the earliest start ≥ ready of a length-w interval on host
 // h under the insertion policy: the first idle gap (including the open
 // tail) that can hold it.
-func (p *heftPlanner) fit(h string, ready, w float64) float64 {
+func (p *heftPlanner) fit(h int, ready, w float64) float64 {
 	prevEnd := 0.0
 	for _, sp := range p.slots[h] {
 		start := prevEnd
@@ -526,7 +436,7 @@ func (p *heftPlanner) fit(h string, ready, w float64) float64 {
 
 // occupy inserts [start, start+w) into h's interval list, keeping it
 // sorted.
-func (p *heftPlanner) occupy(h string, start, w float64) {
+func (p *heftPlanner) occupy(h int, start, w float64) {
 	spans := p.slots[h]
 	i := len(spans)
 	for j, sp := range spans {
@@ -541,36 +451,39 @@ func (p *heftPlanner) occupy(h string, start, w float64) {
 	p.slots[h] = spans
 }
 
-// placeCompute commits an unplaced compute to its min-EFT host.
+// placeCompute commits an unplaced compute to its min-EFT pool host
+// (pool order, strict <).
 func (p *heftPlanner) placeCompute(t *Task) (PlannedTask, error) {
+	p.gather(t)
 	bestEFT, bestStart := math.Inf(1), 0.0
-	bestHost := ""
-	for _, h := range p.hosts {
-		ready := p.readyOn(t, h)
+	best, bestHost := 0, ""
+	for h := 0; h < p.o.ct.n; h++ {
+		ready := p.readyOn(h)
 		w := p.o.cost(t, h)
 		start := p.fit(h, ready, w)
 		if eft := start + w; eft < bestEFT {
-			bestEFT, bestStart, bestHost = eft, start, h
+			bestEFT, bestStart, best, bestHost = eft, start, h, p.o.ct.names[h]
 		}
 	}
 	if err := t.Schedule(bestHost); err != nil {
 		return PlannedTask{}, err
 	}
-	p.occupy(bestHost, bestStart, bestEFT-bestStart)
-	p.aft[t] = bestEFT
+	p.occupy(best, bestStart, bestEFT-bestStart)
+	p.aft[t.seq] = bestEFT
 	return PlannedTask{Task: t, Host: bestHost, Start: bestStart, Finish: bestEFT}, nil
 }
 
 // placeFixed plans a compute whose host is already fixed (pre-placed
 // before the HEFT call): same EFT machinery, one candidate.
 func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
-	h := t.host
-	ready := p.readyOn(t, h)
+	h := p.slot(t.host)
+	p.gather(t)
+	ready := p.readyOn(h)
 	w := p.o.cost(t, h)
 	start := p.fit(h, ready, w)
 	p.occupy(h, start, w)
-	p.aft[t] = start + w
-	return PlannedTask{Task: t, Host: h, Start: start, Finish: start + w}
+	p.aft[t.seq] = start + w
+	return PlannedTask{Task: t, Host: t.host, Start: start, Finish: start + w}
 }
 
 // placePtask plans a (pre-placed) ptask: it must hold all its hosts
@@ -578,9 +491,10 @@ func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
 // every member host's planned tail (append-only — no insertion across
 // k hosts), and occupies the interval on each.
 func (p *heftPlanner) placePtask(t *Task) PlannedTask {
-	start := p.readyOn(t, t.phosts[0])
+	p.gather(t)
+	start := p.readyOn(p.slot(t.phosts[0]))
 	for _, h := range t.phosts {
-		if spans := p.slots[h]; len(spans) > 0 {
+		if spans := p.slots[p.slot(h)]; len(spans) > 0 {
 			if tail := spans[len(spans)-1].end; tail > start {
 				start = tail
 			}
@@ -588,8 +502,8 @@ func (p *heftPlanner) placePtask(t *Task) PlannedTask {
 	}
 	w := p.o.weight(t)
 	for _, h := range t.phosts {
-		p.occupy(h, start, w)
+		p.occupy(p.slot(h), start, w)
 	}
-	p.aft[t] = start + w
+	p.aft[t.seq] = start + w
 	return PlannedTask{Task: t, Host: t.phosts[0], Start: start, Finish: start + w}
 }

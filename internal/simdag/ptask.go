@@ -107,34 +107,11 @@ func (s *Simulation) parallelDown(t *Task) bool {
 // greedily: ptasks are visited in creation order and each takes the k
 // least-loaded pool hosts (estimated finish time, ties broken by pool
 // order), the same crude-but-deterministic load model min-min uses for
-// availability. All three reference schedulers call this as a
-// pre-pass, so computes that depend on a ptask can estimate through
-// it.
-func placeParallel(s *Simulation, hosts []string) error {
-	// Fast path: no ptasks to place (the common DAG).
-	any := false
-	for _, t := range s.tasks {
-		if t.kind == Parallel && t.state == NotScheduled {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	type hostLoad struct {
-		name  string
-		power float64
-		avail float64
-	}
-	pool := make([]hostLoad, 0, len(hosts))
-	for _, h := range hosts {
-		ph := s.pf.Host(h)
-		if ph == nil {
-			return fmt.Errorf("simdag: unknown host %q", h)
-		}
-		pool = append(pool, hostLoad{name: h, power: ph.Power})
-	}
+// availability. Every reference scheduler runs it in its shared front
+// half (beginSchedule), so computes that depend on a ptask can estimate
+// through it.
+func placeParallel(s *Simulation, ct *costTable) error {
+	avail := make([]float64, ct.n) // by pool index
 	chosen := make([]int, 0, 4)
 	names := make([]string, 0, 4)
 	for _, t := range s.tasks {
@@ -142,8 +119,8 @@ func placeParallel(s *Simulation, hosts []string) error {
 			continue
 		}
 		k := len(t.pflops)
-		if k > len(pool) {
-			return fmt.Errorf("simdag: ptask %q needs %d hosts, pool has %d", t.name, k, len(pool))
+		if k > ct.n {
+			return fmt.Errorf("simdag: ptask %q needs %d hosts, pool has %d", t.name, k, ct.n)
 		}
 		// Select the k pool entries with the smallest avail (stable in
 		// pool order): one selection pass per slot keeps this free of
@@ -151,7 +128,7 @@ func placeParallel(s *Simulation, hosts []string) error {
 		chosen = chosen[:0]
 		for slot := 0; slot < k; slot++ {
 			best := -1
-			for i := range pool {
+			for i := range avail {
 				taken := false
 				for _, c := range chosen {
 					if c == i {
@@ -162,30 +139,26 @@ func placeParallel(s *Simulation, hosts []string) error {
 				if taken {
 					continue
 				}
-				if best < 0 || pool[i].avail < pool[best].avail {
+				if best < 0 || avail[i] < avail[best] {
 					best = i
 				}
 			}
 			chosen = append(chosen, best)
 		}
 		names = names[:0]
-		start, sumPower := 0.0, 0.0
+		start := 0.0
 		for _, c := range chosen {
-			names = append(names, pool[c].name)
-			if pool[c].avail > start {
-				start = pool[c].avail
+			names = append(names, ct.names[c])
+			if avail[c] > start {
+				start = avail[c]
 			}
-			sumPower += pool[c].power
 		}
 		if err := t.ScheduleParallel(names); err != nil {
 			return err
 		}
-		dur := 0.0
-		if sumPower > 0 {
-			dur = t.amount / sumPower
-		}
+		end := start + ct.coupled(t)
 		for _, c := range chosen {
-			pool[c].avail = start + dur
+			avail[c] = end
 		}
 	}
 	return nil

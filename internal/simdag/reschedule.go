@@ -21,13 +21,10 @@ var ErrUnplaceable = errors.New("simdag: no surviving host to reschedule onto")
 // instead of failing and cancelling its dependents. Tasks are only
 // terminally failed — with ErrUnplaceable, dependents cancelled — when
 // every policy host is down at rescheduling time. Passing nil (or an
-// empty slice) disables the policy. The slice is copied.
+// empty slice) disables the policy. The slice is copied, repeated names
+// dropped.
 func (s *Simulation) SetReschedulePolicy(hosts []string) {
-	if len(hosts) == 0 {
-		s.reschedHosts = nil
-		return
-	}
-	s.reschedHosts = append([]string(nil), hosts...)
+	s.reschedHosts, _ = internHosts(hosts)
 }
 
 // divert intercepts a would-be terminal failure: under the reschedule
@@ -139,20 +136,12 @@ func (s *Simulation) reschedulePass() {
 // commNeighbourUnplaced reports whether any compute neighbour of a comm
 // task is currently unplaced (being rescheduled).
 func commNeighbourUnplaced(t *Task) bool {
-	for it := t.predIter(); ; {
-		p, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, p := t.preds(); p != nil; p = it.next() {
 		if (p.kind == Compute || p.kind == Parallel) && p.state == NotScheduled {
 			return true
 		}
 	}
-	for it := t.succIter(); ; {
-		p, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, p := t.succs(); p != nil; p = it.next() {
 		if (p.kind == Compute || p.kind == Parallel) && p.state == NotScheduled {
 			return true
 		}

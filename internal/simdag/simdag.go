@@ -167,7 +167,8 @@ type Task struct {
 	err     error
 	watched bool
 
-	indeg int // scratch for the cycle check
+	indeg int32 // scratch: live in-degree (topoOrder), unresolved inputs (min-min)
+	seq   int32 // creation index: the schedulers' table address and tie-break
 
 	pajeC string // trace container alias, minted at first state change
 
@@ -206,11 +207,7 @@ func (t *Task) Err() error { return t.err }
 // adjacency itself lives in the simulation's edge arena).
 func (t *Task) Dependencies() []*Task {
 	var out []*Task
-	for it := t.predIter(); ; {
-		p, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, p := t.preds(); p != nil; p = it.next() {
 		out = append(out, p)
 	}
 	return out
@@ -219,11 +216,7 @@ func (t *Task) Dependencies() []*Task {
 // Dependents returns the task's successors (a fresh slice).
 func (t *Task) Dependents() []*Task {
 	var out []*Task
-	for it := t.succIter(); ; {
-		p, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, p := t.succs(); p != nil; p = it.next() {
 		out = append(out, p)
 	}
 	return out
@@ -420,6 +413,7 @@ func (s *Simulation) add() *Task {
 	t := &s.taskArena[len(s.taskArena)-1]
 	t.sim = s
 	t.priority = 1
+	t.seq = int32(len(s.tasks))
 	s.tasks = append(s.tasks, t)
 	return t
 }
@@ -465,33 +459,30 @@ func (a *depArena) at(i int32) *depEdge {
 	return &a.blocks[i>>depBlockBits][i&(depBlockSize-1)]
 }
 
-// depIter walks one adjacency list: the inline first edge, then the
-// arena overflow. It re-reads the arena through the simulation on
-// every step, so edges appended mid-walk (observer callbacks) are
-// picked up safely.
+// depIter walks the arena overflow of one adjacency list. A walk reads
+//
+//	for it, p := t.preds(); p != nil; p = it.next() { … }
+//
+// preds/succs hand back the inline first edge with the iterator. It
+// re-reads the arena through the simulation on every step, so edges
+// appended mid-walk (observer callbacks) are picked up safely.
 type depIter struct {
-	s      *Simulation
-	inline *Task // yielded first; nil once consumed (or for empty lists)
-	i      int32
+	s *Simulation
+	i int32
 }
 
-// next returns the next task of the list, or ok == false at the end.
-func (it *depIter) next() (*Task, bool) {
-	if it.inline != nil {
-		t := it.inline
-		it.inline = nil
-		return t, true
-	}
+// next returns the next task of the list, or nil at the end.
+func (it *depIter) next() *Task {
 	if it.i == 0 {
-		return nil, false
+		return nil
 	}
 	e := it.s.depEdges.at(it.i)
 	it.i = e.next
-	return e.task, true
+	return e.task
 }
 
-func (t *Task) predIter() depIter { return depIter{s: t.sim, inline: t.pred0, i: t.predHead} }
-func (t *Task) succIter() depIter { return depIter{s: t.sim, inline: t.succ0, i: t.succHead} }
+func (t *Task) preds() (depIter, *Task) { return depIter{t.sim, t.predHead}, t.pred0 }
+func (t *Task) succs() (depIter, *Task) { return depIter{t.sim, t.succHead}, t.succ0 }
 
 // pushEdge appends an edge holding t to the list identified by
 // inline/head/tail, preserving insertion order: the first edge lands
@@ -529,11 +520,7 @@ func (s *Simulation) AddDependency(before, after *Task) error {
 		}
 		return nil // depending on a Done task is vacuously satisfied
 	}
-	for it := after.predIter(); ; {
-		p, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, p := after.preds(); p != nil; p = it.next() {
 		if p == before {
 			return fmt.Errorf("%w: %q -> %q", ErrDuplicate, before.name, after.name)
 		}
@@ -593,58 +580,55 @@ func (s *Simulation) Makespan() float64 {
 	return m
 }
 
-// checkCycles runs Kahn's algorithm over the non-terminal tasks. Only
-// new edges can create a cycle, so the O(V+E) pass is skipped when no
-// dependency was added since the last check (Simulate in a watch-point
-// loop stays cheap).
+// checkCycles rejects a cyclic graph. Only new edges can create a cycle,
+// so the O(V+E) pass is skipped when no dependency was added since the
+// last one (Simulate in a watch-point loop stays cheap).
 func (s *Simulation) checkCycles() error {
 	if !s.depsDirty {
 		return nil
 	}
-	queue := make([]*Task, 0, len(s.tasks))
-	n := 0
+	_, err := s.topoOrder()
+	return err
+}
+
+// topoOrder is the one Kahn pass: it returns every non-terminal task in
+// a topological order (live in-degrees, ready queue drained in creation
+// order) or ErrCycle, leaving terminal tasks at indeg -1 and live ones
+// at 0.
+func (s *Simulation) topoOrder() ([]*Task, error) {
+	order := make([]*Task, 0, len(s.tasks))
+	live := 0
 	for _, t := range s.tasks {
 		if t.terminal() {
 			t.indeg = -1
 			continue
 		}
-		c := 0
-		for it := t.predIter(); ; {
-			p, ok := it.next()
-			if !ok {
-				break
-			}
+		live++
+		t.indeg = 0
+		for it, p := t.preds(); p != nil; p = it.next() {
 			if !p.terminal() {
-				c++
+				t.indeg++
 			}
 		}
-		t.indeg = c
-		n++
-		if c == 0 {
-			queue = append(queue, t)
+		if t.indeg == 0 {
+			order = append(order, t)
 		}
 	}
-	seen := 0
-	for i := 0; i < len(queue); i++ {
-		seen++
-		for it := queue[i].succIter(); ; {
-			succ, ok := it.next()
-			if !ok {
-				break
-			}
+	for i := 0; i < len(order); i++ {
+		for it, succ := order[i].succs(); succ != nil; succ = it.next() {
 			if succ.indeg > 0 {
 				succ.indeg--
 				if succ.indeg == 0 {
-					queue = append(queue, succ)
+					order = append(order, succ)
 				}
 			}
 		}
 	}
-	if seen != n {
-		return fmt.Errorf("%w involving %d tasks", ErrCycle, n-seen)
+	if len(order) != live {
+		return nil, fmt.Errorf("%w involving %d tasks", ErrCycle, live-len(order))
 	}
 	s.depsDirty = false
-	return nil
+	return order, nil
 }
 
 // notify runs the observer hook (and the trace band, which sees the
@@ -763,11 +747,7 @@ func (s *Simulation) taskFinished(t *Task, err error) {
 	s.nDone++
 	s.notify(t)
 	s.watch(t)
-	for it := t.succIter(); ; {
-		succ, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, succ := t.succs(); succ != nil; succ = it.next() {
 		succ.waitingOn--
 		if succ.waitingOn == 0 && succ.state == Schedulable {
 			s.enqueue(succ)
@@ -801,11 +781,7 @@ func (s *Simulation) failTerminal(t *Task, err error) {
 	s.nFailed++
 	s.notify(t)
 	s.watch(t)
-	for it := t.succIter(); ; {
-		succ, ok := it.next()
-		if !ok {
-			break
-		}
+	for it, succ := t.succs(); succ != nil; succ = it.next() {
 		if !succ.terminal() {
 			s.failTerminal(succ, ErrDependencyFailed)
 		}

@@ -314,9 +314,7 @@ func (sp *Spec) Validate() error {
 		}
 	}
 	for _, s := range sp.Schedulers {
-		switch s {
-		case "minmin", "rr", "heft":
-		default:
+		if simdag.Scheduler(s) == nil {
 			return fmt.Errorf("sweep: campaign %q: unknown scheduler %q", sp.Name, s)
 		}
 		if err := unique("scheduler", s); err != nil {

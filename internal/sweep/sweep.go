@@ -187,17 +187,11 @@ func runOne(r *Run, perf bool) (RunStat, error) {
 		s.SetReschedulePolicy(hosts)
 	}
 
-	switch r.Scheduler {
-	case "minmin":
-		err = simdag.ScheduleMinMin(s, hosts)
-	case "rr":
-		err = simdag.ScheduleRoundRobin(s, hosts)
-	case "heft":
-		err = simdag.ScheduleHEFT(s, hosts)
-	default:
-		err = fmt.Errorf("unknown scheduler %q", r.Scheduler)
+	place := simdag.Scheduler(r.Scheduler)
+	if place == nil {
+		return RunStat{}, fmt.Errorf("unknown scheduler %q", r.Scheduler)
 	}
-	if err != nil {
+	if err := place(s, hosts); err != nil {
 		return RunStat{}, err
 	}
 	if _, err := s.Simulate(); err != nil {
