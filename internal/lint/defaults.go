@@ -64,8 +64,7 @@ func DefaultConfig() *Config {
 		PooledTypes: map[string][]string{
 			"repro/internal/maxmin.Variable": {"factory.go"},
 			"repro/internal/surf.Action":     {"factory.go"},
-			"repro/internal/msg.pendingSend": {"factory.go"},
-			"repro/internal/msg.pendingRecv": {"factory.go"},
+			"repro/internal/msg.pending":     {"factory.go"},
 			"repro/internal/msg.ChainProc":   {"factory.go"},
 			"repro/internal/core.worker":     {"factory.go"},
 		},
@@ -74,8 +73,7 @@ func DefaultConfig() *Config {
 		ReleaseMethods: map[string]bool{"Release": true},
 		ReleaseFuncs: map[string]bool{
 			"RemoveVariable": true,
-			"releaseSend":    true,
-			"releaseRecv":    true,
+			"release":        true,
 			"releaseChain":   true,
 			"releaseWorker":  true,
 			"poolAction":     true,

@@ -251,7 +251,7 @@ type ChainConfig struct {
 // ChainProc is a running (or pooled) instance of a Chain on a host: the
 // processless form of an actor (actor.go). It is this package's
 // surf.Completion handler for the chain's compute actions; transfers
-// complete through the shared pendingSend handler, which advances the
+// complete through the shared pending.ActionDone, which advances the
 // chain endpoints inline.
 //
 // Lifetime: StartChain hands out the instance; once the chain
@@ -274,8 +274,7 @@ type ChainProc struct {
 
 	exec       *surf.Action // in-flight compute
 	sleepTimer *core.Timer  // re-armed across Sleep steps (and reuses)
-	sendRec    *pendingSend // in-flight/queued Put record
-	recvRec    *pendingRecv // in-flight/queued Get record
+	rec        *pending     // in-flight/queued Put or Get record
 	pendKey    mailboxKey   // mailbox of the queued record, for kill dequeue
 
 	restartPending bool // killed by host failure, parked in restartQ
@@ -485,13 +484,9 @@ func (c *ChainProc) kill(err error) {
 	if a := c.exec; a != nil {
 		a.Cancel() // drives c.ActionDone inline, which releases the action
 	}
-	if ps := c.sendRec; ps != nil {
-		c.sendRec = nil
-		c.env.abandonSend(c.pendKey, ps)
-	}
-	if pr := c.recvRec; pr != nil {
-		c.recvRec = nil
-		c.env.abandonRecv(c.pendKey, pr)
+	if r := c.rec; r != nil {
+		c.rec = nil
+		c.env.abandon(c.pendKey, r)
 	}
 	if c.sleepTimer != nil {
 		c.sleepTimer.Cancel()
@@ -553,7 +548,7 @@ func (c *ChainProc) stepCompute(st *chainStep) bool {
 }
 
 // ActionDone implements surf.Completion for the chain's compute
-// actions (transfers are completed by pendingSend.ActionDone, which
+// actions (transfers are completed by pending.ActionDone, which
 // advances the chain endpoints through unblock instead).
 func (c *ChainProc) ActionDone(a *surf.Action, err error) {
 	c.exec = nil
@@ -579,7 +574,7 @@ func (c *ChainProc) sleepDone() { c.unblock(nil, nil) }
 // the task for the register. A chain killed in the meantime (the kill
 // canceled the action, teardown already ran) just drops the outcome.
 func (c *ChainProc) unblock(task *Task, err error) {
-	c.sendRec, c.recvRec = nil, nil
+	c.rec = nil
 	c.blockedOn = core.SimcallNone
 	c.end()
 	if c.done {
@@ -596,11 +591,9 @@ func (c *ChainProc) unblock(task *Task, err error) {
 	c.run()
 }
 
-// stepPut arms a rendezvous send: enqueue or match on the destination
-// mailbox, exactly like the goroutine put, with the chain itself as
-// the blocked party. The transfer's completion advances the chain.
+// stepPut arms a rendezvous send on the destination mailbox, exactly
+// like the goroutine Put, with the chain itself as the blocked party.
 func (c *ChainProc) stepPut(st *chainStep) {
-	env := c.env
 	var task *Task
 	switch {
 	case st.makeTask != nil:
@@ -618,36 +611,34 @@ func (c *ChainProc) stepPut(st *chainStep) {
 	default:
 		task = NewTask(st.name, st.flops, st.bytes)
 	}
-	if env.pf.Host(st.dest) == nil {
+	if c.env.pf.Host(st.dest) == nil {
 		c.finish(fmt.Errorf("msg: unknown destination host %q", st.dest))
 		return
 	}
 	task.source = c.host
 	task.sender = nil // chains have no *Process identity
 
-	key := mailboxKey{host: st.dest, channel: st.channel}
-	ps := env.grabSend()
-	ps.task, ps.env, ps.from, ps.ownerless = task, env, &c.actor, true
-	c.sendRec = ps
-	c.pendKey = key
-	c.blockedOn = core.SimcallSend
-	c.begin(statePut)
-	if err := env.postSend(key, ps); err != nil {
-		env.settleSend(ps, err)
-	}
+	r := c.env.grab(send, &c.actor)
+	r.task = task
+	c.arm(r, mailboxKey{host: st.dest, channel: st.channel})
 }
 
 // stepGet arms a rendezvous receive on the chain's own host.
 func (c *ChainProc) stepGet(st *chainStep) {
-	env := c.env
-	key := mailboxKey{host: c.host.Name, channel: st.channel}
-	pr := env.grabRecv()
-	pr.to, pr.dstC, pr.ownerless = &c.actor, c.pajeC, true
-	c.recvRec = pr
-	c.pendKey = key
-	c.blockedOn = core.SimcallRecv
-	c.begin(stateGet)
-	if err := env.postRecv(key, pr); err != nil {
-		env.settleRecv(pr, err)
+	r := c.env.grab(recv, &c.actor)
+	r.tag = c.pajeC
+	c.arm(r, mailboxKey{host: c.host.Name, channel: st.channel})
+}
+
+// arm blocks the chain on r and posts it: enqueue or match, like the
+// goroutine rendezvous. No frame will come back for the record, so it is
+// ownerless from the start; the transfer's completion advances the chain.
+func (c *ChainProc) arm(r *pending, key mailboxKey) {
+	r.ownerless = true
+	c.rec, c.pendKey = r, key
+	c.blockedOn = dirSimcall[r.dir]
+	c.begin(dirState[r.dir])
+	if err := c.env.post(key, r); err != nil {
+		c.env.settle(r, err)
 	}
 }

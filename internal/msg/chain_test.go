@@ -462,7 +462,7 @@ func TestChainKill(t *testing.T) {
 	if env.LiveChains() != 0 {
 		t.Errorf("LiveChains() = %d", env.LiveChains())
 	}
-	if got := len(env.mailbox(mailboxKey{host: "server", channel: 5}).recvQ); got != 0 {
+	if got := len(env.mailbox(mailboxKey{host: "server", channel: 5}).q); got != 0 {
 		t.Errorf("killed receiver left %d queued records", got)
 	}
 	if !approx(env.Now(), 0.5, 1e-9) {
@@ -601,7 +601,7 @@ func TestChainPoolScrubbed(t *testing.T) {
 	}
 	for i, c := range env.chainPool.Items() {
 		clean := c.env == nil && c.spec == nil && c.task == nil && c.exec == nil &&
-			c.sendRec == nil && c.recvRec == nil && c.onExit == nil && c.OnFailure == nil &&
+			c.rec == nil && c.onExit == nil && c.OnFailure == nil &&
 			!c.done && c.pc == 0 && c.pid == 0 && len(c.counters) == 0
 		if !clean {
 			t.Errorf("pooled ChainProc %d not scrubbed: %+v", i, c)

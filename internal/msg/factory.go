@@ -1,49 +1,38 @@
 package msg
 
-// This file is the factory for the pooled rendezvous records: the only
-// place allowed to construct or scrub a pendingSend/pendingRecv by
-// composite literal. simgrid-lint's pool-literal rule enforces that
+// This file is the factory for the pooled rendezvous records and chains:
+// the only place allowed to construct or scrub a pending or a ChainProc
+// by composite literal. simgrid-lint's pool-literal rule enforces that
 // scope — a literal anywhere else would bypass the free lists and
 // break the "pools hold only scrubbed structs" invariant (DESIGN.md,
 // "Object lifecycle & pooling").
 
-// grabSend returns a blank pendingSend, recycled when possible.
-func (env *Environment) grabSend() *pendingSend {
-	if ps, ok := env.sendPool.Get(); ok {
-		return ps
+// grab returns a record facing d with who blocked on it, recycled from
+// that direction's free list when possible.
+func (env *Environment) grab(d dir, who *actor) *pending {
+	r, ok := env.pools[d].Get()
+	if !ok {
+		r = &pending{}
 	}
-	return &pendingSend{}
+	r.env, r.who, r.dir = env, who, d
+	return r
 }
 
-// releaseSend scrubs a finished pendingSend (returning its transfer
-// action to the surf free list) and pools it. Callers must guarantee
-// no reference survives: the record is out of every mailbox queue, its
-// timeout timer is canceled, and the delivery cross-references were
-// severed by ActionDone. put's release defer establishes exactly that
-// on both the return and the unwind path (a killed sender's record is
-// dequeued or handed to ActionDone via abandonSend before recycling —
-// kill churn leaks nothing).
-func (env *Environment) releaseSend(ps *pendingSend) {
-	if a := ps.action; a != nil {
+// release scrubs a finished record (returning a send's transfer action
+// to the surf free list) and pools it. Callers must guarantee no
+// reference survives: the record is out of every mailbox queue, its
+// timeout timer is canceled, and the peer cross-references were severed
+// by ActionDone. rendezvous's release defer establishes exactly that on
+// both the return and the unwind path (a killed party's record is
+// dequeued or handed to ActionDone via abandon before recycling — kill
+// churn leaks nothing).
+func (env *Environment) release(r *pending) {
+	if a := r.action; a != nil {
 		a.Release() // no-op if somehow not done
 	}
-	*ps = pendingSend{}
-	env.sendPool.Put(ps)
-}
-
-// grabRecv returns a blank pendingRecv, recycled when possible.
-func (env *Environment) grabRecv() *pendingRecv {
-	if pr, ok := env.recvPool.Get(); ok {
-		return pr
-	}
-	return &pendingRecv{}
-}
-
-// releaseRecv scrubs a finished pendingRecv and pools it; the same
-// ownership rules as releaseSend apply, with get as the only caller.
-func (env *Environment) releaseRecv(pr *pendingRecv) {
-	*pr = pendingRecv{}
-	env.recvPool.Put(pr)
+	d := r.dir
+	*r = pending{}
+	env.pools[d].Put(r)
 }
 
 // grabChain returns a blank ChainProc, recycled when possible: chain

@@ -129,12 +129,12 @@ func TestKillUnwindRecyclesRendezvous(t *testing.T) {
 			}
 
 			if i == 0 {
-				steadySend, steadyRecv = env.sendPool.Len(), env.recvPool.Len()
+				steadySend, steadyRecv = env.pools[send].Len(), env.pools[recv].Len()
 				continue
 			}
-			if env.sendPool.Len() != steadySend || env.recvPool.Len() != steadyRecv {
+			if env.pools[send].Len() != steadySend || env.pools[recv].Len() != steadyRecv {
 				t.Errorf("cycle %d: pools %d/%d, steady state %d/%d — kill churn leaks or over-returns",
-					i, env.sendPool.Len(), env.recvPool.Len(), steadySend, steadyRecv)
+					i, env.pools[send].Len(), env.pools[recv].Len(), steadySend, steadyRecv)
 			}
 		}
 		return nil
@@ -145,17 +145,21 @@ func TestKillUnwindRecyclesRendezvous(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if env.sendPool.Len() == 0 || env.recvPool.Len() == 0 {
-		t.Fatalf("kill churn recycled nothing (pools %d/%d)", env.sendPool.Len(), env.recvPool.Len())
+	if env.pools[send].Len() == 0 || env.pools[recv].Len() == 0 {
+		t.Fatalf("kill churn recycled nothing (pools %d/%d)", env.pools[send].Len(), env.pools[recv].Len())
 	}
-	for i, ps := range env.sendPool.Items() {
-		if *ps != (pendingSend{}) {
-			t.Errorf("pooled pendingSend %d not scrubbed: %+v", i, *ps)
-		}
-	}
-	for i, pr := range env.recvPool.Items() {
-		if *pr != (pendingRecv{}) {
-			t.Errorf("pooled pendingRecv %d not scrubbed: %+v", i, *pr)
+	checkScrubbed(t, env)
+}
+
+// checkScrubbed fails the test for every pooled record, of either
+// direction, that is not the zero value.
+func checkScrubbed(t *testing.T, env *Environment) {
+	t.Helper()
+	for d := range env.pools {
+		for i, r := range env.pools[d].Items() {
+			if *r != (pending{}) {
+				t.Errorf("pooled record %d of direction %d not scrubbed: %+v", i, d, *r)
+			}
 		}
 	}
 }
@@ -342,11 +346,7 @@ func TestPanicMidRendezvousRecyclesRecord(t *testing.T) {
 	if len(env.Engine().Panics()) != 1 {
 		t.Fatalf("want 1 contained panic, got %d", len(env.Engine().Panics()))
 	}
-	for i, ps := range env.sendPool.Items() {
-		if *ps != (pendingSend{}) {
-			t.Errorf("pooled pendingSend %d not scrubbed: %+v", i, *ps)
-		}
-	}
+	checkScrubbed(t, env)
 }
 
 // TestMixedFormHostFailureOrder interleaves goroutine processes and

@@ -18,13 +18,12 @@ import (
 // msgTrace holds the MSG side of a Paje trace.
 type msgTrace struct {
 	tr       *instr.Trace
-	procType string // PROCESS container type, under HOST
-	pstate   string // activity state type on processes
-	linkType string // MSG link type, spanning the platform root
-	root     string // the "platform" root container alias
-	qSendVar string // queued-sends variable on the root
-	qRecvVar string // queued-recvs variable on the root
-	nextKey  int    // deterministic message-link key counter
+	procType string    // PROCESS container type, under HOST
+	pstate   string    // activity state type on processes
+	linkType string    // MSG link type, spanning the platform root
+	root     string    // the "platform" root container alias
+	qVar     [2]string // queued_sends / queued_recvs variables on the root
+	nextKey  int       // deterministic message-link key counter
 }
 
 // EnableTrace attaches a Paje trace to the environment: the surf
@@ -44,8 +43,8 @@ func (env *Environment) EnableTrace(tr *instr.Trace) {
 	tr.DefineEntityValue(mt.pstate, stateGet)
 	tr.DefineEntityValue(mt.pstate, stateKilled)
 	mt.linkType = tr.DefineLinkType(env.model.TraceRootType(), mt.procType, mt.procType, "MSG")
-	mt.qSendVar = tr.DefineVariableType(env.model.TraceRootType(), "queued_sends")
-	mt.qRecvVar = tr.DefineVariableType(env.model.TraceRootType(), "queued_recvs")
+	mt.qVar[send] = tr.DefineVariableType(env.model.TraceRootType(), "queued_sends")
+	mt.qVar[recv] = tr.DefineVariableType(env.model.TraceRootType(), "queued_recvs")
 	env.trace = mt
 }
 
@@ -65,27 +64,16 @@ func (mt *msgTrace) newKey() string {
 }
 
 // noteQueued tracks the mailbox backlog (queued sends and receives
-// across all mailboxes). The counters are always on; with tracing
-// enabled each change is also emitted as a root-container variable.
-func (env *Environment) noteQueued(dSend, dRecv int) {
-	env.queuedSends += dSend
-	env.queuedRecvs += dRecv
-	if env.queuedSends > env.queuedPeak {
-		env.queuedPeak = env.queuedSends
+// across all mailboxes): delta records facing d were queued or taken.
+// The counters are always on; with tracing enabled each change is also
+// emitted as a root-container variable.
+func (env *Environment) noteQueued(d dir, delta int) {
+	env.queued[d] += delta
+	if env.queued[d] > env.queuedPeak {
+		env.queuedPeak = env.queued[d]
 	}
-	if env.queuedRecvs > env.queuedPeak {
-		env.queuedPeak = env.queuedRecvs
-	}
-	mt := env.trace
-	if mt == nil {
-		return
-	}
-	now := env.eng.Now()
-	if dSend != 0 {
-		mt.tr.SetVariable(now, mt.qSendVar, mt.root, float64(env.queuedSends))
-	}
-	if dRecv != 0 {
-		mt.tr.SetVariable(now, mt.qRecvVar, mt.root, float64(env.queuedRecvs))
+	if mt := env.trace; mt != nil {
+		mt.tr.SetVariable(env.eng.Now(), mt.qVar[d], mt.root, float64(env.queued[d]))
 	}
 }
 
@@ -100,12 +88,12 @@ func (env *Environment) MetricsInto(r *instr.Registry) {
 		return
 	}
 	r.Counter("msg.retries").Add(env.retries)
-	r.Gauge("msg.queued_sends").Set(float64(env.queuedSends))
-	r.Gauge("msg.queued_recvs").Set(float64(env.queuedRecvs))
+	r.Gauge("msg.queued_sends").Set(float64(env.queued[send]))
+	r.Gauge("msg.queued_recvs").Set(float64(env.queued[recv]))
 	r.Gauge("msg.queued_peak").SetMax(float64(env.queuedPeak))
 	r.Gauge("msg.live_chains").Set(float64(len(env.chains)))
-	r.SetPool("msg.send_pool", env.sendPool.Stat())
-	r.SetPool("msg.recv_pool", env.recvPool.Stat())
+	r.SetPool("msg.send_pool", env.pools[send].Stat())
+	r.SetPool("msg.recv_pool", env.pools[recv].Stat())
 	r.SetPool("msg.chain_pool", env.chainPool.Stat())
 	env.model.MetricsInto(r)
 	env.eng.MetricsInto(r)

@@ -14,8 +14,8 @@
 // (Put(task, host, channel) / Get(channel)), mirroring the MSG_task_put
 // / MSG_task_get API of the paper's client/server example.
 //
-// Key invariant: a Put/Get rendezvous owns exactly one pendingSend /
-// pendingRecv record and one surf transfer action, all recycled
+// Key invariant: each side of a Put/Get rendezvous owns exactly one
+// pending record, the pair one surf transfer action, all recycled
 // through free lists on the blocking call's return — the steady-state
 // exchange loop allocates nothing (see DESIGN.md, "Object lifecycle &
 // pooling"; disable with -tags=nopool).
@@ -96,12 +96,11 @@ type Environment struct {
 	// PID: no goroutine stands for them in the kernel's own accounting.
 	chains map[int]*ChainProc
 
-	// Free lists for the rendezvous churn: every Put/Get cycle reuses a
-	// scrubbed pendingSend/pendingRecv instead of allocating fresh ones
-	// (disabled under -tags=nopool). chainPool recycles terminated
-	// ChainProcs the same way.
-	sendPool  pool.List[*pendingSend]
-	recvPool  pool.List[*pendingRecv]
+	// Free lists for the rendezvous churn (off under -tags=nopool): a
+	// Put/Get cycle reuses scrubbed pending records, one list per
+	// direction so each keeps its own LIFO order and scoreboard, and
+	// chainPool recycles terminated ChainProcs the same way.
+	pools     [2]pool.List[*pending]
 	chainPool pool.List[*ChainProc]
 
 	// restartQ holds, per host, the actors killed by that host's failure
@@ -120,10 +119,10 @@ type Environment struct {
 	// Observability (instr.go): optional Paje trace band, mailbox
 	// backlog counters and Retry re-attempts. The counters are plain
 	// always-on fields; trace is nil until EnableTrace.
-	trace                    *msgTrace
-	queuedSends, queuedRecvs int
-	queuedPeak               int
-	retries                  uint64
+	trace      *msgTrace
+	queued     [2]int // records waiting on a mailbox, per direction
+	queuedPeak int
+	retries    uint64
 }
 
 type mailboxKey struct {
@@ -131,84 +130,118 @@ type mailboxKey struct {
 	channel int
 }
 
-// pendingSend is a sender blocked in Put (or an in-flight transfer).
-// It doubles as the transfer's completion handler (surf.Completion),
-// and is recycled through the environment's free list: the sender's
-// put releases it on return, the only point where no queue entry,
-// timeout closure or receiver can still reach it.
-type pendingSend struct {
-	task     *Task
-	env      *Environment
-	from     *actor // the blocked sender; nil once it unwound mid-transfer
-	action   *surf.Action
-	delivery *pendingRecv
-	linkKey  string // message-link key, minted at transfer start
-	// ownerless marks a record no returning Put frame will recycle: a
-	// chain's (it has no frame), or one whose goroutine unwound (kill or
+// dir is which way a rendezvous record faces. It indexes the
+// per-direction tables: free lists, backlog counters, trace variables.
+type dir uint8
+
+const (
+	send dir = iota
+	recv
+)
+
+// What an actor blocked on a record of each direction is doing, as the
+// trace and the kernel's deadlock report name it.
+var (
+	dirState   = [2]string{statePut, stateGet}
+	dirSimcall = [2]core.SimcallKind{core.SimcallSend, core.SimcallRecv}
+)
+
+// pending is one half of a rendezvous: an actor blocked in Put or Get,
+// queued on a mailbox or matched with a peer facing the other way while
+// their transfer is in flight. The send half doubles as the transfer's
+// completion handler (surf.Completion). Records are recycled through
+// the environment's per-direction free lists: a goroutine's rendezvous
+// frame releases its record on return, the only point where no queue
+// entry, timeout closure or peer can still reach it.
+type pending struct {
+	env  *Environment
+	who  *actor   // the blocked party; nil once it unwound mid-transfer
+	task *Task    // send: the payload; recv: filled in at completion
+	peer *pending // the matched other half, from transfer start to ActionDone
+	// action is the send half's transfer, kept until the record is
+	// released so a late timeout sees it ended.
+	action *surf.Action
+	// tag is the direction's trace string: the message-link key minted at
+	// transfer start (send), or the receiver's container, which must
+	// outlive a severed who (recv).
+	tag string
+	dir dir
+	// ownerless marks a record no returning rendezvous frame will recycle:
+	// a chain's (it has no frame), or one whose goroutine unwound (kill or
 	// contained panic) while a delivery was still pending. Whoever ends
 	// the block — ActionDone, or a failed transfer start — recycles it,
 	// after the cross-references are severed.
 	ownerless bool
 }
 
-// pendingRecv is a receiver blocked in Get, recycled by get on return.
-type pendingRecv struct {
-	to        *actor // the blocked receiver; nil once it unwound mid-transfer
-	task      *Task  // filled in at completion
-	matched   *pendingSend
-	ownerless bool   // see pendingSend.ownerless
-	dstC      string // receiver's trace container, kept past a severed `to`
-}
-
-// ActionDone implements surf.Completion: the transfer finished (err is
-// nil on success), so hand the task over and wake both parties. The
-// cross-references are severed here: a timeout timer firing later in
-// the same instant must fall through to its queue scan (a no-op)
-// instead of touching a transfer that already ended — that is what
-// makes the put/get release points safe. With the references severed
-// nothing can reach an ownerless record anymore either, so those are
-// recycled right here. The order is the actor's resume rule (actor.go):
-// both wakes are queued, then the endpoints advance, sender first.
-func (ps *pendingSend) ActionDone(_ *surf.Action, cerr error) {
-	pr := ps.delivery
+// ActionDone implements surf.Completion on the send half: the transfer
+// finished (err is nil on success), so hand the task over and wake both
+// parties. The cross-references are severed here: a timeout timer firing
+// later in the same instant must fall through to its queue scan (a
+// no-op) instead of touching a transfer that already ended — that is
+// what makes the rendezvous release point safe. With the references
+// severed nothing can reach an ownerless record anymore either, so
+// those are recycled right here. The order is the actor's resume rule
+// (actor.go): both wakes are queued, then the endpoints advance, sender
+// first.
+func (ps *pending) ActionDone(_ *surf.Action, cerr error) {
+	pr := ps.peer
 	if cerr == nil {
 		pr.task = ps.task
 	}
 	env := ps.env
-	if mt := env.trace; mt != nil && ps.linkKey != "" && pr.dstC != "" {
-		mt.tr.EndLink(env.eng.Now(), mt.linkType, mt.root, pr.dstC, ps.task.Name, ps.linkKey)
+	if mt := env.trace; mt != nil && ps.tag != "" && pr.tag != "" {
+		mt.tr.EndLink(env.eng.Now(), mt.linkType, mt.root, pr.tag, ps.task.Name, ps.tag)
 	}
-	ps.from.wake(cerr)
-	pr.to.wake(cerr)
-	pr.matched = nil
-	ps.delivery = nil
-	env.settleSend(ps, cerr)
-	env.settleRecv(pr, cerr)
+	ps.who.wake(cerr)
+	pr.who.wake(cerr)
+	ps.peer, pr.peer = nil, nil
+	env.settle(ps, cerr)
+	env.settle(pr, cerr)
 }
 
-// settleSend finishes the sender's side of a block that ended with err
-// once its wake is queued: an ownerless record is recycled and its
-// actor advanced. An owned one stays with the woken Put frame.
-func (env *Environment) settleSend(ps *pendingSend, err error) {
-	if ps.ownerless {
-		from := ps.from
-		env.releaseSend(ps)
-		from.advance(nil, err)
+// settle finishes one side of a block that ended with err once its wake
+// is queued: an ownerless record is recycled and its actor advanced (a
+// receiver also gets the task). An owned one stays with the woken
+// rendezvous frame.
+func (env *Environment) settle(r *pending, err error) {
+	if !r.ownerless {
+		return
 	}
+	who, task := r.who, r.task
+	if r.dir == send {
+		task = nil // the sender's register keeps what it held
+	}
+	env.release(r)
+	who.advance(task, err)
 }
 
-// settleRecv is settleSend for the receiver, who also gets the task.
-func (env *Environment) settleRecv(pr *pendingRecv, err error) {
-	if pr.ownerless {
-		to, task := pr.to, pr.task
-		env.releaseRecv(pr)
-		to.advance(task, err)
-	}
-}
-
+// mailbox is one FIFO of records. A post matches the head whenever it
+// faces the other way, so everything queued faces the same way: senders
+// waiting for a receiver, or receivers waiting for a sender, never both.
+// Live entries are q[head:]; taken slots are nil.
 type mailbox struct {
-	sendQ []*pendingSend
-	recvQ []*pendingRecv
+	q    []*pending
+	head int
+}
+
+// take removes the live entry q[i], keeping the order of the rest: the
+// entries ahead of it shift up one slot and the head advances, so taking
+// the head itself moves nothing. Once the dead prefix is at least as
+// long as the live part the live part slides down over it — a mailbox
+// that drains keeps its backing array, one with a standing backlog
+// stays bounded, and the copy is paid for by the takes before it.
+func (mb *mailbox) take(i int) *pending {
+	r := mb.q[i]
+	copy(mb.q[mb.head+1:], mb.q[mb.head:i])
+	mb.q[mb.head] = nil
+	mb.head++
+	if 2*mb.head >= len(mb.q) {
+		n := copy(mb.q, mb.q[mb.head:])
+		clear(mb.q[n:])
+		mb.q, mb.head = mb.q[:n], 0
+	}
+	return r
 }
 
 // NewEnvironment builds an MSG world on a platform with the given
@@ -395,18 +428,13 @@ func (p *Process) ExecuteWithPriority(task *Task, priority float64) error {
 // receiver is ready (rendezvous) and its duration is governed by the
 // network model across the route between the two hosts.
 func (p *Process) Put(task *Task, destHost string, channel int) error {
-	return p.put(task, destHost, channel, 0)
+	return p.PutWithTimeout(task, destHost, channel, 0)
 }
 
 // PutWithTimeout is Put aborting with ErrTimeout after timeout seconds
 // (<= 0 means no timeout).
 func (p *Process) PutWithTimeout(task *Task, destHost string, channel int, timeout float64) error {
-	return p.put(task, destHost, channel, timeout)
-}
-
-func (p *Process) put(task *Task, destHost string, channel int, timeout float64) error {
-	dst := p.env.pf.Host(destHost)
-	if dst == nil {
+	if p.env.pf.Host(destHost) == nil {
 		return fmt.Errorf("msg: unknown destination host %q", destHost)
 	}
 	if task == nil {
@@ -414,11 +442,31 @@ func (p *Process) put(task *Task, destHost string, channel int, timeout float64)
 	}
 	task.source = p.host
 	task.sender = p
+	r := p.env.grab(send, &p.actor)
+	r.task = task
+	_, err := p.rendezvous(r, mailboxKey{host: destHost, channel: channel}, timeout)
+	return err
+}
 
-	key := mailboxKey{host: destHost, channel: channel}
-	ps := p.env.grabSend()
-	ps.task, ps.env, ps.from = task, p.env, &p.actor
+// Get receives the next task from the given channel of the local host,
+// blocking until one arrives (MSG_task_get).
+func (p *Process) Get(channel int) (*Task, error) {
+	return p.GetWithTimeout(channel, 0)
+}
 
+// GetWithTimeout is Get aborting with ErrTimeout after timeout seconds
+// (<= 0 means no timeout).
+func (p *Process) GetWithTimeout(channel int, timeout float64) (*Task, error) {
+	r := p.env.grab(recv, &p.actor)
+	r.tag = p.pajeC
+	return p.rendezvous(r, mailboxKey{host: p.host.Name, channel: channel}, timeout)
+}
+
+// rendezvous posts r on the mailbox and blocks the process until the
+// transfer it is matched into ends, or timeout seconds pass. It returns
+// the record's task: for a receive, handed over on success only.
+func (p *Process) rendezvous(r *pending, key mailboxKey, timeout float64) (*Task, error) {
+	env := p.env
 	var timer *core.Timer
 	// The single release point, on return AND on unwind (kill, contained
 	// panic): the timeout timer is canceled first — once canceled its
@@ -429,72 +477,23 @@ func (p *Process) put(task *Task, destHost string, channel int, timeout float64)
 	defer func() {
 		timer.Cancel() // nil-safe: no timeout, no timer
 		if unwound {
-			p.env.abandonSend(key, ps)
+			env.abandon(key, r)
 			return
 		}
-		p.env.releaseSend(ps)
+		env.release(r)
 	}()
 	if timeout > 0 {
-		timer = p.env.eng.After(timeout, func() {
-			p.env.timeoutSend(key, ps)
-		})
+		timer = env.eng.After(timeout, func() { env.expire(key, r) })
 	}
 
-	if err := p.env.postSend(key, ps); err != nil {
-		unwound = false
-		return err
+	err := env.post(key, r)
+	if err == nil {
+		p.begin(dirState[r.dir])
+		err = p.cp.BlockOn(dirSimcall[r.dir])
+		p.end()
 	}
-	p.begin(statePut)
-	err := p.cp.BlockOn(core.SimcallSend)
-	p.end()
 	unwound = false
-	return err
-}
-
-// Get receives the next task from the given channel of the local host,
-// blocking until one arrives (MSG_task_get).
-func (p *Process) Get(channel int) (*Task, error) {
-	return p.get(channel, 0)
-}
-
-// GetWithTimeout is Get aborting with ErrTimeout after timeout seconds
-// (<= 0 means no timeout).
-func (p *Process) GetWithTimeout(channel int, timeout float64) (*Task, error) {
-	return p.get(channel, timeout)
-}
-
-func (p *Process) get(channel int, timeout float64) (*Task, error) {
-	key := mailboxKey{host: p.host.Name, channel: channel}
-	pr := p.env.grabRecv()
-	pr.to, pr.dstC = &p.actor, p.pajeC
-
-	var timer *core.Timer
-	// Single release point, mirroring put: cancel the timeout first,
-	// then recycle — via the abandon path when unwinding.
-	unwound := true
-	defer func() {
-		timer.Cancel() // nil-safe: no timeout, no timer
-		if unwound {
-			p.env.abandonRecv(key, pr)
-			return
-		}
-		p.env.releaseRecv(pr)
-	}()
-	if timeout > 0 {
-		timer = p.env.eng.After(timeout, func() {
-			p.env.timeoutRecv(key, pr)
-		})
-	}
-
-	if err := p.env.postRecv(key, pr); err != nil {
-		unwound = false
-		return nil, err
-	}
-	p.begin(stateGet)
-	err := p.cp.BlockOn(core.SimcallRecv)
-	p.end()
-	unwound = false
-	return pr.task, err // the task is only handed over on success
+	return r.task, err
 }
 
 // --- Environment internals ----------------------------------------------
@@ -508,44 +507,28 @@ func (env *Environment) mailbox(key mailboxKey) *mailbox {
 	return mb
 }
 
-// postSend is the sender's half of the rendezvous, shared by both
-// forms: start the transfer if a receiver is already waiting on the
-// mailbox, queue the record otherwise. When the transfer cannot start,
-// the party that posted gets the error as the return value (and settles
-// its own record); the queued peer is resumed with it right here.
-func (env *Environment) postSend(key mailboxKey, ps *pendingSend) error {
+// post is one half of the rendezvous, shared by both directions and both
+// forms: start the transfer if the mailbox's head faces the other way,
+// queue the record otherwise. When the transfer cannot start, the party
+// that posted gets the error as the return value (and settles its own
+// record); the queued peer is resumed with it right here.
+func (env *Environment) post(key mailboxKey, r *pending) error {
 	mb := env.mailbox(key)
-	if len(mb.recvQ) == 0 {
-		mb.sendQ = append(mb.sendQ, ps)
-		env.noteQueued(1, 0)
+	if mb.head == len(mb.q) || mb.q[mb.head].dir == r.dir {
+		mb.q = append(mb.q, r)
+		env.noteQueued(r.dir, 1)
 		return nil
 	}
-	pr := mb.recvQ[0]
-	mb.recvQ = mb.recvQ[1:]
-	env.noteQueued(0, -1)
+	other := mb.take(mb.head)
+	env.noteQueued(other.dir, -1)
+	ps, pr := r, other
+	if r.dir == recv {
+		ps, pr = other, r
+	}
 	err := env.startTransfer(key, ps, pr)
 	if err != nil {
-		pr.to.wake(err)
-		env.settleRecv(pr, err)
-	}
-	return err
-}
-
-// postRecv is postSend for the receiver.
-func (env *Environment) postRecv(key mailboxKey, pr *pendingRecv) error {
-	mb := env.mailbox(key)
-	if len(mb.sendQ) == 0 {
-		mb.recvQ = append(mb.recvQ, pr)
-		env.noteQueued(0, 1)
-		return nil
-	}
-	ps := mb.sendQ[0]
-	mb.sendQ = mb.sendQ[1:]
-	env.noteQueued(-1, 0)
-	err := env.startTransfer(key, ps, pr)
-	if err != nil {
-		ps.from.wake(err)
-		env.settleSend(ps, err)
+		other.who.wake(err)
+		env.settle(other, err)
 	}
 	return err
 }
@@ -553,17 +536,16 @@ func (env *Environment) postRecv(key mailboxKey, pr *pendingRecv) error {
 // startTransfer launches the network action of a matched pair; both
 // sides are resumed by ActionDone at completion. An error (malformed
 // route) leaves the records untouched for the caller to fail.
-func (env *Environment) startTransfer(key mailboxKey, ps *pendingSend, pr *pendingRecv) error {
-	a, err := env.model.Communicate(ps.from.host.Name, key.host, ps.task.Bytes)
+func (env *Environment) startTransfer(key mailboxKey, ps, pr *pending) error {
+	a, err := env.model.Communicate(ps.who.host.Name, key.host, ps.task.Bytes)
 	if err != nil {
 		return err
 	}
 	ps.action = a
-	ps.delivery = pr
-	pr.matched = ps
-	if mt := env.trace; mt != nil && ps.from.pajeC != "" {
-		ps.linkKey = mt.newKey()
-		mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.from.pajeC, ps.task.Name, ps.linkKey)
+	ps.peer, pr.peer = pr, ps
+	if mt := env.trace; mt != nil && ps.who.pajeC != "" {
+		ps.tag = mt.newKey()
+		mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.who.pajeC, ps.task.Name, ps.tag)
 	}
 	if a.Done() {
 		// Already finished (e.g. the route's link is down): defer the
@@ -576,85 +558,51 @@ func (env *Environment) startTransfer(key mailboxKey, ps *pendingSend, pr *pendi
 	return nil
 }
 
-// dequeueSend takes ps out of its mailbox's send queue, keeping the
-// order of the rest, and reports whether it was queued.
-func (env *Environment) dequeueSend(key mailboxKey, ps *pendingSend) bool {
+// dequeue takes r out of its mailbox's queue, keeping the order of the
+// rest, and reports whether it was queued.
+func (env *Environment) dequeue(key mailboxKey, r *pending) bool {
 	mb := env.mailbox(key)
-	for i, q := range mb.sendQ {
-		if q == ps {
-			mb.sendQ = append(mb.sendQ[:i], mb.sendQ[i+1:]...)
-			env.noteQueued(-1, 0)
+	for i := mb.head; i < len(mb.q); i++ {
+		if mb.q[i] == r {
+			mb.take(i)
+			env.noteQueued(r.dir, -1)
 			return true
 		}
 	}
 	return false
 }
 
-// dequeueRecv is dequeueSend for the receive queue.
-func (env *Environment) dequeueRecv(key mailboxKey, pr *pendingRecv) bool {
-	mb := env.mailbox(key)
-	for i, q := range mb.recvQ {
-		if q == pr {
-			mb.recvQ = append(mb.recvQ[:i], mb.recvQ[i+1:]...)
-			env.noteQueued(0, -1)
-			return true
-		}
-	}
-	return false
-}
-
-// abandonSend gives up a pendingSend whose owner is going away without
-// its block ending: a goroutine unwinding out of put (killed, or a
+// abandon gives up a record whose owner is going away without its block
+// ending: a goroutine unwinding out of rendezvous (killed, or a
 // contained panic), or a chain being killed. Three cases: a delivery is
 // still pending (matched, ActionDone not yet run) — the transfer keeps
 // flowing to the peer, the record is severed from its owner and left
 // ownerless for ActionDone to recycle; still queued — dequeue and
-// recycle now; already delivered (or never matched and dequeued by a
-// timeout) — nothing can reach it, recycle now. The caller has already
-// canceled any timeout timer.
-func (env *Environment) abandonSend(key mailboxKey, ps *pendingSend) {
-	if ps.delivery != nil {
-		ps.from, ps.ownerless = nil, true
+// recycle now; already delivered (or dequeued by a timeout) — the scan
+// finds nothing, nothing can reach it, recycle now. The caller has
+// already canceled any timeout timer.
+func (env *Environment) abandon(key mailboxKey, r *pending) {
+	if r.peer != nil {
+		r.who, r.ownerless = nil, true
 		return
 	}
-	if ps.action == nil {
-		env.dequeueSend(key, ps)
-	}
-	env.releaseSend(ps)
+	env.dequeue(key, r)
+	env.release(r)
 }
 
-// abandonRecv is abandonSend for the receiver side.
-func (env *Environment) abandonRecv(key mailboxKey, pr *pendingRecv) {
-	if pr.matched != nil {
-		pr.to, pr.ownerless = nil, true
+// expire is a rendezvous timeout firing: an in-flight transfer is
+// canceled, which wakes both sides with ErrCanceled; a record still
+// queued is taken out and its owner woken with ErrTimeout.
+func (env *Environment) expire(key mailboxKey, r *pending) {
+	ps := r
+	if r.dir == recv {
+		ps = r.peer
+	}
+	if ps != nil && ps.action != nil {
+		ps.action.Cancel() // a no-op on one that already ended
 		return
 	}
-	env.dequeueRecv(key, pr)
-	env.releaseRecv(pr)
-}
-
-// timeoutSend aborts a pending or in-flight Put.
-func (env *Environment) timeoutSend(key mailboxKey, ps *pendingSend) {
-	if ps.action != nil {
-		if !ps.action.Done() {
-			ps.action.Cancel() // wakes both sides with ErrCanceled
-		}
-		return
-	}
-	if env.dequeueSend(key, ps) {
-		ps.from.wake(ErrTimeout)
-	}
-}
-
-// timeoutRecv aborts a pending or in-flight Get.
-func (env *Environment) timeoutRecv(key mailboxKey, pr *pendingRecv) {
-	if pr.matched != nil {
-		if pr.matched.action != nil && !pr.matched.action.Done() {
-			pr.matched.action.Cancel()
-		}
-		return
-	}
-	if env.dequeueRecv(key, pr) {
-		pr.to.wake(ErrTimeout)
+	if env.dequeue(key, r) {
+		r.who.wake(ErrTimeout)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestRendezvousPoolingEquivalence runs the same Put/Get workload with
 // the rendezvous free lists on and off and requires identical
-// completion times: recycling pendingSend/pendingRecv records (and the
+// completion times: recycling pending records (and the
 // transfer actions they release) must be unobservable.
 func TestRendezvousPoolingEquivalence(t *testing.T) {
 	defer func(old bool) { pool.Enabled = old }(pool.Enabled)
@@ -57,8 +57,8 @@ func TestRendezvousPoolingEquivalence(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if env.sendPool.Len() == 0 && pooled {
-			t.Fatal("no pendingSend was ever pooled")
+		if env.pools[send].Len() == 0 && pooled {
+			t.Fatal("no send record was ever pooled")
 		}
 		return times
 	}

@@ -68,9 +68,6 @@ type Host struct {
 	// Properties carries free-form metadata (OS, arch...), used by GRAS
 	// to pick wire conversion behaviour.
 	Properties map[string]string
-
-	// Data is a cookie for the resource layer (surf.CPU).
-	Data any
 }
 
 // Property returns a host property or "" when absent.
@@ -90,9 +87,6 @@ type Link struct {
 
 	BandwidthTrace *trace.Trace
 	StateTrace     *trace.Trace
-
-	// Data is a cookie for the resource layer (surf.NetLink).
-	Data any
 }
 
 // Route is an ordered list of links joining two hosts. Routes returned

@@ -84,9 +84,10 @@ type chanKey struct {
 // pendingSend is one posted send; it observes its transfer as the
 // action's surf.Completion (ActionDone).
 type pendingSend struct {
+	w       *World
+	key     chanKey // where the record queues while unmatched; key.src is the sender
 	data    any
 	bytes   float64
-	src     int
 	proc    *core.Process
 	action  *surf.Action
 	eager   bool         // shipped before any receiver matched
@@ -98,12 +99,15 @@ type pendingSend struct {
 // receiver on success, then the outcome to both ends. An eager send
 // wakes the receiver (if one attached) before the sender, a rendezvous
 // the sender before the receiver — the order each protocol has always
-// resumed its ranks in, which the schedule's determinism rests on.
+// resumed its ranks in, which the schedule's determinism rests on. An
+// eager transfer that fails before any receiver attached is over: its
+// record leaves the queue, or a later Recv would attach to it and wait
+// for a completion that already happened.
 func (ps *pendingSend) ActionDone(_ *surf.Action, err error) {
-	eng, pr := ps.proc.Engine(), ps.recv
+	eng, pr := ps.w.eng, ps.recv
 	if pr != nil && err == nil {
 		pr.data = ps.data
-		pr.src = ps.src
+		pr.src = ps.key.src
 	}
 	if !ps.eager {
 		eng.Wake(ps.proc, err)
@@ -113,6 +117,14 @@ func (ps *pendingSend) ActionDone(_ *surf.Action, err error) {
 	ps.arrived = err == nil
 	if pr != nil {
 		eng.Wake(pr.proc, err)
+	} else if err != nil {
+		q := ps.w.sendQ[ps.key]
+		for i := range q {
+			if q[i] == ps {
+				ps.w.sendQ[ps.key] = append(q[:i], q[i+1:]...)
+				break
+			}
+		}
 	}
 	eng.Wake(ps.proc, err)
 }
@@ -247,7 +259,7 @@ func (r *Rank) Send(dst, tag int, data any, bytes float64) error {
 	} else if q := w.recvQ[anyKey]; len(q) > 0 {
 		pr, w.recvQ[anyKey] = q[0], q[1:]
 	}
-	ps := &pendingSend{data: data, bytes: bytes, src: r.rank, proc: r.proc}
+	ps := &pendingSend{w: w, key: key, data: data, bytes: bytes, proc: r.proc}
 	if pr != nil {
 		if err := w.startTransfer(ps, pr, dst); err != nil {
 			return err
@@ -298,7 +310,7 @@ func (r *Rank) Recv(src, tag int) (any, int, error) {
 	switch {
 	case ps != nil && ps.arrived:
 		// Eager message already delivered locally: no waiting at all.
-		return ps.data, ps.src, nil
+		return ps.data, ps.key.src, nil
 	case ps != nil && ps.action != nil:
 		// Eager transfer still in flight: attach and wait for it.
 		ps.recv = pr
@@ -320,7 +332,7 @@ func (r *Rank) Recv(src, tag int) (any, int, error) {
 // startTransfer launches the network action joining a matched
 // send/recv pair; ps.ActionDone wakes both ends.
 func (w *World) startTransfer(ps *pendingSend, pr *pendingRecv, dstRank int) error {
-	srcHost := w.hosts[ps.src]
+	srcHost := w.hosts[ps.key.src]
 	dstHost := w.hosts[dstRank]
 	a, err := w.model.Communicate(srcHost, dstHost, ps.bytes)
 	if err != nil {

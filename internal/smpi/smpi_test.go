@@ -584,3 +584,55 @@ func TestFailedEagerSendLeavesNoRecord(t *testing.T) {
 		t.Fatalf("sender's Sleep(10) returned %v at t=%g, want nil at t=10", sleepErr, sleptUntil)
 	}
 }
+
+// TestEagerSendLostInFlightLeavesNoRecord: an eager Send whose transfer
+// dies in flight (its link fails at t=1) with no receiver attached is
+// over, and its record with it. The Recv posted at t=3 must match the
+// second Send, not attach to the dead transfer — it used to, and the run
+// ended deadlocked with rank 1 waiting for a completion long past.
+func TestEagerSendLostInFlightLeavesNoRecord(t *testing.T) {
+	pf := platform.New()
+	hosts := []string{"a", "b"}
+	for _, h := range hosts {
+		if err := pf.AddHost(&platform.Host{Name: h, Power: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pf.AddRoute("a", "b", []*platform.Link{{Name: "l", Bandwidth: 100, Latency: 0.1}}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(pf, exact(), hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.eng.At(1, func() { w.model.FailLink("l") })
+	w.eng.At(2, func() { w.model.RestoreLink("l") })
+	var lostErr error
+	var got any
+	if err := w.Run(func(r *Rank) error {
+		if r.Rank() == 0 {
+			lostErr = r.Send(1, 0, "lost", 1000) // 10 s on the wire
+			if err := r.proc.Sleep(5); err != nil {
+				return err
+			}
+			return r.Send(1, 0, "second", 8)
+		}
+		if err := r.proc.Sleep(3); err != nil {
+			return err
+		}
+		var err error
+		got, _, err = r.Recv(0, 0)
+		return err
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !errors.Is(lostErr, surf.ErrLinkFailed) {
+		t.Errorf("first Send = %v, want ErrLinkFailed", lostErr)
+	}
+	if got != "second" {
+		t.Errorf("Recv = %v, want \"second\"", got)
+	}
+	if n := len(w.sendQ[chanKey{src: 0, dst: 1, tag: 0}]); n != 0 {
+		t.Errorf("%d send records left queued", n)
+	}
+}

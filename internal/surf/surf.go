@@ -399,19 +399,13 @@ type Model struct {
 	// under -tags=nopool.
 	actPool pool.List[*Action]
 
-	// routeRes caches per-route transfer state — the resolved resource
-	// list and the diagnostic "comm src->dst" name — keyed by the
-	// shared *platform.Route the platform's own cache hands out: a
+	// routes is the one cache of resolved routes (RouteHandle), keyed by
+	// the shared *platform.Route the platform's own cache hands out: a
 	// topology mutation bumps the platform generation, Route returns a
 	// fresh pointer, and the stale entries are dropped wholesale at the
-	// generation change. Cached slices are shared and read-only.
-	routeRes    map[*platform.Route]*routeEntry
-	routeResGen uint64
-
-	// routeHandles backs the shared RouteHandles: one per pair for the
-	// model's lifetime, so callers that start many transfers on the
-	// same placement (simdag tasks, schedulers) pay the lookups once.
-	routeHandles map[[2]string]*RouteHandle
+	// generation change.
+	routes    map[*platform.Route]*RouteHandle
+	routesGen uint64
 
 	nextSeq int64 // action creation counter (completion-sort tie-break)
 
@@ -472,7 +466,6 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		}
 		r.cnst = m.sys.NewConstraint(r.nominal)
 		r.cnst.Data = r
-		h.Data = r
 		m.cpus[h.Name] = r
 		m.resList = append(m.resList, r)
 		m.scheduleTraces(r, h.Availability, h.StateTrace)
@@ -484,7 +477,7 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		ends[e.Link.Name] = [2]string{e.A, e.B}
 	}
 	for _, l := range pf.Links() {
-		mk := func(key string) *resource {
+		mk := func(key string) {
 			r := &resource{
 				name:    key,
 				nominal: l.Bandwidth * cfg.BandwidthFactor,
@@ -501,15 +494,13 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 			m.links[key] = r
 			m.resList = append(m.resList, r)
 			m.scheduleTraces(r, l.BandwidthTrace, l.StateTrace)
-			return r
 		}
 		if ep, ok := ends[l.Name]; ok && l.Policy == platform.SplitDuplex {
 			// One independent constraint per direction.
 			mk(l.Name + "->" + ep[0])
-			r := mk(l.Name + "->" + ep[1])
-			l.Data = r
+			mk(l.Name + "->" + ep[1])
 		} else {
-			l.Data = mk(l.Name)
+			mk(l.Name)
 		}
 	}
 	return m
@@ -673,81 +664,46 @@ func (m *Model) routeResources(src, dst string, links []*platform.Link) ([]*reso
 	return out, nil
 }
 
-// routeEntry is the cached per-route transfer state.
-type routeEntry struct {
-	rs   []*resource // resolved directed resources, shared, read-only
-	name string      // "comm src->dst" diagnostic action name
+// RouteHandle is a resolved communication placement (ordered host
+// pair): the route, the directed resources it crosses (shared,
+// read-only) and the diagnostic "comm src->dst" action name. Every
+// transfer goes through one; callers that start many between the same
+// endpoints (simdag tasks) keep theirs and skip the lookups per call.
+type RouteHandle struct {
+	route *platform.Route
+	rs    []*resource
+	name  string
+	gen   uint64 // platform generation the entry was resolved under
 }
 
-// resolveRoute is routeResources behind a per-route cache: the
-// platform's Route cache hands out one shared *Route per pair and
-// generation, so the resolved resource list (and the diagnostic comm
-// name) can be memoized on that pointer — a repeat transfer between
-// the same hosts (the steady state of any workload) resolves with one
-// map hit and zero allocation.
-func (m *Model) resolveRoute(src, dst string, route *platform.Route) (*routeEntry, error) {
-	if gen := m.pf.Generation(); m.routeRes == nil || gen != m.routeResGen {
-		m.routeRes = make(map[*platform.Route]*routeEntry)
-		m.routeResGen = gen
+// Endpoints returns the handle's (src, dst) pair.
+func (h *RouteHandle) Endpoints() (src, dst string) { return h.route.Src, h.route.Dst }
+
+// RouteHandle resolves an ordered host pair to its shared transfer
+// handle: unknown hosts or a missing route are reported immediately.
+// The platform's Route cache hands out one shared *Route per pair and
+// generation, so a repeat transfer between the same hosts (the steady
+// state of any workload) resolves with two map hits and no allocation.
+func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
+	route, err := m.pf.Route(src, dst)
+	if err != nil {
+		return nil, err
 	}
-	if re, ok := m.routeRes[route]; ok {
-		return re, nil
+	gen := m.pf.Generation()
+	if m.routes == nil || gen != m.routesGen {
+		m.routes = make(map[*platform.Route]*RouteHandle)
+		m.routesGen = gen
+	}
+	if h, ok := m.routes[route]; ok {
+		return h, nil
 	}
 	rs, err := m.routeResources(src, dst, route.Links)
 	if err != nil {
 		return nil, err
 	}
-	re := &routeEntry{rs: rs, name: "comm " + src + "->" + dst}
-	m.routeRes[route] = re
-	return re, nil
-}
-
-// RouteHandle is a resolved communication placement (ordered host
-// pair): callers that start many transfers between the same endpoints
-// fetch it once and skip the route and resource lookups per call. The
-// handle revalidates itself against the platform's topology generation,
-// so it stays correct across topology mutations.
-type RouteHandle struct {
-	src, dst string
-	gen      uint64
-	route    *platform.Route
-	re       *routeEntry
-}
-
-// Endpoints returns the handle's (src, dst) pair.
-func (h *RouteHandle) Endpoints() (src, dst string) { return h.src, h.dst }
-
-// RouteHandle resolves an ordered host pair to its shared transfer
-// handle. It fails like Communicate would: unknown hosts or a missing
-// route are reported immediately.
-func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
-	key := [2]string{src, dst}
-	if h, ok := m.routeHandles[key]; ok {
-		return h, nil
-	}
-	h := &RouteHandle{src: src, dst: dst}
-	if err := m.revalidate(h); err != nil {
-		return nil, err
-	}
-	if m.routeHandles == nil {
-		m.routeHandles = make(map[[2]string]*RouteHandle)
-	}
-	m.routeHandles[key] = h
+	h := &RouteHandle{route: route, rs: rs, name: "comm " + src + "->" + dst, gen: gen}
+	m.routes[route] = h
 	return h, nil
-}
-
-// revalidate re-resolves a route handle against the current topology.
-func (m *Model) revalidate(h *RouteHandle) error {
-	route, err := m.pf.Route(h.src, h.dst)
-	if err != nil {
-		return err
-	}
-	re, err := m.resolveRoute(h.src, h.dst, route)
-	if err != nil {
-		return err
-	}
-	h.route, h.re, h.gen = route, re, m.pf.Generation()
-	return nil
 }
 
 // Communicate starts a transfer of the given number of bytes between
@@ -755,36 +711,35 @@ func (m *Model) revalidate(h *RouteHandle) error {
 // bandwidth on every crossed link (the traversed direction only, for
 // split-duplex links), bounded by the TCP window cap.
 func (m *Model) Communicate(src, dst string, bytes float64) (*Action, error) {
-	route, err := m.pf.Route(src, dst)
+	h, err := m.RouteHandle(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	re, err := m.resolveRoute(src, dst, route)
-	if err != nil {
-		return nil, err
-	}
-	return m.communicateOn(route, re, bytes), nil
+	return m.communicateOn(h, bytes), nil
 }
 
-// CommunicateHandle is Communicate through a pre-resolved route handle
-// — no route or resource map lookups on the hot path (one generation
-// compare, and a re-resolve only after a topology mutation).
+// CommunicateHandle is Communicate through a handle the caller kept —
+// no map lookup on the hot path, one generation compare. A handle that
+// outlived a topology mutation refreshes itself from the current entry.
 func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error) {
 	if h == nil {
 		return nil, fmt.Errorf("surf: nil route handle")
 	}
 	if h.gen != m.pf.Generation() {
-		if err := m.revalidate(h); err != nil {
+		cur, err := m.RouteHandle(h.route.Src, h.route.Dst)
+		if err != nil {
 			return nil, err
 		}
+		*h = *cur
 	}
-	return m.communicateOn(h.route, h.re, bytes), nil
+	return m.communicateOn(h, bytes), nil
 }
 
 // communicateOn starts a transfer over a resolved route.
-func (m *Model) communicateOn(route *platform.Route, re *routeEntry, bytes float64) *Action {
+func (m *Model) communicateOn(h *RouteHandle, bytes float64) *Action {
+	route := h.route
 	lat := route.Latency() * m.cfg.LatencyFactor
-	a := m.newAction(ActionComm, re.name)
+	a := m.newAction(ActionComm, h.name)
 	a.remaining = bytes
 	a.priority = 1
 	a.latUntil = a.start + lat
@@ -813,7 +768,7 @@ func (m *Model) communicateOn(route *platform.Route, re *routeEntry, bytes float
 	a.v = m.sys.NewVariable(w, a.bound)
 	a.v.Data = a
 	a.resources = m.grabResources()
-	for _, r := range re.rs {
+	for _, r := range h.rs {
 		if !r.on {
 			a.done = true
 			a.err = ErrLinkFailed
@@ -903,15 +858,11 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 			if i == j || bytes[i][j] <= 0 {
 				continue
 			}
-			route, err := m.pf.Route(hosts[i], hosts[j])
+			h, err := m.RouteHandle(hosts[i], hosts[j])
 			if err != nil {
 				return reject(err)
 			}
-			re, err := m.resolveRoute(hosts[i], hosts[j], route)
-			if err != nil {
-				return reject(err)
-			}
-			for _, r := range re.rs {
+			for _, r := range h.rs {
 				if err := use(r, bytes[i][j]); err != nil {
 					return abort(err)
 				}

@@ -318,6 +318,51 @@ func TestMultiHopUsesAllLinks(t *testing.T) {
 	}
 }
 
+// TestRouteHandleOneCache: Communicate and RouteHandle resolve a pair
+// through the same entry, and a handle kept across a topology mutation
+// (a → b re-routed over the fast link alone) refreshes itself from the
+// current entry on its next use.
+func TestRouteHandleOneCache(t *testing.T) {
+	p := platform.New()
+	p.AddHost(&platform.Host{Name: "a", Power: 1e9})
+	p.AddHost(&platform.Host{Name: "b", Power: 1e9})
+	fast := &platform.Link{Name: "fast", Bandwidth: 1e8, Latency: 0.001}
+	slow := &platform.Link{Name: "slow", Bandwidth: 5e7, Latency: 0.002}
+	p.AddRoute("a", "b", []*platform.Link{fast, slow})
+	e := core.New()
+	m := New(e, p, exactCfg())
+	kept, err := m.RouteHandle("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Spawn("f", nil, func(pr *core.Process) {
+		a, _ := m.Communicate("a", "b", 5e7) // 1 s at the slow link's rate + 3 ms
+		a.Wait(pr)
+		if again, _ := m.RouteHandle("a", "b"); again != kept || len(m.routes) != 1 {
+			t.Errorf("Communicate and RouteHandle resolved a->b separately (%d entries)", len(m.routes))
+		}
+		if err := p.AddRoute("a", "b", []*platform.Link{fast}); err != nil {
+			t.Error(err)
+		}
+		a, err := m.CommunicateHandle(kept, 5e7) // 0.5 s + 1 ms on the new route
+		if err != nil {
+			t.Errorf("CommunicateHandle on a stale handle: %v", err)
+			return
+		}
+		a.Wait(pr)
+		cur, _ := m.RouteHandle("a", "b")
+		if src, dst := kept.Endpoints(); src != "a" || dst != "b" || kept == cur || len(kept.rs) != 1 || kept.route != cur.route {
+			t.Errorf("stale handle after refresh: %+v, current entry %+v", kept, cur)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !approx(e.Now(), 1.003+0.501, 1e-6) {
+		t.Errorf("finished at %g, want 1.504", e.Now())
+	}
+}
+
 func TestIntraHostCommIsInstant(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
