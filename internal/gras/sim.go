@@ -65,7 +65,7 @@ func (w *World) Launch(name, hostName string, fn func(Node) error) error {
 	if !ok {
 		return fmt.Errorf("gras: host %q has unknown arch %q", hostName, h.Property("arch"))
 	}
-	n := &simNode{world: w, name: name, host: h, arch: arch}
+	n := &simNode{world: w, name: name, host: h, cpu: w.model.HostHandle(hostName), arch: arch}
 	w.nodes = append(w.nodes, n)
 	n.proc = w.eng.Spawn(name, h, func(p *core.Process) {
 		n.err = fn(n)
@@ -117,6 +117,7 @@ type simNode struct {
 	world *World
 	name  string
 	host  *platform.Host
+	cpu   *surf.HostHandle // the host's compute placement, resolved once
 	arch  Arch
 	proc  *core.Process
 
@@ -338,7 +339,7 @@ func (n *simNode) Bench(fn func()) (float64, error) {
 	dt := time.Since(t0).Seconds() * n.world.BenchScale //lint:allow det-wallclock execution-driven seam: real compute is measured once, then injected as simulated flops
 	// The measurement machine is taken as the reference: dt seconds of
 	// real work become dt × Power flops on this host.
-	a, err := n.world.model.Execute(n.host.Name, dt*n.host.Power, 1)
+	a, err := n.world.model.ExecuteHandle(n.cpu, dt*n.host.Power, 1)
 	if err != nil {
 		return dt, err
 	}

@@ -108,14 +108,6 @@ type Constraint struct {
 	remCap, load, r float64
 }
 
-// component is one connected component of the dirty scope, as ranges
-// into the solveVars/solveCnsts slices (collectScope appends each
-// component contiguously).
-type component struct {
-	v0, v1 int // solveVars[v0:v1]
-	c0, c1 int // solveCnsts[c0:c1]
-}
-
 // System holds variables and constraints and solves the allocation.
 // The zero value is not usable; call NewSystem.
 type System struct {
@@ -133,9 +125,10 @@ type System struct {
 	visitGen uint64 // current component-walk generation
 
 	// Scratch storage reused across solves (no steady-state allocation).
+	// solveVars/solveCnsts hold one component at a time, so they grow to
+	// the largest component, not to the largest dirty scope.
 	solveVars  []*Variable
 	solveCnsts []*Constraint
-	comps      []component
 	active     []*Variable
 	oldVals    []float64 // pre-solve values of solveVars, for Updated
 	updated    []*Variable
@@ -445,50 +438,11 @@ func (s *System) Solve() {
 	}
 }
 
-// collectScope fills s.solveVars/s.solveCnsts with the members of every
-// connected component containing a dirty element (or the whole system
-// when allDirty), clearing the dirty queues. Each component is laid out
-// contiguously and its ranges recorded in s.comps, so components are
-// solved independently. The walk is expressed as methods on scratch
-// fields, not closures: collectScope runs on every solve, and escaping
-// closures here would be a per-step allocation.
-func (s *System) collectScope() {
-	s.solveVars = s.solveVars[:0]
-	s.solveCnsts = s.solveCnsts[:0]
-	s.comps = s.comps[:0]
-	s.queue = s.queue[:0]
-	s.visitGen++
-	if s.allDirty {
-		for _, v := range s.vars {
-			s.walkComponentFrom(v, nil)
-		}
-		for _, c := range s.cnsts {
-			s.walkComponentFrom(nil, c)
-		}
-	} else {
-		for _, v := range s.dirtyVars {
-			s.walkComponentFrom(v, nil)
-		}
-		for _, c := range s.dirtyCnsts {
-			s.walkComponentFrom(nil, c)
-		}
-	}
-	for _, v := range s.dirtyVars {
-		v.dirtyQ = -1
-	}
-	for _, c := range s.dirtyCnsts {
-		c.dirty = false
-	}
-	s.dirtyVars = s.dirtyVars[:0]
-	s.dirtyCnsts = s.dirtyCnsts[:0]
-	s.allDirty = false
-}
-
-// scopeAddC marks a constraint visited, appending it to the scope and,
-// if it may lead to unvisited variables, to the walk worklist. Reached
-// from a variable (from != nil) a constraint with a single element
-// leads nowhere — the element is that variable's — so a private link is
-// recorded without being walked; the scope order is the same.
+// scopeAddC marks a constraint visited, appending it to the component
+// and, if it may lead to unvisited variables, to the walk worklist.
+// Reached from a variable (from != nil) a constraint with a single
+// element leads nowhere — the element is that variable's — so a private
+// link is recorded without being walked; the member order is the same.
 func (s *System) scopeAddC(c *Constraint, from *Variable) {
 	if c.sys == s && c.visit != s.visitGen {
 		c.visit = s.visitGen
@@ -511,12 +465,14 @@ func (s *System) scopeAddV(v *Variable) {
 	}
 }
 
-// walkComponentFrom walks the full component of one unvisited seed
-// (variable or constraint) before returning, so components land
-// contiguously in solveVars/solveCnsts; an already-visited (or
-// detached) seed contributes nothing.
-func (s *System) walkComponentFrom(v *Variable, c *Constraint) {
-	v0, c0 := len(s.solveVars), len(s.solveCnsts)
+// walkComponent fills solveVars/solveCnsts with the connected component
+// of one seed (variable or constraint), in walk order; a seed already
+// visited in this solve (or detached) leaves both empty. The walk is
+// methods on scratch fields, not closures: it runs for every dirty
+// element of every solve, and an escaping closure would be a per-step
+// allocation.
+func (s *System) walkComponent(v *Variable, c *Constraint) {
+	s.solveVars, s.solveCnsts = s.solveVars[:0], s.solveCnsts[:0]
 	if v != nil {
 		s.scopeAddV(v)
 	} else {
@@ -529,48 +485,65 @@ func (s *System) walkComponentFrom(v *Variable, c *Constraint) {
 			s.scopeAddV(e.v)
 		}
 	}
-	if len(s.solveVars) > v0 || len(s.solveCnsts) > c0 {
-		s.comps = append(s.comps, component{v0: v0, v1: len(s.solveVars), c0: c0, c1: len(s.solveCnsts)})
+}
+
+// solveFrom re-solves the component of one dirty seed as the walk
+// closes it and appends the variables whose value changed to Updated.
+func (s *System) solveFrom(v *Variable, c *Constraint) {
+	s.walkComponent(v, c)
+	sv, sc := s.solveVars, s.solveCnsts
+	if len(sv) == 0 && len(sc) == 0 {
+		return
+	}
+	s.stats.ScopeVars += uint64(len(sv))
+	s.stats.Components++
+	old := s.oldVals[:0]
+	for _, v := range sv {
+		old = append(old, v.value)
+	}
+	s.oldVals = old
+	s.active = solveComponent(sv, sc, s.active[:0])
+	for i, v := range sv {
+		if v.value != old[i] {
+			s.updated = append(s.updated, v)
+		}
 	}
 }
 
-// solve re-runs progressive filling on the dirty components, one
-// after the other, and records which variables changed value.
+// solve re-runs progressive filling on every component that holds a
+// dirty element (all of them when allDirty), one after the other in
+// seed order, and clears the dirty queues.
 func (s *System) solve() {
-	s.collectScope()
-	sv, sc := s.solveVars, s.solveCnsts
+	s.visitGen++
+	s.updated = s.updated[:0]
+	vars0, comps0 := s.stats.ScopeVars, s.stats.Components
+	seedVars, seedCnsts := s.dirtyVars, s.dirtyCnsts
+	if s.allDirty {
+		seedVars, seedCnsts = s.vars, s.cnsts
+	}
+	for _, v := range seedVars {
+		s.solveFrom(v, nil)
+	}
+	for _, c := range seedCnsts {
+		s.solveFrom(nil, c)
+	}
+	for _, v := range s.dirtyVars {
+		v.dirtyQ = -1
+	}
+	for _, c := range s.dirtyCnsts {
+		c.dirty = false
+	}
+	s.dirtyVars = s.dirtyVars[:0]
+	s.dirtyCnsts = s.dirtyCnsts[:0]
+	s.allDirty = false
 
 	s.stats.Solves++
-	s.stats.ScopeVars += uint64(len(sv))
-	s.stats.Components += uint64(len(s.comps))
-	if len(sv) > s.stats.MaxScopeVars {
-		s.stats.MaxScopeVars = len(sv)
+	if n := int(s.stats.ScopeVars - vars0); n > s.stats.MaxScopeVars {
+		s.stats.MaxScopeVars = n
 	}
-	if len(s.comps) > s.stats.MaxComponents {
-		s.stats.MaxComponents = len(s.comps)
+	if n := int(s.stats.Components - comps0); n > s.stats.MaxComponents {
+		s.stats.MaxComponents = n
 	}
-
-	// Remember pre-solve values to report changes.
-	oldVals := s.oldVals[:0]
-	for _, v := range sv {
-		oldVals = append(oldVals, v.value)
-	}
-	s.oldVals = oldVals
-
-	active := s.active
-	for _, cr := range s.comps {
-		active = solveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], active[:0])
-	}
-	s.active = active[:0]
-
-	// Report variables whose allocation changed.
-	updated := s.updated[:0]
-	for i, v := range sv {
-		if v.value != oldVals[i] {
-			updated = append(updated, v)
-		}
-	}
-	s.updated = updated
 }
 
 // solveComponent runs progressive filling on one connected component

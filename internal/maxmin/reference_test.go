@@ -3,6 +3,7 @@ package maxmin
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,20 +11,37 @@ import (
 	"repro/internal/pool/pooltest"
 )
 
+// refScope is the dirty scope of one reference solve in the shape Solve
+// gave it before it streamed: the members of every component laid out
+// contiguously in walk order, each component a pair of ranges plus the
+// seed its walk started from.
+type refScope struct {
+	vars  []*Variable
+	cnsts []*Constraint
+	comps []refComp
+}
+
+type refComp struct {
+	v0, v1 int // vars[v0:v1]
+	c0, c1 int // cnsts[c0:c1]
+	seedV  *Variable
+	seedC  *Constraint
+}
+
 // referenceSolve is Solve as it stood at PR 13 (ce66eea): the scope
 // walk (referenceCollectScope — the walk order is part of the result,
-// loads being accumulated in it), the per-component loop, the
-// multi-pass round (referenceSolveComponent) and the Updated rule. Its
-// two side arrays (loads by Constraint.idx, fixed by Variable.idx) are
-// local, so the reference depends on no scratch field the production
-// kernel may drop.
-func referenceSolve(s *System) {
+// loads being accumulated in it), the per-component loop over the whole
+// collected scope, the multi-pass round (referenceSolveComponent) and
+// the Updated rule. The scope and its side arrays (loads by
+// Constraint.idx, fixed by Variable.idx) are local, so the reference
+// depends on no scratch field the production kernel may drop.
+func referenceSolve(s *System) refScope {
 	if !s.Dirty() {
 		s.updated = s.updated[:0]
-		return
+		return refScope{}
 	}
-	referenceCollectScope(s)
-	sv, sc := s.solveVars, s.solveCnsts
+	scope := referenceCollectScope(s)
+	sv, sc := scope.vars, scope.cnsts
 	loads := make([]float64, len(s.cnsts))
 	fixed := make([]bool, len(s.vars))
 	oldVals := make([]float64, len(sv))
@@ -31,7 +49,7 @@ func referenceSolve(s *System) {
 		oldVals[i] = v.value
 	}
 	var active []*Variable
-	for _, cr := range s.comps {
+	for _, cr := range scope.comps {
 		active = referenceSolveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], loads, fixed, active[:0])
 	}
 	updated := s.updated[:0]
@@ -41,49 +59,49 @@ func referenceSolve(s *System) {
 		}
 	}
 	s.updated = updated
+	return scope
 }
 
-// referenceCollectScope is collectScope with every visited constraint
-// walked, single-element ones included (the production walk records
-// those without queueing them).
-func referenceCollectScope(s *System) {
-	s.solveVars = s.solveVars[:0]
-	s.solveCnsts = s.solveCnsts[:0]
-	s.comps = s.comps[:0]
-	s.queue = s.queue[:0]
+// referenceCollectScope is the whole-scope walk Solve used to make
+// before solving anything, with every visited constraint walked,
+// single-element ones included (the production walk records those
+// without queueing them).
+func referenceCollectScope(s *System) refScope {
+	var scope refScope
+	var queue []*Constraint
 	s.visitGen++
 	addC := func(c *Constraint) {
 		if c.sys == s && c.visit != s.visitGen {
 			c.visit = s.visitGen
-			s.solveCnsts = append(s.solveCnsts, c)
-			s.queue = append(s.queue, c)
+			scope.cnsts = append(scope.cnsts, c)
+			queue = append(queue, c)
 		}
 	}
 	addV := func(v *Variable) {
 		if v.sys == s && v.visit != s.visitGen {
 			v.visit = s.visitGen
-			s.solveVars = append(s.solveVars, v)
+			scope.vars = append(scope.vars, v)
 			for _, e := range v.cnsts {
 				addC(e.c)
 			}
 		}
 	}
 	walkFrom := func(v *Variable, c *Constraint) {
-		v0, c0 := len(s.solveVars), len(s.solveCnsts)
+		v0, c0 := len(scope.vars), len(scope.cnsts)
 		if v != nil {
 			addV(v)
 		} else {
 			addC(c)
 		}
-		for len(s.queue) > 0 {
-			cc := s.queue[len(s.queue)-1]
-			s.queue = s.queue[:len(s.queue)-1]
+		for len(queue) > 0 {
+			cc := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
 			for _, e := range cc.elems {
 				addV(e.v)
 			}
 		}
-		if len(s.solveVars) > v0 || len(s.solveCnsts) > c0 {
-			s.comps = append(s.comps, component{v0: v0, v1: len(s.solveVars), c0: c0, c1: len(s.solveCnsts)})
+		if len(scope.vars) > v0 || len(scope.cnsts) > c0 {
+			scope.comps = append(scope.comps, refComp{v0: v0, v1: len(scope.vars), c0: c0, c1: len(scope.cnsts), seedV: v, seedC: c})
 		}
 	}
 	if s.allDirty {
@@ -110,6 +128,52 @@ func referenceCollectScope(s *System) {
 	s.dirtyVars = s.dirtyVars[:0]
 	s.dirtyCnsts = s.dirtyCnsts[:0]
 	s.allDirty = false
+	return scope
+}
+
+// checkScope holds the Solve that got just ran to the reference scope
+// of the mirrored system: as many components and scope variables
+// counted, and — the production walk re-run from each component's seed
+// in turn under a fresh generation, which visits exactly what it
+// visited inside Solve, the structure being untouched since — the same
+// members in the same order, component by component.
+func checkScope(t *testing.T, where string, got *System, before SolveStats, want refScope) {
+	t.Helper()
+	after := got.Stats()
+	if nv, nc := int(after.ScopeVars-before.ScopeVars), int(after.Components-before.Components); nv != len(want.vars) || nc != len(want.comps) {
+		t.Fatalf("%s: solved %d vars in %d components; reference %d in %d", where, nv, nc, len(want.vars), len(want.comps))
+	}
+	varByID := make(map[int]*Variable, len(got.vars))
+	for _, v := range got.vars {
+		varByID[v.id] = v
+	}
+	cnstByID := make(map[int]*Constraint, len(got.cnsts))
+	for _, c := range got.cnsts {
+		cnstByID[c.id] = c
+	}
+	got.visitGen++
+	for k, cr := range want.comps {
+		if cr.seedV != nil {
+			got.walkComponent(varByID[cr.seedV.id], nil)
+		} else {
+			got.walkComponent(nil, cnstByID[cr.seedC.id])
+		}
+		wv, wc := want.vars[cr.v0:cr.v1], want.cnsts[cr.c0:cr.c1]
+		if len(got.solveVars) != len(wv) || len(got.solveCnsts) != len(wc) {
+			t.Fatalf("%s: component %d has %d vars, %d constraints; reference %d, %d", where, k,
+				len(got.solveVars), len(got.solveCnsts), len(wv), len(wc))
+		}
+		for i, v := range got.solveVars {
+			if v.id != wv[i].id {
+				t.Fatalf("%s: component %d variable %d is V%d, reference V%d", where, k, i, v.id, wv[i].id)
+			}
+		}
+		for i, c := range got.solveCnsts {
+			if c.id != wc[i].id {
+				t.Fatalf("%s: component %d constraint %d is C%d, reference C%d", where, k, i, c.id, wc[i].id)
+			}
+		}
+	}
 }
 
 // referenceSolveComponent is the multi-pass progressive-filling round
@@ -373,27 +437,9 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 
 	compare := func(step int) {
 		t.Helper()
+		before := got.Stats()
 		got.Solve()
-		referenceSolve(want)
-		if len(got.solveVars) != len(want.solveVars) || len(got.solveCnsts) != len(want.solveCnsts) || len(got.comps) != len(want.comps) {
-			t.Fatalf("seed %d step %d: scope of %d vars, %d constraints, %d components; reference %d, %d, %d", seed, step,
-				len(got.solveVars), len(got.solveCnsts), len(got.comps), len(want.solveVars), len(want.solveCnsts), len(want.comps))
-		}
-		for i, v := range got.solveVars {
-			if v.id != want.solveVars[i].id {
-				t.Fatalf("seed %d step %d: scope variable %d is V%d, reference V%d", seed, step, i, v.id, want.solveVars[i].id)
-			}
-		}
-		for i, c := range got.solveCnsts {
-			if c.id != want.solveCnsts[i].id {
-				t.Fatalf("seed %d step %d: scope constraint %d is C%d, reference C%d", seed, step, i, c.id, want.solveCnsts[i].id)
-			}
-		}
-		for i, cr := range got.comps {
-			if cr != want.comps[i] {
-				t.Fatalf("seed %d step %d: component %d spans %+v, reference %+v", seed, step, i, cr, want.comps[i])
-			}
-		}
+		checkScope(t, fmt.Sprintf("seed %d step %d", seed, step), got, before, referenceSolve(want))
 		gu, wu := got.Updated(), want.Updated()
 		if len(gu) != len(wu) {
 			t.Fatalf("seed %d step %d: Updated has %d entries, reference %d", seed, step, len(gu), len(wu))
@@ -487,5 +533,62 @@ func TestSolveKernelBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		seed := seed
 		pooltest.Replay(t, 1, func() []byte { return kernelChurn(t, seed) })
+	}
+}
+
+// TestSolveSeedsSharingAComponent is the case a solve that streams
+// component by component could plausibly get wrong: two dirty variables
+// in one component (the second seed must find it already solved and
+// contribute nothing — no second component, no member counted twice, no
+// variable reported twice) next to a dirty constraint nothing crosses (a
+// component of its own, with no variable). The counters are the values
+// the whole-scope solve produced for the same sequence.
+func TestSolveSeedsSharingAComponent(t *testing.T) {
+	type sys struct {
+		s      *System
+		shared *Constraint
+		vs     [3]*Variable
+	}
+	build := func() sys {
+		s := NewSystem()
+		y := sys{s: s, shared: s.NewConstraint(90)}
+		private := s.NewConstraint(20)
+		for i := range y.vs {
+			y.vs[i] = s.NewVariable(1, 0)
+			s.Expand(y.shared, y.vs[i], 1)
+		}
+		s.Expand(private, y.vs[1], 2)
+		return y
+	}
+	got, want := build(), build()
+	got.s.Solve()
+	referenceSolve(want.s)
+
+	for _, y := range []sys{got, want} {
+		y.s.SetBound(y.vs[2], 15) // first seed
+		y.s.SetWeight(y.vs[0], 3) // second seed, same component
+		y.s.NewConstraint(7)      // dirty, and crossed by nothing
+	}
+	before := got.s.Stats()
+	got.s.Solve()
+	checkScope(t, "second solve", got.s, before, referenceSolve(want.s))
+
+	var ids []int
+	for _, v := range got.s.Updated() {
+		ids = append(ids, v.id)
+	}
+	if fmt.Sprint(ids) != "[2 0]" {
+		t.Errorf("Updated = V%v, want V[2 0]", ids)
+	}
+	for i := range got.vs {
+		if g, w := got.vs[i].Value(), want.vs[i].Value(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("V%d = %v, reference %v", i, g, w)
+		}
+	}
+	if g, w := got.shared.Usage(), want.shared.Usage(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("shared usage = %v, reference %v", g, w)
+	}
+	if st, wantSt := got.s.Stats(), (SolveStats{Solves: 2, ScopeVars: 6, Components: 3, MaxScopeVars: 3, MaxComponents: 2}); st != wantSt {
+		t.Errorf("stats %+v, want %+v", st, wantSt)
 	}
 }

@@ -1,9 +1,12 @@
 package msg
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/platform"
+	"repro/internal/surf"
 )
 
 // actor is the paper's one notion of an MSG process: a named party on
@@ -19,11 +22,19 @@ import (
 // is killed, and how it is respawned.
 type actor struct {
 	env  *Environment
-	host *platform.Host
+	home *hostRec // the host the actor runs on
 	name string
 	pid  int
 
+	// The last send's destination and, once a transfer there has started,
+	// the route to it from home: kept while sends name the same host (sending),
+	// dropped by Migrate, re-validated by surf on a platform generation change.
+	peer  *hostRec
+	route *surf.RouteHandle
+
 	autoRestart bool
+	pajeOpen    bool  // a PSTATE push awaits its pop
+	slot        int32 // position in home.actors while alive
 
 	// OnFailure, when non-nil, is invoked in kernel context right before
 	// the actor is killed by a host failure (and before any restart is
@@ -31,8 +42,7 @@ type actor struct {
 	// event logs.
 	OnFailure func(err error)
 
-	pajeC    string // trace container alias ("" with tracing off)
-	pajeOpen bool   // a PSTATE push awaits its pop
+	pajeC string // trace container alias ("" with tracing off)
 
 	// The form: exactly one is set.
 	proc  *Process
@@ -43,7 +53,7 @@ type actor struct {
 func (a *actor) Env() *Environment { return a.env }
 
 // Host returns the host the actor runs on.
-func (a *actor) Host() *platform.Host { return a.host }
+func (a *actor) Host() *platform.Host { return a.home.host }
 
 // Name returns the actor's process name.
 func (a *actor) Name() string { return a.name }
@@ -63,24 +73,49 @@ const (
 	stateKilled  = "killed"
 )
 
-// register files the actor under its current host, where the
-// host-failure sweep finds its victims.
-func (env *Environment) register(a *actor) {
-	reg := env.byHost[a.host.Name]
-	if reg == nil {
-		reg = make(map[*actor]bool)
-		env.byHost[a.host.Name] = reg
+// add files a under the host, for the failure sweep to find; drop takes
+// it out again, the last entry moving into its slot.
+func (h *hostRec) add(a *actor) {
+	a.slot = int32(len(h.actors))
+	h.actors = append(h.actors, a)
+}
+
+func (h *hostRec) drop(a *actor) {
+	last := len(h.actors) - 1
+	moved := h.actors[last]
+	h.actors[a.slot], moved.slot = moved, a.slot
+	h.actors[last] = nil
+	h.actors = h.actors[:last]
+}
+
+// sending readies the send half of a rendezvous, for both forms: the
+// destination resolved to its record — the one kept from the last send if
+// that named the same host; an unknown host leaves what was kept alone —
+// and the task stamped and put on a record bound for the mailbox returned.
+func (a *actor) sending(task *Task, host string, channel int) (*pending, *mailbox, error) {
+	if a.peer == nil || a.peer.host.Name != host {
+		to := a.env.record(host)
+		if to == nil {
+			return nil, nil, fmt.Errorf("msg: unknown destination host %q", host)
+		}
+		a.peer, a.route = to, nil
 	}
-	reg[a] = true
+	if task == nil {
+		return nil, nil, errors.New("msg: nil task")
+	}
+	task.source, task.sender = a.home.host, a.proc // a chain has no *Process identity
+	r := a.env.grab(send, a)
+	r.task = task
+	return r, a.peer.mailbox(channel), nil
 }
 
 // enter starts an actor's life (first or restarted): registered under
 // its host, with a trace container of its own when tracing is on.
 func (a *actor) enter() {
 	env := a.env
-	env.register(a)
+	a.home.add(a)
 	if mt := env.trace; mt != nil {
-		a.pajeC = mt.tr.CreateContainer(env.eng.Now(), mt.procType, env.model.HostContainer(a.host.Name), a.name)
+		a.pajeC = mt.tr.CreateContainer(env.eng.Now(), mt.procType, env.model.HostContainer(a.home.host.Name), a.name)
 	}
 }
 
@@ -88,7 +123,7 @@ func (a *actor) enter() {
 // death marked "killed" before the container goes away.
 func (a *actor) leave(err error) {
 	env := a.env
-	delete(env.byHost[a.host.Name], a)
+	a.home.drop(a)
 	if a.pajeC == "" {
 		return
 	}
@@ -125,10 +160,11 @@ func (a *actor) end() {
 // peers), so the sweep's order is part of the replayable event log.
 // Victims marked for restart queue up in that same order and respawn
 // in it when the host recovers.
-func (env *Environment) hostStateChanged(h *platform.Host, up bool) {
+func (env *Environment) hostStateChanged(ph *platform.Host, up bool) {
+	h := env.record(ph.Name)
 	if up {
-		dead := env.restartQ[h.Name]
-		delete(env.restartQ, h.Name)
+		dead := h.restart
+		h.restart = nil
 		for _, a := range dead {
 			a.respawn()
 		}
@@ -137,10 +173,8 @@ func (env *Environment) hostStateChanged(h *platform.Host, up bool) {
 	if !env.KillOnHostFailure {
 		return
 	}
-	victims := make([]*actor, 0, len(env.byHost[h.Name]))
-	for a := range env.byHost[h.Name] { //lint:allow det-maprange victims are sorted by PID below before any observable effect
-		victims = append(victims, a)
-	}
+	// A copy: every kill edits h.actors, at once (chain) or on unwind.
+	victims := append([]*actor(nil), h.actors...)
 	sort.Slice(victims, func(i, j int) bool { return victims[i].pid < victims[j].pid })
 	for _, a := range victims {
 		if a.OnFailure != nil {
@@ -148,7 +182,7 @@ func (env *Environment) hostStateChanged(h *platform.Host, up bool) {
 		}
 		restart := a.autoRestart || env.RestartOnRecovery
 		if restart {
-			env.restartQ[h.Name] = append(env.restartQ[h.Name], a)
+			h.restart = append(h.restart, a)
 		}
 		a.kill(restart)
 	}
@@ -201,10 +235,7 @@ func (a *actor) respawn() {
 		return
 	}
 	old := a.proc
-	np, err := a.env.NewProcess(a.name, a.host.Name, old.fn)
-	if err != nil {
-		return // the host vanished from the platform: nothing to do
-	}
+	np := a.env.spawn(a.name, a.home, old.fn)
 	np.autoRestart = a.autoRestart
 	np.OnFailure = a.OnFailure
 	if old.cp.Daemon() {

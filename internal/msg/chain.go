@@ -275,9 +275,9 @@ type ChainProc struct {
 	exec       *surf.Action // in-flight compute
 	sleepTimer *core.Timer  // re-armed across Sleep steps (and reuses)
 	rec        *pending     // in-flight/queued Put or Get record
-	pendKey    mailboxKey   // mailbox of the queued record, for kill dequeue
+	pendBox    *mailbox     // mailbox of the queued record, for kill dequeue
 
-	restartPending bool // killed by host failure, parked in restartQ
+	restartPending bool // killed by host failure, in its host's restart queue
 	inRun          bool // the interpreter loop is on the stack
 	releasePending bool // terminated inside run(): recycle at loop exit
 }
@@ -287,7 +287,7 @@ type ChainProc struct {
 // current instant when called inside the simulation) up to its first
 // blocking step. cfg may be nil.
 func (env *Environment) StartChain(name, hostName string, spec *Chain, cfg *ChainConfig) (*ChainProc, error) {
-	h := env.pf.Host(hostName)
+	h := env.record(hostName)
 	if h == nil {
 		return nil, fmt.Errorf("msg: unknown host %q", hostName)
 	}
@@ -295,7 +295,7 @@ func (env *Environment) StartChain(name, hostName string, spec *Chain, cfg *Chai
 		return nil, errors.New("msg: nil chain")
 	}
 	c := env.grabChain()
-	c.actor = actor{env: env, host: h, name: name, chain: c}
+	c.actor = actor{env: env, home: h, name: name, chain: c}
 	c.spec = spec
 	if cap(c.counters) < spec.numLoops {
 		c.counters = make([]int, spec.numLoops)
@@ -321,14 +321,14 @@ func (c *ChainProc) start() {
 	if !c.daemon {
 		env.eng.AddLive(1)
 	}
-	env.chains[c.pid] = c
+	env.liveChains++
 	c.enter()
 	c.run()
 }
 
 // LiveChains returns the number of chains currently registered (not yet
 // terminated) — a test and diagnostics hook.
-func (env *Environment) LiveChains() int { return len(env.chains) }
+func (env *Environment) LiveChains() int { return env.liveChains }
 
 // --- ChainProc accessors (valid until termination) ----------------------
 
@@ -458,7 +458,7 @@ func (c *ChainProc) teardown(err error) {
 	if !c.daemon {
 		env.eng.AddLive(-1)
 	}
-	delete(env.chains, c.pid)
+	env.liveChains--
 	if c.onExit != nil {
 		c.onExit(err)
 	}
@@ -486,7 +486,7 @@ func (c *ChainProc) kill(err error) {
 	}
 	if r := c.rec; r != nil {
 		c.rec = nil
-		c.env.abandon(c.pendKey, r)
+		c.env.abandon(c.pendBox, r)
 	}
 	if c.sleepTimer != nil {
 		c.sleepTimer.Cancel()
@@ -524,7 +524,7 @@ func (c *ChainProc) stepCompute(st *chainStep) bool {
 		}
 		flops = c.task.Flops
 	}
-	a, err := c.env.model.Execute(c.host.Name, flops, 1)
+	a, err := c.env.model.ExecuteHandle(c.home.cpu, flops, 1)
 	if err != nil {
 		c.finish(err)
 		return false
@@ -611,34 +611,29 @@ func (c *ChainProc) stepPut(st *chainStep) {
 	default:
 		task = NewTask(st.name, st.flops, st.bytes)
 	}
-	if c.env.pf.Host(st.dest) == nil {
-		c.finish(fmt.Errorf("msg: unknown destination host %q", st.dest))
-		return
+	if r, mb, err := c.sending(task, st.dest, st.channel); err != nil {
+		c.finish(err)
+	} else {
+		c.arm(r, mb)
 	}
-	task.source = c.host
-	task.sender = nil // chains have no *Process identity
-
-	r := c.env.grab(send, &c.actor)
-	r.task = task
-	c.arm(r, mailboxKey{host: st.dest, channel: st.channel})
 }
 
 // stepGet arms a rendezvous receive on the chain's own host.
 func (c *ChainProc) stepGet(st *chainStep) {
 	r := c.env.grab(recv, &c.actor)
 	r.tag = c.pajeC
-	c.arm(r, mailboxKey{host: c.host.Name, channel: st.channel})
+	c.arm(r, c.home.mailbox(st.channel))
 }
 
 // arm blocks the chain on r and posts it: enqueue or match, like the
 // goroutine rendezvous. No frame will come back for the record, so it is
 // ownerless from the start; the transfer's completion advances the chain.
-func (c *ChainProc) arm(r *pending, key mailboxKey) {
+func (c *ChainProc) arm(r *pending, mb *mailbox) {
 	r.ownerless = true
-	c.rec, c.pendKey = r, key
+	c.rec, c.pendBox = r, mb
 	c.blockedOn = dirSimcall[r.dir]
 	c.begin(dirState[r.dir])
-	if err := c.env.post(key, r); err != nil {
+	if err := c.env.post(mb, r); err != nil {
 		c.env.settle(r, err)
 	}
 }

@@ -462,7 +462,7 @@ func TestChainKill(t *testing.T) {
 	if env.LiveChains() != 0 {
 		t.Errorf("LiveChains() = %d", env.LiveChains())
 	}
-	if got := len(env.mailbox(mailboxKey{host: "server", channel: 5}).q); got != 0 {
+	if got := len(env.hosts["server"].mailbox(5).q); got != 0 {
 		t.Errorf("killed receiver left %d queued records", got)
 	}
 	if !approx(env.Now(), 0.5, 1e-9) {

@@ -91,7 +91,7 @@ func (env *Environment) MetricsInto(r *instr.Registry) {
 	r.Gauge("msg.queued_sends").Set(float64(env.queued[send]))
 	r.Gauge("msg.queued_recvs").Set(float64(env.queued[recv]))
 	r.Gauge("msg.queued_peak").SetMax(float64(env.queuedPeak))
-	r.Gauge("msg.live_chains").Set(float64(len(env.chains)))
+	r.Gauge("msg.live_chains").Set(float64(env.liveChains))
 	r.SetPool("msg.send_pool", env.pools[send].Stat())
 	r.SetPool("msg.recv_pool", env.pools[recv].Stat())
 	r.SetPool("msg.chain_pool", env.chainPool.Stat())

@@ -21,23 +21,48 @@ func TestPendingSize(t *testing.T) {
 	}
 }
 
-// checkMailboxes asserts the one-queue invariant on every mailbox:
-// everything live faces the same way, every slot outside the live part
-// is nil, and the backlog counters equal the summed live lengths.
+// checkMailboxes asserts the one-queue invariant on every mailbox,
+// reached the way the kernel reaches them — through the host records,
+// the inline first-channel box and the others alike: everything live
+// faces the same way, every slot outside the live part is nil, and the
+// backlog counters equal the summed live lengths. It also audits the
+// records' own books: each is filed under its host's name, every actor
+// on it points back at it from the slot it says it is in.
 func checkMailboxes(t *testing.T, env *Environment) {
 	t.Helper()
 	var live [2]int
-	for key, mb := range env.mailboxes {
+	audit := func(host string, channel int, mb *mailbox) {
 		for i, r := range mb.q[:cap(mb.q)] {
 			switch inLive := i >= mb.head && i < len(mb.q); {
 			case !inLive && r != nil:
-				t.Errorf("t=%g %v: slot %d outside the live part [%d,%d) holds a record", env.Now(), key, i, mb.head, len(mb.q))
+				t.Errorf("t=%g %s:%d: slot %d outside the live part [%d,%d) holds a record", env.Now(), host, channel, i, mb.head, len(mb.q))
 			case inLive && r == nil:
-				t.Errorf("t=%g %v: live slot %d is nil", env.Now(), key, i)
+				t.Errorf("t=%g %s:%d: live slot %d is nil", env.Now(), host, channel, i)
 			case inLive && r.dir != mb.q[mb.head].dir:
-				t.Errorf("t=%g %v: slot %d faces %d, the head faces %d", env.Now(), key, i, r.dir, mb.q[mb.head].dir)
+				t.Errorf("t=%g %s:%d: slot %d faces %d, the head faces %d", env.Now(), host, channel, i, r.dir, mb.q[mb.head].dir)
 			case inLive:
 				live[r.dir]++
+			}
+		}
+	}
+	for name, h := range env.hosts {
+		if h.host.Name != name {
+			t.Errorf("record of %s filed under %s", h.host.Name, name)
+		}
+		if h.boxUsed {
+			audit(name, h.boxCh, &h.box)
+		} else if len(h.box.q) != 0 || len(h.more) != 0 {
+			t.Errorf("%s: mailboxes in use, the inline one unclaimed", name)
+		}
+		for channel, mb := range h.more {
+			if channel == h.boxCh {
+				t.Errorf("%s: channel %d has a second mailbox beside the inline one", name, channel)
+			}
+			audit(name, channel, mb)
+		}
+		for i, a := range h.actors {
+			if a.home != h || int(a.slot) != i {
+				t.Errorf("%s: actor %s (pid %d) in slot %d says slot %d of %s", name, a.name, a.pid, i, a.slot, a.home.host.Name)
 			}
 		}
 	}

@@ -87,14 +87,15 @@ type Process struct {
 type Environment struct {
 	eng   *core.Engine
 	model *surf.Model
-	pf    *platform.Platform
 
-	mailboxes map[mailboxKey]*mailbox
-	byHost    map[string]map[*actor]bool // live actors per host, both forms
+	// hosts is the one thing looked up by host name: a record per host an
+	// actor has run on or sent to. Actors hold their own host's and their
+	// last destination's, so the steady state looks nothing up.
+	hosts map[string]*hostRec
 
-	// Declarative activity chains (chain.go), the live population by
-	// PID: no goroutine stands for them in the kernel's own accounting.
-	chains map[int]*ChainProc
+	// liveChains counts the running chains (chain.go): no goroutine stands
+	// for them in the kernel's own accounting.
+	liveChains int
 
 	// Free lists for the rendezvous churn (off under -tags=nopool): a
 	// Put/Get cycle reuses scrubbed pending records, one list per
@@ -102,10 +103,6 @@ type Environment struct {
 	// chainPool recycles terminated ChainProcs the same way.
 	pools     [2]pool.List[*pending]
 	chainPool pool.List[*ChainProc]
-
-	// restartQ holds, per host, the actors killed by that host's failure
-	// that must respawn when it recovers, in kill (PID) order.
-	restartQ map[string][]*actor
 
 	// KillOnHostFailure controls whether processes on a failing host
 	// are killed (the paper's volatile-hosts behaviour). Default true.
@@ -125,9 +122,49 @@ type Environment struct {
 	retries    uint64
 }
 
-type mailboxKey struct {
-	host    string
-	channel int
+// hostRec is what MSG keeps per host, in one allocation with the mailbox
+// of the first channel used on it — for most hosts the only one.
+type hostRec struct {
+	host    *platform.Host
+	cpu     *surf.HostHandle // nil for a host added after the model was built
+	box     mailbox          // channel boxCh's, once boxUsed
+	boxCh   int
+	boxUsed bool
+	more    map[int]*mailbox // the other channels
+	actors  []*actor         // alive here, both forms; actor.slot indexes it
+	restart []*actor         // killed by the host's failure, to respawn at its recovery, in kill (PID) order
+}
+
+// record returns a host's record, made on first use, or nil for a name
+// the platform does not know.
+func (env *Environment) record(name string) *hostRec {
+	h := env.hosts[name]
+	if h == nil {
+		if ph := env.model.Platform().Host(name); ph != nil {
+			h = &hostRec{host: ph, cpu: env.model.HostHandle(name)}
+			env.hosts[name] = h
+		}
+	}
+	return h
+}
+
+// mailbox returns the host's mailbox for a channel, made on first use.
+func (h *hostRec) mailbox(channel int) *mailbox {
+	if !h.boxUsed {
+		h.boxUsed, h.boxCh = true, channel
+	}
+	if h.boxCh == channel {
+		return &h.box
+	}
+	mb := h.more[channel]
+	if mb == nil {
+		if h.more == nil {
+			h.more = make(map[int]*mailbox)
+		}
+		mb = &mailbox{}
+		h.more[channel] = mb
+	}
+	return mb
 }
 
 // dir is which way a rendezvous record faces. It indexes the
@@ -256,11 +293,7 @@ func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 	env := &Environment{
 		eng:               eng,
 		model:             surf.New(eng, pf, cfg),
-		pf:                pf,
-		mailboxes:         make(map[mailboxKey]*mailbox),
-		byHost:            make(map[string]map[*actor]bool),
-		chains:            make(map[int]*ChainProc),
-		restartQ:          make(map[string][]*actor),
+		hosts:             make(map[string]*hostRec),
 		KillOnHostFailure: true,
 	}
 	eng.ExternalBlocked = env.blockedChains
@@ -272,19 +305,17 @@ func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 // the call each is blocked in. Chains have no goroutine for the kernel
 // to count as blocked: its deadlock reports learn of them through this
 // hook (Engine.ExternalBlocked).
-func (env *Environment) blockedChains() ([]string, []core.SimcallKind) {
-	pids := make([]int, 0, len(env.chains))
-	for pid := range env.chains { //lint:allow det-maprange sorted below before any output
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	var names []string
-	var calls []core.SimcallKind
-	for _, pid := range pids {
-		c := env.chains[pid]
-		if c.daemon {
-			continue
+func (env *Environment) blockedChains() (names []string, calls []core.SimcallKind) {
+	var live []*ChainProc
+	for _, h := range env.hosts { //lint:allow det-maprange sorted below before any output
+		for _, a := range h.actors {
+			if a.chain != nil && !a.chain.daemon {
+				live = append(live, a.chain)
+			}
 		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].pid < live[j].pid })
+	for _, c := range live {
 		names = append(names, c.name)
 		calls = append(calls, c.blockedOn)
 	}
@@ -298,27 +329,32 @@ func (env *Environment) Engine() *core.Engine { return env.eng }
 func (env *Environment) Model() *surf.Model { return env.model }
 
 // Platform returns the simulated platform.
-func (env *Environment) Platform() *platform.Platform { return env.pf }
+func (env *Environment) Platform() *platform.Platform { return env.model.Platform() }
 
 // Now returns the current simulated time in seconds (MSG_get_clock).
 func (env *Environment) Now() float64 { return env.eng.Now() }
 
 // HostByName returns a platform host (MSG_get_host_by_name), or nil.
 func (env *Environment) HostByName(name string) *platform.Host {
-	return env.pf.Host(name)
+	return env.model.Platform().Host(name)
 }
 
 // NewProcess creates a process on a host. fn runs in simulation
 // context; returning an error records it as the process's termination
 // cause. Processes created before Run start at time 0.
 func (env *Environment) NewProcess(name, hostName string, fn func(*Process) error) (*Process, error) {
-	h := env.pf.Host(hostName)
+	h := env.record(hostName)
 	if h == nil {
 		return nil, fmt.Errorf("msg: unknown host %q", hostName)
 	}
+	return env.spawn(name, h, fn), nil
+}
+
+// spawn is NewProcess on a resolved host.
+func (env *Environment) spawn(name string, h *hostRec, fn func(*Process) error) *Process {
 	p := &Process{fn: fn}
-	p.actor = actor{env: env, host: h, name: name, proc: p}
-	p.cp = env.eng.Spawn(name, h, func(cp *core.Process) {
+	p.actor = actor{env: env, home: h, name: name, proc: p}
+	p.cp = env.eng.Spawn(name, h.host, func(cp *core.Process) {
 		if err := fn(p); err != nil {
 			cp.SetErr(err)
 		}
@@ -326,7 +362,7 @@ func (env *Environment) NewProcess(name, hostName string, fn func(*Process) erro
 	p.pid = p.cp.PID()
 	p.enter()
 	p.cp.OnExit(p.leave)
-	return p, nil
+	return p
 }
 
 // Run executes the simulation until every non-daemon process finished.
@@ -385,17 +421,18 @@ func (p *Process) Spawn(name, hostName string, fn func(*Process) error) (*Proces
 // location. Only the process itself may migrate (call it between
 // activities; an in-flight action stays on the old host).
 func (p *Process) Migrate(hostName string) error {
-	h := p.env.pf.Host(hostName)
+	h := p.env.record(hostName)
 	if h == nil {
 		return fmt.Errorf("msg: unknown host %q", hostName)
 	}
-	if h == p.host {
+	if h == p.home {
 		return nil
 	}
-	delete(p.env.byHost[p.host.Name], &p.actor)
-	p.host = h
-	p.cp.SetHost(h)
-	p.env.register(&p.actor)
+	p.home.drop(&p.actor)
+	p.home = h
+	p.peer, p.route = nil, nil // the kept route started at the old host
+	p.cp.SetHost(h.host)
+	h.add(&p.actor)
 	return nil
 }
 
@@ -407,7 +444,7 @@ func (p *Process) Execute(task *Task) error {
 
 // ExecuteWithPriority is Execute with a MaxMin sharing weight.
 func (p *Process) ExecuteWithPriority(task *Task, priority float64) error {
-	a, err := p.env.model.Execute(p.host.Name, task.Flops, priority)
+	a, err := p.env.model.ExecuteHandle(p.home.cpu, task.Flops, priority)
 	if err != nil {
 		return err
 	}
@@ -434,17 +471,10 @@ func (p *Process) Put(task *Task, destHost string, channel int) error {
 // PutWithTimeout is Put aborting with ErrTimeout after timeout seconds
 // (<= 0 means no timeout).
 func (p *Process) PutWithTimeout(task *Task, destHost string, channel int, timeout float64) error {
-	if p.env.pf.Host(destHost) == nil {
-		return fmt.Errorf("msg: unknown destination host %q", destHost)
+	r, mb, err := p.sending(task, destHost, channel)
+	if err == nil {
+		_, err = p.rendezvous(r, mb, timeout)
 	}
-	if task == nil {
-		return errors.New("msg: nil task")
-	}
-	task.source = p.host
-	task.sender = p
-	r := p.env.grab(send, &p.actor)
-	r.task = task
-	_, err := p.rendezvous(r, mailboxKey{host: destHost, channel: channel}, timeout)
 	return err
 }
 
@@ -459,13 +489,13 @@ func (p *Process) Get(channel int) (*Task, error) {
 func (p *Process) GetWithTimeout(channel int, timeout float64) (*Task, error) {
 	r := p.env.grab(recv, &p.actor)
 	r.tag = p.pajeC
-	return p.rendezvous(r, mailboxKey{host: p.host.Name, channel: channel}, timeout)
+	return p.rendezvous(r, p.home.mailbox(channel), timeout)
 }
 
 // rendezvous posts r on the mailbox and blocks the process until the
 // transfer it is matched into ends, or timeout seconds pass. It returns
 // the record's task: for a receive, handed over on success only.
-func (p *Process) rendezvous(r *pending, key mailboxKey, timeout float64) (*Task, error) {
+func (p *Process) rendezvous(r *pending, mb *mailbox, timeout float64) (*Task, error) {
 	env := p.env
 	var timer *core.Timer
 	// The single release point, on return AND on unwind (kill, contained
@@ -477,16 +507,16 @@ func (p *Process) rendezvous(r *pending, key mailboxKey, timeout float64) (*Task
 	defer func() {
 		timer.Cancel() // nil-safe: no timeout, no timer
 		if unwound {
-			env.abandon(key, r)
+			env.abandon(mb, r)
 			return
 		}
 		env.release(r)
 	}()
 	if timeout > 0 {
-		timer = env.eng.After(timeout, func() { env.expire(key, r) })
+		timer = env.eng.After(timeout, func() { env.expire(mb, r) })
 	}
 
-	err := env.post(key, r)
+	err := env.post(mb, r)
 	if err == nil {
 		p.begin(dirState[r.dir])
 		err = p.cp.BlockOn(dirSimcall[r.dir])
@@ -498,22 +528,12 @@ func (p *Process) rendezvous(r *pending, key mailboxKey, timeout float64) (*Task
 
 // --- Environment internals ----------------------------------------------
 
-func (env *Environment) mailbox(key mailboxKey) *mailbox {
-	mb := env.mailboxes[key]
-	if mb == nil {
-		mb = &mailbox{}
-		env.mailboxes[key] = mb
-	}
-	return mb
-}
-
 // post is one half of the rendezvous, shared by both directions and both
 // forms: start the transfer if the mailbox's head faces the other way,
 // queue the record otherwise. When the transfer cannot start, the party
 // that posted gets the error as the return value (and settles its own
 // record); the queued peer is resumed with it right here.
-func (env *Environment) post(key mailboxKey, r *pending) error {
-	mb := env.mailbox(key)
+func (env *Environment) post(mb *mailbox, r *pending) error {
 	if mb.head == len(mb.q) || mb.q[mb.head].dir == r.dir {
 		mb.q = append(mb.q, r)
 		env.noteQueued(r.dir, 1)
@@ -525,7 +545,7 @@ func (env *Environment) post(key mailboxKey, r *pending) error {
 	if r.dir == recv {
 		ps, pr = other, r
 	}
-	err := env.startTransfer(key, ps, pr)
+	err := env.startTransfer(ps, pr)
 	if err != nil {
 		other.who.wake(err)
 		env.settle(other, err)
@@ -534,10 +554,18 @@ func (env *Environment) post(key mailboxKey, r *pending) error {
 }
 
 // startTransfer launches the network action of a matched pair; both
-// sides are resumed by ActionDone at completion. An error (malformed
-// route) leaves the records untouched for the caller to fail.
-func (env *Environment) startTransfer(key mailboxKey, ps, pr *pending) error {
-	a, err := env.model.Communicate(ps.who.host.Name, key.host, ps.task.Bytes)
+// sides are resumed by ActionDone at completion. The sender's kept route
+// (actor.sending) is resolved here, not at Put: a missing one fails the pair
+// when it meets, not the sender when it posts. An error (no route,
+// malformed route) leaves the records untouched for the caller to fail.
+func (env *Environment) startTransfer(ps, pr *pending) (err error) {
+	from := ps.who
+	if from.route == nil {
+		if from.route, err = env.model.RouteHandle(from.home.host.Name, from.peer.host.Name); err != nil {
+			return err
+		}
+	}
+	a, err := env.model.CommunicateHandle(from.route, ps.task.Bytes)
 	if err != nil {
 		return err
 	}
@@ -560,8 +588,7 @@ func (env *Environment) startTransfer(key mailboxKey, ps, pr *pending) error {
 
 // dequeue takes r out of its mailbox's queue, keeping the order of the
 // rest, and reports whether it was queued.
-func (env *Environment) dequeue(key mailboxKey, r *pending) bool {
-	mb := env.mailbox(key)
+func (env *Environment) dequeue(mb *mailbox, r *pending) bool {
 	for i := mb.head; i < len(mb.q); i++ {
 		if mb.q[i] == r {
 			mb.take(i)
@@ -581,19 +608,19 @@ func (env *Environment) dequeue(key mailboxKey, r *pending) bool {
 // recycle now; already delivered (or dequeued by a timeout) — the scan
 // finds nothing, nothing can reach it, recycle now. The caller has
 // already canceled any timeout timer.
-func (env *Environment) abandon(key mailboxKey, r *pending) {
+func (env *Environment) abandon(mb *mailbox, r *pending) {
 	if r.peer != nil {
 		r.who, r.ownerless = nil, true
 		return
 	}
-	env.dequeue(key, r)
+	env.dequeue(mb, r)
 	env.release(r)
 }
 
 // expire is a rendezvous timeout firing: an in-flight transfer is
 // canceled, which wakes both sides with ErrCanceled; a record still
 // queued is taken out and its owner woken with ErrTimeout.
-func (env *Environment) expire(key mailboxKey, r *pending) {
+func (env *Environment) expire(mb *mailbox, r *pending) {
 	ps := r
 	if r.dir == recv {
 		ps = r.peer
@@ -602,7 +629,7 @@ func (env *Environment) expire(key mailboxKey, r *pending) {
 		ps.action.Cancel() // a no-op on one that already ended
 		return
 	}
-	if env.dequeue(key, r) {
+	if env.dequeue(mb, r) {
 		r.who.wake(ErrTimeout)
 	}
 }

@@ -185,12 +185,12 @@ var (
 	ErrNoRoute   = errors.New("platform: no route between hosts")
 )
 
-// AddHost registers a host. Power must be positive.
+// AddHost registers a host. Power must be positive (NaN is not).
 func (p *Platform) AddHost(h *Host) error {
 	if h.Name == "" {
 		return fmt.Errorf("%w: host with empty name", ErrUnknown)
 	}
-	if h.Power <= 0 {
+	if !(h.Power > 0) {
 		return fmt.Errorf("platform: host %q has non-positive power %g", h.Name, h.Power)
 	}
 	if _, dup := p.hosts[h.Name]; dup {
@@ -218,15 +218,16 @@ func (p *Platform) AddRouter(name string) error {
 }
 
 // AddLink registers a link. Bandwidth must be positive, latency
-// non-negative.
+// non-negative; NaN is neither, and the comparisons are written so that
+// it fails them. An infinite bandwidth is legal (an unlimited fatpipe).
 func (p *Platform) AddLink(l *Link) error {
 	if l.Name == "" {
 		return fmt.Errorf("%w: link with empty name", ErrUnknown)
 	}
-	if l.Bandwidth <= 0 {
+	if !(l.Bandwidth > 0) {
 		return fmt.Errorf("platform: link %q has non-positive bandwidth %g", l.Name, l.Bandwidth)
 	}
-	if l.Latency < 0 {
+	if !(l.Latency >= 0) {
 		return fmt.Errorf("platform: link %q has negative latency %g", l.Name, l.Latency)
 	}
 	if _, dup := p.links[l.Name]; dup {
@@ -339,19 +340,21 @@ func (p *Platform) Generation() uint64 { return p.gen }
 // Connect, ComputeRoutes, …) invalidates the whole cache at once. The
 // returned route is shared: callers must not mutate it.
 func (p *Platform) Route(src, dst string) (*Route, error) {
-	if _, ok := p.hosts[src]; !ok {
-		return nil, fmt.Errorf("%w: host %q", ErrUnknown, src)
-	}
-	if _, ok := p.hosts[dst]; !ok {
-		return nil, fmt.Errorf("%w: host %q", ErrUnknown, dst)
-	}
 	if p.routeCache == nil || p.cacheGen != p.gen {
 		p.routeCache = make(map[[2]string]*Route)
 		p.cacheGen = p.gen
 	}
 	key := [2]string{src, dst}
 	if r, ok := p.routeCache[key]; ok {
+		// Cached under this generation, so both hosts were checked then
+		// and still exist: hosts are only ever added.
 		return r, nil
+	}
+	if _, ok := p.hosts[src]; !ok {
+		return nil, fmt.Errorf("%w: host %q", ErrUnknown, src)
+	}
+	if _, ok := p.hosts[dst]; !ok {
+		return nil, fmt.Errorf("%w: host %q", ErrUnknown, dst)
 	}
 	r := &Route{Src: src, Dst: dst}
 	if src != dst {

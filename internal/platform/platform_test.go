@@ -28,6 +28,11 @@ func TestAddHostValidation(t *testing.T) {
 	if err := p.AddHost(&Host{Name: "", Power: 1}); err == nil {
 		t.Error("empty-name host accepted")
 	}
+	for _, power := range []float64{math.NaN(), -1, math.Inf(-1)} {
+		if err := p.AddHost(&Host{Name: "odd", Power: power}); err == nil {
+			t.Errorf("host with power %g accepted", power)
+		}
+	}
 	if err := p.AddRouter("a"); err == nil {
 		t.Error("router with host name accepted")
 	}
@@ -46,6 +51,22 @@ func TestAddLinkValidation(t *testing.T) {
 	}
 	if err := p.AddLink(mkLink("bad2", 1, -1)); err == nil {
 		t.Error("negative-latency link accepted")
+	}
+	// NaN compares false with everything: each field's test must be
+	// written so that NaN fails it.
+	if err := p.AddLink(mkLink("nanbw", math.NaN(), 0)); err == nil {
+		t.Error("NaN-bandwidth link accepted")
+	}
+	if err := p.AddLink(mkLink("nanlat", 1, math.NaN())); err == nil {
+		t.Error("NaN-latency link accepted")
+	}
+	p.AddHost(mkHost("a"))
+	p.AddHost(mkHost("b"))
+	if err := p.Connect("a", "b", mkLink("nanconn", 1, math.NaN())); err == nil || p.Link("nanconn") != nil {
+		t.Errorf("Connect registered a NaN-latency link (err %v)", err)
+	}
+	if err := p.AddLink(&Link{Name: "unlimited", Bandwidth: math.Inf(1), Policy: Fatpipe}); err != nil {
+		t.Errorf("infinite-bandwidth fatpipe rejected: %v", err)
 	}
 }
 
@@ -389,6 +410,14 @@ func TestJSONErrors(t *testing.T) {
 		`{`,
 		`{"unknown_field": 1}`,
 		`{"hosts": [{"name": "a", "power": 0}]}`,
+		// JSON has no NaN: the decoder refuses the token, so no capacity
+		// field can carry one in, whatever AddHost/AddLink would say.
+		`{"hosts": [{"name": "a", "power": NaN}]}`,
+		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": NaN, "latency": 0}]}`,
+		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": NaN}]}`,
+		`{"hosts": [{"name": "a", "power": -1}]}`,
+		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": -1, "latency": 0}]}`,
+		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": -1}]}`,
 		`{"hosts": [{"name": "a", "power": 1, "availability": "garbage here"}]}`,
 		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": 0, "policy": "warp"}]}`,
 		`{"hosts": [{"name": "a", "power": 1}], "edges": [{"a": "a", "b": "a", "link": "ghost"}]}`,

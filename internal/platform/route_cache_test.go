@@ -1,6 +1,9 @@
 package platform
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestRouteCache pins the per-pair memoization contract: repeated
 // lookups share one *Route, and any topology mutation invalidates the
@@ -80,4 +83,55 @@ func TestRouteCacheMissStaysUncached(t *testing.T) {
 	if _, err := p.Route("x", "y"); err != nil {
 		t.Fatalf("Route after AddRoute: %v", err)
 	}
+}
+
+// TestRouteLookupOutcomes pins what Route answers, hit or miss: the
+// cache is consulted before the endpoints are validated, so every
+// outcome is asked for cold, again warm (after hits filled the cache),
+// and after a topology mutation bumped the generation. A miss reports
+// the unknown source before the unknown destination, and ErrNoRoute
+// only for two known hosts.
+func TestRouteLookupOutcomes(t *testing.T) {
+	p := New()
+	for _, h := range []string{"a", "b", "c"} {
+		if err := p.AddHost(&Host{Name: h, Power: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.AddRoute("a", "b", []*Link{{Name: "ab", Bandwidth: 1, Latency: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		src, dst string
+		err      error  // nil: a route is found
+		text     string // the full error text
+	}{
+		{"a", "b", nil, ""},
+		{"b", "a", nil, ""},
+		{"c", "c", nil, ""},
+		{"a", "c", ErrNoRoute, `platform: no route between hosts: "a" -> "c"`},
+		{"a", "ghost", ErrUnknown, `platform: unknown element: host "ghost"`},
+		{"ghost", "a", ErrUnknown, `platform: unknown element: host "ghost"`},
+		{"ghost", "phantom", ErrUnknown, `platform: unknown element: host "ghost"`},
+		{"phantom", "phantom", ErrUnknown, `platform: unknown element: host "phantom"`},
+	}
+	ask := func(phase string) {
+		t.Helper()
+		for _, c := range cases {
+			r, err := p.Route(c.src, c.dst)
+			switch {
+			case c.err == nil && (err != nil || r == nil || r.Src != c.src || r.Dst != c.dst):
+				t.Errorf("%s: Route(%q, %q) = %+v, %v; want the route", phase, c.src, c.dst, r, err)
+			case c.err != nil && (r != nil || !errors.Is(err, c.err) || err.Error() != c.text):
+				t.Errorf("%s: Route(%q, %q) = %+v, %v; want %q", phase, c.src, c.dst, r, err, c.text)
+			}
+		}
+	}
+	ask("cold")
+	ask("warm")
+	if err := p.AddRouter("r"); err != nil { // any mutation: the cache is dropped whole
+		t.Fatal(err)
+	}
+	ask("after a generation bump")
+	ask("warm again")
 }

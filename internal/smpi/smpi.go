@@ -147,6 +147,7 @@ type Rank struct {
 	rank  int
 	proc  *core.Process
 	host  *platform.Host
+	cpu   *surf.HostHandle // the host's compute placement, resolved once
 	err   error
 }
 
@@ -181,7 +182,7 @@ func New(pf *platform.Platform, cfg surf.Config, hosts []string) (*World, error)
 func (w *World) Run(main func(*Rank) error) error {
 	w.ranks = make([]*Rank, len(w.hosts))
 	for i, hn := range w.hosts {
-		r := &Rank{world: w, rank: i, host: w.pf.Host(hn)}
+		r := &Rank{world: w, rank: i, host: w.pf.Host(hn), cpu: w.model.HostHandle(hn)}
 		w.ranks[i] = r
 		r.proc = w.eng.Spawn(fmt.Sprintf("rank%d", i), r.host, func(p *core.Process) {
 			r.err = main(r)
@@ -228,7 +229,7 @@ func (r *Rank) Compute(flops float64) error {
 // it is done and returns the simulated seconds it took.
 func (r *Rank) execute(flops float64) (float64, error) {
 	w := r.world
-	a, err := w.model.Execute(r.host.Name, flops, 1)
+	a, err := w.model.ExecuteHandle(r.cpu, flops, 1)
 	if err != nil {
 		return 0, err
 	}

@@ -682,8 +682,9 @@ func (h *RouteHandle) Endpoints() (src, dst string) { return h.route.Src, h.rout
 // RouteHandle resolves an ordered host pair to its shared transfer
 // handle: unknown hosts or a missing route are reported immediately.
 // The platform's Route cache hands out one shared *Route per pair and
-// generation, so a repeat transfer between the same hosts (the steady
-// state of any workload) resolves with two map hits and no allocation.
+// generation, so a repeat lookup costs two map hits (the platform's pair
+// cache, this model's handle by *Route) and no allocation; a caller that
+// keeps the handle (CommunicateHandle) pays neither.
 func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 	route, err := m.pf.Route(src, dst)
 	if err != nil {
