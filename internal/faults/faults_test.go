@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -228,6 +229,55 @@ func TestInjectorFlipsState(t *testing.T) {
 		if got[at] != w {
 			t.Errorf("t=%g: state %+v, want %+v", at, got[at], w)
 		}
+	}
+}
+
+// TestSameInstantReplayOrder pins the replay of same-instant events:
+// two hosts failing at once, a zero-length outage, and a link flapping
+// in place are applied in the schedule's order, by one timer.
+func TestSameInstantReplayOrder(t *testing.T) {
+	eng := core.New()
+	m := surf.New(eng, faultsPlatform(t), surf.DefaultConfig())
+	s := &Schedule{Events: []Event{
+		{At: 1, Name: "a"},
+		{At: 1, Name: "b"},
+		{At: 1, Name: "b", Up: true},
+		{At: 2, Name: "a", Up: true},
+		{At: 3, Name: "l0", Link: true},
+		{At: 3, Name: "l0", Link: true, Up: true},
+	}}
+	victim, err := m.Execute("b", 1e12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Arm(s, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	in.OnEvent = func(ev Event) {
+		log = append(log, fmt.Sprintf("%g %s %v a=%v b=%v l0=%v", eng.Now(), ev.Name, ev.Up,
+			m.HostUp("a"), m.HostUp("b"), m.LinkUp("l0")))
+	}
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"1 a false a=false b=true l0=true",
+		"1 b false a=false b=false l0=true",
+		"1 b true a=false b=true l0=true",
+		"2 a true a=true b=true l0=true",
+		"3 l0 false a=true b=true l0=false",
+		"3 l0 true a=true b=true l0=true",
+	}
+	if strings.Join(log, "\n") != strings.Join(want, "\n") {
+		t.Errorf("applied:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+	if !errors.Is(victim.Err(), surf.ErrHostFailed) {
+		t.Errorf("exec on b across its zero-length outage: err %v, want ErrHostFailed", victim.Err())
+	}
+	if p := eng.TimerPeak(); p != 1 {
+		t.Errorf("timer peak %d, want 1 for the whole schedule", p)
 	}
 }
 

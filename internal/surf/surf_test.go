@@ -2,7 +2,9 @@ package surf
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -504,6 +506,34 @@ func TestStateTraceRecovery(t *testing.T) {
 	}
 	if !approx(e.Now(), 3.5, 1e-6) {
 		t.Errorf("finished at %g, want 3.5", e.Now())
+	}
+}
+
+// TestPeriodicWrapSameInstant pins the wrap of a periodic trace whose
+// period equals its last timestamp and whose first event is at 0: the
+// last event of one period and the first of the next share an instant.
+// Another timer due at that instant, armed after the trace's timer last
+// fired, runs between the two events.
+func TestPeriodicWrapSameInstant(t *testing.T) {
+	p := testPlatform(t)
+	p.Host("h1").StateTrace = trace.MustNew("st",
+		[]trace.Event{{Time: 0, Value: 1}, {Time: 2, Value: 0}}, 2)
+	e := core.New()
+	m := New(e, p, exactCfg())
+	var log []string
+	m.OnHostStateChange = func(h *platform.Host, up bool) {
+		log = append(log, fmt.Sprintf("%g %s up=%v", e.Now(), h.Name, up))
+	}
+	e.At(1, func() {
+		e.At(2, func() { log = append(log, fmt.Sprintf("%g observer up=%v", e.Now(), m.HostUp("h1"))) })
+	})
+	e.MaxTime = 3
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	want := "2 h1 up=false\n2 observer up=false\n2 h1 up=true"
+	if got := strings.Join(log, "\n"); got != want {
+		t.Errorf("wrap instant:\n%s\nwant:\n%s", got, want)
 	}
 }
 
