@@ -1,10 +1,10 @@
 // Package faults implements deterministic fault injection: seeded
 // synthetic availability models (exponential and Weibull MTBF/MTTR per
 // host/link class) compiled into explicit failure/recovery schedules,
-// and an injector replaying a schedule onto a surf model through one
-// re-armable kernel timer — the same machinery as state traces, so a
-// "down" event carries exactly the FailHost/FailLink semantics the
-// rest of the stack already handles (processes killed and optionally
+// and an injector replaying a schedule onto a surf model through
+// surf's Replay — the loop that replays state traces — so a "down"
+// event carries exactly the FailHost/FailLink semantics the rest of
+// the stack already handles (processes killed and optionally
 // auto-restarted by msg, tasks failed and optionally rescheduled by
 // simdag).
 //
@@ -18,13 +18,14 @@
 package faults
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -101,57 +102,66 @@ type Schedule struct {
 // is a pure function of its arguments: same inputs, byte-identical
 // schedule (see WriteTo).
 func Compile(seed int64, p Params) (*Schedule, error) {
-	if p.Horizon <= 0 {
-		return nil, errors.New("faults: Params.Horizon must be > 0")
+	if !positive(p.Horizon) {
+		return nil, errors.New("faults: Params.Horizon must be finite and > 0")
 	}
 	s := &Schedule{Seed: seed}
 	for ci := range p.Classes {
 		c := &p.Classes[ci]
-		if c.MTBF <= 0 || c.MTTR <= 0 {
-			return nil, fmt.Errorf("faults: class %d (%s): MTBF and MTTR must be > 0", ci, c.Name)
-		}
-		if c.Dist == Weibull && !(c.Shape > 0) {
-			return nil, fmt.Errorf("faults: class %d (%s): Weibull needs Shape > 0", ci, c.Name)
+		up, down := c.scale(c.MTBF), c.scale(c.MTTR)
+		switch {
+		case !positive(c.MTBF) || !positive(c.MTTR):
+			return nil, fmt.Errorf("faults: class %d (%s): MTBF and MTTR must be finite and > 0", ci, c.Name)
+		case c.Dist == Weibull && !positive(c.Shape):
+			return nil, fmt.Errorf("faults: class %d (%s): Weibull needs a finite Shape > 0", ci, c.Name)
+		case !positive(up) || !positive(down):
+			// Γ(1+1/k) overflows for a shape below about 0.0058: the
+			// scale is 0 and no lifetime would ever advance the clock.
+			return nil, fmt.Errorf("faults: class %d (%s): lifetime scales %g, %g out of range", ci, c.Name, up, down)
 		}
 		for _, h := range c.Hosts {
-			s.compileResource(seed, c, h, false, p.Horizon)
+			s.compileResource(seed, c, up, down, h, false, p.Horizon)
 		}
 		for _, l := range c.Links {
-			s.compileResource(seed, c, l, true, p.Horizon)
+			s.compileResource(seed, c, up, down, l, true, p.Horizon)
 		}
 	}
-	// Per-resource streams are independent; the merged schedule is
-	// ordered by (time, kind, name, direction) — a total deterministic
-	// order with down before up at equal times, so a zero-length outage
-	// still flips the resource off and back on.
-	sort.Slice(s.Events, func(i, j int) bool {
-		a, b := s.Events[i], s.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Link != b.Link {
-			return !a.Link // host events first
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return !a.Up && b.Up
-	})
+	slices.SortStableFunc(s.Events, order)
 	return s, nil
 }
 
+// order is the merged schedule's order: time, hosts before links, name.
+// The sort is stable, so one resource's events at one instant keep
+// their draw order: a zero-length outage still flips the resource off
+// and back on, and a zero-length recovery back on and off.
+func order(a, b Event) int {
+	if a.At != b.At {
+		return cmp.Compare(a.At, b.At)
+	}
+	if a.Link != b.Link {
+		if a.Link {
+			return 1
+		}
+		return -1
+	}
+	return strings.Compare(a.Name, b.Name)
+}
+
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // compileResource unrolls one resource's alternating up/down lifetime
-// draws into events, from its own sub-seeded stream.
-func (s *Schedule) compileResource(seed int64, c *Class, name string, link bool, horizon float64) {
+// draws, of scales up and down, into events from its own sub-seeded
+// stream.
+func (s *Schedule) compileResource(seed int64, c *Class, up, down float64, name string, link bool, horizon float64) {
 	rng := rand.New(rand.NewSource(seed ^ subSeed(name, link)))
 	t := 0.0
 	for {
-		t += draw(rng, c, c.MTBF) // up-time until the next failure
+		t += c.draw(rng, up) // up-time until the next failure
 		if t >= horizon {
 			return
 		}
 		s.Events = append(s.Events, Event{At: t, Name: name, Link: link})
-		t += draw(rng, c, c.MTTR) // down-time until recovery
+		t += c.draw(rng, down) // down-time until recovery
 		// The paired recovery is always emitted, even past the horizon:
 		// campaigns end with every resource back up.
 		s.Events = append(s.Events, Event{At: t, Name: name, Link: link, Up: true})
@@ -172,19 +182,24 @@ func subSeed(name string, link bool) int64 {
 	return int64(h.Sum64())
 }
 
-// draw samples one lifetime with the class's distribution and the
-// given mean.
-func draw(rng *rand.Rand, c *Class, mean float64) float64 {
-	switch c.Dist {
-	case Weibull:
-		// X = λ·(−ln U)^(1/k) with λ chosen so E[X] = mean:
-		// λ = mean / Γ(1 + 1/k).
-		lambda := mean / math.Gamma(1+1/c.Shape)
+// scale is the lifetime scale λ giving the class's distribution the
+// given mean: the mean itself for Exponential, mean / Γ(1 + 1/k) for
+// Weibull.
+func (c *Class) scale(mean float64) float64 {
+	if c.Dist == Weibull {
+		return mean / math.Gamma(1+1/c.Shape)
+	}
+	return mean
+}
+
+// draw samples one lifetime of scale lambda: X = λ·(−ln U)^(1/k) for
+// Weibull, exponential with mean λ otherwise.
+func (c *Class) draw(rng *rand.Rand, lambda float64) float64 {
+	if c.Dist == Weibull {
 		u := rng.Float64()
 		return lambda * math.Pow(-math.Log(1-u), 1/c.Shape)
-	default:
-		return rng.ExpFloat64() * mean
 	}
+	return rng.ExpFloat64() * lambda
 }
 
 // Len returns the number of events.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -32,12 +34,95 @@ func TestCompileValidation(t *testing.T) {
 		{"zero mtbf", Params{Horizon: 10, Classes: []Class{{Hosts: []string{"h"}, MTTR: 1}}}},
 		{"zero mttr", Params{Horizon: 10, Classes: []Class{{Hosts: []string{"h"}, MTBF: 1}}}},
 		{"weibull no shape", Params{Horizon: 10, Classes: []Class{{Hosts: []string{"h"}, MTBF: 1, MTTR: 1, Dist: Weibull}}}},
+		{"infinite mttr", Params{Horizon: 10, Classes: []Class{{Hosts: []string{"h"}, MTBF: 1, MTTR: math.Inf(1)}}}},
+		{"nan shape", Params{Horizon: 10, Classes: []Class{{Hosts: []string{"h"}, MTBF: 1, MTTR: 1, Dist: Weibull, Shape: math.NaN()}}}},
+		{"infinite shape", Params{Horizon: 10, Classes: []Class{{Hosts: []string{"h"}, MTBF: 1, MTTR: 1, Dist: Weibull, Shape: math.Inf(1)}}}},
 	}
 	for _, c := range cases {
 		if _, err := Compile(1, c.p); err == nil {
 			t.Errorf("%s: Compile accepted invalid params", c.name)
 		}
 	}
+}
+
+// TestCompileReturns: parameters that leave Compile's lifetime loop
+// unable to reach the horizon — an infinite horizon, a NaN mean, a
+// Weibull shape whose Γ(1+1/k) overflows to a zero scale — are
+// rejected. A runaway Compile allocates until the process is killed, so
+// each case runs against a deadline that takes the test binary down
+// with it.
+func TestCompileReturns(t *testing.T) {
+	class := func(mtbf, shape float64) []Class {
+		c := Class{Hosts: []string{"h"}, MTBF: mtbf, MTTR: 1}
+		if shape > 0 {
+			c.Dist, c.Shape = Weibull, shape
+		}
+		return []Class{c}
+	}
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{
+		{"horizon inf", Params{Horizon: math.Inf(1), Classes: class(3, 0)}},
+		{"mtbf nan", Params{Horizon: 10, Classes: class(math.NaN(), 0)}},
+		{"shape 0.005", Params{Horizon: 10, Classes: class(3, 0.005)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done, p := make(chan error, 1), tc.p
+			go func() { _, err := Compile(1, p); done <- err }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("Compile accepted %+v", tc.p)
+				}
+			case <-time.After(time.Second):
+				panic(fmt.Sprintf("%s: Compile did not return within 1s", tc.name))
+			}
+		})
+	}
+}
+
+// FuzzCompile: any one-class campaign compiles to an error or to a
+// schedule in Compile's order in which each resource alternates
+// down/up, starting down, ending up, every up at or after its down.
+// Horizons more than 1000 lifetime scales long are skipped: they are
+// slow, not wrong.
+func FuzzCompile(f *testing.F) {
+	f.Add(int64(1), 10.0, 3.0, 1.0, false, 0.0)
+	f.Add(int64(7), 200.0, 10.0, 8.0, true, 0.7)
+	f.Fuzz(func(t *testing.T, seed int64, horizon, mtbf, mttr float64, weibull bool, shape float64) {
+		c := Class{Hosts: []string{"h"}, Links: []string{"h"}, MTBF: mtbf, MTTR: mttr, Shape: shape}
+		if weibull {
+			c.Dist = Weibull
+		}
+		for _, lambda := range []float64{c.scale(mtbf), c.scale(mttr)} {
+			if positive(horizon) && positive(lambda) && horizon/lambda > 1000 {
+				t.Skip()
+			}
+		}
+		s, err := Compile(seed, Params{Horizon: horizon, Classes: []Class{c}})
+		if err != nil {
+			return
+		}
+		if !slices.IsSortedFunc(s.Events, order) {
+			t.Fatalf("schedule out of order:\n%s", s)
+		}
+		down := map[bool]*Event{} // open failure per resource (keyed by Link)
+		for i := range s.Events {
+			ev := &s.Events[i]
+			switch open := down[ev.Link]; {
+			case !ev.Up && open == nil:
+				down[ev.Link] = ev
+			case ev.Up && open != nil && ev.At >= open.At:
+				down[ev.Link] = nil
+			default:
+				t.Fatalf("event %d (%+v) does not pair with %+v:\n%s", i, *ev, open, s)
+			}
+		}
+		if down[false] != nil || down[true] != nil {
+			t.Fatalf("a resource ends down:\n%s", s)
+		}
+	})
 }
 
 // TestFaultScheduleDeterminism pins the tentpole's core contract: a
@@ -146,8 +231,9 @@ func TestResourceStreamIndependence(t *testing.T) {
 	}
 }
 
-// TestLifetimeMeans: sampled up-times track MTBF for both
-// distributions (law of large numbers, loose tolerance).
+// TestLifetimeMeans: sampled up-times track MTBF and down-times MTTR
+// for both distributions, so the uptime fraction is MTBF/(MTBF+MTTR)
+// (law of large numbers, loose tolerance).
 func TestLifetimeMeans(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -160,23 +246,26 @@ func TestLifetimeMeans(t *testing.T) {
 		c := tc.c
 		c.Hosts = []string{"h"}
 		s := mustCompile(t, 11, Params{Horizon: 200_000, Classes: []Class{c}})
-		var sum float64
+		var upSum, downSum float64
 		var n int
-		prevUp := 0.0
+		prev := 0.0
 		for _, ev := range s.Events {
-			if !ev.Up {
-				sum += ev.At - prevUp
-				n++
+			if ev.Up {
+				downSum += ev.At - prev
 			} else {
-				prevUp = ev.At
+				upSum += ev.At - prev
+				n++
 			}
+			prev = ev.At
 		}
 		if n < 1000 {
 			t.Fatalf("%s: only %d failures sampled", tc.name, n)
 		}
-		mean := sum / float64(n)
-		if math.Abs(mean-10) > 1.0 {
+		if mean := upSum / float64(n); math.Abs(mean-10) > 1.0 {
 			t.Errorf("%s: mean up-time %.3f, want ~10", tc.name, mean)
+		}
+		if mean := downSum / float64(n); math.Abs(mean-1) > 0.1 {
+			t.Errorf("%s: mean down-time %.3f, want ~1", tc.name, mean)
 		}
 	}
 }

@@ -3,15 +3,12 @@ package faults
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/instr"
 	"repro/internal/surf"
 )
 
-// Injector replays a compiled schedule onto a surf model. One
-// re-armable kernel timer carries a cursor through the events — the
-// same one-timer-per-stream shape surf uses for state traces — so a
-// campaign of any length costs a single timer and a single closure for
+// Injector replays a compiled schedule onto a surf model through
+// surf's Replay, so a campaign of any length costs a single timer for
 // the whole run.
 type Injector struct {
 	sched *Schedule
@@ -20,17 +17,17 @@ type Injector struct {
 	// It runs in kernel context: it must not issue simcalls. Set it
 	// before the first event fires (in practice, right after Arm).
 	OnEvent func(Event)
-	applied int
 
-	// Split of applied events into failures and recoveries (Up events),
-	// for the metrics snapshot.
+	// Split of applied events into failures and recoveries (Up events).
+	// The applied events are a prefix of the schedule, so their sum is
+	// also the replay cursor.
 	injections uint64
 	recoveries uint64
 }
 
 // Arm validates the schedule against the model's platform and arms the
-// replay timer. Events already in the past (At < now) are rejected —
-// an injector is armed before the run, not spliced into one.
+// replay. Events already in the past (At < now) are rejected — an
+// injector is armed before the run, not spliced into one.
 func Arm(sched *Schedule, m *surf.Model) (*Injector, error) {
 	pf := m.Platform()
 	for _, ev := range sched.Events {
@@ -42,30 +39,16 @@ func Arm(sched *Schedule, m *surf.Model) (*Injector, error) {
 			return nil, fmt.Errorf("faults: schedule names unknown host %q", ev.Name)
 		}
 	}
-	in := &Injector{sched: sched, m: m}
-	if len(sched.Events) == 0 {
-		return in, nil
-	}
-	now := m.Engine().Now()
-	if sched.Events[0].At < now {
+	if now := m.Engine().Now(); len(sched.Events) > 0 && sched.Events[0].At < now {
 		return nil, fmt.Errorf("faults: schedule starts at %g, before now (%g)", sched.Events[0].At, now)
 	}
-	// One cursor-carrying timer: fire, apply every event at this
-	// instant, re-arm at the next distinct time. Applying same-instant
-	// events in one firing keeps their relative order exactly the
-	// schedule's sort order regardless of timer-heap tie-breaking.
-	idx := 0
-	var tm *core.Timer
-	tm = m.Engine().At(sched.Events[0].At, func() {
-		at := sched.Events[idx].At
-		for idx < len(sched.Events) && sched.Events[idx].At == at {
-			in.apply(sched.Events[idx])
-			idx++
+	in := &Injector{sched: sched, m: m}
+	m.Replay(func() (float64, bool) {
+		if i := in.Applied(); i < len(sched.Events) {
+			return sched.Events[i].At, true
 		}
-		if idx < len(sched.Events) {
-			tm.Rearm(sched.Events[idx].At)
-		}
-	})
+		return 0, false
+	}, func() { in.apply(sched.Events[in.Applied()]) })
 	return in, nil
 }
 
@@ -89,7 +72,6 @@ func (in *Injector) apply(ev Event) {
 		// resources, so this is unreachable — but don't swallow it.
 		panic(err)
 	}
-	in.applied++
 	if ev.Up {
 		in.recoveries++
 	} else {
@@ -101,10 +83,7 @@ func (in *Injector) apply(ev Event) {
 }
 
 // Applied reports how many events have been injected so far.
-func (in *Injector) Applied() int { return in.applied }
-
-// Schedule returns the schedule this injector replays.
-func (in *Injector) Schedule() *Schedule { return in.sched }
+func (in *Injector) Applied() int { return int(in.injections + in.recoveries) }
 
 // MetricsInto dumps the injector's counters into r (faults.*
 // namespace): how many failure events were injected and how many

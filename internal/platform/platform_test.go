@@ -419,6 +419,13 @@ func TestJSONErrors(t *testing.T) {
 		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": -1, "latency": 0}]}`,
 		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": -1}]}`,
 		`{"hosts": [{"name": "a", "power": 1, "availability": "garbage here"}]}`,
+		// Trace strings do carry NaN in: the trace parser must refuse it.
+		`{"hosts": [{"name": "a", "power": 1, "availability": "0.5 NaN"}]}`,
+		`{"hosts": [{"name": "a", "power": 1, "state": "NaN 0"}]}`,
+		`{"hosts": [{"name": "a", "power": 1, "availability": "0.5 0\nNaN 1"}]}`,
+		`{"hosts": [{"name": "a", "power": 1, "availability": "PERIODICITY NaN\n0 1"}]}`,
+		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": 0, "bandwidth_trace": "0 NaN"}]}`,
+		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": 0, "state": "NaN 0"}]}`,
 		`{"hosts": [{"name": "a", "power": 1}], "links": [{"name": "l", "bandwidth": 1, "latency": 0, "policy": "warp"}]}`,
 		`{"hosts": [{"name": "a", "power": 1}], "edges": [{"a": "a", "b": "a", "link": "ghost"}]}`,
 		`{"hosts": [{"name": "a", "power": 1}], "routes": [{"src": "a", "dst": "a", "links": ["ghost"]}]}`,

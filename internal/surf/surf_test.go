@@ -511,9 +511,10 @@ func TestStateTraceRecovery(t *testing.T) {
 
 // TestPeriodicWrapSameInstant pins the wrap of a periodic trace whose
 // period equals its last timestamp and whose first event is at 0: the
-// last event of one period and the first of the next share an instant.
-// Another timer due at that instant, armed after the trace's timer last
-// fired, runs between the two events.
+// last event of one period and the first of the next share an instant,
+// and Replay applies both in one firing. Another timer due at that
+// instant, armed after the trace's timer last fired, sees the state
+// after both.
 func TestPeriodicWrapSameInstant(t *testing.T) {
 	p := testPlatform(t)
 	p.Host("h1").StateTrace = trace.MustNew("st",
@@ -531,7 +532,7 @@ func TestPeriodicWrapSameInstant(t *testing.T) {
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	want := "2 h1 up=false\n2 observer up=false\n2 h1 up=true"
+	want := "2 h1 up=false\n2 h1 up=true\n2 observer up=true"
 	if got := strings.Join(log, "\n"); got != want {
 		t.Errorf("wrap instant:\n%s\nwant:\n%s", got, want)
 	}

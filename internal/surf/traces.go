@@ -1,11 +1,6 @@
-// Trace-driven dynamics: availability traces rescale resource capacity
-// over time (external load), state traces toggle resources off and on
-// (transient failures). Each trace is driven by a single re-armable
-// engine timer carrying the trace iterator: the timer fires, applies
-// the change, pulls the next event off the iterator and re-arms itself
-// — so periodic traces unroll lazily with one timer and one closure per
-// trace for the whole run, instead of a fresh closure-carrying timer
-// per event.
+// Resource-state dynamics: availability traces rescale capacity; state
+// traces and fault campaigns (package faults) turn resources off and on.
+// Replay drives each such stream with one re-armable engine timer.
 
 package surf
 
@@ -14,42 +9,45 @@ import (
 	"repro/internal/trace"
 )
 
-// scheduleTraces arms the availability and state traces of a resource.
-// The empty-trace checks happen before the apply closures are built:
-// on trace-less platforms (the common case) constructing the model
-// must not allocate per-resource callbacks that would never fire.
+// Replay drives one time-ordered stream of resource-state events with one
+// engine timer. next reports the time of the first event not yet applied
+// (ok false once the stream is exhausted); apply applies that event and
+// moves past it. The timer applies every event due at its firing instant
+// in stream order, then re-arms at the next later time. A "down" event
+// fails every in-flight action crossing the resource (setResourceState).
+func (m *Model) Replay(next func() (at float64, ok bool), apply func()) {
+	at, ok := next()
+	if !ok {
+		return
+	}
+	var tm *core.Timer
+	tm = m.eng.At(at, func() {
+		for {
+			apply()
+			at, ok := next()
+			if !ok {
+				return // stream exhausted: the timer dies here
+			}
+			if at > m.eng.Now() {
+				tm.Rearm(at)
+				return
+			}
+		}
+	})
+}
+
+// scheduleTraces arms a resource's traces; trace-less ones allocate nothing.
 func (m *Model) scheduleTraces(r *resource, avail, state *trace.Trace) {
-	if avail != nil && avail.Len() > 0 {
+	if avail.Len() > 0 {
 		m.armTrace(avail, func(v float64) { m.setResourceAvail(r, v) })
 	}
-	if state != nil && state.Len() > 0 {
+	if state.Len() > 0 {
 		m.armTrace(state, func(v float64) { m.setResourceState(r, v > 0.5) })
 	}
 }
 
-// armTrace drives one trace with one iterator-carrying timer. A state
-// trace's "down" event reaches setResourceState, which fails every
-// in-flight action crossing the resource — processes see ErrHostFailed
-// or ErrLinkFailed, and kernel-level DAG tasks fail with their
-// dependents cancelled (package simdag).
 func (m *Model) armTrace(tr *trace.Trace, apply func(v float64)) {
-	if tr == nil || tr.Len() == 0 {
-		return
-	}
 	it := tr.Iter(m.eng.Now())
-	ts, v, ok := it.Next()
-	if !ok {
-		return
-	}
-	pending := v
-	var tm *core.Timer
-	tm = m.eng.At(ts, func() {
-		apply(pending)
-		nts, nv, ok := it.Next()
-		if !ok {
-			return // non-periodic trace exhausted: the timer dies here
-		}
-		pending = nv
-		tm.Rearm(nts)
-	})
+	m.Replay(func() (float64, bool) { ts, _, ok := it.Peek(); return ts, ok },
+		func() { _, v, _ := it.Next(); apply(v) })
 }

@@ -12,9 +12,8 @@
 // value forever.
 //
 // Key invariant: a trace is immutable once parsed, and Iter unrolls
-// periodic repetitions lazily — consumers (surf's one-timer-per-trace
-// driver) pull events one at a time, so an infinite periodic trace
-// costs O(1) memory for the whole run.
+// periodic repetitions lazily — surf's Replay pulls events one at a time,
+// so an infinite periodic trace costs O(1) memory for the whole run.
 package trace
 
 import (
@@ -22,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,35 +40,36 @@ type Event struct {
 type Trace struct {
 	events []Event
 	period float64 // 0 means non-periodic
-	name   string
 }
 
 // ErrBadTrace reports a malformed trace description.
 var ErrBadTrace = errors.New("trace: malformed trace")
 
-// New builds a trace from events. Events must be sorted by strictly
-// increasing time and have non-negative timestamps. If period > 0 the
-// trace repeats with that period; the period must be at least the last
-// event timestamp.
+// New builds a trace from events; name labels its errors. Timestamps,
+// values and the period must be finite; events must be sorted by
+// strictly increasing, non-negative time. If period > 0 the trace
+// repeats with that period, which must be at least the last timestamp.
 func New(name string, events []Event, period float64) (*Trace, error) {
 	for i, e := range events {
-		if e.Time < 0 {
-			return nil, fmt.Errorf("%w: negative timestamp %g", ErrBadTrace, e.Time)
-		}
-		if i > 0 && e.Time <= events[i-1].Time {
-			return nil, fmt.Errorf("%w: timestamps not strictly increasing at index %d", ErrBadTrace, i)
+		switch {
+		case !finite(e.Time) || !finite(e.Value):
+			return nil, fmt.Errorf("%w: %s: event %d (%g, %g) is not finite", ErrBadTrace, name, i, e.Time, e.Value)
+		case e.Time < 0:
+			return nil, fmt.Errorf("%w: %s: negative timestamp %g", ErrBadTrace, name, e.Time)
+		case i > 0 && e.Time <= events[i-1].Time:
+			return nil, fmt.Errorf("%w: %s: timestamps not strictly increasing at index %d", ErrBadTrace, name, i)
 		}
 	}
-	if period < 0 {
-		return nil, fmt.Errorf("%w: negative period %g", ErrBadTrace, period)
+	if !finite(period) || period < 0 {
+		return nil, fmt.Errorf("%w: %s: period %g", ErrBadTrace, name, period)
 	}
 	if period > 0 && len(events) > 0 && events[len(events)-1].Time > period {
-		return nil, fmt.Errorf("%w: period %g shorter than last event %g", ErrBadTrace, period, events[len(events)-1].Time)
+		return nil, fmt.Errorf("%w: %s: period %g shorter than last event %g", ErrBadTrace, name, period, events[len(events)-1].Time)
 	}
-	ev := make([]Event, len(events))
-	copy(ev, events)
-	return &Trace{events: ev, period: period, name: name}, nil
+	return &Trace{events: append([]Event(nil), events...), period: period}, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MustNew is New but panics on error; it is meant for static tables in
 // tests and examples.
@@ -137,41 +138,12 @@ func ParseString(name, s string) (*Trace, error) {
 	return Parse(name, strings.NewReader(s))
 }
 
-// Name returns the trace name.
-func (t *Trace) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Len returns the number of events in one period of the trace.
 func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
 	return len(t.events)
-}
-
-// Periodic reports whether the trace repeats.
-func (t *Trace) Periodic() bool { return t != nil && t.period > 0 }
-
-// Period returns the repeat period, or 0 for non-periodic traces.
-func (t *Trace) Period() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.period
-}
-
-// Events returns a copy of the trace events.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
 }
 
 // At returns the trace value at absolute time ts. Before the first event
@@ -230,13 +202,15 @@ func (t *Trace) Iter(from float64) *Iterator {
 }
 
 // Peek returns the absolute time and value of the next event without
-// consuming it. ok is false when the trace is exhausted.
+// consuming it. ok is false when the trace is exhausted — including a
+// periodic trace unrolled past the largest finite time.
 func (it *Iterator) Peek() (ts, v float64, ok bool) {
 	if it.idx < 0 || it.t == nil || len(it.t.events) == 0 {
 		return 0, 0, false
 	}
 	e := it.t.events[it.idx]
-	return it.offset + e.Time, e.Value, true
+	ts = it.offset + e.Time
+	return ts, e.Value, !math.IsInf(ts, 1)
 }
 
 // Next consumes and returns the next event. ok is false when the trace

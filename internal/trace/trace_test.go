@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -88,8 +89,8 @@ PERIODICITY 24
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !tr.Periodic() || tr.Period() != 24 {
-		t.Errorf("period = %g periodic=%v, want 24 true", tr.Period(), tr.Periodic())
+	if got := tr.At(24 + 1); got != 1 {
+		t.Errorf("At(25) = %g, want 1: PERIODICITY 24 not applied", got)
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d, want 3", tr.Len())
@@ -107,8 +108,8 @@ func TestParseLoopAfterAlias(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if tr.Period() != 10 {
-		t.Errorf("period = %g, want 10", tr.Period())
+	if got := tr.At(12); got != 1 {
+		t.Errorf("At(12) = %g, want 1: LOOPAFTER 10 not applied", got)
 	}
 }
 
@@ -126,6 +127,51 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
 	}
+}
+
+// TestParseRejectsNonFinite: NaN fails every sign and order comparison,
+// so only an explicit finiteness check refuses these — otherwise a NaN
+// value acts as a capacity, a NaN time as an event that never fires, a
+// NaN period as a non-periodic trace.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, src := range []string{
+		"0.5 NaN\n",
+		"NaN 0\n",
+		"0.5 0\nNaN 1\n",
+		"PERIODICITY NaN\n0 1\n",
+		"0 +Inf\n",
+		"Inf 1\n",
+		"PERIODICITY Inf\n0 1\n",
+	} {
+		if _, err := ParseString("bad", src); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("Parse(%q): err %v, want ErrBadTrace", src, err)
+		}
+	}
+}
+
+// FuzzParse: any input is an error or a trace whose iterator yields
+// finite values at finite, non-decreasing times.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{"PERIODICITY 24\n0 1\n8 0.5\n12 0.75\n", "0 1\n2 0\n", "LOOPAFTER 2\n0 1\n2 0\n"} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		tr, err := ParseString("fuzz", src)
+		if err != nil {
+			return
+		}
+		it, prev := tr.Iter(0), 0.0
+		for i := 0; i < 2*tr.Len()+4; i++ {
+			ts, v, ok := it.Next()
+			if !ok {
+				return
+			}
+			if !finite(ts) || !finite(v) || ts < prev {
+				t.Fatalf("event %d (%g, %g) after time %g", i, ts, v, prev)
+			}
+			prev = ts
+		}
+	})
 }
 
 func TestIteratorNonPeriodic(t *testing.T) {
@@ -199,12 +245,12 @@ func TestIteratorPeek(t *testing.T) {
 	}
 }
 
-func TestEventsReturnsCopy(t *testing.T) {
-	tr := MustNew("t", []Event{{1, 0.5}}, 0)
-	ev := tr.Events()
+func TestNewCopiesEvents(t *testing.T) {
+	ev := []Event{{1, 0.5}}
+	tr := MustNew("t", ev, 0)
 	ev[0].Value = 99
 	if tr.At(1) != 0.5 {
-		t.Error("Events() exposed internal state")
+		t.Error("New kept the caller's slice")
 	}
 }
 
