@@ -232,8 +232,7 @@ func TestResourceStreamIndependence(t *testing.T) {
 }
 
 // TestLifetimeMeans: sampled up-times track MTBF and down-times MTTR
-// for both distributions, so the uptime fraction is MTBF/(MTBF+MTTR)
-// (law of large numbers, loose tolerance).
+// for both distributions (law of large numbers, loose tolerance).
 func TestLifetimeMeans(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -267,6 +266,77 @@ func TestLifetimeMeans(t *testing.T) {
 		if mean := downSum / float64(n); math.Abs(mean-1) > 0.1 {
 			t.Errorf("%s: mean down-time %.3f, want ~1", tc.name, mean)
 		}
+	}
+}
+
+// TestCompileUptimeFraction: over the horizon, an exponential host with
+// MTBF 90 and MTTR 10 is up about 90/(90+10) of the time; an outage
+// running past the horizon counts only up to it.
+func TestCompileUptimeFraction(t *testing.T) {
+	const horizon = 20000
+	s := mustCompile(t, 5, Params{Horizon: horizon, Classes: []Class{{Hosts: []string{"h"}, MTBF: 90, MTTR: 10}}})
+	var down, failed float64
+	for _, ev := range s.Events {
+		if ev.Up {
+			down += math.Min(ev.At, horizon) - failed
+		} else {
+			failed = ev.At
+		}
+	}
+	if f := 1 - down/horizon; math.Abs(f-0.9) > 0.07 {
+		t.Errorf("uptime fraction %g, want ~0.9", f)
+	}
+}
+
+// TestCompileRejectsNegativeParams: a negative horizon, MTBF or MTTR is
+// rejected like a zero one (TestCompileValidation).
+func TestCompileRejectsNegativeParams(t *testing.T) {
+	host := func(mtbf, mttr float64) []Class {
+		return []Class{{Hosts: []string{"h"}, MTBF: mtbf, MTTR: mttr}}
+	}
+	for name, p := range map[string]Params{
+		"negative horizon": {Horizon: -10, Classes: host(1, 1)},
+		"negative mtbf":    {Horizon: 10, Classes: host(-1, 1)},
+		"negative mttr":    {Horizon: 10, Classes: host(1, -1)},
+	} {
+		if _, err := Compile(1, p); err == nil {
+			t.Errorf("%s: Compile accepted invalid params", name)
+		}
+	}
+}
+
+// TestHostStateAlternates: a compiled exponential up/down process armed
+// on one host flips it down and up in turn — up until a first failure
+// after t=0, never down or up twice in a row, up at the end.
+func TestHostStateAlternates(t *testing.T) {
+	eng := core.New()
+	m := surf.New(eng, faultsPlatform(t), surf.DefaultConfig())
+	s := mustCompile(t, 11, Params{Horizon: 1000, Classes: []Class{{Hosts: []string{"a"}, MTBF: 50, MTTR: 10}}})
+	if s.Len() < 2 {
+		t.Fatalf("only %d events", s.Len())
+	}
+	if first := s.Events[0]; first.Up || first.At <= 0 {
+		t.Fatalf("first event %+v, want a failure after t=0", first)
+	}
+	in, err := Arm(s, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := false // the host's state after the next event
+	in.OnEvent = func(ev Event) {
+		if up := m.HostUp("a"); up != want {
+			t.Errorf("t=%g: host up %v after %+v, want %v", eng.Now(), up, ev, want)
+		}
+		want = !want
+	}
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if in.Applied() != s.Len() {
+		t.Fatalf("applied %d of %d events", in.Applied(), s.Len())
+	}
+	if !m.HostUp("a") {
+		t.Error("host ends down")
 	}
 }
 
