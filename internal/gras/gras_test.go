@@ -260,8 +260,8 @@ func TestConnectionRefusedSim(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !errors.Is(gotErr, ErrRefused) {
-		t.Errorf("Client = %v, want ErrRefused", gotErr)
+	if !errors.Is(gotErr, ErrRefused) || gotErr.Error() != "gras: connection refused: srv:12345" {
+		t.Errorf("Client = %v, want ErrRefused naming srv:12345", gotErr)
 	}
 }
 
@@ -273,9 +273,13 @@ func TestPortCollisionSim(t *testing.T) {
 		n.Sleep(1)
 		return nil
 	})
+	var peer string
 	w.Launch("b", "srv", func(n Node) error {
 		n.Sleep(0.1)
 		err2 = n.Listen(80)
+		if s, err := n.Client("srv", 80); err == nil {
+			peer = s.Peer
+		}
 		return nil
 	})
 	if err := w.Run(); err != nil {
@@ -284,8 +288,11 @@ func TestPortCollisionSim(t *testing.T) {
 	if err1 != nil {
 		t.Errorf("first Listen: %v", err1)
 	}
-	if err2 == nil {
-		t.Error("port collision not detected")
+	if err2 == nil || err2.Error() != `gras: srv:80 already in use by "a"` {
+		t.Errorf("second Listen = %v, want the collision named", err2)
+	}
+	if peer != "srv:80" {
+		t.Errorf("Socket.Peer = %q, want srv:80", peer)
 	}
 }
 

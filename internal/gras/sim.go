@@ -8,6 +8,7 @@ package gras
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ type World struct {
 	pf    *platform.Platform
 	reg   *Registry
 
-	listeners map[string]*simNode // "host:port" -> agent
+	listeners map[listenAddr]*simNode
 	nodes     []*simNode
 
 	// BenchScale scales measured Bench durations before injecting them
@@ -40,7 +41,7 @@ func NewWorld(pf *platform.Platform, cfg surf.Config) *World {
 		model:      surf.New(eng, pf, cfg),
 		pf:         pf,
 		reg:        NewRegistry(),
-		listeners:  make(map[string]*simNode),
+		listeners:  make(map[listenAddr]*simNode),
 		BenchScale: 1.0,
 	}
 }
@@ -149,18 +150,24 @@ func (n *simNode) close() {
 	}
 	n.closed = true
 	for _, p := range n.ports {
-		delete(n.world.listeners, listenKey(n.host.Name, p))
+		delete(n.world.listeners, listenAddr{n.host.Name, p})
 	}
 }
 
-func listenKey(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
+// listenAddr is where an agent listens: a host and a port on it.
+type listenAddr struct {
+	host string
+	port int
+}
+
+func (a listenAddr) String() string { return a.host + ":" + strconv.Itoa(a.port) }
 
 // Listen implements Node.
 func (n *simNode) Listen(port int) error {
 	if n.closed {
 		return ErrClosed
 	}
-	key := listenKey(n.host.Name, port)
+	key := listenAddr{n.host.Name, port}
 	if other, busy := n.world.listeners[key]; busy && other != n {
 		return fmt.Errorf("gras: %s already in use by %q", key, other.name)
 	}
@@ -174,12 +181,13 @@ func (n *simNode) Client(host string, port int) (*Socket, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	peer, ok := n.world.listeners[listenKey(host, port)]
+	addr := listenAddr{host, port}
+	peer, ok := n.world.listeners[addr]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s:%d", ErrRefused, host, port)
+		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
 	}
 	return &Socket{
-		Peer: listenKey(host, port),
+		Peer: addr.String(),
 		sim:  &simEndpoint{owner: n, peer: peer},
 	}, nil
 }

@@ -32,6 +32,10 @@ type actor struct {
 	peer  *hostRec
 	route *surf.RouteHandle
 
+	// box is the mailbox of the actor's last record, for whoever must
+	// find it there: a chain's kill, an eager put's completion (arrive).
+	box *mailbox
+
 	autoRestart bool
 	pajeOpen    bool  // a PSTATE push awaits its pop
 	slot        int32 // position in home.actors while alive

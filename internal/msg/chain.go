@@ -274,8 +274,7 @@ type ChainProc struct {
 
 	exec       *surf.Action // in-flight compute
 	sleepTimer *core.Timer  // re-armed across Sleep steps (and reuses)
-	rec        *pending     // in-flight/queued Put or Get record
-	pendBox    *mailbox     // mailbox of the queued record, for kill dequeue
+	rec        *pending     // in-flight/queued Put or Get record, on actor.box
 
 	restartPending bool // killed by host failure, in its host's restart queue
 	inRun          bool // the interpreter loop is on the stack
@@ -434,8 +433,9 @@ func (c *ChainProc) step() {
 			c.stepPut(st)
 			return
 		case opGet:
-			c.stepGet(st)
-			return
+			if !c.stepGet(st) {
+				return
+			}
 		}
 	}
 }
@@ -486,7 +486,7 @@ func (c *ChainProc) kill(err error) {
 	}
 	if r := c.rec; r != nil {
 		c.rec = nil
-		c.env.abandon(c.pendBox, r)
+		c.env.abandon(c.box, r)
 	}
 	if c.sleepTimer != nil {
 		c.sleepTimer.Cancel()
@@ -618,11 +618,20 @@ func (c *ChainProc) stepPut(st *chainStep) {
 	}
 }
 
-// stepGet arms a rendezvous receive on the chain's own host.
-func (c *ChainProc) stepGet(st *chainStep) {
+// stepGet arms a rendezvous receive on the chain's own host. It reports
+// true when an eager put had already delivered the task, which goes to
+// the register without blocking (the interpreter keeps running).
+func (c *ChainProc) stepGet(st *chainStep) bool {
+	mb := c.home.mailbox(st.channel)
+	if task := c.env.collect(mb); task != nil {
+		c.task = task
+		c.pc++
+		return true
+	}
 	r := c.env.grab(recv, &c.actor)
 	r.tag = c.pajeC
-	c.arm(r, c.home.mailbox(st.channel))
+	c.arm(r, mb)
+	return false
 }
 
 // arm blocks the chain on r and posts it: enqueue or match, like the
@@ -630,7 +639,7 @@ func (c *ChainProc) stepGet(st *chainStep) {
 // ownerless from the start; the transfer's completion advances the chain.
 func (c *ChainProc) arm(r *pending, mb *mailbox) {
 	r.ownerless = true
-	c.rec, c.pendBox = r, mb
+	c.rec, c.box = r, mb
 	c.blockedOn = dirSimcall[r.dir]
 	c.begin(dirState[r.dir])
 	if err := c.env.post(mb, r); err != nil {

@@ -73,8 +73,9 @@ func checkMailboxes(t *testing.T, env *Environment) {
 
 // TestOneQueueInvariant drives a seeded mix of goroutine and chain
 // senders and receivers over a handful of mailboxes — every goroutine
-// call with a timeout, a reaper killing parties of both forms mid-block
-// — and audits every mailbox throughout and at the end.
+// call with a timeout but the buffered puts, a reaper killing parties of
+// both forms mid-block — and audits every mailbox throughout and at the
+// end.
 func TestOneQueueInvariant(t *testing.T) {
 	hosts := []string{"h0", "h1", "h2", "h3"}
 	pf := platform.New()
@@ -106,7 +107,12 @@ func TestOneQueueInvariant(t *testing.T) {
 				timeout := 0.01 + r.Float64()*0.3
 				if r.Intn(2) == 0 {
 					dst, ch := hosts[r.Intn(len(hosts))], r.Intn(2)
-					p.PutWithTimeout(NewTask("t", 0, float64(r.Intn(2e5))), dst, ch, timeout)
+					task := NewTask("t", 0, float64(r.Intn(2e5)))
+					if r.Intn(3) == 0 {
+						p.PutBuffered(task, dst, ch)
+					} else {
+						p.PutWithTimeout(task, dst, ch, timeout)
+					}
 				} else {
 					p.GetWithTimeout(r.Intn(2), timeout)
 				}

@@ -204,11 +204,13 @@ type pending struct {
 	tag string
 	dir dir
 	// ownerless marks a record no returning rendezvous frame will recycle:
-	// a chain's (it has no frame), or one whose goroutine unwound (kill or
-	// contained panic) while a delivery was still pending. Whoever ends
-	// the block — ActionDone, or a failed transfer start — recycles it,
-	// after the cross-references are severed.
+	// a chain's (it has no frame), a parcel (arrive), or one whose
+	// goroutine unwound (kill or contained panic) while a delivery was
+	// still pending. Whoever ends the block — ActionDone, a failed
+	// transfer start, collect — recycles it, after the cross-references
+	// are severed.
 	ownerless bool
+	eager     bool // a PutBuffered send queued with its transfer under way
 }
 
 // ActionDone implements surf.Completion on the send half: the transfer
@@ -220,21 +222,58 @@ type pending struct {
 // severed nothing can reach an ownerless record anymore either, so
 // those are recycled right here. The order is the actor's resume rule
 // (actor.go): both wakes are queued, then the endpoints advance, sender
-// first.
+// first — but a receiver that attached to an eager put wakes first.
 func (ps *pending) ActionDone(_ *surf.Action, cerr error) {
-	pr := ps.peer
+	pr, env := ps.peer, ps.env
+	if pr == nil {
+		env.arrive(ps, cerr)
+		return
+	}
 	if cerr == nil {
 		pr.task = ps.task
 	}
-	env := ps.env
 	if mt := env.trace; mt != nil && ps.tag != "" && pr.tag != "" {
 		mt.tr.EndLink(env.eng.Now(), mt.linkType, mt.root, pr.tag, ps.task.Name, ps.tag)
 	}
-	ps.who.wake(cerr)
-	pr.who.wake(cerr)
+	first, second := ps.who, pr.who
+	if ps.eager {
+		first, second = second, first
+	}
+	first.wake(cerr)
+	second.wake(cerr)
 	ps.peer, pr.peer = nil, nil
 	env.settle(ps, cerr)
 	env.settle(pr, cerr)
+}
+
+// arrive ends an eager put no receiver attached to. Delivered, its task
+// stays queued on a parcel — an ownerless record with no actor, recycled
+// by the receiver that collects it — and the sender's record goes back to
+// its frame; lost, the put leaves the queue. The sender resumes with the
+// outcome (an unwinding one, canceled by abandon, is not woken).
+func (env *Environment) arrive(ps *pending, err error) {
+	mb := ps.who.box
+	if err != nil {
+		env.dequeue(mb, ps)
+	} else {
+		parcel := env.grab(send, nil)
+		parcel.task, parcel.ownerless = ps.task, true
+		mb.q[mb.index(ps)] = parcel
+	}
+	ps.who.wake(err)
+}
+
+// collect takes the task off a parcel at the head of a mailbox: a
+// receiver meeting an eager put that already arrived does not wait.
+func (env *Environment) collect(mb *mailbox) *Task {
+	if mb.head == len(mb.q) || mb.q[mb.head].who != nil {
+		return nil
+	}
+	parcel := mb.take(mb.head)
+	env.noteQueued(send, -1)
+	task := parcel.task
+	env.release(parcel)
+	return task
 }
 
 // settle finishes one side of a block that ended with err once its wake
@@ -279,6 +318,16 @@ func (mb *mailbox) take(i int) *pending {
 		mb.q, mb.head = mb.q[:n], 0
 	}
 	return r
+}
+
+// index returns where r is among the live entries, or -1.
+func (mb *mailbox) index(r *pending) int {
+	for i := mb.head; i < len(mb.q); i++ {
+		if mb.q[i] == r {
+			return i
+		}
+	}
+	return -1
 }
 
 // NewEnvironment builds an MSG world on a platform with the given
@@ -478,6 +527,25 @@ func (p *Process) PutWithTimeout(task *Task, destHost string, channel int, timeo
 	return err
 }
 
+// PutBuffered is Put with MPI's eager protocol: unless a receiver waits,
+// the transfer starts at once and the call returns when the bytes arrive.
+// A Get that comes while they travel attaches and resumes before the
+// sender, one that comes after takes the task without blocking. A
+// transfer that fails leaves nothing queued.
+func (p *Process) PutBuffered(task *Task, destHost string, channel int) error {
+	r, mb, err := p.sending(task, destHost, channel)
+	if err == nil && (mb.head == len(mb.q) || mb.q[mb.head].dir == send) {
+		r.eager, p.box = true, mb
+		if err = p.env.startTransfer(r, nil); err != nil {
+			p.env.release(r)
+		}
+	}
+	if err == nil {
+		_, err = p.rendezvous(r, mb, 0)
+	}
+	return err
+}
+
 // Get receives the next task from the given channel of the local host,
 // blocking until one arrives (MSG_task_get).
 func (p *Process) Get(channel int) (*Task, error) {
@@ -487,9 +555,24 @@ func (p *Process) Get(channel int) (*Task, error) {
 // GetWithTimeout is Get aborting with ErrTimeout after timeout seconds
 // (<= 0 means no timeout).
 func (p *Process) GetWithTimeout(channel int, timeout float64) (*Task, error) {
+	mb := p.home.mailbox(channel)
+	if task := p.env.collect(mb); task != nil {
+		return task, nil
+	}
 	r := p.env.grab(recv, &p.actor)
 	r.tag = p.pajeC
-	return p.rendezvous(r, p.home.mailbox(channel), timeout)
+	return p.rendezvous(r, mb, timeout)
+}
+
+// Peek reports what waits on a host's mailbox, changing no queue: n puts,
+// or n gets (everything queued faces one way).
+func (env *Environment) Peek(host string, channel int) (n int, puts bool) {
+	if h := env.record(host); h != nil {
+		if mb := h.mailbox(channel); mb.head < len(mb.q) {
+			return len(mb.q) - mb.head, mb.q[mb.head].dir == send
+		}
+	}
+	return 0, false
 }
 
 // rendezvous posts r on the mailbox and blocks the process until the
@@ -545,6 +628,10 @@ func (env *Environment) post(mb *mailbox, r *pending) error {
 	if r.dir == recv {
 		ps, pr = other, r
 	}
+	if ps.action != nil { // an eager put in flight: the receiver attaches
+		ps.peer, pr.peer = pr, ps
+		return nil
+	}
 	err := env.startTransfer(ps, pr)
 	if err != nil {
 		other.who.wake(err)
@@ -558,6 +645,7 @@ func (env *Environment) post(mb *mailbox, r *pending) error {
 // (actor.sending) is resolved here, not at Put: a missing one fails the pair
 // when it meets, not the sender when it posts. An error (no route,
 // malformed route) leaves the records untouched for the caller to fail.
+// An eager put starts alone (pr nil), and fails at once if dead on arrival.
 func (env *Environment) startTransfer(ps, pr *pending) (err error) {
 	from := ps.who
 	if from.route == nil {
@@ -570,18 +658,23 @@ func (env *Environment) startTransfer(ps, pr *pending) (err error) {
 		return err
 	}
 	ps.action = a
-	ps.peer, pr.peer = pr, ps
-	if mt := env.trace; mt != nil && ps.who.pajeC != "" {
-		ps.tag = mt.newKey()
-		mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.who.pajeC, ps.task.Name, ps.tag)
+	if pr != nil {
+		ps.peer, pr.peer = pr, ps
+		if mt := env.trace; mt != nil && ps.who.pajeC != "" {
+			ps.tag = mt.newKey()
+			mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.who.pajeC, ps.task.Name, ps.tag)
+		}
 	}
-	if a.Done() {
+	switch {
+	case !a.Done():
+		a.SetCompletion(ps)
+	case pr == nil:
+		return a.Err()
+	default:
 		// Already finished (e.g. the route's link is down): defer the
 		// delivery one kernel turn so both sides have blocked.
 		cerr := a.Err()
 		env.eng.After(0, func() { ps.ActionDone(a, cerr) })
-	} else {
-		a.SetCompletion(ps)
 	}
 	return nil
 }
@@ -589,14 +682,13 @@ func (env *Environment) startTransfer(ps, pr *pending) (err error) {
 // dequeue takes r out of its mailbox's queue, keeping the order of the
 // rest, and reports whether it was queued.
 func (env *Environment) dequeue(mb *mailbox, r *pending) bool {
-	for i := mb.head; i < len(mb.q); i++ {
-		if mb.q[i] == r {
-			mb.take(i)
-			env.noteQueued(r.dir, -1)
-			return true
-		}
+	i := mb.index(r)
+	if i < 0 {
+		return false
 	}
-	return false
+	mb.take(i)
+	env.noteQueued(r.dir, -1)
+	return true
 }
 
 // abandon gives up a record whose owner is going away without its block
@@ -605,13 +697,17 @@ func (env *Environment) dequeue(mb *mailbox, r *pending) bool {
 // still pending (matched, ActionDone not yet run) — the transfer keeps
 // flowing to the peer, the record is severed from its owner and left
 // ownerless for ActionDone to recycle; still queued — dequeue and
-// recycle now; already delivered (or dequeued by a timeout) — the scan
-// finds nothing, nothing can reach it, recycle now. The caller has
-// already canceled any timeout timer.
+// recycle now (an eager put's transfer, with nobody left to deliver it
+// for, is canceled: arrive dequeues it); already delivered (or dequeued
+// by a timeout) — the scan finds nothing, nothing can reach it, recycle
+// now. The caller has already canceled any timeout timer.
 func (env *Environment) abandon(mb *mailbox, r *pending) {
 	if r.peer != nil {
 		r.who, r.ownerless = nil, true
 		return
+	}
+	if r.action != nil {
+		r.action.Cancel() // a no-op on one that already ended
 	}
 	env.dequeue(mb, r)
 	env.release(r)

@@ -25,16 +25,12 @@ const ctrlBytes = 64
 // all-to-root gather of tokens, then a root-to-all release broadcast
 // over the binomial tree.
 func (r *Rank) Barrier() error {
-	n := r.Size()
-	if n == 1 {
-		return nil
-	}
 	if r.rank != 0 {
 		if err := r.Send(0, tagBarrier, nil, ctrlBytes); err != nil {
 			return err
 		}
 	} else {
-		for i := 1; i < n; i++ {
+		for i := 1; i < r.Size(); i++ {
 			if _, _, err := r.Recv(AnySource, tagBarrier); err != nil {
 				return err
 			}
@@ -52,12 +48,8 @@ func (r *Rank) Bcast(root int, data any, bytes float64) (any, error) {
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("%w: root %d", ErrRank, root)
 	}
-	if n == 1 {
-		return data, nil
-	}
 	// Standard MPICH binomial tree over virtual ranks rooted at 0.
 	vrank := (r.rank - root + n) % n
-	value := data
 
 	// Receive phase: walk up to the bit that identifies our parent.
 	mask := 1
@@ -68,7 +60,7 @@ func (r *Rank) Bcast(root int, data any, bytes float64) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			value = v
+			data = v
 			break
 		}
 		mask <<= 1
@@ -77,12 +69,12 @@ func (r *Rank) Bcast(root int, data any, bytes float64) (any, error) {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if child := vrank + mask; vrank&mask == 0 && child < n {
 			dst := (child + root) % n
-			if err := r.Send(dst, tagBcast, value, bytes); err != nil {
+			if err := r.Send(dst, tagBcast, data, bytes); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return value, nil
+	return data, nil
 }
 
 // Reduce combines every rank's value with op, delivering the result to
@@ -95,20 +87,13 @@ func (r *Rank) Reduce(root int, value float64, op Op, bytes float64) (float64, e
 	if op == nil {
 		return 0, fmt.Errorf("%w: nil op", ErrMismatch)
 	}
-	if n == 1 {
-		return value, nil
-	}
 	vrank := (r.rank - root + n) % n
-	acc := value
 	// Binomial tree, leaves inward: at each round, ranks with the
 	// current bit set send to their parent and leave.
 	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % n
-			if err := r.Send(parent, tagReduce, acc, bytes); err != nil {
-				return 0, err
-			}
-			return 0, nil // done: non-root ranks get 0
+			return 0, r.Send(parent, tagReduce, value, bytes) // done: non-root ranks get 0
 		}
 		child := vrank | mask
 		if child < n {
@@ -116,10 +101,10 @@ func (r *Rank) Reduce(root int, value float64, op Op, bytes float64) (float64, e
 			if err != nil {
 				return 0, err
 			}
-			acc = op(acc, v.(float64))
+			value = op(value, v.(float64))
 		}
 	}
-	return acc, nil
+	return value, nil
 }
 
 // Allreduce is Reduce-to-0 followed by a broadcast of the result
@@ -144,24 +129,18 @@ func (r *Rank) Gather(root int, data any, bytes float64) ([]any, error) {
 		return nil, fmt.Errorf("%w: root %d", ErrRank, root)
 	}
 	if r.rank != root {
-		return nil, r.Send(root, tagGather, gatherItem{rank: r.rank, data: data}, bytes)
+		return nil, r.Send(root, tagGather, data, bytes)
 	}
 	out := make([]any, n)
 	out[root] = data
 	for i := 0; i < n-1; i++ {
-		v, _, err := r.Recv(AnySource, tagGather)
+		v, src, err := r.Recv(AnySource, tagGather)
 		if err != nil {
 			return nil, err
 		}
-		it := v.(gatherItem)
-		out[it.rank] = it.data
+		out[src] = v
 	}
 	return out, nil
-}
-
-type gatherItem struct {
-	rank int
-	data any
 }
 
 // Scatter distributes items[i] from root to rank i (MPI_Scatter); the
@@ -207,21 +186,18 @@ func (r *Rank) Alltoall(items []any, bytes float64) ([]any, error) {
 	for step := 1; step < n; step++ {
 		to := (r.rank + step) % n
 		from := (r.rank - step + n) % n
-		if r.rank < to {
+		sendFirst := r.rank < to
+		if sendFirst {
 			if err := r.Send(to, tagA2A, items[to], bytes); err != nil {
 				return nil, err
 			}
-			v, src, err := r.Recv(from, tagA2A)
-			if err != nil {
-				return nil, err
-			}
-			out[src] = v
-		} else {
-			v, src, err := r.Recv(from, tagA2A)
-			if err != nil {
-				return nil, err
-			}
-			out[src] = v
+		}
+		v, src, err := r.Recv(from, tagA2A)
+		if err != nil {
+			return nil, err
+		}
+		out[src] = v
+		if !sendFirst {
 			if err := r.Send(to, tagA2A, items[to], bytes); err != nil {
 				return nil, err
 			}

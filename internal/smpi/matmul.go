@@ -62,19 +62,15 @@ func MatMul1D(r *Rank, cfg MatMulConfig) ([]float64, error) {
 	}
 	c := make([]float64, M*NN)
 
-	bufCol := make([]float64, M)
 	for k := 0; k < K; k++ {
-		owner := k / KK
-		if owner == r.rank {
-			for i := 0; i < M; i++ {
-				bufCol[i] = a[i*KK+(k%KK)]
-			}
-		}
 		// MPI_Bcast(buf_col, M, MPI_DOUBLE, k/KK, MPI_COMM_WORLD)
+		owner := k / KK
 		var payload any
 		if owner == r.rank {
 			col := make([]float64, M)
-			copy(col, bufCol)
+			for i := range col {
+				col[i] = a[i*KK+k%KK]
+			}
 			payload = col
 		}
 		v, err := r.Bcast(owner, payload, float64(M*8))
@@ -134,16 +130,13 @@ func RunMatMul(w *World, cfg MatMulConfig, benchSeconds float64, verify bool) (f
 	}
 	err := w.Run(func(r *Rank) error {
 		c, err := MatMul1D(r, cfg)
-		if err != nil {
+		if err != nil || !verify {
 			return err
 		}
-		if verify {
-			return CheckMatMul(r.Rank(), r.Size(), cfg, c)
-		}
-		return nil
+		return CheckMatMul(r.Rank(), r.Size(), cfg, c)
 	})
 	if err != nil {
 		return 0, err
 	}
-	return w.eng.Now(), nil
+	return w.env.Now(), nil
 }

@@ -10,8 +10,14 @@
 // like MSG tasks); the simulated transfer duration is governed by the
 // explicit byte count of each call.
 //
+// smpi is a client of msg: a World is an msg environment, a rank an msg
+// process, a message an msg task through mailboxes on the destination
+// rank's host — one per (source, destination, tag), plus one per
+// (destination, tag) for AnySource receives. msg's rendezvous does the
+// matching, its buffered put is MPI's eager protocol.
+//
 // Key invariant: rank-to-rank matching is deterministic — sends and
-// receives pair in posting order per (source, tag) queue, so a legal
+// receives pair in posting order per (source, tag) mailbox, so a legal
 // MPI program produces the same virtual-time schedule on every run.
 package smpi
 
@@ -21,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/surf"
 )
@@ -59,14 +66,13 @@ var (
 
 // World is one MPI job: a set of ranks bound to hosts of a platform.
 type World struct {
-	eng   *core.Engine
-	model *surf.Model
-	pf    *platform.Platform
+	env   *msg.Environment
 	hosts []string
 	ranks []*Rank
+	main  func(*Rank) error // what every rank runs, set by Run
 
-	sendQ map[chanKey][]*pendingSend
-	recvQ map[chanKey][]*pendingRecv
+	// channels numbers the mailboxes, on first use.
+	channels map[route]int
 
 	benchCache map[string]float64
 
@@ -77,62 +83,16 @@ type World struct {
 	ReferencePower float64
 }
 
-type chanKey struct {
-	src, dst, tag int
-}
+// route names a mailbox on dst's host: the messages from src with tag,
+// src being AnySource for the wildcard mailbox.
+type route struct{ src, dst, tag int }
 
-// pendingSend is one posted send; it observes its transfer as the
-// action's surf.Completion (ActionDone).
-type pendingSend struct {
-	w       *World
-	key     chanKey // where the record queues while unmatched; key.src is the sender
-	data    any
-	bytes   float64
-	proc    *core.Process
-	action  *surf.Action
-	eager   bool         // shipped before any receiver matched
-	arrived bool         // eager transfer finished before a receiver matched
-	recv    *pendingRecv // matched receiver: known from the start (rendezvous) or attached in flight (eager)
-}
-
-// ActionDone delivers the finished transfer: the payload to the matched
-// receiver on success, then the outcome to both ends. An eager send
-// wakes the receiver (if one attached) before the sender, a rendezvous
-// the sender before the receiver — the order each protocol has always
-// resumed its ranks in, which the schedule's determinism rests on. An
-// eager transfer that fails before any receiver attached is over: its
-// record leaves the queue, or a later Recv would attach to it and wait
-// for a completion that already happened.
-func (ps *pendingSend) ActionDone(_ *surf.Action, err error) {
-	eng, pr := ps.w.eng, ps.recv
-	if pr != nil && err == nil {
-		pr.data = ps.data
-		pr.src = ps.key.src
-	}
-	if !ps.eager {
-		eng.Wake(ps.proc, err)
-		eng.Wake(pr.proc, err)
-		return
-	}
-	ps.arrived = err == nil
-	if pr != nil {
-		eng.Wake(pr.proc, err)
-	} else if err != nil {
-		q := ps.w.sendQ[ps.key]
-		for i := range q {
-			if q[i] == ps {
-				ps.w.sendQ[ps.key] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-	}
-	eng.Wake(ps.proc, err)
-}
-
-type pendingRecv struct {
-	proc *core.Process
-	data any
+// message is one point-to-point message: the msg task carrying it, whose
+// Data points back here, and what the receiver gets.
+type message struct {
+	task msg.Task
 	src  int
+	data any
 }
 
 // EagerThreshold is the message size (bytes) below which Send behaves
@@ -145,9 +105,7 @@ const EagerThreshold = 65536
 type Rank struct {
 	world *World
 	rank  int
-	proc  *core.Process
-	host  *platform.Host
-	cpu   *surf.HostHandle // the host's compute placement, resolved once
+	proc  *msg.Process
 	err   error
 }
 
@@ -158,37 +116,36 @@ func New(pf *platform.Platform, cfg surf.Config, hosts []string) (*World, error)
 	if len(hosts) == 0 {
 		return nil, errors.New("smpi: no hosts")
 	}
-	for _, h := range hosts {
-		if pf.Host(h) == nil {
-			return nil, fmt.Errorf("smpi: unknown host %q", h)
-		}
-	}
-	eng := core.New()
+	env := msg.NewEnvironment(pf, cfg)
+	// A rank outlives its host's failure, and its panic is the run's.
+	env.KillOnHostFailure = false
+	env.Engine().ContainPanics = false
 	w := &World{
-		eng:            eng,
-		model:          surf.New(eng, pf, cfg),
-		pf:             pf,
+		env:            env,
 		hosts:          hosts,
-		sendQ:          make(map[chanKey][]*pendingSend),
-		recvQ:          make(map[chanKey][]*pendingRecv),
+		channels:       make(map[route]int),
 		benchCache:     make(map[string]float64),
 		ReferencePower: 1e9,
+	}
+	for i, h := range hosts {
+		r := &Rank{world: w, rank: i}
+		var err error
+		if r.proc, err = env.NewProcess(fmt.Sprintf("rank%d", i), h, func(*msg.Process) error {
+			r.err = w.main(r)
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("smpi: unknown host %q", h)
+		}
+		w.ranks = append(w.ranks, r)
 	}
 	return w, nil
 }
 
-// Run starts main on every rank and executes the simulation to
-// completion. The first rank error (if any) is returned after the run.
+// Run runs main on every rank, once per World, to the end of the
+// simulation, and returns the first rank error (if any).
 func (w *World) Run(main func(*Rank) error) error {
-	w.ranks = make([]*Rank, len(w.hosts))
-	for i, hn := range w.hosts {
-		r := &Rank{world: w, rank: i, host: w.pf.Host(hn), cpu: w.model.HostHandle(hn)}
-		w.ranks[i] = r
-		r.proc = w.eng.Spawn(fmt.Sprintf("rank%d", i), r.host, func(p *core.Process) {
-			r.err = main(r)
-		})
-	}
-	if err := w.eng.Run(); err != nil {
+	w.main = main
+	if err := w.env.Run(); err != nil {
 		return err
 	}
 	for _, r := range w.ranks {
@@ -200,10 +157,28 @@ func (w *World) Run(main func(*Rank) error) error {
 }
 
 // Engine exposes the simulation kernel.
-func (w *World) Engine() *core.Engine { return w.eng }
+func (w *World) Engine() *core.Engine { return w.env.Engine() }
 
 // Model exposes the resource model.
-func (w *World) Model() *surf.Model { return w.model }
+func (w *World) Model() *surf.Model { return w.env.Model() }
+
+// channel returns the mailbox number of a route.
+func (w *World) channel(src, dst, tag int) int {
+	k := route{src, dst, tag}
+	ch, ok := w.channels[k]
+	if !ok {
+		ch = len(w.channels)
+		w.channels[k] = ch
+	}
+	return ch
+}
+
+// queued reports whether dst's mailbox for (src, tag) holds puts
+// (messages) or, with puts false, a waiting receiver.
+func (w *World) queued(src, dst, tag int, puts bool) bool {
+	n, p := w.env.Peek(w.hosts[dst], w.channel(src, dst, tag))
+	return n > 0 && p == puts
+}
 
 // --- Rank API ---------------------------------------------------------------
 
@@ -214,142 +189,60 @@ func (r *Rank) Rank() int { return r.rank }
 func (r *Rank) Size() int { return len(r.world.ranks) }
 
 // Host returns the host this rank runs on.
-func (r *Rank) Host() *platform.Host { return r.host }
+func (r *Rank) Host() *platform.Host { return r.proc.Host() }
 
 // Wtime returns the current simulated time (MPI_Wtime).
-func (r *Rank) Wtime() float64 { return r.world.eng.Now() }
+func (r *Rank) Wtime() float64 { return r.proc.Now() }
 
 // Compute runs `flops` of local work through the CPU model.
 func (r *Rank) Compute(flops float64) error {
-	_, err := r.execute(flops)
-	return err
+	return r.proc.Execute(&msg.Task{Flops: flops})
 }
 
-// execute charges flops of local work on the rank's host, blocks until
-// it is done and returns the simulated seconds it took.
-func (r *Rank) execute(flops float64) (float64, error) {
-	w := r.world
-	a, err := w.model.ExecuteHandle(r.cpu, flops, 1)
-	if err != nil {
-		return 0, err
-	}
-	start := w.eng.Now()
-	werr := a.Wait(r.proc)
-	a.Release() // the action never escapes this frame
-	if werr != nil {
-		return 0, werr
-	}
-	return w.eng.Now() - start, nil
-}
-
-// Send transmits data to a rank (MPI_Send, blocking until the matching
-// receive completes — rendezvous semantics). bytes governs the
-// simulated duration; data is delivered by reference.
+// Send transmits data to a rank (MPI_Send). A message of at most
+// EagerThreshold bytes is eager when no receive is posted for it: Send
+// returns once the bytes arrived. Otherwise Send blocks until the
+// matching receive completes (rendezvous). bytes governs the simulated
+// duration; data is delivered by reference.
 func (r *Rank) Send(dst, tag int, data any, bytes float64) error {
 	w := r.world
 	if dst < 0 || dst >= len(w.ranks) {
 		return fmt.Errorf("%w: dst %d", ErrRank, dst)
 	}
-	key := chanKey{src: r.rank, dst: dst, tag: tag}
-	anyKey := chanKey{src: AnySource, dst: dst, tag: tag}
-
 	// A receiver may be waiting on our exact source or on AnySource.
-	var pr *pendingRecv
-	if q := w.recvQ[key]; len(q) > 0 {
-		pr, w.recvQ[key] = q[0], q[1:]
-	} else if q := w.recvQ[anyKey]; len(q) > 0 {
-		pr, w.recvQ[anyKey] = q[0], q[1:]
+	src := r.rank
+	if !w.queued(src, dst, tag, false) && w.queued(AnySource, dst, tag, false) {
+		src = AnySource
 	}
-	ps := &pendingSend{w: w, key: key, data: data, bytes: bytes, proc: r.proc}
-	if pr != nil {
-		if err := w.startTransfer(ps, pr, dst); err != nil {
-			return err
-		}
-		return r.proc.BlockOn(core.SimcallSend)
-	}
+	m := &message{src: r.rank, data: data}
+	m.task = msg.Task{Bytes: bytes, Data: m}
+	host, ch := w.hosts[dst], w.channel(src, dst, tag)
 	if bytes <= EagerThreshold {
-		// Eager protocol: ship the data now; the receiver will find it
-		// (or attach to the in-flight transfer) when it posts.
-		a, err := w.model.Communicate(w.hosts[r.rank], w.hosts[dst], bytes)
-		if err != nil {
-			return err
-		}
-		ps.action, ps.eager = a, true
-		a.SetCompletion(ps)
+		return r.proc.PutBuffered(&m.task, host, ch)
 	}
-	// Queued only now: a send that failed to start must leave no record
-	// for a later Recv to match and wake this rank through.
-	w.sendQ[key] = append(w.sendQ[key], ps)
-	return r.proc.BlockOn(core.SimcallSend)
+	return r.proc.Put(&m.task, host, ch)
 }
 
-// Recv receives data from a rank (MPI_Recv); src may be AnySource.
-// It returns the payload and the actual source rank.
+// Recv receives data from a rank (MPI_Recv); src may be AnySource, which
+// takes from the lowest-ranked source with a message queued, or else
+// waits for the first to send. It returns the payload and the actual
+// source rank.
 func (r *Rank) Recv(src, tag int) (any, int, error) {
 	w := r.world
 	if src != AnySource && (src < 0 || src >= len(w.ranks)) {
 		return nil, 0, fmt.Errorf("%w: src %d", ErrRank, src)
 	}
-	var ps *pendingSend
-	if src == AnySource {
-		// Scan all senders to me with this tag, lowest rank first for
-		// determinism.
-		for s := 0; s < len(w.ranks); s++ {
-			key := chanKey{src: s, dst: r.rank, tag: tag}
-			if q := w.sendQ[key]; len(q) > 0 {
-				ps, w.sendQ[key] = q[0], q[1:]
-				break
-			}
-		}
-	} else {
-		key := chanKey{src: src, dst: r.rank, tag: tag}
-		if q := w.sendQ[key]; len(q) > 0 {
-			ps, w.sendQ[key] = q[0], q[1:]
+	for s := 0; src == AnySource && s < len(w.ranks); s++ {
+		if w.queued(s, r.rank, tag, true) {
+			src = s
 		}
 	}
-	pr := &pendingRecv{proc: r.proc, src: src}
-	switch {
-	case ps != nil && ps.arrived:
-		// Eager message already delivered locally: no waiting at all.
-		return ps.data, ps.key.src, nil
-	case ps != nil && ps.action != nil:
-		// Eager transfer still in flight: attach and wait for it.
-		ps.recv = pr
-	case ps != nil:
-		// Rendezvous: the sender was waiting for us; start the wire.
-		if err := w.startTransfer(ps, pr, r.rank); err != nil {
-			return nil, 0, err
-		}
-	default:
-		key := chanKey{src: src, dst: r.rank, tag: tag}
-		w.recvQ[key] = append(w.recvQ[key], pr)
-	}
-	if err := r.proc.BlockOn(core.SimcallRecv); err != nil {
+	t, err := r.proc.Get(w.channel(src, r.rank, tag))
+	if err != nil {
 		return nil, 0, err
 	}
-	return pr.data, pr.src, nil
-}
-
-// startTransfer launches the network action joining a matched
-// send/recv pair; ps.ActionDone wakes both ends.
-func (w *World) startTransfer(ps *pendingSend, pr *pendingRecv, dstRank int) error {
-	srcHost := w.hosts[ps.key.src]
-	dstHost := w.hosts[dstRank]
-	a, err := w.model.Communicate(srcHost, dstHost, ps.bytes)
-	if err != nil {
-		w.eng.Wake(ps.proc, err)
-		w.eng.Wake(pr.proc, err)
-		return err
-	}
-	ps.action, ps.recv = a, pr
-	if a.Done() {
-		// Dead on arrival (a link of the route is down): deliver from a
-		// timer, once both ends have blocked.
-		w.eng.After(0, func() { ps.ActionDone(a, a.Err()) })
-	} else {
-		a.SetCompletion(ps)
-	}
-	return nil
+	m := t.Data.(*message)
+	return m.data, m.src, nil
 }
 
 // BenchOnce measures fn's real duration the first time `key` is seen,
@@ -382,7 +275,11 @@ func (r *Rank) bench(key string, fn func(), always bool) (float64, error) {
 	} else if always {
 		fn()
 	}
-	return r.execute(dt * w.ReferencePower)
+	start := r.Wtime()
+	if err := r.Compute(dt * w.ReferencePower); err != nil {
+		return 0, err
+	}
+	return r.Wtime() - start, nil
 }
 
 // SetBench pre-loads a benchmark measurement (for deterministic tests

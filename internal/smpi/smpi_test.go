@@ -587,9 +587,10 @@ func TestFailedEagerSendLeavesNoRecord(t *testing.T) {
 
 // TestEagerSendLostInFlightLeavesNoRecord: an eager Send whose transfer
 // dies in flight (its link fails at t=1) with no receiver attached is
-// over, and its record with it. The Recv posted at t=3 must match the
-// second Send, not attach to the dead transfer — it used to, and the run
-// ended deadlocked with rank 1 waiting for a completion long past.
+// over, and its record with it: nothing is queued once the Send returned,
+// and the Recv posted at t=3 must match the second Send, not attach to
+// the dead transfer — it used to, and the run ended deadlocked with rank
+// 1 waiting for a completion long past.
 func TestEagerSendLostInFlightLeavesNoRecord(t *testing.T) {
 	pf := platform.New()
 	hosts := []string{"a", "b"}
@@ -605,13 +606,15 @@ func TestEagerSendLostInFlightLeavesNoRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.eng.At(1, func() { w.model.FailLink("l") })
-	w.eng.At(2, func() { w.model.RestoreLink("l") })
+	w.Engine().At(1, func() { w.Model().FailLink("l") })
+	w.Engine().At(2, func() { w.Model().RestoreLink("l") })
 	var lostErr error
+	var left int
 	var got any
 	if err := w.Run(func(r *Rank) error {
 		if r.Rank() == 0 {
 			lostErr = r.Send(1, 0, "lost", 1000) // 10 s on the wire
+			left, _ = w.env.Peek("b", w.channel(0, 1, 0))
 			if err := r.proc.Sleep(5); err != nil {
 				return err
 			}
@@ -632,7 +635,61 @@ func TestEagerSendLostInFlightLeavesNoRecord(t *testing.T) {
 	if got != "second" {
 		t.Errorf("Recv = %v, want \"second\"", got)
 	}
-	if n := len(w.sendQ[chanKey{src: 0, dst: 1, tag: 0}]); n != 0 {
-		t.Errorf("%d send records left queued", n)
+	if left != 0 {
+		t.Errorf("%d records left queued once the lost Send returned", left)
+	}
+}
+
+// TestEagerSendOverDownLinkFailsAtOnce: an eager Send whose route is down
+// when it is posted is dead on arrival. It returns ErrLinkFailed at t=0
+// and leaves nothing queued, so a later Recv gets the next message. It
+// used to queue the dead record after its completion had already run:
+// the sender blocked forever, the Recv attached to it, and the run ended
+// deadlocked.
+func TestEagerSendOverDownLinkFailsAtOnce(t *testing.T) {
+	pf := platform.New()
+	hosts := []string{"a", "b"}
+	for _, h := range hosts {
+		if err := pf.AddHost(&platform.Host{Name: h, Power: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pf.AddRoute("a", "b", []*platform.Link{{Name: "l", Bandwidth: 100, Latency: 0.1}}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(pf, exact(), hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Model().FailLink("l"); err != nil {
+		t.Fatal(err)
+	}
+	w.Engine().At(1, func() { w.Model().RestoreLink("l") })
+	var deadErr error
+	var deadAt float64
+	var got any
+	if err := w.Run(func(r *Rank) error {
+		if r.Rank() == 0 {
+			deadErr = r.Send(1, 0, "dead", 8)
+			deadAt = r.Wtime()
+			if err := r.proc.Sleep(2); err != nil {
+				return err
+			}
+			return r.Send(1, 0, "next", 8)
+		}
+		if err := r.proc.Sleep(3); err != nil {
+			return err
+		}
+		var err error
+		got, _, err = r.Recv(0, 0)
+		return err
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !errors.Is(deadErr, surf.ErrLinkFailed) || deadAt != 0 {
+		t.Errorf("Send over the down link = %v at t=%g, want ErrLinkFailed at t=0", deadErr, deadAt)
+	}
+	if got != "next" {
+		t.Errorf("Recv = %v, want \"next\"", got)
 	}
 }

@@ -245,7 +245,7 @@ func (a *Action) Wait(p *core.Process) error {
 func (a *Action) Test(p *core.Process) (bool, error) { return p.TestActivity(a) }
 
 // SetCompletion registers h to receive the action's completion. Layers
-// needing to wake several processes on one completion (msg's and smpi's
+// needing to wake several processes on one completion (msg's
 // sender+receiver) use this instead of Wait. If the action is already
 // done the handler fires immediately.
 func (a *Action) SetCompletion(h Completion) {
