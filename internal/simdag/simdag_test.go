@@ -410,3 +410,56 @@ func TestLocalCommIsFree(t *testing.T) {
 		t.Errorf("local comm ended %s at %g, want done at 0", c.State(), c.Finish())
 	}
 }
+
+// TestCommWithoutRoute: a comm task between hosts with no route is
+// still schedulable; it fails when it starts, with the platform's
+// no-route error, and its dependents are cancelled. A route declared
+// over an existing link before Simulate lets the same schedule run.
+func TestCommWithoutRoute(t *testing.T) {
+	build := func() (*platform.Platform, *Simulation, *Task, *Task) {
+		pf := platform.New()
+		for _, h := range []string{"a", "b", "c"} {
+			if err := pf.AddHost(&platform.Host{Name: h, Power: 1e9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pf.AddRoute("a", "b", []*platform.Link{{Name: "ab", Bandwidth: 1e8, Latency: 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+		s := New(pf, exactConfig())
+		x := s.NewCommTask("x", 1e8)
+		y := s.NewTask("y", 1e9)
+		if err := s.AddDependency(x, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.ScheduleComm("a", "c"); err != nil {
+			t.Fatalf("ScheduleComm on a routeless pair: %v", err)
+		}
+		if err := y.Schedule("c"); err != nil {
+			t.Fatal(err)
+		}
+		return pf, s, x, y
+	}
+
+	_, s, x, y := build()
+	if _, err := s.Simulate(); err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	if x.State() != Failed || x.Err() == nil || x.Err().Error() != `platform: no route between hosts: "a" -> "c"` {
+		t.Errorf("x ended %s (%v), want failed with the no-route error", x.State(), x.Err())
+	}
+	if y.State() != Failed || !errors.Is(y.Err(), ErrDependencyFailed) {
+		t.Errorf("y ended %s (%v), want cancelled", y.State(), y.Err())
+	}
+
+	pf, s, x, y := build()
+	if err := pf.AddRoute("a", "c", []*platform.Link{pf.Link("ab")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Simulate(); err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	if x.State() != Done || !near(x.Finish(), 1.5) || y.State() != Done || !near(y.Finish(), 2.5) {
+		t.Errorf("x ended %s at %g, y %s at %g; want done at 1.5 and 2.5", x.State(), x.Finish(), y.State(), y.Finish())
+	}
+}

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,31 @@ func TestRunFluidRatesPositive(t *testing.T) {
 	for i, r := range rates {
 		if r <= 0 {
 			t.Errorf("flow %d rate %g", i, r)
+		}
+	}
+}
+
+// TestRunFluidPin holds the fluid side of E1/E2 to the bit on one
+// Waxman seed: each flow's rate as Float64bits.
+func TestRunFluidPin(t *testing.T) {
+	pf, flows := smallExperiment(t)
+	rates, err := RunFluid(pf, flows, surf.DefaultConfig())
+	if err != nil {
+		t.Fatalf("RunFluid: %v", err)
+	}
+	want := []uint64{
+		0x414f2fd17ddc921f, // 4.087714983293786e+06
+		0x413694116362ee9e, // 1.479697388228334e+06
+		0x41390e748494e5e3, // 1.642100517897003e+06
+		0x413cf080a4a7cc0f, // 1.8965766431853806e+06
+		0x4136a396c4e3cd85, // 1.483670769100995e+06
+	}
+	if len(rates) != len(want) {
+		t.Fatalf("%d rates, want %d", len(rates), len(want))
+	}
+	for i, r := range rates {
+		if math.Float64bits(r) != want[i] {
+			t.Errorf("flow %d rate %g (%#x), want %g (%#x)", i, r, math.Float64bits(r), math.Float64frombits(want[i]), want[i])
 		}
 	}
 }
