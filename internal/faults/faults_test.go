@@ -405,7 +405,7 @@ func TestSameInstantReplayOrder(t *testing.T) {
 		{At: 3, Name: "l0", Link: true},
 		{At: 3, Name: "l0", Link: true, Up: true},
 	}}
-	victim, err := m.Execute("b", 1e12, 1)
+	victim, err := m.ExecuteHandle(m.HostHandle("b"), 1e12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -431,3 +431,65 @@ func containsStr(hay, needle string) bool {
 	}
 	return false
 }
+
+// fuzzMsg mixes every shape the decoders walk: scalars, strings, a
+// fixed array, a slice of structs and nested slices. It has no float,
+// so a decoded value can be compared with reflect.DeepEqual.
+type fuzzMsg struct {
+	ID    uint32
+	Alive bool
+	Hops  int8
+	Name  string
+	Key   [3]uint16
+	Tags  []string
+	Peers []fuzzPeer
+	Grid  [][]int64
+}
+
+type fuzzPeer struct {
+	Port int16
+	Addr string
+	Seen []uint8
+}
+
+// FuzzDecode: every codec, decoding any bytes on any architecture,
+// returns an error or a value that encodes and decodes back to itself.
+func FuzzDecode(f *testing.F) {
+	d, err := Describe(fuzzMsg{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := fuzzMsg{
+		ID: 7, Alive: true, Hops: -3, Name: "a<b&c", Key: [3]uint16{1, 2, 0xFFFF},
+		Tags:  []string{"x", ""},
+		Peers: []fuzzPeer{{Port: 4000, Addr: "10.0.0.1", Seen: []uint8{1, 2}}, {}},
+		Grid:  [][]int64{{1, -1}, {}, {1 << 40}},
+	}
+	for _, c := range All() {
+		for _, from := range Archs {
+			frame, err := c.Encode(d, seed, from)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range All() {
+			for _, to := range Archs {
+				v, err := c.Decode(d, data, to)
+				if err != nil {
+					continue
+				}
+				frame, err := c.Encode(d, v, to)
+				if err != nil {
+					t.Fatalf("%s on %s: decoded %+v does not encode: %v", c.Name(), to.Name, v, err)
+				}
+				back, err := c.Decode(d, frame, to)
+				if err != nil || !reflect.DeepEqual(back, v) {
+					t.Fatalf("%s on %s: %+v re-decodes as %+v (%v)", c.Name(), to.Name, v, back, err)
+				}
+			}
+		}
+	})
+}

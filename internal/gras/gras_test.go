@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/platform"
 	"repro/internal/surf"
@@ -451,5 +452,76 @@ func TestRealNodeBenchRuns(t *testing.T) {
 	dt, err := n.Bench(func() { ran = true })
 	if err != nil || !ran || dt < 0 {
 		t.Errorf("Bench: ran=%v dt=%g err=%v", ran, dt, err)
+	}
+}
+
+// realPair starts a listening server and a client connected to it.
+func realPair(t *testing.T) (server, client *RealNode, sock *Socket) {
+	t.Helper()
+	reg := NewRegistry()
+	server = NewRealNode("server", ArchX86, reg)
+	t.Cleanup(server.Close)
+	client = NewRealNode("client", ArchSparc, reg)
+	t.Cleanup(client.Close)
+	if err := server.Listen(0); err != nil {
+		t.Fatal(err)
+	}
+	sock, err := client.ClientAddr(server.Addr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return server, client, sock
+}
+
+// A burst larger than the inbox is delivered whole and in order: a
+// full inbox holds the reader back instead of dropping frames.
+func TestRealNodeBurstKeepsEveryMessage(t *testing.T) {
+	server, client, sock := realPair(t)
+	server.Registry().Declare("n", int32(0))
+	const burst = 200
+	for i := 0; i < burst; i++ {
+		if err := client.Send(sock, "n", int32(i)); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	// Let the reader fill the inbox, then give it time to reach the rest
+	// of the burst: a reader that drops on overflow discards it here.
+	for deadline := time.Now().Add(5 * time.Second); len(server.inbox) < cap(server.inbox); {
+		if time.Now().After(deadline) {
+			t.Fatalf("inbox holds %d frames, want %d", len(server.inbox), cap(server.inbox))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	for i := 0; i < burst; i++ {
+		m, err := server.Recv("n", 5)
+		if err != nil {
+			t.Fatalf("Recv #%d: %v", i, err)
+		}
+		if got := m.Payload.(int32); got != int32(i) {
+			t.Fatalf("Recv #%d = %d, want %d", i, got, i)
+		}
+	}
+}
+
+// Recv takes the first message of the asked type, past older ones of
+// other types, which stay for a later Recv.
+func TestRealNodeTypedRecv(t *testing.T) {
+	server, client, sock := realPair(t)
+	server.Registry().Declare("a", int32(0))
+	server.Registry().Declare("b", "")
+	if err := client.Send(sock, "b", "first"); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Send(sock, "a", int32(2)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := server.Recv("a", 5)
+	if err != nil || m.Type != "a" || m.Payload.(int32) != 2 {
+		t.Fatalf("Recv(a) = %+v, %v; want a(2)", m, err)
+	}
+	m, err = server.Recv("", 5)
+	if err != nil || m.Type != "b" || m.Payload.(string) != "first" {
+		t.Fatalf("Recv(\"\") = %+v, %v; want b(first)", m, err)
 	}
 }

@@ -1,13 +1,16 @@
 // The Node interface: the API that GRAS application code is written
 // against. The same user function runs unmodified on a simNode (inside
-// the simulator, sim.go) or a realNode (over real TCP sockets,
-// real.go) — the paper's headline GRAS feature.
+// the simulator, sim.go) or a RealNode (over real TCP sockets,
+// real.go) — the paper's headline GRAS feature. Both embed one agent,
+// so receiving, dispatch and decoding are written once.
 
 package gras
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"net"
 
 	"repro/internal/gras/codec"
 )
@@ -81,7 +84,83 @@ type Socket struct {
 	Peer string
 
 	sim  *simEndpoint
-	real *realEndpoint
+	real net.Conn
+}
+
+// transport is what each runtime supplies under the shared receive
+// path: the Node handed to callbacks, and one blocking primitive.
+type transport interface {
+	Node
+	// wait blocks until one more arrival is held (in simulation: one of
+	// msgType, "" meaning any), the deadline on the agent's Clock passes
+	// (ErrTimeout; +Inf never does), or the agent closes (ErrClosed).
+	wait(msgType string, deadline float64) error
+}
+
+// arrival is a frame that reached an agent and was not yet taken, with
+// the message type it carries.
+type arrival struct {
+	typ   string
+	frame []byte
+	from  string
+	reply *Socket
+}
+
+// agent is the transport-neutral half of a GRAS agent, embedded by
+// both runtimes: identity, callbacks, and the arrivals held in arrival
+// order, from which Recv takes selectively.
+type agent struct {
+	self transport
+	name string
+	arch Arch
+	reg  *Registry
+	cbs  map[string]Callback
+	held []*arrival
+}
+
+func (a *agent) Name() string        { return a.name }
+func (a *agent) Arch() Arch          { return a.arch }
+func (a *agent) Registry() *Registry { return a.reg }
+
+// RegisterCB implements Node.
+func (a *agent) RegisterCB(msgType string, cb Callback) {
+	if a.cbs == nil {
+		a.cbs = make(map[string]Callback)
+	}
+	a.cbs[msgType] = cb
+}
+
+// Recv implements Node: it takes the first held message of msgType,
+// waiting on the transport for more arrivals until one is held.
+func (a *agent) Recv(msgType string, timeout float64) (*Msg, error) {
+	deadline := math.Inf(1)
+	if timeout > 0 {
+		deadline = a.self.Clock() + timeout
+	}
+	for {
+		for i, m := range a.held {
+			if msgType == "" || m.typ == msgType {
+				a.held = append(a.held[:i], a.held[i+1:]...)
+				return a.decode(m)
+			}
+		}
+		if err := a.self.wait(msgType, deadline); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// Handle implements Node.
+func (a *agent) Handle(timeout float64) error {
+	m, err := a.Recv("", timeout)
+	if err != nil {
+		return err
+	}
+	cb := a.cbs[m.Type]
+	if cb == nil {
+		return fmt.Errorf("gras: no callback for message %q", m.Type)
+	}
+	return cb(a.self, m)
 }
 
 // frame is the wire encoding of one message:
@@ -110,21 +189,33 @@ func encodeFrame(reg *Registry, msgType string, payload any, from Arch) ([]byte,
 	return out, nil
 }
 
-// decodeFrame parses a frame and decodes its payload for the receiving
-// architecture.
-func decodeFrame(reg *Registry, frame []byte, to Arch) (msgType string, payload any, err error) {
+// splitFrame parts a wire frame into its message type and payload; ok
+// is false for a frame too short to hold its type.
+func splitFrame(frame []byte) (msgType string, body []byte, ok bool) {
 	if len(frame) < 2 {
-		return "", nil, codec.ErrShortBuffer
+		return "", nil, false
 	}
 	tl := int(frame[0])<<8 | int(frame[1])
 	if len(frame) < 2+tl {
-		return "", nil, codec.ErrShortBuffer
+		return "", nil, false
 	}
-	msgType = string(frame[2 : 2+tl])
-	mt, ok := reg.Lookup(msgType)
+	return string(frame[2 : 2+tl]), frame[2+tl:], true
+}
+
+// decode parses an arrival and decodes its payload for this agent's
+// architecture.
+func (a *agent) decode(m *arrival) (*Msg, error) {
+	msgType, body, ok := splitFrame(m.frame)
 	if !ok {
-		return msgType, nil, fmt.Errorf("%w: %q", ErrUnknownMessage, msgType)
+		return nil, codec.ErrShortBuffer
 	}
-	payload, err = (codec.NDR{}).Decode(mt.Desc, frame[2+tl:], to)
-	return msgType, payload, err
+	mt, ok := a.reg.Lookup(msgType)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownMessage, msgType)
+	}
+	payload, err := (codec.NDR{}).Decode(mt.Desc, body, a.arch)
+	if err != nil {
+		return nil, err
+	}
+	return &Msg{Type: msgType, Payload: payload, Reply: m.reply, From: m.from}, nil
 }

@@ -9,39 +9,28 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 )
 
-// realEndpoint is the real-world side of a Socket.
-type realEndpoint struct {
-	conn net.Conn
-	node *RealNode
-}
-
 // RealNode is a GRAS agent communicating over real TCP.
 type RealNode struct {
-	name  string
-	arch  Arch
-	reg   *Registry
+	agent
 	start time.Time
 
 	mu        sync.Mutex
-	listeners []net.Listener
-	conns     []net.Conn
-	inbox     chan *realMsg
+	listeners []net.Listener // for Addr
+	closers   []io.Closer    // every listener and connection, for Close
 	closed    bool
 
-	cbs map[string]Callback
-	// pending holds received-but-unmatched messages (wrong type for
-	// the current Recv filter).
-	pending []*realMsg
-}
-
-type realMsg struct {
-	frame []byte
-	conn  net.Conn
+	// inbox carries arrivals from the read loops to wait, up to 128
+	// read ahead of Recv. A full inbox blocks them, which is TCP
+	// backpressure on the senders; done, closed by Close, releases them.
+	inbox chan *arrival
+	done  chan struct{}
 }
 
 // NewRealNode creates a real-world agent. The arch parameter tags
@@ -51,24 +40,14 @@ func NewRealNode(name string, arch Arch, reg *Registry) *RealNode {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	return &RealNode{
-		name:  name,
-		arch:  arch,
-		reg:   reg,
+	n := &RealNode{
 		start: time.Now(), //lint:allow det-wallclock real-network backend: the node clock IS the wallclock here, nothing is simulated
-		inbox: make(chan *realMsg, 128),
-		cbs:   make(map[string]Callback),
+		inbox: make(chan *arrival, 128),
+		done:  make(chan struct{}),
 	}
+	n.agent = agent{self: n, name: name, arch: arch, reg: reg}
+	return n
 }
-
-// Name implements Node.
-func (n *RealNode) Name() string { return n.name }
-
-// Arch implements Node.
-func (n *RealNode) Arch() Arch { return n.arch }
-
-// Registry implements Node.
-func (n *RealNode) Registry() *Registry { return n.reg }
 
 // Clock implements Node: seconds since the node started.
 func (n *RealNode) Clock() float64 { return time.Since(n.start).Seconds() } //lint:allow det-wallclock real-network backend: the node clock IS the wallclock here, nothing is simulated
@@ -87,10 +66,8 @@ func (n *RealNode) Close() {
 		return
 	}
 	n.closed = true
-	for _, l := range n.listeners {
-		l.Close()
-	}
-	for _, c := range n.conns {
+	close(n.done)
+	for _, c := range n.closers {
 		c.Close()
 	}
 }
@@ -102,14 +79,9 @@ func (n *RealNode) Listen(port int) error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		l.Close()
+	if !n.track(l) {
 		return ErrClosed
 	}
-	n.listeners = append(n.listeners, l)
-	n.mu.Unlock()
 	go n.acceptLoop(l)
 	return nil
 }
@@ -131,20 +103,33 @@ func (n *RealNode) acceptLoop(l net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			conn.Close()
+		if !n.track(conn) {
 			return
 		}
-		n.conns = append(n.conns, conn)
-		n.mu.Unlock()
 		go n.readLoop(conn)
 	}
 }
 
-// readLoop turns a TCP stream into framed messages.
+// track records a listener or connection for Close; on a closed node
+// it closes it instead and reports false.
+func (n *RealNode) track(c io.Closer) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		c.Close()
+		return false
+	}
+	if l, ok := c.(net.Listener); ok {
+		n.listeners = append(n.listeners, l)
+	}
+	n.closers = append(n.closers, c)
+	return true
+}
+
+// readLoop turns a TCP stream into framed arrivals.
 func (n *RealNode) readLoop(conn net.Conn) {
+	from := conn.RemoteAddr().String()
+	reply := &Socket{Peer: from, real: conn}
 	for {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
@@ -158,27 +143,37 @@ func (n *RealNode) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
+		msgType, _, _ := splitFrame(frame)
 		select {
-		case n.inbox <- &realMsg{frame: frame, conn: conn}:
-		default:
-			// Inbox overflow: drop (TCP-level backpressure would be
-			// better but this keeps the node responsive).
+		case n.inbox <- &arrival{typ: msgType, frame: frame, from: from, reply: reply}:
+		case <-n.done:
+			return
 		}
+	}
+}
+
+// wait moves one arrival from the read loops into the held list.
+func (n *RealNode) wait(_ string, deadline float64) error {
+	var expired <-chan time.Time
+	if !math.IsInf(deadline, 1) {
+		t := time.NewTimer(time.Duration((deadline - n.Clock()) * float64(time.Second)))
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case m := <-n.inbox:
+		n.held = append(n.held, m)
+		return nil
+	case <-expired:
+		return ErrTimeout
+	case <-n.done:
+		return ErrClosed
 	}
 }
 
 // Client implements Node: dials host:port.
 func (n *RealNode) Client(host string, port int) (*Socket, error) {
-	addr := fmt.Sprintf("%s:%d", host, port)
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s (%v)", ErrRefused, addr, err)
-	}
-	n.mu.Lock()
-	n.conns = append(n.conns, conn)
-	n.mu.Unlock()
-	go n.readLoop(conn) // replies may arrive on the same connection
-	return &Socket{Peer: addr, real: &realEndpoint{conn: conn, node: n}}, nil
+	return n.ClientAddr(net.JoinHostPort(host, strconv.Itoa(port)))
 }
 
 // ClientAddr dials a full address ("127.0.0.1:53420"), convenient with
@@ -188,14 +183,15 @@ func (n *RealNode) ClientAddr(addr string) (*Socket, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%v)", ErrRefused, addr, err)
 	}
-	n.mu.Lock()
-	n.conns = append(n.conns, conn)
-	n.mu.Unlock()
-	go n.readLoop(conn)
-	return &Socket{Peer: addr, real: &realEndpoint{conn: conn, node: n}}, nil
+	if !n.track(conn) {
+		return nil, ErrClosed
+	}
+	go n.readLoop(conn) // replies may arrive on the same connection
+	return &Socket{Peer: addr, real: conn}, nil
 }
 
-// Send implements Node: frames the message onto the TCP stream.
+// Send implements Node: frames the message onto the TCP stream behind
+// a 4-byte length prefix.
 func (n *RealNode) Send(s *Socket, msgType string, payload any) error {
 	if s == nil || s.real == nil {
 		return fmt.Errorf("gras: Send on a non-real socket")
@@ -204,88 +200,9 @@ func (n *RealNode) Send(s *Socket, msgType string, payload any) error {
 	if err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := s.real.conn.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err = s.real.conn.Write(frame)
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(frame)), uint32(len(frame)))
+	_, err = s.real.Write(append(buf, frame...))
 	return err
-}
-
-// Recv implements Node.
-func (n *RealNode) Recv(msgType string, timeout float64) (*Msg, error) {
-	m, err := n.recvRaw(msgType, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return n.finish(m)
-}
-
-func (n *RealNode) recvRaw(msgType string, timeout float64) (*realMsg, error) {
-	// Check messages parked by earlier Recv calls with other filters.
-	for i, m := range n.pending {
-		if msgType == "" || frameType(m.frame) == msgType {
-			n.pending = append(n.pending[:i], n.pending[i+1:]...)
-			return m, nil
-		}
-	}
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(time.Duration(timeout * float64(time.Second)))
-		defer t.Stop()
-		deadline = t.C
-	}
-	for {
-		select {
-		case m := <-n.inbox:
-			if msgType == "" || frameType(m.frame) == msgType {
-				return m, nil
-			}
-			n.pending = append(n.pending, m)
-		case <-deadline:
-			return nil, ErrTimeout
-		}
-	}
-}
-
-func (n *RealNode) finish(m *realMsg) (*Msg, error) {
-	msgType, payload, err := decodeFrame(n.reg, m.frame, n.arch)
-	if err != nil {
-		return nil, err
-	}
-	from := ""
-	if m.conn != nil {
-		from = m.conn.RemoteAddr().String()
-	}
-	return &Msg{
-		Type:    msgType,
-		Payload: payload,
-		From:    from,
-		Reply:   &Socket{Peer: from, real: &realEndpoint{conn: m.conn, node: n}},
-	}, nil
-}
-
-// RegisterCB implements Node.
-func (n *RealNode) RegisterCB(msgType string, cb Callback) {
-	n.cbs[msgType] = cb
-}
-
-// Handle implements Node.
-func (n *RealNode) Handle(timeout float64) error {
-	m, err := n.recvRaw("", timeout)
-	if err != nil {
-		return err
-	}
-	msg, err := n.finish(m)
-	if err != nil {
-		return err
-	}
-	cb := n.cbs[msg.Type]
-	if cb == nil {
-		return fmt.Errorf("gras: no callback for message %q", msg.Type)
-	}
-	return cb(n, msg)
 }
 
 // Bench implements Node: for a real node the code just runs; the

@@ -8,6 +8,7 @@ package gras
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -66,7 +67,8 @@ func (w *World) Launch(name, hostName string, fn func(Node) error) error {
 	if !ok {
 		return fmt.Errorf("gras: host %q has unknown arch %q", hostName, h.Property("arch"))
 	}
-	n := &simNode{world: w, name: name, host: h, cpu: w.model.HostHandle(hostName), arch: arch}
+	n := &simNode{world: w, host: h, cpu: w.model.HostHandle(hostName)}
+	n.agent = agent{self: n, name: name, arch: arch, reg: w.reg}
 	w.nodes = append(w.nodes, n)
 	n.proc = w.eng.Spawn(name, h, func(p *core.Process) {
 		n.err = fn(n)
@@ -101,53 +103,37 @@ func (w *World) NodeError(name string) error {
 	return fmt.Errorf("gras: unknown agent %q", name)
 }
 
-// simEndpoint is the simulation side of a Socket.
+// simEndpoint is the simulation side of a Socket: the peer, and the
+// route to it, resolved on the first Send.
 type simEndpoint struct {
-	owner *simNode
 	peer  *simNode
-}
-
-// inMsg is a message queued at an agent, still in wire form.
-type inMsg struct {
-	frame []byte
-	from  *simNode
+	route *surf.RouteHandle
 }
 
 // simNode is a simulated GRAS agent.
 type simNode struct {
+	agent
 	world *World
-	name  string
 	host  *platform.Host
 	cpu   *surf.HostHandle // the host's compute placement, resolved once
-	arch  Arch
 	proc  *core.Process
 
 	ports  []int
-	inbox  []*inMsg
-	cbs    map[string]Callback
 	closed bool
 	err    error
 
-	// recvWait is non-nil while the agent blocks in Recv/Handle.
-	recvWait *recvWaiter
+	// waiting is set while the agent blocks in wait for a message of
+	// type waitFor ("" accepts any).
+	waiting bool
+	waitFor string
 }
 
-type recvWaiter struct {
-	msgType string // "" accepts anything
-	got     *inMsg
-}
-
-func (n *simNode) Name() string        { return n.name }
-func (n *simNode) Arch() Arch          { return n.arch }
-func (n *simNode) Registry() *Registry { return n.world.reg }
-func (n *simNode) Clock() float64      { return n.world.eng.Now() }
+func (n *simNode) Clock() float64 { return n.world.eng.Now() }
 
 func (n *simNode) Sleep(d float64) error { return n.proc.Sleep(d) }
 
+// close runs once, when the agent's process exits.
 func (n *simNode) close() {
-	if n.closed {
-		return
-	}
 	n.closed = true
 	for _, p := range n.ports {
 		delete(n.world.listeners, listenAddr{n.host.Name, p})
@@ -186,15 +172,12 @@ func (n *simNode) Client(host string, port int) (*Socket, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
 	}
-	return &Socket{
-		Peer: addr.String(),
-		sim:  &simEndpoint{owner: n, peer: peer},
-	}, nil
+	return &Socket{Peer: addr.String(), sim: &simEndpoint{peer: peer}}, nil
 }
 
 // Send implements Node: the frame's bytes cross the virtual network
 // (sharing bandwidth with everything else in flight), then land in the
-// peer's inbox.
+// peer's held arrivals.
 func (n *simNode) Send(s *Socket, msgType string, payload any) error {
 	if n.closed {
 		return ErrClosed
@@ -202,12 +185,17 @@ func (n *simNode) Send(s *Socket, msgType string, payload any) error {
 	if s == nil || s.sim == nil {
 		return fmt.Errorf("gras: Send on a non-simulation socket")
 	}
-	frame, err := encodeFrame(n.world.reg, msgType, payload, n.arch)
+	frame, err := encodeFrame(n.reg, msgType, payload, n.arch)
 	if err != nil {
 		return err
 	}
-	peer := s.sim.peer
-	a, err := n.world.model.Communicate(n.host.Name, peer.host.Name, float64(len(frame)))
+	ep := s.sim
+	if ep.route == nil {
+		if ep.route, err = n.world.model.RouteHandle(n.host.Name, ep.peer.host.Name); err != nil {
+			return err
+		}
+	}
+	a, err := n.world.model.CommunicateHandle(ep.route, float64(len(frame)))
 	if err != nil {
 		return err
 	}
@@ -216,125 +204,42 @@ func (n *simNode) Send(s *Socket, msgType string, payload any) error {
 	if werr != nil {
 		return werr
 	}
-	m := &inMsg{frame: frame, from: n}
-	peer.deliver(m)
+	ep.peer.deliver(&arrival{typ: msgType, frame: frame, from: n.host.Name,
+		reply: &Socket{Peer: n.name, sim: &simEndpoint{peer: n}}})
 	return nil
 }
 
-// deliver places a message in the inbox and wakes a matching waiter.
-func (n *simNode) deliver(m *inMsg) {
+// deliver holds an arrival and wakes the agent if it waits for its type.
+func (n *simNode) deliver(m *arrival) {
 	if n.closed {
 		return // messages to dead agents vanish
 	}
-	if w := n.recvWait; w != nil && (w.msgType == "" || w.msgType == frameType(m.frame)) {
-		w.got = m
-		n.recvWait = nil
+	n.held = append(n.held, m)
+	if n.waiting && (n.waitFor == "" || n.waitFor == m.typ) {
+		n.waiting = false
 		n.world.eng.Wake(n.proc, nil)
-		return
 	}
-	n.inbox = append(n.inbox, m)
 }
 
-// frameType peeks the message type of a wire frame.
-func frameType(frame []byte) string {
-	if len(frame) < 2 {
-		return ""
-	}
-	tl := int(frame[0])<<8 | int(frame[1])
-	if len(frame) < 2+tl {
-		return ""
-	}
-	return string(frame[2 : 2+tl])
-}
-
-// takeFromInbox pops the first queued message matching msgType.
-func (n *simNode) takeFromInbox(msgType string) *inMsg {
-	for i, m := range n.inbox {
-		if msgType == "" || frameType(m.frame) == msgType {
-			n.inbox = append(n.inbox[:i], n.inbox[i+1:]...)
-			return m
-		}
-	}
-	return nil
-}
-
-// Recv implements Node.
-func (n *simNode) Recv(msgType string, timeout float64) (*Msg, error) {
-	m, err := n.recvRaw(msgType, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return n.finish(m)
-}
-
-func (n *simNode) recvRaw(msgType string, timeout float64) (*inMsg, error) {
+// wait blocks the agent's process until deliver or the deadline wakes it.
+func (n *simNode) wait(msgType string, deadline float64) error {
 	if n.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if m := n.takeFromInbox(msgType); m != nil {
-		return m, nil
-	}
-	w := &recvWaiter{msgType: msgType}
-	n.recvWait = w
+	n.waiting, n.waitFor = true, msgType
 	var timer *core.Timer
-	if timeout > 0 {
-		timer = n.world.eng.After(timeout, func() {
-			if n.recvWait == w {
-				n.recvWait = nil
+	if !math.IsInf(deadline, 1) {
+		timer = n.world.eng.At(deadline, func() {
+			if n.waiting {
+				n.waiting = false
 				n.world.eng.Wake(n.proc, ErrTimeout)
 			}
 		})
 	}
 	err := n.proc.BlockOn(core.SimcallRecv)
-	if timer != nil {
-		timer.Cancel()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if w.got == nil {
-		return nil, fmt.Errorf("gras: woken without a message")
-	}
-	return w.got, nil
-}
-
-// finish decodes a raw message on this agent's architecture.
-func (n *simNode) finish(m *inMsg) (*Msg, error) {
-	msgType, payload, err := decodeFrame(n.world.reg, m.frame, n.arch)
-	if err != nil {
-		return nil, err
-	}
-	return &Msg{
-		Type:    msgType,
-		Payload: payload,
-		From:    m.from.host.Name,
-		Reply:   &Socket{Peer: m.from.name, sim: &simEndpoint{owner: n, peer: m.from}},
-	}, nil
-}
-
-// RegisterCB implements Node.
-func (n *simNode) RegisterCB(msgType string, cb Callback) {
-	if n.cbs == nil {
-		n.cbs = make(map[string]Callback)
-	}
-	n.cbs[msgType] = cb
-}
-
-// Handle implements Node.
-func (n *simNode) Handle(timeout float64) error {
-	m, err := n.recvRaw("", timeout)
-	if err != nil {
-		return err
-	}
-	msg, err := n.finish(m)
-	if err != nil {
-		return err
-	}
-	cb := n.cbs[msg.Type]
-	if cb == nil {
-		return fmt.Errorf("gras: no callback for message %q", msg.Type)
-	}
-	return cb(n, msg)
+	timer.Cancel()
+	n.waiting = false
+	return err
 }
 
 // Bench implements Node: fn's real duration is measured and injected as

@@ -159,7 +159,7 @@ type Task struct {
 	// start() touches no string-keyed maps: shared per host / per pair
 	// for the model's lifetime.
 	execH *surf.HostHandle
-	commH *surf.RouteHandle // nil when the pair has no route: resolved at start, failing the task
+	commH *surf.RouteHandle // nil when the pair had no route at schedule time: resolved again at start
 
 	action  *surf.Action
 	start   float64
@@ -703,10 +703,11 @@ func (s *Simulation) start(t *Task) {
 	case Parallel:
 		a, err = s.model.ExecuteParallel(t.phosts, t.pflops, t.pbytes)
 	case Comm:
-		if t.commH != nil {
+		if t.commH == nil {
+			t.commH, err = s.model.RouteHandle(t.src, t.dst)
+		}
+		if err == nil {
 			a, err = s.model.CommunicateHandle(t.commH, t.amount)
-		} else {
-			a, err = s.model.Communicate(t.src, t.dst, t.amount)
 		}
 	}
 	if err != nil {

@@ -219,7 +219,7 @@ func BenchmarkRefreshBulkRekey(b *testing.B) {
 				if i >= n {
 					h = "small"
 				}
-				if _, err := m.Execute(h, 1e9*(1+rng.Float64()), 1); err != nil {
+				if _, err := execute(m, h, 1e9*(1+rng.Float64()), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,7 +276,7 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
 		eng.Spawn(fmt.Sprintf("p%d", i), nil, func(p *core.Process) {
 			for r := 0; r < rounds; r++ {
-				a, err := m.Communicate(src, dst, 1e5)
+				a, err := communicate(m, src, dst, 1e5)
 				if err != nil {
 					t.Errorf("Communicate: %v", err)
 					return
@@ -286,7 +286,7 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 					return
 				}
 				log = append(log, fmt.Sprintf("%.9g %s", eng.Now(), a.Name()))
-				b, err := m.Execute(src, 1e6, 1)
+				b, err := execute(m, src, 1e6, 1)
 				if err != nil {
 					t.Errorf("Execute: %v", err)
 					return
@@ -350,9 +350,9 @@ type relay struct {
 // go: a transfer on even counts, a compute on odd ones.
 func startStep(m *Model, src, dst string, left int) (*Action, error) {
 	if left%2 == 0 {
-		return m.Communicate(src, dst, 1e5)
+		return communicate(m, src, dst, 1e5)
 	}
-	return m.Execute(src, 1e6, 1)
+	return execute(m, src, 1e6, 1)
 }
 
 func (r *relay) start() {
@@ -438,7 +438,7 @@ func TestSleepZeroSettlesDueCompletions(t *testing.T) {
 	eng := core.New()
 	m := New(eng, pf, DefaultConfig())
 	eng.Spawn("p", nil, func(p *core.Process) {
-		a, err := m.Execute("s0", 0, 1) // zero work: due immediately
+		a, err := execute(m, "s0", 0, 1) // zero work: due immediately
 		if err != nil {
 			t.Errorf("Execute: %v", err)
 			return
@@ -464,7 +464,7 @@ func TestCompletedActionWaitFastPath(t *testing.T) {
 	eng := core.New()
 	m := New(eng, pf, DefaultConfig())
 	eng.Spawn("p", nil, func(p *core.Process) {
-		a, err := m.Execute("s0", 1e6, 1)
+		a, err := execute(m, "s0", 1e6, 1)
 		if err != nil {
 			t.Errorf("Execute: %v", err)
 			return

@@ -211,13 +211,13 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 					continue
 				}
 				bytes := math.Pow(10, 2+rng.Float64()*5)
-				if a, err := m.Communicate(src, dst, bytes); err == nil && !a.Done() {
+				if a, err := communicate(m, src, dst, bytes); err == nil && !a.Done() {
 					live = append(live, a)
 				}
 			case r < 11: // start a computation
 				h := hosts[rng.Intn(len(hosts))].Name
 				flops := math.Pow(10, 5+rng.Float64()*4)
-				if a, err := m.Execute(h, flops, 1+rng.Float64()*3); err == nil && !a.Done() {
+				if a, err := execute(m, h, flops, 1+rng.Float64()*3); err == nil && !a.Done() {
 					live = append(live, a)
 				}
 			case r < 13 && len(live) > 0: // cancel
@@ -238,7 +238,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 				// ones rebuild the heap, and both are held to the linear rescan.
 				for want := 12 + rng.Intn(40); len(live) < want; {
 					h := hosts[rng.Intn(len(hosts))].Name
-					if a, err := m.Execute(h, math.Pow(10, 7+rng.Float64()*2), 1+rng.Float64()*3); err == nil {
+					if a, err := execute(m, h, math.Pow(10, 7+rng.Float64()*2), 1+rng.Float64()*3); err == nil {
 						live = append(live, a)
 					}
 				}

@@ -51,9 +51,9 @@ func TestActionPoolScrubbed(t *testing.T) {
 			var a *Action
 			var err error
 			if rng.Intn(2) == 0 {
-				a, err = m.Execute(hosts[rng.Intn(len(hosts))], 1e5+rng.Float64()*1e6, 1+rng.Float64())
+				a, err = execute(m, hosts[rng.Intn(len(hosts))], 1e5+rng.Float64()*1e6, 1+rng.Float64())
 			} else {
-				a, err = m.Communicate("a", hosts[1+rng.Intn(len(hosts)-1)], 1e4+rng.Float64()*1e5)
+				a, err = communicate(m, "a", hosts[1+rng.Intn(len(hosts)-1)], 1e4+rng.Float64()*1e5)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -112,9 +112,9 @@ func TestActionPoolingEquivalence(t *testing.T) {
 				var a *Action
 				var err error
 				if rng.Intn(2) == 0 {
-					a, err = m.Execute(hosts[rng.Intn(len(hosts))], 1e5+rng.Float64()*1e6, 1)
+					a, err = execute(m, hosts[rng.Intn(len(hosts))], 1e5+rng.Float64()*1e6, 1)
 				} else {
-					a, err = m.Communicate("a", hosts[1+rng.Intn(len(hosts)-1)], 1e4+rng.Float64()*1e5)
+					a, err = communicate(m, "a", hosts[1+rng.Intn(len(hosts)-1)], 1e4+rng.Float64()*1e5)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -155,7 +155,7 @@ func TestReleaseGuards(t *testing.T) {
 	pf := poolTestPlatform(t, 2)
 	m := New(eng, pf, DefaultConfig())
 
-	a, err := m.Execute("a", 1e6, 1)
+	a, err := execute(m, "a", 1e6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestReleaseGuards(t *testing.T) {
 	if m.actPool.Len() != 1 {
 		t.Fatalf("pool has %d entries, want 1", m.actPool.Len())
 	}
-	b, err := m.Execute("b", 1e6, 1)
+	b, err := execute(m, "b", 1e6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,11 +257,10 @@ func (a *Action) SetCompletion(h Completion) {
 }
 
 // Release scrubs a finished action and returns it to its model's free
-// list for reuse by a future Execute/Communicate/ExecuteParallel. Only
-// the owner that knows no other reference survives may call it (msg
-// releases its transfer and execution actions, simdag its task
-// actions); the action must not be touched afterwards. Releasing an
-// unfinished action is a no-op.
+// list for reuse by a future activity. Only the owner that knows no
+// other reference survives may call it (msg releases its transfer and
+// execution actions, simdag its task actions); the action must not be
+// touched afterwards. Releasing an unfinished action is a no-op.
 func (a *Action) Release() {
 	m := a.model
 	if m == nil || !a.done {
@@ -561,26 +560,14 @@ func (m *Model) HostHandle(name string) *HostHandle {
 	return (*HostHandle)(m.cpus[name])
 }
 
-// Execute starts a computation of the given amount of flops on a host.
-func (m *Model) Execute(hostName string, flops, priority float64) (*Action, error) {
-	r, ok := m.cpus[hostName]
-	if !ok {
-		return nil, fmt.Errorf("surf: unknown host %q", hostName)
-	}
-	return m.executeOn(r, flops, priority), nil
-}
-
-// ExecuteHandle is Execute through a pre-resolved placement handle —
-// no map lookup on the hot path.
+// ExecuteHandle starts a computation of the given amount of flops on
+// the host of a placement handle; an unknown host's nil handle is
+// refused.
 func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, error) {
 	if h == nil || h.cnst == nil {
 		return nil, fmt.Errorf("surf: nil host handle")
 	}
-	return m.executeOn((*resource)(h), flops, priority), nil
-}
-
-// executeOn starts a computation on a resolved CPU resource.
-func (m *Model) executeOn(r *resource, flops, priority float64) *Action {
+	r := (*resource)(h)
 	if priority <= 0 {
 		priority = 1
 	}
@@ -591,7 +578,7 @@ func (m *Model) executeOn(r *resource, flops, priority float64) *Action {
 		a.done = true
 		a.err = ErrHostFailed
 		a.finish = a.start
-		return a
+		return a, nil
 	}
 	a.v = m.sys.NewVariable(priority, 0)
 	a.v.Data = a
@@ -599,7 +586,7 @@ func (m *Model) executeOn(r *resource, flops, priority float64) *Action {
 	a.resources = append(m.grabResources(), r)
 	a.refreshEstimate(a.start)
 	m.heap.push(a)
-	return a
+	return a, nil
 }
 
 // linkResources returns the resources implementing a platform link
@@ -707,21 +694,12 @@ func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 	return h, nil
 }
 
-// Communicate starts a transfer of the given number of bytes between
-// two hosts. The transfer pays the route latency first, then shares
-// bandwidth on every crossed link (the traversed direction only, for
-// split-duplex links), bounded by the TCP window cap.
-func (m *Model) Communicate(src, dst string, bytes float64) (*Action, error) {
-	h, err := m.RouteHandle(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return m.communicateOn(h, bytes), nil
-}
-
-// CommunicateHandle is Communicate through a handle the caller kept —
-// no map lookup on the hot path, one generation compare. A handle that
-// outlived a topology mutation refreshes itself from the current entry.
+// CommunicateHandle starts a transfer of the given number of bytes
+// over a route handle. The transfer pays the route latency first, then
+// shares bandwidth on every crossed link (the traversed direction only,
+// for split-duplex links), bounded by the TCP window cap. A kept handle
+// costs one generation compare; one that outlived a topology mutation
+// refreshes itself from the current entry.
 func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error) {
 	if h == nil {
 		return nil, fmt.Errorf("surf: nil route handle")
@@ -733,11 +711,6 @@ func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error
 		}
 		*h = *cur
 	}
-	return m.communicateOn(h, bytes), nil
-}
-
-// communicateOn starts a transfer over a resolved route.
-func (m *Model) communicateOn(h *RouteHandle, bytes float64) *Action {
 	route := h.route
 	lat := route.Latency() * m.cfg.LatencyFactor
 	a := m.newAction(ActionComm, h.name)
@@ -777,14 +750,14 @@ func (m *Model) communicateOn(h *RouteHandle, bytes float64) *Action {
 			m.sys.RemoveVariable(a.v)
 			a.v = nil
 			m.releaseResources(a)
-			return a
+			return a, nil
 		}
 		m.sys.Expand(r.cnst, a.v, 1)
 		a.resources = append(a.resources, r)
 	}
 	a.refreshEstimate(a.start)
 	m.heap.push(a)
-	return a
+	return a, nil
 }
 
 // ExecuteParallel starts a parallel task consuming CPU on several hosts

@@ -35,12 +35,26 @@ func exactCfg() Config { return Config{BandwidthFactor: 1, LatencyFactor: 1, TCP
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// execute and communicate start an activity on hosts named the way the
+// tests name them, through the handles the model hands out.
+func execute(m *Model, host string, flops, priority float64) (*Action, error) {
+	return m.ExecuteHandle(m.HostHandle(host), flops, priority)
+}
+
+func communicate(m *Model, src, dst string, bytes float64) (*Action, error) {
+	h, err := m.RouteHandle(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return m.CommunicateHandle(h, bytes)
+}
+
 func TestExecuteDuration(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	var doneAt float64
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, err := m.Execute("h1", 2e9, 1) // 2 Gflop on 1 Gflop/s
+		a, err := execute(m, "h1", 2e9, 1) // 2 Gflop on 1 Gflop/s
 		if err != nil {
 			t.Errorf("Execute: %v", err)
 			return
@@ -68,7 +82,7 @@ func TestExecuteOnFasterHost(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, _ := m.Execute("h2", 2e9, 1) // 2 Gflop on 2 Gflop/s
+		a, _ := execute(m, "h2", 2e9, 1) // 2 Gflop on 2 Gflop/s
 		a.Wait(p)
 	})
 	if err := e.Run(); err != nil {
@@ -85,7 +99,7 @@ func TestTwoExecutionsShareCPU(t *testing.T) {
 	var t1, t2 float64
 	spawn := func(out *float64) {
 		e.Spawn("p", nil, func(p *core.Process) {
-			a, _ := m.Execute("h1", 1e9, 1)
+			a, _ := execute(m, "h1", 1e9, 1)
 			a.Wait(p)
 			*out = e.Now()
 		})
@@ -106,12 +120,12 @@ func TestPriorityGetsBiggerShare(t *testing.T) {
 	m := New(e, testPlatform(t), exactCfg())
 	var tHigh, tLow float64
 	e.Spawn("high", nil, func(p *core.Process) {
-		a, _ := m.Execute("h1", 1e9, 3) // 3x priority
+		a, _ := execute(m, "h1", 1e9, 3) // 3x priority
 		a.Wait(p)
 		tHigh = e.Now()
 	})
 	e.Spawn("low", nil, func(p *core.Process) {
-		a, _ := m.Execute("h1", 1e9, 1)
+		a, _ := execute(m, "h1", 1e9, 1)
 		a.Wait(p)
 		tLow = e.Now()
 	})
@@ -132,7 +146,7 @@ func TestCommunicateLatencyPlusBandwidth(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, err := m.Communicate("h1", "h2", 1e8) // 1e8 B at 1e8 B/s + 10ms
+		a, err := communicate(m, "h1", "h2", 1e8) // 1e8 B at 1e8 B/s + 10ms
 		if err != nil {
 			t.Errorf("Communicate: %v", err)
 			return
@@ -155,7 +169,7 @@ func TestBandwidthFactorScalesRate(t *testing.T) {
 	cfg := Config{BandwidthFactor: 0.5, LatencyFactor: 1, TCPGamma: 0}
 	m := New(e, testPlatform(t), cfg)
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, _ := m.Communicate("h1", "h2", 1e8)
+		a, _ := communicate(m, "h1", "h2", 1e8)
 		a.Wait(p)
 	})
 	if err := e.Run(); err != nil {
@@ -172,7 +186,7 @@ func TestLatencyFactorScalesLatency(t *testing.T) {
 	cfg := Config{BandwidthFactor: 1, LatencyFactor: 10, TCPGamma: 0}
 	m := New(e, testPlatform(t), cfg)
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, _ := m.Communicate("h1", "h2", 1e8)
+		a, _ := communicate(m, "h1", "h2", 1e8)
 		a.Wait(p)
 	})
 	if err := e.Run(); err != nil {
@@ -189,7 +203,7 @@ func TestTCPWindowBound(t *testing.T) {
 	cfg := Config{BandwidthFactor: 1, LatencyFactor: 1, TCPGamma: 1e6}
 	m := New(e, testPlatform(t), cfg)
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, _ := m.Communicate("h1", "h2", 5e7)
+		a, _ := communicate(m, "h1", "h2", 5e7)
 		a.Wait(p)
 	})
 	if err := e.Run(); err != nil {
@@ -207,7 +221,7 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	var t1, t2 float64
 	spawn := func(out *float64) {
 		e.Spawn("f", nil, func(p *core.Process) {
-			a, _ := m.Communicate("h1", "h2", 5e7)
+			a, _ := communicate(m, "h1", "h2", 5e7)
 			a.Wait(p)
 			*out = e.Now()
 		})
@@ -250,13 +264,13 @@ func TestLatencyPhaseTakesNoShare(t *testing.T) {
 			m := New(e, p, exactCfg())
 			var doneA, doneB float64
 			e.Spawn("A", nil, func(pr *core.Process) {
-				a, _ := m.Communicate("h1", "h2", 1e8)
+				a, _ := communicate(m, "h1", "h2", 1e8)
 				a.Wait(pr)
 				doneA = e.Now()
 			})
 			e.Spawn("B", nil, func(pr *core.Process) {
 				pr.Sleep(1)
-				b, _ := m.Communicate("h1", "h2", 1e8)
+				b, _ := communicate(m, "h1", "h2", 1e8)
 				c.touch(b)
 				b.Wait(pr)
 				doneB = e.Now()
@@ -283,7 +297,7 @@ func TestFatpipeDoesNotShare(t *testing.T) {
 	var times []float64
 	for i := 0; i < 3; i++ {
 		e.Spawn("f", nil, func(pr *core.Process) {
-			a, _ := m.Communicate("h1", "h2", 1e8)
+			a, _ := communicate(m, "h1", "h2", 1e8)
 			a.Wait(pr)
 			times = append(times, e.Now())
 		})
@@ -308,7 +322,7 @@ func TestMultiHopUsesAllLinks(t *testing.T) {
 	e := core.New()
 	m := New(e, p, exactCfg())
 	e.Spawn("f", nil, func(pr *core.Process) {
-		a, _ := m.Communicate("a", "b", 5e7)
+		a, _ := communicate(m, "a", "b", 5e7)
 		a.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
@@ -338,7 +352,7 @@ func TestRouteHandleOneCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Spawn("f", nil, func(pr *core.Process) {
-		a, _ := m.Communicate("a", "b", 5e7) // 1 s at the slow link's rate + 3 ms
+		a, _ := communicate(m, "a", "b", 5e7) // 1 s at the slow link's rate + 3 ms
 		a.Wait(pr)
 		if again, _ := m.RouteHandle("a", "b"); again != kept || len(m.routes) != 1 {
 			t.Errorf("Communicate and RouteHandle resolved a->b separately (%d entries)", len(m.routes))
@@ -369,7 +383,7 @@ func TestIntraHostCommIsInstant(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, err := m.Communicate("h1", "h1", 1e9)
+		a, err := communicate(m, "h1", "h1", 1e9)
 		if err != nil {
 			t.Errorf("Communicate: %v", err)
 			return
@@ -388,7 +402,7 @@ func TestZeroFlopsInstant(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(p *core.Process) {
-		a, _ := m.Execute("h1", 0, 1)
+		a, _ := execute(m, "h1", 0, 1)
 		a.Wait(p)
 	})
 	if err := e.Run(); err != nil {
@@ -402,10 +416,10 @@ func TestZeroFlopsInstant(t *testing.T) {
 func TestUnknownHostAndRoute(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
-	if _, err := m.Execute("ghost", 1, 1); err == nil {
+	if _, err := execute(m, "ghost", 1, 1); err == nil {
 		t.Error("Execute on unknown host accepted")
 	}
-	if _, err := m.Communicate("ghost", "h1", 1); err == nil {
+	if _, err := communicate(m, "ghost", "h1", 1); err == nil {
 		t.Error("Communicate from unknown host accepted")
 	}
 }
@@ -417,7 +431,7 @@ func TestAvailabilityTraceSlowsCPU(t *testing.T) {
 	e := core.New()
 	m := New(e, p, exactCfg())
 	e.Spawn("p", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 2e9, 1)
+		a, _ := execute(m, "h1", 2e9, 1)
 		a.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
@@ -437,7 +451,7 @@ func TestPeriodicAvailabilityTrace(t *testing.T) {
 	e := core.New()
 	m := New(e, p, exactCfg())
 	e.Spawn("p", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 3e9, 1)
+		a, _ := execute(m, "h1", 3e9, 1)
 		a.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
@@ -462,7 +476,7 @@ func TestStateTraceFailsComputation(t *testing.T) {
 	}
 	var gotErr error
 	e.Spawn("p", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 1e10, 1)
+		a, _ := execute(m, "h1", 1e10, 1)
 		gotErr = a.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
@@ -490,12 +504,12 @@ func TestStateTraceRecovery(t *testing.T) {
 	m := New(e, p, exactCfg())
 	var phase2 error
 	e.Spawn("p", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 1e10, 1)
+		a, _ := execute(m, "h1", 1e10, 1)
 		if err := a.Wait(pr); !errors.Is(err, ErrHostFailed) {
 			t.Errorf("first Wait = %v", err)
 		}
 		pr.Sleep(1.5) // wait past recovery (t=2.5)
-		a2, _ := m.Execute("h1", 1e9, 1)
+		a2, _ := execute(m, "h1", 1e9, 1)
 		phase2 = a2.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
@@ -543,7 +557,7 @@ func TestLinkFailureKillsTransfer(t *testing.T) {
 	m := New(e, testPlatform(t), exactCfg())
 	var gotErr error
 	e.Spawn("f", nil, func(pr *core.Process) {
-		a, _ := m.Communicate("h1", "h2", 1e9)
+		a, _ := communicate(m, "h1", "h2", 1e9)
 		gotErr = a.Wait(pr)
 	})
 	e.Spawn("saboteur", nil, func(pr *core.Process) {
@@ -567,7 +581,7 @@ func TestCommOnDownLinkFailsImmediately(t *testing.T) {
 	var gotErr error
 	e.Spawn("f", nil, func(pr *core.Process) {
 		m.FailLink("l1")
-		a, err := m.Communicate("h1", "h2", 1e3)
+		a, err := communicate(m, "h1", "h2", 1e3)
 		if err != nil {
 			t.Errorf("Communicate: %v", err)
 			return
@@ -588,7 +602,7 @@ func TestExecOnDownHostFailsImmediately(t *testing.T) {
 	var gotErr error
 	e.Spawn("p", nil, func(pr *core.Process) {
 		m.FailHost("h1")
-		a, _ := m.Execute("h1", 1e3, 1)
+		a, _ := execute(m, "h1", 1e3, 1)
 		gotErr = a.Wait(pr)
 		m.RestoreHost("h1")
 	})
@@ -609,7 +623,7 @@ func TestCancelAction(t *testing.T) {
 	var gotErr error
 	var act *Action
 	e.Spawn("p", nil, func(pr *core.Process) {
-		act, _ = m.Execute("h1", 1e12, 1)
+		act, _ = execute(m, "h1", 1e12, 1)
 		gotErr = act.Wait(pr)
 	})
 	e.Spawn("canceler", nil, func(pr *core.Process) {
@@ -630,7 +644,7 @@ func TestSuspendResumeAction(t *testing.T) {
 	var act *Action
 	var doneAt float64
 	e.Spawn("p", nil, func(pr *core.Process) {
-		act, _ = m.Execute("h1", 2e9, 1) // 2 s of work
+		act, _ = execute(m, "h1", 2e9, 1) // 2 s of work
 		act.Wait(pr)
 		doneAt = e.Now()
 	})
@@ -721,12 +735,12 @@ func TestComputeAndCommCoexist(t *testing.T) {
 	m := New(e, testPlatform(t), exactCfg())
 	var tExec, tComm float64
 	e.Spawn("cpu", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 1e9, 1)
+		a, _ := execute(m, "h1", 1e9, 1)
 		a.Wait(pr)
 		tExec = e.Now()
 	})
 	e.Spawn("net", nil, func(pr *core.Process) {
-		a, _ := m.Communicate("h1", "h2", 5e7)
+		a, _ := communicate(m, "h1", "h2", 5e7)
 		a.Wait(pr)
 		tComm = e.Now()
 	})
@@ -745,7 +759,7 @@ func TestHostLoadReporting(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 1e9, 1)
+		a, _ := execute(m, "h1", 1e9, 1)
 		pr.Sleep(0.5)
 		if load := m.HostLoad("h1"); !approx(load, 1e9, 1) {
 			t.Errorf("HostLoad = %g, want 1e9", load)
@@ -805,7 +819,7 @@ func TestWaitAfterCompletion(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(pr *core.Process) {
-		a, _ := m.Execute("h1", 1e6, 1)
+		a, _ := execute(m, "h1", 1e6, 1)
 		pr.Sleep(1) // action completes during the sleep
 		if err := a.Wait(pr); err != nil {
 			t.Errorf("Wait after completion: %v", err)
@@ -821,7 +835,7 @@ func TestDoubleWaiterRejected(t *testing.T) {
 	m := New(e, testPlatform(t), exactCfg())
 	var act *Action
 	e.Spawn("p1", nil, func(pr *core.Process) {
-		act, _ = m.Execute("h1", 1e9, 1)
+		act, _ = execute(m, "h1", 1e9, 1)
 		act.Wait(pr)
 	})
 	e.Spawn("p2", nil, func(pr *core.Process) {
@@ -845,7 +859,7 @@ func TestRemainingTracksLazyProgress(t *testing.T) {
 	var act *Action
 	e.Spawn("worker", nil, func(p *core.Process) {
 		var err error
-		act, err = m.Execute("h1", 2e9, 1) // 2 Gflop at 1 Gflop/s -> done at 2
+		act, err = execute(m, "h1", 2e9, 1) // 2 Gflop at 1 Gflop/s -> done at 2
 		if err != nil {
 			t.Errorf("Execute: %v", err)
 			return
@@ -855,7 +869,7 @@ func TestRemainingTracksLazyProgress(t *testing.T) {
 	// Unrelated churn on h2: forces re-solves whose partial results must
 	// leave h1's action untouched (it is in another component).
 	e.At(0.25, func() {
-		if _, err := m.Execute("h2", 1e9, 1); err != nil {
+		if _, err := execute(m, "h2", 1e9, 1); err != nil {
 			t.Errorf("churn Execute: %v", err)
 		}
 	})

@@ -126,14 +126,14 @@ func RunFluid(pf *platform.Platform, flows []FlowSpec, cfg surf.Config) ([]float
 	for i, fs := range flows {
 		i, fs := i, fs
 		eng.Spawn(fmt.Sprintf("flow%d", i), nil, func(p *core.Process) {
-			a, err := model.Communicate(fs.Src, fs.Dst, fs.Bytes)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
+			h, err := model.RouteHandle(fs.Src, fs.Dst)
+			if err == nil {
+				var a *surf.Action
+				if a, err = model.CommunicateHandle(h, fs.Bytes); err == nil {
+					err = a.Wait(p)
 				}
-				return
 			}
-			if err := a.Wait(p); err != nil {
+			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
