@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/instr"
 	"repro/internal/msg"
+	"repro/internal/platform"
 	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
@@ -24,7 +25,17 @@ import (
 // and returns the trace bytes.
 func runTracedWorkload(t *testing.T, nPairs, rounds int, seed int64) []byte {
 	t.Helper()
-	pf := determinismPlatform(t, nPairs)
+	_, raw, err := tracedBackbone(determinismPlatform(t, nPairs), nPairs, rounds, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// tracedBackbone runs the determinism workload on pf with tracing
+// enabled and returns the finished environment and the trace bytes.
+// It reports failure as an error, so it may run off the test goroutine.
+func tracedBackbone(pf *platform.Platform, nPairs, rounds int, seed int64) (*msg.Environment, []byte, error) {
 	rng := rand.New(rand.NewSource(seed))
 	env := msg.NewEnvironment(pf, surf.DefaultConfig())
 	var buf bytes.Buffer
@@ -47,7 +58,7 @@ func runTracedWorkload(t *testing.T, nPairs, rounds int, seed int64) []byte {
 			}
 			return nil
 		}); err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		if _, err := env.NewProcess("send", src, func(p *msg.Process) error {
 			for r := 0; r < rounds; r++ {
@@ -65,16 +76,16 @@ func runTracedWorkload(t *testing.T, nPairs, rounds int, seed int64) []byte {
 			}
 			return nil
 		}); err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 	}
 	if err := env.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+		return nil, nil, fmt.Errorf("Run: %w", err)
 	}
 	if err := env.Trace().Close(); err != nil {
-		t.Fatalf("closing trace: %v", err)
+		return nil, nil, fmt.Errorf("closing trace: %w", err)
 	}
-	return buf.Bytes()
+	return env, buf.Bytes(), nil
 }
 
 func TestTraceDeterminism(t *testing.T) {
