@@ -146,7 +146,6 @@ func main() {
 	if *statsPath != "" {
 		r := instr.NewRegistry()
 		sim.MetricsInto(r)
-		r.SetPool("instr.event_pool", instr.EventPoolStats())
 		out := os.Stdout
 		if *statsPath != "-" {
 			out, err = os.Create(*statsPath)

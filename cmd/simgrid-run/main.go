@@ -160,7 +160,6 @@ func main() {
 		if injector != nil {
 			injector.MetricsInto(r)
 		}
-		r.SetPool("instr.event_pool", instr.EventPoolStats())
 		out := os.Stdout
 		if *statsPath != "-" {
 			out, err = os.Create(*statsPath)

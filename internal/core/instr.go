@@ -41,13 +41,13 @@ func (e *Engine) MetricsInto(r *instr.Registry) {
 	if r == nil {
 		return
 	}
-	r.Counter("core.simcalls_fast").Add(e.stats.Fast)
-	r.Counter("core.simcalls_slow").Add(e.stats.Slow)
-	r.Counter("core.processes_spawned").Add(uint64(e.Spawned()))
-	r.Counter("core.goroutine_spawns").Add(uint64(e.goSpawns))
-	r.Gauge("core.goroutines_peak").SetMax(float64(e.goPeak))
-	r.Gauge("core.timer_peak").SetMax(float64(e.timerPeak))
-	r.Gauge("core.timers").Set(float64(len(e.timers)))
-	r.Counter("core.fault_panics").Add(uint64(len(e.panics)))
+	r.Add("core.simcalls_fast", e.stats.Fast)
+	r.Add("core.simcalls_slow", e.stats.Slow)
+	r.Add("core.processes_spawned", uint64(e.Spawned()))
+	r.Add("core.goroutine_spawns", uint64(e.goSpawns))
+	r.Max("core.goroutines_peak", float64(e.goPeak))
+	r.Max("core.timer_peak", float64(e.timerPeak))
+	r.Set("core.timers", float64(len(e.timers)))
+	r.Add("core.fault_panics", uint64(len(e.panics)))
 	r.SetPool("core.worker_pool", workerPoolStat())
 }

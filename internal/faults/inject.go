@@ -92,7 +92,7 @@ func (in *Injector) MetricsInto(r *instr.Registry) {
 	if r == nil {
 		return
 	}
-	r.Counter("faults.injections").Add(in.injections)
-	r.Counter("faults.recoveries").Add(in.recoveries)
-	r.Gauge("faults.schedule_events").Set(float64(len(in.sched.Events)))
+	r.Add("faults.injections", in.injections)
+	r.Add("faults.recoveries", in.recoveries)
+	r.Set("faults.schedule_events", float64(len(in.sched.Events)))
 }

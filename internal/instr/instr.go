@@ -20,13 +20,16 @@
 //
 // Everything here is zero-cost when disabled: the layers hold nil
 // pointers and every hook is either a nil-guard or a method that is
-// safe (and trivially cheap) on a nil receiver. When enabled, trace
-// events draw from a free list per the DESIGN pooling rules
-// (factory.go, -tags=nopool to disable), so steady-state tracing adds
-// no per-event allocation after warm-up.
+// safe (and trivially cheap) on a nil receiver. When enabled, the
+// Paje writer formats each event straight into its output buffer, so
+// steady-state tracing allocates nothing, and the registry stores
+// plain values by name. The package keeps no state of its own: every
+// Trace and Registry is self-contained, so simulations in different
+// goroutines trace independently.
 //
 // This package imports nothing from the rest of the module but the
-// leaf package pool, so every layer can depend on it without cycles.
+// leaf package pool (for PoolStat), so every layer can depend on it
+// without cycles.
 package instr
 
 import "repro/internal/pool"

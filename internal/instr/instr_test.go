@@ -2,23 +2,22 @@ package instr
 
 import (
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/pool"
 )
 
 func TestRegistryJSONDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		r.Counter("z.count").Add(3)
-		r.Counter("a.count").Inc()
-		r.Gauge("m.depth").Set(4.5)
-		r.Gauge("m.depth").SetMax(2) // below current: no effect
-		w := r.Weighted("util")
-		w.Observe(0, 1)
-		w.Observe(2, 0.5)
-		w.Observe(4, 0)
+		r.Add("z.count", 3)
+		r.Add("a.count", 1)
+		r.Set("m.depth", 4.5)
+		r.Max("m.depth", 2) // below current: no effect
+		r.Max("peak", 3)
+		r.Max("peak", 1)
+		r.Add("a.count", 1) // counters accumulate
 		r.SetPool("pool.x", PoolStat{Hit: 10, Miss: 2, Free: 7})
 		return r
 	}
@@ -37,30 +36,18 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	if strings.Index(out, `"a.count"`) > strings.Index(out, `"z.count"`) {
 		t.Fatalf("keys not sorted:\n%s", out)
 	}
-	for _, want := range []string{`"a.count": 1`, `"z.count": 3`, `"m.depth": 4.5`, `"util": 3`, `"pool.x.hit": 10`, `"pool.x.miss": 2`, `"pool.x.steady_free": 7`} {
+	for _, want := range []string{`"a.count": 2`, `"z.count": 3`, `"m.depth": 4.5`, `"peak": 3`, `"pool.x.hit": 10`, `"pool.x.miss": 2`, `"pool.x.steady_free": 7`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestWeightedIntegral(t *testing.T) {
-	r := NewRegistry()
-	w := r.Weighted("depth")
-	w.Observe(1, 2)  // depth 2 from t=1
-	w.Observe(3, 5)  // 2*2=4 accrued
-	w.Observe(3, 7)  // zero elapsed: no accrual, value replaced
-	w.Observe(10, 0) // 7*7=49 accrued
-	if got := w.Integral(); got != 53 {
-		t.Fatalf("Integral = %v, want 53", got)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("x").Set(1)
-	r.Weighted("x").Observe(1, 1)
+	r.Add("x", 1)
+	r.Set("x", 1)
+	r.Max("x", 2)
 	r.SetPool("x", PoolStat{})
 	var b bytes.Buffer
 	if err := r.WriteJSON(&b); err != nil {
@@ -99,7 +86,7 @@ func TestNilSafety(t *testing.T) {
 
 // writeSample emits a small but representative trace and returns its
 // bytes.
-func writeSample(t *testing.T) []byte {
+func writeSample(t testing.TB) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	tr := NewTrace(&b)
@@ -179,29 +166,121 @@ func TestTraceBytesStable(t *testing.T) {
 	}
 }
 
-func TestEventPoolRecycles(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("pooling disabled by build tag")
-	}
-	var b bytes.Buffer
-	tr := NewTrace(&b)
+// TestTraceAllocFree pins that steady-state emission allocates
+// nothing: each line is formatted straight into the output buffer.
+func TestTraceAllocFree(t *testing.T) {
+	tr := NewTrace(io.Discard)
 	ct := tr.DefineContainerType("0", "HOST")
 	st := tr.DefineStateType(ct, "S")
+	vt := tr.DefineVariableType(ct, "V")
+	lt := tr.DefineLinkType("0", ct, ct, "L")
 	c := tr.CreateContainer(0, ct, "0", "h")
-	before := EventPoolStats()
-	// Fill well past one flush batch so recycled records get reused.
-	for i := 0; i < 3*flushBatch; i++ {
-		tr.SetState(float64(i), st, c, "v")
+	now := 0.0
+	allocs := testing.AllocsPerRun(2000, func() {
+		now += 0.25
+		tr.SetState(now, st, c, "v")
+		tr.PushState(now, st, c, "p")
+		tr.PopState(now, st, c)
+		tr.SetVariable(now, vt, c, now/3)
+		tr.StartLink(now, lt, "0", c, "m", "k")
+		tr.EndLink(now, lt, "0", c, "m", "k")
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state emission allocates %.1f times per round, want 0", allocs)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after := EventPoolStats()
-	if after.Hit <= before.Hit {
-		t.Fatalf("pool never hit: before=%+v after=%+v", before, after)
+}
+
+// TestReadTraceMatchesOldestLink pins EndLink's pairing: the oldest
+// open link with the same type and key, whatever else is open.
+func TestReadTraceMatchesOldestLink(t *testing.T) {
+	var b bytes.Buffer
+	tr := NewTrace(&b)
+	ct := tr.DefineContainerType("0", "P")
+	l1 := tr.DefineLinkType("0", ct, ct, "A")
+	l2 := tr.DefineLinkType("0", ct, ct, "B")
+	x := tr.CreateContainer(0, ct, "0", "x")
+	y := tr.CreateContainer(0, ct, "0", "y")
+	tr.StartLink(1, l1, "0", x, "first", "k")
+	tr.StartLink(2, l2, "0", y, "other type", "k")
+	tr.StartLink(3, l1, "0", y, "second", "k")
+	tr.EndLink(4, l1, "0", y, "", "k")
+	tr.EndLink(5, l1, "0", x, "", "k")
+	tr.EndLink(6, l1, "0", x, "", "k") // nothing left to end
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if after.Free == 0 {
-		t.Fatal("pool empty after flush")
+	td, err := ReadTrace(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []LinkSpan{
+		{Type: "A", Src: "x", Dst: "y", Value: "first", Key: "k", Start: 1, End: 4},
+		{Type: "A", Src: "y", Dst: "x", Value: "second", Key: "k", Start: 3, End: 5},
+	}
+	if len(td.Links) != len(want) || td.Links[0] != want[0] || td.Links[1] != want[1] {
+		t.Fatalf("links = %+v, want %+v", td.Links, want)
+	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes: every input decodes or
+// returns an error, never panics. The committed corpus
+// (testdata/fuzz/FuzzReadTrace) holds golden fragments and the
+// malformed cases: an unterminated quote, a bad id, a missing
+// timestamp, EndLink without a start, PopState on an empty stack and a
+// destroy of an unknown container.
+func FuzzReadTrace(f *testing.F) {
+	f.Add(writeSample(f))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		td, err := ReadTrace(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		for _, iv := range td.Intervals {
+			if iv.Open && iv.End != td.EndTime {
+				t.Fatalf("open interval %+v does not end at the trace's end %v", iv, td.EndTime)
+			}
+		}
+	})
+}
+
+// BenchmarkReadTrace reads traces of n containers, each holding one
+// pushed state and starting one message link; every link ends, then
+// every container is destroyed.
+func BenchmarkReadTrace(b *testing.B) {
+	for _, n := range []int{5000, 10000, 20000} {
+		var buf bytes.Buffer
+		tr := NewTrace(&buf)
+		ct := tr.DefineContainerType("0", "P")
+		st := tr.DefineStateType(ct, "S")
+		lt := tr.DefineLinkType("0", ct, ct, "M")
+		conts := make([]string, n)
+		for i := range conts {
+			conts[i] = tr.CreateContainer(0, ct, "0", "p"+strconv.Itoa(i))
+			tr.PushState(0, st, conts[i], "run")
+		}
+		for i, c := range conts {
+			tr.StartLink(1, lt, "0", c, "m", strconv.Itoa(i))
+		}
+		for i, c := range conts {
+			tr.EndLink(2, lt, "0", c, "m", strconv.Itoa(i))
+		}
+		for _, c := range conts {
+			tr.DestroyContainer(3, ct, c)
+		}
+		if err := tr.Close(); err != nil {
+			b.Fatal(err)
+		}
+		raw := buf.Bytes()
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadTrace(bytes.NewReader(raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,36 +6,26 @@ import (
 	"strconv"
 )
 
-// Registry holds named metrics — counters, gauges and time-weighted
-// integrals — and snapshots them as deterministic JSON: names are
-// emitted sorted, values with Go's shortest-round-trip float
-// formatting, so two identical runs produce identical bytes.
+// Registry holds named metrics — counters and gauges — and snapshots
+// them as deterministic JSON: names are emitted sorted, values with
+// Go's shortest-round-trip float formatting, so two identical runs
+// produce identical bytes.
 //
-// Layers register metrics lazily (Counter/Gauge/Weighted are
-// idempotent by name) and either update them live during the run or
-// dump final totals at collection time (the MetricsInto convention).
-// The registry is simulation-context only — no locking, exactly like
-// every other kernel structure.
+// Layers keep their counts in plain fields and store them by name at
+// collection time (the MetricsInto convention); a name is registered
+// by its first Add, Set or Max, and its kind fixed then. Every method
+// is a no-op on a nil registry. The registry is simulation-context
+// only — no locking, exactly like every other kernel structure.
 type Registry struct {
 	names []string // registration order; sorted at snapshot
 	items map[string]*metric
 }
 
-type metricKind int8
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindWeighted
-)
-
-// metric is one named entry; the exported wrappers are typed views.
+// metric is one named value: a count, or a gauge's float.
 type metric struct {
-	kind         metricKind
-	n            uint64  // counter
-	v            float64 // gauge value / weighted integral
-	lastT, lastV float64
-	began        bool // weighted: first observation seen
+	counter bool
+	n       uint64
+	v       float64
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -43,112 +33,39 @@ func NewRegistry() *Registry {
 	return &Registry{items: make(map[string]*metric)}
 }
 
-func (r *Registry) get(name string, kind metricKind) *metric {
+func (r *Registry) get(name string, counter bool) *metric {
 	if m, ok := r.items[name]; ok {
 		return m
 	}
-	m := &metric{kind: kind}
+	m := &metric{counter: counter}
 	r.items[name] = m
 	r.names = append(r.names, name)
 	return m
 }
 
-// Counter is a monotonically growing event count. All methods are
-// no-ops on a nil receiver, so a disabled layer holds nil and calls
-// through unconditionally.
-type Counter struct{ m *metric }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.m.n++
+// Add adds n to the named counter.
+func (r *Registry) Add(name string, n uint64) {
+	if r != nil {
+		r.get(name, true).n += n
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.m.n += n
+// Set stores v in the named gauge.
+func (r *Registry) Set(name string, v float64) {
+	if r != nil {
+		r.get(name, false).v = v
 	}
 }
 
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.m.n
-}
-
-// Gauge is a point-in-time value (queue depth, pool occupancy).
-type Gauge struct{ m *metric }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.m.v = v
-	}
-}
-
-// SetMax stores v if it exceeds the current value (high-water marks).
-func (g *Gauge) SetMax(v float64) {
-	if g != nil && v > g.m.v {
-		g.m.v = v
-	}
-}
-
-// Weighted is a time-weighted integral over simulated time: each
-// Observe(t, v) accrues previous-value × elapsed-sim-time, so
-// Integral / elapsed is the time-average of the observed quantity
-// (mean event-heap depth, mean utilization). Observations must come
-// in non-decreasing t — which simulation code gets for free.
-type Weighted struct{ m *metric }
-
-// Observe accrues the integral up to sim-time t, then records v as the
-// current value.
-func (w *Weighted) Observe(t, v float64) {
-	if w == nil {
+// Max stores v in the named gauge if it exceeds the current value
+// (high-water marks).
+func (r *Registry) Max(name string, v float64) {
+	if r == nil {
 		return
 	}
-	m := w.m
-	if m.began && t > m.lastT {
-		m.v += m.lastV * (t - m.lastT)
+	if m := r.get(name, false); v > m.v {
+		m.v = v
 	}
-	m.lastT, m.lastV, m.began = t, v, true
-}
-
-// Integral returns the accrued value-seconds up to the last
-// observation.
-func (w *Weighted) Integral() float64 {
-	if w == nil {
-		return 0
-	}
-	return w.m.v
-}
-
-// Counter returns (registering if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return &Counter{m: r.get(name, kindCounter)}
-}
-
-// Gauge returns (registering if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return &Gauge{m: r.get(name, kindGauge)}
-}
-
-// Weighted returns (registering if needed) the named time-weighted
-// integral.
-func (r *Registry) Weighted(name string) *Weighted {
-	if r == nil {
-		return nil
-	}
-	return &Weighted{m: r.get(name, kindWeighted)}
 }
 
 // SetPool registers the three <name>.hit/.miss/.steady_free entries
@@ -157,15 +74,15 @@ func (r *Registry) SetPool(name string, ps PoolStat) {
 	if r == nil {
 		return
 	}
-	r.Counter(name + ".hit").Add(ps.Hit)
-	r.Counter(name + ".miss").Add(ps.Miss)
-	r.Gauge(name + ".steady_free").Set(float64(ps.Free))
+	r.Add(name+".hit", ps.Hit)
+	r.Add(name+".miss", ps.Miss)
+	r.Set(name+".steady_free", float64(ps.Free))
 }
 
 // WriteJSON writes the snapshot as one flat JSON object, keys sorted,
 // trailing newline: {"name": value, ...}. Counters emit as integers,
-// gauges and weighted integrals as shortest-round-trip floats. The
-// byte output is a pure function of the registered state.
+// gauges as shortest-round-trip floats. The byte output is a pure
+// function of the registered state.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		_, err := w.Write([]byte("{}\n"))
@@ -180,10 +97,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		buf = append(buf, "  "...)
 		buf = strconv.AppendQuote(buf, name)
 		buf = append(buf, ':', ' ')
-		switch m.kind {
-		case kindCounter:
+		if m.counter {
 			buf = strconv.AppendUint(buf, m.n, 10)
-		default:
+		} else {
 			buf = appendFloat(buf, m.v)
 		}
 		if i < len(names)-1 {

@@ -50,8 +50,8 @@ type TraceData struct {
 	EndTime    float64
 }
 
-// typeDecl maps a type alias to its name for every definition kind —
-// the reader only needs names.
+// openState is the open part of one (container, state type) pair: its
+// current SetState value and its pushed stack.
 type openState struct {
 	cont, typ string // container and state-type names
 	stack     []stackedVal
@@ -65,18 +65,42 @@ type stackedVal struct {
 }
 
 type openLink struct {
-	typ, src, val, key string
-	at                 float64
+	src, val string
+	at       float64
 }
 
-// ReadTrace decodes a trace produced by Trace from r.
+// pair keys the reader's indexes by two names: (container, state type)
+// for states, (link type, key) for links.
+type pair struct{ a, b string }
+
+// ReadTrace decodes a trace produced by Trace from r. Every event costs
+// O(1) map work, plus one step per state a destroyed container holds.
 func ReadTrace(r io.Reader) (*TraceData, error) {
 	td := &TraceData{}
-	types := map[string]string{} // type alias -> name
-	conts := map[string]string{} // container alias -> name
-	stateIdx := map[string]int{} // cont+"\x00"+type -> index into states
-	var states []*openState      // deterministic close order
-	var links []openLink
+	types := map[string]string{}        // type alias -> name
+	conts := map[string]string{}        // container alias -> name
+	stateOf := map[pair]*openState{}    // (container, state type) names -> state
+	var states []*openState             // creation order: the end-of-trace close order
+	byCont := map[string][]*openState{} // container name -> its states, creation order
+	links := map[pair][]openLink{}      // (link type, key) -> open links, oldest first
+	var args []string
+	get := func(i int) string {
+		if i < len(args) {
+			return args[i]
+		}
+		return ""
+	}
+	stateFor := func(contAlias, typeAlias string) *openState {
+		k := pair{conts[contAlias], types[typeAlias]}
+		if st, ok := stateOf[k]; ok {
+			return st
+		}
+		st := &openState{cont: k.a, typ: k.b}
+		stateOf[k] = st
+		states = append(states, st)
+		byCont[k.a] = append(byCont[k.a], st)
+		return st
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	lineNo := 0
@@ -97,7 +121,7 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 		if err != nil {
 			return nil, fmt.Errorf("paje line %d: bad event id %q", lineNo, fields[0])
 		}
-		args := fields[1:]
+		args = fields[1:]
 		// Timed events carry the timestamp first.
 		var t float64
 		if id >= pajeCreateContainer {
@@ -113,30 +137,11 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 				td.EndTime = t
 			}
 		}
-		get := func(i int) string {
-			if i < len(args) {
-				return args[i]
-			}
-			return ""
-		}
-		stateFor := func(contAlias, typeAlias string) *openState {
-			cn, tn := conts[contAlias], types[typeAlias]
-			k := cn + "\x00" + tn
-			if i, ok := stateIdx[k]; ok {
-				return states[i]
-			}
-			st := &openState{cont: cn, typ: tn}
-			stateIdx[k] = len(states)
-			states = append(states, st)
-			return st
-		}
 		switch id {
-		case pajeDefineContainerType, pajeDefineStateType, pajeDefineVariableType:
+		case pajeDefineContainerType, pajeDefineStateType, pajeDefineVariableType, pajeDefineEntityValue:
 			types[get(0)] = get(2)
 		case pajeDefineLinkType:
 			types[get(0)] = get(4)
-		case pajeDefineEntityValue:
-			types[get(0)] = get(2)
 		case pajeCreateContainer:
 			alias, ctype, parent, name := get(0), get(1), get(2), get(3)
 			conts[alias] = name
@@ -146,11 +151,8 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 				Parent: conts[parent],
 			})
 		case pajeDestroyContainer:
-			name := conts[get(1)]
-			for _, st := range states {
-				if st.cont == name {
-					closeState(td, st, t)
-				}
+			for _, st := range byCont[conts[get(1)]] {
+				closeState(td, st, t)
 			}
 		case pajeSetState:
 			st := stateFor(get(1), get(0))
@@ -177,22 +179,20 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 		case pajeSetVariable:
 			// Variables are not needed for rendering; skip.
 		case pajeStartLink:
-			links = append(links, openLink{
-				typ: types[get(0)], src: conts[get(2)], val: get(3), key: get(4), at: t,
-			})
+			k := pair{types[get(0)], get(4)}
+			links[k] = append(links[k], openLink{src: conts[get(2)], val: get(3), at: t})
 		case pajeEndLink:
-			ltype, dst, key := types[get(0)], conts[get(2)], get(4)
-			for i := range links {
-				if links[i].key == key && links[i].typ == ltype {
-					td.Links = append(td.Links, LinkSpan{
-						Type: ltype, Src: links[i].src, Dst: dst,
-						Value: links[i].val, Key: key,
-						Start: links[i].at, End: t,
-					})
-					links = append(links[:i], links[i+1:]...)
-					break
-				}
+			k := pair{types[get(0)], get(4)}
+			q := links[k]
+			if len(q) == 0 {
+				break
 			}
+			td.Links = append(td.Links, LinkSpan{
+				Type: k.a, Src: q[0].src, Dst: conts[get(2)],
+				Value: q[0].val, Key: k.b,
+				Start: q[0].at, End: t,
+			})
+			links[k] = q[1:]
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -12,18 +12,18 @@ import (
 // with Go escaping, and floats use shortest-round-trip formatting —
 // so the byte stream is a pure function of the emission sequence.
 //
-// Emissions fill pooled event records (factory.go) that are formatted
-// and released in batches, keeping steady-state tracing allocation-
-// free after warm-up. Like the rest of the kernel, a Trace is
+// Each emission formats its line straight into one output buffer,
+// written out in chunks, so steady-state tracing allocates nothing.
+// A Trace holds all its own state: traces in different goroutines are
+// independent, while one Trace, like the rest of the kernel, is
 // simulation-context-only and unlocked. All methods are safe on a nil
 // receiver, so layers can call hooks unconditionally.
 type Trace struct {
-	w       io.Writer
-	pending []*event
-	out     []byte
-	err     error
-	nType   int
-	nCont   int
+	w     io.Writer
+	out   []byte
+	err   error
+	nType int
+	nCont int
 }
 
 // Paje event IDs, in header order.
@@ -123,24 +123,9 @@ const pajeHeader = `%EventDef PajeDefineContainerType 0
 %EndEventDef
 `
 
-// event is one pending trace line. Records come from the free list in
-// factory.go and are scrubbed and released after formatting.
-type event struct {
-	id     int
-	timed  bool
-	time   float64
-	hasVal bool
-	val    float64
-	args   []string
-}
-
-// flushBatch is how many pending events accumulate before being
-// formatted and recycled; outChunk is the output-buffer size that
-// triggers an actual write.
-const (
-	flushBatch = 256
-	outChunk   = 1 << 15
-)
+// outChunk is the output-buffer size past which the buffer is written
+// out.
+const outChunk = 1 << 15
 
 // NewTrace starts a Paje trace on w, writing the event-definition
 // header immediately.
@@ -165,34 +150,39 @@ func (tr *Trace) contAlias() string {
 	return a
 }
 
-func (tr *Trace) emit(ev *event) {
-	tr.pending = append(tr.pending, ev)
-	if len(tr.pending) >= flushBatch {
-		tr.drain()
+// def emits an untimed definition line.
+func (tr *Trace) def(id int, args ...string) {
+	tr.out = strconv.AppendInt(tr.out, int64(id), 10)
+	tr.quote(args)
+	tr.end()
+}
+
+// timed emits a timed event line with string args only.
+func (tr *Trace) timed(id int, t float64, args ...string) {
+	tr.stamp(id, t)
+	tr.quote(args)
+	tr.end()
+}
+
+// stamp starts a timed event line: the event id and the timestamp.
+func (tr *Trace) stamp(id int, t float64) {
+	tr.out = strconv.AppendInt(tr.out, int64(id), 10)
+	tr.out = append(tr.out, ' ')
+	tr.out = appendFloat(tr.out, t)
+}
+
+// quote appends each arg as a Go-quoted field.
+func (tr *Trace) quote(args []string) {
+	for _, a := range args {
+		tr.out = append(tr.out, ' ')
+		tr.out = strconv.AppendQuote(tr.out, a)
 	}
 }
 
-// drain formats every pending event into the output buffer, releases
-// the records, and writes the buffer out once it crosses outChunk.
-func (tr *Trace) drain() {
-	for _, ev := range tr.pending {
-		tr.out = strconv.AppendInt(tr.out, int64(ev.id), 10)
-		if ev.timed {
-			tr.out = append(tr.out, ' ')
-			tr.out = appendFloat(tr.out, ev.time)
-		}
-		for _, a := range ev.args {
-			tr.out = append(tr.out, ' ')
-			tr.out = strconv.AppendQuote(tr.out, a)
-		}
-		if ev.hasVal {
-			tr.out = append(tr.out, ' ')
-			tr.out = appendFloat(tr.out, ev.val)
-		}
-		tr.out = append(tr.out, '\n')
-		releaseEvent(ev)
-	}
-	tr.pending = tr.pending[:0]
+// end closes the line and writes the buffer out once it passes
+// outChunk.
+func (tr *Trace) end() {
+	tr.out = append(tr.out, '\n')
 	if len(tr.out) >= outChunk {
 		tr.writeOut()
 	}
@@ -206,24 +196,6 @@ func (tr *Trace) writeOut() {
 		_, tr.err = tr.w.Write(tr.out)
 	}
 	tr.out = tr.out[:0]
-}
-
-// def queues an untimed definition event.
-func (tr *Trace) def(id int, args ...string) {
-	ev := grabEvent()
-	ev.id = id
-	ev.args = append(ev.args, args...)
-	tr.emit(ev)
-}
-
-// timedEvent queues a timed event with string args only.
-func (tr *Trace) timedEvent(id int, t float64, args ...string) {
-	ev := grabEvent()
-	ev.id = id
-	ev.timed = true
-	ev.time = t
-	ev.args = append(ev.args, args...)
-	tr.emit(ev)
 }
 
 // DefineContainerType declares a container type under parent (use
@@ -286,7 +258,7 @@ func (tr *Trace) CreateContainer(t float64, ctype, parent, name string) string {
 		return ""
 	}
 	a := tr.contAlias()
-	tr.timedEvent(pajeCreateContainer, t, a, ctype, parent, name)
+	tr.timed(pajeCreateContainer, t, a, ctype, parent, name)
 	return a
 }
 
@@ -295,7 +267,7 @@ func (tr *Trace) DestroyContainer(t float64, ctype, alias string) {
 	if tr == nil {
 		return
 	}
-	tr.timedEvent(pajeDestroyContainer, t, ctype, alias)
+	tr.timed(pajeDestroyContainer, t, ctype, alias)
 }
 
 // SetState sets the current value of a state (replacing any previous
@@ -304,7 +276,7 @@ func (tr *Trace) SetState(t float64, stype, container, value string) {
 	if tr == nil {
 		return
 	}
-	tr.timedEvent(pajeSetState, t, stype, container, value)
+	tr.timed(pajeSetState, t, stype, container, value)
 }
 
 // PushState pushes a value onto a state's stack.
@@ -312,7 +284,7 @@ func (tr *Trace) PushState(t float64, stype, container, value string) {
 	if tr == nil {
 		return
 	}
-	tr.timedEvent(pajePushState, t, stype, container, value)
+	tr.timed(pajePushState, t, stype, container, value)
 }
 
 // PopState pops the top value off a state's stack.
@@ -320,7 +292,7 @@ func (tr *Trace) PopState(t float64, stype, container string) {
 	if tr == nil {
 		return
 	}
-	tr.timedEvent(pajePopState, t, stype, container)
+	tr.timed(pajePopState, t, stype, container)
 }
 
 // SetVariable sets a numeric variable on a container.
@@ -328,14 +300,11 @@ func (tr *Trace) SetVariable(t float64, vtype, container string, v float64) {
 	if tr == nil {
 		return
 	}
-	ev := grabEvent()
-	ev.id = pajeSetVariable
-	ev.timed = true
-	ev.time = t
-	ev.args = append(ev.args, vtype, container)
-	ev.hasVal = true
-	ev.val = v
-	tr.emit(ev)
+	tr.stamp(pajeSetVariable, t)
+	tr.quote([]string{vtype, container})
+	tr.out = append(tr.out, ' ')
+	tr.out = appendFloat(tr.out, v)
+	tr.end()
 }
 
 // StartLink starts an arrow of type ltype within container, leaving
@@ -344,7 +313,7 @@ func (tr *Trace) StartLink(t float64, ltype, container, srcContainer, value, key
 	if tr == nil {
 		return
 	}
-	tr.timedEvent(pajeStartLink, t, ltype, container, srcContainer, value, key)
+	tr.timed(pajeStartLink, t, ltype, container, srcContainer, value, key)
 }
 
 // EndLink ends the arrow with the matching key at dstContainer.
@@ -352,16 +321,14 @@ func (tr *Trace) EndLink(t float64, ltype, container, dstContainer, value, key s
 	if tr == nil {
 		return
 	}
-	tr.timedEvent(pajeEndLink, t, ltype, container, dstContainer, value, key)
+	tr.timed(pajeEndLink, t, ltype, container, dstContainer, value, key)
 }
 
-// Flush formats all pending events and writes every buffered byte to
-// the underlying writer.
+// Flush writes every buffered byte to the underlying writer.
 func (tr *Trace) Flush() error {
 	if tr == nil {
 		return nil
 	}
-	tr.drain()
 	tr.writeOut()
 	return tr.err
 }

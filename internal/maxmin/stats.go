@@ -23,16 +23,16 @@ func (s *System) MetricsInto(r *instr.Registry) {
 	if r == nil {
 		return
 	}
-	r.Counter("maxmin.solves").Add(s.stats.Solves)
+	r.Add("maxmin.solves", s.stats.Solves)
 	// Frozen key, always 0: the parallel solve is gone, but bench/golden.json
 	// digests the metric key set — drop it when that golden is re-pinned.
-	r.Counter("maxmin.parallel_solves").Add(0)
-	r.Counter("maxmin.scope_vars").Add(s.stats.ScopeVars)
-	r.Counter("maxmin.components").Add(s.stats.Components)
-	r.Gauge("maxmin.max_scope_vars").SetMax(float64(s.stats.MaxScopeVars))
-	r.Gauge("maxmin.max_components").SetMax(float64(s.stats.MaxComponents))
-	r.Gauge("maxmin.vars").Set(float64(len(s.vars)))
-	r.Gauge("maxmin.constraints").Set(float64(len(s.cnsts)))
+	r.Add("maxmin.parallel_solves", 0)
+	r.Add("maxmin.scope_vars", s.stats.ScopeVars)
+	r.Add("maxmin.components", s.stats.Components)
+	r.Max("maxmin.max_scope_vars", float64(s.stats.MaxScopeVars))
+	r.Max("maxmin.max_components", float64(s.stats.MaxComponents))
+	r.Set("maxmin.vars", float64(len(s.vars)))
+	r.Set("maxmin.constraints", float64(len(s.cnsts)))
 	r.SetPool("maxmin.var_pool", s.varPool.Stat())
 	r.SetPool("maxmin.elem_pool", s.elemPool.Stat())
 }

@@ -87,11 +87,11 @@ func (env *Environment) MetricsInto(r *instr.Registry) {
 	if r == nil {
 		return
 	}
-	r.Counter("msg.retries").Add(env.retries)
-	r.Gauge("msg.queued_sends").Set(float64(env.queued[send]))
-	r.Gauge("msg.queued_recvs").Set(float64(env.queued[recv]))
-	r.Gauge("msg.queued_peak").SetMax(float64(env.queuedPeak))
-	r.Gauge("msg.live_chains").Set(float64(env.liveChains))
+	r.Add("msg.retries", env.retries)
+	r.Set("msg.queued_sends", float64(env.queued[send]))
+	r.Set("msg.queued_recvs", float64(env.queued[recv]))
+	r.Max("msg.queued_peak", float64(env.queuedPeak))
+	r.Set("msg.live_chains", float64(env.liveChains))
 	r.SetPool("msg.send_pool", env.pools[send].Stat())
 	r.SetPool("msg.recv_pool", env.pools[recv].Stat())
 	r.SetPool("msg.chain_pool", env.chainPool.Stat())

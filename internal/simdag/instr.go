@@ -66,18 +66,18 @@ func (s *Simulation) MetricsInto(r *instr.Registry) {
 	if r == nil {
 		return
 	}
-	r.Gauge("simdag.tasks").Set(float64(len(s.tasks)))
+	r.Set("simdag.tasks", float64(len(s.tasks)))
 	ptasks := 0
 	for _, t := range s.tasks {
 		if t.kind == Parallel {
 			ptasks++
 		}
 	}
-	r.Gauge("simdag.ptasks").Set(float64(ptasks))
-	r.Counter("simdag.done").Add(uint64(s.nDone))
-	r.Counter("simdag.failed").Add(uint64(s.nFailed))
-	r.Counter("simdag.reschedules").Add(s.reschedules)
-	r.Counter("simdag.watch_hits").Add(uint64(len(s.watchHits)))
+	r.Set("simdag.ptasks", float64(ptasks))
+	r.Add("simdag.done", uint64(s.nDone))
+	r.Add("simdag.failed", uint64(s.nFailed))
+	r.Add("simdag.reschedules", s.reschedules)
+	r.Add("simdag.watch_hits", uint64(len(s.watchHits)))
 	s.model.MetricsInto(r)
 	s.eng.MetricsInto(r)
 }

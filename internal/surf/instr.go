@@ -161,17 +161,6 @@ func (m *Model) traceResourceState(r *resource, up bool) {
 	st.tr.SetState(m.eng.Now(), stype, r.pajeC, state)
 }
 
-// EnableMetrics registers the model's live time-weighted observations
-// on r (event-heap depth over simulated time). The cumulative counters
-// don't need enabling — they are always-on fields collected by
-// MetricsInto.
-func (m *Model) EnableMetrics(r *instr.Registry) {
-	if r == nil {
-		return
-	}
-	m.heapDepth = r.Weighted("surf.heap_depth_integral")
-}
-
 // SolverStats reports the underlying MaxMin system's cumulative solve
 // counters.
 func (m *Model) SolverStats() maxmin.SolveStats { return m.sys.Stats() }
@@ -183,10 +172,10 @@ func (m *Model) MetricsInto(r *instr.Registry) {
 	if r == nil {
 		return
 	}
-	r.Counter("surf.actions_started").Add(uint64(m.nextSeq))
-	r.Gauge("surf.heap_depth").Set(float64(len(m.heap)))
-	r.Gauge("surf.heap_peak").SetMax(float64(m.heapPeak))
-	r.Gauge("surf.resources").Set(float64(len(m.resList)))
+	r.Add("surf.actions_started", uint64(m.nextSeq))
+	r.Set("surf.heap_depth", float64(len(m.heap)))
+	r.Max("surf.heap_peak", float64(m.heapPeak))
+	r.Set("surf.resources", float64(len(m.resList)))
 	r.SetPool("surf.action_pool", m.actPool.Stat())
 	r.SetPool("surf.res_slice_pool", m.resPool.Stat())
 	m.sys.MetricsInto(r)

@@ -33,7 +33,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/instr"
 	"repro/internal/maxmin"
 	"repro/internal/platform"
 	"repro/internal/pool"
@@ -418,13 +417,11 @@ type Model struct {
 	OnHostStateChange func(host *platform.Host, up bool)
 
 	// Observability (instr.go). resList is every resource in creation
-	// order — the deterministic walk order for trace emission. trace
-	// and heapDepth are nil until EnableTrace/EnableMetrics; heapPeak
-	// is a plain always-on field.
-	resList   []*resource
-	trace     *surfTrace
-	heapDepth *instr.Weighted
-	heapPeak  int
+	// order — the deterministic walk order for trace emission. trace is
+	// nil until EnableTrace; heapPeak is a plain always-on field.
+	resList  []*resource
+	trace    *surfTrace
+	heapPeak int
 }
 
 // New builds the resource model for a platform, registering it with the
@@ -951,7 +948,6 @@ func (m *Model) NextEventTime(now float64) float64 {
 // instead of k interleaved pop/sift cycles.
 func (m *Model) AdvanceTo(now, t float64) {
 	m.refresh()
-	m.heapDepth.Observe(t, float64(len(m.heap)))
 	// The slack absorbs the clock's float64 resolution (otherwise the
 	// engine would spin on a next-event time that rounds to now);
 	// borderline actions collected but not yet due are re-pushed below.

@@ -1,8 +1,8 @@
-// TestPoolScoreboards pins what the nine free lists count: the
+// TestPoolScoreboards pins what the eight free lists count: the
 // hit/miss/free triad every layer reports through MetricsInto is inside
 // the sweep campaign digest and read by bench/, so a change to the one
 // list implementation (internal/pool) that moved a count would move
-// them. Two small runs cover all nine owners — an MSG run mixing
+// them. Two small runs cover all eight owners — an MSG run mixing
 // goroutine pairs, processless chains, a Paje trace and host failures
 // with auto-restart, and a SimDag run whose host failure diverts tasks
 // back to the scheduler — each replayed pooled and unpooled.
@@ -25,10 +25,9 @@ import (
 )
 
 // scoreboard renders the pool triads of a finished run. The per-engine
-// lists print hit/miss/free; the two process-wide ones (carrier
-// goroutines, trace events) are stocked by whatever ran before in this
-// test binary, so only what this run drew from them — Gets, hit or
-// miss — is a function of the run.
+// lists print hit/miss/free; the process-wide carrier-goroutine list is
+// stocked by whatever ran before in this test binary, so only what this
+// run drew from it — Gets, hit or miss — is a function of the run.
 func scoreboard(t *testing.T, metricsInto func(*instr.Registry), before map[string]float64) []byte {
 	t.Helper()
 	after := poolMetrics(t, metricsInto)
@@ -41,20 +40,17 @@ func scoreboard(t *testing.T, metricsInto func(*instr.Registry), before map[stri
 			fmt.Fprintf(&out, "%s %v/%v/%v\n", name, after[name+".hit"], after[name+".miss"], after[name+".steady_free"])
 		}
 	}
-	for _, name := range []string{"core.worker_pool", "instr.event_pool"} {
-		gets := after[name+".hit"] + after[name+".miss"] - before[name+".hit"] - before[name+".miss"]
-		fmt.Fprintf(&out, "%s gets %v\n", name, gets)
-	}
+	const workers = "core.worker_pool"
+	gets := after[workers+".hit"] + after[workers+".miss"] - before[workers+".hit"] - before[workers+".miss"]
+	fmt.Fprintf(&out, "%s gets %v\n", workers, gets)
 	return out.Bytes()
 }
 
-// poolMetrics snapshots a registry filled by metricsInto, plus the
-// trace event list the CLIs add by hand.
+// poolMetrics snapshots a registry filled by metricsInto.
 func poolMetrics(t *testing.T, metricsInto func(*instr.Registry)) map[string]float64 {
 	t.Helper()
 	r := instr.NewRegistry()
 	metricsInto(r)
-	r.SetPool("instr.event_pool", instr.EventPoolStats())
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -66,7 +62,7 @@ func poolMetrics(t *testing.T, metricsInto func(*instr.Registry)) map[string]flo
 	return m
 }
 
-// globalPools reads the process-wide lists before a run, through an
+// globalPools reads the process-wide list before a run, through an
 // engine that has done nothing.
 func globalPools(t *testing.T) map[string]float64 {
 	return poolMetrics(t, core.New().MetricsInto)
@@ -197,7 +193,7 @@ func runRescheduledDAG(t *testing.T) []byte {
 // The wanted values were captured at the commit before pool.List, with
 // one exception: unpooled, the carrier-goroutine list used not to count
 // a Get at all (0 where this says 5); it now counts a miss like the
-// other eight.
+// other lists.
 func TestPoolScoreboards(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -209,20 +205,20 @@ func TestPoolScoreboards(t *testing.T) {
 			pooled: "maxmin.var_pool 34/4/4\nmaxmin.elem_pool 66/12/12\n" +
 				"surf.action_pool 34/4/4\nsurf.res_slice_pool 34/4/4\n" +
 				"msg.send_pool 16/4/4\nmsg.recv_pool 18/4/3\nmsg.chain_pool 0/4/3\n" +
-				"core.worker_pool gets 5\ninstr.event_pool gets 545\n",
+				"core.worker_pool gets 5\n",
 			fresh: "maxmin.var_pool 0/38/0\nmaxmin.elem_pool 0/78/0\n" +
 				"surf.action_pool 0/38/0\nsurf.res_slice_pool 0/38/0\n" +
 				"msg.send_pool 0/20/0\nmsg.recv_pool 0/22/0\nmsg.chain_pool 0/4/0\n" +
-				"core.worker_pool gets 5\ninstr.event_pool gets 545\n",
+				"core.worker_pool gets 5\n",
 		},
 		{
 			name: "simdag-reschedule", run: runRescheduledDAG,
 			pooled: "maxmin.var_pool 14/6/6\nmaxmin.elem_pool 13/9/9\n" +
 				"surf.action_pool 14/6/6\nsurf.res_slice_pool 14/6/6\n" +
-				"core.worker_pool gets 0\ninstr.event_pool gets 0\n",
+				"core.worker_pool gets 0\n",
 			fresh: "maxmin.var_pool 0/20/0\nmaxmin.elem_pool 0/22/0\n" +
 				"surf.action_pool 0/20/0\nsurf.res_slice_pool 0/20/0\n" +
-				"core.worker_pool gets 0\ninstr.event_pool gets 0\n",
+				"core.worker_pool gets 0\n",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,7 @@
 // platform) produce bit-identical output, with pooling on and with it
 // off (pooltest.Replay). TestDisabledHooksAllocFree pins the other half
 // of the contract: the disabled-instrumentation surface (nil trace,
-// nil profiler, nil registry handles) allocates nothing, so a run that
+// nil profiler, nil registry) allocates nothing, so a run that
 // never calls EnableTrace pays pointer tests only.
 package simgrid
 
@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/instr"
@@ -116,6 +117,37 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestConcurrentTraces runs the traced workload in four goroutines at
+// once. Each trace must equal a sequential run's byte for byte: two
+// traced simulations share no mutable state.
+func TestConcurrentTraces(t *testing.T) {
+	const nPairs, rounds, seed, n = 20, 5, 12345, 4
+	ref := runTracedWorkload(t, nPairs, rounds, seed)
+	pfs := make([]*platform.Platform, n)
+	for i := range pfs {
+		pfs[i] = determinismPlatform(t, nPairs)
+	}
+	got := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range pfs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, got[i], errs[i] = tracedBackbone(pfs[i], nPairs, rounds, seed)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], ref) {
+			t.Errorf("goroutine %d: trace differs from the sequential run", i)
+		}
+	}
+}
+
 // TestDisabledHooksAllocFree pins that the whole disabled-mode
 // instrumentation surface — the calls a run makes when tracing,
 // metrics, and profiling are all off — performs zero allocations, so
@@ -129,14 +161,13 @@ func TestDisabledHooksAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		// The layer-level collection entry points with metrics off.
 		env.MetricsInto(nil)
-		env.Model().EnableMetrics(nil)
 		// The per-phase profiler hooks with profiling off.
 		t0 := nilProf.Begin()
 		nilProf.End(instr.PhaseSolve, t0)
-		// The registry/trace handles a disabled run never populates.
-		nilReg.Counter("x").Inc()
-		nilReg.Gauge("x").Set(1)
-		nilReg.Weighted("x").Observe(1, 2)
+		// The registry and trace a disabled run never populates.
+		nilReg.Add("x", 1)
+		nilReg.Set("x", 1)
+		nilReg.Max("x", 2)
 		nilTrace.SetState(0, "t0", "c0", "v")
 		if env.Trace() != nil {
 			t.Error("trace should be nil")
