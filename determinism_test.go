@@ -17,10 +17,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/maxmin"
 	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/pool/pooltest"
+	"repro/internal/simdag"
 	"repro/internal/surf"
+	"repro/internal/sweep"
 )
 
 // determinismPlatform wires nPairs sender/receiver pairs through
@@ -125,8 +129,9 @@ func TestDeterminism(t *testing.T) {
 // all flows, every sender starting at t=0 so that each latency class
 // enters the bandwidth phase in one instant and every completion
 // re-solves one nPairs-variable MaxMin component. It returns an FNV-1a
-// digest of every process's finish time, bit for bit.
-func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) uint64 {
+// digest of every process's finish time, bit for bit, and the solver's
+// work counters.
+func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) (uint64, maxmin.SolveStats) {
 	t.Helper()
 	pf := platform.New()
 	backbone := &platform.Link{Name: "backbone", Bandwidth: 1e6 * float64(nPairs), Latency: 1e-4}
@@ -191,7 +196,7 @@ func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) uint64 {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
 		h.Write(b[:])
 	}
-	return h.Sum64()
+	return h.Sum64(), env.Model().SolverStats()
 }
 
 // TestBackboneDigest pins the bits of the contended-link case: the
@@ -199,21 +204,83 @@ func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) uint64 {
 // round was fused and surf's rate-change re-key went bulk, and a
 // last-bit drift in any rate moves them. bench/golden.json pins the
 // same thing at 2000 flows, but takes the two-minute benchmark to check.
+// The solver counters are held too: how many solves, components and
+// scope variables the run costs is part of what a kernel change keeps.
 func TestBackboneDigest(t *testing.T) {
 	for _, c := range []struct {
-		seed int64
-		want uint64
+		seed  int64
+		want  uint64
+		stats maxmin.SolveStats
 	}{
-		{1, 0x4b9820952759fe4c},
-		{2, 0x003232cc3bdec3c4},
+		{1, 0x4b9820952759fe4c, maxmin.SolveStats{Solves: 1005, ScopeVars: 122091, Components: 2405, MaxScopeVars: 200, MaxComponents: 401}},
+		{2, 0x003232cc3bdec3c4, maxmin.SolveStats{Solves: 1005, ScopeVars: 121187, Components: 2405, MaxScopeVars: 200, MaxComponents: 401}},
 	} {
 		c := c
 		pooltest.Replay(t, 1, func() []byte {
-			got := runBackboneScenario(t, 200, 2, c.seed)
+			got, stats := runBackboneScenario(t, 200, 2, c.seed)
 			if got != c.want {
 				t.Errorf("seed %d: finish-time digest %#016x, want %#016x", c.seed, got, c.want)
 			}
-			return []byte(fmt.Sprintf("%016x", got))
+			if stats != c.stats {
+				t.Errorf("seed %d: solver stats %#v, want %#v", c.seed, stats, c.stats)
+			}
+			return []byte(fmt.Sprintf("%016x %+v", got, stats))
 		})
 	}
+}
+
+// TestFaultyGridSolveStats pins the solver counters of one run of the
+// faulty campaign's shape (layered DAG, min-min, exponential host
+// failures with rescheduling) on the two-site grid, whose WAN links are
+// fatpipes: transfers between sites cross two of them.
+func TestFaultyGridSolveStats(t *testing.T) {
+	spec := sweep.Faulty()
+	grid := sweep.PlatformSpec{Name: "grid2x4", Kind: "multisite", Hosts: 4, Sites: 2}
+	want := maxmin.SolveStats{Solves: 220, ScopeVars: 94, Components: 269, MaxScopeVars: 6, MaxComponents: 18}
+	pooltest.Replay(t, 1, func() []byte {
+		pf, hosts, err := grid.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := simdag.New(pf, surf.DefaultConfig())
+		if err := spec.Workloads[0].Build(s, 1); err != nil {
+			t.Fatal(err)
+		}
+		params, err := spec.Faults[1].Params(hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := faults.Compile(1, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := faults.Arm(sched, s.Model())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetReschedulePolicy(hosts)
+		if err := simdag.ScheduleMinMin(s, hosts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Simulate(); err != nil {
+			t.Fatal(err)
+		}
+		if inj.Applied() == 0 {
+			t.Fatal("no fault event applied: the run no longer exercises failures")
+		}
+		wan := 0
+		for _, task := range s.Tasks() {
+			if src, dst := task.Endpoints(); task.Kind() == simdag.Comm && src[:len("grid2x4-s0")] != dst[:len("grid2x4-s0")] {
+				wan++
+			}
+		}
+		if wan == 0 {
+			t.Fatal("no transfer crosses the fatpipe WAN links")
+		}
+		stats := s.Model().SolverStats()
+		if stats != want {
+			t.Errorf("solver stats %#v, want %#v", stats, want)
+		}
+		return []byte(fmt.Sprintf("%+v", stats))
+	})
 }

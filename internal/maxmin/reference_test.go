@@ -351,7 +351,10 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 // some components and skip others) with one wide bottleneck island in
 // the msg_backbone shape: every variable crosses the bottleneck plus a
 // private constraint, weights come from five classes, and bounds sit
-// around the fair share so that some bind and some do not.
+// around the fair share so that some bind and some do not. Island 1 is
+// all fatpipes, so its components couple nothing; SetShared toggles turn
+// the other islands' constraints (the bottleneck and the private links
+// included) into fatpipes and back.
 func kernelChurn(t *testing.T, seed int64) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -424,11 +427,11 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 		vars = append(vars, v)
 	}
 
-	islands = make([][]cpair, 2+rng.Intn(4))
+	islands = make([][]cpair, 3+rng.Intn(4))
 	newCnst(0, 300+rng.Float64()*300, true) // the bottleneck
 	for i := 1; i < len(islands); i++ {
 		for n := 2 + rng.Intn(4); n > 0; n-- {
-			newCnst(i, randCap(), rng.Intn(4) != 0)
+			newCnst(i, randCap(), i != 1 && rng.Intn(4) != 0)
 		}
 	}
 	for n := 30 + rng.Intn(60); n > 0; n-- {
@@ -475,7 +478,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 	compare(-1)
 	for step := 0; step < 120; step++ {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
-			switch rng.Intn(8) {
+			switch rng.Intn(9) {
 			case 0, 1:
 				addVar()
 			case 2, 3:
@@ -517,6 +520,15 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 				compare(step)
 				got.SetWeight(v.g, 2.5)
 				want.SetWeight(v.w, 2.5)
+			case 8:
+				k := rng.Intn(len(islands) - 1) // any island but the fatpipe one
+				if k >= 1 {
+					k++
+				}
+				c := islands[k][rng.Intn(len(islands[k]))]
+				shared := !c.g.Shared()
+				got.SetShared(c.g, shared)
+				want.SetShared(c.w, shared)
 			}
 		}
 		compare(step)
@@ -541,23 +553,25 @@ func TestSolveKernelBitwise(t *testing.T) {
 // in one component (the second seed must find it already solved and
 // contribute nothing — no second component, no member counted twice, no
 // variable reported twice) next to a dirty constraint nothing crosses (a
-// component of its own, with no variable). The counters are the values
-// the whole-scope solve produced for the same sequence.
+// component of its own, with no variable). Three more solves seed a
+// component from a private constraint: once with its variable dirty too,
+// once alone, and a dirty fatpipe nothing crosses. The counters are the
+// values the whole-scope solve produced for the same sequence.
 func TestSolveSeedsSharingAComponent(t *testing.T) {
 	type sys struct {
-		s      *System
-		shared *Constraint
-		vs     [3]*Variable
+		s       *System
+		shared  *Constraint
+		private *Constraint
+		vs      [3]*Variable
 	}
 	build := func() sys {
 		s := NewSystem()
-		y := sys{s: s, shared: s.NewConstraint(90)}
-		private := s.NewConstraint(20)
+		y := sys{s: s, shared: s.NewConstraint(90), private: s.NewConstraint(20)}
 		for i := range y.vs {
 			y.vs[i] = s.NewVariable(1, 0)
 			s.Expand(y.shared, y.vs[i], 1)
 		}
-		s.Expand(private, y.vs[1], 2)
+		s.Expand(y.private, y.vs[1], 2)
 		return y
 	}
 	got, want := build(), build()
@@ -590,5 +604,36 @@ func TestSolveSeedsSharingAComponent(t *testing.T) {
 	}
 	if st, wantSt := got.s.Stats(), (SolveStats{Solves: 2, ScopeVars: 6, Components: 3, MaxScopeVars: 3, MaxComponents: 2}); st != wantSt {
 		t.Errorf("stats %+v, want %+v", st, wantSt)
+	}
+
+	for _, c := range []struct {
+		name   string
+		mutate func(y sys)
+		want   SolveStats
+	}{
+		{"private and its variable", func(y sys) {
+			y.s.SetCapacity(y.private, 25)
+			y.s.SetWeight(y.vs[1], 2)
+		}, SolveStats{Solves: 3, ScopeVars: 9, Components: 4, MaxScopeVars: 3, MaxComponents: 2}},
+		{"private alone", func(y sys) {
+			y.s.SetCapacity(y.private, 30)
+		}, SolveStats{Solves: 4, ScopeVars: 12, Components: 5, MaxScopeVars: 3, MaxComponents: 2}},
+		{"empty fatpipe", func(y sys) {
+			y.s.SetShared(y.s.NewConstraint(5), false)
+		}, SolveStats{Solves: 5, ScopeVars: 12, Components: 6, MaxScopeVars: 3, MaxComponents: 2}},
+	} {
+		c.mutate(got)
+		c.mutate(want)
+		before := got.s.Stats()
+		got.s.Solve()
+		checkScope(t, c.name, got.s, before, referenceSolve(want.s))
+		for i := range got.vs {
+			if g, w := got.vs[i].Value(), want.vs[i].Value(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s: V%d = %v, reference %v", c.name, i, g, w)
+			}
+		}
+		if st := got.s.Stats(); st != c.want {
+			t.Errorf("%s: stats %+v, want %+v", c.name, st, c.want)
+		}
 	}
 }
