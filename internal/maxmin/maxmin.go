@@ -11,9 +11,9 @@
 // bound (e.g. the TCP window bound gamma/2RTT).
 //
 // Solve computes the max-min fair allocation by progressive filling:
-// grow all variables' shares together until either a variable hits its
-// bound (it is then frozen) or a constraint saturates (all its variables
-// are then frozen), remove frozen usage, and repeat on the remainder.
+// grow all variables' shares together until a variable hits a bound (its
+// own, or a constraint only it draws on: a private link, a fatpipe) or a
+// shared constraint saturates, freeze those, and repeat on the rest.
 //
 // The solver is incremental (SimGrid's "selective update" / lazy lmm
 // optimization): every mutation (Expand, SetWeight, SetBound,
@@ -94,17 +94,15 @@ type Constraint struct {
 	Data any
 
 	sys   *System
-	usage float64 // post-solve total load
-	visit uint64  // component-walk generation mark
-	dirty bool    // queued in sys.dirtyCnsts
+	visit uint64 // component-walk generation mark
+	dirty bool   // queued in sys.dirtyCnsts
 
-	// Scratch of one progressive-filling round (solveComponent), kept on
-	// the constraint so the round reads it through the edge it is already
-	// following: the capacity not yet frozen, the weighted load of the
-	// active variables, the share ratio remCap/load at which the
-	// constraint saturates, and (sat, sharing dirty's word: the struct
-	// stays in the 128-byte size class) whether that is this round's ratio.
+	// Scratch of one progressive-filling round (solveComponent), read
+	// through the edge the round already follows: the capacity not yet
+	// frozen, the active variables' weighted load and count (nact and sat
+	// share dirty's word), the ratio remCap/load, and whether it is minR.
 	sat             bool
+	nact            int32
 	remCap, load, r float64
 }
 
@@ -123,6 +121,7 @@ type System struct {
 	allDirty   bool
 
 	visitGen uint64 // current component-walk generation
+	dead     bool   // the walked component has an edge of zero capacity
 
 	// Scratch storage reused across solves (no steady-state allocation).
 	// solveVars/solveCnsts hold one component at a time, so they grow to
@@ -372,32 +371,22 @@ func (v *Variable) Weight() float64 { return v.weight }
 // Bound returns the variable's upper bound (<= 0 if unbounded).
 func (v *Variable) Bound() float64 { return v.bound }
 
-// Constraints returns the constraints the variable crosses.
-func (v *Variable) Constraints() []*Constraint {
-	out := make([]*Constraint, len(v.cnsts))
-	for i, e := range v.cnsts {
-		out[i] = e.c
-	}
-	return out
-}
-
 // Capacity returns the constraint's configured capacity.
 func (c *Constraint) Capacity() float64 { return c.capacity }
 
-// Usage returns the total load on the constraint after the last Solve.
-func (c *Constraint) Usage() float64 { return c.usage }
+// Usage returns the total load Σ value×factor over the constraint's
+// variables, summed when read: between a mutation and the next Solve, a
+// removed variable no longer counts and the others keep their values.
+func (c *Constraint) Usage() float64 {
+	u := 0.0
+	for _, e := range c.elems {
+		u += e.v.value * e.factor
+	}
+	return u
+}
 
 // Shared reports whether the constraint's capacity is shared.
 func (c *Constraint) Shared() bool { return c.shared }
-
-// Variables returns the variables crossing this constraint.
-func (c *Constraint) Variables() []*Variable {
-	out := make([]*Variable, len(c.elems))
-	for i, e := range c.elems {
-		out[i] = e.v
-	}
-	return out
-}
 
 // Dirty reports whether the system changed since the last Solve.
 func (s *System) Dirty() bool {
@@ -438,45 +427,56 @@ func (s *System) Solve() {
 	}
 }
 
-// scopeAddC marks a constraint visited, appending it to the component
-// and, if it may lead to unvisited variables, to the walk worklist.
-// Reached from a variable (from != nil) a constraint with a single
-// element leads nowhere — the element is that variable's — so a private
-// link is recorded without being walked; the member order is the same.
-func (s *System) scopeAddC(c *Constraint, from *Variable) {
-	if c.sys == s && c.visit != s.visitGen {
-		c.visit = s.visitGen
-		s.solveCnsts = append(s.solveCnsts, c)
-		if from == nil || len(c.elems) > 1 {
-			s.queue = append(s.queue, c)
-		}
+// own reports whether c caps its variables one at a time, a private
+// constraint (one element) or a fatpipe: only the variable on an edge of
+// it ever draws on its capacity, so the edge bounds that variable alone.
+func own(c *Constraint) bool { return len(c.elems) == 1 || !c.shared }
+
+// scopeAddC marks c visited, queues it and, if it couples (not own), adds
+// it to the component; a private one leads only back to its variable and
+// is skipped before its walk fields are read. It reports whether c was new.
+func (s *System) scopeAddC(c *Constraint) bool {
+	if len(c.elems) == 1 || c.sys != s || c.visit == s.visitGen {
+		return false
 	}
+	c.visit = s.visitGen
+	if !own(c) {
+		s.solveCnsts = append(s.solveCnsts, c)
+	}
+	s.queue = append(s.queue, c)
+	return true
 }
 
 // scopeAddV marks a variable visited, appending it and queueing its
-// constraints.
-func (s *System) scopeAddV(v *Variable) {
-	if v.sys == s && v.visit != s.visitGen {
-		v.visit = s.visitGen
-		s.solveVars = append(s.solveVars, v)
-		for _, e := range v.cnsts {
-			s.scopeAddC(e.c, v)
-		}
+// constraints. It reports whether v was new to this solve.
+func (s *System) scopeAddV(v *Variable) bool {
+	if v.sys != s || v.visit == s.visitGen {
+		return false
 	}
+	v.visit = s.visitGen
+	s.solveVars = append(s.solveVars, v)
+	for _, e := range v.cnsts {
+		s.dead = s.dead || e.c.capacity <= eps
+		s.scopeAddC(e.c)
+	}
+	return true
 }
 
-// walkComponent fills solveVars/solveCnsts with the connected component
-// of one seed (variable or constraint), in walk order; a seed already
-// visited in this solve (or detached) leaves both empty. The walk is
-// methods on scratch fields, not closures: it runs for every dirty
-// element of every solve, and an escaping closure would be a per-step
-// allocation.
-func (s *System) walkComponent(v *Variable, c *Constraint) {
-	s.solveVars, s.solveCnsts = s.solveVars[:0], s.solveCnsts[:0]
+// walkComponent fills solveVars/solveCnsts with the component of one
+// seed (a private constraint stands for its variable) in walk order and
+// reports whether the seed was new to this solve. The walk is methods on
+// scratch fields, not closures: it runs for every dirty element of every
+// solve, and an escaping closure would be a per-step allocation.
+func (s *System) walkComponent(v *Variable, c *Constraint) bool {
+	s.solveVars, s.solveCnsts, s.dead = s.solveVars[:0], s.solveCnsts[:0], false
+	if c != nil && len(c.elems) == 1 {
+		v = c.elems[0].v
+	}
+	var fresh bool
 	if v != nil {
-		s.scopeAddV(v)
+		fresh = s.scopeAddV(v)
 	} else {
-		s.scopeAddC(c, nil)
+		fresh = s.scopeAddC(c)
 	}
 	for len(s.queue) > 0 {
 		cc := s.queue[len(s.queue)-1]
@@ -485,16 +485,16 @@ func (s *System) walkComponent(v *Variable, c *Constraint) {
 			s.scopeAddV(e.v)
 		}
 	}
+	return fresh
 }
 
 // solveFrom re-solves the component of one dirty seed as the walk
 // closes it and appends the variables whose value changed to Updated.
 func (s *System) solveFrom(v *Variable, c *Constraint) {
-	s.walkComponent(v, c)
-	sv, sc := s.solveVars, s.solveCnsts
-	if len(sv) == 0 && len(sc) == 0 {
+	if !s.walkComponent(v, c) {
 		return
 	}
+	sv, sc := s.solveVars, s.solveCnsts
 	s.stats.ScopeVars += uint64(len(sv))
 	s.stats.Components++
 	old := s.oldVals[:0]
@@ -502,7 +502,7 @@ func (s *System) solveFrom(v *Variable, c *Constraint) {
 		old = append(old, v.value)
 	}
 	s.oldVals = old
-	s.active = solveComponent(sv, sc, s.active[:0])
+	s.active = solveComponent(sv, sc, s.dead, s.active[:0])
 	for i, v := range sv {
 		if v.value != old[i] {
 			s.updated = append(s.updated, v)
@@ -547,43 +547,37 @@ func (s *System) solve() {
 }
 
 // solveComponent runs progressive filling on one connected component
-// (sv/sc are the component's members) and stores values and usage on
-// its variables and constraints; active is the caller's scratch for
-// the active set, returned for reuse.
+// (sv its variables, sc its coupling constraints; dead if an edge has
+// zero capacity, which fixes its variable at 0) and stores the values on
+// its variables; active is the caller's scratch, returned for reuse.
+// An own edge caps its variable: nothing else draws on that constraint,
+// so while the variable is active its remCap/load is ownRatio's
+// capacity/(weight*factor).
 //
-// A round is four passes. Over the active variables: each
-// constraint's weighted load, and the share ratios at which bounds (and
-// fatpipe edges) bind. Over the constraints: the ratio r = remCap/load
-// at which each shared one saturates; the smallest ratio of all is the
-// round's minR. Over the constraints again: sat, whether r is minR
-// within tolerance. Over the active variables once more: freeze those
-// at their bound or on a sat constraint, subtract their consumption,
-// keep the rest.
-// Freezing and subtracting share a pass because nothing the freeze
-// test reads changes during it — sat and minR are settled, and a
-// fatpipe's remCap is never subtracted from — so each shared remCap
-// still loses the same terms in the same (active, then edge) order as
-// if all freezes had been marked first, and every bit is the same.
+// A round is four passes. Over the active variables: each sc member's
+// weighted load and active count, and the ratios at which bounds and own
+// edges bind. Over sc: the ratio r = remCap/load at which each member
+// saturates; the smallest ratio of all is the round's minR. Over sc
+// again: sat, whether r is minR within tolerance. Over the active
+// variables: freeze those at their bound, on a sat member or at an own
+// cap, subtract their consumption from sc, keep the rest. Nothing the
+// freeze test reads changes in that pass, so each remCap loses the same
+// terms in the same (active, then edge) order as if all freezes had been
+// marked first. When a sat member carries every active variable, all of
+// them freeze on it: the last round skips the edge scan and the
+// subtraction, which nothing would read.
 //
 // Every round freezes at least one variable, so the loop needs no
 // stall fallback: remCap is clamped at 0 and capacities, loads, bounds
 // and weights are positive, so minR >= 0; whatever attains it freezes
 // something — a constraint with r == minR is sat and has an active
 // variable (load > eps), a bound with b/w == minR gives minR*w within
-// rounding of b, far inside the 1e-9 tolerance, and a fatpipe edge
+// rounding of b, far inside the 1e-9 tolerance, and an own edge
 // re-evaluates to the same quotient.
-func solveComponent(sv []*Variable, sc []*Constraint, active []*Variable) []*Variable {
-	// Reset scope state. Most components have neither a dead constraint
-	// nor a fatpipe: noticing that here spares every variable the scan
-	// for one, and every round the per-edge fatpipe branches.
-	dead, fatpipe := false, false
+func solveComponent(sv []*Variable, sc []*Constraint, dead bool, active []*Variable) []*Variable {
 	for _, c := range sc {
 		c.remCap = c.capacity
-		dead = dead || c.capacity <= eps
-		fatpipe = fatpipe || !c.shared
 	}
-	// Variables on a zero-capacity constraint (shared or fatpipe alike)
-	// are fixed at 0 immediately.
 reset:
 	for _, v := range sv {
 		v.value = 0
@@ -601,10 +595,9 @@ reset:
 	}
 
 	for len(active) > 0 {
-		// c.load = sum over active vars on c of weight*factor; on the
-		// same visit, the growth limit from variable bounds and fatpipes.
+		// c.load = Σ weight*factor over active vars; bounds, own edges cap minR.
 		for _, c := range sc {
-			c.load = 0
+			c.load, c.nact = 0, 0
 		}
 		minR := math.Inf(1)
 		for _, v := range active {
@@ -614,17 +607,17 @@ reset:
 				}
 			}
 			for _, e := range v.cnsts {
-				e.c.load += v.weight * e.factor
-				if fatpipe && !e.c.shared && e.factor > eps {
-					if r := e.c.remCap / (v.weight * e.factor); r < minR {
-						minR = r
-					}
+				if c := e.c; !own(c) {
+					c.load += v.weight * e.factor
+					c.nact++
+				} else if r := ownRatio(e, v.weight); r < minR {
+					minR = r
 				}
 			}
 		}
 		// Growth limit from constraints: r such that r * load == remCap.
 		for _, c := range sc {
-			if c.shared && c.load > eps {
+			if c.load > eps {
 				c.r = c.remCap / c.load
 				if c.r < minR {
 					minR = c.r
@@ -632,8 +625,8 @@ reset:
 			}
 		}
 		if math.IsInf(minR, 1) {
-			// No limiting factor: every active variable sits on fatpipe
-			// constraints of infinite capacity only, and is unbounded.
+			// No limiting factor: every active variable is unbounded and
+			// sits on own edges of infinite capacity only.
 			for _, v := range active {
 				v.value = math.Inf(1)
 			}
@@ -644,8 +637,10 @@ reset:
 		if minR > 1 {
 			tol = 1e-9 * minR
 		}
+		last := false
 		for _, c := range sc {
-			c.sat = c.shared && c.load > eps && math.Abs(c.r-minR) <= tol
+			c.sat = c.load > eps && math.Abs(c.r-minR) <= tol
+			last = last || c.sat && int(c.nact) == len(active)
 		}
 
 		n := 0
@@ -659,12 +654,14 @@ reset:
 				}
 				atBound = val >= v.bound-btol
 			}
-			atCnst := false
+			atCnst := last
 			for _, e := range v.cnsts {
-				if e.c.sat || fatpipe && !e.c.shared && e.factor > eps &&
-					math.Abs(e.c.remCap/(v.weight*e.factor)-minR) <= tol {
-					atCnst = true
+				if atCnst {
 					break
+				} else if c := e.c; !own(c) {
+					atCnst = c.sat
+				} else {
+					atCnst = math.Abs(ownRatio(e, v.weight)-minR) <= tol
 				}
 			}
 			if !atBound && !atCnst {
@@ -676,8 +673,11 @@ reset:
 				val = v.bound
 			}
 			v.value = val
+			if last {
+				continue
+			}
 			for _, e := range v.cnsts {
-				if c := e.c; c.shared {
+				if c := e.c; !own(c) {
 					c.remCap -= val * e.factor
 					if c.remCap < 0 {
 						c.remCap = 0
@@ -687,16 +687,17 @@ reset:
 		}
 		active = active[:n]
 	}
-
-	// Record usage on the re-solved constraints.
-	for _, c := range sc {
-		u := 0.0
-		for _, e := range c.elems {
-			u += e.v.value * e.factor
-		}
-		c.usage = u
-	}
 	return active[:0]
+}
+
+// ownRatio is the ratio at which own edge e caps a variable of weight
+// w; +Inf where it cannot bind (load w*factor, or a fatpipe's factor, ≤ eps).
+func ownRatio(e *elem, w float64) float64 {
+	d := w * e.factor
+	if e.c.shared && d <= eps || !e.c.shared && e.factor <= eps {
+		return math.Inf(1)
+	}
+	return e.c.capacity / d
 }
 
 // Validate checks the current solution for feasibility and max-min
@@ -716,11 +717,7 @@ func (s *System) Validate(tol float64) []string {
 			}
 			continue
 		}
-		u := 0.0
-		for _, e := range c.elems {
-			u += e.v.value * e.factor
-		}
-		if u > c.capacity+tol {
+		if u := c.Usage(); u > c.capacity+tol {
 			problems = append(problems,
 				fmt.Sprintf("constraint %d overloaded: usage %g > cap %g", c.id, u, c.capacity)) //lint:allow hot-sprintf cold path: Validate is a debugging aid, never on the solve path
 		}
@@ -736,20 +733,11 @@ func (s *System) Validate(tol float64) []string {
 		}
 		sat := false
 		for _, e := range v.cnsts {
-			c := e.c
-			if !c.shared {
-				if e.v.value*e.factor >= c.capacity-tol {
-					sat = true
-					break
-				}
-				continue
+			u := v.value * e.factor // a fatpipe caps each variable alone
+			if e.c.shared {
+				u = e.c.Usage()
 			}
-			u := 0.0
-			for _, ce := range c.elems {
-				u += ce.v.value * ce.factor
-			}
-			if u >= c.capacity-tol {
-				sat = true
+			if sat = u >= e.c.capacity-tol; sat {
 				break
 			}
 		}
@@ -769,7 +757,7 @@ func (s *System) String() string {
 	copy(cs, s.cnsts)
 	sort.Slice(cs, func(i, j int) bool { return cs[i].id < cs[j].id })
 	for _, c := range cs {
-		fmt.Fprintf(&b, "  C%d cap=%g usage=%g shared=%v vars=[", c.id, c.capacity, c.usage, c.shared)
+		fmt.Fprintf(&b, "  C%d cap=%g usage=%g shared=%v vars=[", c.id, c.capacity, c.Usage(), c.shared)
 		for i, e := range c.elems {
 			if i > 0 {
 				b.WriteString(" ")

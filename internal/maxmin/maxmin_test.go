@@ -295,12 +295,6 @@ func TestAccessors(t *testing.T) {
 	if c.Capacity() != 10 || !c.Shared() {
 		t.Errorf("capacity/shared = %g/%v", c.Capacity(), c.Shared())
 	}
-	if len(v.Constraints()) != 1 || v.Constraints()[0] != c {
-		t.Error("Constraints() wrong")
-	}
-	if len(c.Variables()) != 1 || c.Variables()[0] != v {
-		t.Error("Variables() wrong")
-	}
 	if s.NConstraints() != 1 {
 		t.Errorf("NConstraints = %d", s.NConstraints())
 	}

@@ -63,9 +63,9 @@ func referenceSolve(s *System) refScope {
 }
 
 // referenceCollectScope is the whole-scope walk Solve used to make
-// before solving anything, with every visited constraint walked,
-// single-element ones included (the production walk records those
-// without queueing them).
+// before solving anything, with every visited constraint recorded and
+// walked, single-element ones included (the production walk passes those
+// by, and keeps only coupling constraints).
 func referenceCollectScope(s *System) refScope {
 	var scope refScope
 	var queue []*Constraint
@@ -136,7 +136,8 @@ func referenceCollectScope(s *System) refScope {
 // counted, and — the production walk re-run from each component's seed
 // in turn under a fresh generation, which visits exactly what it
 // visited inside Solve, the structure being untouched since — the same
-// members in the same order, component by component.
+// members in the same order, component by component. Of the reference's
+// constraints only the coupling ones (not own) are the production's.
 func checkScope(t *testing.T, where string, got *System, before SolveStats, want refScope) {
 	t.Helper()
 	after := got.Stats()
@@ -158,7 +159,13 @@ func checkScope(t *testing.T, where string, got *System, before SolveStats, want
 		} else {
 			got.walkComponent(nil, cnstByID[cr.seedC.id])
 		}
-		wv, wc := want.vars[cr.v0:cr.v1], want.cnsts[cr.c0:cr.c1]
+		wv := want.vars[cr.v0:cr.v1]
+		var wc []*Constraint
+		for _, c := range want.cnsts[cr.c0:cr.c1] {
+			if !own(c) {
+				wc = append(wc, c)
+			}
+		}
 		if len(got.solveVars) != len(wv) || len(got.solveCnsts) != len(wc) {
 			t.Fatalf("%s: component %d has %d vars, %d constraints; reference %d, %d", where, k,
 				len(got.solveVars), len(got.solveCnsts), len(wv), len(wc))
@@ -327,15 +334,6 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 			}
 		}
 		active = active[:n]
-	}
-
-	// Record usage on the re-solved constraints.
-	for _, c := range sc {
-		u := 0.0
-		for _, e := range c.elems {
-			u += e.v.value * e.factor
-		}
-		c.usage = u
 	}
 	return active[:0]
 }

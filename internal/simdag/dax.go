@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -54,7 +55,8 @@ type daxChild struct {
 // control dependencies from the <child>/<parent> declarations, and
 // Seq tasks "root"/"end" wired to the workflow's sources and sinks.
 // Every task is returned NotScheduled (comm tasks get their endpoints
-// from the scheduler once the computes are placed).
+// from the scheduler once the computes are placed). A work amount that
+// is not finite, or a dependency cycle, is an error.
 func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 	var doc daxAdag
 	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
@@ -153,6 +155,14 @@ func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 				return nil, err
 			}
 		}
+	}
+	for _, t := range tasks {
+		if math.IsNaN(t.amount) || math.IsInf(t.amount, 0) {
+			return nil, fmt.Errorf("simdag: DAX task %q: amount %g out of range", t.name, t.amount)
+		}
+	}
+	if err := s.checkCycles(); err != nil {
+		return nil, fmt.Errorf("simdag: DAX %q: %w", doc.Name, err)
 	}
 	return append(tasks, root, end), nil
 }

@@ -1,6 +1,7 @@
 package simdag
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,29 @@ func TestLoadDAX(t *testing.T) {
 	if end := byName["end"]; !near(end.Finish(), s.Makespan()) {
 		t.Errorf("end seq finished at %g, makespan %g", end.Finish(), s.Makespan())
 	}
+}
+
+// FuzzLoadDAX feeds LoadDAX arbitrary bytes: every input is rejected
+// with an error or yields a workflow that min-min places on two hosts
+// and Simulate runs to the end, every task done.
+func FuzzLoadDAX(f *testing.F) {
+	f.Add([]byte(sampleDAX))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s := New(starPlatform(t, 2), exactConfig())
+		tasks, err := LoadDAX(s, bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if err := ScheduleMinMin(s, []string{hostName(0), hostName(1)}); err != nil {
+			t.Fatalf("ScheduleMinMin: %v", err)
+		}
+		if _, err := s.Simulate(); err != nil {
+			t.Fatalf("Simulate: %v", err)
+		}
+		if s.DoneCount() != len(tasks) {
+			t.Fatalf("%d of %d tasks done", s.DoneCount(), len(tasks))
+		}
+	})
 }
 
 const sampleDOT = `/* layered workflow */

@@ -532,7 +532,9 @@ func (m *Model) LinkUp(name string) bool {
 	return true
 }
 
-// HostLoad returns the current MaxMin usage of a host CPU in flop/s.
+// HostLoad returns the MaxMin usage of a host CPU in flop/s, summed when
+// read: at the instant an action completes, before the next solve, it no
+// longer counts while the others keep their last solved rates.
 func (m *Model) HostLoad(name string) float64 {
 	r := m.cpus[name]
 	if r == nil {

@@ -755,6 +755,10 @@ func TestComputeAndCommCoexist(t *testing.T) {
 	}
 }
 
+// TestHostLoadReporting reads a CPU's load while one action runs, then
+// with two sharing it, at the instant the shorter one completes (no
+// solve since: the survivor still holds its half share, and the finished
+// action no longer counts) and once the survivor has the whole CPU.
 func TestHostLoadReporting(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
@@ -765,6 +769,21 @@ func TestHostLoadReporting(t *testing.T) {
 			t.Errorf("HostLoad = %g, want 1e9", load)
 		}
 		a.Wait(pr)
+		short, _ := execute(m, "h1", 1e9, 1)
+		long, _ := execute(m, "h1", 2e9, 1)
+		pr.Sleep(0.5)
+		if load := m.HostLoad("h1"); load != 1e9 {
+			t.Errorf("HostLoad with two actions = %g, want 1e9", load)
+		}
+		short.Wait(pr)
+		if load := m.HostLoad("h1"); load != 5e8 {
+			t.Errorf("HostLoad at the completion instant = %g, want 5e8", load)
+		}
+		pr.Sleep(0.5)
+		if load := m.HostLoad("h1"); load != 1e9 {
+			t.Errorf("HostLoad after the next solve = %g, want 1e9", load)
+		}
+		long.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
