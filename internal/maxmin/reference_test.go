@@ -352,7 +352,12 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 // around the fair share so that some bind and some do not. Island 1 is
 // all fatpipes, so its components couple nothing; SetShared toggles turn
 // the other islands' constraints (the bottleneck and the private links
-// included) into fatpipes and back.
+// included) into fatpipes and back. The churn also walks every
+// transition that changes which edges can bind a variable alone: a
+// private link gaining a second variable and losing it, a private link
+// or a fatpipe failing and recovering, Expand accumulating on an own
+// edge, an own constraint removed under live variables, and a weight
+// going to 0 and back.
 func kernelChurn(t *testing.T, seed int64) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -473,10 +478,40 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 		}
 	}
 
+	// pick draws one constraint for which ok holds on the got side and
+	// reports where it sits in islands.
+	pick := func(ok func(c *Constraint) bool) (c cpair, island, at int, found bool) {
+		var cand [][2]int
+		for i, cs := range islands {
+			for j, c := range cs {
+				if ok(c.g) {
+					cand = append(cand, [2]int{i, j})
+				}
+			}
+		}
+		if len(cand) == 0 {
+			return cpair{}, 0, 0, false
+		}
+		k := cand[rng.Intn(len(cand))]
+		return islands[k[0]][k[1]], k[0], k[1], true
+	}
+	private := func(c *Constraint) bool { return len(c.elems) == 1 }
+	fatpipe := func(c *Constraint) bool { return !c.shared && len(c.elems) > 0 }
+	ownEdge := func(c *Constraint) bool { return private(c) || fatpipe(c) }
+	pairOf := func(g *Variable) pair {
+		for _, v := range vars {
+			if v.g == g {
+				return v
+			}
+		}
+		t.Fatalf("seed %d: V%d is not live", seed, g.id)
+		return pair{}
+	}
+
 	compare(-1)
 	for step := 0; step < 120; step++ {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
-			switch rng.Intn(9) {
+			switch rng.Intn(14) {
 			case 0, 1:
 				addVar()
 			case 2, 3:
@@ -527,6 +562,61 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 				shared := !c.g.Shared()
 				got.SetShared(c.g, shared)
 				want.SetShared(c.w, shared)
+			case 9:
+				// A private link gains a second variable, then loses it.
+				if c, _, _, ok := pick(private); ok {
+					w := classWeight()
+					v := pair{got.NewVariable(w, 0), want.NewVariable(w, 0)}
+					expand(c, v, 0.5+rng.Float64())
+					expand(islands[0][0], v, 1)
+					vars = append(vars, v)
+					compare(step)
+					got.RemoveVariable(v.g)
+					want.RemoveVariable(v.w)
+					vars = vars[:len(vars)-1]
+				}
+			case 10:
+				// A private link or a fatpipe fails and recovers.
+				which := private
+				if rng.Intn(2) == 0 {
+					which = fatpipe
+				}
+				if c, _, _, ok := pick(which); ok {
+					old := c.g.Capacity()
+					got.SetCapacity(c.g, 0)
+					want.SetCapacity(c.w, 0)
+					compare(step)
+					got.SetCapacity(c.g, old)
+					want.SetCapacity(c.w, old)
+				}
+			case 11:
+				// Expand accumulates on an own edge, twice.
+				if c, _, _, ok := pick(ownEdge); ok {
+					v := pairOf(c.g.elems[rng.Intn(len(c.g.elems))].v)
+					expand(c, v, 0.5+rng.Float64())
+					compare(step)
+					expand(c, v, 0.5+rng.Float64())
+				}
+			case 12:
+				// An own constraint goes away under its live variables
+				// (never the bottleneck, never an island's last one).
+				if c, i, j, ok := pick(ownEdge); ok && (i != 0 || j != 0) && len(islands[i]) > 1 {
+					got.RemoveConstraint(c.g)
+					want.RemoveConstraint(c.w)
+					islands[i] = append(islands[i][:j], islands[i][j+1:]...)
+				}
+			case 13:
+				// Suspend a variable and resume it at its weight.
+				v := vars[rng.Intn(len(vars))]
+				w := v.g.Weight()
+				if w == 0 {
+					w = 2.5
+				}
+				got.SetWeight(v.g, 0)
+				want.SetWeight(v.w, 0)
+				compare(step)
+				got.SetWeight(v.g, w)
+				want.SetWeight(v.w, w)
 			}
 		}
 		compare(step)
