@@ -40,7 +40,8 @@ type ProcessSpec struct {
 	// Daemon marks server-style processes that may outlive the
 	// simulation (infinite loops).
 	Daemon bool `json:"daemon,omitempty"`
-	// Count instantiates the same spec several times (0 means 1).
+	// Count instantiates the same spec several times (0 means 1;
+	// Load rejects a negative count).
 	Count int `json:"count,omitempty"`
 }
 
@@ -59,6 +60,11 @@ func Load(r io.Reader) (*Spec, error) {
 	}
 	if len(s.Processes) == 0 {
 		return nil, fmt.Errorf("deploy: no processes")
+	}
+	for i, ps := range s.Processes {
+		if ps.Count < 0 {
+			return nil, fmt.Errorf("deploy: process %d (%s on %s): negative count %d", i, ps.Function, ps.Host, ps.Count)
+		}
 	}
 	return &s, nil
 }

@@ -9,10 +9,10 @@ import (
 	"repro/internal/surf"
 )
 
-func testEnv(t *testing.T) *msg.Environment {
+func testEnv(t testing.TB, hosts int) *msg.Environment {
 	t.Helper()
 	pf, _, err := platform.NewCluster(platform.ClusterConfig{
-		Prefix: "node", Hosts: 4, Power: 1e9,
+		Prefix: "node", Hosts: hosts, Power: 1e9,
 		Bandwidth: 1.25e8, Latency: 5e-5,
 	})
 	if err != nil {
@@ -42,6 +42,7 @@ func TestLoadErrors(t *testing.T) {
 		`{`,
 		`{"processes": []}`,
 		`{"unknown": 1}`,
+		`{"processes": [{"host": "node0", "function": "f", "count": -2}]}`,
 	} {
 		if _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("Load(%q) accepted", src)
@@ -50,7 +51,7 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestApplyRunsProcesses(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	spec := &Spec{Processes: []ProcessSpec{
 		{Host: "node0", Function: "send", Args: []string{"hi"}},
 		{Host: "node1", Function: "recv"},
@@ -80,7 +81,7 @@ func TestApplyRunsProcesses(t *testing.T) {
 }
 
 func TestApplyCountInstantiatesMany(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	ran := 0
 	spec := &Spec{Processes: []ProcessSpec{
 		{Host: "node2", Function: "tick", Count: 5},
@@ -97,7 +98,7 @@ func TestApplyCountInstantiatesMany(t *testing.T) {
 }
 
 func TestApplyDaemonsDoNotBlockTermination(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	spec := &Spec{Processes: []ProcessSpec{
 		{Host: "node0", Function: "server", Daemon: true},
 		{Host: "node1", Function: "client"},
@@ -120,7 +121,7 @@ func TestApplyDaemonsDoNotBlockTermination(t *testing.T) {
 }
 
 func TestApplyUnknownFunction(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	spec := &Spec{Processes: []ProcessSpec{{Host: "node0", Function: "ghost"}}}
 	if err := spec.Apply(env, Registry{}); err == nil {
 		t.Error("unknown function accepted")
@@ -128,7 +129,7 @@ func TestApplyUnknownFunction(t *testing.T) {
 }
 
 func TestApplyUnknownHost(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	spec := &Spec{Processes: []ProcessSpec{{Host: "mars", Function: "f"}}}
 	reg := Registry{"f": func(p *msg.Process, args []string) error { return nil }}
 	if err := spec.Apply(env, reg); err == nil {

@@ -21,8 +21,8 @@ func (s *System) crossCheck() {
 		}
 		if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 			panic(fmt.Sprintf( //lint:allow hot-sprintf cold path: divergence panic under -tags=maxmincheck, the run is already dead
-				"maxmin: incremental solve diverged on V%d: incremental=%g full=%g\nincremental state:\n%s\nfull state:\n%s",
-				v.id, got, want, s.String(), clone.String()))
+				"maxmin: incremental solve diverged on V%d: incremental=%g full=%g (%d vars, %d constraints)",
+				v.id, got, want, len(s.vars), len(s.cnsts)))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package maxmin
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 					sb.SetShared(bc[i], shared)
 				}
 			}
+			checkSummaries(t, fmt.Sprintf("seed %d step %d", seed, step), sa)
 			sa.Solve() // incremental: dirty components only
 			sb.InvalidateAll()
 			sb.Solve() // reference: full recompute

@@ -14,6 +14,9 @@
 // grow all variables' shares together until a variable hits a bound (its
 // own, or a constraint only it draws on: a private link, a fatpipe) or a
 // shared constraint saturates, freeze those, and repeat on the rest.
+// The mutators keep on each variable the tightest of those own caps and
+// a chain of its other edges, so neither the walk over a component nor
+// a filling round reads a private link.
 //
 // The solver is incremental (SimGrid's "selective update" / lazy lmm
 // optimization): every mutation (Expand, SetWeight, SetBound,
@@ -39,10 +42,7 @@
 package maxmin
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/pool"
 )
@@ -51,10 +51,16 @@ import (
 // with System.NewVariable and attach them to constraints with Expand.
 type Variable struct {
 	id     int
-	idx    int     // position in sys.vars, maintained under index-swap removal
 	weight float64 // sharing weight (a.k.a. priority); 0 disables the variable
 	bound  float64 // upper bound on Value; <= 0 means unbounded
 	value  float64 // the solution, valid after Solve
+
+	// The solver's summary of cnsts, rebuilt by summarize whenever one of
+	// its operands changes: ownR is the ratio at which the tightest own
+	// edge binds (+Inf if none can), walk chains (through elem.next, in
+	// cnsts order) the edges whose constraint holds more than v.
+	ownR float64
+	walk *elem
 
 	cnsts []*elem
 
@@ -62,6 +68,7 @@ type Variable struct {
 	Data any
 
 	sys    *System
+	idx    int32  // position in sys.vars, maintained under index-swap removal
 	dirtyQ int32  // position in sys.dirtyVars; -1 when not queued
 	visit  uint64 // component-walk generation mark
 }
@@ -75,6 +82,7 @@ type elem struct {
 	factor float64 // capacity consumed per unit of variable value
 	vIdx   int     // position in v.cnsts
 	cIdx   int     // position in c.elems
+	next   *elem   // next edge of v.walk
 }
 
 // Constraint is one capacity-limited resource.
@@ -122,6 +130,7 @@ type System struct {
 
 	visitGen uint64 // current component-walk generation
 	dead     bool   // the walked component has an edge of zero capacity
+	zeroCaps int    // live constraints of capacity <= eps; at 0 none is dead
 
 	// Scratch storage reused across solves (no steady-state allocation).
 	// solveVars/solveCnsts hold one component at a time, so they grow to
@@ -189,6 +198,9 @@ func (s *System) NewConstraint(capacity float64) *Constraint {
 		capacity = 0
 	}
 	c := &Constraint{id: s.nextCID, idx: len(s.cnsts), capacity: capacity, shared: true, sys: s}
+	if capacity <= eps {
+		s.zeroCaps++
+	}
 	s.nextCID++
 	s.cnsts = append(s.cnsts, c)
 	s.touchCnst(c)
@@ -204,9 +216,10 @@ func (s *System) NewConstraint(capacity float64) *Constraint {
 func (s *System) NewVariable(weight, bound float64) *Variable {
 	v := s.grabVariable()
 	v.id = s.nextVID
-	v.idx = len(s.vars)
+	v.idx = int32(len(s.vars))
 	v.weight = weight
 	v.bound = bound
+	v.ownR = math.Inf(1)
 	v.sys = s
 	s.nextVID++
 	s.vars = append(s.vars, v)
@@ -226,6 +239,7 @@ func (s *System) Expand(c *Constraint, v *Variable, factor float64) {
 	for _, e := range v.cnsts {
 		if e.c == c {
 			e.factor += factor
+			v.summarize()
 			return
 		}
 	}
@@ -234,6 +248,10 @@ func (s *System) Expand(c *Constraint, v *Variable, factor float64) {
 	e.vIdx, e.cIdx = len(v.cnsts), len(c.elems)
 	v.cnsts = append(v.cnsts, e)
 	c.elems = append(c.elems, e)
+	if len(c.elems) == 2 {
+		c.elems[0].v.summarize() // c no longer holds its first variable alone
+	}
+	v.summarize()
 }
 
 // detachFromConstraint unlinks e from e.c.elems in O(1) by index swap.
@@ -245,6 +263,9 @@ func detachFromConstraint(e *elem) {
 	moved.cIdx = e.cIdx
 	c.elems[last] = nil
 	c.elems = c.elems[:last]
+	if last == 1 {
+		c.elems[0].v.summarize() // c now holds its last variable alone
+	}
 }
 
 // detachFromVariable unlinks e from e.v.cnsts in O(1) by index swap.
@@ -256,6 +277,26 @@ func detachFromVariable(e *elem) {
 	moved.vIdx = e.vIdx
 	v.cnsts[last] = nil
 	v.cnsts = v.cnsts[:last]
+	v.summarize()
+}
+
+// summarize rebuilds v's solver summary from its edges. A mutator calls
+// it for each variable whose weight, edge factors or cnsts order it
+// changes, whose own constraint it re-caps or toggles, or one of whose
+// constraints it takes across one element ↔ more.
+func (v *Variable) summarize() {
+	v.ownR = math.Inf(1)
+	link := &v.walk
+	for _, e := range v.cnsts {
+		if len(e.c.elems) != 1 {
+			*link = e
+			link = &e.next
+		}
+		if r := ownRatio(e, v.weight); own(e.c) && r < v.ownR { // a NaN ratio never binds
+			v.ownR = r
+		}
+	}
+	*link = nil
 }
 
 // RemoveVariable detaches v from all its constraints and drops it from
@@ -284,8 +325,8 @@ func (s *System) RemoveVariable(v *Variable) {
 	s.dequeueVar(v)
 	v.sys = nil
 	v.id, v.idx = 0, 0
-	v.weight, v.bound, v.value = 0, 0, 0
-	v.Data = nil
+	v.weight, v.bound, v.value, v.ownR = 0, 0, 0, 0
+	v.walk, v.Data = nil, nil
 	s.varPool.Put(v)
 	if len(s.vars) == 0 && len(s.cnsts) == 0 {
 		// Nothing left to solve, but the books must still close.
@@ -314,6 +355,9 @@ func (s *System) RemoveConstraint(c *Constraint) {
 	s.cnsts[last] = nil
 	s.cnsts = s.cnsts[:last]
 	c.sys = nil
+	if c.capacity <= eps {
+		s.zeroCaps--
+	}
 	if len(s.vars) == 0 && len(s.cnsts) == 0 {
 		s.allDirty = true
 	}
@@ -324,9 +368,22 @@ func (s *System) SetCapacity(c *Constraint, capacity float64) {
 	if capacity < 0 {
 		capacity = 0
 	}
-	if c.capacity != capacity {
-		c.capacity = capacity
-		s.touchCnst(c)
+	if c.capacity == capacity {
+		return
+	}
+	if c.sys == s && (c.capacity <= eps) != (capacity <= eps) {
+		if capacity <= eps {
+			s.zeroCaps++
+		} else {
+			s.zeroCaps--
+		}
+	}
+	c.capacity = capacity
+	s.touchCnst(c)
+	if own(c) {
+		for _, e := range c.elems {
+			e.v.summarize()
+		}
 	}
 }
 
@@ -335,6 +392,7 @@ func (s *System) SetWeight(v *Variable, weight float64) {
 	if v.weight != weight {
 		v.weight = weight
 		s.touchVar(v)
+		v.summarize()
 	}
 }
 
@@ -353,6 +411,9 @@ func (s *System) SetShared(c *Constraint, shared bool) {
 	if c.shared != shared {
 		c.shared = shared
 		s.touchCnst(c)
+		for _, e := range c.elems {
+			e.v.summarize()
+		}
 	}
 }
 
@@ -448,15 +509,19 @@ func (s *System) scopeAddC(c *Constraint) bool {
 }
 
 // scopeAddV marks a variable visited, appending it and queueing its
-// constraints. It reports whether v was new to this solve.
+// walk edges' constraints. It reports whether v was new to this solve.
 func (s *System) scopeAddV(v *Variable) bool {
 	if v.sys != s || v.visit == s.visitGen {
 		return false
 	}
 	v.visit = s.visitGen
 	s.solveVars = append(s.solveVars, v)
-	for _, e := range v.cnsts {
-		s.dead = s.dead || e.c.capacity <= eps
+	if s.zeroCaps > 0 {
+		for _, e := range v.cnsts {
+			s.dead = s.dead || e.c.capacity <= eps
+		}
+	}
+	for e := v.walk; e != nil; e = e.next {
 		s.scopeAddC(e.c)
 	}
 	return true
@@ -464,9 +529,11 @@ func (s *System) scopeAddV(v *Variable) bool {
 
 // walkComponent fills solveVars/solveCnsts with the component of one
 // seed (a private constraint stands for its variable) in walk order and
-// reports whether the seed was new to this solve. The walk is methods on
-// scratch fields, not closures: it runs for every dirty element of every
-// solve, and an escaping closure would be a per-step allocation.
+// reports whether the seed was new to this solve. A variable leads on
+// through v.walk only (a private constraint leads back to it), and its
+// own edges are read only while some capacity is 0. The walk is methods
+// on scratch fields, not closures: it runs for every dirty element of
+// every solve, and an escaping closure would be a per-step allocation.
 func (s *System) walkComponent(v *Variable, c *Constraint) bool {
 	s.solveVars, s.solveCnsts, s.dead = s.solveVars[:0], s.solveCnsts[:0], false
 	if c != nil && len(c.elems) == 1 {
@@ -552,20 +619,22 @@ func (s *System) solve() {
 // its variables; active is the caller's scratch, returned for reuse.
 // An own edge caps its variable: nothing else draws on that constraint,
 // so while the variable is active its remCap/load is ownRatio's
-// capacity/(weight*factor).
+// capacity/(weight*factor). The round reads only the tightest such cap,
+// v.ownR, and follows v.walk to the sc members, past fatpipes.
 //
 // A round is four passes. Over the active variables: each sc member's
 // weighted load and active count, and the ratios at which bounds and own
-// edges bind. Over sc: the ratio r = remCap/load at which each member
+// caps bind. Over sc: the ratio r = remCap/load at which each member
 // saturates; the smallest ratio of all is the round's minR. Over sc
 // again: sat, whether r is minR within tolerance. Over the active
-// variables: freeze those at their bound, on a sat member or at an own
-// cap, subtract their consumption from sc, keep the rest. Nothing the
-// freeze test reads changes in that pass, so each remCap loses the same
-// terms in the same (active, then edge) order as if all freezes had been
-// marked first. When a sat member carries every active variable, all of
-// them freeze on it: the last round skips the edge scan and the
-// subtraction, which nothing would read.
+// variables: freeze those at their bound, on a sat member or at their
+// own cap (every own ratio is >= minR, so one is within tolerance of it
+// exactly when ownR is), subtract their consumption from sc, keep the
+// rest. Nothing the freeze test reads changes in that pass, so each
+// remCap loses the same terms in the same (active, then edge) order as
+// if all freezes had been marked first. When a sat member carries every
+// active variable, all of them freeze on it: the last round skips the
+// edge scan and the subtraction, which nothing would read.
 //
 // Every round freezes at least one variable, so the loop needs no
 // stall fallback: remCap is clamped at 0 and capacities, loads, bounds
@@ -606,12 +675,13 @@ reset:
 					minR = r
 				}
 			}
-			for _, e := range v.cnsts {
-				if c := e.c; !own(c) {
+			if v.ownR < minR {
+				minR = v.ownR
+			}
+			for e := v.walk; e != nil; e = e.next {
+				if c := e.c; c.shared {
 					c.load += v.weight * e.factor
 					c.nact++
-				} else if r := ownRatio(e, v.weight); r < minR {
-					minR = r
 				}
 			}
 		}
@@ -654,15 +724,9 @@ reset:
 				}
 				atBound = val >= v.bound-btol
 			}
-			atCnst := last
-			for _, e := range v.cnsts {
-				if atCnst {
-					break
-				} else if c := e.c; !own(c) {
-					atCnst = c.sat
-				} else {
-					atCnst = math.Abs(ownRatio(e, v.weight)-minR) <= tol
-				}
+			atCnst := last || math.Abs(v.ownR-minR) <= tol
+			for e := v.walk; e != nil && !atCnst; e = e.next {
+				atCnst = e.c.shared && e.c.sat
 			}
 			if !atBound && !atCnst {
 				active[n] = v
@@ -676,8 +740,8 @@ reset:
 			if last {
 				continue
 			}
-			for _, e := range v.cnsts {
-				if c := e.c; !own(c) {
+			for e := v.walk; e != nil; e = e.next {
+				if c := e.c; c.shared {
 					c.remCap -= val * e.factor
 					if c.remCap < 0 {
 						c.remCap = 0
@@ -699,84 +763,3 @@ func ownRatio(e *elem, w float64) float64 {
 	}
 	return e.c.capacity / d
 }
-
-// Validate checks the current solution for feasibility and max-min
-// optimality within tolerance tol and returns a list of violations
-// (empty when the solution is sound). It is used by tests and available
-// to callers as a debugging aid.
-func (s *System) Validate(tol float64) []string {
-	var problems []string
-	for _, c := range s.cnsts {
-		if !c.shared {
-			for _, e := range c.elems {
-				if e.v.value*e.factor > c.capacity+tol {
-					problems = append(problems,
-						fmt.Sprintf("fatpipe constraint %d: var %d uses %g > cap %g", //lint:allow hot-sprintf cold path: Validate is a debugging aid, never on the solve path
-							c.id, e.v.id, e.v.value*e.factor, c.capacity))
-				}
-			}
-			continue
-		}
-		if u := c.Usage(); u > c.capacity+tol {
-			problems = append(problems,
-				fmt.Sprintf("constraint %d overloaded: usage %g > cap %g", c.id, u, c.capacity)) //lint:allow hot-sprintf cold path: Validate is a debugging aid, never on the solve path
-		}
-	}
-	// Max-min optimality: every active variable must be saturated —
-	// either at its bound or on at least one tight constraint.
-	for _, v := range s.vars {
-		if v.weight <= eps || len(v.cnsts) == 0 {
-			continue
-		}
-		if v.bound > 0 && v.value >= v.bound-tol {
-			continue
-		}
-		sat := false
-		for _, e := range v.cnsts {
-			u := v.value * e.factor // a fatpipe caps each variable alone
-			if e.c.shared {
-				u = e.c.Usage()
-			}
-			if sat = u >= e.c.capacity-tol; sat {
-				break
-			}
-		}
-		if !sat {
-			problems = append(problems,
-				fmt.Sprintf("variable %d not saturated: value %g, bound %g", v.id, v.value, v.bound)) //lint:allow hot-sprintf cold path: Validate is a debugging aid, never on the solve path
-		}
-	}
-	return problems
-}
-
-// String renders the system state for debugging.
-func (s *System) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "maxmin system: %d vars, %d constraints\n", len(s.vars), len(s.cnsts))
-	cs := make([]*Constraint, len(s.cnsts))
-	copy(cs, s.cnsts)
-	sort.Slice(cs, func(i, j int) bool { return cs[i].id < cs[j].id })
-	for _, c := range cs {
-		fmt.Fprintf(&b, "  C%d cap=%g usage=%g shared=%v vars=[", c.id, c.capacity, c.Usage(), c.shared)
-		for i, e := range c.elems {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "V%d×%g", e.v.id, e.factor)
-		}
-		b.WriteString("]\n")
-	}
-	vs := make([]*Variable, len(s.vars))
-	copy(vs, s.vars)
-	sort.Slice(vs, func(i, j int) bool { return vs[i].id < vs[j].id })
-	for _, v := range vs {
-		fmt.Fprintf(&b, "  V%d w=%g bound=%g value=%g\n", v.id, v.weight, v.bound, v.value)
-	}
-	return b.String()
-}
-
-// NVariables returns the number of variables in the system.
-func (s *System) NVariables() int { return len(s.vars) }
-
-// NConstraints returns the number of constraints in the system.
-func (s *System) NConstraints() int { return len(s.cnsts) }

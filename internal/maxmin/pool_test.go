@@ -1,6 +1,7 @@
 package maxmin
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,9 +36,9 @@ func TestVariablePoolScrubbed(t *testing.T) {
 			if v.Weight() != w || v.Bound() != bound {
 				t.Fatalf("fresh variable carries weight %g bound %g, want %g %g", v.Weight(), v.Bound(), w, bound)
 			}
-			if v.Value() != 0 || v.Data != nil || len(v.cnsts) != 0 {
-				t.Fatalf("recycled variable leaked state: value=%g data=%v deg=%d",
-					v.Value(), v.Data, len(v.cnsts))
+			if v.Value() != 0 || v.Data != nil || len(v.cnsts) != 0 || v.walk != nil || !math.IsInf(v.ownR, 1) {
+				t.Fatalf("recycled variable leaked state: value=%g data=%v deg=%d walk=%p ownR=%g",
+					v.Value(), v.Data, len(v.cnsts), v.walk, v.ownR)
 			}
 			v.Data = op // pollute the cookie to catch leaks on reuse
 			deg := 1 + rng.Intn(3)
@@ -58,8 +59,13 @@ func TestVariablePoolScrubbed(t *testing.T) {
 				t.Fatalf("removed variable was not pooled")
 			}
 			if p.sys != nil || p.weight != 0 || p.bound != 0 || p.value != 0 ||
-				p.Data != nil || len(p.cnsts) != 0 {
+				p.ownR != 0 || p.walk != nil || p.Data != nil || len(p.cnsts) != 0 {
 				t.Fatalf("pooled variable carries stale state: %+v", p)
+			}
+			for _, e := range s.elemPool.Items() {
+				if *e != (elem{}) {
+					t.Fatalf("pooled elem carries stale state: %+v", *e)
+				}
 			}
 		}
 		if rng.Intn(8) == 0 {

@@ -443,6 +443,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 
 	compare := func(step int) {
 		t.Helper()
+		checkSummaries(t, fmt.Sprintf("seed %d step %d", seed, step), got)
 		before := got.Stats()
 		got.Solve()
 		checkScope(t, fmt.Sprintf("seed %d step %d", seed, step), got, before, referenceSolve(want))

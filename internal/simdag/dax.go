@@ -156,13 +156,22 @@ func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 			}
 		}
 	}
+	if err := checkLoaded(s, tasks, "DAX "+doc.Name); err != nil {
+		return nil, err
+	}
+	return append(tasks, root, end), nil
+}
+
+// checkLoaded rejects a loaded workflow with a work amount that is not
+// finite or with a dependency cycle; from names the document.
+func checkLoaded(s *Simulation, tasks []*Task, from string) error {
 	for _, t := range tasks {
 		if math.IsNaN(t.amount) || math.IsInf(t.amount, 0) {
-			return nil, fmt.Errorf("simdag: DAX task %q: amount %g out of range", t.name, t.amount)
+			return fmt.Errorf("simdag: %s: task %q: amount %g out of range", from, t.name, t.amount)
 		}
 	}
 	if err := s.checkCycles(); err != nil {
-		return nil, fmt.Errorf("simdag: DAX %q: %w", doc.Name, err)
+		return fmt.Errorf("simdag: %s: %w", from, err)
 	}
-	return append(tasks, root, end), nil
+	return nil
 }

@@ -20,7 +20,8 @@ import (
 // LoadDOT parses a DOT digraph and instantiates it: one compute task
 // per node (flops from the node's size attribute, 0 when absent), a
 // comm task per sized edge, a direct dependency per bare edge. Tasks
-// are returned in declaration order, NotScheduled.
+// are returned in declaration order, NotScheduled. A size that is not
+// finite, or a dependency cycle, is an error.
 func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -97,6 +98,9 @@ func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 				t.amount = flops
 			}
 		}
+	}
+	if err := checkLoaded(s, tasks, "DOT"); err != nil {
+		return nil, err
 	}
 	return tasks, nil
 }

@@ -188,6 +188,29 @@ func TestLoadDOT(t *testing.T) {
 	}
 }
 
+// FuzzLoadDOT feeds LoadDOT arbitrary bytes: every input is rejected
+// with an error or yields a workflow that min-min places on two hosts
+// and Simulate runs to the end, every task done.
+func FuzzLoadDOT(f *testing.F) {
+	f.Add([]byte(sampleDOT))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s := New(starPlatform(t, 2), exactConfig())
+		tasks, err := LoadDOT(s, bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if err := ScheduleMinMin(s, []string{hostName(0), hostName(1)}); err != nil {
+			t.Fatalf("ScheduleMinMin: %v", err)
+		}
+		if _, err := s.Simulate(); err != nil {
+			t.Fatalf("Simulate: %v", err)
+		}
+		if s.DoneCount() != len(tasks) {
+			t.Fatalf("%d of %d tasks done", s.DoneCount(), len(tasks))
+		}
+	})
+}
+
 // TestMinMinPrefersFasterHost: a single task must land on the fastest
 // host.
 func TestMinMinPrefersFasterHost(t *testing.T) {

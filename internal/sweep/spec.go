@@ -7,10 +7,12 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/platform"
@@ -248,15 +250,21 @@ type Spec struct {
 // a knob that no longer exists, is an error rather than a silent
 // default.
 func Load(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	return parse(f, path)
+}
+
+// parse is Load on a reader; name labels decoding errors.
+func parse(r io.Reader, name string) (*Spec, error) {
 	var sp Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("sweep: %s: %w", path, err)
+		return nil, fmt.Errorf("sweep: %s: %w", name, err)
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -265,8 +273,8 @@ func Load(path string) (*Spec, error) {
 }
 
 // Validate checks the grid is well-formed: every axis non-empty (after
-// defaulting), every name unique within its axis, every scheduler
-// known.
+// defaulting), every name (and seed) unique within its axis and free of
+// '/', every scheduler known — so no two runs share a key.
 func (sp *Spec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("sweep: campaign needs a name")
@@ -285,6 +293,10 @@ func (sp *Spec) Validate() error {
 	unique := func(axis, name string) error {
 		if name == "" {
 			return fmt.Errorf("sweep: campaign %q: unnamed %s entry", sp.Name, axis)
+		}
+		if strings.Contains(name, "/") {
+			// "/" separates a run key's parts: "a/b"+"c" would be "a"+"b/c".
+			return fmt.Errorf("sweep: campaign %q: %s %q: a name may not contain '/'", sp.Name, axis, name)
 		}
 		k := axis + ":" + name
 		if seen[k] {
@@ -318,6 +330,11 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("sweep: campaign %q: unknown scheduler %q", sp.Name, s)
 		}
 		if err := unique("scheduler", s); err != nil {
+			return err
+		}
+	}
+	for _, seed := range sp.Seeds {
+		if err := unique("seed", strconv.FormatInt(seed, 10)); err != nil {
 			return err
 		}
 	}

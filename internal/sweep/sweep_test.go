@@ -120,6 +120,8 @@ func TestSpecValidate(t *testing.T) {
 		{"dup platform", func(s *Spec) {
 			s.Platforms = append(s.Platforms, s.Platforms[0])
 		}, "duplicate platform"},
+		{"dup seed", func(s *Spec) { s.Seeds = append(s.Seeds, s.Seeds[0]) }, "duplicate seed"},
+		{"slash in a name", func(s *Spec) { s.Workloads[0].Name = "a/b" }, "may not contain '/'"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
