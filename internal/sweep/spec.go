@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/faults"
@@ -333,9 +332,11 @@ func (sp *Spec) Validate() error {
 			return err
 		}
 	}
-	for _, seed := range sp.Seeds {
-		if err := unique("seed", strconv.FormatInt(seed, 10)); err != nil {
-			return err
+	for i, seed := range sp.Seeds {
+		for _, prev := range sp.Seeds[:i] {
+			if seed == prev {
+				return fmt.Errorf("sweep: campaign %q: duplicate seed %d", sp.Name, seed)
+			}
 		}
 	}
 	return nil
