@@ -1,6 +1,9 @@
 package faults
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strconv"
 	"testing"
 
@@ -43,16 +46,16 @@ func TestDAGSurvivesInjectedFailures(t *testing.T) {
 
 	s := simdag.New(pf, surf.DefaultConfig())
 	s.SetReschedulePolicy(hosts)
-	total := 0
+	var tasks []*simdag.Task
 	for c := 0; c < nChains; c++ {
 		var prev *simdag.Task
 		for d := 0; d < depth; d++ {
 			name := "c" + strconv.Itoa(c) + "-" + strconv.Itoa(d)
 			task := s.NewTask(name, 1e9) // ~1 s per stage
-			total++
+			tasks = append(tasks, task)
 			if prev != nil {
 				x := s.NewCommTask(name+"-in", 1e7)
-				total++
+				tasks = append(tasks, x)
 				if err := s.AddDependency(prev, x); err != nil {
 					t.Fatal(err)
 				}
@@ -100,8 +103,17 @@ func TestDAGSurvivesInjectedFailures(t *testing.T) {
 	if midRun < 1 {
 		t.Fatalf("no host failure landed mid-run (makespan %g, downs %v): campaign needs retuning", s.Makespan(), downs)
 	}
-	if s.DoneCount() != total || s.FailedCount() != 0 {
-		t.Fatalf("done=%d failed=%d, want %d/0", s.DoneCount(), s.FailedCount(), total)
+	if s.DoneCount() != len(tasks) || s.FailedCount() != 0 {
+		t.Fatalf("done=%d failed=%d, want %d/0", s.DoneCount(), s.FailedCount(), len(tasks))
+	}
+	// Every task's name, final host and the Float64bits of its finish:
+	// recoveries re-place victims, so this pins placement and timing.
+	h := fnv.New64a()
+	for _, task := range tasks {
+		fmt.Fprintf(h, "%s@%s %016x\n", task.Name(), task.Host(), math.Float64bits(task.Finish()))
+	}
+	if got, want := h.Sum64(), uint64(0x2de26db3f2b48394); got != want {
+		t.Errorf("task digest %#016x, want %#016x", got, want)
 	}
 	if g := s.Engine().Spawned(); g != 0 {
 		t.Errorf("%d process goroutines spawned, want 0", g)

@@ -2,6 +2,8 @@ package msg
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -448,12 +450,17 @@ func TestManyProcessesScale(t *testing.T) {
 	env := NewEnvironment(p, exact())
 	const n = 100
 	received := 0
+	// Each receipt in wake order: its channel and the Float64bits of
+	// the instant it landed. All 100 transfers share the link and finish
+	// together, so this pins surf's same-instant completion order.
+	h := fnv.New64a()
 	for i := 0; i < n; i++ {
 		ch := i
 		env.NewProcess("recv", "b", func(pr *Process) error {
 			_, err := pr.Get(ch)
 			if err == nil {
 				received++
+				fmt.Fprintf(h, "%d %016x\n", ch, math.Float64bits(pr.Now()))
 			}
 			return err
 		})
@@ -466,5 +473,8 @@ func TestManyProcessesScale(t *testing.T) {
 	}
 	if received != n {
 		t.Errorf("received %d, want %d", received, n)
+	}
+	if got, want := h.Sum64(), uint64(0xce7237fd3756fabb); got != want {
+		t.Errorf("receipt digest %#016x, want %#016x", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package smpi
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -397,6 +398,9 @@ func TestAlltoallAllSizes(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			results := make([][]any, n)
+			// Each rank's return from Alltoall in resume order, as rank and
+			// Float64bits of Wtime; pinned at n=9, the largest exchange.
+			h := fnv.New64a()
 			run(t, n, func(r *Rank) error {
 				items := make([]any, n)
 				for i := range items {
@@ -407,8 +411,12 @@ func TestAlltoallAllSizes(t *testing.T) {
 					return err
 				}
 				results[r.Rank()] = out
+				fmt.Fprintf(h, "%d %016x\n", r.Rank(), math.Float64bits(r.Wtime()))
 				return nil
 			})
+			if got, want := h.Sum64(), uint64(0x382af25a9ee32805); n == 9 && got != want {
+				t.Errorf("n=9: return digest %#016x, want %#016x", got, want)
+			}
 			for me := 0; me < n; me++ {
 				for src := 0; src < n; src++ {
 					want := src*100 + me

@@ -2,6 +2,8 @@ package surf
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -285,7 +287,7 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 					t.Errorf("comm wait: %v", err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%.9g %s", eng.Now(), a.Name()))
+				log = append(log, fmt.Sprintf("%016x %s", math.Float64bits(eng.Now()), a.Name()))
 				b, err := execute(m, src, 1e6, 1)
 				if err != nil {
 					t.Errorf("Execute: %v", err)
@@ -295,7 +297,7 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 					t.Errorf("exec wait: %v", err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%.9g %s", eng.Now(), b.Name()))
+				log = append(log, fmt.Sprintf("%016x %s", math.Float64bits(eng.Now()), b.Name()))
 			}
 		})
 	}
@@ -303,6 +305,18 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 		t.Fatalf("Run: %v", err)
 	}
 	return log
+}
+
+// logDigest folds a completion log — each line the Float64bits of an
+// instant and the action completed then — into one FNV-64a sum, so a
+// last-bit drift in any completion time or a reordered wake moves it.
+func logDigest(log []string) uint64 {
+	h := fnv.New64a()
+	for _, l := range log {
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }
 
 // diffLogs fails at the first event where the batched and the per-pop
@@ -329,6 +343,9 @@ func TestLockstepBatchedEquivalence(t *testing.T) {
 	diffLogs(t, batched, runLockstep(t, newPerPop, 60, 4))
 	if len(batched) != 60*4*2 {
 		t.Fatalf("completion log has %d events, want %d", len(batched), 60*4*2)
+	}
+	if got, want := logDigest(batched), uint64(0x6f5e0d4877f43f6f); got != want {
+		t.Errorf("completion log digest %#016x, want %#016x", got, want)
 	}
 }
 
@@ -365,7 +382,7 @@ func (r *relay) start() {
 }
 
 func (r *relay) ActionDone(a *Action, err error) {
-	*r.log = append(*r.log, fmt.Sprintf("%.9g %s %v", r.m.eng.Now(), a.Name(), err))
+	*r.log = append(*r.log, fmt.Sprintf("%016x %s %v", math.Float64bits(r.m.eng.Now()), a.Name(), err))
 	a.Release()
 	if r.left--; r.left > 0 {
 		r.start()
@@ -400,7 +417,7 @@ func runRelays(t *testing.T, mk newModel, nPairs, steps int) []string {
 					t.Errorf("%s: %v", p.Name(), err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%.9g %s woke", eng.Now(), a.Name()))
+				log = append(log, fmt.Sprintf("%016x %s woke", math.Float64bits(eng.Now()), a.Name()))
 			}
 		})
 	}
@@ -421,6 +438,9 @@ func TestCompletionBatchEquivalence(t *testing.T) {
 	diffLogs(t, batched, runRelays(t, newPerPop, nPairs, steps))
 	if len(batched) != nPairs*steps {
 		t.Fatalf("completion log has %d events, want %d", len(batched), nPairs*steps)
+	}
+	if got, want := logDigest(batched), uint64(0x25afe15067a38339); got != want {
+		t.Errorf("completion log digest %#016x, want %#016x", got, want)
 	}
 	first, _, _ := strings.Cut(batched[0], " ")
 	if last, _, _ := strings.Cut(batched[nPairs-1], " "); first != last {
