@@ -215,10 +215,10 @@ func BenchmarkMSGChainChurn(b *testing.B) {
 // BenchmarkMSGScalingLockstep is the same-instant completion workload:
 // every pair is identical, so each round's transfers (and then each
 // round's computes) all finish at the exact same virtual time — the
-// worst case for per-completion event processing, which the equal-key
-// bulk-pop of the action heap and the contiguous wake sweep answer
-// (internal/surf's BenchmarkActionHeapLockstep times that machinery
-// against the per-pop test reference).
+// worst case for per-completion event processing. surf gathers each
+// instant's due run with one pruned walk of the action heap, removes and
+// re-inserts it one sift per action, and completes the finished actions
+// in one contiguous wake sweep.
 func BenchmarkMSGScalingLockstep(b *testing.B) {
 	cases := []struct {
 		name   string

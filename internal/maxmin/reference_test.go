@@ -392,7 +392,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 		if rng.Intn(10) == 0 {
 			return 0 // latency phase / suspended
 		}
-		return 1e-3 / (2e-4 * float64(1+rng.Intn(5))) // RTTReference / RTT, five classes
+		return 1e-3 / (2e-4 * float64(1+rng.Intn(5))) // surf's rttReference / RTT, five classes
 	}
 	addVar := func() {
 		island := rng.Intn(len(islands))

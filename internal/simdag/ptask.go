@@ -16,7 +16,10 @@
 
 package simdag
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NewParallelTask creates a ptask, NotScheduled until ScheduleParallel
 // assigns its host set. flops[i] is the work of the i-th slot;
@@ -29,8 +32,8 @@ func (s *Simulation) NewParallelTask(name string, flops []float64, bytes [][]flo
 	}
 	total := 0.0
 	for i, f := range flops {
-		if f < 0 {
-			return nil, fmt.Errorf("simdag: ptask %q has negative flops in slot %d", name, i)
+		if !validAmount(f) {
+			return nil, fmt.Errorf("simdag: ptask %q has flops %g in slot %d, want finite and >= 0", name, f, i)
 		}
 		total += f
 	}
@@ -42,6 +45,11 @@ func (s *Simulation) NewParallelTask(name string, flops []float64, bytes [][]flo
 			if len(bytes[i]) != len(flops) {
 				return nil, fmt.Errorf("simdag: ptask %q bytes row %d has %d entries, want %d", name, i, len(bytes[i]), len(flops))
 			}
+			for j, b := range bytes[i] {
+				if !validAmount(b) {
+					return nil, fmt.Errorf("simdag: ptask %q has bytes %g from slot %d to %d, want finite and >= 0", name, b, i, j)
+				}
+			}
 		}
 	}
 	t := s.add()
@@ -49,6 +57,10 @@ func (s *Simulation) NewParallelTask(name string, flops []float64, bytes [][]flo
 	t.pflops, t.pbytes = flops, bytes
 	return t, nil
 }
+
+// validAmount reports whether a ptask payload entry is finite and not
+// negative (NaN fails both comparisons).
+func validAmount(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Slots returns the number of host slots the ptask spans (0 for other
 // kinds).

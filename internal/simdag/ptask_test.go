@@ -308,3 +308,33 @@ func TestPtaskUnderListSchedulers(t *testing.T) {
 		})
 	}
 }
+
+// TestNewParallelTaskRejectsBadPayloads: a flop or byte entry that is
+// NaN, infinite or negative is refused at construction. Accepted, NaN
+// flops ran as no work, +Inf flops left the task Running after
+// Simulate returned, and bad bytes were treated as no transfer.
+func TestNewParallelTaskRejectsBadPayloads(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		flops []float64
+		bytes [][]float64
+	}{
+		{"nan-flops", []float64{nan, 1e9}, nil},
+		{"inf-flops", []float64{1e9, inf}, nil},
+		{"neg-inf-flops", []float64{-inf, 1e9}, nil},
+		{"neg-flops", []float64{-1, 1e9}, nil},
+		{"nan-bytes", []float64{1e9, 1e9}, [][]float64{{0, nan}, {0, 0}}},
+		{"inf-bytes", []float64{1e9, 1e9}, [][]float64{{0, 0}, {inf, 0}}},
+		{"neg-bytes", []float64{1e9, 1e9}, [][]float64{{0, -1}, {0, 0}}},
+	} {
+		s := New(starPlatform(t, 2), exactConfig())
+		if p, err := s.NewParallelTask(c.name, c.flops, c.bytes); err == nil {
+			t.Errorf("%s: accepted as a %d-slot ptask, want an error", c.name, p.Slots())
+		}
+	}
+	s := New(starPlatform(t, 2), exactConfig())
+	if _, err := s.NewParallelTask("ok", []float64{0, 1e9}, [][]float64{{0, 1e6}, {0, 0}}); err != nil {
+		t.Errorf("finite non-negative payload refused: %v", err)
+	}
+}

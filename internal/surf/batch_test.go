@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // perPopModel is the pre-batching completion path, kept as the test
 // reference the batched AdvanceTo is compared against: one heap pop
 // and one complete() per due action. It shares classifyDue and
-// complete with the model, so only the event machinery (popMin/push
-// against collectDue/removeBatch/bulkPush) differs.
+// complete with the model, so only how the due set is gathered
+// (popMin against collectDue's DFS) differs.
 type perPopModel struct{ *Model }
 
 // newPerPop is New with the reference AdvanceTo registered in place of
@@ -38,7 +39,7 @@ func (r perPopModel) AdvanceTo(now, t float64) {
 	for _, a := range repush {
 		m.heap.push(a)
 	}
-	sortActions(finished)
+	slices.SortFunc(finished, actionCmp)
 	for _, a := range finished {
 		a.remaining = 0
 		a.lastSync = t
@@ -53,9 +54,10 @@ func (h *actionHeap) popMin() *Action {
 	return a
 }
 
-// TestActionHeapBulkOps fuzzes collectDue / removeBatch / bulkPush
-// against linear-scan models of the same operations, checking the heap
-// invariant and index bookkeeping after every step.
+// TestActionHeapBulkOps fuzzes collectDue against a linear scan, with
+// batches pushed and the due set removed one action at a time the way
+// AdvanceTo does, checking the heap invariant and index bookkeeping
+// after every step.
 func TestActionHeapBulkOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h actionHeap
@@ -86,14 +88,12 @@ func TestActionHeapBulkOps(t *testing.T) {
 	var idxBuf []int
 	for op := 0; op < 400; op++ {
 		switch r := rng.Intn(10); {
-		case r < 4 || len(h) == 0: // bulk push a batch
-			k := 1 + rng.Intn(40)
-			batch := make([]*Action, k)
-			for i := range batch {
-				batch[i] = &Action{heapIdx: -1, estFinish: rng.Float64() * 100}
-				live[batch[i]] = true
+		case r < 4 || len(h) == 0: // push a batch
+			for k := 1 + rng.Intn(40); k > 0; k-- {
+				a := &Action{heapIdx: -1, estFinish: rng.Float64() * 100}
+				live[a] = true
+				h.push(a)
 			}
-			h.bulkPush(batch)
 		case r < 8: // collect + remove everything due below a threshold
 			maxKey := rng.Float64() * 100
 			want := map[*Action]bool{}
@@ -111,8 +111,8 @@ func TestActionHeapBulkOps(t *testing.T) {
 					t.Fatalf("collectDue returned non-due action (key %g > %g)", a.eventKey(), maxKey)
 				}
 			}
-			h.removeBatch(dueBuf)
 			for _, a := range dueBuf {
+				h.remove(a.heapIdx)
 				if a.heapIdx != -1 {
 					t.Fatalf("removed action still has heapIdx %d", a.heapIdx)
 				}
@@ -125,73 +125,6 @@ func TestActionHeapBulkOps(t *testing.T) {
 			delete(live, a)
 		}
 		check()
-	}
-}
-
-// BenchmarkActionHeapLockstep isolates the event-machinery cost the
-// equal-key bulk-pop removes: k actions due at the same instant inside
-// a heap of n. Each iteration extracts the due run and re-inserts it
-// (steady state). `batched` = collectDue + removeBatch + bulkPush —
-// O(n) compaction/heapify when the run is large; `per-pop` = k
-// individual popMin/push pairs — O(k log n), the reference's machinery.
-// The full-stack lock-step benchmark (BenchmarkMSGScalingLockstep)
-// shows how much of an MSG step this machinery is; this one shows the
-// machinery alone.
-func BenchmarkActionHeapLockstep(b *testing.B) {
-	cases := []struct {
-		name string
-		n, k int
-	}{
-		{"n100k-all-due", 100_000, 100_000},
-		{"n100k-half-due", 100_000, 50_000},
-		{"n100k-10k-due", 100_000, 10_000},
-	}
-	for _, c := range cases {
-		build := func() (actionHeap, float64) {
-			rng := rand.New(rand.NewSource(11))
-			var h actionHeap
-			const dueKey = 1.0
-			for i := 0; i < c.k; i++ {
-				h.push(&Action{heapIdx: -1, estFinish: dueKey})
-			}
-			for i := c.k; i < c.n; i++ {
-				h.push(&Action{heapIdx: -1, estFinish: 2 + rng.Float64()*100})
-			}
-			return h, dueKey
-		}
-		b.Run(c.name+"/batched", func(b *testing.B) {
-			h, dueKey := build()
-			var due []*Action
-			var stack []int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				due, stack = h.collectDue(dueKey, due[:0], stack)
-				if len(due) != c.k {
-					b.Fatalf("collected %d, want %d", len(due), c.k)
-				}
-				h.removeBatch(due)
-				h.bulkPush(due)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.k), "ns/action")
-		})
-		b.Run(c.name+"/per-pop", func(b *testing.B) {
-			h, dueKey := build()
-			due := make([]*Action, 0, c.k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				due = due[:0]
-				for len(h) > 0 && h[0].key <= dueKey {
-					due = append(due, h.popMin())
-				}
-				if len(due) != c.k {
-					b.Fatalf("popped %d, want %d", len(due), c.k)
-				}
-				for _, a := range due {
-					h.push(a)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.k), "ns/action")
-		})
 	}
 }
 
@@ -241,9 +174,9 @@ func BenchmarkRefreshBulkRekey(b *testing.B) {
 	}
 }
 
-// lockstepModel builds nPairs identical disjoint sender/receiver pairs:
-// every transfer and compute completes at the same instant, the
-// workload class the equal-key bulk-pop targets.
+// lockstepPlatform builds nPairs identical disjoint sender/receiver
+// pairs: every transfer and compute completes at the same instant, so
+// each step's due set is one large run of equal keys.
 func lockstepPlatform(t testing.TB, nPairs int) *platform.Platform {
 	t.Helper()
 	pf := platform.New()
@@ -334,8 +267,8 @@ func diffLogs(t *testing.T, batched, perPop []string) {
 }
 
 // TestLockstepBatchedEquivalence asserts that the batched same-instant
-// completion path (equal-key bulk-pop + one contiguous wake sweep) and
-// the per-pop reference produce the identical completion log for
+// completion path (collectDue's gathering + one contiguous wake sweep)
+// and the per-pop reference produce the identical completion log for
 // directly waiting processes: same times, same actions, same wake
 // order.
 func TestLockstepBatchedEquivalence(t *testing.T) {

@@ -85,11 +85,11 @@ func (h actionHeap) down(i int) {
 	}
 }
 
-// bulkCheaper is the one crossover between touching k of the heap's n
-// entries one sift at a time — about k·log n swap steps — and a rebuild
-// by linear passes over all n (mark or rewrite, compact, heapify: about
-// four). Batch removal, batch insertion and the rate-change re-key all
-// choose by it.
+// bulkCheaper is the crossover between re-keying k of the heap's n
+// entries one sift at a time — about k·log n swap steps — and rewriting
+// their keys in place and rebuilding by one heapify over all n. Only
+// refresh's rate-change re-key chooses by it: a completion on a
+// contended link moves every rate on that link at once.
 func bulkCheaper(k, n int) bool { return k*bits.Len(uint(n)) >= 4*n }
 
 // heapify restores the invariant over arbitrary keys in one O(n)
@@ -174,71 +174,4 @@ func (h actionHeap) collectDue(maxKey float64, buf []*Action, stack []int) ([]*A
 		}
 	}
 	return buf, stack
-}
-
-// removeBatch removes every action in batch (all of which must be in
-// the heap): one sift-out apiece, or past the bulkCheaper crossover one
-// compaction and a heapify — the equal-key bulk-pop that lock-step
-// completions rely on.
-func (h *actionHeap) removeBatch(batch []*Action) {
-	n, k := len(*h), len(batch)
-	if k == 0 {
-		return
-	}
-	if k == n {
-		// Everything goes: truncate in one pass, no compaction needed.
-		for i := range *h {
-			(*h)[i].a.heapIdx = -1
-			(*h)[i] = heapEntry{}
-		}
-		*h = (*h)[:0]
-		return
-	}
-	if !bulkCheaper(k, n) {
-		for _, a := range batch {
-			h.remove(a.heapIdx)
-		}
-		return
-	}
-	for _, a := range batch {
-		a.heapIdx = -1
-	}
-	old := *h
-	w := 0
-	for r := 0; r < n; r++ {
-		e := old[r]
-		if e.a.heapIdx < 0 {
-			continue
-		}
-		old[w] = e
-		e.a.heapIdx = w
-		w++
-	}
-	for i := w; i < n; i++ {
-		old[i] = heapEntry{} // release for the collector
-	}
-	*h = old[:w]
-	(*h).heapify()
-}
-
-// bulkPush inserts every action in as (none of which may be in the
-// heap): one sift-up apiece, or past the bulkCheaper crossover an append
-// and a heapify — the re-insertion half of the lock-step latency-phase
-// transition.
-func (h *actionHeap) bulkPush(as []*Action) {
-	k := len(as)
-	if k == 0 {
-		return
-	}
-	if !bulkCheaper(k, len(*h)+k) {
-		for _, a := range as {
-			h.push(a)
-		}
-		return
-	}
-	for _, a := range as {
-		a.heapIdx = len(*h)
-		*h = append(*h, heapEntry{key: a.eventKey(), a: a})
-	}
-	(*h).heapify()
 }

@@ -26,11 +26,13 @@
 package surf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/maxmin"
@@ -67,10 +69,11 @@ type Config struct {
 	// 1/RTT so that short-RTT flows get proportionally more of a shared
 	// bottleneck, reproducing TCP's RTT unfairness (CM02 does this).
 	WeightByRTT bool
-	// RTTReference normalizes RTT weighting (weight = priority ×
-	// RTTReference / RTT); only relative weights matter.
-	RTTReference float64
 }
+
+// rttReference normalizes RTT weighting (weight = priority ×
+// rttReference / RTT); only relative weights matter.
+const rttReference = 1e-3
 
 // DefaultConfig returns the model defaults (CM02-flavoured).
 func DefaultConfig() Config {
@@ -79,7 +82,6 @@ func DefaultConfig() Config {
 		LatencyFactor:   1.0,
 		TCPGamma:        4194304,
 		WeightByRTT:     true,
-		RTTReference:    1e-3,
 	}
 }
 
@@ -603,7 +605,7 @@ func (m *Model) linkResources(name string) []*resource {
 			keys = append(keys, key)
 		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	out := make([]*resource, len(keys))
 	for i, key := range keys {
 		out[i] = m.links[key]
@@ -720,11 +722,7 @@ func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error
 		a.bound = m.cfg.TCPGamma / (2 * route.Latency())
 	}
 	if m.cfg.WeightByRTT && route.Latency() > 0 {
-		ref := m.cfg.RTTReference
-		if ref <= 0 {
-			ref = 1e-3
-		}
-		a.weightMul = ref / route.Latency()
+		a.weightMul = rttReference / route.Latency()
 	}
 	if len(route.Links) == 0 {
 		// Intra-host messaging: no network resource crossed, the data
@@ -886,7 +884,7 @@ func (m *Model) releaseResources(a *Action) {
 // every rate on it) the keys are rewritten in place and the heap rebuilt
 // once, instead of one sift per action. The two leave entries of equal
 // key in different places; completions cannot tell, their due set being
-// gathered by key and finished in actionLess order.
+// gathered by key and finished in actionCmp order.
 func (m *Model) refresh() {
 	if !m.sys.Dirty() {
 		return
@@ -943,11 +941,11 @@ func (m *Model) NextEventTime(now float64) float64 {
 // a step that completes nothing costs one heap peek.
 //
 // Same-instant events are processed as one batch: the due run is
-// collected off the heap with a pruned DFS (equal keys are a
-// parent-closed prefix, so no per-pop sift), removed in a single
-// compaction+heapify when the run is large, and the finished actions
-// completed in one sweep — k lock-step completions cost one heap pass
-// instead of k interleaved pop/sift cycles.
+// gathered with a pruned DFS (equal keys are a parent-closed prefix),
+// each due action is removed with one sift and classified, the ones
+// still in flight go back with one sift each, and the finished actions
+// are completed in one sweep. The DFS order is load-bearing: it is the
+// order latency ends reach maxmin, which sums in that order.
 func (m *Model) AdvanceTo(now, t float64) {
 	m.refresh()
 	// The slack absorbs the clock's float64 resolution (otherwise the
@@ -959,17 +957,19 @@ func (m *Model) AdvanceTo(now, t float64) {
 	if len(due) == 0 {
 		return
 	}
-	m.heap.removeBatch(due)
 	finished := m.finBuf[:0]
 	repush := m.repushBuf[:0]
 	for _, a := range due {
+		m.heap.remove(a.heapIdx)
 		finished, repush = m.classifyDue(a, t, finished, repush)
 	}
-	m.heap.bulkPush(repush)
+	for _, a := range repush {
+		m.heap.push(a)
+	}
 	// Deterministic completion order (by start time then name), one
 	// action at a time: a completion handler may observe — or cancel —
 	// siblings finishing at the same instant.
-	sortActions(finished)
+	slices.SortFunc(finished, actionCmp)
 	for _, a := range finished {
 		a.remaining, a.lastSync = 0, t
 		m.complete(a, nil)
@@ -1014,38 +1014,18 @@ func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (f
 	return finished, repush
 }
 
-// actionLess is the deterministic completion order: start time, then
+// actionCmp is the deterministic completion order: start time, then
 // name, then creation sequence. The final tie-break makes the order
-// total, so it is independent of how the due set was gathered (heap
-// pops vs bulk collect) and of sort stability.
-func actionLess(x, y *Action) bool {
-	if x.start != y.start {
-		return x.start < y.start
+// total, so it is independent of how the due set was gathered and of
+// sort stability.
+func actionCmp(x, y *Action) int {
+	if c := cmp.Compare(x.start, y.start); c != 0 {
+		return c
 	}
-	if x.name != y.name {
-		return x.name < y.name
+	if c := strings.Compare(x.name, y.name); c != 0 {
+		return c
 	}
-	return x.seq < y.seq
-}
-
-func sortActions(actions []*Action) {
-	if len(actions) > 32 {
-		// Lock-step steps finish thousands of actions at once; the
-		// small-batch insertion sort would be quadratic there.
-		sort.Slice(actions, func(i, j int) bool {
-			return actionLess(actions[i], actions[j])
-		})
-		return
-	}
-	for i := 1; i < len(actions); i++ {
-		for j := i; j > 0; j-- {
-			if actionLess(actions[j], actions[j-1]) {
-				actions[j], actions[j-1] = actions[j-1], actions[j]
-			} else {
-				break
-			}
-		}
-	}
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // complete finishes an action (err == nil for success) and wakes its
@@ -1101,7 +1081,7 @@ func (m *Model) setResourceState(r *resource, up bool) {
 				}
 			}
 		}
-		sortActions(victims)
+		slices.SortFunc(victims, actionCmp)
 		for _, a := range victims {
 			m.complete(a, r.failErr)
 		}
