@@ -9,6 +9,7 @@ package simdag
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"testing"
@@ -205,6 +206,63 @@ func TestHEFTReference(t *testing.T) {
 	}
 	if g := s.Engine().Spawned(); g != 0 {
 		t.Fatalf("%d goroutines spawned, want 0", g)
+	}
+}
+
+// linearFit is the insertion policy's gap search as first written:
+// every span from the head, the first gap that holds [start, start+w).
+func linearFit(spans []heftSpan, ready, w float64) float64 {
+	prevEnd := 0.0
+	for _, sp := range spans {
+		start := prevEnd
+		if ready > start {
+			start = ready
+		}
+		if start+w <= sp.start {
+			return start
+		}
+		prevEnd = sp.end
+	}
+	if ready > prevEnd {
+		return ready
+	}
+	return prevEnd
+}
+
+// TestHEFTFitMatchesLinearScan holds heftPlanner.fit to the linear scan
+// bit for bit on random interval lists built by occupy — touching and
+// zero-length spans included — with ready times drawn from the span
+// edges themselves, before the head and past the tail, and zero-length
+// requests.
+func TestHEFTFitMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(vs ...float64) float64 { return vs[rng.Intn(len(vs))] }
+	p := &heftPlanner{slots: make([][]heftSpan, 1)}
+	for list := 0; list < 300; list++ {
+		p.slots[0] = nil
+		at := 0.0
+		for n := rng.Intn(12); n > 0; n-- { // list 0 and a few others stay empty
+			at += pick(0, 0, rng.Float64(), 3*rng.Float64())
+			w := pick(0, rng.Float64(), 2*rng.Float64())
+			p.occupy(0, at, w)
+			at += w
+		}
+		spans := p.slots[0]
+		edges := []float64{0, at, at + 1, -1}
+		for _, sp := range spans {
+			edges = append(edges, sp.start, sp.end, (sp.start+sp.end)/2)
+		}
+		for q := 0; q < 200; q++ {
+			ready := edges[rng.Intn(len(edges))]
+			if rng.Intn(4) == 0 {
+				ready = rng.Float64() * (at + 2)
+			}
+			w := pick(0, rng.Float64(), rng.Float64()/8, 4)
+			got, want := p.fit(0, ready, w), linearFit(spans, ready, w)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("spans %v, ready %v, w %v: fit %v, linear scan %v", spans, ready, w, got, want)
+			}
+		}
 	}
 }
 

@@ -315,13 +315,29 @@ func refCases() []refCase {
 			}
 		}
 	}
+	// The sweep_campaign shape itself (campaignShapes, campaignDAG): its
+	// two platforms, its 20×40 DAG, re-placed mid-run.
+	for _, kind := range []string{"cluster32", "waxman24"} {
+		out = append(out, refCase{kind, 1, "midrun"})
+	}
 	return out
 }
+
+// campaign reports whether the case runs the sweep_campaign shape.
+func (c refCase) campaign() bool { return c.kind == "cluster32" || c.kind == "waxman24" }
 
 // platform builds the case's platform and returns it with every host
 // name in pool order.
 func (c refCase) platform(t *testing.T) (*platform.Platform, []string) {
 	t.Helper()
+	if c.campaign() {
+		pf := campaignShapes(t)[c.kind]
+		var hosts []string
+		for _, h := range pf.Hosts() {
+			hosts = append(hosts, h.Name)
+		}
+		return pf, hosts
+	}
 	if c.kind == "cluster" {
 		pf, hosts, err := platform.NewCluster(platform.ClusterConfig{
 			Prefix: "c", Hosts: 12, Power: 1e9, Bandwidth: 1.25e8, Latency: 1e-4,
@@ -350,6 +366,9 @@ func (c refCase) build(t *testing.T) (s *Simulation, pool, drop []string) {
 	pf, hosts := c.platform(t)
 	s = New(pf, exactConfig())
 	cfg := DefaultRandomConfig(6, 10, c.seed)
+	if c.campaign() {
+		cfg = DefaultRandomConfig(20, 40, c.seed)
+	}
 	cfg.PtaskProb, cfg.PtaskSlots = 0.1, 2
 	if c.variant == "ties" {
 		cfg.MinFlops, cfg.MinBytes = cfg.MaxFlops, cfg.MaxBytes
@@ -371,14 +390,17 @@ func (c refCase) build(t *testing.T) (s *Simulation, pool, drop []string) {
 		}
 	}
 	// Edges the generator never draws: stage-in data (a comm with no
-	// producer), stage-out data (no consumer), and a seq join.
+	// producer), stage-out data (no consumer), and a seq join. The
+	// campaign shape stays as the generator drew it.
 	n := len(computes)
-	dep(s.NewCommTask("stage-in", 5e5), computes[1])
-	dep(computes[n-2], s.NewCommTask("stage-out", 5e5))
-	join := s.NewSeqTask("join")
-	dep(computes[0], join)
-	dep(computes[2], join)
-	dep(join, computes[n-1])
+	if !c.campaign() {
+		dep(s.NewCommTask("stage-in", 5e5), computes[1])
+		dep(computes[n-2], s.NewCommTask("stage-out", 5e5))
+		join := s.NewSeqTask("join")
+		dep(computes[0], join)
+		dep(computes[2], join)
+		dep(join, computes[n-1])
+	}
 
 	pool = hosts
 	switch c.variant {
@@ -608,7 +630,7 @@ func schedDigest(t *testing.T) uint64 {
 // comparison above shares the live planner between both sides): the
 // digest was recorded from the schedulers as first written.
 func TestSchedReferenceDigest(t *testing.T) {
-	const want = uint64(0x87a9b1c5e4e98837)
+	const want = uint64(0xdc806046ed922a2e)
 	if got := schedDigest(t); got != want {
 		t.Fatalf("scheduler digest %#x, want %#x", got, want)
 	}

@@ -67,6 +67,44 @@ func TestReschedulePolicyRepeatedName(t *testing.T) {
 	}
 }
 
+// TestMinMinCommitBelowArrival: committing a task on the host that is
+// the best of several other ready tasks, while the host's new
+// availability stays below their inputs' arrival, leaves their ECT —
+// and so their best host — unchanged. X (no inputs) lands first on
+// the fast h02 and frees it at 1; Y and Z, waiting for the pre-placed
+// P until 10, still finish there soonest at 11. Y takes h02 on the
+// creation-order tie, after which Z is better off on h01 (11.5 < 12).
+func TestMinMinCommitBelowArrival(t *testing.T) {
+	build := func() (*Simulation, []*Task) {
+		s := New(starPlatform(t, 3), exactConfig())
+		p := s.NewTask("P", 3e10) // 10 s on h02
+		if err := p.Schedule("h02"); err != nil {
+			t.Fatal(err)
+		}
+		y, z, x := s.NewTask("Y", 3e9), s.NewTask("Z", 3e9), s.NewTask("X", 3e9)
+		for _, c := range []*Task{y, z} {
+			if err := s.AddDependency(p, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, []*Task{x, y, z}
+	}
+	pool := []string{"h01", "h02"}
+	s, live := build()
+	if err := ScheduleMinMin(s, pool); err != nil {
+		t.Fatal(err)
+	}
+	r, ref := build()
+	if err := refScheduleMinMin(r, pool); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"h02", "h02", "h01"} {
+		if got := live[i].Host(); got != want || ref[i].Host() != want {
+			t.Errorf("%s on %s (reference %s), want %s", live[i].Name(), got, ref[i].Host(), want)
+		}
+	}
+}
+
 // TestMinMinAllocations pins the cost of a placement pass, not its
 // result: on the campaign's 20×40 layered DAG min-min allocates a few
 // tables and one row per ready-set slot — far fewer objects than tasks
