@@ -197,23 +197,16 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 // mean-cost paths can differ by an ulp of float summation order.
 const rankTieEps = 1e-9
 
-// heftInput is one direct predecessor of the task being placed,
-// resolved once ahead of the candidate scan: its finish, or — for a
-// comm node — its producer's finish and host with that host's cost row.
-type heftInput struct {
-	fin  float64
-	comm *Task // nil unless the predecessor is a comm node
-	src  string
-	row  []wire
-}
-
 // heftOpts is the resolved cost model (all hooks non-nil), addressed by
 // the cost table's host ids. The default model is the hook that reads
 // the table; a user hook is handed the names behind the ids.
 type heftOpts struct {
-	ct       *costTable
-	cost     func(t *Task, h int) float64
-	commCost func(in heftInput, h int) float64
+	ct   *costTable
+	cost func(t *Task, h int) float64
+	// commRow fills row[h] with comm c's transfer time from src to host
+	// h, for every h < len(row): one call per (comm, source), not per
+	// cell.
+	commRow  func(c *Task, src string, row []float64)
 	meanComm func(c *Task) float64
 }
 
@@ -245,14 +238,16 @@ func resolveHEFTOptions(ct *costTable, opts *HEFTOptions) *heftOpts {
 		o.cost = func(t *Task, h int) float64 { return t.amount / ct.power[h] }
 	}
 	if opts != nil && opts.CommCost != nil {
-		o.commCost = func(in heftInput, h int) float64 { return opts.CommCost(in.comm, in.src, ct.names[h]) }
-	} else {
-		o.commCost = func(in heftInput, h int) float64 {
-			if h < ct.n {
-				return in.row[h].cost(in.comm.amount)
+		o.commRow = func(c *Task, src string, row []float64) {
+			for h := range row {
+				row[h] = opts.CommCost(c, src, ct.names[h])
 			}
-			// A pre-placed unit's own off-pool host: no column for it.
-			return ct.wire(in.src, ct.names[h]).cost(in.comm.amount)
+		}
+	} else {
+		o.commRow = func(c *Task, src string, row []float64) {
+			for h, w := range ct.row(src)[:len(row)] {
+				row[h] = w.cost(c.amount)
+			}
 		}
 	}
 	if opts != nil && opts.MeanCommCost != nil {
@@ -261,22 +256,18 @@ func resolveHEFTOptions(ct *costTable, opts *HEFTOptions) *heftOpts {
 		// Summed term by term in row-major order, unroutable pairs
 		// adding 0: factoring the sum (Σlat + bytes·Σ1/bw) changes the
 		// last bit and flips rankTieEps ties.
+		row := make([]float64, ct.n)
 		o.meanComm = func(c *Task) float64 {
-			sum, n := 0.0, 0
+			sum := 0.0
 			for i := 0; i < ct.n; i++ {
-				in := heftInput{comm: c, src: ct.names[i], row: ct.row(ct.names[i])}
-				for j := 0; j < ct.n; j++ {
-					if i == j {
-						continue
+				o.commRow(c, ct.names[i], row)
+				for j, v := range row {
+					if j != i {
+						sum += v
 					}
-					sum += o.commCost(in, j)
-					n++
 				}
 			}
-			if n == 0 {
-				return 0
-			}
-			return sum / float64(n)
+			return sum / float64(max(1, ct.n*(ct.n-1))) // a one-host pool has no pair: 0
 		}
 	}
 	return o
@@ -319,7 +310,8 @@ type heftPlanner struct {
 	o     *heftOpts
 	slots [][]heftSpan // by host id: planned intervals, sorted
 	aft   []float64    // by creation index: planned (or estimated) finish, NaN until known
-	ins   []heftInput  // the inputs of the task being placed (gather)
+	ready []float64    // by host id: when the inputs of the task being placed can be complete (gather)
+	row   []float64    // by host id: one comm input's transfer times (gather)
 }
 
 // slot returns the id — and so the interval list — of the host a unit
@@ -372,42 +364,39 @@ func (p *heftPlanner) aftOf(t *Task) float64 {
 	return v
 }
 
-// gather resolves the inputs of the task about to be placed: direct
-// predecessors contribute their finish, comm predecessors their
-// producer's finish, to which readyOn adds the host-exact transfer cost.
-func (p *heftPlanner) gather(t *Task) {
-	p.ins = p.ins[:0]
+// gather resolves when the inputs of the task about to be placed can
+// be complete on each of the first width hosts: a direct predecessor at
+// its finish, a comm predecessor at its producer's finish plus the
+// transfer from the producer's host (free when that is the candidate).
+func (p *heftPlanner) gather(t *Task, width int) []float64 {
+	if cap(p.ready) < width {
+		p.ready, p.row = make([]float64, width), make([]float64, width)
+	}
+	ready, row := p.ready[:width], p.row[:width]
+	clear(ready)
 	for it, pr := t.preds(); pr != nil; pr = it.next() {
-		var in heftInput
+		fin, src := 0.0, ""
 		if pr.kind != Comm {
-			in.fin = p.aftOf(pr)
+			fin = p.aftOf(pr)
 		} else {
-			in.comm = pr
 			for it2, pp := pr.preds(); pp != nil; pp = it2.next() {
-				if a := p.aftOf(pp); a > in.fin {
-					in.fin = a
+				if a := p.aftOf(pp); a > fin {
+					fin = a
 				}
-				if in.src == "" {
-					in.src = placementHost(pp)
+				if src == "" {
+					src = placementHost(pp)
 				}
 			}
-			in.row = p.o.ct.row(in.src)
+			p.o.commRow(pr, src, row)
 		}
-		p.ins = append(p.ins, in)
-	}
-}
-
-// readyOn is the earliest the gathered inputs can be complete on
-// candidate host h (the transfer is free when the producer sits on h).
-func (p *heftPlanner) readyOn(h int) float64 {
-	ready := 0.0
-	for _, in := range p.ins {
-		v := in.fin
-		if in.comm != nil {
-			v += p.o.commCost(in, h)
-		}
-		if v > ready {
-			ready = v
+		for h := range ready {
+			v := fin
+			if pr.kind == Comm {
+				v += row[h]
+			}
+			if v > ready[h] {
+				ready[h] = v
+			}
 		}
 	}
 	return ready
@@ -415,10 +404,16 @@ func (p *heftPlanner) readyOn(h int) float64 {
 
 // fit finds the earliest start ≥ ready of a length-w interval on host
 // h under the insertion policy: the first idle gap (including the open
-// tail) that can hold it.
+// tail) that can hold it. A span starting before ready cannot close
+// such a gap, so the scan starts at the first one that does not.
 func (p *heftPlanner) fit(h int, ready, w float64) float64 {
+	spans := p.slots[h]
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].start >= ready })
 	prevEnd := 0.0
-	for _, sp := range p.slots[h] {
+	if i > 0 {
+		prevEnd = spans[i-1].end
+	}
+	for _, sp := range spans[i:] {
 		start := prevEnd
 		if ready > start {
 			start = ready
@@ -438,13 +433,7 @@ func (p *heftPlanner) fit(h int, ready, w float64) float64 {
 // sorted.
 func (p *heftPlanner) occupy(h int, start, w float64) {
 	spans := p.slots[h]
-	i := len(spans)
-	for j, sp := range spans {
-		if start < sp.start {
-			i = j
-			break
-		}
-	}
+	i := sort.Search(len(spans), func(i int) bool { return start < spans[i].start })
 	spans = append(spans, heftSpan{})
 	copy(spans[i+1:], spans[i:])
 	spans[i] = heftSpan{start, start + w}
@@ -454,13 +443,12 @@ func (p *heftPlanner) occupy(h int, start, w float64) {
 // placeCompute commits an unplaced compute to its min-EFT pool host
 // (pool order, strict <).
 func (p *heftPlanner) placeCompute(t *Task) (PlannedTask, error) {
-	p.gather(t)
+	ready := p.gather(t, p.o.ct.n)
 	bestEFT, bestStart := math.Inf(1), 0.0
 	best, bestHost := 0, ""
 	for h := 0; h < p.o.ct.n; h++ {
-		ready := p.readyOn(h)
 		w := p.o.cost(t, h)
-		start := p.fit(h, ready, w)
+		start := p.fit(h, ready[h], w)
 		if eft := start + w; eft < bestEFT {
 			bestEFT, bestStart, best, bestHost = eft, start, h, p.o.ct.names[h]
 		}
@@ -477,8 +465,7 @@ func (p *heftPlanner) placeCompute(t *Task) (PlannedTask, error) {
 // before the HEFT call): same EFT machinery, one candidate.
 func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
 	h := p.slot(t.host)
-	p.gather(t)
-	ready := p.readyOn(h)
+	ready := p.gather(t, h+1)[h]
 	w := p.o.cost(t, h)
 	start := p.fit(h, ready, w)
 	p.occupy(h, start, w)
@@ -491,8 +478,8 @@ func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
 // every member host's planned tail (append-only — no insertion across
 // k hosts), and occupies the interval on each.
 func (p *heftPlanner) placePtask(t *Task) PlannedTask {
-	p.gather(t)
-	start := p.readyOn(p.slot(t.phosts[0]))
+	h := p.slot(t.phosts[0])
+	start := p.gather(t, h+1)[h]
 	for _, h := range t.phosts {
 		if spans := p.slots[p.slot(h)]; len(spans) > 0 {
 			if tail := spans[len(spans)-1].end; tail > start {

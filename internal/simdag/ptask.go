@@ -19,6 +19,7 @@ package simdag
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NewParallelTask creates a ptask, NotScheduled until ScheduleParallel
@@ -141,17 +142,7 @@ func placeParallel(s *Simulation, ct *costTable) error {
 		for slot := 0; slot < k; slot++ {
 			best := -1
 			for i := range avail {
-				taken := false
-				for _, c := range chosen {
-					if c == i {
-						taken = true
-						break
-					}
-				}
-				if taken {
-					continue
-				}
-				if best < 0 || avail[i] < avail[best] {
+				if !slices.Contains(chosen, i) && (best < 0 || avail[i] < avail[best]) {
 					best = i
 				}
 			}

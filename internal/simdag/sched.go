@@ -51,7 +51,7 @@ type costTable struct {
 	names []string          // id → host name
 	power []float64         // id → host power
 	id    map[string]int    // host name → id
-	rows  map[string][]wire // source host → cost to each pool host, built on first use
+	rows  map[string][]wire // source host → cost to each host id, built on first use
 }
 
 // internHosts drops repeated names from a pool (first occurrence kept,
@@ -119,13 +119,14 @@ func (ct *costTable) wire(src, dst string) wire {
 }
 
 // row returns the costs from a source host — in the pool or not, or ""
-// when a comm has no producer — to each pool host.
+// when a comm has no producer — to each host id, pool hosts first. It
+// grows with the ids HEFT mints for off-pool hosts.
 func (ct *costTable) row(src string) []wire {
-	row, ok := ct.rows[src]
-	if !ok {
-		row = make([]wire, ct.n)
-		for h := range row {
-			row[h] = ct.wire(src, ct.names[h])
+	row := ct.rows[src]
+	if len(row) < len(ct.names) {
+		row = append(make([]wire, 0, len(ct.names)), row...)
+		for h := len(row); h < len(ct.names); h++ {
+			row = append(row, ct.wire(src, ct.names[h]))
 		}
 		ct.rows[src] = row
 	}
@@ -183,10 +184,14 @@ type minMin struct {
 
 // readyTask caches what does not change while a task waits in the
 // ready set: row[:n] is when its inputs can have arrived on each pool
-// host, row[n:] its execution time there.
+// host, row[n:] its execution time there. host and ect are its
+// lexicographic best (ECT, pool index) against avail as last scanned;
+// host is -1 until a scan finds a finite ECT.
 type readyTask struct {
-	t   *Task
-	row []float64
+	t    *Task
+	row  []float64
+	ect  float64
+	host int
 }
 
 // ScheduleMinMin is the classic min-min list-scheduling heuristic over
@@ -219,32 +224,33 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 		}
 	}
 	var work []*Task
-	for ; pending > 0; pending-- {
+	for taken := -1; pending > 0; pending-- {
 		// The lexicographic (ECT, creation index, pool index) minimum:
-		// ready tasks in creation order × hosts in pool order, strict <.
-		best, bestHost, bestECT := -1, 0, math.Inf(1)
-		for i, r := range m.ready {
-			arrive, exec := r.row[:ct.n], r.row[ct.n:]
-			for h, a := range m.avail {
-				start := arrive[h]
-				if a > start {
-					start = a
-				}
-				if ect := start + exec[h]; ect < bestECT {
-					best, bestHost, bestECT = i, h, ect
-				}
+		// each ready task's best in creation order, strict <. A commit
+		// only raises avail[taken], so a task whose best lies elsewhere
+		// keeps it; only new tasks and those that had taken's are
+		// rescanned.
+		best, bestECT := -1, math.Inf(1)
+		for i := range m.ready {
+			r := &m.ready[i]
+			if r.host < 0 || r.host == taken {
+				m.rescan(r)
+			}
+			if r.ect < bestECT {
+				best, bestECT = i, r.ect
 			}
 		}
 		if best < 0 {
 			return fmt.Errorf("simdag: %d compute tasks unschedulable (dangling dependencies)", pending)
 		}
 		r := m.ready[best]
+		bestHost := r.host
 		if err := r.t.Schedule(ct.names[bestHost]); err != nil {
 			return err
 		}
 		m.ready = append(m.ready[:best], m.ready[best+1:]...)
 		m.spare = append(m.spare, r.row)
-		m.est[r.t.seq], r.t.indeg, m.avail[bestHost] = bestECT, -1, bestECT
+		m.est[r.t.seq], r.t.indeg, m.avail[bestHost], taken = bestECT, -1, bestECT, bestHost
 		// The commitment may resolve tasks downstream, transitively.
 		for work = append(work, r.t); len(work) > 0; {
 			t := work[len(work)-1]
@@ -259,6 +265,21 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 		}
 	}
 	return placeComms(s)
+}
+
+// rescan finds a ready task's best host: pool order, strict <.
+func (m *minMin) rescan(r *readyTask) {
+	arrive, exec := r.row[:m.ct.n], r.row[m.ct.n:]
+	r.host, r.ect = -1, math.Inf(1)
+	for h, a := range m.avail {
+		start := arrive[h]
+		if a > start {
+			start = a
+		}
+		if ect := start + exec[h]; ect < r.ect {
+			r.host, r.ect = h, ect
+		}
+	}
 }
 
 // fin is a resolved predecessor's finish: actual once terminal,
@@ -337,7 +358,7 @@ func (m *minMin) enter(t *Task) {
 	i := sort.Search(len(m.ready), func(i int) bool { return m.ready[i].t.seq > t.seq })
 	m.ready = append(m.ready, readyTask{})
 	copy(m.ready[i+1:], m.ready[i:])
-	m.ready[i] = readyTask{t, row}
+	m.ready[i] = readyTask{t: t, row: row, host: -1}
 }
 
 // commSrcHost returns the placement of a comm task's producing compute
