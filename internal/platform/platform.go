@@ -239,7 +239,8 @@ func (p *Platform) AddLink(l *Link) error {
 }
 
 // Connect declares that link l joins nodes a and b (hosts or routers),
-// for use by ComputeRoutes.
+// for use by ComputeRoutes. l is registered on first use; a link name
+// already registered must come with the same *Link.
 func (p *Platform) Connect(a, b string, l *Link) error {
 	if !p.nodeExists(a) {
 		return fmt.Errorf("%w: node %q", ErrUnknown, a)
@@ -247,13 +248,25 @@ func (p *Platform) Connect(a, b string, l *Link) error {
 	if !p.nodeExists(b) {
 		return fmt.Errorf("%w: node %q", ErrUnknown, b)
 	}
-	if _, known := p.links[l.Name]; !known {
-		if err := p.AddLink(l); err != nil {
-			return err
-		}
+	if err := p.useLink(l); err != nil {
+		return err
 	}
 	p.edges = append(p.edges, edge{a: a, b: b, link: l})
 	p.gen++
+	return nil
+}
+
+// useLink registers l on first use of its name. A name already taken
+// must be taken by this very link: surf models a link by name, so a
+// second declaration under it would silently become the first.
+func (p *Platform) useLink(l *Link) error {
+	known, ok := p.links[l.Name]
+	if !ok {
+		return p.AddLink(l)
+	}
+	if known != l {
+		return fmt.Errorf("%w: link %q names another *Link already", ErrDuplicate, l.Name)
+	}
 	return nil
 }
 
@@ -263,6 +276,7 @@ func (p *Platform) nodeExists(name string) bool {
 }
 
 // AddRoute declares an explicit (symmetric) route between two hosts.
+// Links are registered as in Connect.
 func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 	if _, ok := p.hosts[src]; !ok {
 		return fmt.Errorf("%w: host %q", ErrUnknown, src)
@@ -271,10 +285,8 @@ func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 		return fmt.Errorf("%w: host %q", ErrUnknown, dst)
 	}
 	for _, l := range links {
-		if _, ok := p.links[l.Name]; !ok {
-			if err := p.AddLink(l); err != nil {
-				return err
-			}
+		if err := p.useLink(l); err != nil {
+			return err
 		}
 	}
 	ls := make([]*Link, len(links))

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -201,6 +202,42 @@ func TestConnectUnknownNode(t *testing.T) {
 	p.AddHost(mkHost("a"))
 	if err := p.Connect("a", "ghost", mkLink("l", 1, 0)); err == nil {
 		t.Error("Connect to unknown node accepted")
+	}
+}
+
+// TestLinkNameReuse: Connect and AddRoute take a link either new or
+// the very one already registered under its name. A second *Link under
+// a taken name used to be accepted, so a route held both structs while
+// surf, which models links by name, ran the first for both hops.
+func TestLinkNameReuse(t *testing.T) {
+	x := mkLink("x", 1e6, 1)
+	cases := []struct {
+		name    string
+		declare func(p *Platform, l *Link) error
+		second  *Link
+		wantErr bool
+	}{
+		{"connect/same link", func(p *Platform, l *Link) error { return p.Connect("r", "b", l) }, x, false},
+		{"connect/other link", func(p *Platform, l *Link) error { return p.Connect("r", "b", l) }, mkLink("x", 1e9, 0), true},
+		{"connect/equal copy", func(p *Platform, l *Link) error { return p.Connect("r", "b", l) }, mkLink("x", 1e6, 1), true},
+		{"route/same link", func(p *Platform, l *Link) error { return p.AddRoute("a", "b", []*Link{x, l}) }, x, false},
+		{"route/other link", func(p *Platform, l *Link) error { return p.AddRoute("a", "b", []*Link{x, l}) }, mkLink("x", 1e9, 0), true},
+	}
+	for _, c := range cases {
+		p := New()
+		p.AddHost(mkHost("a"))
+		p.AddHost(mkHost("b"))
+		p.AddRouter("r")
+		if err := p.Connect("a", "r", x); err != nil {
+			t.Fatal(err)
+		}
+		err := c.declare(p, c.second)
+		if c.wantErr != (err != nil) || (err != nil && !errors.Is(err, ErrDuplicate)) {
+			t.Errorf("%s: err %v, want ErrDuplicate: %v", c.name, err, c.wantErr)
+		}
+		if p.Link("x") != x {
+			t.Errorf("%s: link x replaced", c.name)
+		}
 	}
 }
 
