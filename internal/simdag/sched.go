@@ -185,8 +185,8 @@ type minMin struct {
 // readyTask caches what does not change while a task waits in the
 // ready set: row[:n] is when its inputs can have arrived on each pool
 // host, row[n:] its execution time there. host and ect are its
-// lexicographic best (ECT, pool index) against avail as last scanned;
-// host is -1 until a scan finds a finite ECT.
+// lexicographic best (ECT, pool index) at its last scan; host is -1
+// until a scan finds a finite ECT.
 type readyTask struct {
 	t    *Task
 	row  []float64
@@ -228,7 +228,7 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 		// The lexicographic (ECT, creation index, pool index) minimum:
 		// each ready task's best in creation order, strict <. A commit
 		// only raises avail[taken], so a task whose best lies elsewhere
-		// keeps it; only new tasks and those that had taken's are
+		// keeps it: only new tasks and those whose best was taken are
 		// rescanned.
 		best, bestECT := -1, math.Inf(1)
 		for i := range m.ready {
