@@ -1,6 +1,7 @@
 package surf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,7 +185,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 	hosts := pf.Hosts()
 	links := pf.Links()
 	rng := rand.New(rand.NewSource(42))
-	var live []*Action
+	var live, started []*Action
 	completions := 0
 	bigBursts, smallBursts := 0, 0
 	failedLinks := map[string]bool{}
@@ -211,13 +212,21 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 					continue
 				}
 				bytes := math.Pow(10, 2+rng.Float64()*5)
-				if a, err := communicate(m, src, dst, bytes); err == nil && !a.Done() {
+				a, err := communicate(m, src, dst, bytes)
+				if err == nil {
+					started = append(started, a)
+				}
+				if err == nil && !a.Done() {
 					live = append(live, a)
 				}
 			case r < 11: // start a computation
 				h := hosts[rng.Intn(len(hosts))].Name
 				flops := math.Pow(10, 5+rng.Float64()*4)
-				if a, err := execute(m, h, flops, 1+rng.Float64()*3); err == nil && !a.Done() {
+				a, err := execute(m, h, flops, 1+rng.Float64()*3)
+				if err == nil {
+					started = append(started, a)
+				}
+				if err == nil && !a.Done() {
 					live = append(live, a)
 				}
 			case r < 13 && len(live) > 0: // cancel
@@ -240,6 +249,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 					h := hosts[rng.Intn(len(hosts))].Name
 					if a, err := execute(m, h, math.Pow(10, 7+rng.Float64()*2), 1+rng.Float64()*3); err == nil {
 						live = append(live, a)
+						started = append(started, a)
 					}
 				}
 				n := len(live)
@@ -293,5 +303,16 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 	}
 	if len(m.heap) != 0 {
 		t.Errorf("%d actions leaked in the heap after the run", len(m.heap))
+	}
+	// Every action's finish bits and error, in start order: the run
+	// crosses split-duplex links in both directions and fails and
+	// restores them, so a direction resolved the other way, or a
+	// link's two directions failed in another order, moves the sum.
+	log := make([]string, len(started))
+	for i, a := range started {
+		log[i] = fmt.Sprintf("%016x %v", math.Float64bits(a.Finish()), a.Err())
+	}
+	if got, want := logDigest(log), uint64(0x84ef3d09b3aedcda); got != want {
+		t.Errorf("finish/error digest of %d actions %#016x, want %#016x", len(log), got, want)
 	}
 }
