@@ -256,44 +256,27 @@ func newMaxMinFlowChurn(b *testing.B, nFlows int) *maxminFlowChurn {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Directional (split-duplex) constraints, keyed like surf.New:
-		// "<link>-><endpoint>" per direction, plain link name otherwise.
-		cnst := make(map[string]*maxmin.Constraint)
+		// Waxman links are split-duplex: one constraint per direction,
+		// indexed like the link's Ends, which Route.Dir picks from.
+		cnst := make(map[*platform.Link][2]*maxmin.Constraint)
 		for _, e := range pf.Edges() {
-			if e.Link.Policy == platform.SplitDuplex {
-				cnst[e.Link.Name+"->"+e.A] = cb.sys.NewConstraint(e.Link.Bandwidth)
-				cnst[e.Link.Name+"->"+e.B] = cb.sys.NewConstraint(e.Link.Bandwidth)
-			} else {
-				cnst[e.Link.Name] = cb.sys.NewConstraint(e.Link.Bandwidth)
-			}
+			cnst[e.Link] = [2]*maxmin.Constraint{cb.sys.NewConstraint(e.Link.Bandwidth), cb.sys.NewConstraint(e.Link.Bandwidth)}
 		}
-		// Deterministic intra-island host pairs, resolved to the hop
-		// route so each flow consumes the traversed direction only.
+		// Deterministic intra-island host pairs, each flow consuming the
+		// traversed direction of every link on its route only.
 		for k := 0; k < 2*nFlows/nIslands+2; k++ {
 			src := fmt.Sprintf("host%d", (k*5+isl)%islandSize)
 			dst := fmt.Sprintf("host%d", (k*11+7)%islandSize)
 			if src == dst {
 				continue
 			}
-			hops, err := pf.HopRoute(src, dst)
-			if err != nil || len(hops) == 0 {
+			r, err := pf.Route(src, dst)
+			if err != nil {
 				continue
 			}
-			cs := make([]*maxmin.Constraint, len(hops))
-			ok := true
-			for i, h := range hops {
-				c := cnst[h.Link.Name+"->"+h.B]
-				if c == nil {
-					c = cnst[h.Link.Name]
-				}
-				if c == nil {
-					ok = false
-					break
-				}
-				cs[i] = c
-			}
-			if !ok {
-				continue
+			cs := make([]*maxmin.Constraint, len(r.Links))
+			for i, l := range r.Links {
+				cs[i] = cnst[l][r.Dir(i)]
 			}
 			cb.routes = append(cb.routes, cs)
 		}

@@ -167,12 +167,6 @@ type Process struct {
 	// has always fired (leaving the heap) before the next Sleep runs.
 	sleepTm *timer
 
-	// OnSuspend and OnResume, when non-nil, are invoked by
-	// Suspend/Resume so resource layers can zero / restore the sharing
-	// weight of the process's in-flight action.
-	OnSuspend func()
-	OnResume  func()
-
 	onExit []func(err error)
 	exited bool
 	err    error // termination cause (nil for normal return)
@@ -560,15 +554,12 @@ func (e *Engine) wakeKilled(p *Process) {
 
 // Suspend pauses the process. Suspending the current process blocks it
 // until Resume; suspending another process prevents it from being
-// scheduled and freezes its in-flight action via OnSuspend.
+// scheduled (its in-flight action is the owning layer's to freeze).
 func (p *Process) Suspend() {
 	if p.state == Done || p.suspended {
 		return
 	}
 	p.suspended = true
-	if p.OnSuspend != nil {
-		p.OnSuspend()
-	}
 	if p.engine.current == p {
 		p.selfSuspend = true
 		_ = p.blockOn(SimcallSuspend)
@@ -583,9 +574,6 @@ func (p *Process) Resume() {
 		return
 	}
 	p.suspended = false
-	if p.OnResume != nil {
-		p.OnResume()
-	}
 	e := p.engine
 	switch {
 	case p.pendingWake != nil:

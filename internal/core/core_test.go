@@ -408,32 +408,6 @@ func TestSuspendRunnableProcess(t *testing.T) {
 	}
 }
 
-func TestSuspendHooksCalled(t *testing.T) {
-	e := New()
-	var events []string
-	var target *Process
-	e.Spawn("driver", nil, func(p *Process) {
-		p.Sleep(1)
-		target.Suspend()
-		p.Sleep(1)
-		target.Resume()
-	})
-	target = e.Spawn("t", nil, func(p *Process) {
-		p.OnSuspend = func() { events = append(events, "suspend") }
-		p.OnResume = func() { events = append(events, "resume") }
-		p.Block()
-	})
-	err := e.Run()
-	// target never woken: deadlock expected after resume.
-	var dl *DeadlockError
-	if err != nil && !errors.As(err, &dl) {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(events) != 2 || events[0] != "suspend" || events[1] != "resume" {
-		t.Errorf("events = %v, want [suspend resume]", events)
-	}
-}
-
 func TestProcessPanicSurfacesAsError(t *testing.T) {
 	e := New()
 	e.Spawn("bomb", nil, func(p *Process) { panic("boom") })

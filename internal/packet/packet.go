@@ -194,7 +194,7 @@ func (h *eventHeap) Pop() any {
 type Network struct {
 	cfg    Config
 	pf     *platform.Platform
-	dlinks map[string]*dlink // key: linkName + "→" + direction head node
+	dlinks map[dlinkKey]*dlink
 	flows  []*Flow
 	events eventHeap
 	now    float64
@@ -215,7 +215,7 @@ func New(pf *platform.Platform, cfg Config) *Network {
 	return &Network{
 		cfg:    cfg,
 		pf:     pf,
-		dlinks: make(map[string]*dlink),
+		dlinks: make(map[dlinkKey]*dlink),
 	}
 }
 
@@ -233,15 +233,21 @@ func (n *Network) at(t float64, fn func()) {
 	heap.Push(&n.events, &event{at: t, seq: n.seq, fn: fn})
 }
 
+// dlinkKey is one direction of a link: the link and the node it heads to.
+type dlinkKey struct {
+	link *platform.Link
+	head string
+}
+
 // dlinkFor returns (creating on demand) the directed link for crossing
 // `hop` — flows crossing the same physical link in the same direction
 // share the queue.
 func (n *Network) dlinkFor(hop platform.Hop) *dlink {
-	key := hop.Link.Name + "->" + hop.B
+	key := dlinkKey{hop.Link, hop.B}
 	dl := n.dlinks[key]
 	if dl == nil {
 		dl = &dlink{
-			name:  key,
+			name:  hop.Link.Name + "->" + hop.B,
 			rate:  hop.Link.Bandwidth,
 			delay: hop.Link.Latency,
 			limit: n.cfg.QueueLimit,

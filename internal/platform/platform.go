@@ -39,7 +39,9 @@ const (
 	Fatpipe
 	// SplitDuplex links have independent capacity per direction, like
 	// NS2/GTNets duplex links; flows only share with same-direction
-	// traffic. Requires hop-level routes (Connect + ComputeRoutes).
+	// traffic. Requires hop-level routes, and Connect and AddRoute
+	// enforce it: such a link joins two distinct nodes through exactly
+	// one Connect edge and is never part of an explicit route.
 	SplitDuplex
 )
 
@@ -87,7 +89,17 @@ type Link struct {
 
 	BandwidthTrace *trace.Trace
 	StateTrace     *trace.Trace
+
+	// ends are the two nodes a split-duplex link's one Connect edge
+	// joins, in declaration order; joined says the edge exists.
+	ends   [2]string
+	joined bool
 }
+
+// Ends returns the two nodes a split-duplex link joins, in the order
+// its Connect edge named them; ok is false for any other link and for a
+// split-duplex link no edge uses yet.
+func (l *Link) Ends() (a, b string, ok bool) { return l.ends[0], l.ends[1], l.joined }
 
 // Route is an ordered list of links joining two hosts. Routes returned
 // by Platform.Route are cached and shared between callers: treat them
@@ -96,6 +108,7 @@ type Route struct {
 	Src, Dst string
 	Links    []*Link
 
+	hops     []Hop   // the links' crossing nodes, for ComputeRoutes routes
 	lat      float64 // memoized Latency (routes are immutable once built)
 	latKnown bool
 }
@@ -113,6 +126,17 @@ func (r *Route) Latency() float64 {
 		r.latKnown = true
 	}
 	return r.lat
+}
+
+// Dir returns which way the route crosses its i-th link, as an index
+// into the link's Ends: 1 toward the second node, 0 toward the first.
+// It is 0 for every link that is not split-duplex, since those have one
+// capacity for both ways.
+func (r *Route) Dir(i int) int {
+	if l := r.Links[i]; l.joined && r.hops[i].B == l.ends[1] {
+		return 1
+	}
+	return 0
 }
 
 // Bottleneck returns the smallest link bandwidth along the route.
@@ -240,7 +264,11 @@ func (p *Platform) AddLink(l *Link) error {
 
 // Connect declares that link l joins nodes a and b (hosts or routers),
 // for use by ComputeRoutes. l is registered on first use; a link name
-// already registered must come with the same *Link.
+// already registered must come with the same *Link. A split-duplex link
+// is oriented by its edge, so it takes exactly one, between two
+// distinct nodes: a self-edge would give both directions one name, and
+// a second edge (here or in another platform) would leave the
+// direction of a hop undecided.
 func (p *Platform) Connect(a, b string, l *Link) error {
 	if !p.nodeExists(a) {
 		return fmt.Errorf("%w: node %q", ErrUnknown, a)
@@ -248,8 +276,19 @@ func (p *Platform) Connect(a, b string, l *Link) error {
 	if !p.nodeExists(b) {
 		return fmt.Errorf("%w: node %q", ErrUnknown, b)
 	}
+	if l.Policy == SplitDuplex {
+		if a == b {
+			return fmt.Errorf("%w: split-duplex link %q joins %q to itself", ErrDuplicate, l.Name, a)
+		}
+		if l.joined {
+			return fmt.Errorf("%w: split-duplex link %q already joins %q and %q", ErrDuplicate, l.Name, l.ends[0], l.ends[1])
+		}
+	}
 	if err := p.useLink(l); err != nil {
 		return err
+	}
+	if l.Policy == SplitDuplex {
+		l.ends, l.joined = [2]string{a, b}, true
 	}
 	p.edges = append(p.edges, edge{a: a, b: b, link: l})
 	p.gen++
@@ -276,7 +315,9 @@ func (p *Platform) nodeExists(name string) bool {
 }
 
 // AddRoute declares an explicit (symmetric) route between two hosts.
-// Links are registered as in Connect.
+// Links are registered as in Connect. An explicit route names no nodes
+// between its hosts, so it cannot say which way it crosses a
+// split-duplex link and may not use one.
 func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 	if _, ok := p.hosts[src]; !ok {
 		return fmt.Errorf("%w: host %q", ErrUnknown, src)
@@ -285,6 +326,9 @@ func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 		return fmt.Errorf("%w: host %q", ErrUnknown, dst)
 	}
 	for _, l := range links {
+		if l.Policy == SplitDuplex {
+			return fmt.Errorf("platform: explicit route %q -> %q uses split-duplex link %q", src, dst, l.Name)
+		}
 		if err := p.useLink(l); err != nil {
 			return err
 		}
@@ -297,6 +341,8 @@ func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 		rev[len(links)-1-i] = l
 	}
 	p.routes[[2]string{dst, src}] = rev
+	delete(p.hops, [2]string{src, dst})
+	delete(p.hops, [2]string{dst, src})
 	p.gen++
 	return nil
 }
@@ -375,6 +421,7 @@ func (p *Platform) Route(src, dst string) (*Route, error) {
 			return nil, fmt.Errorf("%w: %q -> %q", ErrNoRoute, src, dst)
 		}
 		r.Links = links
+		r.hops = p.hops[key]
 	}
 	p.routeCache[key] = r
 	return r, nil

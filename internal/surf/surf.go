@@ -372,8 +372,11 @@ type Model struct {
 	cfg Config
 	sys *maxmin.System
 
-	cpus  map[string]*resource
-	links map[string]*resource
+	cpus map[string]*resource
+	// links holds each link's resource, or for a split-duplex link one
+	// per direction indexed like its Ends (platform.Route.Dir picks the
+	// one a hop crosses); slot 1 is nil for every other link.
+	links map[string][2]*resource
 
 	// heap is both the set of in-flight actions and the future-event
 	// index over them ("lazy action management"): a min-heap keyed on
@@ -449,7 +452,7 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		cfg:   cfg,
 		sys:   maxmin.NewSystem(),
 		cpus:  make(map[string]*resource),
-		links: make(map[string]*resource),
+		links: make(map[string][2]*resource),
 	}
 	for _, h := range pf.Hosts() {
 		r := &resource{
@@ -468,16 +471,10 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		m.resList = append(m.resList, r)
 		m.scheduleTraces(r, h.Availability, h.StateTrace)
 	}
-	// endpoints of each link in the connection graph, for split-duplex
-	// directional constraints (same key scheme as the packet simulator).
-	ends := make(map[string][2]string)
-	for _, e := range pf.Edges() {
-		ends[e.Link.Name] = [2]string{e.A, e.B}
-	}
 	for _, l := range pf.Links() {
-		mk := func(key string) {
+		mk := func(name string) *resource {
 			r := &resource{
-				name:    key,
+				name:    name,
 				nominal: l.Bandwidth * cfg.BandwidthFactor,
 				avail:   1,
 				on:      true,
@@ -489,16 +486,16 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 			if l.Policy == platform.Fatpipe {
 				m.sys.SetShared(r.cnst, false)
 			}
-			m.links[key] = r
 			m.resList = append(m.resList, r)
 			m.scheduleTraces(r, l.BandwidthTrace, l.StateTrace)
+			return r
 		}
-		if ep, ok := ends[l.Name]; ok && l.Policy == platform.SplitDuplex {
-			// One independent constraint per direction.
-			mk(l.Name + "->" + ep[0])
-			mk(l.Name + "->" + ep[1])
+		if a, b, ok := l.Ends(); ok {
+			// One independent constraint per direction, named after
+			// the node it heads to.
+			m.links[l.Name] = [2]*resource{mk(l.Name + "->" + a), mk(l.Name + "->" + b)}
 		} else {
-			mk(l.Name)
+			m.links[l.Name] = [2]*resource{mk(l.Name)}
 		}
 	}
 	return m
@@ -522,16 +519,8 @@ func (m *Model) HostUp(name string) bool {
 // LinkUp reports whether a link is currently on (both directions, for
 // split-duplex links).
 func (m *Model) LinkUp(name string) bool {
-	rs := m.linkResources(name)
-	if len(rs) == 0 {
-		return false
-	}
-	for _, r := range rs {
-		if !r.on {
-			return false
-		}
-	}
-	return true
+	rs := m.links[name]
+	return rs[0] != nil && rs[0].on && (rs[1] == nil || rs[1].on)
 }
 
 // HostLoad returns the MaxMin usage of a host CPU in flop/s, summed when
@@ -590,64 +579,15 @@ func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, 
 	return a, nil
 }
 
-// linkResources returns the resources implementing a platform link
-// (two for split-duplex links, one otherwise).
-func (m *Model) linkResources(name string) []*resource {
-	if r, ok := m.links[name]; ok {
-		return []*resource{r}
-	}
-	// Split-duplex: collect the directional keys and sort them, so the
-	// order the two constraints are touched in (FailLink, SetBandwidth)
-	// is independent of map iteration order.
-	var keys []string
-	for key, r := range m.links { //lint:allow det-maprange matched keys are sorted below before use
-		if r.link != nil && r.link.Name == name && key != name {
-			keys = append(keys, key)
+// routeResources resolves the resources a route crosses: for a
+// split-duplex link, the direction the route takes it in.
+func (m *Model) routeResources(route *platform.Route) ([]*resource, error) {
+	out := make([]*resource, len(route.Links))
+	for i, l := range route.Links {
+		out[i] = m.links[l.Name][route.Dir(i)]
+		if out[i] == nil {
+			return nil, fmt.Errorf("surf: route uses unknown link %q", l.Name)
 		}
-	}
-	slices.Sort(keys)
-	out := make([]*resource, len(keys))
-	for i, key := range keys {
-		out[i] = m.links[key]
-	}
-	return out
-}
-
-// routeResources resolves the (directed) resources a transfer crosses.
-// Split-duplex links resolve to the constraint of the traversed
-// direction via the hop-level route.
-func (m *Model) routeResources(src, dst string, links []*platform.Link) ([]*resource, error) {
-	needHops := false
-	for _, l := range links {
-		if _, single := m.links[l.Name]; !single {
-			needHops = true
-			break
-		}
-	}
-	if !needHops {
-		out := make([]*resource, len(links))
-		for i, l := range links {
-			out[i] = m.links[l.Name]
-			if out[i] == nil {
-				return nil, fmt.Errorf("surf: route uses unknown link %q", l.Name)
-			}
-		}
-		return out, nil
-	}
-	hops, err := m.pf.HopRoute(src, dst)
-	if err != nil {
-		return nil, fmt.Errorf("surf: split-duplex route needs hop information: %w", err)
-	}
-	out := make([]*resource, len(hops))
-	for i, h := range hops {
-		r := m.links[h.Link.Name+"->"+h.B]
-		if r == nil {
-			r = m.links[h.Link.Name]
-		}
-		if r == nil {
-			return nil, fmt.Errorf("surf: route uses unknown link %q", h.Link.Name)
-		}
-		out[i] = r
 	}
 	return out, nil
 }
@@ -686,7 +626,7 @@ func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 	if h, ok := m.routes[route]; ok {
 		return h, nil
 	}
-	rs, err := m.routeResources(src, dst, route.Links)
+	rs, err := m.routeResources(route)
 	if err != nil {
 		return nil, err
 	}
@@ -1122,25 +1062,26 @@ func (m *Model) RestoreHost(name string) error {
 }
 
 // FailLink turns a link off programmatically (both directions).
-func (m *Model) FailLink(name string) error {
-	rs := m.linkResources(name)
-	if len(rs) == 0 {
-		return fmt.Errorf("surf: unknown link %q", name)
-	}
-	for _, r := range rs {
-		m.setResourceState(r, false)
-	}
-	return nil
-}
+func (m *Model) FailLink(name string) error { return m.setLinkState(name, false) }
 
 // RestoreLink turns a failed link back on (both directions).
-func (m *Model) RestoreLink(name string) error {
-	rs := m.linkResources(name)
-	if len(rs) == 0 {
+func (m *Model) RestoreLink(name string) error { return m.setLinkState(name, true) }
+
+// setLinkState turns every direction of a link off or on, a
+// split-duplex link's two in the order of their names (the nodes they
+// head to), whatever order its edge declared them in.
+func (m *Model) setLinkState(name string, up bool) error {
+	rs := m.links[name]
+	if rs[0] == nil {
 		return fmt.Errorf("surf: unknown link %q", name)
 	}
+	if rs[1] != nil && rs[1].name < rs[0].name {
+		rs[0], rs[1] = rs[1], rs[0]
+	}
 	for _, r := range rs {
-		m.setResourceState(r, true)
+		if r != nil {
+			m.setResourceState(r, up)
+		}
 	}
 	return nil
 }
