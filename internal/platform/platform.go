@@ -108,24 +108,16 @@ type Route struct {
 	Src, Dst string
 	Links    []*Link
 
-	hops     []Hop   // the links' crossing nodes, for ComputeRoutes routes
-	lat      float64 // memoized Latency (routes are immutable once built)
-	latKnown bool
+	hops []Hop // the links' crossing nodes, for ComputeRoutes routes
 }
 
-// Latency returns the sum of link latencies along the route, memoized
-// on first call (comm-heavy workloads query it several times per
-// transfer on the same cached route).
+// Latency returns the sum of link latencies along the route.
 func (r *Route) Latency() float64 {
-	if !r.latKnown {
-		sum := 0.0
-		for _, l := range r.Links {
-			sum += l.Latency
-		}
-		r.lat = sum
-		r.latKnown = true
+	sum := 0.0
+	for _, l := range r.Links {
+		sum += l.Latency
 	}
-	return r.lat
+	return sum
 }
 
 // Dir returns which way the route crosses its i-th link, as an index

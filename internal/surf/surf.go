@@ -343,6 +343,11 @@ type resource struct {
 	link     *platform.Link
 	failErr  error
 
+	// twin is a split-duplex link's second direction: Model.links holds
+	// the resource heading to the first of the link's Ends, whose twin
+	// heads to the second. nil for every other resource.
+	twin *resource
+
 	// Trace bookkeeping (instr.go): container alias and last-emitted
 	// variable values, so only changed shares hit the trace.
 	pajeC    string
@@ -372,11 +377,8 @@ type Model struct {
 	cfg Config
 	sys *maxmin.System
 
-	cpus map[string]*resource
-	// links holds each link's resource, or for a split-duplex link one
-	// per direction indexed like its Ends (platform.Route.Dir picks the
-	// one a hop crosses); slot 1 is nil for every other link.
-	links map[string][2]*resource
+	cpus  map[string]*resource
+	links map[string]*resource
 
 	// heap is both the set of in-flight actions and the future-event
 	// index over them ("lazy action management"): a min-heap keyed on
@@ -452,7 +454,7 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		cfg:   cfg,
 		sys:   maxmin.NewSystem(),
 		cpus:  make(map[string]*resource),
-		links: make(map[string][2]*resource),
+		links: make(map[string]*resource),
 	}
 	for _, h := range pf.Hosts() {
 		r := &resource{
@@ -493,9 +495,11 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		if a, b, ok := l.Ends(); ok {
 			// One independent constraint per direction, named after
 			// the node it heads to.
-			m.links[l.Name] = [2]*resource{mk(l.Name + "->" + a), mk(l.Name + "->" + b)}
+			r := mk(l.Name + "->" + a)
+			r.twin = mk(l.Name + "->" + b)
+			m.links[l.Name] = r
 		} else {
-			m.links[l.Name] = [2]*resource{mk(l.Name)}
+			m.links[l.Name] = mk(l.Name)
 		}
 	}
 	return m
@@ -519,8 +523,8 @@ func (m *Model) HostUp(name string) bool {
 // LinkUp reports whether a link is currently on (both directions, for
 // split-duplex links).
 func (m *Model) LinkUp(name string) bool {
-	rs := m.links[name]
-	return rs[0] != nil && rs[0].on && (rs[1] == nil || rs[1].on)
+	r := m.links[name]
+	return r != nil && r.on && (r.twin == nil || r.twin.on)
 }
 
 // HostLoad returns the MaxMin usage of a host CPU in flop/s, summed when
@@ -584,10 +588,14 @@ func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, 
 func (m *Model) routeResources(route *platform.Route) ([]*resource, error) {
 	out := make([]*resource, len(route.Links))
 	for i, l := range route.Links {
-		out[i] = m.links[l.Name][route.Dir(i)]
-		if out[i] == nil {
+		r := m.links[l.Name]
+		if r != nil && route.Dir(i) == 1 {
+			r = r.twin
+		}
+		if r == nil {
 			return nil, fmt.Errorf("surf: route uses unknown link %q", l.Name)
 		}
+		out[i] = r
 	}
 	return out, nil
 }
@@ -601,7 +609,8 @@ type RouteHandle struct {
 	route *platform.Route
 	rs    []*resource
 	name  string
-	gen   uint64 // platform generation the entry was resolved under
+	lat   float64 // the route's latency, before LatencyFactor
+	gen   uint64  // platform generation the entry was resolved under
 }
 
 // Endpoints returns the handle's (src, dst) pair.
@@ -630,7 +639,7 @@ func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &RouteHandle{route: route, rs: rs, name: "comm " + src + "->" + dst, gen: gen}
+	h := &RouteHandle{route: route, rs: rs, name: "comm " + src + "->" + dst, lat: route.Latency(), gen: gen}
 	m.routes[route] = h
 	return h, nil
 }
@@ -652,19 +661,18 @@ func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error
 		}
 		*h = *cur
 	}
-	route := h.route
-	lat := route.Latency() * m.cfg.LatencyFactor
+	lat := h.lat * m.cfg.LatencyFactor
 	a := m.newAction(ActionComm, h.name)
 	a.remaining = bytes
 	a.priority = 1
 	a.latUntil = a.start + lat
 	if m.cfg.TCPGamma > 0 && lat > 0 {
-		a.bound = m.cfg.TCPGamma / (2 * route.Latency())
+		a.bound = m.cfg.TCPGamma / (2 * h.lat)
 	}
-	if m.cfg.WeightByRTT && route.Latency() > 0 {
-		a.weightMul = rttReference / route.Latency()
+	if m.cfg.WeightByRTT && h.lat > 0 {
+		a.weightMul = rttReference / h.lat
 	}
-	if len(route.Links) == 0 {
+	if len(h.route.Links) == 0 {
 		// Intra-host messaging: no network resource crossed, the data
 		// "moves" instantly after the (zero) latency.
 		a.remaining = 0
@@ -1071,12 +1079,13 @@ func (m *Model) RestoreLink(name string) error { return m.setLinkState(name, tru
 // split-duplex link's two in the order of their names (the nodes they
 // head to), whatever order its edge declared them in.
 func (m *Model) setLinkState(name string, up bool) error {
-	rs := m.links[name]
-	if rs[0] == nil {
+	r := m.links[name]
+	if r == nil {
 		return fmt.Errorf("surf: unknown link %q", name)
 	}
-	if rs[1] != nil && rs[1].name < rs[0].name {
-		rs[0], rs[1] = rs[1], rs[0]
+	rs := [2]*resource{r, r.twin}
+	if r.twin != nil && r.twin.name < r.name {
+		rs[0], rs[1] = r.twin, r
 	}
 	for _, r := range rs {
 		if r != nil {
