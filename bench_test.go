@@ -259,8 +259,8 @@ func newMaxMinFlowChurn(b *testing.B, nFlows int) *maxminFlowChurn {
 		// Waxman links are split-duplex: one constraint per direction,
 		// indexed like the link's Ends, which Route.Dir picks from.
 		cnst := make(map[*platform.Link][2]*maxmin.Constraint)
-		for _, e := range pf.Edges() {
-			cnst[e.Link] = [2]*maxmin.Constraint{cb.sys.NewConstraint(e.Link.Bandwidth), cb.sys.NewConstraint(e.Link.Bandwidth)}
+		for _, l := range pf.Links() {
+			cnst[l] = [2]*maxmin.Constraint{cb.sys.NewConstraint(l.Bandwidth), cb.sys.NewConstraint(l.Bandwidth)}
 		}
 		// Deterministic intra-island host pairs, each flow consuming the
 		// traversed direction of every link on its route only.

@@ -157,12 +157,6 @@ type Hop struct {
 	Link *Link
 }
 
-// Edge is an undirected connection in the platform graph.
-type Edge struct {
-	A, B string
-	Link *Link
-}
-
 // Platform is a set of hosts, routers, links and routes.
 // The zero value is unusable; call New.
 type Platform struct {
@@ -528,15 +522,6 @@ func (p *Platform) HopRoute(src, dst string) ([]Hop, error) {
 		return nil, fmt.Errorf("%w: no hop route %q -> %q", ErrNoRoute, src, dst)
 	}
 	return hops, nil
-}
-
-// Edges returns the undirected connection graph declared with Connect.
-func (p *Platform) Edges() []Edge {
-	out := make([]Edge, len(p.edges))
-	for i, e := range p.edges {
-		out[i] = Edge{A: e.a, B: e.b, Link: e.link}
-	}
-	return out
 }
 
 // Validate checks platform consistency: every declared route references
