@@ -200,7 +200,7 @@ func BenchmarkFigMaxMin(b *testing.B) {
 	// the dirty connected components; `full-recompute` forces the
 	// from-scratch progressive filling the seed solver performed on
 	// every step (the two produce identical allocations — see
-	// TestIncrementalEquivalenceProperty and -tags=maxmincheck).
+	// TestIncrementalEquivalenceProperty; -tags=simcheck certifies both).
 	for _, n := range []int{100, 1000, 10000} {
 		for _, full := range []bool{false, true} {
 			mode := "incremental"

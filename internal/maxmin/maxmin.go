@@ -19,8 +19,8 @@
 // a filling round reads a private link.
 //
 // The solver is incremental (SimGrid's "selective update" / lazy lmm
-// optimization): every mutation (Expand, SetWeight, SetBound,
-// SetCapacity, Remove*, ...) marks only the touched variables and
+// optimization): every mutation (Expand, SetWeight, SetCapacity,
+// SetShared, RemoveVariable, ...) marks only the touched variables and
 // constraints dirty, and Solve re-runs progressive filling only on the
 // connected components of the variable/constraint bipartite graph that
 // contain a dirty element. Allocations in untouched components are
@@ -45,6 +45,7 @@ import (
 	"math"
 
 	"repro/internal/pool"
+	"repro/internal/simcheck"
 )
 
 // Variable is one activity receiving an allocation. Create variables
@@ -109,6 +110,7 @@ type Constraint struct {
 	// through the edge the round already follows: the capacity not yet
 	// frozen, the active variables' weighted load and count (nact and sat
 	// share dirty's word), the ratio remCap/load, and whether it is minR.
+	// certify reuses load and r between solves.
 	sat             bool
 	nact            int32
 	remCap, load, r float64
@@ -334,35 +336,6 @@ func (s *System) RemoveVariable(v *Variable) {
 	}
 }
 
-// RemoveConstraint drops c (and detaches it from all variables) in
-// O(degree). The constraint struct itself is not recycled (resources
-// live as long as their platform), but its elements are.
-func (s *System) RemoveConstraint(c *Constraint) {
-	if c.sys != s {
-		return
-	}
-	for i, e := range c.elems {
-		s.touchVar(e.v)
-		detachFromVariable(e)
-		s.releaseElem(e)
-		c.elems[i] = nil
-	}
-	c.elems = nil
-	last := len(s.cnsts) - 1
-	moved := s.cnsts[last]
-	s.cnsts[c.idx] = moved
-	moved.idx = c.idx
-	s.cnsts[last] = nil
-	s.cnsts = s.cnsts[:last]
-	c.sys = nil
-	if c.capacity <= eps {
-		s.zeroCaps--
-	}
-	if len(s.vars) == 0 && len(s.cnsts) == 0 {
-		s.allDirty = true
-	}
-}
-
 // SetCapacity updates a resource capacity (trace events, failures).
 func (s *System) SetCapacity(c *Constraint, capacity float64) {
 	if capacity < 0 {
@@ -393,14 +366,6 @@ func (s *System) SetWeight(v *Variable, weight float64) {
 		v.weight = weight
 		s.touchVar(v)
 		v.summarize()
-	}
-}
-
-// SetBound updates a variable's upper bound (<= 0 removes the bound).
-func (s *System) SetBound(v *Variable, bound float64) {
-	if v.bound != bound {
-		v.bound = bound
-		s.touchVar(v)
 	}
 }
 
@@ -477,14 +442,20 @@ const eps = 1e-12
 // (b) a variable reaching its bound, freezes the corresponding
 // variables, subtracts their consumption, and iterates. Complexity is
 // O((V+E)·rounds) over the re-solved components only.
+//
+// Built with -tags=simcheck, every call ends by certifying the whole
+// system, and panics on a violation: that also catches a component the
+// dirty tracking failed to re-solve.
 func (s *System) Solve() {
-	if !s.Dirty() {
+	if s.Dirty() {
+		s.solve()
+	} else {
 		s.updated = s.updated[:0] // nothing changed
-		return
 	}
-	s.solve()
-	if shadowCheck {
-		s.crossCheck()
+	if simcheck.On {
+		if err := s.certify(); err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -640,7 +611,7 @@ func (s *System) solve() {
 // stall fallback: remCap is clamped at 0 and capacities, loads, bounds
 // and weights are positive, so minR >= 0; whatever attains it freezes
 // something — a constraint with r == minR is sat and has an active
-// variable (load > eps), a bound with b/w == minR gives minR*w within
+// variable (load > 0), a bound with b/w == minR gives minR*w within
 // rounding of b, far inside the 1e-9 tolerance, and an own edge
 // re-evaluates to the same quotient.
 func solveComponent(sv []*Variable, sc []*Constraint, dead bool, active []*Variable) []*Variable {
@@ -687,7 +658,7 @@ reset:
 		}
 		// Growth limit from constraints: r such that r * load == remCap.
 		for _, c := range sc {
-			if c.load > eps {
+			if c.load > 0 {
 				c.r = c.remCap / c.load
 				if c.r < minR {
 					minR = c.r
@@ -703,13 +674,10 @@ reset:
 			break
 		}
 
-		tol := 1e-9
-		if minR > 1 {
-			tol = 1e-9 * minR
-		}
+		tol := 1e-9 * minR
 		last := false
 		for _, c := range sc {
-			c.sat = c.load > eps && math.Abs(c.r-minR) <= tol
+			c.sat = c.load > 0 && math.Abs(c.r-minR) <= tol
 			last = last || c.sat && int(c.nact) == len(active)
 		}
 
@@ -718,11 +686,7 @@ reset:
 			val := minR * v.weight
 			atBound := false
 			if v.bound > 0 {
-				btol := 1e-9
-				if v.bound > 1 {
-					btol = 1e-9 * v.bound
-				}
-				atBound = val >= v.bound-btol
+				atBound = val >= v.bound-1e-9*v.bound
 			}
 			atCnst := last || math.Abs(v.ownR-minR) <= tol
 			for e := v.walk; e != nil && !atCnst; e = e.next {
@@ -755,11 +719,10 @@ reset:
 }
 
 // ownRatio is the ratio at which own edge e caps a variable of weight
-// w; +Inf where it cannot bind (load w*factor, or a fatpipe's factor, ≤ eps).
+// w, capacity/(w*factor); +Inf at weight 0, which draws nothing.
 func ownRatio(e *elem, w float64) float64 {
-	d := w * e.factor
-	if e.c.shared && d <= eps || !e.c.shared && e.factor <= eps {
-		return math.Inf(1)
+	if d := w * e.factor; d > 0 {
+		return e.c.capacity / d
 	}
-	return e.c.capacity / d
+	return math.Inf(1)
 }

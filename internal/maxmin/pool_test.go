@@ -70,8 +70,8 @@ func TestVariablePoolScrubbed(t *testing.T) {
 		}
 		if rng.Intn(8) == 0 {
 			s.Solve()
-			if problems := s.Validate(1e-6); len(problems) != 0 {
-				t.Fatalf("solution invalid after churn: %v", problems)
+			if err := s.certify(); err != nil {
+				t.Fatalf("solution invalid after churn: %v", err)
 			}
 		}
 	}

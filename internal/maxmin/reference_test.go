@@ -187,9 +187,8 @@ func checkScope(t *testing.T, where string, got *System, before SolveStats, want
 // as it stood before the fused kernel (PR 13, ce66eea), verbatim but
 // for v.fixed → fixed[v.idx]: loads in a side array, the freeze
 // predicate re-evaluated per edge, mark → fallback → subtract → compact
-// as separate passes. -tags=maxmincheck runs the production solve
-// against itself; this is the independent statement of what the bits
-// must be.
+// as separate passes. certify states what the values must be; this is
+// the independent statement of what the bits must be.
 func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, fixed []bool, active []*Variable) []*Variable {
 	// Reset scope state; variables on a zero-capacity constraint (shared
 	// or fatpipe alike) are fixed at 0 immediately.
@@ -479,22 +478,20 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 		}
 	}
 
-	// pick draws one constraint for which ok holds on the got side and
-	// reports where it sits in islands.
-	pick := func(ok func(c *Constraint) bool) (c cpair, island, at int, found bool) {
-		var cand [][2]int
-		for i, cs := range islands {
-			for j, c := range cs {
+	// pick draws one constraint for which ok holds on the got side.
+	pick := func(ok func(c *Constraint) bool) (cpair, bool) {
+		var cand []cpair
+		for _, cs := range islands {
+			for _, c := range cs {
 				if ok(c.g) {
-					cand = append(cand, [2]int{i, j})
+					cand = append(cand, c)
 				}
 			}
 		}
 		if len(cand) == 0 {
-			return cpair{}, 0, 0, false
+			return cpair{}, false
 		}
-		k := cand[rng.Intn(len(cand))]
-		return islands[k[0]][k[1]], k[0], k[1], true
+		return cand[rng.Intn(len(cand))], true
 	}
 	private := func(c *Constraint) bool { return len(c.elems) == 1 }
 	fatpipe := func(c *Constraint) bool { return !c.shared && len(c.elems) > 0 }
@@ -529,10 +526,10 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 				got.SetWeight(v.g, w)
 				want.SetWeight(v.w, w)
 			case 5:
-				v := vars[rng.Intn(len(vars))]
-				bound := rng.Float64()*50 - 10 // <= 0 unbounds
-				got.SetBound(v.g, bound)
-				want.SetBound(v.w, bound)
+				// The bottleneck moves, freeing or binding the bounded.
+				capacity := 300 + rng.Float64()*300
+				got.SetCapacity(islands[0][0].g, capacity)
+				want.SetCapacity(islands[0][0].w, capacity)
 			case 6:
 				cs := islands[rng.Intn(len(islands))]
 				c := cs[rng.Intn(len(cs))]
@@ -565,7 +562,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 				want.SetShared(c.w, shared)
 			case 9:
 				// A private link gains a second variable, then loses it.
-				if c, _, _, ok := pick(private); ok {
+				if c, ok := pick(private); ok {
 					w := classWeight()
 					v := pair{got.NewVariable(w, 0), want.NewVariable(w, 0)}
 					expand(c, v, 0.5+rng.Float64())
@@ -582,7 +579,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 				if rng.Intn(2) == 0 {
 					which = fatpipe
 				}
-				if c, _, _, ok := pick(which); ok {
+				if c, ok := pick(which); ok {
 					old := c.g.Capacity()
 					got.SetCapacity(c.g, 0)
 					want.SetCapacity(c.w, 0)
@@ -592,19 +589,18 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 				}
 			case 11:
 				// Expand accumulates on an own edge, twice.
-				if c, _, _, ok := pick(ownEdge); ok {
+				if c, ok := pick(ownEdge); ok {
 					v := pairOf(c.g.elems[rng.Intn(len(c.g.elems))].v)
 					expand(c, v, 0.5+rng.Float64())
 					compare(step)
 					expand(c, v, 0.5+rng.Float64())
 				}
 			case 12:
-				// An own constraint goes away under its live variables
-				// (never the bottleneck, never an island's last one).
-				if c, i, j, ok := pick(ownEdge); ok && (i != 0 || j != 0) && len(islands[i]) > 1 {
-					got.RemoveConstraint(c.g)
-					want.RemoveConstraint(c.w)
-					islands[i] = append(islands[i][:j], islands[i][j+1:]...)
+				// An own constraint is re-capped under its live variables.
+				if c, ok := pick(ownEdge); ok {
+					capacity := randCap()
+					got.SetCapacity(c.g, capacity)
+					want.SetCapacity(c.w, capacity)
 				}
 			case 13:
 				// Suspend a variable and resume it at its weight.
@@ -628,7 +624,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 // TestSolveKernelBitwise holds the production kernel to the reference
 // round bit for bit: math.Float64bits of every Value and Usage and the
 // Updated sequence after every incremental Solve, over randomized
-// systems under add / SetWeight / SetBound / SetCapacity / remove
+// systems under add / SetWeight / SetCapacity / SetShared / remove
 // churn, pooled and unpooled.
 func TestSolveKernelBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
@@ -668,9 +664,9 @@ func TestSolveSeedsSharingAComponent(t *testing.T) {
 	referenceSolve(want.s)
 
 	for _, y := range []sys{got, want} {
-		y.s.SetBound(y.vs[2], 15) // first seed
-		y.s.SetWeight(y.vs[0], 3) // second seed, same component
-		y.s.NewConstraint(7)      // dirty, and crossed by nothing
+		y.s.SetWeight(y.vs[2], 0.5) // first seed
+		y.s.SetWeight(y.vs[0], 3)   // second seed, same component
+		y.s.NewConstraint(7)        // dirty, and crossed by nothing
 	}
 	before := got.s.Stats()
 	got.s.Solve()

@@ -1,4 +1,4 @@
-//go:build !nopool && !maxmincheck
+//go:build !nopool
 
 package msg
 
