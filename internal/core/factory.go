@@ -91,7 +91,7 @@ func workerPoolStat() pool.Stat {
 // The goroutine runs processes assigned to it until releaseWorker
 // declines to retain it.
 func newWorker() *worker {
-	w := &worker{resume: make(chan error, 1)}
+	w := &worker{resume: make(chan error, 1)} //lint:allow pool-literal a miss spawns a goroutine, and the package-level pool has no engine to own a slab
 	go w.loop()
 	return w
 }

@@ -58,11 +58,12 @@ func DefaultConfig() *Config {
 			"repro/internal/sweep.Execute": true,
 		},
 
-		// Pooled types and the factory files allowed to construct or
-		// scrub them by composite literal (DESIGN.md "Object lifecycle
-		// & pooling" ownership table).
+		// Pooled types and the factory files allowed to scrub them by
+		// composite literal; a miss carves from the owner's pool.Slab
+		// (DESIGN.md "Object lifecycle & pooling" ownership table).
 		PooledTypes: map[string][]string{
 			"repro/internal/maxmin.Variable": {"factory.go"},
+			"repro/internal/maxmin.elem":     {"factory.go"},
 			"repro/internal/surf.Action":     {"factory.go"},
 			"repro/internal/msg.pending":     {"factory.go"},
 			"repro/internal/msg.ChainProc":   {"factory.go"},

@@ -70,7 +70,7 @@ func Rules() []Rule {
 		{"det-maprange", "no range over a map-typed value on a simulation path", runMapRange},
 		{"det-wallclock", "no time.Now/Since/Until or global math/rand source in simulation packages", runWallclock},
 		{"det-goroutine", "no go statements outside the approved spawn-site allowlist", runGoroutine},
-		{"pool-literal", "pooled types may only be constructed by their factory files", runPoolLiteral},
+		{"pool-literal", "pooled types are registered, and only their factory files scrub them by literal", runPoolLiteral},
 		{"pool-use-after-release", "no reads of a pooled object after it was released", runUseAfterRelease},
 		{"simcall-in-handler", "Completion handlers must not reach a blocking simcall entry point", runSimcallInHandler},
 		{"hot-sprintf", "no fmt.Sprintf in concat-converted hot-path packages", runHotSprintf},

@@ -78,6 +78,13 @@ func TestPoolLiteralFixture(t *testing.T) {
 	Check(t, p, cfg, "pool-literal")
 }
 
+func TestPoolListRegisteredFixture(t *testing.T) {
+	p := fixture(t, "poollist")
+	cfg := FixtureConfig()
+	cfg.PooledTypes[p.Path+".registered"] = []string{"factory.go"}
+	Check(t, p, cfg, "pool-literal")
+}
+
 func TestPoolUseAfterReleaseFixture(t *testing.T) {
 	p := fixture(t, "poolrelease")
 	Check(t, p, FixtureConfig(), "pool-use-after-release")

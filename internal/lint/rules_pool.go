@@ -3,24 +3,48 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
-// runPoolLiteral flags composite literals of pooled types outside
-// their factory files. The free lists only work if every construction
-// and every scrub goes through the factory (DESIGN.md "Object
-// lifecycle & pooling"): a stray &maxmin.Variable{} bypasses the pool
-// and, worse, a stray scrub literal can zero an object the pool still
-// references.
+// runPoolLiteral flags composite literals of pooled types. The free
+// lists only work if every construction and every scrub goes through
+// the factory (DESIGN.md "Object lifecycle & pooling"): a stray
+// &maxmin.Variable{} bypasses the pool and, worse, a stray scrub literal
+// can zero an object the pool still references. Inside a factory file
+// only the scrub itself, *x = T{...}, is a literal: a miss carves from
+// the owner's pool.Slab, so even there &T{} or T{} is a finding. A
+// pool.List of a type missing from PooledTypes is a finding too, since
+// none of that type's literals would be checked.
 func runPoolLiteral(p *Package, cfg *Config) []Finding {
 	if len(cfg.PooledTypes) == 0 {
 		return nil
 	}
 	var out []Finding
 	for _, f := range p.Files {
+		scrubs := map[*ast.CompositeLit]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if fld, ok := n.(*ast.Field); ok {
+				if qual := listElem(p.Info.TypeOf(fld.Type)); qual != "" && cfg.PooledTypes[qual] == nil {
+					out = append(out, Finding{
+						Pos:  p.Fset.Position(fld.Pos()),
+						Rule: "pool-literal",
+						Msg:  fmt.Sprintf("%s is kept on a pool.List but is not a pooled type: register it with its factory file", qual),
+					})
+				}
+			}
+			if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == len(as.Rhs) {
+				for i, lhs := range as.Lhs {
+					if _, star := lhs.(*ast.StarExpr); star {
+						if lit, ok := as.Rhs[i].(*ast.CompositeLit); ok {
+							scrubs[lit] = true
+						}
+					}
+				}
+			}
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok {
 				return true
@@ -39,22 +63,48 @@ func runPoolLiteral(p *Package, cfg *Config) []Finding {
 				return true
 			}
 			pos := p.Fset.Position(lit.Pos())
-			base := filepath.Base(pos.Filename)
-			for _, allowed := range factories {
-				if base == allowed {
+			msg := fmt.Sprintf("pooled type %s constructed by composite literal outside its factory (%s): use the factory so the free list stays the only owner",
+				qual, strings.Join(factories, ", "))
+			if slices.Contains(factories, filepath.Base(pos.Filename)) {
+				if scrubs[lit] {
 					return true
 				}
+				msg = fmt.Sprintf("pooled type %s constructed by composite literal in its factory: carve a miss from the owner's pool.Slab; only the scrub *x = %s{...} is a literal here",
+					qual, named.Obj().Name())
 			}
-			out = append(out, Finding{
-				Pos:  pos,
-				Rule: "pool-literal",
-				Msg: fmt.Sprintf("pooled type %s constructed by composite literal outside its factory (%s): use the factory so the free list stays the only owner",
-					qual, strings.Join(factories, ", ")),
-			})
+			out = append(out, Finding{Pos: pos, Rule: "pool-literal", Msg: msg})
 			return true
 		})
 	}
 	return out
+}
+
+// listElem names T when t is a pool.List[*T] (or an array of them) of a
+// named T, and is "" otherwise.
+func listElem(t types.Type) string {
+	for {
+		a, ok := t.(*types.Array)
+		if !ok {
+			break
+		}
+		t = a.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.TypeArgs().Len() != 1 {
+		return ""
+	}
+	if o := named.Origin().Obj(); o.Name() != "List" || o.Pkg() == nil || !strings.HasSuffix(o.Pkg().Path(), "/internal/pool") {
+		return ""
+	}
+	ptr, ok := named.TypeArgs().At(0).(*types.Pointer)
+	if !ok {
+		return ""
+	}
+	elem, ok := ptr.Elem().(*types.Named)
+	if !ok || elem.Obj().Pkg() == nil {
+		return ""
+	}
+	return elem.Obj().Pkg().Path() + "." + elem.Obj().Name()
 }
 
 // runUseAfterRelease is an intra-function, block-sequential dataflow

@@ -75,13 +75,11 @@ type Variable struct {
 }
 
 // elem ties a variable to a constraint with a consumption multiplier.
-// Its positions in both adjacency lists are tracked so detaching is
-// O(1) per edge.
+// Its position in c.elems is tracked so detaching is O(1) per edge.
 type elem struct {
 	v      *Variable
 	c      *Constraint
 	factor float64 // capacity consumed per unit of variable value
-	vIdx   int     // position in v.cnsts
 	cIdx   int     // position in c.elems
 	next   *elem   // next edge of v.walk
 }
@@ -92,6 +90,7 @@ type Constraint struct {
 	idx      int // position in sys.cnsts, maintained under index-swap removal
 	capacity float64
 	elems    []*elem
+	elem0    [1]*elem // elems' first array
 
 	// shared reports whether concurrent variables share the capacity
 	// (true, the normal case: links, CPUs) or each may use the full
@@ -146,11 +145,13 @@ type System struct {
 
 	// Free lists for the activity churn (see "Object lifecycle &
 	// pooling" in DESIGN.md): RemoveVariable recycles the variable and
-	// its constraint elements, NewVariable/Expand reuse them, so the
-	// steady-state add/remove cycle of a simulated activity performs no
-	// heap allocation. Disabled under -tags=nopool.
+	// its constraint elements, NewVariable/Expand reuse them, and a miss
+	// carves from the slabs (a variable with a two-edge cnsts array).
 	varPool  pool.List[*Variable]
 	elemPool pool.List[*elem]
+	varSlab  pool.Slab[Variable]
+	elemSlab pool.Slab[elem]
+	edgeSlab pool.Slab[[2]*elem]
 
 	// Observability (stats.go): solver work counters. Plain fields,
 	// always on.
@@ -200,6 +201,7 @@ func (s *System) NewConstraint(capacity float64) *Constraint {
 		capacity = 0
 	}
 	c := &Constraint{id: s.nextCID, idx: len(s.cnsts), capacity: capacity, shared: true, sys: s}
+	c.elems = c.elem0[:0]
 	if capacity <= eps {
 		s.zeroCaps++
 	}
@@ -247,7 +249,7 @@ func (s *System) Expand(c *Constraint, v *Variable, factor float64) {
 	}
 	e := s.grabElem()
 	e.v, e.c, e.factor = v, c, factor
-	e.vIdx, e.cIdx = len(v.cnsts), len(c.elems)
+	e.cIdx = len(c.elems)
 	v.cnsts = append(v.cnsts, e)
 	c.elems = append(c.elems, e)
 	if len(c.elems) == 2 {
@@ -268,18 +270,6 @@ func detachFromConstraint(e *elem) {
 	if last == 1 {
 		c.elems[0].v.summarize() // c now holds its last variable alone
 	}
-}
-
-// detachFromVariable unlinks e from e.v.cnsts in O(1) by index swap.
-func detachFromVariable(e *elem) {
-	v := e.v
-	last := len(v.cnsts) - 1
-	moved := v.cnsts[last]
-	v.cnsts[e.vIdx] = moved
-	moved.vIdx = e.vIdx
-	v.cnsts[last] = nil
-	v.cnsts = v.cnsts[:last]
-	v.summarize()
 }
 
 // summarize rebuilds v's solver summary from its edges. A mutator calls

@@ -48,15 +48,20 @@ func checkSummaries(t *testing.T, where string, s *System) {
 }
 
 // TestVariableSize: every simulated activity holds one Variable and an
-// elem per resource it crosses, so their size classes are per-activity
-// costs. The solver summary (ownR, the walk chain head, and elem.next)
-// fits the classes the structs had without it — 112 and 48 bytes —
-// because Variable.idx shares a word with dirtyQ.
+// elem per resource it crosses, so their sizes are per-activity costs;
+// both are carved from slabs, so every byte counts, not the size class.
+// The solver summary (ownR, the walk chain head, and elem.next) fits in
+// 112 bytes because Variable.idx shares a word with dirtyQ; an elem
+// tracks its position in c.elems only. A Constraint's inline first
+// elems slot keeps it in its 128-byte class.
 func TestVariableSize(t *testing.T) {
 	if got := unsafe.Sizeof(Variable{}); got > 112 {
 		t.Errorf("Variable is %d bytes, want <= 112", got)
 	}
-	if got := unsafe.Sizeof(elem{}); got > 48 {
-		t.Errorf("elem is %d bytes, want <= 48", got)
+	if got := unsafe.Sizeof(elem{}); got > 40 {
+		t.Errorf("elem is %d bytes, want <= 40", got)
+	}
+	if got := unsafe.Sizeof(Constraint{}); got > 128 {
+		t.Errorf("Constraint is %d bytes, want <= 128", got)
 	}
 }

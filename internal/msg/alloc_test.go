@@ -4,8 +4,8 @@ package msg
 
 import "testing"
 
-// Not built with the free lists off or the solver's shadow check on:
-// both allocate by design.
+// Not built with the free lists off: every round then carves its
+// records and actions afresh, a chunk allocation every few rounds.
 
 // TestChainPingPongAllocatesNothing: once the free lists and the two
 // mailboxes are warm, a chain ping-pong round — two queued posts, two

@@ -1,18 +1,17 @@
 package msg
 
 // This file is the factory for the pooled rendezvous records and chains:
-// the only place allowed to construct or scrub a pending or a ChainProc
-// by composite literal. simgrid-lint's pool-literal rule enforces that
-// scope — a literal anywhere else would bypass the free lists and
-// break the "pools hold only scrubbed structs" invariant (DESIGN.md,
-// "Object lifecycle & pooling").
+// a miss carves them from the slabs, and only here may a pending or a
+// ChainProc be scrubbed by composite literal (simgrid-lint's pool-literal
+// rule; DESIGN.md, "Object lifecycle & pooling": pools hold only
+// scrubbed structs).
 
 // grab returns a record facing d with who blocked on it, recycled from
-// that direction's free list when possible.
+// that direction's free list when possible, else carved.
 func (env *Environment) grab(d dir, who *actor) *pending {
 	r, ok := env.pools[d].Get()
 	if !ok {
-		r = &pending{}
+		r = env.pendSlab.New()
 	}
 	r.env, r.who, r.dir = env, who, d
 	return r
@@ -35,14 +34,14 @@ func (env *Environment) release(r *pending) {
 	env.pools[d].Put(r)
 }
 
-// grabChain returns a blank ChainProc, recycled when possible: chain
-// churn (millions of short-lived chains, or auto-restart cycling)
-// reuses terminated instances instead of allocating fresh ones.
+// grabChain returns a blank ChainProc, recycled when possible (else
+// carved): chain churn (millions of short-lived chains, or auto-restart
+// cycling) reuses terminated instances instead of allocating fresh ones.
 func (env *Environment) grabChain() *ChainProc {
 	if c, ok := env.chainPool.Get(); ok {
 		return c
 	}
-	return &ChainProc{}
+	return env.chainSlab.New()
 }
 
 // releaseChain scrubs a terminated ChainProc and pools it. The caller

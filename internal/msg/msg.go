@@ -97,12 +97,15 @@ type Environment struct {
 	// for them in the kernel's own accounting.
 	liveChains int
 
-	// Free lists for the rendezvous churn (off under -tags=nopool): a
-	// Put/Get cycle reuses scrubbed pending records, one list per
-	// direction so each keeps its own LIFO order and scoreboard, and
-	// chainPool recycles terminated ChainProcs the same way.
+	// Free lists for the rendezvous churn (off under -tags=nopool): pending
+	// records, one list per direction so each keeps its own LIFO order
+	// and scoreboard, and terminated ChainProcs. A miss carves from the
+	// slabs, as does a mailbox's first queue array.
 	pools     [2]pool.List[*pending]
 	chainPool pool.List[*ChainProc]
+	pendSlab  pool.Slab[pending]
+	chainSlab pool.Slab[ChainProc]
+	queueSlab pool.Slab[[1]*pending]
 
 	// KillOnHostFailure controls whether processes on a failing host
 	// are killed (the paper's volatile-hosts behaviour). Default true.
@@ -618,6 +621,9 @@ func (p *Process) rendezvous(r *pending, mb *mailbox, timeout float64) (*Task, e
 // record); the queued peer is resumed with it right here.
 func (env *Environment) post(mb *mailbox, r *pending) error {
 	if mb.head == len(mb.q) || mb.q[mb.head].dir == r.dir {
+		if mb.q == nil {
+			mb.q = env.queueSlab.New()[:0]
+		}
 		mb.q = append(mb.q, r)
 		env.noteQueued(r.dir, 1)
 		return nil

@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -175,6 +176,7 @@ type Platform struct {
 	routeCache map[[2]string]*Route
 	cacheGen   uint64
 	gen        uint64
+	routeSlab  pool.Slab[Route] // the cached Routes
 }
 
 // New returns an empty platform.
@@ -400,7 +402,7 @@ func (p *Platform) Route(src, dst string) (*Route, error) {
 	if _, ok := p.hosts[dst]; !ok {
 		return nil, fmt.Errorf("%w: host %q", ErrUnknown, dst)
 	}
-	r := &Route{Src: src, Dst: dst}
+	r := Route{Src: src, Dst: dst}
 	if src != dst {
 		links, ok := p.routes[key]
 		if !ok {
@@ -409,8 +411,10 @@ func (p *Platform) Route(src, dst string) (*Route, error) {
 		r.Links = links
 		r.hops = p.hops[key]
 	}
-	p.routeCache[key] = r
-	return r, nil
+	cached := p.routeSlab.New() // carved once the route is known to exist
+	*cached = r
+	p.routeCache[key] = cached
+	return cached, nil
 }
 
 // ComputeRoutes fills the routing table for every host pair using

@@ -3,9 +3,9 @@
 // Package pool holds the one free list (List) every pooled type in the
 // stack is kept on — core's parked process goroutines, maxmin's
 // variables and constraint elements, surf's actions and resources
-// slices, msg's rendezvous and chain records, instr's trace events —
-// and the one switch behind it. Only List reads Enabled; nothing but
-// tests writes it.
+// slices, msg's rendezvous and chain records — the one chunk allocator
+// (Slab) an engine's misses are carved from, and the one switch behind
+// the lists. Only List reads Enabled; nothing but tests writes it.
 //
 // Build with -tags=nopool to start with it off: everything is then
 // allocated (or spawned) fresh, the reference behaviour the pooled

@@ -1,17 +1,16 @@
 package surf
 
-// This file is the factory for pooled actions: the only place allowed
-// to construct or scrub an Action by composite literal. simgrid-lint's
-// pool-literal rule enforces that scope — a literal anywhere else
-// would bypass the free list and break the "pools hold only scrubbed
-// structs" invariant (DESIGN.md, "Object lifecycle & pooling").
+// This file is the factory for pooled actions: a miss carves one from
+// the slab, and only here may an Action be scrubbed by composite literal
+// (simgrid-lint's pool-literal rule; DESIGN.md, "Object lifecycle &
+// pooling": pools hold only scrubbed structs).
 
 // newAction returns a blank action (recycled from the free list when
-// possible) with the shared creation bookkeeping filled in.
+// possible, else carved) with the shared creation bookkeeping filled in.
 func (m *Model) newAction(kind ActionKind, name string) *Action {
 	a, ok := m.actPool.Get()
 	if !ok {
-		a = &Action{}
+		a = m.actSlab.New()
 	}
 	a.model = m
 	a.kind = kind

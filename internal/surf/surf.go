@@ -391,18 +391,16 @@ type Model struct {
 	dueBuf    []*Action // scratch for the equal-key bulk collect
 	idxBuf    []int     // scratch DFS stack for collectDue
 
-	// resPool recycles the resources slices of completed actions: at
-	// 100k+ activities the per-action []*resource is a measurable share
-	// of the allocation churn (ROADMAP's "allocation pressure at scale").
-	// Slices are reset (pointers cleared) when returned, capped so a
-	// single fat ptask slice does not pin memory forever.
-	resPool pool.List[[]*resource]
-
-	// actPool recycles Action structs released by their owning layer
-	// (Action.Release): together with the maxmin variable free list it
-	// makes the steady-state activity churn allocation-free. Disabled
-	// under -tags=nopool.
-	actPool pool.List[*Action]
+	// Free lists (off under -tags=nopool) for the Action structs released
+	// by their owning layer and the resources slices of completed ones
+	// (reset, capped so one fat ptask slice does not pin memory): with
+	// maxmin's they make the steady-state activity churn allocation-free.
+	// A miss carves from the slabs, as does a resolved route.
+	resPool    pool.List[[]*resource]
+	actPool    pool.List[*Action]
+	actSlab    pool.Slab[Action]
+	handleSlab pool.Slab[RouteHandle]
+	resSlab    pool.Slab[*resource] // actions' first arrays, handles' exact ones
 
 	// routes is the one cache of resolved routes (RouteHandle), keyed by
 	// the shared *platform.Route the platform's own cache hands out: a
@@ -586,7 +584,7 @@ func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, 
 // routeResources resolves the resources a route crosses: for a
 // split-duplex link, the direction the route takes it in.
 func (m *Model) routeResources(route *platform.Route) ([]*resource, error) {
-	out := make([]*resource, len(route.Links))
+	out := m.resSlab.Make(len(route.Links))
 	for i, l := range route.Links {
 		r := m.links[l.Name]
 		if r != nil && route.Dir(i) == 1 {
@@ -639,7 +637,8 @@ func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &RouteHandle{route: route, rs: rs, name: "comm " + src + "->" + dst, lat: route.Latency(), gen: gen}
+	h := m.handleSlab.New()
+	*h = RouteHandle{route: route, rs: rs, name: "comm " + src + "->" + dst, lat: route.Latency(), gen: gen}
 	m.routes[route] = h
 	return h, nil
 }
@@ -800,12 +799,12 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 const eps = 1e-9
 
 // grabResources returns an empty resources slice, reusing a pooled one
-// when available.
+// when available, else carving one of capacity 4.
 func (m *Model) grabResources() []*resource {
 	if s, ok := m.resPool.Get(); ok {
 		return s
 	}
-	return make([]*resource, 0, 4)
+	return m.resSlab.Make(4)[:0]
 }
 
 // releaseResources resets and pools a finished action's resources
