@@ -130,7 +130,7 @@ func runMSGScalingChain(b *testing.B, pf *platform.Platform, nPairs, rounds int)
 // behaviour, switched in-process), (b) goroutine processes on the warm
 // worker pool, and (c) declarative chains. The deltas isolate what each
 // layer saves — (a)→(b) the per-spawn stack and record allocation
-// cost, (b)→(c) the block/wake handoff.
+// cost, (b)→(c) the block/wake coroutine switch.
 func BenchmarkMSGScalingForms(b *testing.B) {
 	const pairs, rounds = 5000, 10
 	activities := 2 * pairs * rounds

@@ -2,16 +2,14 @@
 // underlying the whole stack: a virtual clock, a timed-event queue, and
 // cooperative scheduling of simulated processes.
 //
-// Each simulated process runs in its own goroutine (the paper's
-// "processes in a single address space"; goroutines map naturally onto
-// SimGrid's ucontexts). The kernel enforces strictly one-at-a-time
-// execution with a kernel token passed by direct handoff: a parking
-// process wakes the next runnable goroutine itself (one channel
-// synchronization per activation) and the engine goroutine only runs
-// between rounds, to advance virtual time. This makes runs
-// deterministic and keeps all simulation state free of locks. Processes
-// enter the kernel through typed simcalls (see simcall.go), several of
-// which are answered inline without any handoff at all.
+// Each simulated process runs as a runtime coroutine (the paper's
+// "processes in a single address space"; coroutines map directly onto
+// SimGrid's ucontexts). One kernel loop, Engine.drive, resumes them one
+// at a time in run-queue order and runs the kernel turn itself when
+// the queue is empty. This makes runs deterministic and keeps all
+// simulation state free of locks. Processes enter the kernel through
+// typed simcalls (see simcall.go); a blocking one yields back to the
+// loop, several are answered inline without yielding at all.
 //
 // Resource models (package surf) plug into the engine through the Model
 // interface: the engine asks every model for its next completion time,
@@ -95,11 +93,13 @@ func (e *DeadlockError) Error() string {
 // that its defers run even if user code ignores returned errors.
 type killedSignal struct{}
 
-// PanicError records a process panic caught at the spawn site: the
-// process that crashed, the panic value, and the goroutine stack at the
-// point of the panic. With Engine.ContainPanics set it becomes the
-// process's termination cause (Process.Err) and is collected in
-// Engine.Panics; otherwise it aborts the whole run through Run's error.
+// PanicError records a panic: the process that crashed, the panic
+// value, and the stack at the point of the panic. A process panic is
+// caught on the process's coroutine; with Engine.ContainPanics set it
+// becomes the process's termination cause (Process.Err) and is
+// collected in Engine.Panics, otherwise it aborts the whole run through
+// Run's error. A panic escaping a kernel phase (PID 0, no name) is
+// always fatal.
 type PanicError struct {
 	PID   int
 	Name  string
@@ -108,6 +108,9 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
+	if e.PID == 0 {
+		return fmt.Sprintf("core: kernel phase panicked: %v", e.Value) //lint:allow hot-sprintf cold path: formatting a crash diagnostic
+	}
 	return fmt.Sprintf("core: process %q (pid %d) panicked: %v", e.Name, e.PID, e.Value) //lint:allow hot-sprintf cold path: formatting a crash diagnostic
 }
 
@@ -149,7 +152,7 @@ type Process struct {
 	engine *Engine
 	fn     func(*Process)
 
-	resume  chan error // handoff channel (value: wake error); aliases the carrier worker's channel
+	w       *worker // carrier coroutine for the process's lifetime
 	state   State
 	call    SimcallKind // simcall the process is blocked in
 	wakeErr error
@@ -300,8 +303,7 @@ type Engine struct {
 	now     float64
 	procs   map[int]*Process
 	runQ    []*Process
-	runHead int           // drain cursor into runQ (in-place queue reuse)
-	schedCh chan struct{} // wakes the engine loop when a round is over
+	runHead int // drain cursor into runQ (in-place queue reuse)
 	timers  timerHeap
 	models  []Model
 	nextPID int
@@ -312,16 +314,14 @@ type Engine struct {
 	modelNext []float64 // per-model next event time, filled each round
 	live      int       // non-daemon processes (and external entities) not yet Done
 	liveAll   int       // all processes not yet Done
-	goSpawns  int       // fresh carrier goroutines created for this engine
-	goLive    int       // processes currently backed by a goroutine (not Done)
+	goSpawns  int       // fresh carrier coroutines created for this engine
+	goLive    int       // processes currently backed by a coroutine (not Done)
 	goPeak    int       // high-water mark of goLive
 	fatal     error
 	running   bool
 	stopErr   error // deadlock error recorded by the kernel turn
-	draining  bool  // shutdown drain: parkers must not advance time
 	idleDrive bool  // RunUntilIdle: no live-process requirement, quiescence ends the run
 	stopReq   bool  // Stop was called: the drive loop returns at the next round
-	inKernel  bool  // a kernel turn is running: a panic reaching a spawn recover came from a kernel phase
 
 	// MaxTime, when > 0, stops the simulation at that virtual time even
 	// if activities remain (useful for steady-state measurements).
@@ -351,8 +351,6 @@ type Engine struct {
 	prof      *instr.Profiler
 	timerPeak int
 	// Start of the kernel turn's open dispatch span (zero: none open).
-	// dispatch closes it before the token can leave this goroutine (see
-	// endDispatchSpan).
 	dispatchT0 time.Time
 }
 
@@ -360,7 +358,6 @@ type Engine struct {
 func New() *Engine {
 	return &Engine{
 		procs:   make(map[int]*Process),
-		schedCh: make(chan struct{}),
 		nextPID: 1,
 	}
 }
@@ -404,7 +401,7 @@ func (e *Engine) ProcessByPID(pid int) *Process {
 // time if the simulation is running). host is an opaque cookie exposed
 // via Process.Host.
 //
-// The carrier goroutine comes from the package-level worker pool when
+// The carrier coroutine comes from the package-level worker pool when
 // one is parked (no stack allocation; Engine.GoroutineSpawns does not
 // grow) and is created fresh otherwise — see factory.go for the
 // recycle contract.
@@ -432,46 +429,40 @@ func (e *Engine) Spawn(name string, host any, fn func(*Process)) *Process {
 		e.goSpawns++
 	}
 	w.proc = p
-	p.resume = w.resume
+	p.w = w
 
 	p.state = Runnable
 	e.runQ = append(e.runQ, p)
 	return p
 }
 
-// runProcessBody executes a process function on the current (worker)
-// goroutine, converting panics per the containment contract.
+// runProcessBody executes a process function on its carrier
+// coroutine, converting panics per the containment contract. Kernel
+// phases never run on a process stack, so every panic reaching this
+// recover came from the process itself.
 func runProcessBody(e *Engine, p *Process) {
 	defer func() {
 		if r := recover(); r != nil {
-			// Any panic reaching this recover means the unwinding
-			// goroutine held the kernel token: no kernel turn is
-			// live anymore, so the flag is reset either way.
-			fromKernel := e.inKernel
-			e.inKernel = false
 			if _, ok := r.(killedSignal); ok {
 				p.err = ErrKilled
 				return
 			}
 			pe := &PanicError{PID: p.pid, Name: p.name, Value: r, Stack: debug.Stack()}
-			if e.ContainPanics && !fromKernel {
+			if e.ContainPanics {
 				// Contained: the panic is this process's failure
 				// alone; its defers already ran on the unwind.
 				p.err = pe
 				e.panics = append(e.panics, pe)
 				return
 			}
-			// Fatal: a raw process panic (containment off), or a
-			// panic that escaped a kernel phase running on this
-			// goroutine's stack — the engine is mid-turn and
-			// cannot continue either way.
 			e.fatal = pe
 		}
 	}()
 	p.fn(p)
 }
 
-// terminate finalizes a process in kernel handoff context.
+// terminate finalizes a process at the end of its body, on its carrier
+// coroutine.
 func (e *Engine) terminate(p *Process) {
 	p.state = Done
 	if !p.exited {
@@ -536,7 +527,7 @@ func (p *Process) Kill() {
 }
 
 // wakeKilled schedules a killed process that is parked — Waiting, or
-// Created and not yet started — so its goroutine can unwind; a Runnable
+// Created and not yet started — so its coroutine can unwind; a Runnable
 // one dies when popped from the queue. Unlike Wake it overrides a
 // suspension and drops any wake that arrived during it: a stale pending
 // error must not shadow ErrKilled if the victim is touched by Resume
@@ -592,13 +583,7 @@ func (p *Process) Suspended() bool { return p.suspended }
 // optional MaxTime horizon is reached, or a deadlock is detected. At
 // shutdown, remaining daemons are discarded. Run returns a
 // *DeadlockError if blocked non-daemon processes can never progress, or
-// the panic error of a crashing process.
-//
-// The engine goroutine only seeds the first dispatch: from then on the
-// kernel token travels with whichever goroutine is active, and the
-// kernel turn — clock advance, timer firing, model completions — runs
-// on the stack of the last process to park in each round. Run regains
-// control once per simulation, when it has ended.
+// the *PanicError of a crashing process or kernel phase.
 func (e *Engine) Run() error {
 	if err := e.drive(false); err != nil {
 		return err
@@ -607,9 +592,10 @@ func (e *Engine) Run() error {
 	return e.fatal
 }
 
-// drive is the body Run and RunUntilIdle share: seed the first
-// dispatch, wait for the token to come back, report how the drive
-// ended.
+// drive is the body Run and RunUntilIdle share, and the only place the
+// kernel runs: it resumes every runnable process in run-queue order,
+// then runs a kernel turn on its own stack, until a turn reports the
+// end of the drive.
 func (e *Engine) drive(idle bool) error {
 	if e.running {
 		return errors.New("core: engine already running")
@@ -618,15 +604,32 @@ func (e *Engine) drive(idle bool) error {
 	defer func() { e.running, e.idleDrive = false, false }()
 	e.stopErr = nil
 	e.stopReq = false
-
-	if e.dispatch(nil) == dispatchNext || e.kernelTurn(nil) == dispatchNext {
-		<-e.schedCh // the token is out; wait for the drive to end
-	}
+	e.loop(e.kernelTurn)
 	e.stopReq = false
 	if e.fatal != nil {
 		return e.fatal
 	}
 	return e.stopErr
+}
+
+// loop alternates dispatch rounds with calls to turn until turn
+// reports false or a fatal error stops the run. Process panics are
+// contained on their coroutines (runProcessBody); any panic reaching
+// this recover escaped a kernel phase — model code, a timer callback,
+// a completion handler or an exit hook — and is the run's fatal error.
+func (e *Engine) loop(turn func() bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.current = nil
+			e.fatal = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	for {
+		e.dispatch()
+		if e.fatal != nil || !turn() {
+			return
+		}
+	}
 }
 
 // RunUntilIdle drives the kernel without requiring any live process:
@@ -657,15 +660,15 @@ func (e *Engine) Stop() { e.stopReq = true }
 // stacks. Kernel-driven workloads (simdag) assert it stays zero.
 func (e *Engine) Spawned() int { return e.nextPID - 1 }
 
-// GoroutineSpawns returns the number of fresh carrier goroutines
-// created on behalf of this engine's processes: the raw `go`
-// statements, as opposed to Spawned's logical starts. With the worker
+// GoroutineSpawns returns the number of fresh carrier coroutines (each
+// a goroutine of its own) created on behalf of this engine's
+// processes, as opposed to Spawned's logical starts. With the worker
 // pool warm (or a workload expressed as declarative chains) it stays
 // at zero while Spawned keeps counting.
 func (e *Engine) GoroutineSpawns() int { return e.goSpawns }
 
 // GoroutinesPeak returns the high-water mark of simultaneously live
-// process goroutines on this engine — the real stack population a run
+// process coroutines on this engine — the real stack population a run
 // paid for, regardless of how many logical processes cycled through
 // those stacks.
 func (e *Engine) GoroutinesPeak() int { return e.goPeak }
@@ -696,134 +699,109 @@ func (e *Engine) AddLive(delta int) { e.live += delta }
 // the point of the panic — the run's crash event log.
 func (e *Engine) Panics() []*PanicError { return e.panics }
 
-// kernelTurn advances the simulation while holding the kernel token
-// and the run queue is empty: it finds the next event, advances the
-// clock, completes due model actions, fires due timers, and dispatches
-// the processes that woke. self is the process whose goroutine runs
-// the turn (nil in the engine goroutine). It returns dispatchNext as
-// soon as control was handed to another process goroutine,
-// dispatchSelf when the turn woke its own carrier (which then just
-// keeps running), and dispatchNone when the simulation ended (the
-// caller then owns the token and must return it to Run).
-func (e *Engine) kernelTurn(self *Process) dispatchResult {
-	// The turn runs model and timer callbacks: a panic escaping one of
-	// them unwinds through the carrier's spawn recover, which must treat
-	// it as fatal (the engine is mid-phase), never contain it. The flag
-	// is cleared before control can reach process code again — every
-	// return below, and the dispatch hand-off.
-	e.inKernel = true
-	for {
-		if e.fatal != nil || e.stopReq || (!e.idleDrive && e.live <= 0) {
-			e.inKernel = false
-			return dispatchNone
-		}
-
-		// Phase 2: find the next event. Each model's answer is kept so
-		// phase 3 can skip the models with nothing due at the new time.
-		// Model.NextEventTime triggers the lazy maxmin solve, so this
-		// is the profiler's "solve" phase.
-		t0 := e.prof.Begin()
-		next := math.Inf(1)
-		if cap(e.modelNext) < len(e.models) {
-			e.modelNext = make([]float64, len(e.models))
-		}
-		modelNext := e.modelNext[:len(e.models)]
-		for i, m := range e.models {
-			t := m.NextEventTime(e.now)
-			modelNext[i] = t
-			if t < next {
-				next = t
-			}
-		}
-		e.prof.End(instr.PhaseSolve, t0)
-		for len(e.timers) > 0 && e.timers[0].canceled {
-			heap.Pop(&e.timers)
-		}
-		if len(e.timers) > e.timerPeak {
-			e.timerPeak = len(e.timers)
-		}
-		if len(e.timers) > 0 && e.timers[0].at < next {
-			next = e.timers[0].at
-		}
-		if math.IsInf(next, 1) {
-			if e.idleDrive {
-				// Quiescence is the normal end of an idle drive: nothing
-				// left to simulate, whether or not activities never
-				// started (the caller inspects its own task states).
-				e.inKernel = false
-				return dispatchNone
-			}
-			var blocked []string
-			var calls []SimcallKind
-			for _, p := range e.Processes() {
-				if !p.daemon {
-					blocked = append(blocked, p.name)
-					calls = append(calls, p.call)
-				}
-			}
-			if e.ExternalBlocked != nil {
-				names, ecalls := e.ExternalBlocked()
-				blocked = append(blocked, names...)
-				calls = append(calls, ecalls...)
-			}
-			e.stopErr = &DeadlockError{Blocked: blocked, Calls: calls}
-			e.inKernel = false
-			return dispatchNone
-		}
-		if e.MaxTime > 0 && next > e.MaxTime {
-			e.now = e.MaxTime
-			e.inKernel = false
-			return dispatchNone
-		}
-
-		// Phase 3: advance the clock and fire everything due at `next`.
-		// Models complete their due actions first (progress bookkeeping
-		// is lazy, see Model); only then do timers fire, so trace-driven
-		// capacity changes at `next` never apply retroactively to
-		// [prev, next]. Models whose earliest event lies beyond the new
-		// time have nothing due and are not polled at all — with lazy
-		// bookkeeping a skipped step costs them literally nothing.
-		prev := e.now
-		e.now = next
-		t0 = e.prof.Begin()
-		for i, m := range e.models {
-			if modelNext[i] <= e.now {
-				m.AdvanceTo(prev, e.now)
-			}
-		}
-		e.prof.End(instr.PhaseAdvance, t0)
-		t0 = e.prof.Begin()
-		for len(e.timers) > 0 && e.timers[0].at <= e.now {
-			tm := heap.Pop(&e.timers).(*timer)
-			if !tm.canceled {
-				tm.fn()
-			}
-		}
-		e.prof.End(instr.PhaseSweep, t0)
-
-		// Phase 1 of the next round: hand control to the first woken
-		// process; its dispatch chain continues the round. The flag drops
-		// before the hand-off: the woken process runs its own code.
-		e.inKernel = false
-		e.dispatchT0 = e.prof.Begin() // zero without a profiler
-		if r := e.dispatch(self); r != dispatchNone {
-			return r
-		}
-		e.inKernel = true
+// kernelTurn advances the simulation once the run queue is empty: it
+// finds the next event, advances the clock, completes due model
+// actions and fires due timers, which wakes processes onto the run
+// queue. It runs on the drive loop's stack and dispatches nothing; it
+// reports false when the drive is over.
+func (e *Engine) kernelTurn() bool {
+	if e.stopReq || (!e.idleDrive && e.live <= 0) {
+		return false
 	}
+
+	// Phase 2: find the next event. Each model's answer is kept so
+	// phase 3 can skip the models with nothing due at the new time.
+	// Model.NextEventTime triggers the lazy maxmin solve, so this
+	// is the profiler's "solve" phase.
+	t0 := e.prof.Begin()
+	next := math.Inf(1)
+	if cap(e.modelNext) < len(e.models) {
+		e.modelNext = make([]float64, len(e.models))
+	}
+	modelNext := e.modelNext[:len(e.models)]
+	for i, m := range e.models {
+		t := m.NextEventTime(e.now)
+		modelNext[i] = t
+		if t < next {
+			next = t
+		}
+	}
+	e.prof.End(instr.PhaseSolve, t0)
+	for len(e.timers) > 0 && e.timers[0].canceled {
+		heap.Pop(&e.timers)
+	}
+	if len(e.timers) > e.timerPeak {
+		e.timerPeak = len(e.timers)
+	}
+	if len(e.timers) > 0 && e.timers[0].at < next {
+		next = e.timers[0].at
+	}
+	if math.IsInf(next, 1) {
+		if e.idleDrive {
+			// Quiescence is the normal end of an idle drive: nothing
+			// left to simulate, whether or not activities never
+			// started (the caller inspects its own task states).
+			return false
+		}
+		var blocked []string
+		var calls []SimcallKind
+		for _, p := range e.Processes() {
+			if !p.daemon {
+				blocked = append(blocked, p.name)
+				calls = append(calls, p.call)
+			}
+		}
+		if e.ExternalBlocked != nil {
+			names, ecalls := e.ExternalBlocked()
+			blocked = append(blocked, names...)
+			calls = append(calls, ecalls...)
+		}
+		e.stopErr = &DeadlockError{Blocked: blocked, Calls: calls}
+		return false
+	}
+	if e.MaxTime > 0 && next > e.MaxTime {
+		e.now = e.MaxTime
+		return false
+	}
+
+	// Phase 3: advance the clock and fire everything due at `next`.
+	// Models complete their due actions first (progress bookkeeping
+	// is lazy, see Model); only then do timers fire, so trace-driven
+	// capacity changes at `next` never apply retroactively to
+	// [prev, next]. Models whose earliest event lies beyond the new
+	// time have nothing due and are not polled at all — with lazy
+	// bookkeeping a skipped step costs them literally nothing.
+	prev := e.now
+	e.now = next
+	t0 = e.prof.Begin()
+	for i, m := range e.models {
+		if modelNext[i] <= e.now {
+			m.AdvanceTo(prev, e.now)
+		}
+	}
+	e.prof.End(instr.PhaseAdvance, t0)
+	t0 = e.prof.Begin()
+	for len(e.timers) > 0 && e.timers[0].at <= e.now {
+		tm := heap.Pop(&e.timers).(*timer)
+		if !tm.canceled {
+			tm.fn()
+		}
+	}
+	e.prof.End(instr.PhaseSweep, t0)
+
+	// Phase 1 of the next round is the loop's dispatch, which
+	// closes this span when it resumes the first woken process.
+	e.dispatchT0 = e.prof.Begin() // zero without a profiler
+	return true
 }
 
 // shutdownDaemons kills all remaining (daemon) processes so their defers
-// and exit hooks run. The drain round must not advance virtual time, so
-// parkers hand the token straight back instead of running kernel turns.
+// and exit hooks run, in one dispatch round that never advances
+// virtual time.
 func (e *Engine) shutdownDaemons() {
-	e.draining = true
 	for _, p := range e.Processes() {
 		p.killed = true
 		e.wakeKilled(p)
 	}
-	if e.dispatch(nil) == dispatchNext {
-		<-e.schedCh
-	}
-	e.draining = false
+	e.loop(func() bool { return false })
 }

@@ -630,11 +630,10 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestProfilerWithProcessHandoff runs goroutine processes with the
-// phase profiler attached. The kernel turn hands the token to another
-// goroutine from inside dispatch, so the dispatch span must be closed
-// before that send — under -race this test fails if the profiler is
-// touched after the hand-off. The span is still charged once per turn.
+// TestProfilerWithProcessHandoff runs coroutine processes with the
+// phase profiler attached: the dispatch span is charged once per
+// kernel turn, closed when the first woken process resumes, and the
+// test is race-clean.
 func TestProfilerWithProcessHandoff(t *testing.T) {
 	e := New()
 	prof := instr.NewProfiler()

@@ -1,6 +1,9 @@
+//go:build go1.23
+
 package core
 
 import (
+	"iter"
 	"sync"
 
 	"repro/internal/pool"
@@ -8,48 +11,46 @@ import (
 
 // This file is the factory for the pooled process workers: the only
 // place allowed to construct a worker by composite literal, and the
-// only sanctioned goroutine spawn site on kernel paths (simgrid-lint's
-// pool-literal and det-goroutine rules both point here).
+// only place that starts a coroutine (simgrid-lint's pool-literal and
+// det-goroutine rules both point here).
 //
-// A worker is a parked goroutine that lends its stack to one simulated
-// process at a time. Spawning a process costs a fresh goroutine (stack
+// A worker is a parked coroutine that lends its stack to one simulated
+// process at a time. Spawning a process costs a fresh coroutine (stack
 // allocation, GC stack-scan registration) only when the pool is empty;
 // otherwise a scrubbed worker is re-armed, so churn-heavy runs — and
 // runs on a *fresh engine*, since the pool is package-level and
 // outlives any single Engine — stop paying per-spawn stack costs.
-// Build with -tags=nopool to always spawn fresh, single-use goroutines
+// Build with -tags=nopool to always start fresh, single-use coroutines
 // (the reference behaviour the equivalence suite replays against).
-
-// worker is a reusable carrier goroutine for simulated processes. Its
-// resume channel doubles as the process's wake channel for the whole
-// assignment (Process.resume aliases it); proc is the current
-// assignment, nil while parked in the pool.
 //
-// The channel is buffered (capacity 1) so a dispatch never blocks on a
-// worker that is still unwinding its previous process: the kernel turn
-// can run on the dying process's own stack and hand that same worker
-// its next assignment before the worker has looped back to its
-// receive. Sends and receives stay strictly 1:1 per park, so the
-// buffer never holds a stale wake.
+// iter.Pull is Go 1.23 standard library: the build constraint above
+// raises this file's language version past go.mod's 1.21, which the
+// benchmark module's own go.mod (bench/) also declares.
+
+// worker is a reusable carrier coroutine for simulated processes. The
+// kernel loop resumes it with next; its process parks with yield.
+// proc is the current assignment, nil while parked in the pool.
 type worker struct {
-	resume chan error
-	proc   *Process
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	proc  *Process
 }
 
 // workerPool is the package-level free list of parked workers, shared
 // across engines (a simulation binary typically builds many short
 // engines over its life; their processes reuse one stack population).
 // It is the only cross-engine state in the package, hence the only
-// mutex: engines themselves are single-threaded by the kernel token.
+// mutex: each engine resumes its coroutines from its own drive loop.
 var workerPool struct {
 	sync.Mutex
 	free pool.List[*worker]
 }
 
 // maxPooledWorkers bounds the parked population; beyond it, finished
-// workers exit instead of parking (their stacks are returned to the
-// runtime). The bound exists to cap memory after a one-off spike of
-// concurrent processes, not to size steady state.
+// workers are stopped instead of parking (their stacks are returned to
+// the runtime). The bound exists to cap memory after a one-off spike
+// of concurrent processes, not to size steady state.
 const maxPooledWorkers = 1 << 15
 
 // grabWorker returns a parked worker, or nil when the pool is empty or
@@ -61,52 +62,57 @@ func grabWorker() *worker {
 	return w
 }
 
-// releaseWorker scrubs the worker and parks it in the pool, reporting
-// whether it was retained (false: the caller's loop must exit and let
-// the goroutine die). The caller guarantees the worker's process is
-// terminated and its resume channel drained — dispatch sends exactly
-// one wake per park and the worker consumed the last one to get here.
-func releaseWorker(w *worker) bool {
+// recycleWorker scrubs a worker whose process has terminated and parks
+// it in the pool, or stops its coroutine when the pool declines it.
+// The kernel loop calls it as soon as the worker has yielded after its
+// process's end, before anything else runs, so the very next Spawn in
+// program order finds it: fresh-spawn counts are a pure function of
+// the workload. The yield comes first because the pool is shared: once
+// parked there, the worker may be resumed from another engine's loop.
+func recycleWorker(w *worker) {
 	w.proc = nil
 	workerPool.Lock()
-	defer workerPool.Unlock()
 	n := workerPool.free.Len()
 	if n < maxPooledWorkers {
 		workerPool.free.Put(w)
 	}
-	return workerPool.free.Len() > n // Put keeps nothing with pooling off
+	kept := workerPool.free.Len() > n // Put keeps nothing with pooling off
+	workerPool.Unlock()
+	if !kept {
+		w.stop()
+	}
 }
 
 // workerPoolStat reports the shared worker-stack free list's
 // scoreboard: hits are processes that reused a parked stack, misses
-// are grabs that fell through to a fresh goroutine spawn.
+// are grabs that fell through to a fresh coroutine.
 func workerPoolStat() pool.Stat {
 	workerPool.Lock()
 	defer workerPool.Unlock()
 	return workerPool.free.Stat()
 }
 
-// newWorker creates a fresh carrier goroutine — THE goroutine spawn
-// site of the kernel (det-goroutine allowlists exactly this function).
-// The goroutine runs processes assigned to it until releaseWorker
-// declines to retain it.
+// newWorker creates a fresh carrier coroutine — THE place the kernel
+// starts one (det-goroutine admits iter.Pull in this function only) — and
+// runs it to its first park, so the coroutine is fully built at Spawn
+// time. Its body runs the processes assigned to it until
+// recycleWorker stops it.
 func newWorker() *worker {
-	w := &worker{resume: make(chan error, 1)} //lint:allow pool-literal a miss spawns a goroutine, and the package-level pool has no engine to own a slab
-	go w.loop()
+	w := &worker{} //lint:allow pool-literal a miss starts a coroutine, and the package-level pool has no engine to own a slab
+	w.next, w.stop = iter.Pull(w.loop)
+	w.next()
 	return w
 }
 
-// loop runs one assigned process per iteration: wait for the first
-// schedule, execute the body, finalize, re-park. The worker repools
-// itself BEFORE handing the kernel token on, so the very next Spawn in
-// program order — even one issued by the kernel turn running on this
-// worker's own dying stack — deterministically finds it: fresh-spawn
-// counts are a pure function of the workload, not of goroutine timing.
-func (w *worker) loop() {
-	for {
-		err := <-w.resume // first schedule of the current assignment
+// loop parks between assignments at the top of each iteration; the
+// first resume of an assignment runs its process's body, then
+// finalizes it. A stop while parked ends the coroutine.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for yield(struct{}{}) {
 		p := w.proc
 		e := p.engine
+		err := p.wakeErr
 		if err == nil && p.killed {
 			err = ErrKilled // killed before it ever ran
 		}
@@ -116,12 +122,5 @@ func (w *worker) loop() {
 			p.err = err
 		}
 		e.terminate(p)
-		recycled := releaseWorker(w)
-		// The dying process passes the kernel token on itself (self is
-		// nil: a Done process is never re-scheduled).
-		e.releaseToken(nil)
-		if !recycled {
-			return
-		}
 	}
 }

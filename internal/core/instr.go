@@ -21,9 +21,8 @@ func (e *Engine) SetProfiler(p *instr.Profiler) { e.prof = p }
 func (e *Engine) Profiler() *instr.Profiler { return e.prof }
 
 // endDispatchSpan charges the kernel turn's dispatch phase to the
-// profiler. dispatch calls it on every exit and BEFORE the hand-off
-// send: once another goroutine holds the token, this one may touch
-// neither the engine nor the profiler.
+// profiler: the span from the end of the timer sweep to the first
+// process resumed (or the empty queue), process bodies excluded.
 func (e *Engine) endDispatchSpan() {
 	if !e.dispatchT0.IsZero() {
 		e.prof.End(instr.PhaseDispatch, e.dispatchT0)

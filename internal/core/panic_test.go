@@ -105,3 +105,25 @@ func TestPanicWithoutContainmentStillFatal(t *testing.T) {
 		t.Errorf("fatal panic must not be collected in Panics: %v", e.Panics())
 	}
 }
+
+// TestKernelPhasePanicUnderRunUntilIdle: a timer panic on an engine
+// with no process is returned by RunUntilIdle as the run's
+// *PanicError, the way Run reports one, instead of escaping as a raw
+// panic.
+func TestKernelPhasePanicUnderRunUntilIdle(t *testing.T) {
+	e := New()
+	e.After(1, func() { panic("kernel bug") })
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("RunUntilIdle panicked: %v", r)
+			}
+		}()
+		err = e.RunUntilIdle()
+	}()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "kernel bug" || pe.PID != 0 {
+		t.Fatalf("RunUntilIdle = %v, want the timer's kernel-phase *PanicError", err)
+	}
+}

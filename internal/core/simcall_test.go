@@ -16,8 +16,8 @@ func (f *fakeActivity) Poll() (bool, error) { return f.done, f.err }
 func (f *fakeActivity) Attach(p *Process)   { f.attached = p }
 
 // TestSleepZeroFastPath pins the fast path: a zero (or negative)
-// duration sleep has nothing to wait for and completes with zero
-// channel round trips, counted by the engine's fast-path counter.
+// duration sleep has nothing to wait for and completes without a
+// yield, counted by the engine's fast-path counter.
 func TestSleepZeroFastPath(t *testing.T) {
 	e := New()
 	e.Spawn("p", nil, func(p *Process) {
@@ -112,7 +112,7 @@ func TestYieldFastPathEmptyQueue(t *testing.T) {
 }
 
 // TestWaitActivityFastPath: waiting on a completed activity returns its
-// outcome inline, with no handoff.
+// outcome inline, with no yield.
 func TestWaitActivityFastPath(t *testing.T) {
 	e := New()
 	sentinel := errors.New("outcome")

@@ -46,9 +46,9 @@ func DefaultConfig() *Config {
 		// their name-building hot paths.
 		HotPkgs: internal("core", "surf", "maxmin", "msg", "simdag"),
 
-		// The only sanctioned goroutine spawn site on kernel paths:
-		// worker creation in the core pool (Engine.Spawn now grabs a
-		// pooled worker and falls back to newWorker).
+		// The only sanctioned spawn sites on kernel paths: coroutine
+		// creation in the core worker factory (Engine.Spawn grabs a
+		// pooled worker and falls back to newWorker's iter.Pull).
 		GoroutineAllow: map[string]bool{
 			"repro/internal/core.newWorker": true,
 			// Campaign fanout workers in the sweep harness: host-side
@@ -76,7 +76,7 @@ func DefaultConfig() *Config {
 			"RemoveVariable": true,
 			"release":        true,
 			"releaseChain":   true,
-			"releaseWorker":  true,
+			"recycleWorker":  true,
 			"poolAction":     true,
 		},
 

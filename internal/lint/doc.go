@@ -10,7 +10,7 @@
 //
 //	det-maprange            no range over a map on a simulation path
 //	det-wallclock           no time.Now / global math/rand in simulation packages
-//	det-goroutine           no go statements outside approved spawn sites
+//	det-goroutine           no go statements or iter.Pull outside approved spawn sites
 //	pool-literal            pooled types registered, and only scrubbed by literal in their factories
 //	pool-use-after-release  no reads of an object after it was released
 //	simcall-in-handler      Completion handlers cannot reach blocking simcalls

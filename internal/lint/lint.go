@@ -32,7 +32,8 @@ type Config struct {
 	// converted to concatenation.
 	HotPkgs map[string]bool
 	// GoroutineAllow holds types.Func.FullName()s of the approved spawn
-	// sites; go statements anywhere else in DetPkgs are findings.
+	// sites; go statements and iter.Pull/Pull2 references anywhere else
+	// in DetPkgs are findings.
 	GoroutineAllow map[string]bool
 	// PooledTypes maps a qualified type name ("pkg/path.Type") to the
 	// base names of its factory files — the only files allowed to

@@ -68,6 +68,7 @@ func TestDetGoroutineFixture(t *testing.T) {
 	p := fixture(t, "detgoroutine")
 	cfg := FixtureConfig()
 	cfg.GoroutineAllow[p.Path+".Spawn"] = true
+	cfg.GoroutineAllow[p.Path+".start"] = true
 	Check(t, p, cfg, "det-goroutine")
 }
 

@@ -91,10 +91,12 @@ func runWallclock(p *Package, cfg *Config) []Finding {
 	return out
 }
 
-// runGoroutine flags go statements whose enclosing function is not an
-// approved spawn site: kernel paths are goroutine-free by contract
-// (the processless SimDag/RunUntilIdle design), and every sanctioned
-// spawn site is named in the allowlist or carries an allow annotation.
+// runGoroutine flags go statements, and references to iter.Pull or
+// iter.Pull2 (a coroutine is a goroutine its caller switches to),
+// whose enclosing function is not an approved spawn site: kernel paths
+// are goroutine-free by contract (the processless SimDag/RunUntilIdle
+// design), and every sanctioned spawn site is named in the allowlist
+// or carries an allow annotation.
 func runGoroutine(p *Package, cfg *Config) []Finding {
 	if !inScope(cfg.DetPkgs, p.Path) {
 		return nil
@@ -102,12 +104,20 @@ func runGoroutine(p *Package, cfg *Config) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
+			what := "go statement"
+			switch n := n.(type) {
+			case *ast.GoStmt:
+			case *ast.SelectorExpr:
+				fn, ok := p.Info.Uses[n.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "iter" || (fn.Name() != "Pull" && fn.Name() != "Pull2") {
+					return true
+				}
+				what = "iter." + fn.Name()
+			default:
 				return true
 			}
 			where := "package scope"
-			if fd := enclosingFunc(p, f, gs.Pos()); fd != nil {
+			if fd := enclosingFunc(p, f, n.Pos()); fd != nil {
 				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
 					if cfg.GoroutineAllow[fn.FullName()] {
 						return true
@@ -116,9 +126,9 @@ func runGoroutine(p *Package, cfg *Config) []Finding {
 				}
 			}
 			out = append(out, Finding{
-				Pos:  p.Fset.Position(gs.Pos()),
+				Pos:  p.Fset.Position(n.Pos()),
 				Rule: "det-goroutine",
-				Msg:  fmt.Sprintf("go statement in %s is not an approved spawn site: kernel paths must not spawn goroutines", where),
+				Msg:  fmt.Sprintf("%s in %s is not an approved spawn site: kernel paths must not spawn goroutines", what, where),
 			})
 			return true
 		})

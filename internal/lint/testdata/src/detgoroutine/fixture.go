@@ -1,6 +1,7 @@
-// Fixture for det-goroutine: go statements are findings unless the
-// enclosing function is on the approved spawn-site allowlist (the test
-// config approves Spawn below).
+// Fixture for det-goroutine: go statements, and iter.Pull/Pull2
+// references (pull.go), are findings unless the enclosing function is
+// on the approved spawn-site allowlist (the test config approves Spawn
+// below and start in pull.go).
 package detgoroutine
 
 func work() {}

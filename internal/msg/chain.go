@@ -8,7 +8,7 @@ package msg
 // in kernel context: each step arms a surf action (or a timer, or a
 // rendezvous record) through the exact same fast paths the goroutine
 // API uses, and the completion callback advances the program counter
-// and runs the next step. No goroutine, no stack, no channel handoff —
+// and runs the next step. No coroutine, no stack, no switch —
 // a chain's entire kernel-visible behaviour (rendezvous matching,
 // action ordering, activity trace, kill/restart semantics) is
 // indistinguishable from the equivalent goroutine process, which the

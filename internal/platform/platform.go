@@ -22,7 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/pool"
 	"repro/internal/trace"
@@ -347,7 +348,7 @@ func (p *Platform) Hosts() []*Host {
 	for _, h := range p.hosts {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Host) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -357,7 +358,7 @@ func (p *Platform) Links() []*Link {
 	for _, l := range p.links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Link) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -367,7 +368,7 @@ func (p *Platform) Routers() []string {
 	for r := range p.routers {
 		out = append(out, r)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -430,7 +431,7 @@ func (p *Platform) ComputeRoutes() error {
 	for n := range p.routers {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	idx := make(map[string]int, len(names))
 	for i, n := range names {
 		idx[n] = i

@@ -2,7 +2,7 @@
 // chain workload mirrors BenchmarkMSGScaling's pair workload — many
 // disjoint host pairs, alternating compute and transfer — so ns/task
 // here is directly comparable to ns/activity there, minus the process
-// goroutines, channel handoffs and mailbox bookkeeping the DAG path
+// coroutines, their switches and mailbox bookkeeping the DAG path
 // never pays.
 package simdag
 

@@ -410,7 +410,7 @@ func TestSleepZeroSettlesDueCompletions(t *testing.T) {
 }
 
 // TestCompletedActionWaitFastPath: waiting on an action that already
-// finished is answered inline — zero channel round trips, visible in
+// finished is answered inline — no yield to the kernel loop, visible in
 // the kernel's fast-path counter.
 func TestCompletedActionWaitFastPath(t *testing.T) {
 	pf := lockstepPlatform(t, 1)

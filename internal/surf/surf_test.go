@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,6 +76,42 @@ func TestExecuteDuration(t *testing.T) {
 	}
 	if !approx(doneAt, 2, 1e-9) {
 		t.Errorf("done at %g, want 2", doneAt)
+	}
+}
+
+// stackRecorder is a Completion handler that records the stack it runs
+// on.
+type stackRecorder struct{ stack string }
+
+func (r *stackRecorder) ActionDone(*Action, error) {
+	buf := make([]byte, 64<<10)
+	r.stack = string(buf[:runtime.Stack(buf, false)])
+}
+
+// TestCompletionRunsOffProcessStacks: a completion handler runs in the
+// kernel turn, on the drive loop's stack, not on the coroutine of the
+// process whose park ended the round.
+func TestCompletionRunsOffProcessStacks(t *testing.T) {
+	e := core.New()
+	m := New(e, testPlatform(t), exactCfg())
+	rec := &stackRecorder{}
+	e.Spawn("p", nil, func(p *core.Process) {
+		a, err := execute(m, "h1", 1e9, 1)
+		if err != nil {
+			t.Errorf("Execute: %v", err)
+			return
+		}
+		a.SetCompletion(rec)
+		_ = p.Sleep(5) // the action completes while its starter sleeps
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rec.stack == "" {
+		t.Fatal("the completion handler never ran")
+	}
+	if strings.Contains(rec.stack, "runProcessBody") {
+		t.Errorf("completion handler ran on a process stack:\n%s", rec.stack)
 	}
 }
 
