@@ -11,11 +11,11 @@
 // typed simcalls (see simcall.go); a blocking one yields back to the
 // loop, several are answered inline without yielding at all.
 //
-// Resource models (package surf) plug into the engine through the Model
-// interface: the engine asks every model for its next completion time,
+// The resource model (package surf) plugs into the engine through the
+// Model interface: the engine asks it for its next completion time,
 // advances the clock to the earliest event (model completion or timer),
-// fires timers, and lets models complete actions — which wakes the
-// processes blocked on them.
+// lets the model complete its due actions — which wakes the processes
+// blocked on them — and fires due timers.
 package core
 
 import (
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/instr"
+	"repro/internal/simcheck"
 )
 
 // State describes a simulated process's lifecycle stage.
@@ -114,31 +115,15 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("core: process %q (pid %d) panicked: %v", e.Name, e.PID, e.Value) //lint:allow hot-sprintf cold path: formatting a crash diagnostic
 }
 
-// Model is a resource model advancing a set of actions in virtual time.
-//
-// The engine contract: on every scheduling round, NextEventTime is
-// called on each model (after all runnable processes and due timers
-// have run) before the clock advances. It must be a pure query — the
-// engine may additionally poll it mid-round (fast-path eligibility
-// checks such as a zero sleep), so repeated calls at the same instant
-// must be idempotent. AdvanceTo is then invoked — with
-// no intervening process, timer, or model activity — but ONLY on the
-// models whose reported next event time has been reached: a model that
-// answered a time beyond the new clock value is skipped entirely for
-// that step. Models must therefore keep progress bookkeeping lazily
-// (e.g. absolute completion estimates re-derived when rates change, as
-// surf does) rather than relying on AdvanceTo to integrate every
-// elapsed interval. Models may cache state computed in NextEventTime
-// and rely on it in the immediately following AdvanceTo; any engine
-// refactor that decouples the two calls must revisit such caches.
+// Model is the engine's resource model (surf.Model), set by SetModel.
+// Its one rule: NextEventTime runs the lazy solve, and AdvanceTo, when
+// that answer is the next event, follows it with nothing in between.
 type Model interface {
 	// NextEventTime returns the earliest absolute time at which an
-	// action managed by this model completes, or +Inf if none.
+	// action completes, or +Inf if none; idempotent within an instant.
 	NextEventTime(now float64) float64
 	// AdvanceTo completes every action finishing at t, waking its
-	// waiters via Engine.Wake. It is only called for steps with t at
-	// (or, for multi-model engines, past) the model's reported next
-	// event time.
+	// waiters via Engine.Wake. A step a timer ends first skips it.
 	AdvanceTo(now, t float64)
 }
 
@@ -165,10 +150,9 @@ type Process struct {
 
 	// sleepTm is the process's reusable sleep timer: one timer (and one
 	// wake closure) per process for its whole lifetime, re-armed on
-	// every Sleep, instead of a fresh timer allocation per call. Safe
-	// because a process has at most one pending sleep, and its timer
-	// has always fired (leaving the heap) before the next Sleep runs.
-	sleepTm *timer
+	// every Sleep. terminate cancels it, so a killed sleeper's wake
+	// never moves the clock.
+	sleepTm *Timer
 
 	onExit []func(err error)
 	exited bool
@@ -218,57 +202,50 @@ func (p *Process) Err() error { return p.err }
 // report a failed body through it. A later kill or panic overrides it.
 func (p *Process) SetErr(err error) { p.err = err }
 
-// timer is a scheduled callback in the future event set.
-type timer struct {
-	at       float64
-	seq      int64
-	fn       func()
-	canceled bool
-	index    int
-}
-
-// Timer handles a scheduled callback; Cancel prevents it from firing.
+// Timer is a scheduled callback, and itself the entry of the engine's
+// timer heap: only pending timers are in the heap.
 type Timer struct {
-	t   *timer
-	eng *Engine
+	at    float64
+	seq   int64
+	fn    func()
+	index int // heap slot, -1 while not pending
+	eng   *Engine
 }
 
-// Cancel prevents the timer from firing. Safe to call multiple times.
+// Cancel takes a pending timer out of the event set so it never
+// fires. Safe to call on a nil, fired or canceled timer.
 func (t *Timer) Cancel() {
-	if t != nil && t.t != nil {
-		t.t.canceled = true
+	if t != nil && t.index >= 0 {
+		heap.Remove(&t.eng.timers, t.index)
 	}
 }
-
-// Time returns the absolute simulated time the timer fires at.
-func (t *Timer) Time() float64 { return t.t.at }
 
 // Rearm reschedules the timer at absolute time `at` (clamped to the
 // current time if in the past), reusing the same timer and callback: a
 // fired or canceled timer is pushed back into the event set, a still
 // pending one is moved. Periodic drivers (trace events) re-arm one
 // timer from inside its own callback instead of allocating a fresh
-// closure-carrying timer per event.
-func (t *Timer) Rearm(at float64) { t.t.rearm(t.eng, at) }
-
-// rearm is the shared re-arm core, also used by the per-process sleep
-// timer (Process.Sleep).
-func (tm *timer) rearm(e *Engine, at float64) {
+// closure-carrying timer per event. It is the heap's one push site,
+// and panics on a NaN time, which would hide every later timer.
+func (t *Timer) Rearm(at float64) {
+	e := t.eng
+	if math.IsNaN(at) {
+		panic("core: timer armed at NaN")
+	}
 	if at < e.now {
 		at = e.now
 	}
-	tm.at = at
-	tm.seq = e.nextSeq
+	t.at = at
+	t.seq = e.nextSeq
 	e.nextSeq++
-	tm.canceled = false
-	if tm.index >= 0 {
-		heap.Fix(&e.timers, tm.index)
+	if t.index >= 0 {
+		heap.Fix(&e.timers, t.index)
 		return
 	}
-	heap.Push(&e.timers, tm)
+	heap.Push(&e.timers, t)
 }
 
-type timerHeap []*timer
+type timerHeap []*Timer
 
 func (h timerHeap) Len() int { return len(h) }
 func (h timerHeap) Less(i, j int) bool {
@@ -283,7 +260,7 @@ func (h timerHeap) Swap(i, j int) {
 	h[j].index = j
 }
 func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
+	t := x.(*Timer)
 	t.index = len(*h)
 	*h = append(*h, t)
 }
@@ -297,26 +274,36 @@ func (h *timerHeap) Pop() any {
 	return t
 }
 
+// check is the check build's audit of the heap, run every kernel turn:
+// each entry's index matches its slot, no key is NaN, and the top is
+// the linear (at, seq) minimum.
+func (h timerHeap) check() {
+	for i, t := range h {
+		if t.index != i || math.IsNaN(t.at) || h.Less(i, 0) {
+			panic(fmt.Sprintf("core: timer heap broken at slot %d (index %d, at %g)", i, t.index, t.at)) //lint:allow hot-sprintf cold path: check-build diagnostic, the run is over
+		}
+	}
+}
+
 // Engine is the simulation kernel. Create one with New, spawn processes,
-// register models, then call Run.
+// set the model, then call Run.
 type Engine struct {
 	now     float64
 	procs   map[int]*Process
 	runQ    []*Process
 	runHead int // drain cursor into runQ (in-place queue reuse)
 	timers  timerHeap
-	models  []Model
+	model   Model
 	nextPID int
 	nextSeq int64
 	current *Process
 	stats   SimcallStats
 
-	modelNext []float64 // per-model next event time, filled each round
-	live      int       // non-daemon processes (and external entities) not yet Done
-	liveAll   int       // all processes not yet Done
-	goSpawns  int       // fresh carrier coroutines created for this engine
-	goLive    int       // processes currently backed by a coroutine (not Done)
-	goPeak    int       // high-water mark of goLive
+	live      int // non-daemon processes (and external entities) not yet Done
+	liveAll   int // all processes not yet Done
+	goSpawns  int // fresh carrier coroutines created for this engine
+	goLive    int // processes currently backed by a coroutine (not Done)
+	goPeak    int // high-water mark of goLive
 	fatal     error
 	running   bool
 	stopErr   error // deadlock error recorded by the kernel turn
@@ -365,8 +352,8 @@ func New() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// AddModel registers a resource model with the engine.
-func (e *Engine) AddModel(m Model) { e.models = append(e.models, m) }
+// SetModel sets the engine's resource model, replacing any earlier one.
+func (e *Engine) SetModel(m Model) { e.model = m }
 
 // Current returns the currently executing process, or nil when called
 // from kernel context (timer callbacks, model completion).
@@ -465,6 +452,7 @@ func runProcessBody(e *Engine, p *Process) {
 // coroutine.
 func (e *Engine) terminate(p *Process) {
 	p.state = Done
+	p.sleepTm.Cancel()
 	if !p.exited {
 		p.exited = true
 		if !p.daemon {
@@ -482,13 +470,9 @@ func (e *Engine) terminate(p *Process) {
 // At schedules fn to run in kernel context at absolute virtual time t
 // (clamped to the current time if in the past).
 func (e *Engine) At(t float64, fn func()) *Timer {
-	if t < e.now {
-		t = e.now
-	}
-	tm := &timer{at: t, seq: e.nextSeq, fn: fn}
-	e.nextSeq++
-	heap.Push(&e.timers, tm)
-	return &Timer{t: tm, eng: e}
+	tm := &Timer{fn: fn, index: -1, eng: e}
+	tm.Rearm(t)
+	return tm
 }
 
 // After schedules fn to run d seconds from now.
@@ -709,27 +693,18 @@ func (e *Engine) kernelTurn() bool {
 		return false
 	}
 
-	// Phase 2: find the next event. Each model's answer is kept so
-	// phase 3 can skip the models with nothing due at the new time.
-	// Model.NextEventTime triggers the lazy maxmin solve, so this
-	// is the profiler's "solve" phase.
+	// Phase 2: find the next event. Model.NextEventTime triggers the
+	// lazy maxmin solve, so this is the profiler's "solve" phase.
 	t0 := e.prof.Begin()
-	next := math.Inf(1)
-	if cap(e.modelNext) < len(e.models) {
-		e.modelNext = make([]float64, len(e.models))
-	}
-	modelNext := e.modelNext[:len(e.models)]
-	for i, m := range e.models {
-		t := m.NextEventTime(e.now)
-		modelNext[i] = t
-		if t < next {
-			next = t
-		}
+	modelAt := math.Inf(1)
+	if e.model != nil {
+		modelAt = e.model.NextEventTime(e.now)
 	}
 	e.prof.End(instr.PhaseSolve, t0)
-	for len(e.timers) > 0 && e.timers[0].canceled {
-		heap.Pop(&e.timers)
+	if simcheck.On {
+		e.timers.check()
 	}
+	next := modelAt
 	if len(e.timers) > e.timerPeak {
 		e.timerPeak = len(e.timers)
 	}
@@ -765,27 +740,19 @@ func (e *Engine) kernelTurn() bool {
 	}
 
 	// Phase 3: advance the clock and fire everything due at `next`.
-	// Models complete their due actions first (progress bookkeeping
-	// is lazy, see Model); only then do timers fire, so trace-driven
-	// capacity changes at `next` never apply retroactively to
-	// [prev, next]. Models whose earliest event lies beyond the new
-	// time have nothing due and are not polled at all — with lazy
-	// bookkeeping a skipped step costs them literally nothing.
+	// The model completes its due actions first, and only when it has
+	// one due; only then do timers fire, so trace-driven capacity
+	// changes at `next` never apply retroactively to [prev, next].
 	prev := e.now
 	e.now = next
 	t0 = e.prof.Begin()
-	for i, m := range e.models {
-		if modelNext[i] <= e.now {
-			m.AdvanceTo(prev, e.now)
-		}
+	if modelAt <= e.now {
+		e.model.AdvanceTo(prev, e.now)
 	}
 	e.prof.End(instr.PhaseAdvance, t0)
 	t0 = e.prof.Begin()
 	for len(e.timers) > 0 && e.timers[0].at <= e.now {
-		tm := heap.Pop(&e.timers).(*timer)
-		if !tm.canceled {
-			tm.fn()
-		}
+		heap.Pop(&e.timers).(*Timer).fn()
 	}
 	e.prof.End(instr.PhaseSweep, t0)
 

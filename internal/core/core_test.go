@@ -270,6 +270,54 @@ func TestKillBlockedProcess(t *testing.T) {
 	}
 }
 
+// TestKilledSleeperLeavesClock: a killed sleeper's timer goes with it,
+// so the clock stops at the kill, both under Run (the killer's
+// deadlock is reported at t=1) and under RunUntilIdle.
+func TestKilledSleeperLeavesClock(t *testing.T) {
+	e := New()
+	sleeper := e.Spawn("sleeper", nil, func(p *Process) { p.Sleep(100) })
+	e.Spawn("killer", nil, func(p *Process) {
+		p.Sleep(1)
+		sleeper.Kill()
+		p.Block()
+	})
+	var dl *DeadlockError
+	if err := e.Run(); !errors.As(err, &dl) || e.Now() != 1 {
+		t.Errorf("Run = %v at t=%g, want the killer's deadlock at t=1", err, e.Now())
+	}
+
+	e = New()
+	sleeper = e.Spawn("sleeper", nil, func(p *Process) { p.Sleep(100) })
+	e.At(1, sleeper.Kill)
+	if err := e.RunUntilIdle(); err != nil || e.Now() != 1 {
+		t.Errorf("RunUntilIdle = %v at t=%g, want nil at t=1", err, e.Now())
+	}
+}
+
+// TestSleepNaNFailsSleeper: a NaN wake time would hide every timer
+// behind it in the heap; the sleep panics instead, failing only the
+// sleeper, and the other process still wakes at t=1.
+func TestSleepNaNFailsSleeper(t *testing.T) {
+	e := New()
+	e.ContainPanics = true
+	bad := e.Spawn("bad", nil, func(p *Process) { p.Sleep(math.NaN()) })
+	var wokeAt float64
+	e.Spawn("good", nil, func(p *Process) {
+		p.Sleep(1)
+		wokeAt = e.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var pe *PanicError
+	if !errors.As(bad.Err(), &pe) {
+		t.Errorf("bad.Err() = %v, want a *PanicError", bad.Err())
+	}
+	if wokeAt != 1 {
+		t.Errorf("good woke at %g, want 1", wokeAt)
+	}
+}
+
 func TestKillSelf(t *testing.T) {
 	e := New()
 	after := false
@@ -558,7 +606,7 @@ func TestModelAdvanceSkippedWhenNotDue(t *testing.T) {
 	var waiter *Process
 	m := &fakeModel{completeAt: 10}
 	m.onComplete = func() { e.Wake(waiter, nil) }
-	e.AddModel(m)
+	e.SetModel(m)
 	var timerFired []float64
 	e.At(2, func() { timerFired = append(timerFired, e.Now()) })
 	e.At(5, func() { timerFired = append(timerFired, e.Now()) })
@@ -583,7 +631,7 @@ func TestModelDrivesCompletion(t *testing.T) {
 	var wokeAt float64
 	m := &fakeModel{completeAt: 4}
 	m.onComplete = func() { e.Wake(waiter, nil) }
-	e.AddModel(m)
+	e.SetModel(m)
 	e.Spawn("w", nil, func(p *Process) {
 		waiter = p
 		p.Block()

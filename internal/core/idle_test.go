@@ -37,7 +37,7 @@ func TestRunUntilIdleNoProcesses(t *testing.T) {
 	var completed []float64
 	m := &seqModel{completeAts: []float64{1, 3, 7}}
 	m.onComplete = func(i int) { completed = append(completed, e.Now()) }
-	e.AddModel(m)
+	e.SetModel(m)
 	var timerAt float64
 	e.At(5, func() { timerAt = e.Now() })
 	if err := e.RunUntilIdle(); err != nil {
@@ -70,7 +70,7 @@ func TestRunUntilIdleStopResume(t *testing.T) {
 			e.Stop() // watch point on the second completion
 		}
 	}
-	e.AddModel(m)
+	e.SetModel(m)
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatalf("first RunUntilIdle: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestRunUntilIdleMaxTime(t *testing.T) {
 	e := New()
 	m := &seqModel{completeAts: []float64{10}}
 	m.onComplete = func(int) {}
-	e.AddModel(m)
+	e.SetModel(m)
 	e.MaxTime = 4
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)

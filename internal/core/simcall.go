@@ -211,25 +211,18 @@ func (e *Engine) quiescentAt() bool {
 	if e.runHead < len(e.runQ) {
 		return false
 	}
-	if len(e.timers) > 0 && !e.timers[0].canceled && e.timers[0].at <= e.now {
+	if len(e.timers) > 0 && e.timers[0].at <= e.now {
 		return false
 	}
-	for _, m := range e.models {
-		if m.NextEventTime(e.now) <= e.now {
-			return false
-		}
-	}
-	return true
+	return e.model == nil || e.model.NextEventTime(e.now) > e.now
 }
 
 // Sleep blocks the process for d virtual seconds. A non-positive
-// duration with nothing else scheduled at this instant is the fast
-// path: there is nothing to wait for, so Sleep returns inline without
-// a scheduler round trip. When anything else is due now — a runnable
-// process, a timer, a model completion — a zero sleep still yields,
-// exactly like before: the instant fully settles before Sleep returns,
-// and a zero-sleep polling loop cannot starve the rest of the
-// simulation.
+// duration with nothing else due at this instant — no runnable
+// process, timer or model completion — is the fast path and returns
+// inline; otherwise a zero sleep still yields, so the instant settles
+// first and a zero-sleep polling loop cannot starve the simulation.
+// A NaN duration panics: it is this process's failure.
 func (p *Process) Sleep(d float64) error {
 	e := p.engine
 	if d <= 0 {
@@ -242,16 +235,11 @@ func (p *Process) Sleep(d float64) error {
 		}
 		d = 0
 	}
-	// One reusable timer per process: a process has at most one pending
-	// sleep, and the previous sleep's timer has necessarily fired (and
-	// left the heap) before this call runs, so re-arming is normally a
-	// fresh push (rearm moves a still-armed timer, e.g. after an early
-	// wake). A sleep aborted by Kill leaves the timer armed; its
-	// eventual firing wakes a Done process, which is a no-op.
+	// Rearm moves the timer if an early Wake left it armed.
 	if p.sleepTm == nil {
-		p.sleepTm = &timer{index: -1, fn: func() { e.Wake(p, nil) }}
+		p.sleepTm = &Timer{index: -1, eng: e, fn: func() { e.Wake(p, nil) }}
 	}
-	p.sleepTm.rearm(e, e.now+d)
+	p.sleepTm.Rearm(e.now + d)
 	return p.blockOn(SimcallSleep)
 }
 

@@ -40,6 +40,25 @@ func TestSleepZeroFastPath(t *testing.T) {
 	}
 }
 
+// TestSleepZeroSeesTimerBehindCanceled: a canceled timer ahead of a
+// live one due now must not let a zero sleep take the fast path; the
+// live timer fires before Sleep returns.
+func TestSleepZeroSeesTimerBehindCanceled(t *testing.T) {
+	e := New()
+	fired := false
+	e.Spawn("p", nil, func(p *Process) {
+		e.At(e.Now(), func() {}).Cancel()
+		e.At(e.Now(), func() { fired = true })
+		p.Sleep(0)
+		if !fired {
+			t.Error("Sleep(0) returned before the timer due now fired")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // TestSleepZeroYieldsWhenOthersRunnable documents the fast-path guard:
 // a zero sleep is only answered inline when nobody else is schedulable
 // at this instant — with another runnable process it still yields (the

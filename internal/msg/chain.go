@@ -488,9 +488,7 @@ func (c *ChainProc) kill(err error) {
 		c.rec = nil
 		c.env.abandon(c.box, r)
 	}
-	if c.sleepTimer != nil {
-		c.sleepTimer.Cancel()
-	}
+	c.sleepTimer.Cancel()
 	c.teardown(err) // closes the open activity interval, if any
 }
 

@@ -4,8 +4,9 @@
 // -tags=simcheck (or go run -tags=simcheck) compiles into the kernel
 // the invariant checks a normal build leaves out. Each check sits
 // behind the constant On, so the default build carries no trace of it.
-// Today the one member is maxmin's fairness certificate, run on the
-// whole system after every Solve.
+// Today there are two: maxmin's fairness certificate, run on the whole
+// system after every Solve, and core's timer-heap audit, run every
+// kernel turn.
 package simcheck
 
 // On reports whether the check build is compiled in.

@@ -20,11 +20,11 @@ import (
 // (popMin against collectDue's DFS) differs.
 type perPopModel struct{ *Model }
 
-// newPerPop is New with the reference AdvanceTo registered in place of
-// the model's own.
+// newPerPop is New with the reference AdvanceTo set in place of the
+// model's own.
 func newPerPop(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
-	m := build(eng, pf, cfg)
-	eng.AddModel(perPopModel{m})
+	m := New(eng, pf, cfg)
+	eng.SetModel(perPopModel{m})
 	return m
 }
 

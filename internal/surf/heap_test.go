@@ -76,8 +76,8 @@ func TestActionHeapOps(t *testing.T) {
 	}
 }
 
-// heapChecker is a second core.Model registered behind the surf model.
-// On every engine round it forces a linear rescan of all in-flight
+// heapChecker wraps the surf model as the engine's core.Model. On
+// every engine round it forces a linear rescan of all in-flight
 // actions and asserts that the heap-based NextEventTime returned the
 // identical event time; after each AdvanceTo it asserts that exactly
 // the actions a linear sweep would have completed (or moved to the
@@ -99,6 +99,7 @@ type heapSnap struct {
 
 func (hc *heapChecker) NextEventTime(now float64) float64 {
 	t, m := hc.t, hc.m
+	next := m.NextEventTime(now)
 	// Heap invariant and index bookkeeping.
 	for i, e := range m.heap {
 		a := e.a
@@ -124,12 +125,8 @@ func (hc *heapChecker) NextEventTime(now float64) float64 {
 			min = k
 		}
 	}
-	heapMin := math.Inf(1)
-	if len(m.heap) > 0 {
-		heapMin = m.heap[0].key
-	}
-	if heapMin != min {
-		t.Fatalf("t=%g: heap NextEventTime %g, linear rescan %g", now, heapMin, min)
+	if next != min {
+		t.Fatalf("t=%g: heap NextEventTime %g, linear rescan %g", now, next, min)
 	}
 	// Snapshot the pre-sweep state; nothing can mutate actions between
 	// this call and AdvanceTo (engine contract).
@@ -139,13 +136,13 @@ func (hc *heapChecker) NextEventTime(now float64) float64 {
 		hc.snapshot = append(hc.snapshot, heapSnap{a: a, latUntil: a.latUntil, estFinish: a.estFinish})
 	}
 	hc.checks++
-	return min
+	return next
 }
 
 func (hc *heapChecker) AdvanceTo(now, t float64) {
-	// Runs right after the surf model's AdvanceTo (same registration
-	// order): compare against what a linear sweep of the snapshot would
-	// have done at time t.
+	// Run the surf model's AdvanceTo, then compare against what a
+	// linear sweep of the snapshot would have done at time t.
+	hc.m.AdvanceTo(now, t)
 	for _, s := range hc.snapshot {
 		expectComplete := s.latUntil <= 0 && s.estFinish <= t+1e-12*(1+t)
 		expectLatEnd := s.latUntil > 0 && t >= s.latUntil-eps
@@ -180,7 +177,7 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 	eng := core.New()
 	m := New(eng, pf, DefaultConfig())
 	hc := &heapChecker{t: t, m: m}
-	eng.AddModel(hc)
+	eng.SetModel(hc)
 
 	hosts := pf.Hosts()
 	links := pf.Links()

@@ -289,7 +289,7 @@ func (a *Action) effWeight() float64 {
 
 // SetPriority changes the action's MaxMin sharing weight.
 func (a *Action) SetPriority(w float64) {
-	if a.done || w <= 0 {
+	if a.done || !(w > 0) { // NaN too
 		return
 	}
 	a.priority = w
@@ -429,17 +429,9 @@ type Model struct {
 	heapPeak int
 }
 
-// New builds the resource model for a platform, registering it with the
-// engine and scheduling all trace events.
+// New builds the resource model for a platform, setting it as the
+// engine's model and scheduling all trace events.
 func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
-	m := build(eng, pf, cfg)
-	eng.AddModel(m)
-	return m
-}
-
-// build is New short of the engine registration, so the per-pop
-// reference model (batch_test.go) can register its own AdvanceTo.
-func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 	if cfg.BandwidthFactor <= 0 {
 		cfg.BandwidthFactor = 1
 	}
@@ -500,6 +492,7 @@ func build(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 			m.links[l.Name] = mk(l.Name)
 		}
 	}
+	eng.SetModel(m)
 	return m
 }
 
@@ -553,14 +546,18 @@ func (m *Model) HostHandle(name string) *HostHandle {
 }
 
 // ExecuteHandle starts a computation of the given amount of flops on
-// the host of a placement handle; an unknown host's nil handle is
+// the host of a placement handle; an unknown host's nil handle and a
+// NaN amount, which would hide every later event in the heap, are
 // refused.
 func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, error) {
 	if h == nil || h.cnst == nil {
 		return nil, fmt.Errorf("surf: nil host handle")
 	}
+	if math.IsNaN(flops) {
+		return nil, fmt.Errorf("surf: NaN amount")
+	}
 	r := (*resource)(h)
-	if priority <= 0 {
+	if !(priority > 0) { // NaN too
 		priority = 1
 	}
 	a := m.newAction(ActionCompute, r.execName)
@@ -648,10 +645,13 @@ func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 // shares bandwidth on every crossed link (the traversed direction only,
 // for split-duplex links), bounded by the TCP window cap. A kept handle
 // costs one generation compare; one that outlived a topology mutation
-// refreshes itself from the current entry.
+// refreshes itself from the current entry. A NaN amount is refused.
 func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error) {
 	if h == nil {
 		return nil, fmt.Errorf("surf: nil route handle")
+	}
+	if math.IsNaN(bytes) {
+		return nil, fmt.Errorf("surf: NaN amount")
 	}
 	if h.gen != m.pf.Generation() {
 		cur, err := m.RouteHandle(h.route.Src, h.route.Dst)

@@ -179,6 +179,37 @@ func TestPriorityGetsBiggerShare(t *testing.T) {
 	}
 }
 
+// TestNaNRefused: a NaN key would hide every later event in the
+// action heap, so a NaN amount is refused and a NaN priority counts as
+// a non-positive one; the execution on h2 still ends on time.
+func TestNaNRefused(t *testing.T) {
+	e := core.New()
+	m := New(e, testPlatform(t), exactCfg())
+	var doneAt float64
+	e.Spawn("p", nil, func(p *core.Process) {
+		if _, err := execute(m, "h1", math.NaN(), 1); err == nil {
+			t.Error("Execute of NaN flops accepted")
+		}
+		if _, err := communicate(m, "h1", "h2", math.NaN()); err == nil {
+			t.Error("Communicate of NaN bytes accepted")
+		}
+		a, err := execute(m, "h2", 1e9, math.NaN()) // 1 Gflop on 2 Gflop/s
+		if err != nil {
+			t.Errorf("Execute: %v", err)
+			return
+		}
+		a.SetPriority(math.NaN())
+		a.Wait(p)
+		doneAt = e.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !approx(doneAt, 0.5, 1e-9) {
+		t.Errorf("finished at %g, want 0.5", doneAt)
+	}
+}
+
 func TestCommunicateLatencyPlusBandwidth(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
