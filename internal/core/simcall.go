@@ -3,13 +3,13 @@
 //
 // Every way a process can yield control is a *typed* simcall issued
 // through a single entry point, so the kernel sees what the process
-// wants (wait for an activity, sleep, yield, suspend, mailbox send or
+// wants (wait for an action, sleep, yield, suspend, mailbox send or
 // receive) instead of an opaque block. That buys three things:
 //
 //   - a synchronous fast path: simcalls whose answer is already known
-//     in kernel state (zero-duration sleeps, already-completed
-//     activities, non-blocking tests, a yield with an empty run queue)
-//     return inline without leaving the process's coroutine;
+//     in kernel state (zero-duration sleeps, waits on finished
+//     actions, a yield with an empty run queue) return inline without
+//     leaving the process's coroutine;
 //   - one slow path: every other simcall parks the process, a yield
 //     back to the kernel loop (Engine.drive), which resumes it once a
 //     wake has queued it again;
@@ -31,7 +31,7 @@ const (
 	SimcallNone SimcallKind = iota
 	// SimcallWait is a generic block until an external Engine.Wake.
 	SimcallWait
-	// SimcallWaitActivity blocks until an Activity completes.
+	// SimcallWaitActivity blocks until a surf action completes.
 	SimcallWaitActivity
 	// SimcallSleep blocks until a timer fires.
 	SimcallSleep
@@ -71,8 +71,8 @@ func (k SimcallKind) String() string {
 // SimcallStats counts simcall dispositions since engine creation.
 type SimcallStats struct {
 	// Fast counts simcalls answered inline, without a yield to the
-	// kernel loop (completed-activity waits, zero sleeps, empty-queue
-	// yields, non-blocking tests).
+	// kernel loop (finished-action waits, zero sleeps, empty-queue
+	// yields).
 	Fast uint64
 	// Slow counts simcalls that parked the caller: each is one yield
 	// to the kernel loop and one resume.
@@ -86,20 +86,6 @@ func (e *Engine) SimcallStats() SimcallStats { return e.stats }
 // (SimcallNone while it runs). For a process made Runnable but not yet
 // rescheduled it still names the call it is about to return from.
 func (p *Process) Simcall() SimcallKind { return p.call }
-
-// Activity is an asynchronous operation a process can block on through
-// the typed wait-activity simcall (surf.Action is the canonical
-// implementation). The kernel needs only completion polling — the fast
-// path — and waiter registration; the activity's owner delivers the
-// completion through Engine.Wake.
-type Activity interface {
-	// Poll reports whether the activity already completed and, if so,
-	// its outcome. It must not block or mutate simulation state.
-	Poll() (done bool, err error)
-	// Attach registers p as the process to wake at completion. The
-	// kernel calls it only after Poll returned false.
-	Attach(p *Process)
-}
 
 // dispatch resumes the runnable processes in run-queue order, each
 // until it parks or ends, until the queue is empty or a fatal error
@@ -180,28 +166,9 @@ func (p *Process) BlockOn(kind SimcallKind) error {
 	return p.blockOn(kind)
 }
 
-// WaitActivity blocks the process until the activity completes and
-// returns its outcome. An activity that already completed is the fast
-// path: its outcome is returned inline, without a yield.
-func (p *Process) WaitActivity(a Activity) error {
-	if done, err := a.Poll(); done {
-		if p.engine.current == p {
-			p.engine.stats.Fast++
-		}
-		return err
-	}
-	a.Attach(p)
-	return p.blockOn(SimcallWaitActivity)
-}
-
-// TestActivity is the non-blocking completion probe: it reports whether
-// the activity completed (and its outcome) without ever yielding —
-// always a fast-path simcall.
-func (p *Process) TestActivity(a Activity) (done bool, err error) {
-	done, err = a.Poll()
-	p.engine.stats.Fast++
-	return done, err
-}
+// FastSimcall counts a simcall answered inline by an upper layer, with
+// no yield (surf's Wait on a finished action).
+func (p *Process) FastSimcall() { p.engine.stats.Fast++ }
 
 // quiescentAt reports whether nothing else can happen at the current
 // instant: no runnable process, no timer due now, and no model event

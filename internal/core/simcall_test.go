@@ -5,16 +5,6 @@ import (
 	"testing"
 )
 
-// fakeActivity implements Activity for fast/slow path tests.
-type fakeActivity struct {
-	done     bool
-	err      error
-	attached *Process
-}
-
-func (f *fakeActivity) Poll() (bool, error) { return f.done, f.err }
-func (f *fakeActivity) Attach(p *Process)   { f.attached = p }
-
 // TestSleepZeroFastPath pins the fast path: a zero (or negative)
 // duration sleep has nothing to wait for and completes without a
 // yield, counted by the engine's fast-path counter.
@@ -123,78 +113,6 @@ func TestYieldFastPathEmptyQueue(t *testing.T) {
 		}
 		if st.Slow != 0 {
 			t.Errorf("Slow = %d, want 0", st.Slow)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-// TestWaitActivityFastPath: waiting on a completed activity returns its
-// outcome inline, with no yield.
-func TestWaitActivityFastPath(t *testing.T) {
-	e := New()
-	sentinel := errors.New("outcome")
-	e.Spawn("p", nil, func(p *Process) {
-		a := &fakeActivity{done: true, err: sentinel}
-		if err := p.WaitActivity(a); err != sentinel {
-			t.Errorf("WaitActivity = %v, want sentinel", err)
-		}
-		if a.attached != nil {
-			t.Error("fast path attached a waiter")
-		}
-		st := e.SimcallStats()
-		if st.Fast != 1 || st.Slow != 0 {
-			t.Errorf("stats = %+v, want Fast=1 Slow=0", st)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-// TestWaitActivitySlowPath: a pending activity parks the caller (one
-// slow simcall) until its owner wakes it.
-func TestWaitActivitySlowPath(t *testing.T) {
-	e := New()
-	a := &fakeActivity{}
-	var wokeAt float64
-	e.Spawn("p", nil, func(p *Process) {
-		if err := p.WaitActivity(a); err != nil {
-			t.Errorf("WaitActivity: %v", err)
-		}
-		wokeAt = e.Now()
-	})
-	e.At(2, func() {
-		a.done = true
-		e.Wake(a.attached, nil)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if wokeAt != 2 {
-		t.Errorf("woke at %g, want 2", wokeAt)
-	}
-	if st := e.SimcallStats(); st.Slow != 1 {
-		t.Errorf("Slow = %d, want 1", st.Slow)
-	}
-}
-
-// TestTestActivityNonBlocking: the probe never yields, whatever the
-// activity state.
-func TestTestActivityNonBlocking(t *testing.T) {
-	e := New()
-	e.Spawn("p", nil, func(p *Process) {
-		a := &fakeActivity{}
-		if done, _ := p.TestActivity(a); done {
-			t.Error("pending activity reported done")
-		}
-		a.done = true
-		if done, _ := p.TestActivity(a); !done {
-			t.Error("completed activity reported pending")
-		}
-		if st := e.SimcallStats(); st.Fast != 2 || st.Slow != 0 {
-			t.Errorf("stats = %+v, want Fast=2 Slow=0", st)
 		}
 	})
 	if err := e.Run(); err != nil {

@@ -83,13 +83,13 @@ func DefaultConfig() *Config {
 		// Blocking simcall entry points: everything that parks the
 		// calling goroutine on the kernel.
 		BlockingFuncs: map[string]bool{
-			"(*repro/internal/core.Process).Block":        true,
-			"(*repro/internal/core.Process).BlockOn":      true,
-			"(*repro/internal/core.Process).blockOn":      true,
-			"(*repro/internal/core.Process).park":         true,
-			"(*repro/internal/core.Process).WaitActivity": true,
-			"(*repro/internal/core.Process).Sleep":        true,
-			"(*repro/internal/core.Process).Yield":        true,
+			"(*repro/internal/core.Process).Block":   true,
+			"(*repro/internal/core.Process).BlockOn": true,
+			"(*repro/internal/core.Process).blockOn": true,
+			"(*repro/internal/core.Process).park":    true,
+			"(*repro/internal/surf.Action).Wait":     true,
+			"(*repro/internal/core.Process).Sleep":   true,
+			"(*repro/internal/core.Process).Yield":   true,
 		},
 
 		// Completion handlers run in kernel context.

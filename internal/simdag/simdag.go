@@ -715,11 +715,6 @@ func (s *Simulation) start(t *Task) {
 		return
 	}
 	t.action = a
-	if done, aerr := a.Poll(); done {
-		// Completed at creation: the placement resource is already down.
-		s.taskFinished(t, aerr)
-		return
-	}
 	a.SetCompletion(t)
 }
 

@@ -426,7 +426,7 @@ func TestCompletedActionWaitFastPath(t *testing.T) {
 			t.Errorf("Sleep: %v", err)
 			return
 		}
-		if done, _ := a.Test(p); !done {
+		if !a.Done() {
 			t.Error("action not done after 10s")
 		}
 		before := eng.SimcallStats()

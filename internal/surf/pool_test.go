@@ -61,7 +61,7 @@ func TestActionPoolScrubbed(t *testing.T) {
 			if a.Done() || a.Err() != nil || a.Remaining() <= 0 {
 				t.Fatalf("fresh action in terminal state: done=%v err=%v rem=%g", a.Done(), a.Err(), a.Remaining())
 			}
-			if a.heapIdx < 0 || a.waiter != nil || a.compl != nil || a.suspended {
+			if a.heapIdx < 0 || a.compl != nil || a.suspended {
 				t.Fatalf("recycled action leaked state: %+v", a)
 			}
 			acts = append(acts, a)

@@ -139,12 +139,11 @@ type Action struct {
 	finish float64
 	seq    int64 // creation order, the final completion-sort tie-break
 
-	// An action is observed by exactly one of these: the process
-	// blocked in Wait, or the Completion registered by an upper layer.
-	waiter *core.Process
-	compl  Completion
-	done   bool
-	err    error
+	// An action has one observer: the Completion an upper layer
+	// registered, or the process blocked in Wait.
+	compl Completion
+	done  bool
+	err   error
 
 	suspended bool
 }
@@ -220,30 +219,30 @@ func (a *Action) Start() float64 { return a.start }
 // Finish returns the virtual completion time (valid once Done).
 func (a *Action) Finish() float64 { return a.finish }
 
-// Poll implements core.Activity: completion state and outcome, read
-// without blocking. An already-completed action is the kernel's
-// fast path — its waiter never yields.
-func (a *Action) Poll() (bool, error) { return a.done, a.err }
-
-// Attach implements core.Activity: it registers the process the model
-// wakes when the action completes.
-func (a *Action) Attach(p *core.Process) { a.waiter = p }
-
 // Wait blocks the calling process until the action completes and
 // returns its outcome — the typed wait-activity simcall. An action
 // that already completed is answered inline, with no scheduler round
-// trip. Only one process may wait on an action.
+// trip. An action that already has an observer is refused.
 func (a *Action) Wait(p *core.Process) error {
-	if a.waiter != nil && !a.done {
+	if a.done {
+		p.FastSimcall()
+		return a.err
+	}
+	if a.compl != nil {
 		return fmt.Errorf("surf: action %q already has a waiter", a.name)
 	}
-	return p.WaitActivity(a)
+	a.compl = (*waiter)(p)
+	return p.BlockOn(core.SimcallWaitActivity)
 }
 
-// Test reports whether the action completed (and its outcome) without
-// ever blocking — a non-blocking fast-path simcall (MSG_task_test /
-// MPI_Test flavour).
-func (a *Action) Test(p *core.Process) (bool, error) { return p.TestActivity(a) }
+// waiter is a process blocked in Action.Wait: the action's Completion,
+// whose ActionDone wakes it with the outcome.
+type waiter core.Process
+
+func (w *waiter) ActionDone(_ *Action, err error) {
+	p := (*core.Process)(w)
+	p.Engine().Wake(p, err)
+}
 
 // SetCompletion registers h to receive the action's completion. Layers
 // needing to wake several processes on one completion (msg's
@@ -271,7 +270,7 @@ func (a *Action) Release() {
 	m.poolAction(a)
 }
 
-// Cancel aborts the action, delivering ErrCanceled to its waiter.
+// Cancel aborts the action, delivering ErrCanceled to its observer.
 func (a *Action) Cancel() {
 	if !a.done {
 		a.model.complete(a, ErrCanceled)
@@ -564,9 +563,7 @@ func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, 
 	a.remaining = flops
 	a.priority = priority
 	if !r.on {
-		a.done = true
-		a.err = ErrHostFailed
-		a.finish = a.start
+		m.complete(a, ErrHostFailed)
 		return a, nil
 	}
 	a.v = m.sys.NewVariable(priority, 0)
@@ -688,12 +685,7 @@ func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error
 	a.resources = m.grabResources()
 	for _, r := range h.rs {
 		if !r.on {
-			a.done = true
-			a.err = ErrLinkFailed
-			a.finish = a.start
-			m.sys.RemoveVariable(a.v)
-			a.v = nil
-			m.releaseResources(a)
+			m.complete(a, ErrLinkFailed)
 			return a, nil
 		}
 		m.sys.Expand(r.cnst, a.v, 1)
@@ -707,8 +699,8 @@ func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error
 // ExecuteParallel starts a parallel task consuming CPU on several hosts
 // and bandwidth between them simultaneously (SimGrid's "ptask" / L07
 // model). flops[i] is the work on hosts[i]; bytes[i][j] the data moved
-// from hosts[i] to hosts[j]. The action's remaining work is the task
-// fraction (1 → 0), and each resource is consumed proportionally.
+// from hosts[i] to hosts[j]. The remaining work is the task fraction
+// (1 → 0), consumed proportionally on each resource. NaN is refused.
 func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float64) (*Action, error) {
 	if len(flops) != len(hosts) {
 		return nil, fmt.Errorf("surf: ExecuteParallel: %d hosts but %d flop amounts", len(hosts), len(flops))
@@ -724,35 +716,25 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 	a.resources = m.grabResources()
 	// Claim each resource once per expansion via the generation mark —
 	// deterministic (claim order is host/matrix walk order) and free of
-	// the per-call set allocation a map would cost.
+	// the per-call set allocation a map would cost. A resource that is
+	// down fails the action instead (use reports false).
 	m.markGen++
-	use := func(r *resource, amount float64) error {
+	use := func(r *resource, amount float64) bool {
 		if !r.on {
-			return r.failErr
+			m.complete(a, r.failErr)
+			return false
 		}
 		m.sys.Expand(r.cnst, a.v, amount)
 		if r.mark != m.markGen {
 			r.mark = m.markGen
 			a.resources = append(a.resources, r)
 		}
-		return nil
+		return true
 	}
-	abort := func(err error) (*Action, error) {
-		m.sys.RemoveVariable(a.v)
-		a.v = nil
-		a.done = true
-		a.err = err
-		a.finish = a.start
-		m.releaseResources(a)
-		return a, nil
-	}
-	// reject unwinds a validation error: unlike abort, no action is
-	// handed out, so the action struct itself also comes back (on top
-	// of the variable and the pooled slice).
+	// reject unwinds a validation error: no action is handed out, so
+	// the finished struct goes back to the free list.
 	reject := func(err error) (*Action, error) {
-		m.sys.RemoveVariable(a.v)
-		a.v = nil
-		m.releaseResources(a)
+		m.complete(a, err)
 		m.poolAction(a)
 		return nil, err
 	}
@@ -761,11 +743,14 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 		if !ok {
 			return reject(fmt.Errorf("surf: unknown host %q", hn))
 		}
+		if math.IsNaN(flops[i]) {
+			return reject(fmt.Errorf("surf: NaN amount"))
+		}
 		if flops[i] <= 0 {
 			continue
 		}
-		if err := use(r, flops[i]); err != nil {
-			return abort(err)
+		if !use(r, flops[i]) {
+			return a, nil
 		}
 	}
 	for i := range bytes {
@@ -773,6 +758,9 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 			return reject(fmt.Errorf("surf: ExecuteParallel: bytes row %d has %d entries, want %d", i, len(bytes[i]), len(hosts)))
 		}
 		for j := range bytes[i] {
+			if math.IsNaN(bytes[i][j]) {
+				return reject(fmt.Errorf("surf: NaN amount"))
+			}
 			if i == j || bytes[i][j] <= 0 {
 				continue
 			}
@@ -781,8 +769,8 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 				return reject(err)
 			}
 			for _, r := range h.rs {
-				if err := use(r, bytes[i][j]); err != nil {
-					return abort(err)
+				if !use(r, bytes[i][j]) {
+					return a, nil
 				}
 			}
 		}
@@ -975,8 +963,8 @@ func actionCmp(x, y *Action) int {
 	return cmp.Compare(x.seq, y.seq)
 }
 
-// complete finishes an action (err == nil for success) and wakes its
-// waiter.
+// complete finishes an action (err == nil for success) and notifies
+// its observer. It is the only function that finishes an action.
 func (m *Model) complete(a *Action, err error) {
 	if a.done {
 		return
@@ -993,11 +981,6 @@ func (m *Model) complete(a *Action, err error) {
 		m.heap.remove(a.heapIdx)
 	}
 	m.releaseResources(a)
-	if a.waiter != nil {
-		w := a.waiter
-		a.waiter = nil
-		m.eng.Wake(w, err)
-	}
 	// Detach the handler before invoking it: it may Release the action
 	// (simdag does), after which the struct belongs to the free list and
 	// must not be read again.

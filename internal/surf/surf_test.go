@@ -1,6 +1,8 @@
 package surf
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/instr"
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
@@ -192,6 +195,12 @@ func TestNaNRefused(t *testing.T) {
 		}
 		if _, err := communicate(m, "h1", "h2", math.NaN()); err == nil {
 			t.Error("Communicate of NaN bytes accepted")
+		}
+		if _, err := m.ExecuteParallel([]string{"h1"}, []float64{math.NaN()}, nil); err == nil {
+			t.Error("ExecuteParallel of NaN flops accepted")
+		}
+		if _, err := m.ExecuteParallel([]string{"h1", "h2"}, []float64{1, 1}, [][]float64{{0, math.NaN()}, {0, 0}}); err == nil {
+			t.Error("ExecuteParallel of NaN bytes accepted")
 		}
 		a, err := execute(m, "h2", 1e9, math.NaN()) // 1 Gflop on 2 Gflop/s
 		if err != nil {
@@ -682,6 +691,102 @@ func TestExecOnDownHostFailsImmediately(t *testing.T) {
 	}
 	if !m.HostUp("h1") {
 		t.Error("h1 not restored")
+	}
+}
+
+// maxminVars reads the number of live solver variables from the
+// model's metrics (NaN, after reporting, if they do not decode). It
+// runs on process stacks, so it reports with t.Error, not t.Fatal.
+func maxminVars(t *testing.T, m *Model) float64 {
+	t.Helper()
+	r := instr.NewRegistry()
+	m.MetricsInto(r)
+	var buf bytes.Buffer
+	var snap map[string]float64
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Error(err)
+		return math.NaN()
+	}
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Error(err)
+		return math.NaN()
+	}
+	return snap["maxmin.vars"]
+}
+
+// TestFailedAtCreation: every constructor hands back an action whose
+// host or link is down already finished by complete, holding no solver
+// variable and no heap entry, and Wait answers it inline. A pending
+// action of the same constructor parks its one waiter (one slow
+// simcall, woken at its finish) and refuses a second.
+func TestFailedAtCreation(t *testing.T) {
+	ptask := func(m *Model) (*Action, error) {
+		return m.ExecuteParallel([]string{"h1", "h2"}, []float64{1e9, 1e9}, [][]float64{{0, 1e8}, {0, 0}})
+	}
+	cases := []struct {
+		name  string
+		down  func(m *Model) error
+		start func(m *Model) (*Action, error)
+		want  error
+	}{
+		{"execute", func(m *Model) error { return m.FailHost("h1") },
+			func(m *Model) (*Action, error) { return execute(m, "h1", 1e9, 1) }, ErrHostFailed},
+		{"communicate", func(m *Model) error { return m.FailLink("l1") },
+			func(m *Model) (*Action, error) { return communicate(m, "h1", "h2", 1e8) }, ErrLinkFailed},
+		{"parallel/host", func(m *Model) error { return m.FailHost("h2") }, ptask, ErrHostFailed},
+		{"parallel/link", func(m *Model) error { return m.FailLink("l1") }, ptask, ErrLinkFailed},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := core.New()
+			m := New(e, testPlatform(t), exactCfg())
+			e.Spawn("p", nil, func(p *core.Process) {
+				pending, err := c.start(m)
+				if err != nil {
+					t.Errorf("start: %v", err)
+					return
+				}
+				e.Spawn("second", nil, func(q *core.Process) {
+					if err := pending.Wait(q); err == nil {
+						t.Error("second Wait on a pending action accepted")
+					}
+				})
+				slow := e.SimcallStats().Slow
+				if err := pending.Wait(p); err != nil {
+					t.Errorf("Wait on the pending action: %v", err)
+				}
+				if got := e.SimcallStats().Slow - slow; got != 1 || e.Now() != pending.Finish() {
+					t.Errorf("pending Wait: %d slow simcalls, woke at %g, want 1 at %g", got, e.Now(), pending.Finish())
+				}
+				if err := c.down(m); err != nil {
+					t.Errorf("down: %v", err)
+					return
+				}
+				a, err := c.start(m)
+				if err != nil {
+					t.Errorf("start on a downed resource: %v", err)
+					return
+				}
+				if !a.Done() || !errors.Is(a.Err(), c.want) || a.Finish() != a.Start() {
+					t.Errorf("done=%v err=%v start=%g finish=%g, want done with %v at start",
+						a.Done(), a.Err(), a.Start(), a.Finish(), c.want)
+				}
+				if a.v != nil || len(m.heap) != 0 || maxminVars(t, m) != 0 {
+					t.Errorf("failed action left v=%v, heap=%d, %g solver variables", a.v, len(m.heap), maxminVars(t, m))
+				}
+				before := e.SimcallStats()
+				if err := a.Wait(p); !errors.Is(err, c.want) {
+					t.Errorf("Wait = %v, want %v", err, c.want)
+				}
+				after := e.SimcallStats()
+				if after.Fast != before.Fast+1 || after.Slow != before.Slow {
+					t.Errorf("simcalls went %+v -> %+v, want Fast +1, Slow +0", before, after)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
 	}
 }
 
