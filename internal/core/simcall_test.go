@@ -120,6 +120,63 @@ func TestYieldFastPathEmptyQueue(t *testing.T) {
 	}
 }
 
+// TestWaitActivityFastPath: a wait an upper layer answers inline (surf's
+// Wait on a finished action) is counted through FastSimcall as one fast
+// simcall, with no yield: no other process runs and time stands still.
+func TestWaitActivityFastPath(t *testing.T) {
+	e := New()
+	otherRan := false
+	e.Spawn("p", nil, func(p *Process) {
+		p.FastSimcall()
+		if otherRan || e.Now() != 0 {
+			t.Errorf("fast path yielded: other ran=%v, now=%g", otherRan, e.Now())
+		}
+		if k := p.Simcall(); k != SimcallNone {
+			t.Errorf("fast path left the caller in %v", k)
+		}
+		st := e.SimcallStats()
+		if st.Fast != 1 || st.Slow != 0 {
+			t.Errorf("stats = %+v, want Fast=1 Slow=0", st)
+		}
+	})
+	e.Spawn("other", nil, func(p *Process) { otherRan = true })
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestWaitActivitySlowPath: a pending wait parks the caller in the
+// wait-activity simcall (one slow simcall) until the action's owner
+// wakes it, and the caller receives the outcome it was woken with.
+func TestWaitActivitySlowPath(t *testing.T) {
+	e := New()
+	sentinel := errors.New("outcome")
+	var waiter *Process
+	var wokeAt float64
+	e.Spawn("p", nil, func(p *Process) {
+		waiter = p
+		if err := p.BlockOn(SimcallWaitActivity); err != sentinel {
+			t.Errorf("BlockOn(wait-activity) = %v, want sentinel", err)
+		}
+		wokeAt = e.Now()
+	})
+	e.At(2, func() {
+		if k := waiter.Simcall(); k != SimcallWaitActivity {
+			t.Errorf("waiter parked in %v, want wait-activity", k)
+		}
+		e.Wake(waiter, sentinel)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if wokeAt != 2 {
+		t.Errorf("woke at %g, want 2", wokeAt)
+	}
+	if st := e.SimcallStats(); st.Slow != 1 || st.Fast != 0 {
+		t.Errorf("stats = %+v, want Fast=0 Slow=1", st)
+	}
+}
+
 // TestSimcallKindVisible: a blocked process reports the typed simcall
 // it is stuck in.
 func TestSimcallKindVisible(t *testing.T) {
