@@ -126,8 +126,8 @@ func runMSGScalingChain(b *testing.B, pf *platform.Platform, nPairs, rounds int)
 
 // BenchmarkMSGScalingForms is the A/B/C comparison at a fixed tier:
 // the same 100k-activity pair workload as (a) goroutine processes with
-// pooling off (fresh stacks and fresh records: the -tags=nopool
-// behaviour, switched in-process), (b) goroutine processes on the warm
+// pooling off (fresh stacks and fresh records: the unpooled
+// reference, switched in-process), (b) goroutine processes on the warm
 // worker pool, and (c) declarative chains. The deltas isolate what each
 // layer saves — (a)→(b) the per-spawn stack and record allocation
 // cost, (b)→(c) the block/wake coroutine switch.

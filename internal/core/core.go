@@ -155,7 +155,6 @@ type Process struct {
 	sleepTm *Timer
 
 	onExit []func(err error)
-	exited bool
 	err    error // termination cause (nil for normal return)
 }
 
@@ -302,8 +301,7 @@ type Engine struct {
 	live      int // non-daemon processes (and external entities) not yet Done
 	liveAll   int // all processes not yet Done
 	goSpawns  int // fresh carrier coroutines created for this engine
-	goLive    int // processes currently backed by a coroutine (not Done)
-	goPeak    int // high-water mark of goLive
+	goPeak    int // high-water mark of liveAll: every live process holds a coroutine
 	fatal     error
 	running   bool
 	stopErr   error // deadlock error recorded by the kernel turn
@@ -405,9 +403,8 @@ func (e *Engine) Spawn(name string, host any, fn func(*Process)) *Process {
 	e.procs[p.pid] = p
 	e.live++
 	e.liveAll++
-	e.goLive++
-	if e.goLive > e.goPeak {
-		e.goPeak = e.goLive
+	if e.liveAll > e.goPeak {
+		e.goPeak = e.liveAll
 	}
 
 	w := grabWorker()
@@ -449,20 +446,16 @@ func runProcessBody(e *Engine, p *Process) {
 }
 
 // terminate finalizes a process at the end of its body, on its carrier
-// coroutine.
+// coroutine; the worker loop calls it exactly once per process.
 func (e *Engine) terminate(p *Process) {
 	p.state = Done
 	p.sleepTm.Cancel()
-	if !p.exited {
-		p.exited = true
-		if !p.daemon {
-			e.live--
-		}
-		e.liveAll--
-		e.goLive--
-		for i := len(p.onExit) - 1; i >= 0; i-- {
-			p.onExit[i](p.err)
-		}
+	if !p.daemon {
+		e.live--
+	}
+	e.liveAll--
+	for i := len(p.onExit) - 1; i >= 0; i-- {
+		p.onExit[i](p.err)
 	}
 	delete(e.procs, p.pid)
 }

@@ -168,7 +168,7 @@ func TestBlockWake(t *testing.T) {
 	gotErr := errors.New("unset")
 	e.Spawn("waiter", nil, func(p *Process) {
 		waiter = p
-		gotErr = p.Block()
+		gotErr = p.BlockOn(SimcallWait)
 	})
 	e.Spawn("waker", nil, func(p *Process) {
 		p.Sleep(1)
@@ -178,7 +178,7 @@ func TestBlockWake(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if gotErr != nil {
-		t.Errorf("Block returned %v, want nil", gotErr)
+		t.Errorf("BlockOn returned %v, want nil", gotErr)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestWakeDeliversError(t *testing.T) {
 	var gotErr error
 	e.Spawn("waiter", nil, func(p *Process) {
 		waiter = p
-		gotErr = p.Block()
+		gotErr = p.BlockOn(SimcallWait)
 	})
 	e.Spawn("waker", nil, func(p *Process) {
 		p.Sleep(1)
@@ -199,13 +199,13 @@ func TestWakeDeliversError(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if gotErr != sentinel {
-		t.Errorf("Block returned %v, want sentinel", gotErr)
+		t.Errorf("BlockOn returned %v, want sentinel", gotErr)
 	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
 	e := New()
-	e.Spawn("stuck", nil, func(p *Process) { p.Block() })
+	e.Spawn("stuck", nil, func(p *Process) { p.BlockOn(SimcallWait) })
 	err := e.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -226,7 +226,7 @@ func TestDaemonDoesNotPreventTermination(t *testing.T) {
 		p.Daemonize()
 		defer func() { daemonCleanup = true }()
 		for {
-			p.Block() // wait forever
+			p.BlockOn(SimcallWait) // wait forever
 		}
 	})
 	e.Spawn("worker", nil, func(p *Process) { p.Sleep(2) })
@@ -249,7 +249,7 @@ func TestKillBlockedProcess(t *testing.T) {
 	e.Spawn("victim", nil, func(p *Process) {
 		victim = p
 		defer func() { cleanedUp = true }()
-		p.Block()
+		p.BlockOn(SimcallWait)
 		reached = true // must not run: kill unwinds
 	})
 	e.Spawn("killer", nil, func(p *Process) {
@@ -260,7 +260,7 @@ func TestKillBlockedProcess(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if reached {
-		t.Error("killed process continued after Block")
+		t.Error("killed process continued after BlockOn")
 	}
 	if !cleanedUp {
 		t.Error("killed process defers did not run")
@@ -279,7 +279,7 @@ func TestKilledSleeperLeavesClock(t *testing.T) {
 	e.Spawn("killer", nil, func(p *Process) {
 		p.Sleep(1)
 		sleeper.Kill()
-		p.Block()
+		p.BlockOn(SimcallWait)
 	})
 	var dl *DeadlockError
 	if err := e.Run(); !errors.As(err, &dl) || e.Now() != 1 {
@@ -374,7 +374,7 @@ func TestOnExitSeesKillError(t *testing.T) {
 	e.Spawn("victim", nil, func(p *Process) {
 		victim = p
 		p.OnExit(func(err error) { exitErr = err })
-		p.Block()
+		p.BlockOn(SimcallWait)
 	})
 	e.Spawn("killer", nil, func(p *Process) { victim.Kill() })
 	if err := e.Run(); err != nil {
@@ -417,7 +417,7 @@ func TestSuspendDefersWake(t *testing.T) {
 	var wokeAt float64
 	e.Spawn("waiter", nil, func(p *Process) {
 		waiter = p
-		p.Block()
+		p.BlockOn(SimcallWait)
 		wokeAt = e.Now()
 	})
 	e.Spawn("driver", nil, func(p *Process) {
@@ -612,7 +612,7 @@ func TestModelAdvanceSkippedWhenNotDue(t *testing.T) {
 	e.At(5, func() { timerFired = append(timerFired, e.Now()) })
 	e.Spawn("w", nil, func(p *Process) {
 		waiter = p
-		p.Block()
+		p.BlockOn(SimcallWait)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -634,7 +634,7 @@ func TestModelDrivesCompletion(t *testing.T) {
 	e.SetModel(m)
 	e.Spawn("w", nil, func(p *Process) {
 		waiter = p
-		p.Block()
+		p.BlockOn(SimcallWait)
 		wokeAt = e.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -661,12 +661,12 @@ func TestBlockOutsideProcessPanics(t *testing.T) {
 	p := e.Spawn("p", nil, func(p *Process) {})
 	defer func() {
 		if recover() == nil {
-			t.Error("Block outside process did not panic")
+			t.Error("BlockOn outside process did not panic")
 		}
 		// Drain the engine so the spawned goroutine terminates.
 		e.Run()
 	}()
-	p.Block()
+	p.BlockOn(SimcallWait)
 }
 
 func contains(s, sub string) bool {

@@ -20,8 +20,8 @@ import (
 // otherwise a scrubbed worker is re-armed, so churn-heavy runs — and
 // runs on a *fresh engine*, since the pool is package-level and
 // outlives any single Engine — stop paying per-spawn stack costs.
-// Build with -tags=nopool to always start fresh, single-use coroutines
-// (the reference behaviour the equivalence suite replays against).
+// With the free lists off (tests only) every process starts a fresh,
+// single-use coroutine: the reference the equivalence suite replays.
 //
 // iter.Pull is Go 1.23 standard library: the build constraint above
 // raises this file's language version past go.mod's 1.21, which the

@@ -95,7 +95,7 @@ func TestRunUntilIdleDispatchesProcesses(t *testing.T) {
 	e.Spawn("sleeper", nil, func(p *Process) {
 		p.Sleep(3)
 		sleptUntil = e.Now()
-		p.Block() // parks forever: idle drive must still end cleanly
+		p.BlockOn(SimcallWait) // parks forever: idle drive must still end cleanly
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)

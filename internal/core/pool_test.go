@@ -13,9 +13,6 @@ import (
 // TestProcessPoolScrubbed pins the recycle contract: every worker
 // parked in the pool carries no reference to its previous assignment.
 func TestProcessPoolScrubbed(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("pooling disabled (-tags=nopool)")
-	}
 	e := New()
 	for i := 0; i < 20; i++ {
 		d := float64(i) * 0.01
@@ -103,9 +100,6 @@ func TestWorkerPoolingEquivalence(t *testing.T) {
 // (zero on a warm pool), GoroutinesPeak the concurrent stack
 // high-water mark.
 func TestSpawnedVsGoroutineAccounting(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("pooling disabled (-tags=nopool)")
-	}
 	sleeper := func(p *Process) { _ = p.Sleep(0.1) }
 
 	// Warm the pool with 9 concurrent processes (peak is a concurrency

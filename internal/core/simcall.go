@@ -148,17 +148,13 @@ func (p *Process) blockOn(kind SimcallKind) error {
 	return err
 }
 
-// Block yields the calling process until the kernel wakes it (action
-// completion, timer, Wake). It returns the error passed to Wake. If the
-// process was killed while blocked, Block unwinds the stack (running
-// defers) instead of returning.
-func (p *Process) Block() error { return p.blockOn(SimcallWait) }
-
-// BlockOn is Block labelled with the operation the caller is blocked
-// in (send, receive, …), so the kernel's diagnostics — deadlock
-// reports, Process.Simcall — name what the process wants instead of an
-// opaque wait. The wake is still driven by the caller's own
-// bookkeeping, exactly like Block.
+// BlockOn yields the calling process until the kernel wakes it (action
+// completion, timer, Wake) and returns the error passed to Wake. kind
+// names the operation it is blocked in (send, receive, …; SimcallWait
+// for an opaque wait), so the kernel's diagnostics — deadlock reports,
+// Process.Simcall — say what the process wants. If the process was
+// killed while blocked, BlockOn unwinds the stack (running defers)
+// instead of returning.
 func (p *Process) BlockOn(kind SimcallKind) error {
 	if kind == SimcallNone {
 		kind = SimcallWait

@@ -234,8 +234,8 @@ func TestKillClearsPendingWake(t *testing.T) {
 	e.Spawn("victim", nil, func(p *Process) {
 		victim = p
 		defer func() { cleanedUp = true }()
-		p.Block()
-		t.Error("killed process continued after Block")
+		p.BlockOn(SimcallWait)
+		t.Error("killed process continued after BlockOn")
 	})
 	e.Spawn("killer", nil, func(p *Process) {
 		p.Sleep(1)
@@ -270,7 +270,7 @@ func TestKillWhileSuspended(t *testing.T) {
 	e.Spawn("victim", nil, func(p *Process) {
 		victim = p
 		defer func() { cleanedUp = true }()
-		p.Block()
+		p.BlockOn(SimcallWait)
 	})
 	e.Spawn("driver", nil, func(p *Process) {
 		p.Sleep(1)
@@ -300,7 +300,7 @@ func TestSuspendRunnableRedeliversWake(t *testing.T) {
 	var wokeAt float64
 	e.Spawn("victim", nil, func(p *Process) {
 		victim = p
-		gotErr = p.Block()
+		gotErr = p.BlockOn(SimcallWait)
 		wokeAt = e.Now()
 	})
 	e.Spawn("driver", nil, func(p *Process) {
@@ -314,7 +314,7 @@ func TestSuspendRunnableRedeliversWake(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if gotErr != sentinel {
-		t.Errorf("Block returned %v, want sentinel (wake re-delivered on resume)", gotErr)
+		t.Errorf("BlockOn returned %v, want sentinel (wake re-delivered on resume)", gotErr)
 	}
 	if wokeAt != 3 {
 		t.Errorf("woke at %g, want 3", wokeAt)
@@ -330,14 +330,14 @@ func TestResumeAfterSameInstantWake(t *testing.T) {
 	var woke1, woke2 float64
 	e.Spawn("w1", nil, func(p *Process) {
 		w1 = p
-		if err := p.Block(); err != nil {
+		if err := p.BlockOn(SimcallWait); err != nil {
 			t.Errorf("w1: %v", err)
 		}
 		woke1 = e.Now()
 	})
 	e.Spawn("w2", nil, func(p *Process) {
 		w2 = p
-		if err := p.Block(); err != nil {
+		if err := p.BlockOn(SimcallWait); err != nil {
 			t.Errorf("w2: %v", err)
 		}
 		woke2 = e.Now()
@@ -370,8 +370,8 @@ func TestSuspendSelfCarrierStaysParked(t *testing.T) {
 	var wokeAt float64
 	e.Spawn("victim", nil, func(p *Process) {
 		victim = p
-		if err := p.Block(); err != nil {
-			t.Errorf("Block: %v", err)
+		if err := p.BlockOn(SimcallWait); err != nil {
+			t.Errorf("BlockOn: %v", err)
 		}
 		wokeAt = e.Now()
 		if p.Suspended() {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 )
 
 // pinDigest is the digest of TestPinSimSchedule's event log: every
@@ -76,8 +77,26 @@ func pinDeclare(n Node) {
 // the bit: a typed Recv taking messages past other types, a Recv
 // timeout while unrelated messages arrive, Handle dispatching held and
 // new messages in arrival order, replies on m.Reply, and the
-// no-callback error, across four clients on links of different speed.
+// no-callback error, across four clients on links of different speed,
+// with the free lists on and off.
 func TestPinSimSchedule(t *testing.T) {
+	var log *pinLog
+	joined := string(pooltest.Replay(t, 1, func() []byte {
+		log = runPinSchedule(t)
+		return []byte(strings.Join(log.lines, "\n"))
+	}))
+	for _, want := range []string{`gras: no callback for message "stray"`, "server|recv|gras: timed out"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("log lacks %q", want)
+		}
+	}
+	if got := fmt.Sprintf("%x", log.h.Sum(nil)); got != pinDigest {
+		t.Errorf("digest %s, want %s\n%s", got, pinDigest, joined)
+	}
+}
+
+// runPinSchedule runs TestPinSimSchedule's scenario and returns its log.
+func runPinSchedule(t *testing.T) *pinLog {
 	w := NewWorld(pinPlatform(t), exact())
 	log := &pinLog{h: sha256.New()}
 	err := w.Launch("server", "srv", func(n Node) error {
@@ -176,13 +195,5 @@ func TestPinSimSchedule(t *testing.T) {
 			t.Errorf("%s: %v", a, err)
 		}
 	}
-	joined := strings.Join(log.lines, "\n")
-	for _, want := range []string{`gras: no callback for message "stray"`, "server|recv|gras: timed out"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("log lacks %q", want)
-		}
-	}
-	if got := fmt.Sprintf("%x", log.h.Sum(nil)); got != pinDigest {
-		t.Errorf("digest %s, want %s\n%s", got, pinDigest, joined)
-	}
+	return log
 }

@@ -83,7 +83,6 @@ func DefaultConfig() *Config {
 		// Blocking simcall entry points: everything that parks the
 		// calling goroutine on the kernel.
 		BlockingFuncs: map[string]bool{
-			"(*repro/internal/core.Process).Block":   true,
 			"(*repro/internal/core.Process).BlockOn": true,
 			"(*repro/internal/core.Process).blockOn": true,
 			"(*repro/internal/core.Process).park":    true,

@@ -10,8 +10,9 @@ import (
 // runSimcallInHandler enforces the simcall blocking contract on
 // completion handlers: ActionDone (and any other Completion-interface
 // method) runs in kernel context, on the kernel turn's stack, so a
-// path from a handler to a blocking simcall entry point (Process.Block,
-// BlockOn, Sleep, surf's Action.Wait, …) would park the kernel itself.
+// path from a handler to a blocking simcall entry point
+// (Process.BlockOn, Sleep, surf's Action.Wait, …) would park the kernel
+// itself.
 // The check builds an in-package static call graph (an approximation:
 // calls through interfaces or function values are not followed) and
 // reports every handler method from which a blocking entry point is

@@ -36,9 +36,9 @@
 // for the activity churn itself: RemoveVariable scrubs and free-lists
 // the Variable and its constraint elements, and NewVariable/Expand
 // reuse them, so the add/solve/remove cycle of a simulated activity is
-// allocation-free at steady state (disable with -tags=nopool; the
-// paper counterpart is SimGrid's lmm system, and the key invariant is
-// that pooled and unpooled builds are bit-identical).
+// allocation-free at steady state (the paper counterpart is SimGrid's
+// lmm system, and the key invariant is that pooled and unpooled runs
+// are bit-identical).
 package maxmin
 
 import (

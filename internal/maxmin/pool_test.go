@@ -14,9 +14,6 @@ import (
 // struct carries nothing of its previous owner, and a variable handed
 // out by NewVariable exposes exactly the requested parameters.
 func TestVariablePoolScrubbed(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("pooling disabled (-tags=nopool)")
-	}
 	rng := rand.New(rand.NewSource(42))
 	s := NewSystem()
 	var cnsts []*Constraint

@@ -342,7 +342,7 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 // the first solve whose scope order differs, or after which any Value,
 // any Usage or the Updated sequence differs in a single bit. It returns the bits of every value
 // after every solve, so pooltest.Replay can also hold the pooled and
-// the -tags=nopool free-list states to the same bytes.
+// the unpooled free-list states to the same bytes.
 //
 // The systems are several islands of constraints (so most solves cover
 // some components and skip others) with one wide bottleneck island in

@@ -1,5 +1,3 @@
-//go:build !nopool
-
 package msg
 
 import "testing"

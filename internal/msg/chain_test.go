@@ -581,9 +581,6 @@ func TestChainAutoRestart(t *testing.T) {
 // TestChainPoolScrubbed: recycled ChainProcs carry nothing of their
 // previous life.
 func TestChainPoolScrubbed(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("free lists disabled (-tags=nopool)")
-	}
 	env := NewEnvironment(lanPlatform(t), exact())
 	spec := NewChain().Loop(2).Sleep(0.05).Compute("w", 1e6).End().MustBuild()
 	for i := 0; i < 4; i++ {

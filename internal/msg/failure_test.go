@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/pool"
 )
 
 // TestInFlightLinkFailure fails the route's link in the middle of a
@@ -55,9 +53,6 @@ func TestInFlightLinkFailure(t *testing.T) {
 // lists scrubbed, and repeated churn must not grow the pools — the
 // "leaks safely" escape hatch is gone.
 func TestKillUnwindRecyclesRendezvous(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("free lists disabled (-tags=nopool)")
-	}
 	env := NewEnvironment(lanPlatform(t), exact())
 
 	const cycles = 6
@@ -328,9 +323,6 @@ func TestProcessPanicContained(t *testing.T) {
 // blocked Put takes the same abandon path as a kill — the record is
 // recycled, the peer is not left dangling forever.
 func TestPanicMidRendezvousRecyclesRecord(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("free lists disabled (-tags=nopool)")
-	}
 	env := NewEnvironment(lanPlatform(t), exact())
 	env.NewProcess("bomb", "client", func(p *Process) error {
 		err := p.PutWithTimeout(NewTask("x", 0, 1e6), "server", 3, 0.5)

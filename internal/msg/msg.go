@@ -18,7 +18,7 @@
 // pending record, the pair one surf transfer action, all recycled
 // through free lists on the blocking call's return — the steady-state
 // exchange loop allocates nothing (see DESIGN.md, "Object lifecycle &
-// pooling"; disable with -tags=nopool).
+// pooling").
 package msg
 
 import (
@@ -97,7 +97,7 @@ type Environment struct {
 	// for them in the kernel's own accounting.
 	liveChains int
 
-	// Free lists for the rendezvous churn (off under -tags=nopool): pending
+	// Free lists (pool.List) for the rendezvous churn: pending
 	// records, one list per direction so each keeps its own LIFO order
 	// and scoreboard, and terminated ChainProcs. A miss carves from the
 	// slabs, as does a mailbox's first queue array.

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 	"repro/internal/trace"
 )
@@ -447,33 +449,37 @@ func TestManyProcessesScale(t *testing.T) {
 	p.AddHost(&platform.Host{Name: "b", Power: 1e9})
 	l := &platform.Link{Name: "l", Bandwidth: 1e9, Latency: 0.0001}
 	p.AddRoute("a", "b", []*platform.Link{l})
-	env := NewEnvironment(p, exact())
 	const n = 100
-	received := 0
 	// Each receipt in wake order: its channel and the Float64bits of
 	// the instant it landed. All 100 transfers share the link and finish
-	// together, so this pins surf's same-instant completion order.
-	h := fnv.New64a()
-	for i := 0; i < n; i++ {
-		ch := i
-		env.NewProcess("recv", "b", func(pr *Process) error {
-			_, err := pr.Get(ch)
-			if err == nil {
-				received++
-				fmt.Fprintf(h, "%d %016x\n", ch, math.Float64bits(pr.Now()))
-			}
-			return err
-		})
-		env.NewProcess("send", "a", func(pr *Process) error {
-			return pr.Put(NewTask("m", 0, 1e6), "b", ch)
-		})
-	}
-	if err := env.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if received != n {
+	// together, so this pins surf's same-instant completion order, with
+	// the free lists on and off.
+	receipts := pooltest.Replay(t, 1, func() []byte {
+		env := NewEnvironment(p, exact())
+		var out []byte
+		for i := 0; i < n; i++ {
+			ch := i
+			env.NewProcess("recv", "b", func(pr *Process) error {
+				_, err := pr.Get(ch)
+				if err == nil {
+					out = fmt.Appendf(out, "%d %016x\n", ch, math.Float64bits(pr.Now()))
+				}
+				return err
+			})
+			env.NewProcess("send", "a", func(pr *Process) error {
+				return pr.Put(NewTask("m", 0, 1e6), "b", ch)
+			})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return out
+	})
+	if received := bytes.Count(receipts, []byte("\n")); received != n {
 		t.Errorf("received %d, want %d", received, n)
 	}
+	h := fnv.New64a()
+	h.Write(receipts)
 	if got, want := h.Sum64(), uint64(0xce7237fd3756fabb); got != want {
 		t.Errorf("receipt digest %#016x, want %#016x", got, want)
 	}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/pool/pooltest"
 )
 
 // pairDigest runs n sender/receiver pairs of uneven sizes over the
@@ -52,28 +54,34 @@ func pairDigest(t *testing.T, n int) uint64 {
 // TestPairDigestAcrossGOMAXPROCS: the schedule is the kernel loop's,
 // not the Go runtime's, so a pair workload finishes with the same
 // digest at GOMAXPROCS 1 and 4, and at 4 also when four environments
-// run at once and resume pooled coroutines from different goroutines.
+// run at once and resume pooled coroutines from different goroutines;
+// and the same again with the free lists off.
 func TestPairDigestAcrossGOMAXPROCS(t *testing.T) {
 	const n, want = 64, uint64(0xe3d4d6ab5a978a00)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one := pairDigest(t, n)
-	runtime.GOMAXPROCS(4)
-	four := make([]uint64, 4)
-	var wg sync.WaitGroup
-	for i := range four {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			four[i] = pairDigest(t, n)
-		}(i)
-	}
-	wg.Wait()
-	t.Logf("digest %#016x", one)
-	for i, d := range four {
-		if d != one {
-			t.Errorf("environment %d at GOMAXPROCS 4: digest %#016x, at 1: %#016x", i, d, one)
+	var one uint64
+	pooltest.Replay(t, 1, func() []byte {
+		runtime.GOMAXPROCS(1)
+		one = pairDigest(t, n)
+		runtime.GOMAXPROCS(4)
+		four := make([]uint64, 4)
+		var wg sync.WaitGroup
+		for i := range four {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				four[i] = pairDigest(t, n)
+			}(i)
 		}
-	}
+		wg.Wait()
+		for i, d := range four {
+			if d != one {
+				t.Errorf("environment %d at GOMAXPROCS 4: digest %#016x, at 1: %#016x", i, d, one)
+			}
+		}
+		return fmt.Appendf(nil, "%016x", one)
+	})
+	t.Logf("digest %#016x", one)
 	if one != want {
 		t.Errorf("digest %#016x, want %#016x", one, want)
 	}

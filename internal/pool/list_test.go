@@ -2,8 +2,7 @@ package pool
 
 import "testing"
 
-// flip sets Enabled for the test and restores it afterwards, so the
-// file means the same in the default and the -tags=nopool build.
+// flip sets Enabled for the test and restores it afterwards.
 func flip(t *testing.T, on bool) {
 	old := Enabled
 	Enabled = on

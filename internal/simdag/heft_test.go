@@ -8,6 +8,7 @@
 package simdag
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -141,6 +143,13 @@ func topcuogluOptions(hosts []string) *HEFTOptions {
 }
 
 func TestHEFTReference(t *testing.T) {
+	pooltest.Replay(t, 1, func() []byte { return checkTopcuoglu(t) })
+}
+
+// checkTopcuoglu plans the paper DAG, checks the plan against the
+// paper, runs it and returns every task's realised host and finish
+// bits, which TestHEFTReference replays with the free lists off too.
+func checkTopcuoglu(t *testing.T) []byte {
 	hosts := []string{"P1", "P2", "P3"}
 	pf := meshPlatform(t, hosts, 1)
 	s := New(pf, surf.DefaultConfig())
@@ -207,6 +216,11 @@ func TestHEFTReference(t *testing.T) {
 	if g := s.Engine().Spawned(); g != 0 {
 		t.Fatalf("%d goroutines spawned, want 0", g)
 	}
+	var out []byte
+	for _, task := range tasks {
+		out = fmt.Appendf(out, "%s@%s %016x\n", task.Name(), task.Host(), math.Float64bits(task.Finish()))
+	}
+	return out
 }
 
 // linearFit is the insertion policy's gap search as first written:

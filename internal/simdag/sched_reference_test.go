@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 )
 
 // refPlaceParallel is the greedy ptask pre-pass: ptasks in creation
@@ -610,28 +611,32 @@ func TestSchedReferenceHEFT(t *testing.T) {
 	}
 }
 
-// schedDigest folds every case's observable outcome, for both
-// schedulers, into one FNV-1a value.
-func schedDigest(t *testing.T) uint64 {
-	h := fnv.New64a()
+// schedLog renders every case's observable outcome, planned and
+// simulated, for both schedulers.
+func schedLog(t *testing.T) []byte {
+	var out []byte
 	none := func(*Simulation, []string) *HEFTOptions { return nil }
 	for _, c := range refCases() {
 		for _, lines := range [][]string{runCase(t, c, ScheduleMinMin), runHEFTCase(t, c, none)} {
-			fmt.Fprintln(h, c)
+			out = fmt.Appendln(out, c)
 			for _, l := range lines {
-				fmt.Fprintln(h, l)
+				out = fmt.Appendln(out, l)
 			}
 		}
 	}
-	return h.Sum64()
+	return out
 }
 
 // TestSchedReferenceDigest pins the planners themselves (the HEFT
 // comparison above shares the live planner between both sides): the
-// digest was recorded from the schedulers as first written.
+// digest of schedLog, recorded from the schedulers as first written.
+// The cases simulate their placements, so the log is replayed with the
+// free lists off too.
 func TestSchedReferenceDigest(t *testing.T) {
 	const want = uint64(0xdc806046ed922a2e)
-	if got := schedDigest(t); got != want {
+	h := fnv.New64a()
+	h.Write(pooltest.Replay(t, 1, func() []byte { return schedLog(t) }))
+	if got := h.Sum64(); got != want {
 		t.Fatalf("scheduler digest %#x, want %#x", got, want)
 	}
 }

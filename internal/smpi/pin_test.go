@@ -4,16 +4,19 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
 // Pins of smpi's observable schedule: what every rank gets back from
 // each call, and the exact simulated instant it gets it, recorded in
 // the order the ranks resume. Any change to matching order, to the
-// eager/rendezvous choice or to wake order moves them.
+// eager/rendezvous choice or to wake order moves them. Each pin replays
+// its scenario with the free lists off too (pooltest.Replay).
 
 // sharedCluster puts n ranks on (n+1)/2 hosts of unequal power behind
 // unequal links, so pairs of ranks share a host (and talk without
@@ -56,6 +59,8 @@ type pinLog struct{ lines []string }
 func (l *pinLog) add(r *Rank, what string, v any) {
 	l.lines = append(l.lines, fmt.Sprintf("%d %s %v @%016x", r.Rank(), what, v, math.Float64bits(r.Wtime())))
 }
+
+func (l *pinLog) text() []byte { return []byte(strings.Join(l.lines, "\n")) }
 
 func (l *pinLog) digest() string {
 	h := sha256.New()
@@ -182,16 +187,20 @@ func backlogScript(log *pinLog, size float64) func(*Rank) error {
 func TestPinDigest(t *testing.T) {
 	const want = "5e91e086cb6826dbea93e69e45c1adcb4dcba79982f8975877c94b65a8999a19"
 	var log pinLog
-	for _, size := range []float64{8, EagerThreshold, EagerThreshold + 1, 1e6} {
-		for n := 1; n <= 7; n++ {
-			if err := sharedCluster(t, n).Run(collectivesScript(&log, size)); err != nil {
-				t.Fatalf("collectives n=%d size=%g: %v", n, size, err)
-			}
-			if err := sharedCluster(t, n).Run(backlogScript(&log, size)); err != nil {
-				t.Fatalf("backlog n=%d size=%g: %v", n, size, err)
+	pooltest.Replay(t, 1, func() []byte {
+		log = pinLog{}
+		for _, size := range []float64{8, EagerThreshold, EagerThreshold + 1, 1e6} {
+			for n := 1; n <= 7; n++ {
+				if err := sharedCluster(t, n).Run(collectivesScript(&log, size)); err != nil {
+					t.Fatalf("collectives n=%d size=%g: %v", n, size, err)
+				}
+				if err := sharedCluster(t, n).Run(backlogScript(&log, size)); err != nil {
+					t.Fatalf("backlog n=%d size=%g: %v", n, size, err)
+				}
 			}
 		}
-	}
+		return log.text()
+	})
 	if got := log.digest(); got != want {
 		t.Errorf("digest over %d returns = %s, want %s", len(log.lines), got, want)
 	}
@@ -201,11 +210,15 @@ func TestPinDigest(t *testing.T) {
 // rendezvous-sized (M doubles = 72 000 B), with ranks sharing hosts.
 func TestPinRendezvousMatMul(t *testing.T) {
 	const want = 0x3f8defb90cd70ece
-	w := sharedCluster(t, 4)
-	makespan, err := RunMatMul(w, MatMulConfig{M: 9000, N: 4, K: 4}, 0.0005, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var makespan float64
+	pooltest.Replay(t, 1, func() []byte {
+		var err error
+		makespan, err = RunMatMul(sharedCluster(t, 4), MatMulConfig{M: 9000, N: 4, K: 4}, 0.0005, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Appendf(nil, "%016x", math.Float64bits(makespan))
+	})
 	if got := math.Float64bits(makespan); got != want {
 		t.Errorf("makespan %g (%#016x), want %#016x", makespan, got, uint64(want))
 	}
@@ -241,14 +254,18 @@ func TestPinE7Makespans(t *testing.T) {
 		if err := pf.ComputeRoutes(); err != nil {
 			t.Fatal(err)
 		}
-		w, err := New(pf, surf.DefaultConfig(), hosts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		makespan, err := RunMatMul(w, MatMulConfig{M: 64, N: 64, K: 64}, 0.0005, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var makespan float64
+		pooltest.Replay(t, 1, func() []byte {
+			w, err := New(pf, surf.DefaultConfig(), hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			makespan, err = RunMatMul(w, MatMulConfig{M: 64, N: 64, K: 64}, 0.0005, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Appendf(nil, "%016x", math.Float64bits(makespan))
+		})
 		if got := math.Float64bits(makespan); got != c.want {
 			t.Errorf("%s: makespan %g (%#016x), want %#016x", c.name, makespan, got, c.want)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -399,21 +400,25 @@ func TestAlltoallAllSizes(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			results := make([][]any, n)
 			// Each rank's return from Alltoall in resume order, as rank and
-			// Float64bits of Wtime; pinned at n=9, the largest exchange.
+			// Float64bits of Wtime, with the free lists on and off; pinned
+			// at n=9, the largest exchange.
 			h := fnv.New64a()
-			run(t, n, func(r *Rank) error {
-				items := make([]any, n)
-				for i := range items {
-					items[i] = r.Rank()*100 + i // "from r to i"
-				}
-				out, err := r.Alltoall(items, 1e3)
-				if err != nil {
-					return err
-				}
-				results[r.Rank()] = out
-				fmt.Fprintf(h, "%d %016x\n", r.Rank(), math.Float64bits(r.Wtime()))
-				return nil
-			})
+			h.Write(pooltest.Replay(t, 1, func() (log []byte) {
+				run(t, n, func(r *Rank) error {
+					items := make([]any, n)
+					for i := range items {
+						items[i] = r.Rank()*100 + i // "from r to i"
+					}
+					out, err := r.Alltoall(items, 1e3)
+					if err != nil {
+						return err
+					}
+					results[r.Rank()] = out
+					log = fmt.Appendf(log, "%d %016x\n", r.Rank(), math.Float64bits(r.Wtime()))
+					return nil
+				})
+				return log
+			}))
 			if got, want := h.Sum64(), uint64(0x382af25a9ee32805); n == 9 && got != want {
 				t.Errorf("n=9: return digest %#016x, want %#016x", got, want)
 			}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 )
 
 // perPopModel is the pre-batching completion path, kept as the test
@@ -270,10 +271,14 @@ func diffLogs(t *testing.T, batched, perPop []string) {
 // completion path (collectDue's gathering + one contiguous wake sweep)
 // and the per-pop reference produce the identical completion log for
 // directly waiting processes: same times, same actions, same wake
-// order.
+// order, with the free lists on and off.
 func TestLockstepBatchedEquivalence(t *testing.T) {
-	batched := runLockstep(t, New, 60, 4)
-	diffLogs(t, batched, runLockstep(t, newPerPop, 60, 4))
+	var batched []string
+	pooltest.Replay(t, 1, func() []byte {
+		batched = runLockstep(t, New, 60, 4)
+		diffLogs(t, batched, runLockstep(t, newPerPop, 60, 4))
+		return []byte(strings.Join(batched, "\n"))
+	})
 	if len(batched) != 60*4*2 {
 		t.Fatalf("completion log has %d events, want %d", len(batched), 60*4*2)
 	}
@@ -367,8 +372,12 @@ func runRelays(t *testing.T, mk newModel, nPairs, steps int) []string {
 // the per-pop reference's order, successor by successor.
 func TestCompletionBatchEquivalence(t *testing.T) {
 	const nPairs, steps = 40, 8
-	batched := runRelays(t, New, nPairs, steps)
-	diffLogs(t, batched, runRelays(t, newPerPop, nPairs, steps))
+	var batched []string
+	pooltest.Replay(t, 1, func() []byte {
+		batched = runRelays(t, New, nPairs, steps)
+		diffLogs(t, batched, runRelays(t, newPerPop, nPairs, steps))
+		return []byte(strings.Join(batched, "\n"))
+	})
 	if len(batched) != nPairs*steps {
 		t.Fatalf("completion log has %d events, want %d", len(batched), nPairs*steps)
 	}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 )
 
 // TestActionHeapOps drives the indexed heap with random push/fix/remove
@@ -168,8 +170,22 @@ func (hc *heapChecker) AdvanceTo(now, t float64) {
 // canceled, suspended, reprioritized one at a time and in bursts of up
 // to the whole population, plus link/host failures — with the
 // heapChecker cross-validating every NextEventTime and AdvanceTo
-// against a forced linear rescan.
+// against a forced linear rescan. The finish/error log is replayed with
+// the free lists off too.
 func TestHeapEquivalenceRandomized(t *testing.T) {
+	var log []string
+	pooltest.Replay(t, 1, func() []byte {
+		log = heapEquivalenceRun(t)
+		return []byte(strings.Join(log, "\n"))
+	})
+	if got, want := logDigest(log), uint64(0x84ef3d09b3aedcda); got != want {
+		t.Errorf("finish/error digest of %d actions %#016x, want %#016x", len(log), got, want)
+	}
+}
+
+// heapEquivalenceRun is one run of TestHeapEquivalenceRandomized; it
+// returns every started action's finish bits and error, in start order.
+func heapEquivalenceRun(t *testing.T) []string {
 	pf, err := platform.GenerateWaxman(platform.DefaultWaxmanConfig(10, 99))
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +325,5 @@ func TestHeapEquivalenceRandomized(t *testing.T) {
 	for i, a := range started {
 		log[i] = fmt.Sprintf("%016x %v", math.Float64bits(a.Finish()), a.Err())
 	}
-	if got, want := logDigest(log), uint64(0x84ef3d09b3aedcda); got != want {
-		t.Errorf("finish/error digest of %d actions %#016x, want %#016x", len(log), got, want)
-	}
+	return log
 }

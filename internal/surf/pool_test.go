@@ -35,9 +35,6 @@ func poolTestPlatform(t testing.TB, hosts int) *platform.Platform {
 // no stale waiter, callback, heap index, rate, bound or error — and
 // that a recycled action exposes only its new parameters.
 func TestActionPoolScrubbed(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("pooling disabled (-tags=nopool)")
-	}
 	rng := rand.New(rand.NewSource(11))
 	eng := core.New()
 	pf := poolTestPlatform(t, 5)
@@ -148,9 +145,6 @@ func TestActionPoolingEquivalence(t *testing.T) {
 // action is a no-op, and a released action is actually recycled by the
 // next creation.
 func TestReleaseGuards(t *testing.T) {
-	if !pool.Enabled {
-		t.Skip("pooling disabled (-tags=nopool)")
-	}
 	eng := core.New()
 	pf := poolTestPlatform(t, 2)
 	m := New(eng, pf, DefaultConfig())

@@ -21,8 +21,8 @@
 // virtual time costs nothing for untouched actions (see latUntil /
 // estFinish). Steady-state churn is allocation-free: Action structs,
 // their resources slices and their maxmin variables are free-listed
-// (Action.Release, -tags=nopool to disable), and completion can be
-// delivered through the closure-free Completion interface.
+// (Action.Release), and completion can be delivered through the
+// closure-free Completion interface.
 package surf
 
 import (
@@ -390,7 +390,7 @@ type Model struct {
 	dueBuf    []*Action // scratch for the equal-key bulk collect
 	idxBuf    []int     // scratch DFS stack for collectDue
 
-	// Free lists (off under -tags=nopool) for the Action structs released
+	// Free lists (pool.List) for the Action structs released
 	// by their owning layer and the resources slices of completed ones
 	// (reset, capped so one fat ptask slice does not pin memory): with
 	// maxmin's they make the steady-state activity churn allocation-free.

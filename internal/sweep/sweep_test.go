@@ -14,27 +14,35 @@ import (
 // TestSweepDeterminism is the campaign contract: the report's bytes are
 // a pure function of (grid, seed) — identical across repeats in either
 // pooling mode (the report carries the pool scoreboards, so the two
-// modes differ from each other) and across fanout settings. CI
-// additionally byte-compares the cmd/sweep binary's output files.
+// modes differ from each other) and across fanout settings, for the
+// baseline grid and the default 36-point one. CI additionally
+// byte-compares the cmd/sweep binary's output files.
 func TestSweepDeterminism(t *testing.T) {
-	report := func(fanout int) []byte {
-		rep, err := Execute(Baseline(), 1, Options{Fanout: fanout})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	for _, c := range []struct {
+		name string
+		spec func() *Spec
+	}{{"baseline", Baseline}, {"default", Default}} {
+		t.Run(c.name, func(t *testing.T) {
+			report := func(fanout int) []byte {
+				rep, err := Execute(c.spec(), 1, Options{Fanout: fanout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			pooltest.ReplayPerMode(t, 5, func() []byte {
+				narrow := report(1)
+				if !bytes.Equal(narrow, report(4)) {
+					t.Fatal("fanout 4 report differs from fanout 1")
+				}
+				return narrow
+			})
+		})
 	}
-	pooltest.ReplayPerMode(t, 5, func() []byte {
-		narrow := report(1)
-		if !bytes.Equal(narrow, report(4)) {
-			t.Fatal("fanout 4 report differs from fanout 1")
-		}
-		return narrow
-	})
 }
 
 // TestSweepSeedStability: a run's seed derives from its key, not its

@@ -2,11 +2,13 @@ package validate
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
@@ -76,13 +78,23 @@ func TestRunFluidRatesPositive(t *testing.T) {
 }
 
 // TestRunFluidPin holds the fluid side of E1/E2 to the bit on one
-// Waxman seed: each flow's rate as Float64bits.
+// Waxman seed: each flow's rate as Float64bits, with the free lists on
+// and off.
 func TestRunFluidPin(t *testing.T) {
 	pf, flows := smallExperiment(t)
-	rates, err := RunFluid(pf, flows, surf.DefaultConfig())
-	if err != nil {
-		t.Fatalf("RunFluid: %v", err)
-	}
+	var rates []float64
+	pooltest.Replay(t, 1, func() []byte {
+		var err error
+		rates, err = RunFluid(pf, flows, surf.DefaultConfig())
+		if err != nil {
+			t.Fatalf("RunFluid: %v", err)
+		}
+		var out []byte
+		for _, r := range rates {
+			out = fmt.Appendf(out, "%016x\n", math.Float64bits(r))
+		}
+		return out
+	})
 	want := []uint64{
 		0x414f2fd17ddc921f, // 4.087714983293786e+06
 		0x413694116362ee9e, // 1.479697388228334e+06
