@@ -5,10 +5,10 @@
 //
 //	sweep -campaign default -out out/              # bundled grid, 36 runs
 //	sweep -campaign baseline -fanout 4 -out out/   # the CI baseline grid
-//	sweep -spec mygrid.json -seed 7 -perf          # custom grid + timings
+//	sweep -spec mygrid.json -seed 7                # custom grid
 //	sweep -campaign baseline -check BENCH_sweep_baseline.json
 //
-// The report (perf subtree aside) is a pure function of (grid, seed):
+// The report is a pure function of (grid, seed):
 // byte-identical across repeats and across -fanout settings. -check
 // regenerates the campaign and compares the report's structure against
 // an existing file — schema drift fails, value drift doesn't.
@@ -29,7 +29,6 @@ func main() {
 	outDir := flag.String("out", ".", "directory to write BENCH_sweep_<name>.json into")
 	seed := flag.Int64("seed", 1, "campaign seed (per-run seeds derive from it by key hash)")
 	fanout := flag.Int("fanout", 1, "concurrent runs (clamped to GOMAXPROCS)")
-	perf := flag.Bool("perf", false, "attach wall-clock per-run stats (fanout 1 only)")
 	check := flag.String("check", "", "compare the report's schema against this file instead of writing")
 	stdout := flag.Bool("stdout", false, "write the report to stdout instead of a file")
 	flag.Parse()
@@ -45,7 +44,7 @@ func main() {
 		fatal(fmt.Errorf("unknown campaign %q (bundled: default, baseline, faulty)", *campaign))
 	}
 
-	rep, err := sweep.Execute(spec, *seed, sweep.Options{Fanout: *fanout, Perf: *perf})
+	rep, err := sweep.Execute(spec, *seed, sweep.Options{Fanout: *fanout})
 	if err != nil {
 		fatal(err)
 	}

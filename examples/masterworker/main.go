@@ -80,9 +80,10 @@ func main() {
 		StopIf(func(t *msg.Task) bool { return t.Data == "poison" }).
 		ComputeTask().
 		Do(func(c *msg.ChainProc) { done[c.Name()]++ }).
-		PutTask(func(c *msg.ChainProc) *msg.Task {
-			return msg.NewTask("result:"+c.Task().Name, 0, 1e4)
-		}, "master", resultChannel).
+		Do(func(c *msg.ChainProc) {
+			c.SetTask(msg.NewTask("result:"+c.Task().Name, 0, 1e4))
+		}).
+		PutReg("master", resultChannel).
 		End().
 		MustBuild()
 

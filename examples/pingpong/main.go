@@ -133,21 +133,23 @@ func runChain() {
 		}).
 		// The benched computation of the GRAS server, as explicit flops.
 		Compute("bench", 2e6).
-		PutTask(func(c *msg.ChainProc) *msg.Task {
+		Do(func(c *msg.ChainProc) {
 			t := msg.NewTask("pong", 0, 64)
 			t.Data = -c.Task().Data.(int32)
-			return t
-		}, "cli", pongChannel).
+			c.SetTask(t)
+		}).
+		PutReg("cli", pongChannel).
 		MustBuild()
 
 	ping := int32(1234)
 	clientSpec := msg.NewChain().
 		Sleep(1). // wait for the server startup
-		PutTask(func(*msg.ChainProc) *msg.Task {
+		Do(func(c *msg.ChainProc) {
 			t := msg.NewTask("ping", 0, 64)
 			t.Data = ping
-			return t
-		}, "srv", pingChannel).
+			c.SetTask(t)
+		}).
+		PutReg("srv", pingChannel).
 		Do(func(c *msg.ChainProc) {
 			fmt.Printf("[%8.4fs] %s: ping(%d) sent\n", c.Now(), c.Name(), ping)
 		}).

@@ -37,33 +37,29 @@ type chainOp uint8
 const (
 	opLoopInit chainOp = iota // reset the loop counter for a Loop
 	opLoopJump                // decrement and jump back while iterations remain
-	opPut                     // send a task and block until delivered
+	opPut                     // send the task register and block until delivered
 	opGet                     // receive a task into the register and block
 	opCompute                 // run flops on the local CPU and block
 	opSleep                   // block for a fixed duration
 	opDo                      // run a kernel-context callback, no block
 	opStopIf                  // terminate the chain if the predicate holds
-	opBreakIf                 // exit the innermost loop if the predicate holds
 )
 
 // chainStep is one compiled step. Which fields are meaningful depends
 // on op; the zero value of the rest is inert.
 type chainStep struct {
 	op      chainOp
-	name    string  // opPut task name
-	flops   float64 // opPut (payload), opCompute
-	bytes   float64 // opPut
+	flops   float64 // opCompute
 	dur     float64 // opSleep
 	dest    string  // opPut destination host
 	channel int     // opPut, opGet
 	slot    int     // opLoopInit, opLoopJump counter index
 	n       int     // opLoopInit iteration count (<= 0: forever)
-	target  int     // opLoopJump (body start), opBreakIf (loop exit)
-	useTask bool    // opPut/opCompute: use the task register instead of name/flops
+	target  int     // opLoopJump body start
+	useTask bool    // opCompute: run the task register instead of flops
 
-	makeTask func(*ChainProc) *Task // opPut custom task factory
-	do       func(*ChainProc)       // opDo
-	pred     func(*Task) bool       // opStopIf, opBreakIf
+	do   func(*ChainProc) // opDo
+	pred func(*Task) bool // opStopIf
 }
 
 // Chain is a compiled, immutable activity-chain program. One Chain is
@@ -74,8 +70,8 @@ type Chain struct {
 }
 
 // ChainBuilder accumulates steps; Build compiles them. Builder methods
-// return the builder for fluent chaining; errors (unbalanced loops,
-// misplaced breaks) are deferred to Build.
+// return the builder for fluent chaining; errors (unbalanced loops) are
+// deferred to Build.
 type ChainBuilder struct {
 	steps    []chainStep
 	frames   []chainFrame
@@ -85,24 +81,16 @@ type ChainBuilder struct {
 
 // chainFrame is an open Loop during building.
 type chainFrame struct {
-	slot   int
-	start  int   // pc of the first body step
-	breaks []int // BreakIf steps whose exit target needs patching
+	slot  int
+	start int // pc of the first body step
 }
 
 // NewChain starts a chain description.
 func NewChain() *ChainBuilder { return &ChainBuilder{} }
 
-func (b *ChainBuilder) fail(msg string) *ChainBuilder {
-	if b.err == nil {
-		b.err = errors.New("msg: " + msg)
-	}
-	return b
-}
-
 // Loop opens a counted loop executing its body n times; n <= 0 loops
-// forever (daemon-style servers — pair with StopIf or BreakIf, or rely
-// on kill). Close with End. Loops nest.
+// forever (daemon-style servers — pair with StopIf, or rely on kill).
+// Close with End. Loops nest.
 func (b *ChainBuilder) Loop(n int) *ChainBuilder {
 	slot := b.numLoops
 	b.numLoops++
@@ -114,39 +102,24 @@ func (b *ChainBuilder) Loop(n int) *ChainBuilder {
 // End closes the innermost open Loop.
 func (b *ChainBuilder) End() *ChainBuilder {
 	if len(b.frames) == 0 {
-		return b.fail("chain: End without Loop")
+		b.err = errors.New("msg: chain: End without Loop")
+		return b
 	}
 	f := b.frames[len(b.frames)-1]
 	b.frames = b.frames[:len(b.frames)-1]
 	b.steps = append(b.steps, chainStep{op: opLoopJump, slot: f.slot, target: f.start})
-	exit := len(b.steps)
-	for _, i := range f.breaks {
-		b.steps[i].target = exit
-	}
 	return b
 }
 
-// Put sends a fresh task (name, flops, bytes) to (destHost, channel)
-// and blocks until delivered — MSG_task_put as a step. A new Task is
-// allocated per execution; use PutReg or PutTask to reuse one.
-func (b *ChainBuilder) Put(name string, flops, bytes float64, destHost string, channel int) *ChainBuilder {
-	b.steps = append(b.steps, chainStep{op: opPut, name: name, flops: flops, bytes: bytes, dest: destHost, channel: channel})
-	return b
-}
-
-// PutReg sends the task currently in the chain's task register (set by
-// Get, SetTask, or a Do callback). The register keeps pointing at the
-// task afterwards, so a loop of PutReg steps reuses one Task object —
-// the zero-allocation steady state.
+// PutReg sends the task in the chain's task register to (destHost,
+// channel) and blocks until delivered — MSG_task_put as a step, and the
+// chain's only send. The register is set by Get or by SetTask in a Do
+// step (Do(func(c *ChainProc) { c.SetTask(NewTask(…)) }) sends a fresh
+// task each pass); it keeps pointing at the task afterwards, so a loop
+// of PutReg steps reuses one Task object — the zero-allocation steady
+// state.
 func (b *ChainBuilder) PutReg(destHost string, channel int) *ChainBuilder {
-	b.steps = append(b.steps, chainStep{op: opPut, useTask: true, dest: destHost, channel: channel})
-	return b
-}
-
-// PutTask sends the task returned by fn (invoked at step execution, in
-// kernel context — it must not block). Returning nil fails the chain.
-func (b *ChainBuilder) PutTask(fn func(*ChainProc) *Task, destHost string, channel int) *ChainBuilder {
-	b.steps = append(b.steps, chainStep{op: opPut, makeTask: fn, dest: destHost, channel: channel})
+	b.steps = append(b.steps, chainStep{op: opPut, dest: destHost, channel: channel})
 	return b
 }
 
@@ -193,20 +166,7 @@ func (b *ChainBuilder) StopIf(pred func(*Task) bool) *ChainBuilder {
 	return b
 }
 
-// BreakIf exits the innermost enclosing loop when pred holds for the
-// task register.
-func (b *ChainBuilder) BreakIf(pred func(*Task) bool) *ChainBuilder {
-	if len(b.frames) == 0 {
-		return b.fail("chain: BreakIf outside Loop")
-	}
-	f := &b.frames[len(b.frames)-1]
-	f.breaks = append(f.breaks, len(b.steps))
-	b.steps = append(b.steps, chainStep{op: opBreakIf, pred: pred})
-	return b
-}
-
-// Build compiles the chain. It fails on unbalanced Loop/End or a
-// misplaced BreakIf.
+// Build compiles the chain. It fails on unbalanced Loop/End.
 func (b *ChainBuilder) Build() (*Chain, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -411,12 +371,6 @@ func (c *ChainProc) step() {
 				return
 			}
 			c.pc++
-		case opBreakIf:
-			if st.pred(c.task) {
-				c.pc = st.target
-			} else {
-				c.pc++
-			}
 		case opSleep:
 			c.blockedOn = core.SimcallSleep
 			if c.sleepTimer == nil {
@@ -592,24 +546,11 @@ func (c *ChainProc) unblock(task *Task, err error) {
 // stepPut arms a rendezvous send on the destination mailbox, exactly
 // like the goroutine Put, with the chain itself as the blocked party.
 func (c *ChainProc) stepPut(st *chainStep) {
-	var task *Task
-	switch {
-	case st.makeTask != nil:
-		task = st.makeTask(c)
-		if task == nil {
-			c.finish(errors.New("msg: chain: PutTask factory returned nil"))
-			return
-		}
-	case st.useTask:
-		task = c.task
-		if task == nil {
-			c.finish(errors.New("msg: chain: PutReg with empty task register"))
-			return
-		}
-	default:
-		task = NewTask(st.name, st.flops, st.bytes)
+	if c.task == nil {
+		c.finish(errors.New("msg: chain: PutReg with empty task register"))
+		return
 	}
-	if r, mb, err := c.sending(task, st.dest, st.channel); err != nil {
+	if r, mb, err := c.sending(c.task, st.dest, st.channel); err != nil {
 		c.finish(err)
 	} else {
 		c.arm(r, mb)

@@ -25,6 +25,11 @@ func chainRecorder(env *Environment) (func(string), *[]string) {
 	}, log
 }
 
+// fresh is the Do step before a PutReg that sends a new task each pass.
+func fresh(name string, bytes float64) func(*ChainProc) {
+	return func(c *ChainProc) { c.SetTask(NewTask(name, 0, bytes)) }
+}
+
 func TestChainBuilderValidation(t *testing.T) {
 	if _, err := NewChain().Build(); err == nil {
 		t.Error("empty chain built")
@@ -35,16 +40,13 @@ func TestChainBuilderValidation(t *testing.T) {
 	if _, err := NewChain().Compute("w", 1).End().Build(); err == nil {
 		t.Error("End without Loop built")
 	}
-	if _, err := NewChain().BreakIf(func(*Task) bool { return true }).Build(); err == nil {
-		t.Error("BreakIf outside Loop built")
-	}
 	if _, err := NewChain().Loop(3).Sleep(1).End().Build(); err != nil {
 		t.Errorf("valid chain rejected: %v", err)
 	}
 }
 
-// TestChainLoopConstructs pins counted loops, nesting, BreakIf and
-// StopIf against a pure Do/Sleep chain (no rendezvous, exact count).
+// TestChainLoopConstructs pins counted loops, nesting and StopIf
+// against a pure Do/Sleep chain (no rendezvous, exact count).
 func TestChainLoopConstructs(t *testing.T) {
 	env := NewEnvironment(lanPlatform(t), exact())
 	var outer, inner, after int
@@ -54,10 +56,15 @@ func TestChainLoopConstructs(t *testing.T) {
 		Loop(4).
 		Do(func(c *ChainProc) { inner++ }).
 		Sleep(0.01).
-		BreakIf(func(*Task) bool { return inner%10 == 0 }). // fires once, at inner==10
 		End().
 		End().
 		Do(func(c *ChainProc) { after++ }).
+		Loop(0).
+		Do(func(c *ChainProc) { inner++; c.SetTask(NewTask("", 0, float64(inner))) }).
+		StopIf(func(t *Task) bool { return t.Bytes == 14 }). // fires at the 2nd pass
+		Sleep(0.01).
+		End().
+		Do(func(c *ChainProc) { after++ }). // never runs: StopIf ends the chain
 		MustBuild()
 	if _, err := env.StartChain("loops", "client", spec, nil); err != nil {
 		t.Fatal(err)
@@ -65,11 +72,10 @@ func TestChainLoopConstructs(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// Outer runs 3 times; inner runs 4 per outer pass except the pass
-	// where the break fires at the 10th total inner iteration (2nd
-	// iteration of the 3rd pass).
-	if outer != 3 || inner != 10 || after != 1 {
-		t.Errorf("outer=%d inner=%d after=%d, want 3/10/1", outer, inner, after)
+	// Outer runs 3 times and inner 4 per outer pass (12); the forever
+	// loop adds two passes before its StopIf ends the chain.
+	if outer != 3 || inner != 14 || after != 1 {
+		t.Errorf("outer=%d inner=%d after=%d, want 3/14/1", outer, inner, after)
 	}
 }
 
@@ -370,13 +376,13 @@ func TestChainMixedRendezvous(t *testing.T) {
 			}
 			b := NewChain()
 			if chainSends {
-				b.Put("m1", 0, 1e5, "client", 1)
+				b.Do(fresh("m1", 1e5)).PutReg("client", 1)
 			} else {
 				b.Get(1)
 			}
 			spec := b.
 				Do(func(c *ChainProc) { rec("chain past m1"); bystander.Resume() }).
-				Put("follow-up", 0, 1e5, "client", 2).
+				Do(fresh("follow-up", 1e5)).PutReg("client", 2).
 				Do(func(c *ChainProc) { rec("chain past follow-up") }).
 				MustBuild()
 			if _, err := env.StartChain("chain", "server", spec, nil); err != nil {
@@ -475,7 +481,7 @@ func TestChainKill(t *testing.T) {
 // flowing and the receiver still gets the task.
 func TestChainKillMidTransfer(t *testing.T) {
 	env := NewEnvironment(lanPlatform(t), exact())
-	send := NewChain().Put("big", 0, 1e8, "server", 1).MustBuild() // ~1 s transfer
+	send := NewChain().Do(fresh("big", 1e8)).PutReg("server", 1).MustBuild() // ~1 s transfer
 	var chainErr error
 	cs, err := env.StartChain("sender", "client", send, &ChainConfig{
 		OnExit: func(err error) { chainErr = err },

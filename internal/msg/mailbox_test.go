@@ -132,7 +132,8 @@ func TestOneQueueInvariant(t *testing.T) {
 		dst, ch := pick()
 		b := NewChain().Loop(0)
 		if i%2 == 0 {
-			b.Put("c", 0, float64(rng.Intn(2e5)), dst, ch).Sleep(rng.Float64() * 0.05)
+			bytes := float64(rng.Intn(2e5))
+			b.Do(fresh("c", bytes)).PutReg(dst, ch).Sleep(rng.Float64() * 0.05)
 		} else {
 			b.Get(ch).Sleep(rng.Float64() * 0.05)
 		}

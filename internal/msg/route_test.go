@@ -130,11 +130,12 @@ func routeSender(t *testing.T, env *Environment, chains bool, from string, at fl
 				s, k0 := &sends[k], k
 				booked := routeSend{from: from, to: st.put, reroutes: reroutes}
 				k++
-				b.Do(func(*ChainProc) {
+				b.Do(func(c *ChainProc) {
 					booked.start = env.Now()
 					*s, last = booked, s
+					c.SetTask(&Task{Name: "t", Bytes: routeBytes, Data: k0})
 				})
-				b.PutTask(func(*ChainProc) *Task { return &Task{Name: "t", Bytes: routeBytes, Data: k0} }, st.put, 0)
+				b.PutReg(st.put, 0)
 				b.Do(func(*ChainProc) { s.end, last = env.Now(), nil })
 			default:
 				t.Fatal("a chain cannot migrate")
@@ -400,8 +401,8 @@ func TestRestartLandsOnTheSameRecord(t *testing.T) {
 			if at > 0 {
 				b.Sleep(at)
 			}
-			spec := b.Put("a", 0, bytes, sink, 0).Do(func(*ChainProc) { book() }).
-				Put("b", 0, bytes, sink, 0).Do(func(*ChainProc) { book() }).MustBuild()
+			spec := b.Do(fresh("a", bytes)).PutReg(sink, 0).Do(func(*ChainProc) { book() }).
+				Do(fresh("b", bytes)).PutReg(sink, 0).Do(func(*ChainProc) { book() }).MustBuild()
 			if _, err := env.StartChain(fmt.Sprintf("a%d", i), "server", spec, &ChainConfig{AutoRestart: restart}); err != nil {
 				t.Fatal(err)
 			}

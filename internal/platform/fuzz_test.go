@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -13,11 +14,16 @@ import (
 // error or yields a platform on which a route lookup between any two
 // hosts returns a route or an error, surf resolves every route the
 // platform hands out (a split-duplex hop it cannot orient would fail
-// here), and whose Save output loads back and saves to the same bytes.
+// here), and whose Save output loads back, routes every host pair over
+// the same links and saves to the same bytes.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"hosts": [{"name": "a", "power": 1}, {"name": "b", "power": 1}],
 	  "routers": ["r"], "links": [{"name": "l", "bandwidth": 1000, "latency": 0.5, "policy": "fatpipe"}],
 	  "edges": [{"a": "a", "b": "r", "link": "l"}, {"a": "r", "b": "b", "link": "l"}]}`))
+	f.Add([]byte(`{"hosts": [{"name": "a", "power": 1}, {"name": "b", "power": 1}, {"name": "c", "power": 1}],
+	  "links": [{"name": "l", "bandwidth": 1000, "latency": 0.5}, {"name": "m", "bandwidth": 10, "latency": 1}],
+	  "edges": [{"a": "b", "b": "c", "link": "m"}],
+	  "routes": [{"src": "c", "dst": "a", "links": ["l", "m"]}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := platform.Load(bytes.NewReader(raw))
 		if err != nil {
@@ -49,5 +55,26 @@ func FuzzLoad(f *testing.F) {
 		if !bytes.Equal(saved.Bytes(), again.Bytes()) {
 			t.Fatalf("Save is not stable across a reload:\n%s\nthen\n%s", saved.Bytes(), again.Bytes())
 		}
+		for _, a := range p.Hosts() {
+			for _, b := range p.Hosts() {
+				if was, now := routeNames(p, a.Name, b.Name), routeNames(p2, a.Name, b.Name); was != now {
+					t.Fatalf("route %s -> %s was %s, after Save and Load %s\n%s", a.Name, b.Name, was, now, saved.Bytes())
+				}
+			}
+		}
 	})
+}
+
+// routeNames is the route src -> dst as its link names, or the error
+// that refused it.
+func routeNames(p *platform.Platform, src, dst string) string {
+	r, err := p.Route(src, dst)
+	if err != nil {
+		return err.Error()
+	}
+	var names []string
+	for _, l := range r.Links {
+		names = append(names, l.Name)
+	}
+	return fmt.Sprintf("%q", names)
 }

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -189,6 +191,24 @@ func (p *Platform) Save(w io.Writer) error {
 	for _, e := range p.edges {
 		jp.Edges = append(jp.Edges, jsonEdge{A: e.a, B: e.b, Link: e.link.Name})
 	}
+	// AddRoute stores both directions; one of them (src < dst) reloads
+	// both. A host's route to itself is always empty, whatever it names.
+	for key, links := range p.routes {
+		if key[0] >= key[1] || !p.explicit(key) {
+			continue
+		}
+		names := make([]string, len(links))
+		for i, l := range links {
+			names[i] = l.Name
+		}
+		jp.Routes = append(jp.Routes, jsonRoute{Src: key[0], Dst: key[1], Links: names})
+	}
+	slices.SortFunc(jp.Routes, func(a, b jsonRoute) int {
+		if c := strings.Compare(a.Src, b.Src); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Dst, b.Dst)
+	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&jp)

@@ -421,7 +421,8 @@ func (p *Platform) Route(src, dst string) (*Route, error) {
 // ComputeRoutes fills the routing table for every host pair using
 // Floyd–Warshall over the Connect graph, minimizing total latency (ties
 // broken deterministically by node order). Explicit AddRoute entries are
-// preserved.
+// preserved; routes an earlier call computed are recomputed, so links
+// connected since then are used.
 func (p *Platform) ComputeRoutes() error {
 	// Stable node indexing.
 	var names []string
@@ -486,7 +487,8 @@ func (p *Platform) ComputeRoutes() error {
 			if a == b {
 				continue
 			}
-			if _, explicit := p.routes[[2]string{a, b}]; explicit {
+			key := [2]string{a, b}
+			if p.explicit(key) {
 				continue
 			}
 			i, j := idx[a], idx[b]
@@ -501,12 +503,19 @@ func (p *Platform) ComputeRoutes() error {
 				hops = append(hops, Hop{A: names[u], B: names[v], Link: via[u][j]})
 				u = v
 			}
-			p.routes[[2]string{a, b}] = links
-			p.hops[[2]string{a, b}] = hops
+			p.routes[key] = links
+			p.hops[key] = hops
 		}
 	}
 	p.gen++
 	return nil
+}
+
+// explicit reports whether key's route was declared by AddRoute: it has
+// links but, unlike a computed route, no hops.
+func (p *Platform) explicit(key [2]string) bool {
+	_, ok := p.routes[key]
+	return ok && p.hops[key] == nil
 }
 
 // HopRoute returns the directed hop-level route between two hosts.

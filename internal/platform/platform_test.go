@@ -197,6 +197,45 @@ func TestComputeRoutesKeepsExplicit(t *testing.T) {
 	}
 }
 
+// TestComputeRoutesAgain: a second ComputeRoutes recomputes the routes
+// the first one made, so a link connected in between is used; explicit
+// routes still stay.
+func TestComputeRoutesAgain(t *testing.T) {
+	p := New()
+	for _, h := range []string{"a", "b", "c"} {
+		p.AddHost(mkHost(h))
+	}
+	p.AddRouter("r")
+	p.Connect("a", "r", mkLink("ar", 1e6, 5))
+	p.Connect("r", "b", mkLink("rb", 1e6, 5))
+	p.Connect("b", "c", mkLink("bc", 1e6, 1))
+	forced := mkLink("forced", 1e6, 20)
+	p.AddRoute("a", "c", []*Link{forced})
+	if err := p.ComputeRoutes(); err != nil {
+		t.Fatalf("ComputeRoutes: %v", err)
+	}
+	if r, _ := p.Route("a", "b"); len(r.Links) != 2 || r.Latency() != 10 {
+		t.Fatalf("first route a->b = %v, want [ar rb] at 10 s", names(r.Links))
+	}
+	direct := mkLink("direct", 1e6, 1)
+	p.Connect("a", "b", direct)
+	if err := p.ComputeRoutes(); err != nil {
+		t.Fatalf("ComputeRoutes: %v", err)
+	}
+	for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		r, err := p.Route(pair[0], pair[1])
+		if err != nil || len(r.Links) != 1 || r.Links[0] != direct || r.Latency() != 1 {
+			t.Errorf("route %s->%s = %v (%v), want [direct] at 1 s", pair[0], pair[1], names(r.Links), err)
+		}
+		if hops, err := p.HopRoute(pair[0], pair[1]); err != nil || len(hops) != 1 {
+			t.Errorf("hop route %s->%s = %v (%v), want one hop", pair[0], pair[1], hops, err)
+		}
+	}
+	if r, _ := p.Route("c", "a"); len(r.Links) != 1 || r.Links[0] != forced {
+		t.Errorf("explicit route c->a overwritten: %v", names(r.Links))
+	}
+}
+
 func TestConnectUnknownNode(t *testing.T) {
 	p := New()
 	p.AddHost(mkHost("a"))
@@ -525,6 +564,52 @@ func TestJSONExplicitRoutes(t *testing.T) {
 	r, err := p.Route("a", "b")
 	if err != nil || len(r.Links) != 1 {
 		t.Fatalf("route: %v %v", r, err)
+	}
+}
+
+// TestJSONExplicitRoutesRoundTrip: Save writes every explicit route
+// once, so a reload routes each host pair over the same links and
+// saves the same bytes.
+func TestJSONExplicitRoutesRoundTrip(t *testing.T) {
+	src := `{
+	  "hosts": [{"name": "a", "power": 1}, {"name": "b", "power": 1}, {"name": "c", "power": 1}],
+	  "links": [{"name": "l", "bandwidth": 1000, "latency": 0.5}, {"name": "m", "bandwidth": 10, "latency": 1}],
+	  "routes": [{"src": "c", "dst": "a", "links": ["l", "m"]}, {"src": "a", "dst": "b", "links": ["l"]}]
+	}`
+	p, err := Load(strings.NewReader(src))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var saved, again bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	p2, err := Load(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatalf("reload: %v\n%s", err, saved.Bytes())
+	}
+	want := map[[2]string]string{
+		{"a", "b"}: "l", {"b", "a"}: "l",
+		{"c", "a"}: "l m", {"a", "c"}: "m l",
+	}
+	for pair, links := range want {
+		r, err := p2.Route(pair[0], pair[1])
+		if err != nil {
+			t.Errorf("reloaded route %s->%s: %v", pair[0], pair[1], err)
+			continue
+		}
+		if got := strings.Join(names(r.Links), " "); got != links {
+			t.Errorf("reloaded route %s->%s = [%s], want [%s]", pair[0], pair[1], got, links)
+		}
+	}
+	if _, err := p2.Route("b", "c"); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("reloaded route b->c: err = %v, want ErrNoRoute", err)
+	}
+	if err := p2.Save(&again); err != nil {
+		t.Fatalf("second Save: %v", err)
+	}
+	if !bytes.Equal(saved.Bytes(), again.Bytes()) {
+		t.Errorf("Save is not stable across a reload:\n%s\nthen\n%s", saved.Bytes(), again.Bytes())
 	}
 }
 

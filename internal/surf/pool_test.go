@@ -1,6 +1,9 @@
 package surf
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/pool"
+	"repro/internal/pool/pooltest"
 )
 
 func poolTestPlatform(t testing.TB, hosts int) *platform.Platform {
@@ -175,4 +179,87 @@ func TestReleaseGuards(t *testing.T) {
 	if b.Name() != "exec@b" || b.Done() || b.Err() != nil {
 		t.Fatalf("recycled action carries stale identity: name=%q done=%v err=%v", b.Name(), b.Done(), b.Err())
 	}
+}
+
+// churnRelay is one of TestRecycledVariableKeepsSolveOrder's relays:
+// each of its computes ends in a handler that starts and at once
+// cancels a compute, re-weights a long-running compute, and starts the
+// relay's next compute.
+type churnRelay struct {
+	m      *Model
+	h      *HostHandle
+	name   string
+	flops  float64
+	rounds int
+	long   []*Action
+	rng    *rand.Rand
+	log    *bytes.Buffer
+}
+
+func (r *churnRelay) ActionDone(a *Action, err error) {
+	fmt.Fprintf(r.log, "%s %d %016x %v\n", r.name, r.rounds, math.Float64bits(a.Finish()), err)
+	a.Release()
+	if r.rounds == 0 {
+		return
+	}
+	r.rounds--
+	x, _ := r.m.ExecuteHandle(r.h, 1e6, 1.7)
+	x.Cancel() // its variable leaves the system still queued for the solve
+	x.Release()
+	if l := r.long[r.rng.Intn(len(r.long))]; !l.Done() {
+		l.SetPriority(0.5 + r.rng.Float64()) // queues a second variable
+	}
+	next, _ := r.m.ExecuteHandle(r.h, r.flops, 0.5+r.rng.Float64()) // reuses the cancelled variable
+	next.SetCompletion(r)
+}
+
+type logDone struct {
+	name string
+	log  *bytes.Buffer
+}
+
+func (d logDone) ActionDone(a *Action, err error) {
+	fmt.Fprintf(d.log, "%s %016x %v\n", d.name, math.Float64bits(a.Finish()), err)
+	a.Release()
+}
+
+// TestRecycledVariableKeepsSolveOrder pins the order leak pooling can
+// cause: a maxmin variable removed while still queued for the next
+// solve is handed to the very next NewVariable, after another variable
+// was queued. Unless RemoveVariable dequeues it, the recycled variable
+// keeps its earlier queue slot, the solve walks the CPU's variables in
+// another order than an unpooled run does, and a rate sum can round
+// differently: without dequeueVar the two runs part by one ulp. Three
+// long computes share one CPU with five relays; the weights are drawn
+// at random, since sums of round weights came out alike in either
+// order.
+func TestRecycledVariableKeepsSolveOrder(t *testing.T) {
+	pooltest.Replay(t, 1, func() []byte {
+		eng := core.New()
+		m := New(eng, poolTestPlatform(t, 1), DefaultConfig())
+		h := m.HostHandle("a")
+		var log bytes.Buffer
+		rng := rand.New(rand.NewSource(1))
+		var long []*Action
+		for i := 0; i < 3; i++ {
+			a, err := m.ExecuteHandle(h, 3e10+1e9*float64(i), 0.9+0.45*float64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetCompletion(logDone{name: fmt.Sprintf("long%d", i), log: &log})
+			long = append(long, a)
+		}
+		for i := 0; i < 5; i++ {
+			r := &churnRelay{m: m, h: h, name: fmt.Sprintf("relay%d", i), flops: 7e8 + 3.1e8*float64(i), rounds: 6, long: long, rng: rng, log: &log}
+			a, err := m.ExecuteHandle(h, r.flops, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetCompletion(r)
+		}
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		return log.Bytes()
+	})
 }

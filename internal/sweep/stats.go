@@ -5,10 +5,9 @@
 //
 // This file owns the report schema cmd/sweep writes as
 // BENCH_sweep_*.json. The determinism contract is structural: a
-// CampaignReport marshalled without the perf subtree is a pure function
-// of (spec, campaign seed) — byte-identical across repeats and across
-// fanout settings. Wall-clock numbers are quarantined in PerfStat,
-// attached only on request.
+// CampaignReport is a pure function of (spec, campaign seed) —
+// byte-identical across repeats and across fanout settings. It holds no
+// wall-clock number; bench/ is the harness that times runs.
 package sweep
 
 import (
@@ -25,17 +24,6 @@ import (
 // a field changes meaning or shape; the CI drift check compares
 // structure, so additive evolution bumps it too.
 const SchemaVersion = 1
-
-// PerfStat is the wall-clock side of one run, collected only when
-// Options.Perf is set (and fanout is 1, so timings aren't smeared by
-// sibling runs). It lives in its own subtree so the deterministic part
-// of the report never embeds host-speed noise.
-type PerfStat struct {
-	WallUs        float64 `json:"wall_us"`
-	UsPerActivity float64 `json:"us_per_activity"`
-	Allocs        int64   `json:"allocs"`
-	Bytes         int64   `json:"bytes"`
-}
 
 // RunStat is the deterministic record of one grid point.
 type RunStat struct {
@@ -63,8 +51,6 @@ type RunStat struct {
 	// process-global entries (the shared worker-stack pool) filtered
 	// out so the values are a pure function of the run.
 	Metrics map[string]json.RawMessage `json:"metrics"`
-
-	Perf *PerfStat `json:"perf,omitempty"`
 }
 
 // Aggregate summarizes the runs sharing one scheduler.
@@ -134,8 +120,8 @@ func globalMetricNames(flat map[string]json.RawMessage) []string {
 // CheckSchema compares the structure of two JSON documents and returns
 // a descriptive error on drift. Structure means: objects must carry the
 // same key set, arrays the same length with matching elements, numbers
-// must stay numbers (values free to differ — perf numbers drift by
-// design), strings and booleans must match exactly (they encode names
+// must stay numbers (values free to differ — makespans and counters
+// move with the model), strings and booleans must match exactly (they encode names
 // and axes, not measurements).
 func CheckSchema(got, want []byte) error {
 	var g, w any

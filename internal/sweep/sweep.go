@@ -11,11 +11,9 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/instr"
@@ -88,13 +86,10 @@ type Options struct {
 	// interleave even on one CPU, so the concurrent path is exercised
 	// regardless of GOMAXPROCS.
 	Fanout int
-	// Perf attaches wall-clock PerfStat to each run. Only honoured at
-	// fanout 1: concurrent siblings would smear the timings.
-	Perf bool
 }
 
 // Execute expands and runs the campaign, returning the report. The
-// report (perf subtree aside) is a pure function of (sp, campaignSeed).
+// report is a pure function of (sp, campaignSeed).
 func Execute(sp *Spec, campaignSeed int64, opt Options) (*CampaignReport, error) {
 	runs, err := Expand(sp, campaignSeed)
 	if err != nil {
@@ -104,13 +99,11 @@ func Execute(sp *Spec, campaignSeed int64, opt Options) (*CampaignReport, error)
 	if fanout < 1 {
 		fanout = 1
 	}
-	perf := opt.Perf && fanout == 1
-
 	stats := make([]RunStat, len(runs))
 	errs := make([]error, len(runs))
 	if fanout == 1 {
 		for i := range runs {
-			stats[i], errs[i] = runOne(&runs[i], perf)
+			stats[i], errs[i] = runOne(&runs[i])
 		}
 	} else {
 		// Bounded fanout: a fixed worker pool draining an index channel.
@@ -125,7 +118,7 @@ func Execute(sp *Spec, campaignSeed int64, opt Options) (*CampaignReport, error)
 			go func() { // sanctioned spawn site: lint GoroutineAllow names Execute
 				defer wg.Done()
 				for i := range idx {
-					stats[i], errs[i] = runOne(&runs[i], false)
+					stats[i], errs[i] = runOne(&runs[i])
 				}
 			}()
 		}
@@ -153,14 +146,7 @@ func Execute(sp *Spec, campaignSeed int64, opt Options) (*CampaignReport, error)
 }
 
 // runOne executes a single grid point in a fresh engine.
-func runOne(r *Run, perf bool) (RunStat, error) {
-	var t0 time.Time
-	var m0 runtime.MemStats
-	if perf {
-		runtime.ReadMemStats(&m0)
-		t0 = time.Now() //lint:allow det-wallclock perf lane only: quarantined in RunStat.Perf, off in determinism runs
-	}
-
+func runOne(r *Run) (RunStat, error) {
 	pf, hosts, err := r.Platform.Build()
 	if err != nil {
 		return RunStat{}, err
@@ -234,21 +220,6 @@ func runOne(r *Run, perf bool) (RunStat, error) {
 	}
 	if inj != nil {
 		st.FaultEvents = inj.Applied()
-	}
-	if perf {
-		wall := time.Since(t0) //lint:allow det-wallclock perf lane only: quarantined in RunStat.Perf, off in determinism runs
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		activities := len(tasks)
-		if activities == 0 {
-			activities = 1
-		}
-		st.Perf = &PerfStat{
-			WallUs:        float64(wall.Nanoseconds()) / 1e3,
-			UsPerActivity: float64(wall.Nanoseconds()) / float64(activities) / 1e3,
-			Allocs:        int64(m1.Mallocs - m0.Mallocs),
-			Bytes:         int64(m1.TotalAlloc - m0.TotalAlloc),
-		}
 	}
 	return st, nil
 }

@@ -226,45 +226,6 @@ func TestFaultyCampaign(t *testing.T) {
 	}
 }
 
-// TestPerfSubtree: -perf attaches wall-clock stats without touching the
-// deterministic part, and is refused at fanout > 1.
-func TestPerfSubtree(t *testing.T) {
-	spec := Baseline()
-	spec.Platforms = spec.Platforms[:1]
-	spec.Seeds = spec.Seeds[:1]
-	perf, err := Execute(spec, 1, Options{Fanout: 1, Perf: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range perf.Runs {
-		if perf.Runs[i].Perf == nil {
-			t.Fatalf("run %s: perf requested but absent", perf.Runs[i].Key)
-		}
-		if perf.Runs[i].Perf.WallUs <= 0 {
-			t.Fatalf("run %s: non-positive wall time", perf.Runs[i].Key)
-		}
-		perf.Runs[i].Perf = nil
-	}
-	plain, err := Execute(spec, 1, Options{Fanout: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := Marshal(perf)
-	b, _ := Marshal(plain)
-	if !bytes.Equal(a, b) {
-		t.Fatal("stripping the perf subtree does not recover the deterministic report")
-	}
-	wide, err := Execute(spec, 1, Options{Fanout: 4, Perf: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wide.Runs {
-		if wide.Runs[i].Perf != nil {
-			t.Fatal("perf stats attached at fanout > 1")
-		}
-	}
-}
-
 // TestCheckSchema: value drift passes, structural drift fails.
 func TestCheckSchema(t *testing.T) {
 	ref := []byte(`{"schema_version":1,"runs":[{"makespan":1.5,"scheduler":"minmin","ok":true}],"n":2}`)

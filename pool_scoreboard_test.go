@@ -118,7 +118,9 @@ func runMixedMSG(t *testing.T) []byte {
 		if _, err := env.StartChain("recv", dst, recv, &msg.ChainConfig{Daemon: volatile}); err != nil {
 			t.Fatal(err)
 		}
-		send := msg.NewChain().Loop(rounds).Put("t", 0, 5e4, dst, channel).Compute("c", 5e5).End().MustBuild()
+		send := msg.NewChain().Loop(rounds).
+			Do(func(c *msg.ChainProc) { c.SetTask(msg.NewTask("t", 0, 5e4)) }).PutReg(dst, channel).
+			Compute("c", 5e5).End().MustBuild()
 		if _, err := env.StartChain("send", src, send, &msg.ChainConfig{AutoRestart: volatile}); err != nil {
 			t.Fatal(err)
 		}
