@@ -5,59 +5,50 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
-	"math"
 )
 
 // ErrShortBuffer reports truncated input during decoding.
 var ErrShortBuffer = errors.New("codec: short buffer")
 
+// order is encoding/binary's reading and appending halves of one byte
+// order.
+type order interface {
+	binary.ByteOrder
+	binary.AppendByteOrder
+}
+
+func (b ByteOrder) binary() order {
+	if b == BigEndian {
+		return binary.BigEndian
+	}
+	return binary.LittleEndian
+}
+
 // writer accumulates wire bytes in a chosen byte order.
 type writer struct {
 	buf   []byte
-	order ByteOrder
+	order order
 }
 
-func newWriter(order ByteOrder) *writer {
-	return &writer{buf: make([]byte, 0, 256), order: order}
+func newWriter(o ByteOrder) *writer {
+	return &writer{buf: make([]byte, 0, 256), order: o.binary()}
 }
 
-func (w *writer) bytes() []byte { return w.buf }
-
-func (w *writer) u8(v byte) { w.buf = append(w.buf, v) }
-
-func (w *writer) u16(v uint16) {
-	if w.order == BigEndian {
-		w.buf = append(w.buf, byte(v>>8), byte(v))
-	} else {
-		w.buf = append(w.buf, byte(v), byte(v>>8))
+// word appends the low n bytes of x (n is 1, 2, 4 or 8).
+func (w *writer) word(x uint64, n int) {
+	switch n {
+	case 1:
+		w.buf = append(w.buf, byte(x))
+	case 2:
+		w.buf = w.order.AppendUint16(w.buf, uint16(x))
+	case 4:
+		w.buf = w.order.AppendUint32(w.buf, uint32(x))
+	default:
+		w.buf = w.order.AppendUint64(w.buf, x)
 	}
 }
-
-func (w *writer) u32(v uint32) {
-	if w.order == BigEndian {
-		w.buf = append(w.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	} else {
-		w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-}
-
-func (w *writer) u64(v uint64) {
-	if w.order == BigEndian {
-		w.buf = append(w.buf,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	} else {
-		w.buf = append(w.buf,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-}
-
-func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // pad appends zero bytes until the length is a multiple of n.
 func (w *writer) pad(n int) {
@@ -70,70 +61,29 @@ func (w *writer) pad(n int) {
 type reader struct {
 	buf   []byte
 	pos   int
-	order ByteOrder
+	order order
 }
 
-func newReader(buf []byte, order ByteOrder) *reader {
-	return &reader{buf: buf, order: order}
+func newReader(buf []byte, o ByteOrder) *reader {
+	return &reader{buf: buf, order: o.binary()}
 }
 
 func (r *reader) remaining() int { return len(r.buf) - r.pos }
 
-func (r *reader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, ErrShortBuffer
+// word reads an n-byte unsigned word (n is 1, 2, 4 or 8).
+func (r *reader) word(n int) (uint64, error) {
+	b, err := r.raw(n)
+	switch {
+	case err != nil:
+		return 0, err
+	case n == 1:
+		return uint64(b[0]), nil
+	case n == 2:
+		return uint64(r.order.Uint16(b)), nil
+	case n == 4:
+		return uint64(r.order.Uint32(b)), nil
 	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	if r.remaining() < 2 {
-		return 0, ErrShortBuffer
-	}
-	b := r.buf[r.pos:]
-	r.pos += 2
-	if r.order == BigEndian {
-		return uint16(b[0])<<8 | uint16(b[1]), nil
-	}
-	return uint16(b[1])<<8 | uint16(b[0]), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, ErrShortBuffer
-	}
-	b := r.buf[r.pos:]
-	r.pos += 4
-	if r.order == BigEndian {
-		return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
-	}
-	return uint32(b[3])<<24 | uint32(b[2])<<16 | uint32(b[1])<<8 | uint32(b[0]), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, ErrShortBuffer
-	}
-	b := r.buf[r.pos:]
-	r.pos += 8
-	if r.order == BigEndian {
-		return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-			uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]), nil
-	}
-	return uint64(b[7])<<56 | uint64(b[6])<<48 | uint64(b[5])<<40 | uint64(b[4])<<32 |
-		uint64(b[3])<<24 | uint64(b[2])<<16 | uint64(b[1])<<8 | uint64(b[0]), nil
-}
-
-func (r *reader) f32() (float32, error) {
-	v, err := r.u32()
-	return math.Float32frombits(v), err
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
+	return r.order.Uint64(b), nil
 }
 
 func (r *reader) raw(n int) ([]byte, error) {
@@ -145,13 +95,16 @@ func (r *reader) raw(n int) ([]byte, error) {
 	return b, nil
 }
 
-// skipPad consumes alignment padding up to a multiple of n.
+// skipPad consumes zero padding up to a multiple of n.
 func (r *reader) skipPad(n int) error {
 	for r.pos%n != 0 {
-		if r.remaining() < 1 {
-			return ErrShortBuffer
+		b, err := r.word(1)
+		if err != nil {
+			return err
 		}
-		r.pos++
+		if b != 0 {
+			return errors.New("codec: non-zero padding")
+		}
 	}
 	return nil
 }

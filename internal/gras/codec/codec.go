@@ -5,6 +5,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -34,68 +35,86 @@ func ByName(name string) Codec {
 	return nil
 }
 
-// encodeValue walks a described value, writing scalars through w.
-// align enables CDR-style natural alignment.
-func encodeValue(w *writer, d *Desc, v reflect.Value, align bool) error {
-	if align {
-		if sz := d.Kind.FixedSize(); sz > 1 {
-			w.pad(sz)
-		}
+// layout is how the shared walk lays a value out on the wire.
+type layout uint8
+
+const (
+	// native packs every value in the writer's byte order (NDR, PBIO).
+	native layout = iota
+	// aligned pads each scalar to its natural alignment and each
+	// string or slice count to 4 (CDR).
+	aligned
+	// xdr widens bool and 8- and 16-bit integers to one 4-byte word,
+	// sign-extending signed kinds, and pads each string's bytes to 4
+	// after them; there is no other alignment.
+	xdr
+)
+
+// width returns the wire size of kind k under l: 0 for strings and
+// composite kinds.
+func (l layout) width(k Kind) int {
+	n := k.FixedSize()
+	if l == xdr && n > 0 && n < 4 {
+		return 4
+	}
+	return n
+}
+
+// encodeFrame walks v after the header w already holds and returns the
+// frame.
+func encodeFrame(w *writer, d *Desc, v any, l layout) ([]byte, error) {
+	if err := encodeValue(w, d, reflect.ValueOf(v), l); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// encodeValue walks a described value, writing it through w.
+func encodeValue(w *writer, d *Desc, v reflect.Value, l layout) error {
+	n := l.width(d.Kind)
+	if l == aligned && n > 1 {
+		w.pad(n)
 	}
 	switch d.Kind {
 	case KindBool:
+		var b uint64
 		if v.Bool() {
-			w.u8(1)
-		} else {
-			w.u8(0)
+			b = 1
 		}
-	case KindInt8:
-		w.u8(byte(v.Int()))
-	case KindInt16:
-		w.u16(uint16(v.Int()))
-	case KindInt32:
-		w.u32(uint32(v.Int()))
-	case KindInt64:
-		w.u64(uint64(v.Int()))
-	case KindUint8:
-		w.u8(byte(v.Uint()))
-	case KindUint16:
-		w.u16(uint16(v.Uint()))
-	case KindUint32:
-		w.u32(uint32(v.Uint()))
-	case KindUint64:
-		w.u64(v.Uint())
+		w.word(b, n)
+	case KindInt8, KindInt16, KindInt32, KindInt64:
+		w.word(uint64(v.Int()), n)
+	case KindUint8, KindUint16, KindUint32, KindUint64:
+		w.word(v.Uint(), n)
 	case KindFloat32:
-		w.f32(float32(v.Float()))
+		w.word(uint64(math.Float32bits(float32(v.Float()))), n)
 	case KindFloat64:
-		w.f64(v.Float())
+		w.word(math.Float64bits(v.Float()), n)
 	case KindString:
 		s := v.String()
-		if align {
+		if l == aligned {
 			w.pad(4)
 		}
-		w.u32(uint32(len(s)))
-		w.raw([]byte(s))
+		w.word(uint64(len(s)), 4)
+		w.buf = append(w.buf, s...)
+		if l == xdr {
+			w.pad(4)
+		}
 	case KindStruct:
 		for _, f := range d.Fields {
-			fv := v.FieldByName(f.Name)
-			if err := encodeValue(w, f.Desc, fv, align); err != nil {
+			if err := encodeValue(w, f.Desc, v.FieldByName(f.Name), l); err != nil {
 				return err
 			}
 		}
-	case KindSlice:
-		if align {
-			w.pad(4)
+	case KindSlice, KindArray:
+		if d.Kind == KindSlice {
+			if l == aligned {
+				w.pad(4)
+			}
+			w.word(uint64(v.Len()), 4)
 		}
-		w.u32(uint32(v.Len()))
 		for i := 0; i < v.Len(); i++ {
-			if err := encodeValue(w, d.Elem, v.Index(i), align); err != nil {
-				return err
-			}
-		}
-	case KindArray:
-		for i := 0; i < d.Len; i++ {
-			if err := encodeValue(w, d.Elem, v.Index(i), align); err != nil {
+			if err := encodeValue(w, d.Elem, v.Index(i), l); err != nil {
 				return err
 			}
 		}
@@ -105,90 +124,63 @@ func encodeValue(w *writer, d *Desc, v reflect.Value, align bool) error {
 	return nil
 }
 
+// decodeFrame reads a fresh value of d's Go type from r.
+func decodeFrame(r *reader, d *Desc, l layout) (any, error) {
+	out, err := newValueFor(d)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeValue(r, d, out, l); err != nil {
+		return nil, err
+	}
+	return out.Interface(), nil
+}
+
 // decodeValue reads a described value from r into the addressable
-// reflect.Value v.
-func decodeValue(r *reader, d *Desc, v reflect.Value, align bool) error {
-	if align {
-		if sz := d.Kind.FixedSize(); sz > 1 {
-			if err := r.skipPad(sz); err != nil {
-				return err
-			}
+// reflect.Value v. A scalar that does not fit its kind (a bool other
+// than 0 or 1, a widened XDR word out of range) is an error.
+func decodeValue(r *reader, d *Desc, v reflect.Value, l layout) error {
+	n := l.width(d.Kind)
+	if l == aligned && n > 1 {
+		if err := r.skipPad(n); err != nil {
+			return err
+		}
+	}
+	var x uint64
+	if n > 0 {
+		var err error
+		if x, err = r.word(n); err != nil {
+			return err
 		}
 	}
 	switch d.Kind {
 	case KindBool:
-		b, err := r.u8()
-		if err != nil {
-			return err
+		if x > 1 {
+			return fmt.Errorf("codec: bool encoded as %d", x)
 		}
-		v.SetBool(b != 0)
-	case KindInt8:
-		b, err := r.u8()
-		if err != nil {
-			return err
+		v.SetBool(x == 1)
+	case KindInt8, KindInt16, KindInt32, KindInt64:
+		s := int64(x<<(64-8*n)) >> (64 - 8*n) // sign-extend the n-byte word
+		if v.OverflowInt(s) {
+			return fmt.Errorf("codec: %d overflows %v", s, d.Kind)
 		}
-		v.SetInt(int64(int8(b)))
-	case KindInt16:
-		x, err := r.u16()
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(int16(x)))
-	case KindInt32:
-		x, err := r.u32()
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(int32(x)))
-	case KindInt64:
-		x, err := r.u64()
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(x))
-	case KindUint8:
-		b, err := r.u8()
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(b))
-	case KindUint16:
-		x, err := r.u16()
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(x))
-	case KindUint32:
-		x, err := r.u32()
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(x))
-	case KindUint64:
-		x, err := r.u64()
-		if err != nil {
-			return err
+		v.SetInt(s)
+	case KindUint8, KindUint16, KindUint32, KindUint64:
+		if v.OverflowUint(x) {
+			return fmt.Errorf("codec: %d overflows %v", x, d.Kind)
 		}
 		v.SetUint(x)
 	case KindFloat32:
-		f, err := r.f32()
-		if err != nil {
-			return err
-		}
-		v.SetFloat(float64(f))
+		v.SetFloat(float64(math.Float32frombits(uint32(x))))
 	case KindFloat64:
-		f, err := r.f64()
-		if err != nil {
-			return err
-		}
-		v.SetFloat(f)
+		v.SetFloat(math.Float64frombits(x))
 	case KindString:
-		if align {
+		if l == aligned {
 			if err := r.skipPad(4); err != nil {
 				return err
 			}
 		}
-		n, err := r.u32()
+		n, err := r.word(4)
 		if err != nil {
 			return err
 		}
@@ -197,36 +189,33 @@ func decodeValue(r *reader, d *Desc, v reflect.Value, align bool) error {
 			return err
 		}
 		v.SetString(string(b))
+		if l == xdr {
+			return r.skipPad(4)
+		}
 	case KindStruct:
 		for _, f := range d.Fields {
-			fv := v.FieldByName(f.Name)
-			if err := decodeValue(r, f.Desc, fv, align); err != nil {
+			if err := decodeValue(r, f.Desc, v.FieldByName(f.Name), l); err != nil {
 				return err
 			}
 		}
-	case KindSlice:
-		if align {
-			if err := r.skipPad(4); err != nil {
+	case KindSlice, KindArray:
+		if d.Kind == KindSlice {
+			if l == aligned {
+				if err := r.skipPad(4); err != nil {
+					return err
+				}
+			}
+			n, err := r.word(4)
+			if err != nil {
 				return err
 			}
-		}
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if int(n) > r.remaining() {
-			return ErrShortBuffer // defensive cap against hostile lengths
-		}
-		sl := reflect.MakeSlice(v.Type(), int(n), int(n))
-		for i := 0; i < int(n); i++ {
-			if err := decodeValue(r, d.Elem, sl.Index(i), align); err != nil {
-				return err
+			if n > uint64(r.remaining()) {
+				return ErrShortBuffer // defensive cap against hostile lengths
 			}
+			v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
 		}
-		v.Set(sl)
-	case KindArray:
-		for i := 0; i < d.Len; i++ {
-			if err := decodeValue(r, d.Elem, v.Index(i), align); err != nil {
+		for i := 0; i < v.Len(); i++ {
+			if err := decodeValue(r, d.Elem, v.Index(i), l); err != nil {
 				return err
 			}
 		}

@@ -325,9 +325,9 @@ func TestDecodeHostileSliceLength(t *testing.T) {
 	d, _ := Describe(s{})
 	// NDR frame claiming 2^31 elements but carrying none.
 	w := newWriter(LittleEndian)
-	w.u8(ArchX86.ID)
-	w.u32(1 << 31)
-	if _, err := (NDR{}).Decode(d, w.bytes(), ArchX86); err == nil {
+	w.word(uint64(ArchX86.ID), 1)
+	w.word(1<<31, 4)
+	if _, err := (NDR{}).Decode(d, w.buf, ArchX86); err == nil {
 		t.Error("hostile slice length accepted")
 	}
 }

@@ -22,16 +22,27 @@ func (NDR) Name() string { return "GRAS" }
 
 // Encode implements Codec.
 func (NDR) Encode(d *Desc, v any, from Arch) ([]byte, error) {
-	w := newWriter(from.Order)
-	w.u8(from.ID)
-	if err := encodeValue(w, d, reflect.ValueOf(v), false); err != nil {
-		return nil, err
-	}
-	return w.bytes(), nil
+	return encodeTagged(d, v, from, false)
 }
 
 // Decode implements Codec.
 func (NDR) Decode(d *Desc, data []byte, to Arch) (any, error) {
+	return decodeTagged(d, data, false)
+}
+
+// encodeTagged is NDR's framing, which PBIO shares: the sender's
+// architecture byte, PBIO's self-description when meta is set, then the
+// value in the sender's native representation.
+func encodeTagged(d *Desc, v any, from Arch, meta bool) ([]byte, error) {
+	w := newWriter(from.Order)
+	w.word(uint64(from.ID), 1)
+	if meta {
+		writeMeta(w, d)
+	}
+	return encodeFrame(w, d, v, native)
+}
+
+func decodeTagged(d *Desc, data []byte, meta bool) (any, error) {
 	if len(data) < 1 {
 		return nil, ErrShortBuffer
 	}
@@ -40,14 +51,12 @@ func (NDR) Decode(d *Desc, data []byte, to Arch) (any, error) {
 		return nil, fmt.Errorf("codec: unknown sender architecture %d", data[0])
 	}
 	r := newReader(data[1:], sender.Order) // reads convert only if orders differ
-	out, err := newValueFor(d)
-	if err != nil {
-		return nil, err
+	if meta {
+		if err := checkMeta(r, d); err != nil {
+			return nil, err
+		}
 	}
-	if err := decodeValue(r, d, out, false); err != nil {
-		return nil, err
-	}
-	return out.Interface(), nil
+	return decodeFrame(r, d, native)
 }
 
 // --- MPICH-like XDR ---------------------------------------------------------
@@ -61,183 +70,14 @@ type XDR struct{}
 // Name implements Codec.
 func (XDR) Name() string { return "MPICH" }
 
-// xdrDesc widens sub-4-byte scalars to their XDR on-wire kind.
-func xdrKind(k Kind) Kind {
-	switch k {
-	case KindBool, KindInt8, KindInt16:
-		return KindInt32
-	case KindUint8, KindUint16:
-		return KindUint32
-	default:
-		return k
-	}
-}
-
 // Encode implements Codec.
 func (XDR) Encode(d *Desc, v any, from Arch) ([]byte, error) {
-	w := newWriter(BigEndian)
-	if err := xdrEncode(w, d, reflect.ValueOf(v)); err != nil {
-		return nil, err
-	}
-	return w.bytes(), nil
-}
-
-func xdrEncode(w *writer, d *Desc, v reflect.Value) error {
-	switch xdrKind(d.Kind) {
-	case KindInt32:
-		switch d.Kind {
-		case KindBool:
-			if v.Bool() {
-				w.u32(1)
-			} else {
-				w.u32(0)
-			}
-		default:
-			w.u32(uint32(int32(v.Int())))
-		}
-	case KindUint32:
-		if d.Kind == KindUint32 {
-			w.u32(uint32(v.Uint()))
-		} else {
-			w.u32(uint32(v.Uint()))
-		}
-	case KindInt64:
-		w.u64(uint64(v.Int()))
-	case KindUint64:
-		w.u64(v.Uint())
-	case KindFloat32:
-		w.f32(float32(v.Float()))
-	case KindFloat64:
-		w.f64(v.Float())
-	case KindString:
-		s := v.String()
-		w.u32(uint32(len(s)))
-		w.raw([]byte(s))
-		w.pad(4)
-	case KindStruct:
-		for _, f := range d.Fields {
-			if err := xdrEncode(w, f.Desc, v.FieldByName(f.Name)); err != nil {
-				return err
-			}
-		}
-	case KindSlice:
-		w.u32(uint32(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			if err := xdrEncode(w, d.Elem, v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case KindArray:
-		for i := 0; i < d.Len; i++ {
-			if err := xdrEncode(w, d.Elem, v.Index(i)); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("codec: xdr cannot encode %v", d.Kind)
-	}
-	return nil
+	return encodeFrame(newWriter(BigEndian), d, v, xdr)
 }
 
 // Decode implements Codec.
 func (XDR) Decode(d *Desc, data []byte, to Arch) (any, error) {
-	r := newReader(data, BigEndian)
-	out, err := newValueFor(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := xdrDecode(r, d, out); err != nil {
-		return nil, err
-	}
-	return out.Interface(), nil
-}
-
-func xdrDecode(r *reader, d *Desc, v reflect.Value) error {
-	switch xdrKind(d.Kind) {
-	case KindInt32:
-		x, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if d.Kind == KindBool {
-			v.SetBool(x != 0)
-		} else {
-			v.SetInt(int64(int32(x)))
-		}
-	case KindUint32:
-		x, err := r.u32()
-		if err != nil {
-			return err
-		}
-		v.SetUint(uint64(x))
-	case KindInt64:
-		x, err := r.u64()
-		if err != nil {
-			return err
-		}
-		v.SetInt(int64(x))
-	case KindUint64:
-		x, err := r.u64()
-		if err != nil {
-			return err
-		}
-		v.SetUint(x)
-	case KindFloat32:
-		f, err := r.f32()
-		if err != nil {
-			return err
-		}
-		v.SetFloat(float64(f))
-	case KindFloat64:
-		f, err := r.f64()
-		if err != nil {
-			return err
-		}
-		v.SetFloat(f)
-	case KindString:
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
-		b, err := r.raw(int(n))
-		if err != nil {
-			return err
-		}
-		v.SetString(string(b))
-		if err := r.skipPad(4); err != nil {
-			return err
-		}
-	case KindStruct:
-		for _, f := range d.Fields {
-			if err := xdrDecode(r, f.Desc, v.FieldByName(f.Name)); err != nil {
-				return err
-			}
-		}
-	case KindSlice:
-		n, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if int(n) > r.remaining() {
-			return ErrShortBuffer
-		}
-		sl := reflect.MakeSlice(v.Type(), int(n), int(n))
-		for i := 0; i < int(n); i++ {
-			if err := xdrDecode(r, d.Elem, sl.Index(i)); err != nil {
-				return err
-			}
-		}
-		v.Set(sl)
-	case KindArray:
-		for i := 0; i < d.Len; i++ {
-			if err := xdrDecode(r, d.Elem, v.Index(i)); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("codec: xdr cannot decode %v", d.Kind)
-	}
-	return nil
+	return decodeFrame(newReader(data, BigEndian), d, xdr)
 }
 
 // --- OmniORB-like CDR -------------------------------------------------------
@@ -257,20 +97,17 @@ var giopMagic = []byte{'G', 'I', 'O', 'P', 1, 2, 0, 0}
 // Encode implements Codec.
 func (CDR) Encode(d *Desc, v any, from Arch) ([]byte, error) {
 	w := newWriter(from.Order)
-	w.raw(giopMagic)
+	w.buf = append(w.buf, giopMagic...)
 	if from.Order == LittleEndian {
 		w.buf[6] = 1 // endianness flag
 	}
-	w.u32(0) // length placeholder (filled below)
-	if err := encodeValue(w, d, reflect.ValueOf(v), true); err != nil {
+	w.word(0, 4) // body length, patched below in sender order
+	frame, err := encodeFrame(w, d, v, aligned)
+	if err != nil {
 		return nil, err
 	}
-	// Patch the body length at offset 8, in sender order.
-	body := uint32(len(w.buf) - 12)
-	lw := newWriter(from.Order)
-	lw.u32(body)
-	copy(w.buf[8:12], lw.bytes())
-	return w.bytes(), nil
+	w.order.PutUint32(frame[8:12], uint32(len(frame)-12))
+	return frame, nil
 }
 
 // Decode implements Codec.
@@ -286,17 +123,8 @@ func (CDR) Decode(d *Desc, data []byte, to Arch) (any, error) {
 		order = LittleEndian
 	}
 	r := newReader(data, order)
-	if _, err := r.raw(12); err != nil { // header, alignment preserved
-		return nil, err
-	}
-	out, err := newValueFor(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeValue(r, d, out, true); err != nil {
-		return nil, err
-	}
-	return out.Interface(), nil
+	r.pos = 12 // skip the header, keeping offsets frame-relative for alignment
+	return decodeFrame(r, d, aligned)
 }
 
 // --- PBIO-like self-describing binary ----------------------------------------
@@ -312,61 +140,37 @@ func (PBIO) Name() string { return "PBIO" }
 
 // Encode implements Codec.
 func (PBIO) Encode(d *Desc, v any, from Arch) ([]byte, error) {
-	w := newWriter(from.Order)
-	w.u8(from.ID)
-	writeMeta(w, d)
-	if err := encodeValue(w, d, reflect.ValueOf(v), false); err != nil {
-		return nil, err
-	}
-	return w.bytes(), nil
+	return encodeTagged(d, v, from, true)
+}
+
+// Decode implements Codec.
+func (PBIO) Decode(d *Desc, data []byte, to Arch) (any, error) {
+	return decodeTagged(d, data, true)
 }
 
 func writeMeta(w *writer, d *Desc) {
-	w.u8(byte(d.Kind))
+	w.word(uint64(d.Kind), 1)
 	switch d.Kind {
 	case KindStruct:
-		w.u16(uint16(len(d.Fields)))
+		w.word(uint64(len(d.Fields)), 2)
 		for _, f := range d.Fields {
-			w.u16(uint16(len(f.Name)))
-			w.raw([]byte(f.Name))
+			w.word(uint64(len(f.Name)), 2)
+			w.buf = append(w.buf, f.Name...)
 			writeMeta(w, f.Desc)
 		}
 	case KindSlice:
 		writeMeta(w, d.Elem)
 	case KindArray:
-		w.u32(uint32(d.Len))
+		w.word(uint64(d.Len), 4)
 		writeMeta(w, d.Elem)
 	}
-}
-
-// Decode implements Codec.
-func (PBIO) Decode(d *Desc, data []byte, to Arch) (any, error) {
-	if len(data) < 1 {
-		return nil, ErrShortBuffer
-	}
-	sender, ok := ArchByID(data[0])
-	if !ok {
-		return nil, fmt.Errorf("codec: unknown sender architecture %d", data[0])
-	}
-	r := newReader(data[1:], sender.Order)
-	if err := checkMeta(r, d); err != nil {
-		return nil, err
-	}
-	out, err := newValueFor(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeValue(r, d, out, false); err != nil {
-		return nil, err
-	}
-	return out.Interface(), nil
 }
 
 // checkMeta parses and validates the self-description against the
 // expected description (the real PBIO reconciles differing formats;
 // validation is the cost we model).
 func checkMeta(r *reader, d *Desc) error {
-	k, err := r.u8()
+	k, err := r.word(1)
 	if err != nil {
 		return err
 	}
@@ -375,7 +179,7 @@ func checkMeta(r *reader, d *Desc) error {
 	}
 	switch d.Kind {
 	case KindStruct:
-		n, err := r.u16()
+		n, err := r.word(2)
 		if err != nil {
 			return err
 		}
@@ -383,7 +187,7 @@ func checkMeta(r *reader, d *Desc) error {
 			return fmt.Errorf("codec: pbio field count %d, want %d", n, len(d.Fields))
 		}
 		for _, f := range d.Fields {
-			ln, err := r.u16()
+			ln, err := r.word(2)
 			if err != nil {
 				return err
 			}
@@ -401,7 +205,7 @@ func checkMeta(r *reader, d *Desc) error {
 	case KindSlice:
 		return checkMeta(r, d.Elem)
 	case KindArray:
-		n, err := r.u32()
+		n, err := r.word(4)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package codec_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
@@ -106,8 +107,39 @@ func TestWireBytesPin(t *testing.T) {
 	}
 }
 
+// TestXDRRejectsOutOfRangeWords: a widened XDR word must fit its kind,
+// and a bool must be 0 or 1. Truncating them instead would round-trip,
+// so FuzzDecode's round-trip oracle alone cannot see it.
+func TestXDRRejectsOutOfRangeWords(t *testing.T) {
+	d, err := codec.Describe(fuzzMsg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := codec.XDR{}.Encode(d, fuzzSeed, codec.ArchX86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		at   int // offset of the field's word in good
+		word []byte
+	}{
+		{"Alive=7", 4, []byte{0, 0, 0, 7}},
+		{"Hops=300", 8, []byte{0, 0, 1, 0x2c}},
+		{"Key[0]=65536", 24, []byte{0, 1, 0, 0}},
+	} {
+		frame := append([]byte(nil), good...)
+		copy(frame[c.at:], c.word)
+		if v, err := (codec.XDR{}).Decode(d, frame, codec.ArchX86); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", c.name, v)
+		}
+	}
+}
+
 // FuzzDecode: every codec, decoding any bytes on any architecture,
 // returns an error or a value that encodes and decodes back to itself.
+// XDR is canonical besides: a frame it accepts re-encodes to the bytes
+// it consumed.
 func FuzzDecode(f *testing.F) {
 	d, err := codec.Describe(fuzzMsg{})
 	if err != nil {
@@ -132,6 +164,9 @@ func FuzzDecode(f *testing.F) {
 				frame, err := c.Encode(d, v, to)
 				if err != nil {
 					t.Fatalf("%s on %s: decoded %+v does not encode: %v", c.Name(), to.Name, v, err)
+				}
+				if _, ok := c.(codec.XDR); ok && !bytes.HasPrefix(data, frame) {
+					t.Fatalf("XDR accepted % x but re-encodes it as % x", data, frame)
 				}
 				back, err := c.Decode(d, frame, to)
 				if err != nil || !reflect.DeepEqual(back, v) {
