@@ -125,6 +125,11 @@ type Model interface {
 	// AdvanceTo completes every action finishing at t, waking its
 	// waiters via Engine.Wake. A step a timer ends first skips it.
 	AdvanceTo(now, t float64)
+	// Quiet reports that no pending timer can change anything
+	// observable (surf: only its periodic trace replays are pending
+	// and nothing is in flight), so a run without MaxTime ends as if
+	// none were pending.
+	Quiet() bool
 }
 
 // Process is a simulated process. It must only be manipulated from
@@ -650,6 +655,9 @@ func (e *Engine) GoroutineSpawns() int { return e.goSpawns }
 // those stacks.
 func (e *Engine) GoroutinesPeak() int { return e.goPeak }
 
+// PendingTimers returns the number of timers not yet fired or canceled.
+func (e *Engine) PendingTimers() int { return len(e.timers) }
+
 // AllocPID reserves and returns the next process identifier for an
 // external logical process — one driven directly by the kernel with no
 // goroutine behind it (msg's declarative activity chains). External
@@ -701,7 +709,8 @@ func (e *Engine) kernelTurn() bool {
 	if len(e.timers) > e.timerPeak {
 		e.timerPeak = len(e.timers)
 	}
-	if len(e.timers) > 0 && e.timers[0].at < next {
+	if len(e.timers) > 0 && e.timers[0].at < next &&
+		(e.MaxTime > 0 || e.model == nil || !e.model.Quiet()) {
 		next = e.timers[0].at
 	}
 	if math.IsInf(next, 1) {

@@ -590,6 +590,8 @@ func (m *fakeModel) NextEventTime(now float64) float64 {
 	return m.completeAt
 }
 
+func (m *fakeModel) Quiet() bool { return false }
+
 func (m *fakeModel) AdvanceTo(now, t float64) {
 	m.advanced = append(m.advanced, t)
 	if !m.done && t >= m.completeAt {

@@ -24,6 +24,8 @@ func (m *seqModel) NextEventTime(now float64) float64 {
 	return m.completeAts[m.next]
 }
 
+func (m *seqModel) Quiet() bool { return false }
+
 func (m *seqModel) AdvanceTo(now, t float64) {
 	for m.next < len(m.completeAts) && m.completeAts[m.next] <= t {
 		i := m.next

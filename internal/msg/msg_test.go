@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -439,6 +440,31 @@ func TestDeadlockReported(t *testing.T) {
 	var dl *core.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+}
+
+// TestDeadlockBesidePeriodicTrace: a periodic availability trace does
+// not hide a deadlock. Run reports it instead of replaying the trace
+// forever; it runs on a goroutine so a hang fails the test.
+func TestDeadlockBesidePeriodicTrace(t *testing.T) {
+	pf := lanPlatform(t)
+	pf.Host("server").Availability = trace.MustNew("av",
+		[]trace.Event{{Time: 0, Value: 1}, {Time: 1, Value: 0.5}}, 2)
+	env := NewEnvironment(pf, exact())
+	env.NewProcess("stuck", "server", func(p *Process) error {
+		_, err := p.Get(1)
+		return err
+	})
+	done := make(chan error, 1)
+	go func() { done <- env.Run() }()
+	select {
+	case err := <-done:
+		var dl *core.DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("Run = %v, want DeadlockError", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run still replaying the periodic trace 5 s after starting")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/platform"
 	"repro/internal/surf"
@@ -308,6 +309,42 @@ func TestVolatilityFailsDAGTasks(t *testing.T) {
 	}
 	if retry.Finish() < 2 {
 		t.Errorf("retry finished at %g, before the host came back at 2", retry.Finish())
+	}
+}
+
+// TestPeriodicTraceEndsSimulate: a periodic trace replays forever, yet
+// Simulate returns once the DAG has drained, and a task the trace
+// starves still runs to its end. Simulate runs on a goroutine, so a
+// replay that never stops fails the test instead of hanging it.
+func TestPeriodicTraceEndsSimulate(t *testing.T) {
+	pf := platform.New()
+	av := trace.MustNew("av", []trace.Event{{Time: 0, Value: 1}, {Time: 1, Value: 0}, {Time: 2, Value: 1}}, 3)
+	if err := pf.AddHost(&platform.Host{Name: "h", Power: 1e9, Availability: av}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(pf, exactConfig())
+	task := s.NewTask("t", 2e9) // 1 s of work, stalled over [1, 2], 1 s more
+	if err := task.Schedule("h"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Simulate()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Simulate: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Simulate still replaying the periodic trace 5 s after starting")
+	}
+	if task.State() != Done || !near(task.Finish(), 3) {
+		t.Errorf("task ended %s at %g, want done at 3", task.State(), task.Finish())
+	}
+	if !near(s.Engine().Now(), 3) {
+		t.Errorf("clock stopped at %g, want 3", s.Engine().Now())
 	}
 }
 

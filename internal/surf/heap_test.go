@@ -141,6 +141,8 @@ func (hc *heapChecker) NextEventTime(now float64) float64 {
 	return next
 }
 
+func (hc *heapChecker) Quiet() bool { return hc.m.Quiet() }
+
 func (hc *heapChecker) AdvanceTo(now, t float64) {
 	// Run the surf model's AdvanceTo, then compare against what a
 	// linear sweep of the snapshot would have done at time t.

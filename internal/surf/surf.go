@@ -419,6 +419,9 @@ type Model struct {
 	// turns off or on via its state trace; upper layers use it to kill
 	// the processes of failed hosts.
 	OnHostStateChange func(host *platform.Host, up bool)
+	// loops counts the periodic trace replays, hostStateLoops those of
+	// host state traces (see Quiet).
+	loops, hostStateLoops int
 
 	// Observability (instr.go). resList is every resource in creation
 	// order — the deterministic walk order for trace emission. trace is

@@ -43,11 +43,28 @@ func (m *Model) scheduleTraces(r *resource, avail, state *trace.Trace) {
 	}
 	if state.Len() > 0 {
 		m.armTrace(state, func(v float64) { m.setResourceState(r, v > 0.5) })
+		if r.isHost && state.Periodic() {
+			m.hostStateLoops++
+		}
 	}
 }
 
+// armTrace replays a trace. A periodic one keeps one timer pending
+// forever, counted in loops.
 func (m *Model) armTrace(tr *trace.Trace, apply func(v float64)) {
+	if tr.Periodic() {
+		m.loops++
+	}
 	it := tr.Iter(m.eng.Now())
 	m.Replay(func() (float64, bool) { ts, _, ok := it.Peek(); return ts, ok },
 		func() { _, v, _ := it.Next(); apply(v) })
+}
+
+// Quiet implements core.Model: with no action in flight and no timer
+// pending but the periodic trace replays, a replayed change reaches no
+// one, unless a host-state observer (msg kills a failed host's
+// processes) watches a periodic host state trace.
+func (m *Model) Quiet() bool {
+	return len(m.heap) == 0 && m.eng.PendingTimers() == m.loops &&
+		(m.OnHostStateChange == nil || m.hostStateLoops == 0)
 }

@@ -146,6 +146,9 @@ func (t *Trace) Len() int {
 	return len(t.events)
 }
 
+// Periodic reports whether the trace repeats forever.
+func (t *Trace) Periodic() bool { return t != nil && t.period > 0 }
+
 // At returns the trace value at absolute time ts. Before the first event
 // the value is 1 (fully available / up).
 func (t *Trace) At(ts float64) float64 {
