@@ -126,9 +126,8 @@ type Model interface {
 	// waiters via Engine.Wake. A step a timer ends first skips it.
 	AdvanceTo(now, t float64)
 	// Quiet reports that no pending timer can change anything
-	// observable (surf: only its periodic trace replays are pending
-	// and nothing is in flight), so a run without MaxTime ends as if
-	// none were pending.
+	// observable (surf: nothing in flight, only periodic trace replays
+	// pending), so a run without MaxTime ends as if none were pending.
 	Quiet() bool
 }
 

@@ -3,6 +3,8 @@ package gras
 import (
 	"errors"
 	"fmt"
+	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -118,46 +120,30 @@ func TestPingPongSimulation(t *testing.T) {
 	}
 }
 
-// The SAME functions run over real TCP — the paper's headline feature.
+// The SAME functions run over real TCP, the paper's headline feature.
+// The client starts once the server's port accepts.
 func TestPingPongRealWorld(t *testing.T) {
-	reg := NewRegistry()
-	server := NewRealNode("server", ArchSparc, reg)
+	server := NewRealNode("server", ArchSparc, nil)
 	defer server.Close()
-	client := NewRealNode("client", ArchX86, reg)
+	client := NewRealNode("client", ArchX86, nil)
 	defer client.Close()
 
-	if err := server.Listen(0); err != nil {
-		t.Fatal(err)
-	}
-	addr := server.Addr(0)
 	serverErr := make(chan error, 1)
-	go func() {
-		server.Registry().Declare("ping", int32(0))
-		server.Registry().Declare("pong", int32(0))
-		server.RegisterCB("ping", func(n Node, m *Msg) error {
-			return n.Send(m.Reply, "pong", int32(4321))
-		})
-		serverErr <- server.Handle(10)
-	}()
-
-	client.Registry().Declare("ping", int32(0))
-	client.Registry().Declare("pong", int32(0))
-	sock, err := client.ClientAddr(addr)
+	go func() { serverErr <- pingServer(0)(server) }() // port 0: any free one
+	addr := server.Addr(0)
+	for deadline := time.Now().Add(2 * time.Second); addr == "" && time.Now().Before(deadline); addr = server.Addr(0) {
+		time.Sleep(time.Millisecond)
+	}
+	_, port, err := net.SplitHostPort(addr)
 	if err != nil {
-		t.Fatalf("ClientAddr: %v", err)
+		t.Fatalf("server not listening: %v", err)
 	}
-	if err := client.Send(sock, "ping", int32(1234)); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	msg, err := client.Recv("pong", 10)
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	if msg.Payload.(int32) != 4321 {
-		t.Errorf("pong = %v", msg.Payload)
+	p, _ := strconv.Atoi(port)
+	if err := pingClient("127.0.0.1", p)(client); err != nil {
+		t.Fatalf("client: %v", err)
 	}
 	if err := <-serverErr; err != nil {
-		t.Errorf("server Handle: %v", err)
+		t.Errorf("server: %v", err)
 	}
 }
 

@@ -98,9 +98,6 @@ type Constraint struct {
 	// e.g. the Internet backbone in some platform files).
 	shared bool
 
-	// User cookie: the surf resource owning this constraint.
-	Data any
-
 	sys   *System
 	visit uint64 // component-walk generation mark
 	dirty bool   // queued in sys.dirtyCnsts

@@ -174,9 +174,6 @@ func (env *Environment) hostStateChanged(ph *platform.Host, up bool) {
 		}
 		return
 	}
-	if !env.KillOnHostFailure {
-		return
-	}
 	// A copy: every kill edits h.actors, at once (chain) or on unwind.
 	victims := append([]*actor(nil), h.actors...)
 	sort.Slice(victims, func(i, j int) bool { return victims[i].pid < victims[j].pid })

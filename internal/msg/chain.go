@@ -505,7 +505,7 @@ func (c *ChainProc) stepCompute(st *chainStep) bool {
 func (c *ChainProc) ActionDone(a *surf.Action, err error) {
 	c.exec = nil
 	a.Release()
-	if err == ErrHostFailed && c.env.KillOnHostFailure && !c.done {
+	if err == ErrHostFailed && !c.done {
 		// surf fails a dying host's actions BEFORE OnHostStateChange
 		// fires: the kill sweep for this very failure runs next and
 		// must find the chain alive to kill it (and queue its

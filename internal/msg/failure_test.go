@@ -229,14 +229,14 @@ func TestAutoRestartOffByDefault(t *testing.T) {
 	}
 }
 
-// TestRetryBackoff: Retry sleeps its (growing, capped) backoff in
-// simulated time between bounded attempts and returns the first nil.
+// TestRetryBackoff: Retry sleeps its backoff in simulated time between
+// bounded attempts and returns the first nil.
 func TestRetryBackoff(t *testing.T) {
 	env := NewEnvironment(lanPlatform(t), exact())
 	attempts := 0
 	var doneAt float64
 	env.NewProcess("p", "client", func(p *Process) error {
-		err := Retry(p, RetryPolicy{Attempts: 4, Backoff: 0.5, Multiplier: 2, MaxBackoff: 1}, func() error {
+		err := Retry(p, RetryPolicy{Attempts: 4, Backoff: 0.5}, func() error {
 			attempts++
 			if attempts < 4 {
 				return errors.New("transient")
@@ -252,9 +252,9 @@ func TestRetryBackoff(t *testing.T) {
 	if attempts != 4 {
 		t.Errorf("attempts = %d, want 4", attempts)
 	}
-	// Backoffs: 0.5, then 1.0 (doubled), then 1.0 (capped) = 2.5 s.
-	if doneAt != 2.5 {
-		t.Errorf("succeeded at t=%g, want 2.5", doneAt)
+	// Three backoffs of 0.5 s each.
+	if doneAt != 1.5 {
+		t.Errorf("succeeded at t=%g, want 1.5", doneAt)
 	}
 }
 

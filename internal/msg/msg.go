@@ -107,10 +107,6 @@ type Environment struct {
 	chainSlab pool.Slab[ChainProc]
 	queueSlab pool.Slab[[1]*pending]
 
-	// KillOnHostFailure controls whether processes on a failing host
-	// are killed (the paper's volatile-hosts behaviour). Default true.
-	KillOnHostFailure bool
-
 	// RestartOnRecovery, when set, queues every process killed by a host
 	// failure for respawn at that host's recovery, regardless of the
 	// per-process SetAutoRestart flag (the simgrid-run -faults switch).
@@ -343,10 +339,9 @@ func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 	// simulation's.
 	eng.ContainPanics = true
 	env := &Environment{
-		eng:               eng,
-		model:             surf.New(eng, pf, cfg),
-		hosts:             make(map[string]*hostRec),
-		KillOnHostFailure: true,
+		eng:   eng,
+		model: surf.New(eng, pf, cfg),
+		hosts: make(map[string]*hostRec),
 	}
 	eng.ExternalBlocked = env.blockedChains
 	env.model.OnHostStateChange = env.hostStateChanged

@@ -328,26 +328,6 @@ func TestHostFailureKillsProcesses(t *testing.T) {
 	}
 }
 
-func TestHostFailureKillDisabled(t *testing.T) {
-	pf := lanPlatform(t)
-	pf.Host("server").StateTrace = trace.MustNew("st",
-		[]trace.Event{{Time: 1, Value: 0}, {Time: 2, Value: 1}}, 0)
-	env := NewEnvironment(pf, exact())
-	env.KillOnHostFailure = false
-	survived := false
-	env.NewProcess("tough", "server", func(p *Process) error {
-		p.Sleep(5)
-		survived = true
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !survived {
-		t.Error("process killed despite KillOnHostFailure=false")
-	}
-}
-
 func TestSpawnFromProcess(t *testing.T) {
 	env := NewEnvironment(lanPlatform(t), exact())
 	childRan := false

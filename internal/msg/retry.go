@@ -9,16 +9,10 @@ type RetryPolicy struct {
 	// Backoff is the simulated-time sleep before each retry (none
 	// before the first attempt). Zero retries immediately.
 	Backoff float64
-	// Multiplier grows the backoff after each retry when > 1
-	// (exponential backoff); 0 or 1 keeps it constant.
-	Multiplier float64
-	// MaxBackoff caps a single backoff when > 0.
-	MaxBackoff float64
 }
 
 // Retry runs fn until it returns nil or the policy's attempts are
-// exhausted, sleeping the (optionally growing) backoff in simulated
-// time between attempts. It returns nil on the first success, the last
+// exhausted, sleeping the backoff in simulated time between attempts. It returns nil on the first success, the last
 // error otherwise. The sleep is a regular simcall: a kill during the
 // backoff unwinds like any blocked operation, and a host failure
 // surfaces as the sleep's error, returned as-is — Retry never retries
@@ -28,21 +22,14 @@ func Retry(p *Process, pol RetryPolicy, fn func() error) error {
 	if attempts < 1 {
 		attempts = 1
 	}
-	backoff := pol.Backoff
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			p.env.retries++
 		}
-		if i > 0 && backoff > 0 {
-			if serr := p.Sleep(backoff); serr != nil {
+		if i > 0 && pol.Backoff > 0 {
+			if serr := p.Sleep(pol.Backoff); serr != nil {
 				return serr
-			}
-			if pol.Multiplier > 1 {
-				backoff *= pol.Multiplier
-				if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-					backoff = pol.MaxBackoff
-				}
 			}
 		}
 		if err = fn(); err == nil {

@@ -117,8 +117,9 @@ func New(pf *platform.Platform, cfg surf.Config, hosts []string) (*World, error)
 		return nil, errors.New("smpi: no hosts")
 	}
 	env := msg.NewEnvironment(pf, cfg)
-	// A rank outlives its host's failure, and its panic is the run's.
-	env.KillOnHostFailure = false
+	// A rank outlives its host's failure (no kill sweep: msg's host
+	// state observer is detached), and its panic is the run's.
+	env.Model().OnHostStateChange = nil
 	env.Engine().ContainPanics = false
 	w := &World{
 		env:            env,

@@ -418,10 +418,8 @@ type Model struct {
 	// OnHostStateChange is invoked (in kernel context) when a host
 	// turns off or on via its state trace; upper layers use it to kill
 	// the processes of failed hosts.
-	OnHostStateChange func(host *platform.Host, up bool)
-	// loops counts the periodic trace replays, hostStateLoops those of
-	// host state traces (see Quiet).
-	loops, hostStateLoops int
+	OnHostStateChange     func(host *platform.Host, up bool)
+	loops, hostStateLoops int // periodic trace replays, all and host state ones (Quiet)
 
 	// Observability (instr.go). resList is every resource in creation
 	// order — the deterministic walk order for trace emission. trace is
@@ -460,7 +458,6 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 			failErr:  ErrHostFailed,
 		}
 		r.cnst = m.sys.NewConstraint(r.nominal)
-		r.cnst.Data = r
 		m.cpus[h.Name] = r
 		m.resList = append(m.resList, r)
 		m.scheduleTraces(r, h.Availability, h.StateTrace)
@@ -476,7 +473,6 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 				failErr: ErrLinkFailed,
 			}
 			r.cnst = m.sys.NewConstraint(r.nominal)
-			r.cnst.Data = r
 			if l.Policy == platform.Fatpipe {
 				m.sys.SetShared(r.cnst, false)
 			}

@@ -60,10 +60,9 @@ func (m *Model) armTrace(tr *trace.Trace, apply func(v float64)) {
 		func() { _, v, _ := it.Next(); apply(v) })
 }
 
-// Quiet implements core.Model: with no action in flight and no timer
-// pending but the periodic trace replays, a replayed change reaches no
-// one, unless a host-state observer (msg kills a failed host's
-// processes) watches a periodic host state trace.
+// Quiet implements core.Model: with nothing in flight and no timer but
+// the periodic replays pending, a replayed change reaches no one, unless
+// a host state observer (msg's kill sweep) watches a periodic one.
 func (m *Model) Quiet() bool {
 	return len(m.heap) == 0 && m.eng.PendingTimers() == m.loops &&
 		(m.OnHostStateChange == nil || m.hostStateLoops == 0)
