@@ -10,6 +10,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
+	"repro/internal/trace"
 )
 
 func exact() surf.Config { return surf.Config{BandwidthFactor: 1, LatencyFactor: 1} }
@@ -48,6 +49,30 @@ func run(t *testing.T, n int, main func(*Rank) error) *World {
 		t.Fatalf("Run: %v", err)
 	}
 	return w
+}
+
+// TestRankOutlivesHostFailure: a rank whose host fails sees the failure
+// as its operation's error and runs on; it is not killed.
+func TestRankOutlivesHostFailure(t *testing.T) {
+	pf, hosts := cluster(t, 2, 1e9)
+	pf.Host("n1").StateTrace = trace.MustNew("st", []trace.Event{{Time: 0.5, Value: 0}, {Time: 1, Value: 1}}, 0)
+	w, err := New(pf, exact(), hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(r *Rank) error {
+		if r.Rank() == 0 {
+			_, _, err := r.Recv(1, 0)
+			return err
+		}
+		if err := r.Compute(1e9); !errors.Is(err, surf.ErrHostFailed) {
+			return fmt.Errorf("compute ended with %v, want a host failure", err)
+		}
+		return r.Send(0, 0, "alive", 8)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 }
 
 func TestRankAndSize(t *testing.T) {
