@@ -22,27 +22,30 @@ func (NDR) Name() string { return "GRAS" }
 
 // Encode implements Codec.
 func (NDR) Encode(d *Desc, v any, from Arch) ([]byte, error) {
-	return encodeTagged(d, v, from, false)
+	return encodeFrame(tagged(from), d, v, native)
 }
 
 // Decode implements Codec.
 func (NDR) Decode(d *Desc, data []byte, to Arch) (any, error) {
-	return decodeTagged(d, data, false)
+	r, err := untag(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeFrame(r, d, native)
 }
 
-// encodeTagged is NDR's framing, which PBIO shares: the sender's
-// architecture byte, PBIO's self-description when meta is set, then the
-// value in the sender's native representation.
-func encodeTagged(d *Desc, v any, from Arch, meta bool) ([]byte, error) {
+// tagged starts an NDR frame (PBIO's too): the sender's architecture
+// byte, then whatever follows in the sender's byte order.
+func tagged(from Arch) *writer {
 	w := newWriter(from.Order)
 	w.word(uint64(from.ID), 1)
-	if meta {
-		writeMeta(w, d)
-	}
-	return encodeFrame(w, d, v, native)
+	return w
 }
 
-func decodeTagged(d *Desc, data []byte, meta bool) (any, error) {
+// untag reads a tagged frame's architecture byte and returns a reader
+// of the rest in the sender's byte order (reads convert only if the
+// orders differ).
+func untag(data []byte) (*reader, error) {
 	if len(data) < 1 {
 		return nil, ErrShortBuffer
 	}
@@ -50,13 +53,7 @@ func decodeTagged(d *Desc, data []byte, meta bool) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("codec: unknown sender architecture %d", data[0])
 	}
-	r := newReader(data[1:], sender.Order) // reads convert only if orders differ
-	if meta {
-		if err := checkMeta(r, d); err != nil {
-			return nil, err
-		}
-	}
-	return decodeFrame(r, d, native)
+	return newReader(data[1:], sender.Order), nil
 }
 
 // --- MPICH-like XDR ---------------------------------------------------------
@@ -138,14 +135,24 @@ type PBIO struct{}
 // Name implements Codec.
 func (PBIO) Name() string { return "PBIO" }
 
-// Encode implements Codec.
+// Encode implements Codec: NDR's frame with the self-description
+// between the architecture byte and the value.
 func (PBIO) Encode(d *Desc, v any, from Arch) ([]byte, error) {
-	return encodeTagged(d, v, from, true)
+	w := tagged(from)
+	writeMeta(w, d)
+	return encodeFrame(w, d, v, native)
 }
 
 // Decode implements Codec.
 func (PBIO) Decode(d *Desc, data []byte, to Arch) (any, error) {
-	return decodeTagged(d, data, true)
+	r, err := untag(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkMeta(r, d); err != nil {
+		return nil, err
+	}
+	return decodeFrame(r, d, native)
 }
 
 func writeMeta(w *writer, d *Desc) {
