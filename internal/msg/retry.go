@@ -12,11 +12,11 @@ type RetryPolicy struct {
 }
 
 // Retry runs fn until it returns nil or the policy's attempts are
-// exhausted, sleeping the backoff in simulated time between attempts. It returns nil on the first success, the last
-// error otherwise. The sleep is a regular simcall: a kill during the
-// backoff unwinds like any blocked operation, and a host failure
-// surfaces as the sleep's error, returned as-is — Retry never retries
-// past its own process dying.
+// exhausted, sleeping the backoff in simulated time between attempts.
+// It returns nil on the first success, the last error otherwise. The
+// sleep is a regular simcall: a kill during it unwinds like any blocked
+// operation, and a host failure surfaces as its error, returned as-is —
+// Retry never retries past its own process dying.
 func Retry(p *Process, pol RetryPolicy, fn func() error) error {
 	attempts := pol.Attempts
 	if attempts < 1 {

@@ -419,7 +419,7 @@ type Model struct {
 	// turns off or on via its state trace; upper layers use it to kill
 	// the processes of failed hosts.
 	OnHostStateChange     func(host *platform.Host, up bool)
-	loops, hostStateLoops int // periodic trace replays, all and host state ones (Quiet)
+	loops, hostStateLoops int // periodic trace replays: all, and host state ones (Quiet)
 
 	// Observability (instr.go). resList is every resource in creation
 	// order — the deterministic walk order for trace emission. trace is
