@@ -102,7 +102,7 @@ func encodeValue(w *writer, d *Desc, v reflect.Value, l layout) error {
 		}
 	case KindStruct:
 		for _, f := range d.Fields {
-			if err := encodeValue(w, f.Desc, v.FieldByName(f.Name), l); err != nil {
+			if err := encodeValue(w, f.Desc, v.Field(f.index), l); err != nil {
 				return err
 			}
 		}
@@ -194,7 +194,7 @@ func decodeValue(r *reader, d *Desc, v reflect.Value, l layout) error {
 		}
 	case KindStruct:
 		for _, f := range d.Fields {
-			if err := decodeValue(r, f.Desc, v.FieldByName(f.Name), l); err != nil {
+			if err := decodeValue(r, f.Desc, v.Field(f.index), l); err != nil {
 				return err
 			}
 		}

@@ -76,6 +76,8 @@ func (k Kind) FixedSize() int {
 type Field struct {
 	Name string
 	Desc *Desc
+
+	index int // position in the Go struct: the walks read reflect.Value.Field(index)
 }
 
 // Desc describes a type for cross-architecture exchange.
@@ -144,7 +146,7 @@ func describeType(t reflect.Type) (*Desc, error) {
 			if err != nil {
 				return nil, fmt.Errorf("field %s.%s: %w", t.Name(), f.Name, err)
 			}
-			d.Fields = append(d.Fields, Field{Name: f.Name, Desc: fd})
+			d.Fields = append(d.Fields, Field{Name: f.Name, Desc: fd, index: i})
 		}
 	case reflect.Slice:
 		ed, err := describeType(t.Elem())

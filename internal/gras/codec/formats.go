@@ -270,7 +270,7 @@ func xmlEncode(b *strings.Builder, tag string, d *Desc, v reflect.Value) error {
 		b.WriteString(xmlEscape(v.String()))
 	case KindStruct:
 		for _, f := range d.Fields {
-			if err := xmlEncode(b, f.Name, f.Desc, v.FieldByName(f.Name)); err != nil {
+			if err := xmlEncode(b, f.Name, f.Desc, v.Field(f.index)); err != nil {
 				return err
 			}
 		}
@@ -366,7 +366,7 @@ func (p *xmlParser) decode(tag string, d *Desc, v reflect.Value) error {
 		v.SetString(xmlUnescape(p.text()))
 	case KindStruct:
 		for _, f := range d.Fields {
-			if err := p.decode(f.Name, f.Desc, v.FieldByName(f.Name)); err != nil {
+			if err := p.decode(f.Name, f.Desc, v.Field(f.index)); err != nil {
 				return err
 			}
 		}

@@ -189,6 +189,12 @@ func (env *Environment) hostStateChanged(ph *platform.Host, up bool) {
 	}
 }
 
+// hostWatched is surf's Quiet hook: is an actor alive, or due to respawn, on ph?
+func (env *Environment) hostWatched(ph *platform.Host) bool {
+	h := env.hosts[ph.Name]
+	return h != nil && (len(h.actors) > 0 || len(h.restart) > 0)
+}
+
 // --- the form -----------------------------------------------------------
 
 // wake and advance are the two halves of resuming an actor whose block

@@ -1,10 +1,6 @@
 package msg
 
-import (
-	"strconv"
-
-	"repro/internal/instr"
-)
+import "repro/internal/instr"
 
 // Observability wiring for the MSG layer. On top of surf's platform
 // band, the environment traces one PROCESS container per actor (under
@@ -56,13 +52,6 @@ func (env *Environment) Trace() *instr.Trace {
 	return env.trace.tr
 }
 
-// linkKey mints the next deterministic message-link key.
-func (mt *msgTrace) newKey() string {
-	k := "k" + strconv.Itoa(mt.nextKey)
-	mt.nextKey++
-	return k
-}
-
 // noteQueued tracks the mailbox backlog (queued sends and receives
 // across all mailboxes): delta records facing d were queued or taken.
 // The counters are always on; with tracing enabled each change is also
@@ -76,9 +65,6 @@ func (env *Environment) noteQueued(d dir, delta int) {
 		mt.tr.SetVariable(env.eng.Now(), mt.qVar[d], mt.root, float64(env.queued[d]))
 	}
 }
-
-// Retries returns how many Retry re-attempts ran in this environment.
-func (env *Environment) Retries() uint64 { return env.retries }
 
 // MetricsInto dumps the MSG layer's counters and pool scoreboards into
 // r (msg.* namespace) and delegates to the layers underneath (surf,

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -345,6 +346,7 @@ func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 	}
 	eng.ExternalBlocked = env.blockedChains
 	env.model.OnHostStateChange = env.hostStateChanged
+	env.model.HostWatched = env.hostWatched
 	return env
 }
 
@@ -662,7 +664,8 @@ func (env *Environment) startTransfer(ps, pr *pending) (err error) {
 	if pr != nil {
 		ps.peer, pr.peer = pr, ps
 		if mt := env.trace; mt != nil && ps.who.pajeC != "" {
-			ps.tag = mt.newKey()
+			ps.tag = "k" + strconv.Itoa(mt.nextKey)
+			mt.nextKey++
 			mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.who.pajeC, ps.task.Name, ps.tag)
 		}
 	}

@@ -448,6 +448,66 @@ func TestDeadlockBesidePeriodicTrace(t *testing.T) {
 	}
 }
 
+// TestDeadlockBesidePeriodicStateTrace: a periodic state trace hides no
+// deadlock either, once its host carries no actor, live or waiting to
+// respawn. "stuck" waits forever on server while client flaps (down at
+// 1, up at 2, every 3 s). Alone, it is reported at once. Beside it, a
+// process blocked on client is killed at the first down event and the
+// deadlock is reported then; an auto-restart one respawns at the up
+// event first, and ends. Run runs on a goroutine so a hang fails the
+// test.
+func TestDeadlockBesidePeriodicStateTrace(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		victim  bool // a process blocked on client
+		restart bool // ... that auto-restarts and ends in its second life
+		at      float64
+	}{
+		{"untraced host only", false, false, 0},
+		{"victim on the traced host", true, false, 1},
+		{"auto-restart victim", true, true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pf := lanPlatform(t)
+			pf.Host("client").StateTrace = trace.MustNew("st",
+				[]trace.Event{{Time: 0, Value: 1}, {Time: 1, Value: 0}, {Time: 2, Value: 1}}, 3)
+			env := NewEnvironment(pf, exact())
+			env.NewProcess("stuck", "server", func(p *Process) error {
+				_, err := p.Get(1)
+				return err
+			})
+			lives := 0
+			if c.victim {
+				v, _ := env.NewProcess("victim", "client", func(p *Process) error {
+					if lives++; lives == 2 {
+						return nil
+					}
+					_, err := p.Get(2)
+					return err
+				})
+				v.SetAutoRestart(c.restart)
+			}
+			done := make(chan error, 1)
+			go func() { done <- env.Run() }()
+			select {
+			case err := <-done:
+				var dl *core.DeadlockError
+				if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "stuck" {
+					t.Fatalf("Run = %v, want a DeadlockError naming stuck alone", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run still replaying the periodic state trace 5 s after starting")
+			}
+			if want := map[bool]int{false: 1, true: 2}[c.restart]; c.victim && lives != want {
+				t.Errorf("victim lived %d times, want %d", lives, want)
+			}
+			if env.Now() != c.at {
+				t.Errorf("deadlock reported at %g, want %g", env.Now(), c.at)
+			}
+		})
+	}
+}
+
 func TestManyProcessesScale(t *testing.T) {
 	// 100 client/server pairs ping-ponging: smoke test for scheduling.
 	p := platform.New()

@@ -145,12 +145,12 @@ func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 	root := s.NewSeqTask("root")
 	end := s.NewSeqTask("end")
 	for _, t := range tasks {
-		if !t.hasPreds() {
+		if t.pred0 == nil { // no predecessor: the first edge is stored inline
 			if err := s.AddDependency(root, t); err != nil {
 				return nil, err
 			}
 		}
-		if !t.hasSuccs() {
+		if t.succ0 == nil {
 			if err := s.AddDependency(t, end); err != nil {
 				return nil, err
 			}

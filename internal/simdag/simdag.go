@@ -222,12 +222,6 @@ func (t *Task) Dependents() []*Task {
 	return out
 }
 
-// hasPreds reports whether the task has any predecessor.
-func (t *Task) hasPreds() bool { return t.pred0 != nil }
-
-// hasSuccs reports whether the task has any successor.
-func (t *Task) hasSuccs() bool { return t.succ0 != nil }
-
 // terminal reports whether the task reached Done or Failed.
 func (t *Task) terminal() bool { return t.state == Done || t.state == Failed }
 
@@ -305,6 +299,7 @@ type Simulation struct {
 	sweep      *core.Timer
 	sweepArmed bool
 	depsDirty  bool // an edge was added since the last cycle check
+	backEdge   bool // sticky: some edge ran against creation order
 
 	// Reschedule policy (see SetReschedulePolicy): host pool, and the
 	// re-armable timer batching one min-min pass per instant.
@@ -529,6 +524,7 @@ func (s *Simulation) AddDependency(before, after *Task) error {
 	s.pushEdge(&after.pred0, &after.predHead, &after.predTail, before)
 	after.waitingOn++
 	s.depsDirty = true
+	s.backEdge = s.backEdge || before.seq > after.seq
 	return nil
 }
 
@@ -580,11 +576,11 @@ func (s *Simulation) Makespan() float64 {
 	return m
 }
 
-// checkCycles rejects a cyclic graph. Only new edges can create a cycle,
-// so the O(V+E) pass is skipped when no dependency was added since the
-// last one (Simulate in a watch-point loop stays cheap).
+// checkCycles rejects a cyclic graph. The O(V+E) pass is skipped when no
+// edge was added since the last one (a watch-point loop stays cheap) and
+// while every edge runs in creation order, then a topological order.
 func (s *Simulation) checkCycles() error {
-	if !s.depsDirty {
+	if !s.depsDirty || !s.backEdge {
 		return nil
 	}
 	_, err := s.topoOrder()

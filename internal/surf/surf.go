@@ -417,9 +417,12 @@ type Model struct {
 
 	// OnHostStateChange is invoked (in kernel context) when a host
 	// turns off or on via its state trace; upper layers use it to kill
-	// the processes of failed hosts.
-	OnHostStateChange     func(host *platform.Host, up bool)
-	loops, hostStateLoops int // periodic trace replays: all, and host state ones (Quiet)
+	// the processes of failed hosts, and HostWatched to tell Quiet
+	// whether a change of a given host still reaches any of them.
+	OnHostStateChange func(host *platform.Host, up bool)
+	HostWatched       func(host *platform.Host) bool
+	loops             int              // periodic trace replays (Quiet)
+	stateLooped       []*platform.Host // hosts with a periodic state trace
 
 	// Observability (instr.go). resList is every resource in creation
 	// order — the deterministic walk order for trace emission. trace is

@@ -44,7 +44,7 @@ func (m *Model) scheduleTraces(r *resource, avail, state *trace.Trace) {
 	if state.Len() > 0 {
 		m.armTrace(state, func(v float64) { m.setResourceState(r, v > 0.5) })
 		if r.isHost && state.Periodic() {
-			m.hostStateLoops++
+			m.stateLooped = append(m.stateLooped, r.host)
 		}
 	}
 }
@@ -62,8 +62,11 @@ func (m *Model) armTrace(tr *trace.Trace, apply func(v float64)) {
 
 // Quiet implements core.Model: with nothing in flight and no timer but
 // the periodic replays pending, a replayed change reaches no one, unless
-// a host state observer (msg's kill sweep) watches a periodic one.
+// a host state observer watches a periodically traced host (HostWatched).
 func (m *Model) Quiet() bool {
-	return len(m.heap) == 0 && m.eng.PendingTimers() == m.loops &&
-		(m.OnHostStateChange == nil || m.hostStateLoops == 0)
+	quiet := len(m.heap) == 0 && m.eng.PendingTimers() == m.loops
+	for _, h := range m.stateLooped {
+		quiet = quiet && (m.OnHostStateChange == nil || m.HostWatched != nil && !m.HostWatched(h))
+	}
+	return quiet
 }
