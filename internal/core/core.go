@@ -127,7 +127,7 @@ type Model interface {
 	AdvanceTo(now, t float64)
 	// Quiet reports that no pending timer can change anything
 	// observable (surf: nothing in flight, only periodic trace replays
-	// pending), so a run without MaxTime ends as if none were pending.
+	// pending), so the run ends as if none were pending.
 	Quiet() bool
 }
 
@@ -311,10 +311,6 @@ type Engine struct {
 	stopErr   error // deadlock error recorded by the kernel turn
 	idleDrive bool  // RunUntilIdle: no live-process requirement, quiescence ends the run
 	stopReq   bool  // Stop was called: the drive loop returns at the next round
-
-	// MaxTime, when > 0, stops the simulation at that virtual time even
-	// if activities remain (useful for steady-state measurements).
-	MaxTime float64
 
 	// ExternalBlocked, when set, names the external live entities (see
 	// AddLive) that are currently blocked, aligned with the typed call
@@ -560,11 +556,11 @@ func (p *Process) Resume() {
 // Suspended reports whether the process is currently suspended.
 func (p *Process) Suspended() bool { return p.suspended }
 
-// Run executes the simulation until no non-daemon process remains, the
-// optional MaxTime horizon is reached, or a deadlock is detected. At
-// shutdown, remaining daemons are discarded. Run returns a
-// *DeadlockError if blocked non-daemon processes can never progress, or
-// the *PanicError of a crashing process or kernel phase.
+// Run executes the simulation until no non-daemon process remains,
+// Stop is called, or a deadlock is detected. At shutdown, remaining
+// daemons are discarded. Run returns a *DeadlockError if blocked
+// non-daemon processes can never progress, or the *PanicError of a
+// crashing process or kernel phase.
 func (e *Engine) Run() error {
 	if err := e.drive(false); err != nil {
 		return err
@@ -615,22 +611,23 @@ func (e *Engine) loop(turn func() bool) {
 
 // RunUntilIdle drives the kernel without requiring any live process:
 // model events and timers fire, and any process that does wake is
-// scheduled, until nothing remains to simulate (or MaxTime is reached,
-// or Stop is called). This is the drive loop for purely kernel-level
-// workloads — DAG task graphs (package simdag) attach surf actions
-// directly, so a simulation of any size spawns zero goroutines.
-// Unlike Run, quiescence with pending activities never started is not a
-// deadlock: the caller owns the notion of completeness. RunUntilIdle
-// may be called repeatedly; each call resumes from the current state.
+// scheduled, until nothing remains to simulate or Stop is called. This
+// is the drive loop for purely kernel-level workloads — DAG task graphs
+// (package simdag) attach surf actions directly, so a simulation of any
+// size spawns zero goroutines. Unlike Run, quiescence with pending
+// activities never started is not a deadlock: the caller owns the
+// notion of completeness. RunUntilIdle may be called repeatedly; each
+// call resumes from the current state.
 func (e *Engine) RunUntilIdle() error { return e.drive(true) }
 
 // Stop requests the drive loop to return before its next scheduling
-// round. It is the kernel half of watch points: a completion callback
-// (e.g. a watched DAG task finishing) calls Stop and RunUntilIdle
-// returns once the current instant has settled, leaving the remaining
-// events scheduled — a later RunUntilIdle resumes exactly where the
-// simulation stopped. Calling Stop outside a run is a no-op for the
-// next run (Run and RunUntilIdle clear it on entry).
+// round; At(t, e.Stop) ends a run at t. It is the kernel half of watch
+// points: a completion callback (e.g. a watched DAG task finishing)
+// calls Stop and RunUntilIdle returns once the current instant has
+// settled, leaving the remaining events scheduled — a later
+// RunUntilIdle resumes exactly where the simulation stopped. Calling
+// Stop outside a run is a no-op for the next run (Run and RunUntilIdle
+// clear it on entry).
 func (e *Engine) Stop() { e.stopReq = true }
 
 // Spawned returns the number of LOGICAL process starts on this engine:
@@ -708,8 +705,7 @@ func (e *Engine) kernelTurn() bool {
 	if len(e.timers) > e.timerPeak {
 		e.timerPeak = len(e.timers)
 	}
-	if len(e.timers) > 0 && e.timers[0].at < next &&
-		(e.MaxTime > 0 || e.model == nil || !e.model.Quiet()) {
+	if len(e.timers) > 0 && e.timers[0].at < next && (e.model == nil || !e.model.Quiet()) {
 		next = e.timers[0].at
 	}
 	if math.IsInf(next, 1) {
@@ -733,10 +729,6 @@ func (e *Engine) kernelTurn() bool {
 			calls = append(calls, ecalls...)
 		}
 		e.stopErr = &DeadlockError{Blocked: blocked, Calls: calls}
-		return false
-	}
-	if e.MaxTime > 0 && next > e.MaxTime {
-		e.now = e.MaxTime
 		return false
 	}
 

@@ -489,7 +489,7 @@ func TestYield(t *testing.T) {
 
 func TestMaxTimeStopsSimulation(t *testing.T) {
 	e := New()
-	e.MaxTime = 10
+	e.At(10, e.Stop)
 	e.Spawn("long", nil, func(p *Process) { p.Sleep(100) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

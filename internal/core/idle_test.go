@@ -118,15 +118,15 @@ func TestRunUntilIdleMaxTime(t *testing.T) {
 	m := &seqModel{completeAts: []float64{10}}
 	m.onComplete = func(int) {}
 	e.SetModel(m)
-	e.MaxTime = 4
+	e.At(4, e.Stop)
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
 	if e.Now() != 4 {
-		t.Errorf("clock at %g, want MaxTime 4", e.Now())
+		t.Errorf("clock at %g, want the Stop at 4", e.Now())
 	}
 	if m.next != 0 {
-		t.Errorf("completion beyond MaxTime fired")
+		t.Errorf("completion beyond the Stop fired")
 	}
 }
 

@@ -119,7 +119,7 @@ func (a *actor) enter() {
 	env := a.env
 	a.home.add(a)
 	if mt := env.trace; mt != nil {
-		a.pajeC = mt.tr.CreateContainer(env.eng.Now(), mt.procType, env.model.HostContainer(a.home.host.Name), a.name)
+		a.pajeC = mt.Trace.CreateContainer(env.eng.Now(), mt.procType, env.model.HostContainer(a.home.host.Name), a.name)
 	}
 }
 
@@ -134,9 +134,9 @@ func (a *actor) leave(err error) {
 	a.end()
 	mt, now := env.trace, env.eng.Now()
 	if err != nil {
-		mt.tr.SetState(now, mt.pstate, a.pajeC, stateKilled)
+		mt.Trace.SetState(now, mt.pstate, a.pajeC, stateKilled)
 	}
-	mt.tr.DestroyContainer(now, mt.procType, a.pajeC)
+	mt.Trace.DestroyContainer(now, mt.procType, a.pajeC)
 	a.pajeC = ""
 }
 
@@ -145,7 +145,7 @@ func (a *actor) leave(err error) {
 // from that (gantt.FromTrace), so a chart and a Paje file always agree.
 func (a *actor) begin(state string) {
 	if mt := a.env.trace; mt != nil && a.pajeC != "" {
-		mt.tr.PushState(a.env.eng.Now(), mt.pstate, a.pajeC, state)
+		mt.Trace.PushState(a.env.eng.Now(), mt.pstate, a.pajeC, state)
 		a.pajeOpen = true
 	}
 }
@@ -153,18 +153,22 @@ func (a *actor) begin(state string) {
 func (a *actor) end() {
 	if a.pajeOpen {
 		mt := a.env.trace
-		mt.tr.PopState(a.env.eng.Now(), mt.pstate, a.pajeC)
+		mt.Trace.PopState(a.env.eng.Now(), mt.pstate, a.pajeC)
 		a.pajeOpen = false
 	}
 }
 
-// hostStateChanged is surf's host up/down hook. A failure kills every
-// actor on the host in PID order, not map order: each kill is an
-// observable event (unwind, OnExit callbacks, wake of rendezvous
-// peers), so the sweep's order is part of the replayable event log.
-// Victims marked for restart queue up in that same order and respawn
-// in it when the host recovers.
-func (env *Environment) hostStateChanged(ph *platform.Host, up bool) {
+// hostObserver is the environment as surf's host observer: its actors
+// are what a host's state change reaches.
+type hostObserver Environment
+
+// HostStateChanged kills every actor on a failed host in PID order, not
+// map order: each kill is an observable event (unwind, OnExit
+// callbacks, wake of rendezvous peers), so the sweep's order is part of
+// the replayable event log. Victims marked for restart queue up in that
+// same order and respawn in it when the host recovers.
+func (o *hostObserver) HostStateChanged(ph *platform.Host, up bool) {
+	env := (*Environment)(o)
 	h := env.record(ph.Name)
 	if up {
 		dead := h.restart
@@ -189,9 +193,9 @@ func (env *Environment) hostStateChanged(ph *platform.Host, up bool) {
 	}
 }
 
-// hostWatched is surf's Quiet hook: is an actor alive, or due to respawn, on ph?
-func (env *Environment) hostWatched(ph *platform.Host) bool {
-	h := env.hosts[ph.Name]
+// Watches reports whether an actor is alive, or due to respawn, on ph.
+func (o *hostObserver) Watches(ph *platform.Host) bool {
+	h := o.hosts[ph.Name]
 	return h != nil && (len(h.actors) > 0 || len(h.restart) > 0)
 }
 

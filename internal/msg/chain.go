@@ -506,7 +506,7 @@ func (c *ChainProc) ActionDone(a *surf.Action, err error) {
 	c.exec = nil
 	a.Release()
 	if err == ErrHostFailed && !c.done {
-		// surf fails a dying host's actions BEFORE OnHostStateChange
+		// surf fails a dying host's actions BEFORE HostStateChanged
 		// fires: the kill sweep for this very failure runs next and
 		// must find the chain alive to kill it (and queue its
 		// restart). Park here; the sweep finishes the job.

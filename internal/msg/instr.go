@@ -1,6 +1,9 @@
 package msg
 
-import "repro/internal/instr"
+import (
+	"repro/internal/instr"
+	"repro/internal/surf"
+)
 
 // Observability wiring for the MSG layer. On top of surf's platform
 // band, the environment traces one PROCESS container per actor (under
@@ -13,44 +16,39 @@ import "repro/internal/instr"
 
 // msgTrace holds the MSG side of a Paje trace.
 type msgTrace struct {
-	tr       *instr.Trace
-	procType string    // PROCESS container type, under HOST
-	pstate   string    // activity state type on processes
-	linkType string    // MSG link type, spanning the platform root
-	root     string    // the "platform" root container alias
-	qVar     [2]string // queued_sends / queued_recvs variables on the root
-	nextKey  int       // deterministic message-link key counter
+	surf.Band           // the platform band this one is built on
+	procType  string    // PROCESS container type, under HOST
+	pstate    string    // activity state type on processes
+	linkType  string    // MSG link type, spanning the platform root
+	qVar      [2]string // queued_sends / queued_recvs variables on the root
+	nextKey   int       // deterministic message-link key counter
 }
 
 // EnableTrace attaches a Paje trace to the environment: the surf
-// platform band is enabled first, then the MSG process band on top.
-// Call it before deploying processes — containers are only created for
+// platform band is enabled first, then the MSG process band on top, on
+// the platform band's trace (a traced model keeps its own). Call it
+// before deploying processes — containers are only created for
 // processes and chains started after this. Idempotent; nil is a no-op.
 func (env *Environment) EnableTrace(tr *instr.Trace) {
 	if tr == nil || env.trace != nil {
 		return
 	}
-	env.model.EnableTrace(tr)
-	mt := &msgTrace{tr: tr, root: env.model.TraceRoot()}
-	mt.procType = tr.DefineContainerType(env.model.TraceHostType(), "PROCESS")
+	mt := &msgTrace{Band: env.model.EnableTrace(tr)}
+	tr = mt.Trace
+	mt.procType = tr.DefineContainerType(mt.HostType, "PROCESS")
 	mt.pstate = tr.DefineStateType(mt.procType, "PSTATE")
 	tr.DefineEntityValue(mt.pstate, stateCompute)
 	tr.DefineEntityValue(mt.pstate, statePut)
 	tr.DefineEntityValue(mt.pstate, stateGet)
 	tr.DefineEntityValue(mt.pstate, stateKilled)
-	mt.linkType = tr.DefineLinkType(env.model.TraceRootType(), mt.procType, mt.procType, "MSG")
-	mt.qVar[send] = tr.DefineVariableType(env.model.TraceRootType(), "queued_sends")
-	mt.qVar[recv] = tr.DefineVariableType(env.model.TraceRootType(), "queued_recvs")
+	mt.linkType = tr.DefineLinkType(mt.RootType, mt.procType, mt.procType, "MSG")
+	mt.qVar[send] = tr.DefineVariableType(mt.RootType, "queued_sends")
+	mt.qVar[recv] = tr.DefineVariableType(mt.RootType, "queued_recvs")
 	env.trace = mt
 }
 
-// Trace returns the attached Paje trace (nil when tracing is off).
-func (env *Environment) Trace() *instr.Trace {
-	if env.trace == nil {
-		return nil
-	}
-	return env.trace.tr
-}
+// Trace returns the model's Paje trace (nil when tracing is off).
+func (env *Environment) Trace() *instr.Trace { return env.model.Trace() }
 
 // noteQueued tracks the mailbox backlog (queued sends and receives
 // across all mailboxes): delta records facing d were queued or taken.
@@ -62,7 +60,7 @@ func (env *Environment) noteQueued(d dir, delta int) {
 		env.queuedPeak = env.queued[d]
 	}
 	if mt := env.trace; mt != nil {
-		mt.tr.SetVariable(env.eng.Now(), mt.qVar[d], mt.root, float64(env.queued[d]))
+		mt.Trace.SetVariable(env.eng.Now(), mt.qVar[d], mt.Root, float64(env.queued[d]))
 	}
 }
 

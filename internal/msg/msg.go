@@ -233,7 +233,7 @@ func (ps *pending) ActionDone(_ *surf.Action, cerr error) {
 		pr.task = ps.task
 	}
 	if mt := env.trace; mt != nil && ps.tag != "" && pr.tag != "" {
-		mt.tr.EndLink(env.eng.Now(), mt.linkType, mt.root, pr.tag, ps.task.Name, ps.tag)
+		mt.Trace.EndLink(env.eng.Now(), mt.linkType, mt.Root, pr.tag, ps.task.Name, ps.tag)
 	}
 	first, second := ps.who, pr.who
 	if ps.eager {
@@ -345,8 +345,7 @@ func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 		hosts: make(map[string]*hostRec),
 	}
 	eng.ExternalBlocked = env.blockedChains
-	env.model.OnHostStateChange = env.hostStateChanged
-	env.model.HostWatched = env.hostWatched
+	env.model.Observer = (*hostObserver)(env)
 	return env
 }
 
@@ -666,7 +665,7 @@ func (env *Environment) startTransfer(ps, pr *pending) (err error) {
 		if mt := env.trace; mt != nil && ps.who.pajeC != "" {
 			ps.tag = "k" + strconv.Itoa(mt.nextKey)
 			mt.nextKey++
-			mt.tr.StartLink(env.eng.Now(), mt.linkType, mt.root, ps.who.pajeC, ps.task.Name, ps.tag)
+			mt.Trace.StartLink(env.eng.Now(), mt.linkType, mt.Root, ps.who.pajeC, ps.task.Name, ps.tag)
 		}
 	}
 	switch {

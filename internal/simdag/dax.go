@@ -162,11 +162,11 @@ func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 	return append(tasks, root, end), nil
 }
 
-// checkLoaded rejects a loaded workflow with a work amount that is not
-// finite or with a dependency cycle; from names the document.
+// checkLoaded rejects a loaded workflow with a negative or non-finite
+// work amount or with a dependency cycle; from names the document.
 func checkLoaded(s *Simulation, tasks []*Task, from string) error {
 	for _, t := range tasks {
-		if math.IsNaN(t.amount) || math.IsInf(t.amount, 0) {
+		if !(t.amount >= 0) || math.IsInf(t.amount, 1) {
 			return fmt.Errorf("simdag: %s: task %q: amount %g out of range", from, t.name, t.amount)
 		}
 	}

@@ -6,29 +6,28 @@
 package simdag
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
 	"testing"
 
+	"repro/internal/instr"
 	"repro/internal/platform"
 	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
 )
 
 // runSeededDAG generates a seeded random workflow on a seeded Waxman
-// platform, schedules it with min-min, runs it, and returns the
-// state-transition log.
-func runSeededDAG(t *testing.T, seed int64, cfg surf.Config) []string {
+// platform, schedules it with min-min, runs it, and returns its Paje
+// trace: every task state transition, at full-precision times, plus the
+// platform band.
+func runSeededDAG(t *testing.T, seed int64, cfg surf.Config) []byte {
 	t.Helper()
 	pf, err := platform.GenerateWaxman(platform.DefaultWaxmanConfig(8, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(pf, cfg)
-	var log []string
-	s.OnTaskStateChange = func(task *Task) {
-		log = append(log, fmt.Sprintf("%.9e %s %s", s.Now(), task.Name(), task.State()))
-	}
+	var buf bytes.Buffer
+	s.EnableTrace(instr.NewTrace(&buf))
 	if _, err := RandomLayered(s, DefaultRandomConfig(6, 25, seed+1)); err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +52,31 @@ func runSeededDAG(t *testing.T, seed int64, cfg surf.Config) []string {
 	if g := s.Engine().Spawned(); g != 0 {
 		t.Fatalf("%d goroutines spawned, want 0", g)
 	}
-	return log
+	if err := s.Trace().Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestSimDagDeterminism replays the seeded DAG 5× pooled and 5× fresh:
 // any nondeterminism in the release sweep, the completion batching or
-// the scheduler shows up as a diverging event log.
+// the scheduler shows up as diverging trace bytes.
 func TestSimDagDeterminism(t *testing.T) {
 	const seed = 4242
 	ref := pooltest.Replay(t, 5, func() []byte {
-		return []byte(strings.Join(runSeededDAG(t, seed, surf.DefaultConfig()), "\n"))
+		return runSeededDAG(t, seed, surf.DefaultConfig())
 	})
-	if len(ref) == 0 {
-		t.Fatal("empty event log")
+	td, err := instr.ReadTrace(bytes.NewReader(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, iv := range td.Intervals {
+		if iv.Type == "TSTATE" && iv.Value == Done.String() {
+			done++
+		}
+	}
+	if done == 0 {
+		t.Fatal("trace carries no task reaching Done")
 	}
 }

@@ -20,8 +20,8 @@ import (
 // LoadDOT parses a DOT digraph and instantiates it: one compute task
 // per node (flops from the node's size attribute, 0 when absent), a
 // comm task per sized edge, a direct dependency per bare edge. Tasks
-// are returned in declaration order, NotScheduled. A size that is not
-// finite, or a dependency cycle, is an error.
+// are returned in declaration order, NotScheduled. A negative or
+// non-finite size, on a node or an edge, or a cycle is an error.
 func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -69,7 +69,10 @@ func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 					return nil, fmt.Errorf("simdag: bad DOT edge %q", stmt)
 				}
 			}
-			bytes := attrs["size"]
+			bytes := attrs["size"] // absent: 0, a control edge; +Inf fails in checkLoaded
+			if !(bytes >= 0) {
+				return nil, fmt.Errorf("simdag: DOT: task %q: amount %g out of range", hops[0]+"->"+hops[1], bytes)
+			}
 			for i := 0; i+1 < len(hops); i++ {
 				src, dst := node(hops[i]), node(hops[i+1])
 				if bytes > 0 {

@@ -1,58 +1,54 @@
 package simdag
 
-import "repro/internal/instr"
+import (
+	"repro/internal/instr"
+	"repro/internal/surf"
+)
 
 // Observability wiring for the DAG layer. On top of surf's platform
 // band, the simulation traces one TASK container per task (created
 // lazily at its first state change) with a TSTATE state following the
-// NotScheduled→…→Done/Failed lifecycle, riding the same notify hook
-// that feeds OnTaskStateChange. All hooks are nil-guarded; the
+// NotScheduled→…→Done/Failed lifecycle: notify's one sink, and so the
+// simulation's only task observer. All hooks are nil-guarded; the
 // reschedule counter underneath is a plain always-on field.
 
 // dagTrace holds the simdag side of a Paje trace.
 type dagTrace struct {
-	tr       *instr.Trace
-	taskType string // TASK container type, under the platform root
-	tstate   string // lifecycle state type on tasks
-	root     string // the "platform" root container alias
+	surf.Band        // the platform band this one is built on
+	taskType  string // TASK container type, under the platform root
+	tstate    string // lifecycle state type on tasks
 }
 
 // EnableTrace attaches a Paje trace to the simulation: the surf
-// platform band is enabled first, then the task band on top. Tasks
-// created before or after are both covered — containers appear at a
-// task's first state change. Idempotent; nil is a no-op.
+// platform band is enabled first, then the task band on top, on the
+// platform band's trace (a traced model keeps its own). Tasks created
+// before or after are both covered — containers appear at a task's
+// first state change. Idempotent; nil is a no-op.
 func (s *Simulation) EnableTrace(tr *instr.Trace) {
 	if tr == nil || s.trace != nil {
 		return
 	}
-	s.model.EnableTrace(tr)
-	dt := &dagTrace{tr: tr, root: s.model.TraceRoot()}
-	dt.taskType = tr.DefineContainerType(s.model.TraceRootType(), "TASK")
-	dt.tstate = tr.DefineStateType(dt.taskType, "TSTATE")
+	dt := &dagTrace{Band: s.model.EnableTrace(tr)}
+	dt.taskType = dt.Trace.DefineContainerType(dt.RootType, "TASK")
+	dt.tstate = dt.Trace.DefineStateType(dt.taskType, "TSTATE")
 	for st := NotScheduled; st <= Failed; st++ {
-		tr.DefineEntityValue(dt.tstate, st.String())
+		dt.Trace.DefineEntityValue(dt.tstate, st.String())
 	}
 	s.trace = dt
 }
 
-// Trace returns the attached Paje trace (nil when tracing is off).
-func (s *Simulation) Trace() *instr.Trace {
-	if s.trace == nil {
-		return nil
-	}
-	return s.trace.tr
-}
+// Trace returns the model's Paje trace (nil when tracing is off).
+func (s *Simulation) Trace() *instr.Trace { return s.model.Trace() }
 
 // traceTask emits a task's state transition, creating its container on
-// first sight. Called from notify, so the trace sees exactly the
-// transitions observers see.
+// first sight. Called from notify at every transition.
 func (s *Simulation) traceTask(t *Task) {
 	dt := s.trace
 	now := s.eng.Now()
 	if t.pajeC == "" {
-		t.pajeC = dt.tr.CreateContainer(now, dt.taskType, dt.root, t.name)
+		t.pajeC = dt.Trace.CreateContainer(now, dt.taskType, dt.Root, t.name)
 	}
-	dt.tr.SetState(now, dt.tstate, t.pajeC, t.state.String())
+	dt.Trace.SetState(now, dt.tstate, t.pajeC, t.state.String())
 }
 
 // Reschedules returns how many compute tasks were diverted back to the

@@ -188,6 +188,33 @@ func TestLoadDOT(t *testing.T) {
 	}
 }
 
+// TestLoadDOTRejectsBadSizes: a size that is negative or not finite is
+// out of range on a node and on an edge alike — an edge does not fall
+// back to a control dependency, a node does not keep a negative amount.
+func TestLoadDOTRejectsBadSizes(t *testing.T) {
+	for _, dot := range []string{
+		`digraph G { a [size="NaN"] }`,
+		`digraph G { a [size="-5"] }`,
+		`digraph G { a [size="+Inf"] }`,
+		`digraph G { a -> b [size="NaN"] }`,
+		`digraph G { a -> b [size="-1e6"] }`,
+		`digraph G { a -> b -> c [size="-Inf"] }`,
+		`digraph G { a -> b [size="+Inf"] }`,
+	} {
+		s := New(starPlatform(t, 2), exactConfig())
+		_, err := LoadDOT(s, strings.NewReader(dot))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: LoadDOT = %v, want an amount out of range", dot, err)
+		}
+	}
+	// A zero-sized edge stays a control dependency.
+	s := New(starPlatform(t, 2), exactConfig())
+	tasks, err := LoadDOT(s, strings.NewReader(`digraph G { a -> b [size="0"] }`))
+	if err != nil || len(tasks) != 2 {
+		t.Errorf("zero-sized edge: %d tasks, err %v; want 2, nil", len(tasks), err)
+	}
+}
+
 // FuzzLoadDOT feeds LoadDOT arbitrary bytes: every input is rejected
 // with an error or yields a workflow that min-min places on two hosts
 // and Simulate runs to the end, every task done.

@@ -327,11 +327,6 @@ type Simulation struct {
 	// the always-on count of failure-diverted reschedules.
 	trace       *dagTrace
 	reschedules uint64
-
-	// OnTaskStateChange, when non-nil, is invoked (in kernel context)
-	// at every task state transition — the observer hook the
-	// determinism suite logs events through.
-	OnTaskStateChange func(*Task)
 }
 
 // New builds a DAG simulation on a platform with the given network
@@ -627,14 +622,11 @@ func (s *Simulation) topoOrder() ([]*Task, error) {
 	return order, nil
 }
 
-// notify runs the observer hook (and the trace band, which sees the
-// same transitions).
+// notify hands a task's state transition to the trace band, its one
+// observer.
 func (s *Simulation) notify(t *Task) {
 	if s.trace != nil {
 		s.traceTask(t)
-	}
-	if s.OnTaskStateChange != nil {
-		s.OnTaskStateChange(t)
 	}
 }
 

@@ -119,7 +119,7 @@ func New(pf *platform.Platform, cfg surf.Config, hosts []string) (*World, error)
 	env := msg.NewEnvironment(pf, cfg)
 	// A rank outlives its host's failure (no kill sweep: msg's host
 	// state observer is detached), and its panic is the run's.
-	env.Model().OnHostStateChange = nil
+	env.Model().Observer = nil
 	env.Engine().ContainPanics = false
 	w := &World{
 		env:            env,

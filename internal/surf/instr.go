@@ -12,105 +12,81 @@ import (
 // after every solve. Everything is stamped with simulated time and
 // walks resList (creation order), so trace bytes are a pure function
 // of the run. All hooks are nil-guarded: a model without EnableTrace
-// pays one pointer test per solve.
+// pays one pointer test per solve (m.trace.Trace).
 
-// surfTrace holds the surf side of a Paje trace: type and container
-// aliases minted at EnableTrace time.
+// Band is the platform band of a Paje trace as EnableTrace hands it up:
+// the trace, the "platform" root container, and the PLATFORM and HOST
+// container types. Upper layers (msg, simdag) build their own bands
+// from it, on the same trace.
+type Band struct {
+	Trace    *instr.Trace
+	Root     string
+	RootType string
+	HostType string
+}
+
+// kind is the resource's index into surfTrace's tables: 0 host, 1 link.
+func (r *resource) kind() int {
+	if r.isHost {
+		return 0
+	}
+	return 1
+}
+
+// surfTrace holds the surf side of a Paje trace: the band handed up
+// (a nil Trace while tracing is off) and the type aliases minted at
+// EnableTrace time, each table indexed by resource kind.
 type surfTrace struct {
-	tr       *instr.Trace
-	platType string // PLATFORM container type alias
-	root     string // the "platform" root container alias
-	hostType string
-	linkType string
-	stateH   string // STATE type on hosts
-	stateL   string // STATE type on links
-	utilH    string // utilization variable on hosts
-	utilL    string
-	satH     string // saturation variable on hosts
-	satL     string
+	Band
+	ctype [2]string // HOST / LINK container types
+	state [2]string // up/down STATE types
+	util  [2]string // utilization variables
+	sat   [2]string // saturation variables
 }
 
 // EnableTrace attaches a Paje trace to the model: defines the
 // platform-band types, creates one container per resource at the
 // current simulated time, and starts emitting resource states and
-// post-solve utilization/saturation. Idempotent; nil tr is a no-op.
-func (m *Model) EnableTrace(tr *instr.Trace) {
-	if tr == nil || m.trace != nil {
-		return
+// post-solve utilization/saturation. It returns the platform band.
+// Idempotent: a traced model returns the band it already has, on its
+// own trace; a nil tr on an untraced model returns the zero Band.
+func (m *Model) EnableTrace(tr *instr.Trace) Band {
+	if m.trace.Trace != nil || tr == nil {
+		return m.trace.Band
 	}
-	st := &surfTrace{tr: tr}
-	st.platType = tr.DefineContainerType("0", "PLATFORM")
-	st.hostType = tr.DefineContainerType(st.platType, "HOST")
-	st.linkType = tr.DefineContainerType(st.platType, "LINK")
-	st.stateH = tr.DefineStateType(st.hostType, "STATE")
-	st.stateL = tr.DefineStateType(st.linkType, "STATE")
-	tr.DefineEntityValue(st.stateH, "up")
-	tr.DefineEntityValue(st.stateH, "down")
-	tr.DefineEntityValue(st.stateL, "up")
-	tr.DefineEntityValue(st.stateL, "down")
-	st.utilH = tr.DefineVariableType(st.hostType, "utilization")
-	st.satH = tr.DefineVariableType(st.hostType, "saturation")
-	st.utilL = tr.DefineVariableType(st.linkType, "utilization")
-	st.satL = tr.DefineVariableType(st.linkType, "saturation")
+	st := &m.trace
+	rootType := tr.DefineContainerType("0", "PLATFORM")
+	for k, name := range [2]string{"HOST", "LINK"} {
+		st.ctype[k] = tr.DefineContainerType(rootType, name)
+	}
+	for k := range st.state {
+		st.state[k] = tr.DefineStateType(st.ctype[k], "STATE")
+	}
+	for _, stype := range st.state {
+		tr.DefineEntityValue(stype, "up")
+		tr.DefineEntityValue(stype, "down")
+	}
+	for k := range st.util {
+		st.util[k] = tr.DefineVariableType(st.ctype[k], "utilization")
+		st.sat[k] = tr.DefineVariableType(st.ctype[k], "saturation")
+	}
 	now := m.eng.Now()
-	st.root = tr.CreateContainer(now, st.platType, "0", "platform")
+	root := tr.CreateContainer(now, rootType, "0", "platform")
+	st.Band = Band{Trace: tr, Root: root, RootType: rootType, HostType: st.ctype[0]}
 	for _, r := range m.resList {
-		ctype, stype := st.linkType, st.stateL
-		if r.isHost {
-			ctype, stype = st.hostType, st.stateH
-		}
-		r.pajeC = tr.CreateContainer(now, ctype, st.root, r.name)
-		state := "up"
-		if !r.on {
-			state = "down"
-		}
-		tr.SetState(now, stype, r.pajeC, state)
+		r.pajeC = tr.CreateContainer(now, st.ctype[r.kind()], root, r.name)
+		m.traceResourceState(r, r.on)
 	}
-	m.trace = st
+	return st.Band
 }
 
 // Trace returns the attached Paje trace (nil when tracing is off).
-func (m *Model) Trace() *instr.Trace {
-	if m.trace == nil {
-		return nil
-	}
-	return m.trace.tr
-}
-
-// TraceRoot returns the "platform" root container alias, the common
-// ancestor upper layers use for message links.
-func (m *Model) TraceRoot() string {
-	if m.trace == nil {
-		return ""
-	}
-	return m.trace.root
-}
-
-// TraceRootType returns the PLATFORM container type alias so upper
-// layers can define link types spanning the whole platform.
-func (m *Model) TraceRootType() string {
-	if m.trace == nil {
-		return ""
-	}
-	return m.trace.platType
-}
-
-// TraceHostType returns the HOST container type alias so upper layers
-// can nest their own containers (processes) under hosts.
-func (m *Model) TraceHostType() string {
-	if m.trace == nil {
-		return ""
-	}
-	return m.trace.hostType
-}
+func (m *Model) Trace() *instr.Trace { return m.trace.Trace }
 
 // HostContainer returns the Paje container alias of a host ("" when
 // tracing is off or the host is unknown).
 func (m *Model) HostContainer(name string) string {
-	if m.trace == nil {
-		return ""
-	}
-	if r, ok := m.cpus[name]; ok {
+	if r := m.cpus[name]; r != nil {
 		return r.pajeC
 	}
 	return ""
@@ -121,7 +97,7 @@ func (m *Model) HostContainer(name string) string {
 // emits the variables that changed. Called from refresh with tracing
 // on; walks resList so emission order is creation order.
 func (m *Model) emitShares(now float64) {
-	st := m.trace
+	st := &m.trace
 	for _, r := range m.resList {
 		u := r.cnst.Usage()
 		sat := 0.0
@@ -129,19 +105,11 @@ func (m *Model) emitShares(now float64) {
 			sat = u / c
 		}
 		if u != r.lastUtil {
-			vt := st.utilL
-			if r.isHost {
-				vt = st.utilH
-			}
-			st.tr.SetVariable(now, vt, r.pajeC, u)
+			st.Trace.SetVariable(now, st.util[r.kind()], r.pajeC, u)
 			r.lastUtil = u
 		}
 		if sat != r.lastSat {
-			vt := st.satL
-			if r.isHost {
-				vt = st.satH
-			}
-			st.tr.SetVariable(now, vt, r.pajeC, sat)
+			st.Trace.SetVariable(now, st.sat[r.kind()], r.pajeC, sat)
 			r.lastSat = sat
 		}
 	}
@@ -149,16 +117,11 @@ func (m *Model) emitShares(now float64) {
 
 // traceResourceState emits a resource's up/down transition.
 func (m *Model) traceResourceState(r *resource, up bool) {
-	st := m.trace
-	stype := st.stateL
-	if r.isHost {
-		stype = st.stateH
-	}
 	state := "up"
 	if !up {
 		state = "down"
 	}
-	st.tr.SetState(m.eng.Now(), stype, r.pajeC, state)
+	m.trace.Trace.SetState(m.eng.Now(), m.trace.state[r.kind()], r.pajeC, state)
 }
 
 // SolverStats reports the underlying MaxMin system's cumulative solve

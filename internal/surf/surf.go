@@ -415,21 +415,27 @@ type Model struct {
 	// resource.mark).
 	markGen uint64
 
-	// OnHostStateChange is invoked (in kernel context) when a host
-	// turns off or on via its state trace; upper layers use it to kill
-	// the processes of failed hosts, and HostWatched to tell Quiet
-	// whether a change of a given host still reaches any of them.
-	OnHostStateChange func(host *platform.Host, up bool)
-	HostWatched       func(host *platform.Host) bool
-	loops             int              // periodic trace replays (Quiet)
-	stateLooped       []*platform.Host // hosts with a periodic state trace
+	// Observer is the one host observer (msg installs its actors'),
+	// nil when no layer above watches host state.
+	Observer    HostObserver
+	loops       int              // periodic trace replays (Quiet)
+	stateLooped []*platform.Host // hosts with a periodic state trace
 
 	// Observability (instr.go). resList is every resource in creation
-	// order — the deterministic walk order for trace emission. trace is
-	// nil until EnableTrace; heapPeak is a plain always-on field.
+	// order — the deterministic walk order for trace emission. trace
+	// holds a nil Trace until EnableTrace; heapPeak is a plain
+	// always-on field.
 	resList  []*resource
-	trace    *surfTrace
+	trace    surfTrace
 	heapPeak int
+}
+
+// HostObserver is the layer above watching host state. HostStateChanged
+// is invoked (in kernel context) when a host turns off or on; Watches
+// tells Quiet whether a change of h still reaches the observer.
+type HostObserver interface {
+	HostStateChanged(h *platform.Host, up bool)
+	Watches(h *platform.Host) bool
 }
 
 // New builds the resource model for a platform, setting it as the
@@ -854,7 +860,7 @@ func (m *Model) refresh() {
 	if bulk {
 		m.heap.heapify()
 	}
-	if m.trace != nil {
+	if m.trace.Trace != nil {
 		m.emitShares(now)
 	}
 }
@@ -1000,7 +1006,7 @@ func (m *Model) setResourceState(r *resource, up bool) {
 	}
 	r.on = up
 	m.sys.SetCapacity(r.cnst, r.effectiveCapacity())
-	if m.trace != nil {
+	if m.trace.Trace != nil {
 		m.traceResourceState(r, up)
 	}
 	if !up {
@@ -1018,8 +1024,8 @@ func (m *Model) setResourceState(r *resource, up bool) {
 			m.complete(a, r.failErr)
 		}
 	}
-	if r.isHost && m.OnHostStateChange != nil {
-		m.OnHostStateChange(r.host, up)
+	if r.isHost && m.Observer != nil {
+		m.Observer.HostStateChanged(r.host, up)
 	}
 }
 

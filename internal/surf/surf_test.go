@@ -546,11 +546,11 @@ func TestStateTraceFailsComputation(t *testing.T) {
 	e := core.New()
 	m := New(e, p, exactCfg())
 	var hostDown bool
-	m.OnHostStateChange = func(h *platform.Host, up bool) {
+	m.Observer = &observer{changed: func(h *platform.Host, up bool) {
 		if h.Name == "h1" && !up {
 			hostDown = true
 		}
-	}
+	}}
 	var gotErr error
 	e.Spawn("p", nil, func(pr *core.Process) {
 		a, _ := execute(m, "h1", 1e10, 1)
@@ -563,7 +563,7 @@ func TestStateTraceFailsComputation(t *testing.T) {
 		t.Errorf("Wait = %v, want ErrHostFailed", gotErr)
 	}
 	if !hostDown {
-		t.Error("OnHostStateChange not called")
+		t.Error("HostStateChanged not called")
 	}
 	if !approx(e.Now(), 1, 1e-9) {
 		t.Errorf("failed at %g, want 1", e.Now())
@@ -613,19 +613,68 @@ func TestPeriodicWrapSameInstant(t *testing.T) {
 	e := core.New()
 	m := New(e, p, exactCfg())
 	var log []string
-	m.OnHostStateChange = func(h *platform.Host, up bool) {
+	m.Observer = &observer{watch: "h1", changed: func(h *platform.Host, up bool) {
 		log = append(log, fmt.Sprintf("%g %s up=%v", e.Now(), h.Name, up))
-	}
+	}}
 	e.At(1, func() {
 		e.At(2, func() { log = append(log, fmt.Sprintf("%g observer up=%v", e.Now(), m.HostUp("h1"))) })
 	})
-	e.MaxTime = 3
+	e.At(3, e.Stop)
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	want := "2 h1 up=false\n2 h1 up=true\n2 observer up=true"
 	if got := strings.Join(log, "\n"); got != want {
 		t.Errorf("wrap instant:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// observer is a test HostObserver: changed (when set) sees every host
+// state change, and it watches the host named watch.
+type observer struct {
+	changed func(h *platform.Host, up bool)
+	watch   string
+}
+
+func (o *observer) HostStateChanged(h *platform.Host, up bool) {
+	if o.changed != nil {
+		o.changed(h, up)
+	}
+}
+
+func (o *observer) Watches(h *platform.Host) bool { return h.Name == o.watch }
+
+// TestQuietHostObserver pins Quiet's one observer field beside a
+// periodic host state trace: a model with no observer (smpi's state) is
+// quiet and its idle run ends at once; an observer watching the traced
+// host keeps it live, one watching another host does not.
+func TestQuietHostObserver(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		obs   HostObserver
+		quiet bool
+	}{
+		{"no observer", nil, true},
+		{"watching the traced host", &observer{watch: "h1"}, false},
+		{"watching another host", &observer{watch: "h2"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testPlatform(t)
+			p.Host("h1").StateTrace = trace.MustNew("st",
+				[]trace.Event{{Time: 1, Value: 0}, {Time: 2, Value: 1}}, 2)
+			e := core.New()
+			m := New(e, p, exactCfg())
+			m.Observer = tc.obs
+			if got := m.Quiet(); got != tc.quiet {
+				t.Fatalf("Quiet = %v, want %v", got, tc.quiet)
+			}
+			if !tc.quiet {
+				return // a live periodic trace never lets an idle run end
+			}
+			if err := e.RunUntilIdle(); err != nil || e.Now() != 0 {
+				t.Errorf("idle run: err %v, clock %g, want nil at 0", err, e.Now())
+			}
+		})
 	}
 }
 

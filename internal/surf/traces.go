@@ -62,11 +62,11 @@ func (m *Model) armTrace(tr *trace.Trace, apply func(v float64)) {
 
 // Quiet implements core.Model: with nothing in flight and no timer but
 // the periodic replays pending, a replayed change reaches no one, unless
-// a host state observer watches a periodically traced host (HostWatched).
+// the host observer watches a periodically traced host.
 func (m *Model) Quiet() bool {
 	quiet := len(m.heap) == 0 && m.eng.PendingTimers() == m.loops
 	for _, h := range m.stateLooped {
-		quiet = quiet && (m.OnHostStateChange == nil || m.HostWatched != nil && !m.HostWatched(h))
+		quiet = quiet && (m.Observer == nil || !m.Observer.Watches(h))
 	}
 	return quiet
 }
