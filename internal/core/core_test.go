@@ -487,7 +487,7 @@ func TestYield(t *testing.T) {
 	}
 }
 
-func TestMaxTimeStopsSimulation(t *testing.T) {
+func TestStopAtHorizon(t *testing.T) {
 	e := New()
 	e.At(10, e.Stop)
 	e.Spawn("long", nil, func(p *Process) { p.Sleep(100) })

@@ -113,7 +113,7 @@ func TestRunUntilIdleDispatchesProcesses(t *testing.T) {
 	_ = e.RunUntilIdle()
 }
 
-func TestRunUntilIdleMaxTime(t *testing.T) {
+func TestRunUntilIdleStopAtHorizon(t *testing.T) {
 	e := New()
 	m := &seqModel{completeAts: []float64{10}}
 	m.onComplete = func(int) {}
