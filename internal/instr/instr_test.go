@@ -225,12 +225,51 @@ func TestReadTraceMatchesOldestLink(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsUndefinedAliases: an event naming a type or
+// container no earlier event defined fails at that line instead of
+// reading as a root. The first case is the shape a second trace once
+// got from an msg band built for another: a PROCESS type under the
+// other trace's host-type alias, and a process container under a host
+// container the second trace never created.
+func TestReadTraceRejectsUndefinedAliases(t *testing.T) {
+	const types = "0 \"t0\" \"0\" \"PLATFORM\"\n0 \"t1\" \"t0\" \"PROCESS\"\n1 \"t2\" \"t1\" \"PSTATE\"\n" +
+		"3 \"t3\" \"0\" \"t1\" \"t1\" \"MSG\"\n5 0 \"c0\" \"t0\" \"0\" \"platform\"\n"
+	for _, c := range []struct{ name, trace, want string }{
+		{"second-band", "0 \"t0\" \"t1\" \"PROCESS\"\n1 \"t2\" \"t0\" \"PSTATE\"\n5 0 \"c0\" \"t0\" \"c1\" \"worker@node1\"\n",
+			`paje line 1: undefined type "t1"`},
+		{"container-parent", types + "5 0 \"c1\" \"t1\" \"c9\" \"worker@node1\"\n", `paje line 6: undefined container "c9"`},
+		{"container-type", types + "5 0 \"c1\" \"t9\" \"c0\" \"worker@node1\"\n", `paje line 6: undefined type "t9"`},
+		{"state-type", "1 \"t0\" \"t7\" \"S\"\n", `paje line 1: undefined type "t7"`},
+		{"entity-value", "4 \"t0\" \"t7\" \"up\"\n", `paje line 1: undefined type "t7"`},
+		{"link-type-endpoint", "0 \"t0\" \"0\" \"P\"\n3 \"t1\" \"0\" \"t0\" \"t5\" \"M\"\n", `paje line 2: undefined type "t5"`},
+		{"set-state", types + "7 1 \"t2\" \"c4\" \"run\"\n", `paje line 6: undefined container "c4"`},
+		{"push-state-type", types + "8 1 \"t8\" \"c0\" \"run\"\n", `paje line 6: undefined type "t8"`},
+		{"pop-state", types + "9 1 \"t2\" \"c4\"\n", `paje line 6: undefined container "c4"`},
+		{"destroy", types + "6 2 \"t0\" \"c99\"\n", `paje line 6: undefined container "c99"`},
+		{"root-is-no-container", types + "7 1 \"t2\" \"0\" \"run\"\n", `paje line 6: undefined container "0"`},
+		{"start-link-source", types + "11 1 \"t3\" \"c0\" \"c5\" \"m\" \"k\"\n", `paje line 6: undefined container "c5"`},
+		{"end-link-within", types + "12 1 \"t3\" \"c6\" \"c0\" \"m\" \"k\"\n", `paje line 6: undefined container "c6"`},
+		{"end-link-type", types + "12 1 \"t9\" \"0\" \"c0\" \"m\" \"k\"\n", `paje line 6: undefined type "t9"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			td, err := ReadTrace(strings.NewReader(c.trace))
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("ReadTrace = %+v, %v; want error %q", td, err, c.want)
+			}
+		})
+	}
+	if _, err := ReadTrace(strings.NewReader(types + "7 1 \"t2\" \"c0\" \"run\"\n11 1 \"t3\" \"0\" \"c0\" \"m\" \"k\"\n")); err != nil {
+		t.Fatalf("defined aliases and the root as a link's enclosing container: %v", err)
+	}
+}
+
 // FuzzReadTrace feeds ReadTrace arbitrary bytes: every input decodes or
 // returns an error, never panics. The committed corpus
 // (testdata/fuzz/FuzzReadTrace) holds golden fragments and the
 // malformed cases: an unterminated quote, a bad id, a missing
-// timestamp, EndLink without a start, PopState on an empty stack and a
-// destroy of an unknown container.
+// timestamp, EndLink without a start, PopState on an empty stack, a
+// destroy of an unknown container and the undefined-alias cases
+// (container parent, type parent, state container, link endpoint).
 func FuzzReadTrace(f *testing.F) {
 	f.Add(writeSample(f))
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -75,6 +75,9 @@ type pair struct{ a, b string }
 
 // ReadTrace decodes a trace produced by Trace from r. Every event costs
 // O(1) map work, plus one step per state a destroyed container holds.
+// An event must name defined aliases: a type or container referenced
+// before its definition (or never defined) is an error, except "0",
+// the root, where a parent or enclosing container is expected.
 func ReadTrace(r io.Reader) (*TraceData, error) {
 	td := &TraceData{}
 	types := map[string]string{}        // type alias -> name
@@ -90,8 +93,18 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 		}
 		return ""
 	}
-	stateFor := func(contAlias, typeAlias string) *openState {
-		k := pair{conts[contAlias], types[typeAlias]}
+	var undefined error // the first alias the current event names but no event defined
+	resolve := func(m map[string]string, what, alias string, root bool) string {
+		name, ok := m[alias]
+		if !ok && !(root && alias == "0") && undefined == nil {
+			undefined = fmt.Errorf("undefined %s %q", what, alias)
+		}
+		return name
+	}
+	typ := func(i int, root bool) string { return resolve(types, "type", get(i), root) }
+	cont := func(i int, root bool) string { return resolve(conts, "container", get(i), root) }
+	stateFor := func() *openState {
+		k := pair{cont(1, false), typ(0, false)}
 		if st, ok := stateOf[k]; ok {
 			return st
 		}
@@ -139,23 +152,24 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 		}
 		switch id {
 		case pajeDefineContainerType, pajeDefineStateType, pajeDefineVariableType, pajeDefineEntityValue:
+			typ(1, true)
 			types[get(0)] = get(2)
 		case pajeDefineLinkType:
+			typ(1, true)
+			typ(2, true)
+			typ(3, true)
 			types[get(0)] = get(4)
 		case pajeCreateContainer:
-			alias, ctype, parent, name := get(0), get(1), get(2), get(3)
-			conts[alias] = name
-			td.Containers = append(td.Containers, Container{
-				Name:   name,
-				Type:   types[ctype],
-				Parent: conts[parent],
-			})
+			c := Container{Type: typ(1, false), Parent: cont(2, true), Name: get(3)}
+			conts[get(0)] = c.Name
+			td.Containers = append(td.Containers, c)
 		case pajeDestroyContainer:
-			for _, st := range byCont[conts[get(1)]] {
+			typ(0, false)
+			for _, st := range byCont[cont(1, false)] {
 				closeState(td, st, t)
 			}
 		case pajeSetState:
-			st := stateFor(get(1), get(0))
+			st := stateFor()
 			if st.setVal != "" {
 				td.Intervals = append(td.Intervals, StateInterval{
 					Container: st.cont, Type: st.typ, Value: st.setVal,
@@ -164,10 +178,10 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 			}
 			st.setVal, st.setAt = get(2), t
 		case pajePushState:
-			st := stateFor(get(1), get(0))
+			st := stateFor()
 			st.stack = append(st.stack, stackedVal{val: get(2), at: t})
 		case pajePopState:
-			st := stateFor(get(1), get(0))
+			st := stateFor()
 			if n := len(st.stack); n > 0 {
 				top := st.stack[n-1]
 				st.stack = st.stack[:n-1]
@@ -179,20 +193,26 @@ func ReadTrace(r io.Reader) (*TraceData, error) {
 		case pajeSetVariable:
 			// Variables are not needed for rendering; skip.
 		case pajeStartLink:
-			k := pair{types[get(0)], get(4)}
-			links[k] = append(links[k], openLink{src: conts[get(2)], val: get(3), at: t})
+			k := pair{typ(0, false), get(4)}
+			cont(1, true)
+			links[k] = append(links[k], openLink{src: cont(2, false), val: get(3), at: t})
 		case pajeEndLink:
-			k := pair{types[get(0)], get(4)}
+			k := pair{typ(0, false), get(4)}
+			cont(1, true)
+			dst := cont(2, false)
 			q := links[k]
 			if len(q) == 0 {
 				break
 			}
 			td.Links = append(td.Links, LinkSpan{
-				Type: k.a, Src: q[0].src, Dst: conts[get(2)],
+				Type: k.a, Src: q[0].src, Dst: dst,
 				Value: q[0].val, Key: k.b,
 				Start: q[0].at, End: t,
 			})
 			links[k] = q[1:]
+		}
+		if undefined != nil {
+			return nil, fmt.Errorf("paje line %d: %w", lineNo, undefined)
 		}
 	}
 	if err := sc.Err(); err != nil {

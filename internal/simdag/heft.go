@@ -478,9 +478,9 @@ func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
 // every member host's planned tail (append-only — no insertion across
 // k hosts), and occupies the interval on each.
 func (p *heftPlanner) placePtask(t *Task) PlannedTask {
-	h := p.slot(t.phosts[0])
+	h := p.slot(t.par.hosts[0])
 	start := p.gather(t, h+1)[h]
-	for _, h := range t.phosts {
+	for _, h := range t.par.hosts {
 		if spans := p.slots[p.slot(h)]; len(spans) > 0 {
 			if tail := spans[len(spans)-1].end; tail > start {
 				start = tail
@@ -488,9 +488,9 @@ func (p *heftPlanner) placePtask(t *Task) PlannedTask {
 		}
 	}
 	w := p.o.weight(t)
-	for _, h := range t.phosts {
+	for _, h := range t.par.hosts {
 		p.occupy(p.slot(h), start, w)
 	}
 	p.aft[t.seq] = start + w
-	return PlannedTask{Task: t, Host: t.phosts[0], Start: start, Finish: start + w}
+	return PlannedTask{Task: t, Host: t.par.hosts[0], Start: start, Finish: start + w}
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/platform"
@@ -95,18 +96,16 @@ func meshPlatform(t *testing.T, hosts []string, power float64) *platform.Platfor
 	return pf
 }
 
-// buildTopcuoglu constructs the paper DAG: computes n1..n10 (Data =
-// 0-based row index), one comm task per edge (Data = cost).
+// buildTopcuoglu constructs the paper DAG: computes n1..n10, one comm
+// task per edge whose bytes are the edge's cost.
 func buildTopcuoglu(t *testing.T, s *Simulation) []*Task {
 	t.Helper()
 	tasks := make([]*Task, 10)
 	for i := range tasks {
 		tasks[i] = s.NewTask("n"+itoa(i+1), 1)
-		tasks[i].Data = i
 	}
 	for _, e := range topcuogluEdges {
 		c := s.NewCommTask("c"+itoa(e.from)+"-"+itoa(e.to), e.cost)
-		c.Data = e.cost
 		if err := s.AddDependency(tasks[e.from-1], c); err != nil {
 			t.Fatal(err)
 		}
@@ -128,16 +127,17 @@ func topcuogluOptions(hosts []string) *HEFTOptions {
 	col := map[string]int{"P1": 0, "P2": 1, "P3": 2}
 	return &HEFTOptions{
 		Cost: func(t *Task, host string) float64 {
-			return topcuogluW[t.Data.(int)][col[host]]
+			row, _ := strconv.Atoi(t.Name()[1:]) // "n<k>": row k-1
+			return topcuogluW[row-1][col[host]]
 		},
 		CommCost: func(c *Task, src, dst string) float64 {
 			if src == dst || src == "" || dst == "" {
 				return 0
 			}
-			return c.Data.(float64)
+			return c.Amount()
 		},
 		MeanCommCost: func(c *Task) float64 {
-			return c.Data.(float64)
+			return c.Amount()
 		},
 	}
 }

@@ -14,9 +14,10 @@ import (
 
 // dagTrace holds the simdag side of a Paje trace.
 type dagTrace struct {
-	surf.Band        // the platform band this one is built on
-	taskType  string // TASK container type, under the platform root
-	tstate    string // lifecycle state type on tasks
+	surf.Band          // the platform band this one is built on
+	taskType  string   // TASK container type, under the platform root
+	tstate    string   // lifecycle state type on tasks
+	conts     []string // task container aliases by seq, minted at first state change
 }
 
 // EnableTrace attaches a Paje trace to the simulation: the surf
@@ -45,10 +46,13 @@ func (s *Simulation) Trace() *instr.Trace { return s.model.Trace() }
 func (s *Simulation) traceTask(t *Task) {
 	dt := s.trace
 	now := s.eng.Now()
-	if t.pajeC == "" {
-		t.pajeC = dt.Trace.CreateContainer(now, dt.taskType, dt.Root, t.name)
+	for int(t.seq) >= len(dt.conts) {
+		dt.conts = append(dt.conts, "")
 	}
-	dt.Trace.SetState(now, dt.tstate, t.pajeC, t.state.String())
+	if dt.conts[t.seq] == "" {
+		dt.conts[t.seq] = dt.Trace.CreateContainer(now, dt.taskType, dt.Root, t.name)
+	}
+	dt.Trace.SetState(now, dt.tstate, dt.conts[t.seq], t.state.String())
 }
 
 // Reschedules returns how many compute tasks were diverted back to the

@@ -55,8 +55,17 @@ func (s *Simulation) NewParallelTask(name string, flops []float64, bytes [][]flo
 	}
 	t := s.add()
 	t.name, t.kind, t.amount = name, Parallel, total
-	t.pflops, t.pbytes = flops, bytes
+	t.par = s.ptasks.New()
+	t.par.flops, t.par.bytes = flops, bytes
 	return t, nil
+}
+
+// ptask is a Parallel task's payload and placement: flops[i] runs on
+// hosts[i], bytes[i][j] moves from hosts[i] to hosts[j].
+type ptask struct {
+	hosts []string
+	flops []float64
+	bytes [][]float64
 }
 
 // validAmount reports whether a ptask payload entry is finite and not
@@ -65,11 +74,21 @@ func validAmount(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Slots returns the number of host slots the ptask spans (0 for other
 // kinds).
-func (t *Task) Slots() int { return len(t.pflops) }
+func (t *Task) Slots() int {
+	if t.par == nil {
+		return 0
+	}
+	return len(t.par.flops)
+}
 
 // ParallelHosts returns the assigned host set (nil before
-// ScheduleParallel), aliasing the internal slice.
-func (t *Task) ParallelHosts() []string { return t.phosts }
+// ScheduleParallel and for other kinds), aliasing the internal slice.
+func (t *Task) ParallelHosts() []string {
+	if t.par == nil {
+		return nil
+	}
+	return t.par.hosts
+}
 
 // ScheduleParallel assigns one distinct host per flop slot, making the
 // ptask Schedulable. The slice is copied.
@@ -80,8 +99,8 @@ func (t *Task) ScheduleParallel(hosts []string) error {
 	if t.state != NotScheduled && t.state != Schedulable {
 		return fmt.Errorf("%w: ScheduleParallel on %s task %q", ErrBadState, t.state, t.name)
 	}
-	if len(hosts) != len(t.pflops) {
-		return fmt.Errorf("simdag: ptask %q got %d hosts for %d slots", t.name, len(hosts), len(t.pflops))
+	if len(hosts) != t.Slots() {
+		return fmt.Errorf("simdag: ptask %q got %d hosts for %d slots", t.name, len(hosts), t.Slots())
 	}
 	for i, h := range hosts {
 		if t.sim.pf.Host(h) == nil {
@@ -93,22 +112,24 @@ func (t *Task) ScheduleParallel(hosts []string) error {
 			}
 		}
 	}
-	t.phosts = append(t.phosts[:0], hosts...)
+	t.par.hosts = append(t.par.hosts[:0], hosts...)
 	t.state = Schedulable
 	return nil
 }
 
-// unschedParallel pulls a ptask back to NotScheduled (reschedule
-// policy).
-func (t *Task) unschedParallel() {
-	t.phosts = t.phosts[:0]
-	t.state = NotScheduled
+// unschedule pulls a task back to NotScheduled, dropping its placement
+// (reschedule policy).
+func (t *Task) unschedule() {
+	t.state, t.host, t.dst, t.execH, t.commH = NotScheduled, "", "", nil, nil
+	if t.par != nil {
+		t.par.hosts = t.par.hosts[:0]
+	}
 }
 
 // parallelDown reports whether any host of a scheduled ptask is
 // currently off.
 func (s *Simulation) parallelDown(t *Task) bool {
-	for _, h := range t.phosts {
+	for _, h := range t.par.hosts {
 		if !s.model.HostUp(h) {
 			return true
 		}
@@ -131,7 +152,7 @@ func placeParallel(s *Simulation, ct *costTable) error {
 		if t.kind != Parallel || t.state != NotScheduled {
 			continue
 		}
-		k := len(t.pflops)
+		k := t.Slots()
 		if k > ct.n {
 			return fmt.Errorf("simdag: ptask %q needs %d hosts, pool has %d", t.name, k, ct.n)
 		}

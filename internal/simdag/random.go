@@ -107,10 +107,10 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 			var t *Task
 			if cfg.PtaskProb > 0 && rng.Float64() < cfg.PtaskProb {
 				flops := make([]float64, slots)
-				bytes := make([][]float64, slots)
+				bytes, cells := make([][]float64, slots), make([]float64, slots*slots)
 				for i := range flops {
 					flops[i] = uniform(cfg.MinFlops, cfg.MaxFlops)
-					bytes[i] = make([]float64, slots)
+					bytes[i] = cells[i*slots : (i+1)*slots : (i+1)*slots] // full-slice: rows cannot append into each other
 				}
 				for i := range flops {
 					bytes[i][(i+1)%slots] = uniform(cfg.MinBytes, cfg.MaxBytes)

@@ -43,13 +43,7 @@ func (s *Simulation) divert(t *Task, err error) bool {
 		t.action.Release()
 		t.action = nil
 	}
-	if t.kind == Parallel {
-		t.unschedParallel()
-	} else {
-		t.state = NotScheduled
-		t.host = ""
-		t.execH = nil
-	}
+	t.unschedule()
 	t.err = nil
 	s.reschedules++
 	s.notify(t)
@@ -91,22 +85,15 @@ func (s *Simulation) reschedulePass() {
 		}
 	}
 	for _, t := range s.tasks {
-		if t.kind == Compute && t.state == Schedulable && !s.model.HostUp(t.host) {
-			t.state = NotScheduled
-			t.host = ""
-			t.execH = nil
-			s.notify(t)
-		}
-		if t.kind == Parallel && t.state == Schedulable && s.parallelDown(t) {
-			t.unschedParallel()
+		if (t.kind == Compute && t.state == Schedulable && !s.model.HostUp(t.host)) ||
+			(t.kind == Parallel && t.state == Schedulable && s.parallelDown(t)) {
+			t.unschedule()
 			s.notify(t)
 		}
 	}
 	for _, t := range s.tasks {
 		if t.kind == Comm && t.state == Schedulable && commNeighbourUnplaced(t) {
-			t.state = NotScheduled
-			t.src, t.dst = "", ""
-			t.commH = nil
+			t.unschedule()
 			s.notify(t)
 		}
 	}
@@ -118,7 +105,7 @@ func (s *Simulation) reschedulePass() {
 	// on its own; failing it here (dependents cancel through the normal
 	// cascade) lets the remaining work still be re-placed below.
 	for _, t := range s.tasks {
-		if t.kind == Parallel && t.state == NotScheduled && len(t.pflops) > len(up) {
+		if t.kind == Parallel && t.state == NotScheduled && t.Slots() > len(up) {
 			s.failTerminal(t, ErrUnplaceable)
 		}
 	}

@@ -137,7 +137,7 @@ func (ct *costTable) row(src string) []wire {
 // pooled power of its host set.
 func (ct *costTable) coupled(t *Task) float64 {
 	sum := 0.0
-	for _, h := range t.phosts {
+	for _, h := range t.par.hosts {
 		sum += ct.pf.Host(h).Power
 	}
 	if sum <= 0 {
@@ -376,15 +376,10 @@ func commSrcHost(c *Task) string {
 // placementHost reduces a task's placement to one representative host:
 // a compute's host, a ptask's first host, "" otherwise.
 func placementHost(t *Task) string {
-	switch t.kind {
-	case Compute:
-		return t.host
-	case Parallel:
-		if len(t.phosts) > 0 {
-			return t.phosts[0]
-		}
+	if ph := t.ParallelHosts(); len(ph) > 0 {
+		return ph[0]
 	}
-	return ""
+	return t.Host()
 }
 
 // placeComms assigns every unplaced comm task's endpoints from its

@@ -56,7 +56,7 @@ func refPlaceParallel(s *Simulation, hosts []string) error {
 		if t.kind != Parallel || t.state != NotScheduled {
 			continue
 		}
-		k := len(t.pflops)
+		k := t.Slots()
 		if k > len(pool) {
 			return fmt.Errorf("simdag: ptask %q needs %d hosts, pool has %d", t.name, k, len(pool))
 		}
@@ -145,7 +145,7 @@ func refScheduleMinMin(s *Simulation, hosts []string) error {
 		}
 		var v float64
 		ok := true
-		if (t.kind == Compute && t.host == "") || (t.kind == Parallel && len(t.phosts) == 0) {
+		if (t.kind == Compute && t.host == "") || (t.kind == Parallel && len(t.ParallelHosts()) == 0) {
 			ok = false
 		} else {
 			for _, p := range t.Dependencies() {
@@ -163,7 +163,7 @@ func refScheduleMinMin(s *Simulation, hosts []string) error {
 			}
 			if ok && t.kind == Parallel {
 				sum := 0.0
-				for _, h := range t.phosts {
+				for _, h := range t.ParallelHosts() {
 					sum += s.pf.Host(h).Power
 				}
 				if sum > 0 {
@@ -463,12 +463,12 @@ func replaceMidRun(s *Simulation, at float64, pool, drop []string, sched func(*S
 	s.eng.At(at, func() {
 		for _, t := range s.tasks {
 			if t.kind == Compute && t.state == Schedulable && dropped(t.host) {
-				t.state, t.host, t.execH = NotScheduled, "", nil
+				t.unschedule()
 			}
 			if t.kind == Parallel && t.state == Schedulable {
-				for _, h := range t.phosts {
+				for _, h := range t.ParallelHosts() {
 					if dropped(h) {
-						t.unschedParallel()
+						t.unschedule()
 						break
 					}
 				}
@@ -476,7 +476,7 @@ func replaceMidRun(s *Simulation, at float64, pool, drop []string, sched func(*S
 		}
 		for _, t := range s.tasks {
 			if t.kind == Comm && t.state == Schedulable && commNeighbourUnplaced(t) {
-				t.state, t.src, t.dst, t.commH = NotScheduled, "", "", nil
+				t.unschedule()
 			}
 		}
 		if *serr = sched(s, without(pool, drop)); *serr != nil {
@@ -494,8 +494,9 @@ func replaceMidRun(s *Simulation, at float64, pool, drop []string, sched func(*S
 func snapshot(s *Simulation) []string {
 	out := make([]string, len(s.tasks))
 	for i, t := range s.tasks {
+		src, dst := t.Endpoints()
 		out[i] = fmt.Sprintf("%s %s %s host=%q src=%q dst=%q phosts=%v start=%x finish=%x",
-			t.name, t.kind, t.state, t.host, t.src, t.dst, t.phosts,
+			t.name, t.kind, t.state, t.Host(), src, dst, t.ParallelHosts(),
 			math.Float64bits(t.start), math.Float64bits(t.finish))
 	}
 	return out

@@ -27,9 +27,11 @@ package simdag
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/pool"
 	"repro/internal/surf"
 )
 
@@ -53,7 +55,7 @@ var (
 )
 
 // Kind is the task type.
-type Kind int
+type Kind uint8
 
 // Task kinds.
 const (
@@ -71,23 +73,17 @@ const (
 	Parallel
 )
 
+var kindNames = [...]string{"compute", "comm", "seq", "ptask"}
+
 func (k Kind) String() string {
-	switch k {
-	case Compute:
-		return "compute"
-	case Comm:
-		return "comm"
-	case Seq:
-		return "seq"
-	case Parallel:
-		return "ptask"
-	default:
-		return "unknown"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // State is a task's position in the lifecycle.
-type State int
+type State uint8
 
 // Task states, in lifecycle order.
 const (
@@ -105,32 +101,27 @@ const (
 	Failed
 )
 
+var stateNames = [...]string{"not-scheduled", "schedulable", "runnable", "running", "done", "failed"}
+
 func (s State) String() string {
-	switch s {
-	case NotScheduled:
-		return "not-scheduled"
-	case Schedulable:
-		return "schedulable"
-	case Runnable:
-		return "runnable"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	case Failed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s)) //lint:allow hot-sprintf cold path: unknown-state debug rendering, never on the task path
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int(s)) //lint:allow hot-sprintf cold path: unknown-state debug rendering, never on the task path
 }
 
-// Task is one node of the DAG.
+// Task is one node of the DAG. Tasks are carved from the simulation's
+// arena, so the struct stays at 184 bytes (TestTaskSize): the small
+// fields share one word, a compute's host and a comm's endpoints share
+// one placement pair, and a ptask's payload sits behind one pointer.
 type Task struct {
-	sim    *Simulation
-	name   string
-	kind   Kind
-	amount float64 // flops (Compute) or bytes (Comm)
-	state  State
+	sim       *Simulation
+	name      string
+	kind      Kind
+	state     State
+	watched   bool
+	waitingOn int32   // predecessors not yet Done
+	amount    float64 // flops (Compute) or bytes (Comm)
 
 	// Dependency adjacency. The first edge of each direction is stored
 	// inline (pred0/succ0) — most workflow tasks have degree 1, so the
@@ -142,18 +133,10 @@ type Task struct {
 	pred0, succ0       *Task
 	predHead, predTail int32
 	succHead, succTail int32
-	waitingOn          int // predecessors not yet Done
 
-	host     string // Compute placement
-	src, dst string // Comm placement
-	priority float64
-
-	// Parallel (ptask) payload and placement: pflops[i] runs on
-	// phosts[i], pbytes[i][j] moves from phosts[i] to phosts[j]
-	// (see NewParallelTask / ScheduleParallel in ptask.go).
-	phosts []string
-	pflops []float64
-	pbytes [][]float64
+	host, dst string // a compute's host, or a comm's source and destination
+	priority  float64
+	par       *ptask // Parallel payload and placement (ptask.go)
 
 	// Resolved placement handles, filled by Schedule/ScheduleComm so
 	// start() touches no string-keyed maps: shared per host / per pair
@@ -161,19 +144,13 @@ type Task struct {
 	execH *surf.HostHandle
 	commH *surf.RouteHandle // nil when the pair had no route at schedule time: resolved again at start
 
-	action  *surf.Action
-	start   float64
-	finish  float64
-	err     error
-	watched bool
+	action *surf.Action
+	start  float64
+	finish float64
+	err    error
 
 	indeg int32 // scratch: live in-degree (topoOrder), unresolved inputs (min-min)
-	seq   int32 // creation index: the schedulers' table address and tie-break
-
-	pajeC string // trace container alias, minted at first state change
-
-	// Data is a free cookie for schedulers and loaders.
-	Data any
+	seq   int32 // creation index: the schedulers' table address, tie-break and trace slot
 }
 
 // Name returns the task name.
@@ -188,11 +165,23 @@ func (t *Task) State() State { return t.state }
 // Amount returns the work payload (flops or bytes).
 func (t *Task) Amount() float64 { return t.amount }
 
-// Host returns the compute placement ("" before Schedule).
-func (t *Task) Host() string { return t.host }
+// Host returns the compute placement ("" before Schedule and for the
+// other kinds).
+func (t *Task) Host() string {
+	if t.kind != Compute {
+		return ""
+	}
+	return t.host
+}
 
-// Endpoints returns the comm placement ("","" before ScheduleComm).
-func (t *Task) Endpoints() (src, dst string) { return t.src, t.dst }
+// Endpoints returns the comm placement ("","" before ScheduleComm and
+// for the other kinds).
+func (t *Task) Endpoints() (src, dst string) {
+	if t.kind != Comm {
+		return "", ""
+	}
+	return t.host, t.dst
+}
 
 // Start returns the virtual time the task started running.
 func (t *Task) Start() float64 { return t.start }
@@ -277,7 +266,7 @@ func (t *Task) ScheduleComm(src, dst string) error {
 	if t.sim.pf.Host(dst) == nil {
 		return fmt.Errorf("simdag: unknown host %q", dst)
 	}
-	t.src, t.dst = src, dst
+	t.host, t.dst = src, dst
 	// Resolve the route handle eagerly when possible; a pair with no
 	// route keeps the nil handle and fails at start time, preserving
 	// the "scheduling succeeds, execution fails" contract.
@@ -316,8 +305,10 @@ type Simulation struct {
 	// only ever created through New*Task and live as long as the
 	// simulation, so block allocation keeps a 100k-task DAG to a few
 	// dozen allocations and lays tasks out contiguously for the state
-	// sweeps. The returned pointers are stable.
+	// sweeps. The returned pointers are stable. ptasks carves the ptask
+	// payloads the same way.
 	taskArena []Task
+	ptasks    pool.Slab[ptask]
 
 	watchHits []*Task
 	nDone     int
@@ -390,8 +381,9 @@ func (s *Simulation) NewSeqTask(name string) *Task {
 	return t
 }
 
-// taskBlockSize is the task-arena growth quantum.
-const taskBlockSize = 1024
+// taskBlockSize is the task-arena growth quantum: as many tasks as fit
+// in 320 KiB, whatever the struct's size.
+const taskBlockSize = (320 << 10) / unsafe.Sizeof(Task{})
 
 // add carves a fresh task out of the arena (growing it by whole
 // blocks) and registers it.
@@ -689,10 +681,10 @@ func (s *Simulation) start(t *Task) {
 	case Compute:
 		a, err = s.model.ExecuteHandle(t.execH, t.amount, t.priority)
 	case Parallel:
-		a, err = s.model.ExecuteParallel(t.phosts, t.pflops, t.pbytes)
+		a, err = s.model.ExecuteParallel(t.par.hosts, t.par.flops, t.par.bytes)
 	case Comm:
 		if t.commH == nil {
-			t.commH, err = s.model.RouteHandle(t.src, t.dst)
+			t.commH, err = s.model.RouteHandle(t.host, t.dst)
 		}
 		if err == nil {
 			a, err = s.model.CommunicateHandle(t.commH, t.amount)
