@@ -145,9 +145,8 @@ func BenchmarkMSGScalingForms(b *testing.B) {
 			pool.Enabled = form != "goroutine-fresh"
 			b.ReportAllocs()
 			b.ResetTimer()
-			var peak int
+			var env *msg.Environment
 			for i := 0; i < b.N; i++ {
-				var env *msg.Environment
 				if form == "chain" {
 					env = buildScalingEnvChain(b, pf, pairs, rounds, true, surf.DefaultConfig())
 				} else {
@@ -156,13 +155,12 @@ func BenchmarkMSGScalingForms(b *testing.B) {
 				if err := env.Run(); err != nil {
 					b.Fatal(err)
 				}
-				peak = env.Engine().GoroutinesPeak()
 				if form == "chain" && env.Engine().GoroutineSpawns() != 0 {
 					b.Fatal("chain form spawned goroutines")
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*activities), "ns/activity")
-			b.ReportMetric(float64(peak), "peak-goroutines")
+			b.ReportMetric(poolMetrics(b, env.MetricsInto)["core.goroutines_peak"], "peak-goroutines")
 		})
 	}
 }

@@ -1,7 +1,9 @@
 // Command simgrid-lint machine-checks the kernel contracts DESIGN.md
 // states in prose: deterministic event ordering, pooled-object
-// ownership, goroutine- and Sprintf-free hot paths, and the simcall
-// blocking contract for completion handlers.
+// ownership, goroutine- and Sprintf-free hot paths, the simcall
+// blocking contract for completion handlers, and a public surface of
+// the fenced packages that the module actually uses (api-rent, which
+// runs on whole-module lints only).
 //
 // Usage:
 //

@@ -18,7 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/maxmin"
+	"repro/internal/instr"
 	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/pool/pooltest"
@@ -59,7 +59,7 @@ func runSeededWorkload(t *testing.T, pf *platform.Platform, nPairs, rounds int, 
 	env := msg.NewEnvironment(pf, surf.DefaultConfig())
 	var log []string
 	record := func(p *msg.Process, what string, round int) {
-		log = append(log, fmt.Sprintf("%.9e pid%d %s r%d", env.Now(), p.PID(), what, round))
+		log = append(log, fmt.Sprintf("%.9e %s %s r%d", env.Now(), p.Name(), what, round))
 	}
 	const channel = 7
 	for i := 0; i < nPairs; i++ {
@@ -72,7 +72,7 @@ func runSeededWorkload(t *testing.T, pf *platform.Platform, nPairs, rounds int, 
 		if lockstep {
 			bytes, flops, sleep = 5e4, 5e5, 0
 		}
-		if _, err := env.NewProcess("recv", dst, func(p *msg.Process) error {
+		if _, err := env.NewProcess("recv"+dst, dst, func(p *msg.Process) error {
 			for r := 0; r < rounds; r++ {
 				task, err := p.Get(channel)
 				if err != nil {
@@ -84,7 +84,7 @@ func runSeededWorkload(t *testing.T, pf *platform.Platform, nPairs, rounds int, 
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := env.NewProcess("send", src, func(p *msg.Process) error {
+		if _, err := env.NewProcess("send"+src, src, func(p *msg.Process) error {
 			for r := 0; r < rounds; r++ {
 				if sleep > 0 {
 					if err := p.Sleep(sleep); err != nil {
@@ -131,7 +131,7 @@ func TestDeterminism(t *testing.T) {
 // re-solves one nPairs-variable MaxMin component. It returns an FNV-1a
 // digest of every process's finish time, bit for bit, and the solver's
 // work counters.
-func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) (uint64, maxmin.SolveStats) {
+func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) (uint64, solveStats) {
 	t.Helper()
 	pf := platform.New()
 	backbone := &platform.Link{Name: "backbone", Bandwidth: 1e6 * float64(nPairs), Latency: 1e-4}
@@ -196,7 +196,20 @@ func runBackboneScenario(t *testing.T, nPairs, rounds int, seed int64) (uint64, 
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
 		h.Write(b[:])
 	}
-	return h.Sum64(), env.Model().SolverStats()
+	return h.Sum64(), solverStats(t, env.Model().MetricsInto)
+}
+
+// solveStats is the solver's work counters, as its maxmin.* metrics
+// report them.
+type solveStats struct {
+	Solves, ScopeVars, Components, MaxScopeVars, MaxComponents float64
+}
+
+// solverStats reads the solver counters of the metrics into reports.
+func solverStats(t *testing.T, into func(*instr.Registry)) solveStats {
+	m := poolMetrics(t, into)
+	return solveStats{m["maxmin.solves"], m["maxmin.scope_vars"], m["maxmin.components"],
+		m["maxmin.max_scope_vars"], m["maxmin.max_components"]}
 }
 
 // TestBackboneDigest pins the bits of the contended-link case: the
@@ -210,10 +223,10 @@ func TestBackboneDigest(t *testing.T) {
 	for _, c := range []struct {
 		seed  int64
 		want  uint64
-		stats maxmin.SolveStats
+		stats solveStats
 	}{
-		{1, 0x4b9820952759fe4c, maxmin.SolveStats{Solves: 1005, ScopeVars: 122091, Components: 2405, MaxScopeVars: 200, MaxComponents: 401}},
-		{2, 0x003232cc3bdec3c4, maxmin.SolveStats{Solves: 1005, ScopeVars: 121187, Components: 2405, MaxScopeVars: 200, MaxComponents: 401}},
+		{1, 0x4b9820952759fe4c, solveStats{Solves: 1005, ScopeVars: 122091, Components: 2405, MaxScopeVars: 200, MaxComponents: 401}},
+		{2, 0x003232cc3bdec3c4, solveStats{Solves: 1005, ScopeVars: 121187, Components: 2405, MaxScopeVars: 200, MaxComponents: 401}},
 	} {
 		c := c
 		pooltest.Replay(t, 1, func() []byte {
@@ -236,7 +249,7 @@ func TestBackboneDigest(t *testing.T) {
 func TestFaultyGridSolveStats(t *testing.T) {
 	spec := sweep.Faulty()
 	grid := sweep.PlatformSpec{Name: "grid2x4", Kind: "multisite", Hosts: 4, Sites: 2}
-	want := maxmin.SolveStats{Solves: 220, ScopeVars: 94, Components: 269, MaxScopeVars: 6, MaxComponents: 18}
+	want := solveStats{Solves: 220, ScopeVars: 94, Components: 269, MaxScopeVars: 6, MaxComponents: 18}
 	pooltest.Replay(t, 1, func() []byte {
 		pf, hosts, err := grid.Build()
 		if err != nil {
@@ -277,7 +290,7 @@ func TestFaultyGridSolveStats(t *testing.T) {
 		if wan == 0 {
 			t.Fatal("no transfer crosses the fatpipe WAN links")
 		}
-		stats := s.Model().SolverStats()
+		stats := solverStats(t, s.Model().MetricsInto)
 		if stats != want {
 			t.Errorf("solver stats %#v, want %#v", stats, want)
 		}

@@ -165,17 +165,8 @@ type Process struct {
 // PID returns the process identifier (unique per engine, starting at 1).
 func (p *Process) PID() int { return p.pid }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
-// Host returns the opaque host cookie set at spawn time.
-func (p *Process) Host() any { return p.host }
-
 // SetHost updates the host cookie (process migration).
 func (p *Process) SetHost(h any) { p.host = h }
-
-// State returns the process state.
-func (p *Process) State() State { return p.state }
 
 // Engine returns the engine the process belongs to.
 func (p *Process) Engine() *Engine { return p.engine }
@@ -196,9 +187,6 @@ func (p *Process) Daemon() bool { return p.daemon }
 // OnExit registers fn to run (in kernel context) when the process
 // terminates; err is nil for a normal return.
 func (p *Process) OnExit(fn func(err error)) { p.onExit = append(p.onExit, fn) }
-
-// Err returns the termination cause after the process is Done.
-func (p *Process) Err() error { return p.err }
 
 // SetErr records err as the termination cause of a process whose body
 // is about to return: upper layers with error-returning bodies (msg)
@@ -300,7 +288,7 @@ type Engine struct {
 	nextPID int
 	nextSeq int64
 	current *Process
-	stats   SimcallStats
+	stats   simcallStats
 
 	live      int // non-daemon processes (and external entities) not yet Done
 	liveAll   int // all processes not yet Done
@@ -321,15 +309,15 @@ type Engine struct {
 	ExternalBlocked func() (names []string, calls []SimcallKind)
 
 	// ContainPanics, when set, turns a panic in a process body into that
-	// process's failure (a *PanicError termination cause, collected in
-	// Panics) instead of aborting the whole run: one buggy actor cannot
-	// crash a million-activity simulation. Containment covers process
-	// functions only — a panic inside a kernel phase (model code, timer
-	// callbacks, completion handlers) leaves the engine mid-turn and is
-	// always fatal.
+	// process's failure (a *PanicError termination cause, counted in
+	// core.fault_panics) instead of aborting the whole run: one buggy
+	// actor cannot crash a million-activity simulation. Containment
+	// covers process functions only — a panic inside a kernel phase
+	// (model code, timer callbacks, completion handlers) leaves the
+	// engine mid-turn and is always fatal.
 	ContainPanics bool
 
-	panics []*PanicError // contained process panics, in occurrence order
+	panics int // contained process panics
 
 	// Observability (instr.go): optional wall-clock phase profiler
 	// (report-only) and the timer heap's high-water mark.
@@ -353,13 +341,6 @@ func (e *Engine) Now() float64 { return e.now }
 // SetModel sets the engine's resource model, replacing any earlier one.
 func (e *Engine) SetModel(m Model) { e.model = m }
 
-// Current returns the currently executing process, or nil when called
-// from kernel context (timer callbacks, model completion).
-func (e *Engine) Current() *Process { return e.current }
-
-// ProcessCount returns the number of processes not yet terminated.
-func (e *Engine) ProcessCount() int { return e.liveAll }
-
 // Processes returns the live processes sorted by PID.
 func (e *Engine) Processes() []*Process {
 	out := make([]*Process, 0, len(e.procs))
@@ -372,19 +353,10 @@ func (e *Engine) Processes() []*Process {
 	return out
 }
 
-// ProcessByPID returns the live process with the given PID, or nil.
-func (e *Engine) ProcessByPID(pid int) *Process {
-	p := e.procs[pid]
-	if p == nil || p.state == Done {
-		return nil
-	}
-	return p
-}
-
 // Spawn creates a simulated process executing fn. The process starts
 // when the engine next schedules it (immediately at the current virtual
-// time if the simulation is running). host is an opaque cookie exposed
-// via Process.Host.
+// time if the simulation is running). host is an opaque cookie the
+// kernel does not interpret.
 //
 // The carrier coroutine comes from the package-level worker pool when
 // one is parked (no stack allocation; Engine.GoroutineSpawns does not
@@ -436,7 +408,7 @@ func runProcessBody(e *Engine, p *Process) {
 				// Contained: the panic is this process's failure
 				// alone; its defers already ran on the unwind.
 				p.err = pe
-				e.panics = append(e.panics, pe)
+				e.panics++
 				return
 			}
 			e.fatal = pe
@@ -553,9 +525,6 @@ func (p *Process) Resume() {
 	}
 }
 
-// Suspended reports whether the process is currently suspended.
-func (p *Process) Suspended() bool { return p.suspended }
-
 // Run executes the simulation until no non-daemon process remains,
 // Stop is called, or a deadlock is detected. At shutdown, remaining
 // daemons are discarded. Run returns a *DeadlockError if blocked
@@ -645,12 +614,6 @@ func (e *Engine) Spawned() int { return e.nextPID - 1 }
 // at zero while Spawned keeps counting.
 func (e *Engine) GoroutineSpawns() int { return e.goSpawns }
 
-// GoroutinesPeak returns the high-water mark of simultaneously live
-// process coroutines on this engine — the real stack population a run
-// paid for, regardless of how many logical processes cycled through
-// those stacks.
-func (e *Engine) GoroutinesPeak() int { return e.goPeak }
-
 // PendingTimers returns the number of timers not yet fired or canceled.
 func (e *Engine) PendingTimers() int { return len(e.timers) }
 
@@ -673,12 +636,6 @@ func (e *Engine) AllocPID() int {
 // processes, external entities are not killed at shutdown — their
 // owner layer tears them down.
 func (e *Engine) AddLive(delta int) { e.live += delta }
-
-// Panics returns the contained process panics recorded so far (empty
-// unless ContainPanics is set), in occurrence order. Each entry carries
-// the crashing process's identity, the panic value, and the stack at
-// the point of the panic — the run's crash event log.
-func (e *Engine) Panics() []*PanicError { return e.panics }
 
 // kernelTurn advances the simulation once the run queue is empty: it
 // finds the next event, advances the clock, completes due model

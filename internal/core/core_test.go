@@ -265,8 +265,8 @@ func TestKillBlockedProcess(t *testing.T) {
 	if !cleanedUp {
 		t.Error("killed process defers did not run")
 	}
-	if victim.Err() != ErrKilled {
-		t.Errorf("victim.Err() = %v, want ErrKilled", victim.Err())
+	if victim.err != ErrKilled {
+		t.Errorf("victim.err = %v, want ErrKilled", victim.err)
 	}
 }
 
@@ -310,8 +310,8 @@ func TestSleepNaNFailsSleeper(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	var pe *PanicError
-	if !errors.As(bad.Err(), &pe) {
-		t.Errorf("bad.Err() = %v, want a *PanicError", bad.Err())
+	if !errors.As(bad.err, &pe) {
+		t.Errorf("bad.err = %v, want a *PanicError", bad.err)
 	}
 	if wokeAt != 1 {
 		t.Errorf("good woke at %g, want 1", wokeAt)
@@ -396,7 +396,7 @@ func TestSuspendResumeSelf(t *testing.T) {
 	})
 	e.Spawn("r", nil, func(p *Process) {
 		p.Sleep(2)
-		if !suspended.Suspended() {
+		if !suspended.suspended {
 			t.Error("process not reported suspended")
 		}
 		suspended.Resume()
@@ -465,28 +465,6 @@ func TestProcessPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-func TestYield(t *testing.T) {
-	e := New()
-	var order []string
-	e.Spawn("a", nil, func(p *Process) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	e.Spawn("b", nil, func(p *Process) {
-		order = append(order, "b1")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestStopAtHorizon(t *testing.T) {
 	e := New()
 	e.At(10, e.Stop)
@@ -503,31 +481,25 @@ func TestProcessRegistry(t *testing.T) {
 	e := New()
 	p1 := e.Spawn("one", "host1", func(p *Process) { p.Sleep(1) })
 	e.Spawn("two", "host2", func(p *Process) { p.Sleep(1) })
-	if e.ProcessCount() != 2 {
-		t.Errorf("ProcessCount = %d, want 2", e.ProcessCount())
+	if e.liveAll != 2 {
+		t.Errorf("%d live processes, want 2", e.liveAll)
 	}
 	procs := e.Processes()
-	if len(procs) != 2 || procs[0].Name() != "one" || procs[1].Name() != "two" {
+	if len(procs) != 2 || procs[0].name != "one" || procs[1].name != "two" {
 		t.Errorf("Processes() = %v", procs)
 	}
-	if got := e.ProcessByPID(p1.PID()); got != p1 {
-		t.Errorf("ProcessByPID = %v, want p1", got)
-	}
-	if got := e.ProcessByPID(999); got != nil {
-		t.Errorf("ProcessByPID(999) = %v, want nil", got)
-	}
-	if p1.Host() != "host1" {
-		t.Errorf("Host = %v, want host1", p1.Host())
+	if p1.host != "host1" {
+		t.Errorf("Host = %v, want host1", p1.host)
 	}
 	p1.SetHost("elsewhere")
-	if p1.Host() != "elsewhere" {
+	if p1.host != "elsewhere" {
 		t.Error("SetHost did not stick")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if e.ProcessCount() != 0 {
-		t.Errorf("ProcessCount after run = %d, want 0", e.ProcessCount())
+	if e.liveAll != 0 {
+		t.Errorf("%d live processes after run, want 0", e.liveAll)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestRunUntilIdleDispatchesProcesses(t *testing.T) {
 		t.Errorf("clock at %g, want 3", e.Now())
 	}
 	// Release the parked goroutine.
-	e.ProcessByPID(1).Kill()
+	e.procs[1].Kill()
 	_ = e.RunUntilIdle()
 }
 

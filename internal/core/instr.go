@@ -17,9 +17,6 @@ import (
 // detach.
 func (e *Engine) SetProfiler(p *instr.Profiler) { e.prof = p }
 
-// Profiler returns the attached phase profiler (nil when off).
-func (e *Engine) Profiler() *instr.Profiler { return e.prof }
-
 // endDispatchSpan charges the kernel turn's dispatch phase to the
 // profiler: the span from the end of the timer sweep to the first
 // process resumed (or the empty queue), process bodies excluded.
@@ -29,9 +26,6 @@ func (e *Engine) endDispatchSpan() {
 		e.dispatchT0 = time.Time{}
 	}
 }
-
-// TimerPeak returns the high-water mark of the timer heap.
-func (e *Engine) TimerPeak() int { return e.timerPeak }
 
 // MetricsInto dumps the kernel's counters into r under the core.*
 // namespace: simcall dispositions, process starts vs goroutine
@@ -47,6 +41,6 @@ func (e *Engine) MetricsInto(r *instr.Registry) {
 	r.Max("core.goroutines_peak", float64(e.goPeak))
 	r.Max("core.timer_peak", float64(e.timerPeak))
 	r.Set("core.timers", float64(len(e.timers)))
-	r.Add("core.fault_panics", uint64(len(e.panics)))
+	r.Add("core.fault_panics", uint64(e.panics))
 	r.SetPool("core.worker_pool", workerPoolStat())
 }

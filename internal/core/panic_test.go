@@ -9,7 +9,7 @@ import (
 // TestContainedPanicFailsProcessAlone: with ContainPanics set, a
 // panicking process terminates with a *PanicError while the rest of the
 // simulation runs to completion, and the panic (value + stack) is
-// recorded in Engine.Panics.
+// counted in the engine's contained-panic tally.
 func TestContainedPanicFailsProcessAlone(t *testing.T) {
 	e := New()
 	e.ContainPanics = true
@@ -29,8 +29,8 @@ func TestContainedPanicFailsProcessAlone(t *testing.T) {
 		t.Error("survivor did not run to completion")
 	}
 	var pe *PanicError
-	if !errors.As(bomb.Err(), &pe) {
-		t.Fatalf("bomb.Err() = %v, want *PanicError", bomb.Err())
+	if !errors.As(bomb.err, &pe) {
+		t.Fatalf("bomb.err = %v, want *PanicError", bomb.err)
 	}
 	if pe.Name != "bomb" || pe.Value != "boom" {
 		t.Errorf("PanicError = {%q %v}, want {bomb boom}", pe.Name, pe.Value)
@@ -38,8 +38,8 @@ func TestContainedPanicFailsProcessAlone(t *testing.T) {
 	if !strings.Contains(string(pe.Stack), "panic_test.go") {
 		t.Errorf("PanicError.Stack does not point at the panic site:\n%s", pe.Stack)
 	}
-	if got := e.Panics(); len(got) != 1 || got[0] != pe {
-		t.Errorf("Engine.Panics() = %v, want the one contained panic", got)
+	if e.panics != 1 {
+		t.Errorf("engine counted %d contained panics, want 1", e.panics)
 	}
 }
 
@@ -82,11 +82,11 @@ func TestKernelPhasePanicStaysFatal(t *testing.T) {
 		t.Fatalf("Run = %v, want fatal kernel-phase panic", err)
 	}
 	var pe *PanicError
-	if errors.As(carrier.Err(), &pe) {
+	if errors.As(carrier.err, &pe) {
 		t.Errorf("kernel-phase panic was attributed to the carrier process: %v", pe)
 	}
-	if len(e.Panics()) != 0 {
-		t.Errorf("kernel-phase panic was contained: %v", e.Panics())
+	if e.panics != 0 {
+		t.Errorf("kernel-phase panic was contained: %d counted", e.panics)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestPanicWithoutContainmentStillFatal(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("Run = %v, want *PanicError", err)
 	}
-	if len(e.Panics()) != 0 {
-		t.Errorf("fatal panic must not be collected in Panics: %v", e.Panics())
+	if e.panics != 0 {
+		t.Errorf("fatal panic must not be counted as contained: %d counted", e.panics)
 	}
 }
 

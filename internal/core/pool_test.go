@@ -59,13 +59,13 @@ func TestWorkerPoolingEquivalence(t *testing.T) {
 				}
 				p.engine.Spawn(fmt.Sprintf("c%d", i), nil, func(c *Process) {
 					_ = c.Sleep(0.05)
-					record("child " + c.Name())
+					record("child " + c.name)
 				})
-				record("parent " + p.Name())
+				record("parent " + p.name)
 				if err := p.Sleep(1.0); err != nil {
 					return
 				}
-				record("late " + p.Name())
+				record("late " + p.name)
 			})
 			if i%3 == 0 {
 				victims = append(victims, p)
@@ -73,7 +73,7 @@ func TestWorkerPoolingEquivalence(t *testing.T) {
 		}
 		e.At(0.85, func() {
 			for _, v := range victims {
-				record("kill " + v.Name())
+				record("kill " + v.name)
 				v.Kill()
 			}
 		})
@@ -111,8 +111,8 @@ func TestSpawnedVsGoroutineAccounting(t *testing.T) {
 	if err := e1.Run(); err != nil {
 		t.Fatalf("warmup Run: %v", err)
 	}
-	if e1.GoroutinesPeak() != 9 {
-		t.Errorf("warmup GoroutinesPeak() = %d, want 9", e1.GoroutinesPeak())
+	if e1.goPeak != 9 {
+		t.Errorf("warmup goroutine peak = %d, want 9", e1.goPeak)
 	}
 
 	// Same concurrency on a fresh engine, in two waves (a keeper stays
@@ -137,7 +137,7 @@ func TestSpawnedVsGoroutineAccounting(t *testing.T) {
 	if got := e2.GoroutineSpawns(); got != 0 {
 		t.Errorf("GoroutineSpawns() = %d, want 0 (warm pool)", got)
 	}
-	if got := e2.GoroutinesPeak(); got != 9 {
-		t.Errorf("GoroutinesPeak() = %d, want 9", got)
+	if got := e2.goPeak; got != 9 {
+		t.Errorf("goroutine peak = %d, want 9", got)
 	}
 }

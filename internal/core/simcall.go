@@ -3,18 +3,17 @@
 //
 // Every way a process can yield control is a *typed* simcall issued
 // through a single entry point, so the kernel sees what the process
-// wants (wait for an action, sleep, yield, suspend, mailbox send or
-// receive) instead of an opaque block. That buys three things:
+// wants (wait for an action, sleep, suspend, mailbox send or receive)
+// instead of an opaque block. That buys three things:
 //
 //   - a synchronous fast path: simcalls whose answer is already known
 //     in kernel state (zero-duration sleeps, waits on finished
-//     actions, a yield with an empty run queue) return inline without
-//     leaving the process's coroutine;
+//     actions) return inline without leaving the process's coroutine;
 //   - one slow path: every other simcall parks the process, a yield
 //     back to the kernel loop (Engine.drive), which resumes it once a
 //     wake has queued it again;
 //   - diagnosable blocking: a Waiting process records which simcall it
-//     is stuck in, surfaced by Process.Simcall and DeadlockError.
+//     is stuck in, surfaced by DeadlockError.
 
 package core
 
@@ -35,8 +34,6 @@ const (
 	SimcallWaitActivity
 	// SimcallSleep blocks until a timer fires.
 	SimcallSleep
-	// SimcallYield re-queues the caller behind the runnable processes.
-	SimcallYield
 	// SimcallSuspend is a self-suspension, lifted by Resume.
 	SimcallSuspend
 	// SimcallSend is a block in a mailbox/rendezvous send.
@@ -55,8 +52,6 @@ func (k SimcallKind) String() string {
 		return "wait-activity"
 	case SimcallSleep:
 		return "sleep"
-	case SimcallYield:
-		return "yield"
 	case SimcallSuspend:
 		return "suspend"
 	case SimcallSend:
@@ -68,24 +63,16 @@ func (k SimcallKind) String() string {
 	}
 }
 
-// SimcallStats counts simcall dispositions since engine creation.
-type SimcallStats struct {
+// simcallStats counts simcall dispositions since engine creation
+// (MetricsInto reports them as core.simcalls_fast and _slow).
+type simcallStats struct {
 	// Fast counts simcalls answered inline, without a yield to the
-	// kernel loop (finished-action waits, zero sleeps, empty-queue
-	// yields).
+	// kernel loop (finished-action waits, zero sleeps).
 	Fast uint64
 	// Slow counts simcalls that parked the caller: each is one yield
 	// to the kernel loop and one resume.
 	Slow uint64
 }
-
-// SimcallStats returns the cumulative fast/slow simcall counters.
-func (e *Engine) SimcallStats() SimcallStats { return e.stats }
-
-// Simcall returns the typed simcall the process is currently blocked in
-// (SimcallNone while it runs). For a process made Runnable but not yet
-// rescheduled it still names the call it is about to return from.
-func (p *Process) Simcall() SimcallKind { return p.call }
 
 // dispatch resumes the runnable processes in run-queue order, each
 // until it parks or ends, until the queue is empty or a fatal error
@@ -151,10 +138,9 @@ func (p *Process) blockOn(kind SimcallKind) error {
 // BlockOn yields the calling process until the kernel wakes it (action
 // completion, timer, Wake) and returns the error passed to Wake. kind
 // names the operation it is blocked in (send, receive, …; SimcallWait
-// for an opaque wait), so the kernel's diagnostics — deadlock reports,
-// Process.Simcall — say what the process wants. If the process was
-// killed while blocked, BlockOn unwinds the stack (running defers)
-// instead of returning.
+// for an opaque wait), so deadlock reports say what the process wants.
+// If the process was killed while blocked, BlockOn unwinds the stack
+// (running defers) instead of returning.
 func (p *Process) BlockOn(kind SimcallKind) error {
 	if kind == SimcallNone {
 		kind = SimcallWait
@@ -204,28 +190,4 @@ func (p *Process) Sleep(d float64) error {
 	}
 	p.sleepTm.Rearm(e.now + d)
 	return p.blockOn(SimcallSleep)
-}
-
-// Yield gives other runnable processes a chance to run at the current
-// virtual time, then resumes. With an empty run queue there is nobody
-// to yield to and the call returns inline (fast path).
-func (p *Process) Yield() {
-	e := p.engine
-	if e.current != p {
-		panic("core: simcall issued outside the running process")
-	}
-	if e.runHead >= len(e.runQ) {
-		e.stats.Fast++
-		return
-	}
-	e.stats.Slow++
-	p.call = SimcallYield
-	p.state = Runnable
-	e.runQ = append(e.runQ, p)
-	_ = p.park()
-	p.call = SimcallNone
-	p.state = Running
-	if p.killed {
-		panic(killedSignal{})
-	}
 }

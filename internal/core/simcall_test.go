@@ -17,7 +17,7 @@ func TestSleepZeroFastPath(t *testing.T) {
 		if err := p.Sleep(-3); err != nil {
 			t.Errorf("Sleep(-3): %v", err)
 		}
-		st := e.SimcallStats()
+		st := e.stats
 		if st.Fast != 2 {
 			t.Errorf("Fast = %d, want 2", st.Fast)
 		}
@@ -70,7 +70,7 @@ func TestSleepZeroYieldsWhenOthersRunnable(t *testing.T) {
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Errorf("order = %v, want [b a]", order)
 	}
-	if st := e.SimcallStats(); st.Fast != 0 {
+	if st := e.stats; st.Fast != 0 {
 		t.Errorf("Fast = %d, want 0 (guarded zero sleep must take the slow path)", st.Fast)
 	}
 }
@@ -101,25 +101,6 @@ func TestSleepZeroPollingLoopProgresses(t *testing.T) {
 	}
 }
 
-// TestYieldFastPathEmptyQueue: yielding with nobody else runnable is
-// answered inline.
-func TestYieldFastPathEmptyQueue(t *testing.T) {
-	e := New()
-	e.Spawn("solo", nil, func(p *Process) {
-		p.Yield()
-		st := e.SimcallStats()
-		if st.Fast != 1 {
-			t.Errorf("Fast = %d, want 1", st.Fast)
-		}
-		if st.Slow != 0 {
-			t.Errorf("Slow = %d, want 0", st.Slow)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 // TestWaitActivityFastPath: a wait an upper layer answers inline (surf's
 // Wait on a finished action) is counted through FastSimcall as one fast
 // simcall, with no yield: no other process runs and time stands still.
@@ -131,10 +112,10 @@ func TestWaitActivityFastPath(t *testing.T) {
 		if otherRan || e.Now() != 0 {
 			t.Errorf("fast path yielded: other ran=%v, now=%g", otherRan, e.Now())
 		}
-		if k := p.Simcall(); k != SimcallNone {
+		if k := p.call; k != SimcallNone {
 			t.Errorf("fast path left the caller in %v", k)
 		}
-		st := e.SimcallStats()
+		st := e.stats
 		if st.Fast != 1 || st.Slow != 0 {
 			t.Errorf("stats = %+v, want Fast=1 Slow=0", st)
 		}
@@ -161,7 +142,7 @@ func TestWaitActivitySlowPath(t *testing.T) {
 		wokeAt = e.Now()
 	})
 	e.At(2, func() {
-		if k := waiter.Simcall(); k != SimcallWaitActivity {
+		if k := waiter.call; k != SimcallWaitActivity {
 			t.Errorf("waiter parked in %v, want wait-activity", k)
 		}
 		e.Wake(waiter, sentinel)
@@ -172,7 +153,7 @@ func TestWaitActivitySlowPath(t *testing.T) {
 	if wokeAt != 2 {
 		t.Errorf("woke at %g, want 2", wokeAt)
 	}
-	if st := e.SimcallStats(); st.Slow != 1 || st.Fast != 0 {
+	if st := e.stats; st.Slow != 1 || st.Fast != 0 {
 		t.Errorf("stats = %+v, want Fast=0 Slow=1", st)
 	}
 }
@@ -192,10 +173,10 @@ func TestSimcallKindVisible(t *testing.T) {
 	})
 	e.Spawn("observer", nil, func(p *Process) {
 		p.Sleep(1)
-		if k := sleeper.Simcall(); k != SimcallSleep {
+		if k := sleeper.call; k != SimcallSleep {
 			t.Errorf("sleeper stuck in %v, want sleep", k)
 		}
-		if k := recver.Simcall(); k != SimcallRecv {
+		if k := recver.call; k != SimcallRecv {
 			t.Errorf("recver stuck in %v, want recv", k)
 		}
 		e.Wake(recver, nil)
@@ -203,8 +184,8 @@ func TestSimcallKindVisible(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if sleeper.Simcall() != SimcallNone {
-		t.Errorf("done process still reports %v", sleeper.Simcall())
+	if sleeper.call != SimcallNone {
+		t.Errorf("done process still reports %v", sleeper.call)
 	}
 }
 
@@ -256,8 +237,8 @@ func TestKillClearsPendingWake(t *testing.T) {
 	if !cleanedUp {
 		t.Error("victim defers did not run")
 	}
-	if victim.Err() != ErrKilled {
-		t.Errorf("victim.Err() = %v, want ErrKilled (stale wake must not shadow it)", victim.Err())
+	if victim.err != ErrKilled {
+		t.Errorf("victim.err = %v, want ErrKilled (stale wake must not shadow it)", victim.err)
 	}
 }
 
@@ -284,8 +265,8 @@ func TestKillWhileSuspended(t *testing.T) {
 	if !cleanedUp {
 		t.Error("victim defers did not run")
 	}
-	if victim.Err() != ErrKilled {
-		t.Errorf("victim.Err() = %v, want ErrKilled", victim.Err())
+	if victim.err != ErrKilled {
+		t.Errorf("victim.err = %v, want ErrKilled", victim.err)
 	}
 }
 
@@ -374,7 +355,7 @@ func TestSuspendSelfCarrierStaysParked(t *testing.T) {
 			t.Errorf("BlockOn: %v", err)
 		}
 		wokeAt = e.Now()
-		if p.Suspended() {
+		if p.suspended {
 			t.Error("process ran while suspended")
 		}
 	})
@@ -409,8 +390,8 @@ func TestKillWhileRunningKernelTurn(t *testing.T) {
 	if !cleanedUp {
 		t.Error("victim defers did not run")
 	}
-	if victim.Err() != ErrKilled {
-		t.Errorf("victim.Err() = %v, want ErrKilled", victim.Err())
+	if victim.err != ErrKilled {
+		t.Errorf("victim.err = %v, want ErrKilled", victim.err)
 	}
 	if e.Now() != 1 {
 		t.Errorf("ended at %g, want 1", e.Now())

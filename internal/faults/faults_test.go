@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/instr"
 	"repro/internal/platform"
 	"repro/internal/pool/pooltest"
 	"repro/internal/surf"
@@ -435,8 +437,18 @@ func TestSameInstantReplayOrder(t *testing.T) {
 	if !errors.Is(victim.Err(), surf.ErrHostFailed) {
 		t.Errorf("exec on b across its zero-length outage: err %v, want ErrHostFailed", victim.Err())
 	}
-	if p := eng.TimerPeak(); p != 1 {
-		t.Errorf("timer peak %d, want 1 for the whole schedule", p)
+	r := instr.NewRegistry()
+	eng.MetricsInto(r)
+	var buf bytes.Buffer
+	var snap map[string]float64
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if p := snap["core.timer_peak"]; p != 1 {
+		t.Errorf("timer peak %g, want 1 for the whole schedule", p)
 	}
 }
 

@@ -15,6 +15,10 @@
 //	pool-use-after-release  no reads of an object after it was released
 //	simcall-in-handler      Completion handlers cannot reach blocking simcalls
 //	hot-sprintf             no fmt.Sprintf in concat-converted hot packages
+//	api-rent                every export of a fenced package has a non-test use
+//
+// api-rent needs every use in the module, so it runs only when the
+// linted set is a whole module (see wholeModule), as `./...` is.
 //
 // A finding is suppressed with an in-source annotation carrying a
 // mandatory reason, placed on the offending line or alone on the line

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// wantRe extracts the quoted regexps of a `// want "..." "..."` comment.
-var wantRe = regexp.MustCompile(`^//\s*want((?:\s+"(?:[^"\\]|\\.)*")+)\s*$`)
+// wantRe extracts the quoted regexps of a `// want "..." "..."` comment,
+// which may also end a //lint:allow comment (to want a stale allow).
+var wantRe = regexp.MustCompile(`^//(?:lint:allow [^"]*//)?\s*want((?:\s+"(?:[^"\\]|\\.)*")+)\s*$`)
 var wantArgRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
 // expectation is one pending `// want` entry.
@@ -25,6 +26,40 @@ type expectation struct {
 // be wanted by a comment on its line, and every want must be matched
 // by exactly one finding. Unmatched sides are test failures.
 func Check(t *testing.T, p *Package, cfg *Config, rules ...string) {
+	t.Helper()
+	CheckAll(t, []*Package{p}, cfg, rules...)
+}
+
+// CheckAll is Check over a set of fixture packages linted together.
+func CheckAll(t *testing.T, pkgs []*Package, cfg *Config, rules ...string) {
+	t.Helper()
+	var wants []*expectation
+	for _, p := range pkgs {
+		wants = append(wants, wantsOf(t, p)...)
+	}
+
+	for _, f := range Run(pkgs, cfg, rules...) {
+		matched := false
+		for _, w := range wants {
+			if !w.met && w.file == f.Pos.Filename && w.line == f.Pos.Line && w.re.MatchString(f.Msg) {
+				w.met = true
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	for _, w := range wants {
+		if !w.met {
+			t.Errorf("%s:%d: no finding matched want %q", w.file, w.line, w.raw)
+		}
+	}
+}
+
+// wantsOf parses the `// want` expectations of a fixture package.
+func wantsOf(t *testing.T, p *Package) []*expectation {
 	t.Helper()
 	var wants []*expectation
 	for _, f := range p.Files {
@@ -49,25 +84,7 @@ func Check(t *testing.T, p *Package, cfg *Config, rules ...string) {
 			}
 		}
 	}
-
-	for _, f := range Run([]*Package{p}, cfg, rules...) {
-		matched := false
-		for _, w := range wants {
-			if !w.met && w.file == f.Pos.Filename && w.line == f.Pos.Line && w.re.MatchString(f.Msg) {
-				w.met = true
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-	for _, w := range wants {
-		if !w.met {
-			t.Errorf("%s:%d: no finding matched want %q", w.file, w.line, w.raw)
-		}
-	}
+	return wants
 }
 
 // FixtureConfig returns a Config for a self-contained fixture package:

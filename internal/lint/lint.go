@@ -52,29 +52,36 @@ type Config struct {
 	// methods implementing any of them are the simcall-in-handler
 	// roots.
 	CompletionIfaces []string
+	// RentPkgs scopes api-rent: packages whose every exported func,
+	// method and package-level var needs a non-test use in the module.
+	RentPkgs map[string]bool
 }
 
 func inScope(scope map[string]bool, path string) bool {
 	return scope == nil || scope[path]
 }
 
-// Rule is one named check.
+// Rule is one named check. Run checks one package at a time; a rule
+// that needs every use in the module sets Whole instead, and runs only
+// when the linted set is a whole module (see wholeModule).
 type Rule struct {
-	Name string
-	Doc  string
-	Run  func(p *Package, cfg *Config) []Finding
+	Name  string
+	Doc   string
+	Run   func(p *Package, cfg *Config) []Finding
+	Whole func(pkgs []*Package, cfg *Config) []Finding
 }
 
 // Rules returns the registered rules in stable order.
 func Rules() []Rule {
 	return []Rule{
-		{"det-maprange", "no range over a map-typed value on a simulation path", runMapRange},
-		{"det-wallclock", "no time.Now/Since/Until or global math/rand source in simulation packages", runWallclock},
-		{"det-goroutine", "no go statements outside the approved spawn-site allowlist", runGoroutine},
-		{"pool-literal", "pooled types are registered, and only their factory files scrub them by literal", runPoolLiteral},
-		{"pool-use-after-release", "no reads of a pooled object after it was released", runUseAfterRelease},
-		{"simcall-in-handler", "Completion handlers must not reach a blocking simcall entry point", runSimcallInHandler},
-		{"hot-sprintf", "no fmt.Sprintf in concat-converted hot-path packages", runHotSprintf},
+		{"det-maprange", "no range over a map-typed value on a simulation path", runMapRange, nil},
+		{"det-wallclock", "no time.Now/Since/Until or global math/rand source in simulation packages", runWallclock, nil},
+		{"det-goroutine", "no go statements outside the approved spawn-site allowlist", runGoroutine, nil},
+		{"pool-literal", "pooled types are registered, and only their factory files scrub them by literal", runPoolLiteral, nil},
+		{"pool-use-after-release", "no reads of a pooled object after it was released", runUseAfterRelease, nil},
+		{"simcall-in-handler", "Completion handlers must not reach a blocking simcall entry point", runSimcallInHandler, nil},
+		{"hot-sprintf", "no fmt.Sprintf in concat-converted hot-path packages", runHotSprintf, nil},
+		{"api-rent", "every export of a fenced package has a non-test use in the module", nil, runAPIRent},
 	}
 }
 
@@ -111,25 +118,25 @@ type allow struct {
 // Run executes the named rules (all registered rules when ruleNames is
 // empty) over pkgs, applies //lint:allow suppressions, validates the
 // annotations themselves, and returns the surviving findings sorted by
-// position.
+// position. A Whole rule is dropped from the selection unless pkgs is a
+// whole module, so its allows are not judged stale on a subset.
 func Run(pkgs []*Package, cfg *Config, ruleNames ...string) []Finding {
 	if cfg == nil {
 		cfg = &Config{}
 	}
 	selected := Rules()
-	if len(ruleNames) > 0 {
-		want := make(map[string]bool, len(ruleNames))
-		for _, n := range ruleNames {
-			want[n] = true
-		}
-		var rs []Rule
-		for _, r := range selected {
-			if want[r.Name] {
-				rs = append(rs, r)
-			}
-		}
-		selected = rs
+	want := make(map[string]bool, len(ruleNames))
+	for _, n := range ruleNames {
+		want[n] = true
 	}
+	whole := wholeModule(pkgs)
+	var rs []Rule
+	for _, r := range selected {
+		if (len(want) == 0 || want[r.Name]) && (r.Whole == nil || whole) {
+			rs = append(rs, r)
+		}
+	}
+	selected = rs
 	ran := make(map[string]bool, len(selected))
 	for _, r := range selected {
 		ran[r.Name] = true
@@ -141,9 +148,16 @@ func Run(pkgs []*Package, cfg *Config, ruleNames ...string) []Finding {
 
 	var findings []Finding
 	var allows []*allow
+	for _, r := range selected {
+		if r.Whole != nil {
+			findings = append(findings, r.Whole(pkgs, cfg)...)
+		}
+	}
 	for _, p := range pkgs {
 		for _, r := range selected {
-			findings = append(findings, r.Run(p, cfg)...)
+			if r.Run != nil {
+				findings = append(findings, r.Run(p, cfg)...)
+			}
 		}
 		as, bad := parseAllows(p, known)
 		allows = append(allows, as...)

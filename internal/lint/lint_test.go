@@ -104,6 +104,30 @@ func TestHotSprintfFixture(t *testing.T) {
 	Check(t, p, FixtureConfig(), "hot-sprintf")
 }
 
+// TestAPIRentFixture pins api-rent over a two-package module: unused
+// exports of the fenced package (a func, a method, a var) are flagged;
+// one used from the other package, methods reached through another
+// package's interface or fmt.Stringer, and an export carrying an allow
+// are clean; an allow on an export that found a caller is stale.
+func TestAPIRentFixture(t *testing.T) {
+	pkgs, err := testLoader(t).LoadPatterns("internal/lint/testdata/src/apirent/...")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d fixture packages, want 2", len(pkgs))
+	}
+	cfg := FixtureConfig()
+	cfg.RentPkgs = map[string]bool{pkgs[0].Path: true}
+	CheckAll(t, pkgs, cfg, "api-rent")
+
+	// A subset is not a whole module: api-rent does not run there, so
+	// it neither flags the exports nor judges their allows stale.
+	if findings := Run(pkgs[:1], cfg, "api-rent"); len(findings) != 0 {
+		t.Errorf("api-rent ran on a package subset:\n%s", dump(findings))
+	}
+}
+
 // TestAllowClean pins the suppression happy path: both placement forms
 // (same line, line above) with a reason suppress the finding, and a
 // used allow is not reported as stale. The fixture has no want
@@ -162,13 +186,13 @@ func TestStaleOnlyForExecutedRules(t *testing.T) {
 	}
 }
 
-// TestRuleRegistry pins the advertised rule set: the 7 contract rules,
+// TestRuleRegistry pins the advertised rule set: the 8 contract rules,
 // stable IDs, no duplicates.
 func TestRuleRegistry(t *testing.T) {
 	want := []string{
 		"det-maprange", "det-wallclock", "det-goroutine",
 		"pool-literal", "pool-use-after-release",
-		"simcall-in-handler", "hot-sprintf",
+		"simcall-in-handler", "hot-sprintf", "api-rent",
 	}
 	got := RuleNames()
 	if len(got) != len(want) {
@@ -206,6 +230,9 @@ func TestModuleClean(t *testing.T) {
 	}
 	if len(pkgs) < 20 {
 		t.Fatalf("module walk found only %d packages, expected the full tree", len(pkgs))
+	}
+	if !wholeModule(pkgs) {
+		t.Fatal("the module walk is not a whole module: api-rent would not run")
 	}
 	findings := Run(pkgs, DefaultConfig())
 	if len(findings) > 0 {

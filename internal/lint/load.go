@@ -219,22 +219,7 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 			add(base)
 			continue
 		}
-		err := filepath.Walk(base, func(path string, fi os.FileInfo, err error) error {
-			if err != nil {
-				return err
-			}
-			if !fi.IsDir() {
-				return nil
-			}
-			name := fi.Name()
-			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			add(path)
-			return nil
-		})
-		if err != nil {
+		if err := walkDirs(base, add); err != nil {
 			return nil, err
 		}
 	}
@@ -251,6 +236,57 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
+}
+
+// walkDirs calls add for base and every directory below it, skipping
+// testdata, vendor and dot/underscore directories.
+func walkDirs(base string, add func(dir string)) error {
+	return filepath.Walk(base, func(path string, fi os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if !fi.IsDir() {
+			return nil
+		}
+		name := fi.Name()
+		if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		add(path)
+		return nil
+	})
+}
+
+// wholeModule reports whether pkgs is a whole module: the package with
+// the shortest import path sits in a directory holding a go.mod, and
+// every package that a recursive walk from there finds is in pkgs.
+func wholeModule(pkgs []*Package) bool {
+	if len(pkgs) == 0 {
+		return false
+	}
+	root := pkgs[0]
+	have := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		have[p.Dir] = true
+		if len(p.Path) < len(root.Path) {
+			root = p
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root.Dir, "go.mod")); err != nil {
+		return false
+	}
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	whole := true
+	err := walkDirs(root.Dir, func(dir string) {
+		if !have[dir] {
+			if _, err := ctxt.ImportDir(dir, 0); err == nil {
+				whole = false
+			}
+		}
+	})
+	return whole && err == nil
 }
 
 // modulePath extracts the module path from a go.mod file.

@@ -71,7 +71,7 @@ func runSimcallInHandler(p *Package, cfg *Config) []Finding {
 	var out []Finding
 	for _, root := range order {
 		fd := decls[root]
-		if fd.Recv == nil || !isHandlerMethod(p, root, ifaces) {
+		if fd.Recv == nil || !satisfies(root, ifaces) {
 			continue
 		}
 		// BFS from the handler through same-package callees; any edge
@@ -144,10 +144,10 @@ func resolveIfaces(p *Package, quals []string) []*types.Interface {
 	return out
 }
 
-// isHandlerMethod reports whether fn is a method whose name belongs to
-// one of the completion interfaces and whose receiver type implements
-// that interface (by value or by pointer).
-func isHandlerMethod(p *Package, fn *types.Func, ifaces []*types.Interface) bool {
+// satisfies reports whether fn is a method whose name belongs to one
+// of ifaces and whose receiver type implements that interface (by
+// value or by pointer).
+func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false

@@ -152,7 +152,7 @@ type System struct {
 
 	// Observability (stats.go): solver work counters. Plain fields,
 	// always on.
-	stats SolveStats
+	stats solveStats
 }
 
 // NewSystem returns an empty linear MaxMin system.
@@ -373,19 +373,10 @@ func (s *System) SetShared(c *Constraint, shared bool) {
 // recomputes every component from scratch. Used by benchmarks to
 // measure the full-recompute baseline and by tests as a reference
 // solver; incremental and full solves yield identical allocations.
-func (s *System) InvalidateAll() { s.allDirty = true }
+func (s *System) InvalidateAll() { s.allDirty = true } //lint:allow api-rent read by the root BenchmarkFigMaxMin full-recompute rows
 
 // Value returns the variable's allocation from the last Solve.
 func (v *Variable) Value() float64 { return v.value }
-
-// Weight returns the variable's sharing weight.
-func (v *Variable) Weight() float64 { return v.weight }
-
-// Bound returns the variable's upper bound (<= 0 if unbounded).
-func (v *Variable) Bound() float64 { return v.bound }
-
-// Capacity returns the constraint's configured capacity.
-func (c *Constraint) Capacity() float64 { return c.capacity }
 
 // Usage returns the total load Σ value×factor over the constraint's
 // variables, summed when read: between a mutation and the next Solve, a
@@ -397,9 +388,6 @@ func (c *Constraint) Usage() float64 {
 	}
 	return u
 }
-
-// Shared reports whether the constraint's capacity is shared.
-func (c *Constraint) Shared() bool { return c.shared }
 
 // Dirty reports whether the system changed since the last Solve.
 func (s *System) Dirty() bool {

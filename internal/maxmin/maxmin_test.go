@@ -272,11 +272,11 @@ func TestAccessors(t *testing.T) {
 	c := s.NewConstraint(10)
 	v := s.NewVariable(2, 7)
 	s.Expand(c, v, 1)
-	if v.Weight() != 2 || v.Bound() != 7 {
-		t.Errorf("weight/bound = %g/%g, want 2/7", v.Weight(), v.Bound())
+	if v.weight != 2 || v.bound != 7 {
+		t.Errorf("weight/bound = %g/%g, want 2/7", v.weight, v.bound)
 	}
-	if c.Capacity() != 10 || !c.Shared() {
-		t.Errorf("capacity/shared = %g/%v", c.Capacity(), c.Shared())
+	if c.capacity != 10 || !c.shared {
+		t.Errorf("capacity/shared = %g/%v", c.capacity, c.shared)
 	}
 	if len(s.cnsts) != 1 {
 		t.Errorf("%d constraints, want 1", len(s.cnsts))
@@ -363,10 +363,10 @@ func TestRemovalMinShareMonotonicityProperty(t *testing.T) {
 	minShare := func(s *System) float64 {
 		m := math.Inf(1)
 		for _, v := range s.vars {
-			if v.Weight() <= 0 || len(v.cnsts) == 0 {
+			if v.weight <= 0 || len(v.cnsts) == 0 {
 				continue
 			}
-			if sh := v.Value() / v.Weight(); sh < m {
+			if sh := v.Value() / v.weight; sh < m {
 				m = sh
 			}
 		}
@@ -419,7 +419,7 @@ func TestSolveSpawnsNoGoroutine(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("goroutines went %d -> %d across Solve", before, after)
 	}
-	if st := s.Stats(); st.Solves != 1 || st.MaxComponents != islands {
+	if st := s.stats; st.Solves != 1 || st.MaxComponents != islands {
 		t.Errorf("stats = %+v, want 1 solve over %d components", st, islands)
 	}
 	for _, v := range vars {

@@ -30,8 +30,8 @@ func TestVariablePoolScrubbed(t *testing.T) {
 				bound = rng.Float64() * 50
 			}
 			v := s.NewVariable(w, bound)
-			if v.Weight() != w || v.Bound() != bound {
-				t.Fatalf("fresh variable carries weight %g bound %g, want %g %g", v.Weight(), v.Bound(), w, bound)
+			if v.weight != w || v.bound != bound {
+				t.Fatalf("fresh variable carries weight %g bound %g, want %g %g", v.weight, v.bound, w, bound)
 			}
 			if v.Value() != 0 || v.Data != nil || len(v.cnsts) != 0 || v.walk != nil || !math.IsInf(v.ownR, 1) {
 				t.Fatalf("recycled variable leaked state: value=%g data=%v deg=%d walk=%p ownR=%g",

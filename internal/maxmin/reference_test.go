@@ -138,9 +138,9 @@ func referenceCollectScope(s *System) refScope {
 // visited inside Solve, the structure being untouched since — the same
 // members in the same order, component by component. Of the reference's
 // constraints only the coupling ones (not own) are the production's.
-func checkScope(t *testing.T, where string, got *System, before SolveStats, want refScope) {
+func checkScope(t *testing.T, where string, got *System, before solveStats, want refScope) {
 	t.Helper()
-	after := got.Stats()
+	after := got.stats
 	if nv, nc := int(after.ScopeVars-before.ScopeVars), int(after.Components-before.Components); nv != len(want.vars) || nc != len(want.comps) {
 		t.Fatalf("%s: solved %d vars in %d components; reference %d in %d", where, nv, nc, len(want.vars), len(want.comps))
 	}
@@ -443,7 +443,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 	compare := func(step int) {
 		t.Helper()
 		checkSummaries(t, fmt.Sprintf("seed %d step %d", seed, step), got)
-		before := got.Stats()
+		before := got.stats
 		got.Solve()
 		checkScope(t, fmt.Sprintf("seed %d step %d", seed, step), got, before, referenceSolve(want))
 		gu, wu := got.Updated(), want.Updated()
@@ -557,7 +557,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 					k++
 				}
 				c := islands[k][rng.Intn(len(islands[k]))]
-				shared := !c.g.Shared()
+				shared := !c.g.shared
 				got.SetShared(c.g, shared)
 				want.SetShared(c.w, shared)
 			case 9:
@@ -580,7 +580,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 					which = fatpipe
 				}
 				if c, ok := pick(which); ok {
-					old := c.g.Capacity()
+					old := c.g.capacity
 					got.SetCapacity(c.g, 0)
 					want.SetCapacity(c.w, 0)
 					compare(step)
@@ -605,7 +605,7 @@ func kernelChurn(t *testing.T, seed int64) []byte {
 			case 13:
 				// Suspend a variable and resume it at its weight.
 				v := vars[rng.Intn(len(vars))]
-				w := v.g.Weight()
+				w := v.g.weight
 				if w == 0 {
 					w = 2.5
 				}
@@ -668,7 +668,7 @@ func TestSolveSeedsSharingAComponent(t *testing.T) {
 		y.s.SetWeight(y.vs[0], 3)   // second seed, same component
 		y.s.NewConstraint(7)        // dirty, and crossed by nothing
 	}
-	before := got.s.Stats()
+	before := got.s.stats
 	got.s.Solve()
 	checkScope(t, "second solve", got.s, before, referenceSolve(want.s))
 
@@ -687,29 +687,29 @@ func TestSolveSeedsSharingAComponent(t *testing.T) {
 	if g, w := got.shared.Usage(), want.shared.Usage(); math.Float64bits(g) != math.Float64bits(w) {
 		t.Errorf("shared usage = %v, reference %v", g, w)
 	}
-	if st, wantSt := got.s.Stats(), (SolveStats{Solves: 2, ScopeVars: 6, Components: 3, MaxScopeVars: 3, MaxComponents: 2}); st != wantSt {
+	if st, wantSt := got.s.stats, (solveStats{Solves: 2, ScopeVars: 6, Components: 3, MaxScopeVars: 3, MaxComponents: 2}); st != wantSt {
 		t.Errorf("stats %+v, want %+v", st, wantSt)
 	}
 
 	for _, c := range []struct {
 		name   string
 		mutate func(y sys)
-		want   SolveStats
+		want   solveStats
 	}{
 		{"private and its variable", func(y sys) {
 			y.s.SetCapacity(y.private, 25)
 			y.s.SetWeight(y.vs[1], 2)
-		}, SolveStats{Solves: 3, ScopeVars: 9, Components: 4, MaxScopeVars: 3, MaxComponents: 2}},
+		}, solveStats{Solves: 3, ScopeVars: 9, Components: 4, MaxScopeVars: 3, MaxComponents: 2}},
 		{"private alone", func(y sys) {
 			y.s.SetCapacity(y.private, 30)
-		}, SolveStats{Solves: 4, ScopeVars: 12, Components: 5, MaxScopeVars: 3, MaxComponents: 2}},
+		}, solveStats{Solves: 4, ScopeVars: 12, Components: 5, MaxScopeVars: 3, MaxComponents: 2}},
 		{"empty fatpipe", func(y sys) {
 			y.s.SetShared(y.s.NewConstraint(5), false)
-		}, SolveStats{Solves: 5, ScopeVars: 12, Components: 6, MaxScopeVars: 3, MaxComponents: 2}},
+		}, solveStats{Solves: 5, ScopeVars: 12, Components: 6, MaxScopeVars: 3, MaxComponents: 2}},
 	} {
 		c.mutate(got)
 		c.mutate(want)
-		before := got.s.Stats()
+		before := got.s.stats
 		got.s.Solve()
 		checkScope(t, c.name, got.s, before, referenceSolve(want.s))
 		for i := range got.vs {
@@ -717,7 +717,7 @@ func TestSolveSeedsSharingAComponent(t *testing.T) {
 				t.Errorf("%s: V%d = %v, reference %v", c.name, i, g, w)
 			}
 		}
-		if st := got.s.Stats(); st != c.want {
+		if st := got.s.stats; st != c.want {
 			t.Errorf("%s: stats %+v, want %+v", c.name, st, c.want)
 		}
 	}

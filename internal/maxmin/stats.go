@@ -2,20 +2,17 @@ package maxmin
 
 import "repro/internal/instr"
 
-// SolveStats counts solver work since construction. The fields are
+// solveStats counts solver work since construction. The fields are
 // plain integers bumped inline on the solve path (an increment, not a
-// hook — always on, far below the noise floor of a solve), snapshot
-// via Stats or MetricsInto.
-type SolveStats struct {
+// hook — always on, far below the noise floor of a solve), reported by
+// MetricsInto.
+type solveStats struct {
 	Solves        uint64 // solve() runs (Dirty() short-circuits don't count)
 	ScopeVars     uint64 // cumulative variables across re-solved scopes
 	Components    uint64 // cumulative connected components re-solved
 	MaxScopeVars  int    // largest single-solve scope
 	MaxComponents int    // most components in one solve
 }
-
-// Stats returns the accumulated solver counters.
-func (s *System) Stats() SolveStats { return s.stats }
 
 // MetricsInto dumps the solver's counters and pool scoreboards into r
 // under the maxmin.* namespace.

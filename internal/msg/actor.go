@@ -53,18 +53,11 @@ type actor struct {
 	chain *ChainProc
 }
 
-// Env returns the environment the actor belongs to.
-func (a *actor) Env() *Environment { return a.env }
-
 // Host returns the host the actor runs on.
 func (a *actor) Host() *platform.Host { return a.home.host }
 
 // Name returns the actor's process name.
 func (a *actor) Name() string { return a.name }
-
-// PID returns the process identifier. Goroutine processes and chains
-// share one PID space; a restart allocates a fresh one.
-func (a *actor) PID() int { return a.pid }
 
 // Now returns the current simulated time.
 func (a *actor) Now() float64 { return a.env.eng.Now() }

@@ -285,10 +285,6 @@ func (c *ChainProc) start() {
 	c.run()
 }
 
-// LiveChains returns the number of chains currently registered (not yet
-// terminated) — a test and diagnostics hook.
-func (env *Environment) LiveChains() int { return env.liveChains }
-
 // --- ChainProc accessors (valid until termination) ----------------------
 
 // Task returns the task register: the task last received by Get or
@@ -299,18 +295,6 @@ func (c *ChainProc) Task() *Task { return c.task }
 // Meant for Do callbacks — e.g. allocating one reusable task before an
 // infinite send loop.
 func (c *ChainProc) SetTask(t *Task) { c.task = t }
-
-// Err returns the chain's termination cause (nil while running or
-// after normal completion).
-func (c *ChainProc) Err() error { return c.err }
-
-// Done reports whether the chain terminated.
-func (c *ChainProc) Done() bool { return c.done }
-
-// Kill terminates the chain from within the simulation (kernel or
-// process context), unwinding whatever step it is blocked on — the
-// MSG_process_kill of the processless form.
-func (c *ChainProc) Kill() { c.kill(ErrKilled) }
 
 // --- interpreter --------------------------------------------------------
 

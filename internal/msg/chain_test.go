@@ -120,11 +120,11 @@ func TestChainSpawnedAccounting(t *testing.T) {
 	if eng.GoroutineSpawns() != 0 {
 		t.Errorf("GoroutineSpawns() = %d, want 0", eng.GoroutineSpawns())
 	}
-	if eng.GoroutinesPeak() != 0 {
-		t.Errorf("GoroutinesPeak() = %d, want 0", eng.GoroutinesPeak())
+	if n := metric(t, env, "core.goroutines_peak"); n != 0 {
+		t.Errorf("core.goroutines_peak = %g, want 0", n)
 	}
-	if env.LiveChains() != 0 {
-		t.Errorf("LiveChains() = %d after Run", env.LiveChains())
+	if env.liveChains != 0 {
+		t.Errorf("%d live chains after Run", env.liveChains)
 	}
 }
 
@@ -349,8 +349,8 @@ func TestChainMixedRendezvous(t *testing.T) {
 		if workerErr != nil {
 			t.Errorf("worker OnExit err = %v, want nil (StopIf is a normal exit)", workerErr)
 		}
-		if env.LiveChains() != 0 {
-			t.Errorf("LiveChains() = %d", env.LiveChains())
+		if env.liveChains != 0 {
+			t.Errorf("%d live chains", env.liveChains)
 		}
 	})
 	for _, chainSends := range []bool{true, false} {
@@ -445,9 +445,9 @@ func TestChainKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.After(0.5, func() {
-		cGet.Kill()
-		cExec.Kill()
-		cSleep.Kill()
+		cGet.kill(ErrKilled)
+		cExec.kill(ErrKilled)
+		cSleep.kill(ErrKilled)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -465,8 +465,8 @@ func TestChainKill(t *testing.T) {
 			t.Errorf("exit %d = %q, want %q", i, exits[i], want[i])
 		}
 	}
-	if env.LiveChains() != 0 {
-		t.Errorf("LiveChains() = %d", env.LiveChains())
+	if env.liveChains != 0 {
+		t.Errorf("%d live chains", env.liveChains)
 	}
 	if got := len(env.hosts["server"].mailbox(5).q); got != 0 {
 		t.Errorf("killed receiver left %d queued records", got)
@@ -495,7 +495,7 @@ func TestChainKillMidTransfer(t *testing.T) {
 		got, recvErr = p.Get(1)
 		return recvErr
 	})
-	env.Engine().After(0.5, func() { cs.Kill() })
+	env.Engine().After(0.5, func() { cs.kill(ErrKilled) })
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -555,7 +555,7 @@ func TestChainAutoRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pids = append(pids, cp.PID())
+	pids = append(pids, cp.pid)
 	// A bystander keeps the simulation alive across the outage window.
 	clock := NewChain().Sleep(10).MustBuild()
 	if _, err := env.StartChain("clock", "client", clock, nil); err != nil {
@@ -564,7 +564,7 @@ func TestChainAutoRestart(t *testing.T) {
 	eng.After(1, func() { _ = env.Model().FailHost("server") })
 	eng.After(3, func() {
 		_ = env.Model().RestoreHost("server")
-		pids = append(pids, cp.PID())
+		pids = append(pids, cp.pid)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

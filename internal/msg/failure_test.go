@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/surf"
 )
 
 // TestInFlightLinkFailure fails the route's link in the middle of a
@@ -36,10 +39,10 @@ func TestInFlightLinkFailure(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !errors.Is(sendErr, ErrLinkFailed) {
+	if !errors.Is(sendErr, surf.ErrLinkFailed) {
 		t.Errorf("sender saw %v, want ErrLinkFailed", sendErr)
 	}
-	if !errors.Is(recvErr, ErrLinkFailed) {
+	if !errors.Is(recvErr, surf.ErrLinkFailed) {
 		t.Errorf("receiver saw %v, want ErrLinkFailed", recvErr)
 	}
 	if got := env.Now(); got != 0.5 {
@@ -180,6 +183,8 @@ func TestAutoRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.SetAutoRestart(true)
+	var firstErr error
+	svc.cp.OnExit(func(err error) { firstErr = err })
 	svc.OnFailure = func(err error) {
 		failures++
 		if !errors.Is(err, ErrHostFailed) {
@@ -201,11 +206,11 @@ func TestAutoRestart(t *testing.T) {
 	if restartAt != 3 {
 		t.Errorf("restarted at t=%g, want 3 (host recovery)", restartAt)
 	}
-	if restarted == nil || !restarted.AutoRestart() {
+	if restarted == nil || !restarted.autoRestart {
 		t.Error("restarted incarnation did not inherit the auto-restart flag")
 	}
-	if errors.Is(svc.Core().Err(), ErrKilled) == false {
-		t.Errorf("first incarnation ended with %v, want ErrKilled", svc.Core().Err())
+	if !errors.Is(firstErr, ErrKilled) {
+		t.Errorf("first incarnation ended with %v, want ErrKilled", firstErr)
 	}
 }
 
@@ -287,10 +292,12 @@ func TestRetryExhausted(t *testing.T) {
 // processes finish their work, and the panic is recorded with a stack.
 func TestProcessPanicContained(t *testing.T) {
 	env := NewEnvironment(lanPlatform(t), exact())
-	env.NewProcess("bomb", "client", func(p *Process) error {
+	bomb, _ := env.NewProcess("bomb", "client", func(p *Process) error {
 		_ = p.Sleep(0.5)
 		panic("worker bug")
 	})
+	var exitErr error
+	bomb.cp.OnExit(func(err error) { exitErr = err })
 	var got *Task
 	env.NewProcess("sender", "client", func(p *Process) error {
 		return p.Put(NewTask("d", 0, 1e8), "server", 1)
@@ -306,11 +313,13 @@ func TestProcessPanicContained(t *testing.T) {
 	if got == nil || got.Name != "d" {
 		t.Errorf("the surviving exchange did not complete: %+v", got)
 	}
-	panics := env.Engine().Panics()
-	if len(panics) != 1 {
-		t.Fatalf("Panics() = %d entries, want 1", len(panics))
+	if n := metric(t, env, "core.fault_panics"); n != 1 {
+		t.Fatalf("%g contained panics, want 1", n)
 	}
-	pe := panics[0]
+	var pe *core.PanicError
+	if !errors.As(exitErr, &pe) {
+		t.Fatalf("bomb ended with %v, want a *core.PanicError", exitErr)
+	}
 	if pe.Name != "bomb" || pe.Value != "worker bug" {
 		t.Errorf("recorded panic = {%q %v}", pe.Name, pe.Value)
 	}
@@ -335,8 +344,8 @@ func TestPanicMidRendezvousRecyclesRecord(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(env.Engine().Panics()) != 1 {
-		t.Fatalf("want 1 contained panic, got %d", len(env.Engine().Panics()))
+	if n := metric(t, env, "core.fault_panics"); n != 1 {
+		t.Fatalf("want 1 contained panic, got %g", n)
 	}
 	checkScrubbed(t, env)
 }
@@ -358,7 +367,7 @@ func TestMixedFormHostFailureOrder(t *testing.T) {
 		onExit := func(err error) { rec(fmt.Sprintf("exit %s %v", name, err)) }
 		if i%2 == 1 {
 			p, err := env.NewProcess(name, "server", func(p *Process) error {
-				lives[name] = append(lives[name], p.PID())
+				lives[name] = append(lives[name], p.pid)
 				return p.Sleep(100)
 			})
 			if err != nil {
@@ -366,7 +375,7 @@ func TestMixedFormHostFailureOrder(t *testing.T) {
 			}
 			p.SetAutoRestart(true)
 			p.OnFailure = onFailure
-			p.Core().OnExit(onExit)
+			p.cp.OnExit(onExit)
 			continue
 		}
 		c, err := env.StartChain(name, "server", spec, &ChainConfig{
@@ -375,8 +384,8 @@ func TestMixedFormHostFailureOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lives[name] = append(lives[name], c.PID())
-		env.Engine().After(3, func() { lives[name] = append(lives[name], c.PID()) })
+		lives[name] = append(lives[name], c.pid)
+		env.Engine().After(3, func() { lives[name] = append(lives[name], c.pid) })
 	}
 	env.NewProcess("bystander", "client", func(p *Process) error { return p.Sleep(5) })
 	eng := env.Engine()
@@ -429,7 +438,7 @@ func TestProcessBodyErrorRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Core().OnExit(func(err error) { exitErr = err })
+	p.cp.OnExit(func(err error) { exitErr = err })
 	var chainErr error
 	if _, err := env.StartChain("failing-chain", "client", NewChain().Sleep(1).PutReg("server", 1).MustBuild(),
 		&ChainConfig{OnExit: func(err error) { chainErr = err }}); err != nil {
@@ -438,8 +447,8 @@ func TestProcessBodyErrorRecorded(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if exitErr != boom || p.Core().Err() != boom {
-		t.Errorf("process ended with OnExit=%v Err()=%v, want %v for both", exitErr, p.Core().Err(), boom)
+	if exitErr != boom {
+		t.Errorf("process ended with %v, want %v", exitErr, boom)
 	}
 	if chainErr == nil {
 		t.Error("chain with a failing step reported a nil termination cause")

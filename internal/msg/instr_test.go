@@ -2,10 +2,28 @@ package msg
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/instr"
 )
+
+// metric reads one key of the environment's metrics, the kernel's
+// core.* counters included.
+func metric(t *testing.T, env *Environment, key string) float64 {
+	t.Helper()
+	r := instr.NewRegistry()
+	env.MetricsInto(r)
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]float64
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap[key]
+}
 
 // TestEnableTraceOnModelTrace: on a model already tracing to trA,
 // EnableTrace(trB) builds the MSG band on trA, where the platform band

@@ -149,8 +149,8 @@ func TestOneQueueInvariant(t *testing.T) {
 				return err
 			}
 			procs[rng.Intn(len(procs))].Kill() // a no-op on one already gone
-			if c := chains[rng.Intn(len(chains))]; !c.Done() {
-				c.Kill()
+			if c := chains[rng.Intn(len(chains))]; !c.done {
+				c.kill(ErrKilled)
 			}
 		}
 		return nil

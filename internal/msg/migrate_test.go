@@ -100,7 +100,7 @@ func TestMigrateTracksHostFailureTargets(t *testing.T) {
 	env := NewEnvironment(migratePlatform(t), exact())
 	killed := false
 	env.NewProcess("mover", "fast", func(p *Process) error {
-		p.Core().OnExit(func(err error) {
+		p.cp.OnExit(func(err error) {
 			if err != nil {
 				killed = true
 			}

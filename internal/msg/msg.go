@@ -39,8 +39,6 @@ var (
 	ErrTimeout = errors.New("msg: operation timed out")
 	// ErrHostFailed reports that the local or remote host failed.
 	ErrHostFailed = surf.ErrHostFailed
-	// ErrLinkFailed reports a network failure during a transfer.
-	ErrLinkFailed = surf.ErrLinkFailed
 	// ErrKilled reports the peer process was killed mid-rendezvous.
 	ErrKilled = core.ErrKilled
 )
@@ -72,7 +70,7 @@ func NewTask(name string, flops, bytes float64) *Task {
 func (t *Task) Source() *platform.Host { return t.source }
 
 // Sender returns the process that sent the task (nil before Put).
-func (t *Task) Sender() *Process { return t.sender }
+func (t *Task) Sender() *Process { return t.sender } //lint:allow api-rent MSG_task_get_sender; msg TestTaskCreation
 
 // Process is a simulated application process bound to a host: the
 // goroutine form of an actor (actor.go), its body a Go function.
@@ -376,14 +374,11 @@ func (env *Environment) Engine() *core.Engine { return env.eng }
 // Model exposes the underlying resource model.
 func (env *Environment) Model() *surf.Model { return env.model }
 
-// Platform returns the simulated platform.
-func (env *Environment) Platform() *platform.Platform { return env.model.Platform() }
-
 // Now returns the current simulated time in seconds (MSG_get_clock).
 func (env *Environment) Now() float64 { return env.eng.Now() }
 
 // HostByName returns a platform host (MSG_get_host_by_name), or nil.
-func (env *Environment) HostByName(name string) *platform.Host {
+func (env *Environment) HostByName(name string) *platform.Host { //lint:allow api-rent MSG_get_host_by_name; msg TestAccessors
 	return env.model.Platform().Host(name)
 }
 
@@ -420,9 +415,6 @@ func (env *Environment) Run() error { return env.eng.Run() }
 
 // --- Process API --------------------------------------------------------
 
-// Core returns the underlying kernel process.
-func (p *Process) Core() *core.Process { return p.cp }
-
 // Sleep suspends execution for d simulated seconds (MSG_process_sleep).
 func (p *Process) Sleep(d float64) error { return p.cp.Sleep(d) }
 
@@ -433,17 +425,14 @@ func (p *Process) Daemonize() { p.cp.Daemonize() }
 // by its host failing, a fresh process with the same name, body, and
 // flags is respawned when the host recovers. The restart order of
 // several victims is their kill (PID) order — deterministic.
-func (p *Process) SetAutoRestart(on bool) { p.autoRestart = on }
-
-// AutoRestart reports whether the process is marked for auto-restart.
-func (p *Process) AutoRestart() bool { return p.autoRestart }
+func (p *Process) SetAutoRestart(on bool) { p.autoRestart = on } //lint:allow api-rent MSG_process_auto_restart_set; msg TestAutoRestart
 
 // Kill terminates the target process (MSG_process_kill).
-func (p *Process) Kill() { p.cp.Kill() }
+func (p *Process) Kill() { p.cp.Kill() } //lint:allow api-rent MSG_process_kill; msg TestKillProcess
 
 // Suspend pauses the target process and freezes its in-flight
 // execution (MSG_process_suspend).
-func (p *Process) Suspend() {
+func (p *Process) Suspend() { //lint:allow api-rent MSG_process_suspend; msg TestProcessSuspendResumeFreezesExecution
 	if p.exec != nil {
 		p.exec.Suspend()
 	}
@@ -451,7 +440,7 @@ func (p *Process) Suspend() {
 }
 
 // Resume unpauses the process (MSG_process_resume).
-func (p *Process) Resume() {
+func (p *Process) Resume() { //lint:allow api-rent MSG_process_resume; msg TestProcessSuspendResumeFreezesExecution
 	if p.exec != nil {
 		p.exec.Resume()
 	}
@@ -468,7 +457,7 @@ func (p *Process) Spawn(name, hostName string, fn func(*Process) error) (*Proces
 // subsequent Execute and Get calls use the new host's CPU and network
 // location. Only the process itself may migrate (call it between
 // activities; an in-flight action stays on the old host).
-func (p *Process) Migrate(hostName string) error {
+func (p *Process) Migrate(hostName string) error { //lint:allow api-rent MSG_process_migrate; msg TestMigrateChangesExecutionSpeed
 	h := p.env.record(hostName)
 	if h == nil {
 		return fmt.Errorf("msg: unknown host %q", hostName)

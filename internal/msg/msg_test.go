@@ -291,8 +291,10 @@ func TestProcessSuspendResumeFreezesExecution(t *testing.T) {
 func TestKillProcess(t *testing.T) {
 	env := NewEnvironment(lanPlatform(t), exact())
 	var victim *Process
+	var victimErr error
 	env.NewProcess("victim", "server", func(p *Process) error {
 		victim = p
+		p.cp.OnExit(func(err error) { victimErr = err })
 		_, err := p.Get(1)
 		return err
 	})
@@ -304,8 +306,8 @@ func TestKillProcess(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if victim.Core().State() != core.Done {
-		t.Error("victim not terminated")
+	if !errors.Is(victimErr, ErrKilled) {
+		t.Errorf("victim ended with %v, want ErrKilled", victimErr)
 	}
 }
 
@@ -390,17 +392,17 @@ func TestPutNilTask(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	pf := lanPlatform(t)
 	env := NewEnvironment(pf, exact())
-	if env.Platform() != pf || env.Engine() == nil || env.Model() == nil {
+	if env.model.Platform() != pf || env.Engine() == nil || env.Model() == nil {
 		t.Error("environment accessors wrong")
 	}
 	if env.HostByName("client") == nil || env.HostByName("ghost") != nil {
 		t.Error("HostByName wrong")
 	}
 	env.NewProcess("p", "client", func(p *Process) error {
-		if p.Env() != env || p.Host().Name != "client" {
+		if p.env != env || p.Host().Name != "client" {
 			t.Error("process accessors wrong")
 		}
-		if p.Name() != "p" || p.PID() == 0 || p.Core() == nil {
+		if p.Name() != "p" || p.pid == 0 || p.cp == nil {
 			t.Error("identity accessors wrong")
 		}
 		return nil

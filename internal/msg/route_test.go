@@ -112,7 +112,7 @@ func routeReceivers(t *testing.T, env *Environment, chains bool, sends []routeSe
 // sender carries on after a failed put; a chain ends at its first.
 func routeSender(t *testing.T, env *Environment, chains bool, from string, at float64, steps []routeStep, sends []routeSend, first, reroutes int) {
 	t.Helper()
-	pf := env.Platform()
+	pf := env.model.Platform()
 	if chains {
 		b := NewChain()
 		if at > 0 {
@@ -312,8 +312,8 @@ func TestKeptRouteIsKept(t *testing.T) {
 				if p.route == nil {
 					t.Fatalf("%s: no route kept", when)
 				}
-				if s, d := p.route.Endpoints(); s != src || d != dst {
-					t.Errorf("%s: kept route %s->%s, want %s->%s", when, s, d, src, dst)
+				if h, _ := env.model.RouteHandle(src, dst); p.route != h {
+					t.Errorf("%s: the kept route is not the %s->%s handle", when, src, dst)
 				}
 			}
 		}

@@ -68,19 +68,9 @@ type HEFTStats struct {
 	// Plan lists the placed units in scheduling order.
 	Plan []PlannedTask
 
-	// sim and ranks (by creation index, NaN when unranked) back RankOf
-	// without freezing a table into the public schema.
-	sim   *Simulation
+	// ranks holds every task's upward rank by creation index, NaN when
+	// unranked.
 	ranks []float64
-}
-
-// RankOf returns a task's upward rank from the last ScheduleHEFTStats
-// plan lookup table, or NaN when the task was not ranked.
-func (st *HEFTStats) RankOf(t *Task) float64 {
-	if st == nil || t == nil || t.sim != st.sim || int(t.seq) >= len(st.ranks) {
-		return math.NaN()
-	}
-	return st.ranks[t.seq]
 }
 
 // nans returns n NaNs: "no value yet" in the by-creation-index tables.
@@ -156,7 +146,7 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 	})
 
 	p := &heftPlanner{o: o, slots: make([][]heftSpan, ct.n), aft: nans(len(s.tasks))}
-	st := &HEFTStats{CriticalPath: cp, sim: s, ranks: ranks}
+	st := &HEFTStats{CriticalPath: cp, ranks: ranks}
 	for _, t := range units {
 		var pl PlannedTask
 		if t.kind == Parallel {

@@ -78,7 +78,7 @@ func TestLoadDAX(t *testing.T) {
 	}
 
 	var hosts []string
-	for _, h := range s.Platform().Hosts() {
+	for _, h := range s.pf.Hosts() {
 		hosts = append(hosts, h.Name)
 	}
 	if err := ScheduleMinMin(s, hosts); err != nil {
@@ -168,7 +168,7 @@ func TestLoadDOT(t *testing.T) {
 	}
 
 	var hosts []string
-	for _, h := range s.Platform().Hosts() {
+	for _, h := range s.pf.Hosts() {
 		hosts = append(hosts, h.Name)
 	}
 	if err := ScheduleMinMin(s, hosts); err != nil {

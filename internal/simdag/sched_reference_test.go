@@ -516,7 +516,7 @@ func planLines(s *Simulation, st *HEFTStats) []string {
 			math.Float64bits(pl.Start), math.Float64bits(pl.Finish)))
 	}
 	for _, t := range s.tasks {
-		out = append(out, fmt.Sprintf("rank %s %x", t.name, math.Float64bits(st.RankOf(t))))
+		out = append(out, fmt.Sprintf("rank %s %x", t.name, math.Float64bits(rankOf(st, t))))
 	}
 	return out
 }

@@ -146,14 +146,14 @@ func TestMinMinAllocations(t *testing.T) {
 	t.Logf("ScheduleMinMin: %.0f allocations for %d units", allocs, units)
 }
 
-// TestTaskSize pins the Task layout at 184 bytes (it was 320): kind,
+// TestTaskSize pins the Task layout at 176 bytes (it was 320): kind,
 // state, the watch flag and the wait count share one word, as do the
 // creation index and the in-degree scratch; a compute's host and a
 // comm's endpoints share one slot pair; a ptask's payload sits behind
 // one pointer; trace aliases live in the trace band. A 320 KiB arena
-// block thus holds 1780 tasks, a campaign DAG whole.
+// block thus holds 1861 tasks, a campaign DAG whole.
 func TestTaskSize(t *testing.T) {
-	if got, want := unsafe.Sizeof(Task{}), uintptr(184); got != want {
+	if got, want := unsafe.Sizeof(Task{}), uintptr(176); got != want {
 		t.Fatalf("Task is %d bytes, want %d", got, want)
 	}
 }

@@ -24,7 +24,7 @@ const ctrlBytes = 64
 // Barrier blocks until every rank reached it (MPI_Barrier):
 // all-to-root gather of tokens, then a root-to-all release broadcast
 // over the binomial tree.
-func (r *Rank) Barrier() error {
+func (r *Rank) Barrier() error { //lint:allow api-rent MPI_Barrier; smpi TestBarrierSynchronizes
 	if r.rank != 0 {
 		if err := r.Send(0, tagBarrier, nil, ctrlBytes); err != nil {
 			return err
@@ -109,7 +109,7 @@ func (r *Rank) Reduce(root int, value float64, op Op, bytes float64) (float64, e
 
 // Allreduce is Reduce-to-0 followed by a broadcast of the result
 // (MPI_Allreduce).
-func (r *Rank) Allreduce(value float64, op Op, bytes float64) (float64, error) {
+func (r *Rank) Allreduce(value float64, op Op, bytes float64) (float64, error) { //lint:allow api-rent MPI_Allreduce; smpi TestAllreduce
 	red, err := r.Reduce(0, value, op, bytes)
 	if err != nil {
 		return 0, err
@@ -123,7 +123,7 @@ func (r *Rank) Allreduce(value float64, op Op, bytes float64) (float64, error) {
 
 // Gather collects every rank's contribution at root (MPI_Gather): the
 // returned slice (indexed by rank) is only valid at root.
-func (r *Rank) Gather(root int, data any, bytes float64) ([]any, error) {
+func (r *Rank) Gather(root int, data any, bytes float64) ([]any, error) { //lint:allow api-rent MPI_Gather; smpi TestGatherScatter
 	n := r.Size()
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("%w: root %d", ErrRank, root)
@@ -145,7 +145,7 @@ func (r *Rank) Gather(root int, data any, bytes float64) ([]any, error) {
 
 // Scatter distributes items[i] from root to rank i (MPI_Scatter); the
 // items argument is only read at root.
-func (r *Rank) Scatter(root int, items []any, bytes float64) (any, error) {
+func (r *Rank) Scatter(root int, items []any, bytes float64) (any, error) { //lint:allow api-rent MPI_Scatter; smpi TestGatherScatter
 	n := r.Size()
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("%w: root %d", ErrRank, root)
@@ -171,7 +171,7 @@ func (r *Rank) Scatter(root int, items []any, bytes float64) (any, error) {
 // Alltoall exchanges items[i] with every rank i (MPI_Alltoall),
 // returning the slice of items received (indexed by source rank). The
 // exchange is scheduled pairwise to avoid head-of-line blocking.
-func (r *Rank) Alltoall(items []any, bytes float64) ([]any, error) {
+func (r *Rank) Alltoall(items []any, bytes float64) ([]any, error) { //lint:allow api-rent MPI_Alltoall; smpi TestAlltoallAllSizes
 	n := r.Size()
 	if len(items) != n {
 		return nil, fmt.Errorf("%w: alltoall needs %d items, got %d", ErrMismatch, n, len(items))

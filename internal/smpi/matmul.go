@@ -34,7 +34,7 @@ func (c MatMulConfig) Validate(ranks int) error {
 // rank owns a K/p-column strip of A and an N/p-column strip of B and C.
 // At step k the owner broadcasts column k of A (M doubles on the wire)
 // and everyone accumulates the rank-1 update into its C strip inside a
-// BenchOnce block. It returns this rank's C strip (M × N/p, row-major).
+// BenchAlways block. It returns this rank's C strip (M × N/p, row-major).
 func MatMul1D(r *Rank, cfg MatMulConfig) ([]float64, error) {
 	p := r.Size()
 	if err := cfg.Validate(p); err != nil {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/platform"
 	"repro/internal/surf"
@@ -46,23 +45,25 @@ var (
 // Op is a reduction operator.
 type Op func(a, b float64) float64
 
-// Builtin reduction operators.
-var (
-	OpSum = func(a, b float64) float64 { return a + b }
-	OpMax = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
+// The builtin reduction operators: MPI_SUM, MPI_MAX, MPI_MIN, MPI_PROD.
+var OpSum, OpMax, OpMin, OpProd Op = opSum, opMax, opMin, opProd //lint:allow api-rent MPI_SUM, MPI_MAX, MPI_MIN, MPI_PROD; smpi TestReduceOps
+
+func opSum(a, b float64) float64  { return a + b }
+func opProd(a, b float64) float64 { return a * b }
+
+func opMax(a, b float64) float64 {
+	if a > b {
+		return a
 	}
-	OpMin = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
+	return b
+}
+
+func opMin(a, b float64) float64 {
+	if a < b {
+		return a
 	}
-	OpProd = func(a, b float64) float64 { return a * b }
-)
+	return b
+}
 
 // World is one MPI job: a set of ranks bound to hosts of a platform.
 type World struct {
@@ -76,7 +77,7 @@ type World struct {
 
 	benchCache map[string]float64
 
-	// ReferencePower is the flop/s of the machine BenchOnce
+	// ReferencePower is the flop/s of the machine BenchAlways
 	// measurements are taken on; a measured second becomes
 	// ReferencePower flops, so slower simulated hosts take
 	// proportionally longer (the paper's heterogeneity study).
@@ -157,12 +158,6 @@ func (w *World) Run(main func(*Rank) error) error {
 	return nil
 }
 
-// Engine exposes the simulation kernel.
-func (w *World) Engine() *core.Engine { return w.env.Engine() }
-
-// Model exposes the resource model.
-func (w *World) Model() *surf.Model { return w.env.Model() }
-
 // channel returns the mailbox number of a route.
 func (w *World) channel(src, dst, tag int) int {
 	k := route{src, dst, tag}
@@ -188,9 +183,6 @@ func (r *Rank) Rank() int { return r.rank }
 
 // Size returns the number of ranks (MPI_Comm_size).
 func (r *Rank) Size() int { return len(r.world.ranks) }
-
-// Host returns the host this rank runs on.
-func (r *Rank) Host() *platform.Host { return r.proc.Host() }
 
 // Wtime returns the current simulated time (MPI_Wtime).
 func (r *Rank) Wtime() float64 { return r.proc.Now() }
@@ -246,26 +238,12 @@ func (r *Rank) Recv(src, tag int) (any, int, error) {
 	return m.data, m.src, nil
 }
 
-// BenchOnce measures fn's real duration the first time `key` is seen,
-// then replays the measured duration in virtual time on every
-// subsequent call without running fn again —
-// SMPI_BENCH_ONCE_RUN_ONCE_BEGIN/END. It returns the simulated seconds
-// charged on this rank's host.
-func (r *Rank) BenchOnce(key string, fn func()) (float64, error) {
-	return r.bench(key, fn, false)
-}
-
-// BenchAlways is BenchOnce except fn really runs on every call (so its
-// side effects happen), while the *charged* virtual duration is still
-// the one measured on the first execution — SMPI_BENCH_ALWAYS with a
-// cached measurement. Use it when the computation's results matter.
+// BenchAlways runs fn and charges its real duration, measured the
+// first time `key` is seen, in virtual time on this rank's host: fn
+// really runs on every call (so its side effects happen), while the
+// *charged* duration stays the first measurement — SMPI_BENCH_ALWAYS
+// with a cached measurement. It returns the simulated seconds charged.
 func (r *Rank) BenchAlways(key string, fn func()) (float64, error) {
-	return r.bench(key, fn, true)
-}
-
-// bench charges key's cached measurement of fn, taking it first if this
-// is the first call; always re-runs fn on the later ones too.
-func (r *Rank) bench(key string, fn func(), always bool) (float64, error) {
 	w := r.world
 	dt, seen := w.benchCache[key]
 	if !seen {
@@ -273,7 +251,7 @@ func (r *Rank) bench(key string, fn func(), always bool) (float64, error) {
 		fn()
 		dt = time.Since(t0).Seconds() //lint:allow det-wallclock SMPI_BENCH seam: real compute is measured once, cached, and charged as simulated flops
 		w.benchCache[key] = dt
-	} else if always {
+	} else {
 		fn()
 	}
 	start := r.Wtime()

@@ -82,7 +82,7 @@ func TestRankAndSize(t *testing.T) {
 			return fmt.Errorf("size = %d", r.Size())
 		}
 		seen[r.Rank()] = true
-		if r.Host() == nil {
+		if r.proc.Host() == nil {
 			return errors.New("nil host")
 		}
 		return nil
@@ -460,12 +460,12 @@ func TestAlltoallAllSizes(t *testing.T) {
 	}
 }
 
-func TestBenchOnceCachesAndReplays(t *testing.T) {
+func TestBenchAlwaysCachesAndReplays(t *testing.T) {
 	executions := 0
 	var durations []float64
 	run(t, 2, func(r *Rank) error {
 		for i := 0; i < 3; i++ {
-			dt, err := r.BenchOnce("kernel", func() { executions++ })
+			dt, err := r.BenchAlways("kernel", func() { executions++ })
 			if err != nil {
 				return err
 			}
@@ -473,11 +473,16 @@ func TestBenchOnceCachesAndReplays(t *testing.T) {
 		}
 		return nil
 	})
-	if executions != 1 {
-		t.Errorf("benched function ran %d times, want 1 (BENCH_ONCE)", executions)
+	if executions != 6 {
+		t.Errorf("benched function ran %d times, want 6 (once per call)", executions)
 	}
 	if len(durations) != 6 {
-		t.Errorf("%d durations recorded", len(durations))
+		t.Fatalf("%d durations recorded", len(durations))
+	}
+	for i, dt := range durations {
+		if math.Abs(dt-durations[0]) > 1e-9*durations[0] {
+			t.Errorf("call %d charged %g, want the first measurement's %g", i, dt, durations[0])
+		}
 	}
 }
 
@@ -489,13 +494,13 @@ func TestSetBenchReplaysDeterministically(t *testing.T) {
 	var dt float64
 	if err := w.Run(func(r *Rank) error {
 		var err error
-		dt, err = r.BenchOnce("dgemm", func() { ran = true })
+		dt, err = r.BenchAlways("dgemm", func() { ran = true })
 		return err
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if ran {
-		t.Error("preloaded bench still executed the function")
+	if !ran {
+		t.Error("preloaded bench did not run the function")
 	}
 	if math.Abs(dt-0.25) > 1e-9 {
 		t.Errorf("replayed duration %g, want 0.25", dt)
@@ -516,7 +521,7 @@ func TestBenchScalesWithHostPower(t *testing.T) {
 	w.SetBench("k", 1.0) // 1 s measured on the reference machine
 	var dts [2]float64
 	if err := w.Run(func(r *Rank) error {
-		dt, err := r.BenchOnce("k", func() {})
+		dt, err := r.BenchAlways("k", func() {})
 		dts[r.Rank()] = dt
 		return err
 	}); err != nil {
@@ -644,8 +649,8 @@ func TestEagerSendLostInFlightLeavesNoRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Engine().At(1, func() { w.Model().FailLink("l") })
-	w.Engine().At(2, func() { w.Model().RestoreLink("l") })
+	w.env.Engine().At(1, func() { w.env.Model().FailLink("l") })
+	w.env.Engine().At(2, func() { w.env.Model().RestoreLink("l") })
 	var lostErr error
 	var left int
 	var got any
@@ -699,10 +704,10 @@ func TestEagerSendOverDownLinkFailsAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Model().FailLink("l"); err != nil {
+	if err := w.env.Model().FailLink("l"); err != nil {
 		t.Fatal(err)
 	}
-	w.Engine().At(1, func() { w.Model().RestoreLink("l") })
+	w.env.Engine().At(1, func() { w.env.Model().RestoreLink("l") })
 	var deadErr error
 	var deadAt float64
 	var got any

@@ -221,7 +221,7 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 					t.Errorf("comm wait: %v", err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%016x %s", math.Float64bits(eng.Now()), a.Name()))
+				log = append(log, fmt.Sprintf("%016x %s", math.Float64bits(eng.Now()), a.name))
 				b, err := execute(m, src, 1e6, 1)
 				if err != nil {
 					t.Errorf("Execute: %v", err)
@@ -231,7 +231,7 @@ func runLockstep(t *testing.T, mk newModel, nPairs, rounds int) []string {
 					t.Errorf("exec wait: %v", err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%016x %s", math.Float64bits(eng.Now()), b.Name()))
+				log = append(log, fmt.Sprintf("%016x %s", math.Float64bits(eng.Now()), b.name))
 			}
 		})
 	}
@@ -320,7 +320,7 @@ func (r *relay) start() {
 }
 
 func (r *relay) ActionDone(a *Action, err error) {
-	*r.log = append(*r.log, fmt.Sprintf("%016x %s %v", math.Float64bits(r.m.eng.Now()), a.Name(), err))
+	*r.log = append(*r.log, fmt.Sprintf("%016x %s %v", math.Float64bits(r.m.eng.Now()), a.name, err))
 	a.Release()
 	if r.left--; r.left > 0 {
 		r.start()
@@ -352,10 +352,10 @@ func runRelays(t *testing.T, mk newModel, nPairs, steps int) []string {
 					err = a.Wait(p)
 				}
 				if err != nil {
-					t.Errorf("%s: %v", p.Name(), err)
+					t.Errorf("%s->%s: %v", src, dst, err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%016x %s woke", math.Float64bits(eng.Now()), a.Name()))
+				log = append(log, fmt.Sprintf("%016x %s woke", math.Float64bits(eng.Now()), a.name))
 			}
 		})
 	}
@@ -438,16 +438,16 @@ func TestCompletedActionWaitFastPath(t *testing.T) {
 		if !a.Done() {
 			t.Error("action not done after 10s")
 		}
-		before := eng.SimcallStats()
+		fast, slow := simcalls(t, eng)
 		if err := a.Wait(p); err != nil {
 			t.Errorf("Wait: %v", err)
 		}
-		after := eng.SimcallStats()
-		if after.Fast != before.Fast+1 {
-			t.Errorf("Fast went %d -> %d, want +1 (completed-action wait)", before.Fast, after.Fast)
+		f, s := simcalls(t, eng)
+		if f != fast+1 {
+			t.Errorf("Fast went %g -> %g, want +1 (completed-action wait)", fast, f)
 		}
-		if after.Slow != before.Slow {
-			t.Errorf("Slow went %d -> %d, want unchanged", before.Slow, after.Slow)
+		if s != slow {
+			t.Errorf("Slow went %g -> %g, want unchanged", slow, s)
 		}
 	})
 	if err := eng.Run(); err != nil {

@@ -69,8 +69,8 @@ func TestSplitDuplexDirections(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, a := range acts {
-				if a.Err() != nil || !approx(a.Finish(), tc.want[i], 1e-9) {
-					t.Errorf("%s->%s: finish %g err %v, want %g", tc.pairs[i][0], tc.pairs[i][1], a.Finish(), a.Err(), tc.want[i])
+				if a.Err() != nil || !approx(a.finish, tc.want[i], 1e-9) {
+					t.Errorf("%s->%s: finish %g err %v, want %g", tc.pairs[i][0], tc.pairs[i][1], a.finish, a.Err(), tc.want[i])
 				}
 			}
 		})
@@ -81,7 +81,7 @@ func TestSplitDuplexDirections(t *testing.T) {
 type failOrder struct{ got []string }
 
 func (f *failOrder) ActionDone(a *Action, err error) {
-	f.got = append(f.got, a.Name()+": "+err.Error())
+	f.got = append(f.got, a.name+": "+err.Error())
 }
 
 // TestSplitDuplexFailLinkOrder pins the order FailLink takes a

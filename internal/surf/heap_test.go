@@ -248,13 +248,13 @@ func heapEquivalenceRun(t *testing.T) []string {
 				live[rng.Intn(len(live))].Cancel()
 			case r < 15 && len(live) > 0: // suspend / resume
 				a := live[rng.Intn(len(live))]
-				if a.Suspended() {
+				if a.suspended {
 					a.Resume()
 				} else {
 					a.Suspend()
 				}
 			case r < 17 && len(live) > 0: // reprioritize
-				live[rng.Intn(len(live))].SetPriority(0.5 + rng.Float64()*4)
+				reweight(live[rng.Intn(len(live))], 0.5+rng.Float64()*4)
 			case r >= 20:
 				// Top the population up to a few dozen, then re-rate between
 				// n/8 and all n in-flight actions in one instant, so a single
@@ -276,12 +276,12 @@ func heapEquivalenceRun(t *testing.T) []string {
 				}
 				for _, i := range rng.Perm(n)[:k] {
 					switch a := live[i]; {
-					case a.Suspended():
+					case a.suspended:
 						a.Resume()
 					case rng.Intn(3) == 0:
 						a.Suspend()
 					default:
-						a.SetPriority(0.5 + rng.Float64()*4)
+						reweight(a, 0.5+rng.Float64()*4)
 					}
 				}
 			default: // link failure / repair
@@ -325,7 +325,17 @@ func heapEquivalenceRun(t *testing.T) []string {
 	// link's two directions failed in another order, moves the sum.
 	log := make([]string, len(started))
 	for i, a := range started {
-		log[i] = fmt.Sprintf("%016x %v", math.Float64bits(a.Finish()), a.Err())
+		log[i] = fmt.Sprintf("%016x %v", math.Float64bits(a.finish), a.Err())
 	}
 	return log
+}
+
+// reweight changes a live action's sharing weight as a priority change
+// would: the solver sees it unless the action is suspended or still
+// paying latency.
+func reweight(a *Action, w float64) {
+	if !a.done {
+		a.priority = w
+		a.applyWeight()
+	}
 }

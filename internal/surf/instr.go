@@ -2,7 +2,6 @@ package surf
 
 import (
 	"repro/internal/instr"
-	"repro/internal/maxmin"
 )
 
 // Observability wiring for the resource layer. The model owns the
@@ -123,10 +122,6 @@ func (m *Model) traceResourceState(r *resource, up bool) {
 	}
 	m.trace.Trace.SetState(m.eng.Now(), m.trace.state[r.kind()], r.pajeC, state)
 }
-
-// SolverStats reports the underlying MaxMin system's cumulative solve
-// counters.
-func (m *Model) SolverStats() maxmin.SolveStats { return m.sys.Stats() }
 
 // MetricsInto dumps the resource layer's counters and pool
 // scoreboards into r (surf.* namespace) and delegates to the maxmin

@@ -59,8 +59,8 @@ func TestActionPoolScrubbed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Done() || a.Err() != nil || a.Remaining() <= 0 {
-				t.Fatalf("fresh action in terminal state: done=%v err=%v rem=%g", a.Done(), a.Err(), a.Remaining())
+			if a.Done() || a.Err() != nil || a.remaining <= 0 {
+				t.Fatalf("fresh action in terminal state: done=%v err=%v rem=%g", a.Done(), a.Err(), a.remaining)
 			}
 			if a.heapIdx < 0 || a.compl != nil || a.suspended {
 				t.Fatalf("recycled action leaked state: %+v", a)
@@ -76,7 +76,7 @@ func TestActionPoolScrubbed(t *testing.T) {
 		}
 		for _, a := range acts {
 			if !a.Done() {
-				t.Fatalf("action %q not done after idle drive", a.Name())
+				t.Fatalf("action %q not done after idle drive", a.name)
 			}
 			a.Release()
 		}
@@ -126,7 +126,7 @@ func TestActionPoolingEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, a := range acts {
-				out = append(out, a.Finish())
+				out = append(out, a.finish)
 				a.Release()
 			}
 		}
@@ -176,8 +176,8 @@ func TestReleaseGuards(t *testing.T) {
 	if b != a {
 		t.Fatal("released action was not recycled by the next Execute")
 	}
-	if b.Name() != "exec@b" || b.Done() || b.Err() != nil {
-		t.Fatalf("recycled action carries stale identity: name=%q done=%v err=%v", b.Name(), b.Done(), b.Err())
+	if b.name != "exec@b" || b.Done() || b.Err() != nil {
+		t.Fatalf("recycled action carries stale identity: name=%q done=%v err=%v", b.name, b.Done(), b.Err())
 	}
 }
 
@@ -197,7 +197,7 @@ type churnRelay struct {
 }
 
 func (r *churnRelay) ActionDone(a *Action, err error) {
-	fmt.Fprintf(r.log, "%s %d %016x %v\n", r.name, r.rounds, math.Float64bits(a.Finish()), err)
+	fmt.Fprintf(r.log, "%s %d %016x %v\n", r.name, r.rounds, math.Float64bits(a.finish), err)
 	a.Release()
 	if r.rounds == 0 {
 		return
@@ -207,7 +207,7 @@ func (r *churnRelay) ActionDone(a *Action, err error) {
 	x.Cancel() // its variable leaves the system still queued for the solve
 	x.Release()
 	if l := r.long[r.rng.Intn(len(r.long))]; !l.Done() {
-		l.SetPriority(0.5 + r.rng.Float64()) // queues a second variable
+		reweight(l, 0.5+r.rng.Float64()) // queues a second variable
 	}
 	next, _ := r.m.ExecuteHandle(r.h, r.flops, 0.5+r.rng.Float64()) // reuses the cancelled variable
 	next.SetCompletion(r)
@@ -219,7 +219,7 @@ type logDone struct {
 }
 
 func (d logDone) ActionDone(a *Action, err error) {
-	fmt.Fprintf(d.log, "%s %016x %v\n", d.name, math.Float64bits(a.Finish()), err)
+	fmt.Fprintf(d.log, "%s %016x %v\n", d.name, math.Float64bits(a.finish), err)
 	a.Release()
 }
 

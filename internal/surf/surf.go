@@ -160,24 +160,6 @@ type Completion interface {
 	ActionDone(a *Action, err error)
 }
 
-// Kind returns the action kind.
-func (a *Action) Kind() ActionKind { return a.kind }
-
-// Name returns the diagnostic name given at creation.
-func (a *Action) Name() string { return a.name }
-
-// Remaining returns the remaining work (flops, bytes or fraction).
-func (a *Action) Remaining() float64 {
-	if a.done || a.latUntil > 0 || a.rate <= 0 {
-		return a.remaining
-	}
-	rem := a.remaining - a.rate*(a.model.eng.Now()-a.lastSync)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
 // syncProgress integrates the action's progress up to virtual time now
 // (a no-op while the latency phase is still being paid, during which
 // no work is performed).
@@ -204,20 +186,11 @@ func (a *Action) refreshEstimate(now float64) {
 	}
 }
 
-// Rate returns the currently allocated progress rate.
-func (a *Action) Rate() float64 { return a.rate }
-
 // Done reports whether the action finished (successfully or not).
 func (a *Action) Done() bool { return a.done }
 
 // Err returns the failure cause, or nil for success / in flight.
 func (a *Action) Err() error { return a.err }
-
-// Start returns the virtual time the action was created at.
-func (a *Action) Start() float64 { return a.start }
-
-// Finish returns the virtual completion time (valid once Done).
-func (a *Action) Finish() float64 { return a.finish }
 
 // Wait blocks the calling process until the action completes and
 // returns its outcome — the typed wait-activity simcall. An action
@@ -286,15 +259,6 @@ func (a *Action) effWeight() float64 {
 	return a.priority
 }
 
-// SetPriority changes the action's MaxMin sharing weight.
-func (a *Action) SetPriority(w float64) {
-	if a.done || !(w > 0) { // NaN too
-		return
-	}
-	a.priority = w
-	a.applyWeight()
-}
-
 // applyWeight hands the action's effective weight to the solver —
 // unless it is suspended, or still paying latency: a transfer takes no
 // bandwidth share until its latency phase ends, when classifyDue
@@ -324,9 +288,6 @@ func (a *Action) Resume() {
 	a.suspended = false
 	a.applyWeight()
 }
-
-// Suspended reports whether the action is currently frozen.
-func (a *Action) Suspended() bool { return a.suspended }
 
 // resource wraps a platform element with its MaxMin constraint and
 // dynamic state.
@@ -509,9 +470,6 @@ func (m *Model) Engine() *core.Engine { return m.eng }
 // Platform returns the simulated platform.
 func (m *Model) Platform() *platform.Platform { return m.pf }
 
-// Config returns the model configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // HostUp reports whether a host is currently on.
 func (m *Model) HostUp(name string) bool {
 	r := m.cpus[name]
@@ -520,20 +478,9 @@ func (m *Model) HostUp(name string) bool {
 
 // LinkUp reports whether a link is currently on (both directions, for
 // split-duplex links).
-func (m *Model) LinkUp(name string) bool {
+func (m *Model) LinkUp(name string) bool { //lint:allow api-rent read by faults TestInjectorFlipsState and TestSameInstantReplayOrder
 	r := m.links[name]
 	return r != nil && r.on && (r.twin == nil || r.twin.on)
-}
-
-// HostLoad returns the MaxMin usage of a host CPU in flop/s, summed when
-// read: at the instant an action completes, before the next solve, it no
-// longer counts while the others keep their last solved rates.
-func (m *Model) HostLoad(name string) float64 {
-	r := m.cpus[name]
-	if r == nil {
-		return 0
-	}
-	return r.cnst.Usage()
 }
 
 // HostHandle is a resolved compute placement: callers that start many
@@ -542,9 +489,6 @@ func (m *Model) HostLoad(name string) float64 {
 // an exported name, so handles are shared, cost nothing to keep and
 // stay valid for the model's lifetime.
 type HostHandle resource
-
-// Name returns the handle's host name.
-func (h *HostHandle) Name() string { return h.name }
 
 // HostHandle resolves a host name to its shared placement handle, or
 // nil for an unknown host.
@@ -612,9 +556,6 @@ type RouteHandle struct {
 	lat   float64 // the route's latency, before LatencyFactor
 	gen   uint64  // platform generation the entry was resolved under
 }
-
-// Endpoints returns the handle's (src, dst) pair.
-func (h *RouteHandle) Endpoints() (src, dst string) { return h.route.Src, h.route.Dst }
 
 // RouteHandle resolves an ordered host pair to its shared transfer
 // handle: unknown hosts or a missing route are reported immediately.

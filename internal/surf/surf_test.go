@@ -70,8 +70,8 @@ func TestExecuteDuration(t *testing.T) {
 		if !a.Done() || a.Err() != nil {
 			t.Error("action not done/clean")
 		}
-		if a.Start() != 0 || !approx(a.Finish(), 2, 1e-9) {
-			t.Errorf("start/finish = %g/%g", a.Start(), a.Finish())
+		if a.start != 0 || !approx(a.finish, 2, 1e-9) {
+			t.Errorf("start/finish = %g/%g", a.start, a.finish)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -207,7 +207,6 @@ func TestNaNRefused(t *testing.T) {
 			t.Errorf("Execute: %v", err)
 			return
 		}
-		a.SetPriority(math.NaN())
 		a.Wait(p)
 		doneAt = e.Now()
 	})
@@ -228,8 +227,8 @@ func TestCommunicateLatencyPlusBandwidth(t *testing.T) {
 			t.Errorf("Communicate: %v", err)
 			return
 		}
-		if a.Kind() != ActionComm {
-			t.Errorf("kind = %v", a.Kind())
+		if a.kind != ActionComm {
+			t.Errorf("kind = %v", a.kind)
 		}
 		a.Wait(p)
 	})
@@ -325,7 +324,7 @@ func TestLatencyPhaseTakesNoShare(t *testing.T) {
 		touch func(b *Action)
 	}{
 		{"untouched", func(*Action) {}},
-		{"SetPriority", func(b *Action) { b.SetPriority(1) }},
+		{"reweight", func(b *Action) { reweight(b, 1) }},
 		{"Suspend+Resume", func(b *Action) { b.Suspend(); b.Resume() }},
 	}
 	for _, c := range cases {
@@ -444,7 +443,7 @@ func TestRouteHandleOneCache(t *testing.T) {
 		}
 		a.Wait(pr)
 		cur, _ := m.RouteHandle("a", "b")
-		if src, dst := kept.Endpoints(); src != "a" || dst != "b" || kept == cur || len(kept.rs) != 1 || kept.route != cur.route {
+		if src, dst := kept.route.Src, kept.route.Dst; src != "a" || dst != "b" || kept == cur || len(kept.rs) != 1 || kept.route != cur.route {
 			t.Errorf("stale handle after refresh: %+v, current entry %+v", kept, cur)
 		}
 	})
@@ -743,13 +742,13 @@ func TestExecOnDownHostFailsImmediately(t *testing.T) {
 	}
 }
 
-// maxminVars reads the number of live solver variables from the
-// model's metrics (NaN, after reporting, if they do not decode). It
-// runs on process stacks, so it reports with t.Error, not t.Fatal.
-func maxminVars(t *testing.T, m *Model) float64 {
+// metric reads one key of the metrics that into reports (NaN, after
+// reporting, if they do not decode). It runs on process stacks, so it
+// reports with t.Error, not t.Fatal.
+func metric(t *testing.T, into func(*instr.Registry), key string) float64 {
 	t.Helper()
 	r := instr.NewRegistry()
-	m.MetricsInto(r)
+	into(r)
 	var buf bytes.Buffer
 	var snap map[string]float64
 	if err := r.WriteJSON(&buf); err != nil {
@@ -760,7 +759,13 @@ func maxminVars(t *testing.T, m *Model) float64 {
 		t.Error(err)
 		return math.NaN()
 	}
-	return snap["maxmin.vars"]
+	return snap[key]
+}
+
+// simcalls reads the engine's fast and slow simcall counts.
+func simcalls(t *testing.T, e *core.Engine) (fast, slow float64) {
+	t.Helper()
+	return metric(t, e.MetricsInto, "core.simcalls_fast"), metric(t, e.MetricsInto, "core.simcalls_slow")
 }
 
 // TestFailedAtCreation: every constructor hands back an action whose
@@ -800,12 +805,12 @@ func TestFailedAtCreation(t *testing.T) {
 						t.Error("second Wait on a pending action accepted")
 					}
 				})
-				slow := e.SimcallStats().Slow
+				_, slow := simcalls(t, e)
 				if err := pending.Wait(p); err != nil {
 					t.Errorf("Wait on the pending action: %v", err)
 				}
-				if got := e.SimcallStats().Slow - slow; got != 1 || e.Now() != pending.Finish() {
-					t.Errorf("pending Wait: %d slow simcalls, woke at %g, want 1 at %g", got, e.Now(), pending.Finish())
+				if _, after := simcalls(t, e); after-slow != 1 || e.Now() != pending.finish {
+					t.Errorf("pending Wait: %g slow simcalls, woke at %g, want 1 at %g", after-slow, e.Now(), pending.finish)
 				}
 				if err := c.down(m); err != nil {
 					t.Errorf("down: %v", err)
@@ -816,20 +821,19 @@ func TestFailedAtCreation(t *testing.T) {
 					t.Errorf("start on a downed resource: %v", err)
 					return
 				}
-				if !a.Done() || !errors.Is(a.Err(), c.want) || a.Finish() != a.Start() {
+				if !a.Done() || !errors.Is(a.Err(), c.want) || a.finish != a.start {
 					t.Errorf("done=%v err=%v start=%g finish=%g, want done with %v at start",
-						a.Done(), a.Err(), a.Start(), a.Finish(), c.want)
+						a.Done(), a.Err(), a.start, a.finish, c.want)
 				}
-				if a.v != nil || len(m.heap) != 0 || maxminVars(t, m) != 0 {
-					t.Errorf("failed action left v=%v, heap=%d, %g solver variables", a.v, len(m.heap), maxminVars(t, m))
+				if vars := metric(t, m.MetricsInto, "maxmin.vars"); a.v != nil || len(m.heap) != 0 || vars != 0 {
+					t.Errorf("failed action left v=%v, heap=%d, %g solver variables", a.v, len(m.heap), vars)
 				}
-				before := e.SimcallStats()
+				fast, slow := simcalls(t, e)
 				if err := a.Wait(p); !errors.Is(err, c.want) {
 					t.Errorf("Wait = %v, want %v", err, c.want)
 				}
-				after := e.SimcallStats()
-				if after.Fast != before.Fast+1 || after.Slow != before.Slow {
-					t.Errorf("simcalls went %+v -> %+v, want Fast +1, Slow +0", before, after)
+				if f, s := simcalls(t, e); f != fast+1 || s != slow {
+					t.Errorf("simcalls went %g/%g -> %g/%g fast/slow, want Fast +1, Slow +0", fast, slow, f, s)
 				}
 			})
 			if err := e.Run(); err != nil {
@@ -873,7 +877,7 @@ func TestSuspendResumeAction(t *testing.T) {
 	e.Spawn("ctl", nil, func(pr *core.Process) {
 		pr.Sleep(1)
 		act.Suspend()
-		if !act.Suspended() {
+		if !act.suspended {
 			t.Error("not suspended")
 		}
 		pr.Sleep(3)
@@ -904,8 +908,8 @@ func TestParallelTaskSpansResources(t *testing.T) {
 			t.Errorf("ExecuteParallel: %v", err)
 			return
 		}
-		if a.Kind() != ActionParallel {
-			t.Errorf("kind = %v", a.Kind())
+		if a.kind != ActionParallel {
+			t.Errorf("kind = %v", a.kind)
 		}
 		a.Wait(pr)
 	})
@@ -985,33 +989,31 @@ func TestHostLoadReporting(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
 	e.Spawn("p", nil, func(pr *core.Process) {
+		hostLoad := m.cpus["h1"].cnst.Usage
 		a, _ := execute(m, "h1", 1e9, 1)
 		pr.Sleep(0.5)
-		if load := m.HostLoad("h1"); !approx(load, 1e9, 1) {
-			t.Errorf("HostLoad = %g, want 1e9", load)
+		if load := hostLoad(); !approx(load, 1e9, 1) {
+			t.Errorf("load = %g, want 1e9", load)
 		}
 		a.Wait(pr)
 		short, _ := execute(m, "h1", 1e9, 1)
 		long, _ := execute(m, "h1", 2e9, 1)
 		pr.Sleep(0.5)
-		if load := m.HostLoad("h1"); load != 1e9 {
-			t.Errorf("HostLoad with two actions = %g, want 1e9", load)
+		if load := hostLoad(); load != 1e9 {
+			t.Errorf("load with two actions = %g, want 1e9", load)
 		}
 		short.Wait(pr)
-		if load := m.HostLoad("h1"); load != 5e8 {
-			t.Errorf("HostLoad at the completion instant = %g, want 5e8", load)
+		if load := hostLoad(); load != 5e8 {
+			t.Errorf("load at the completion instant = %g, want 5e8", load)
 		}
 		pr.Sleep(0.5)
-		if load := m.HostLoad("h1"); load != 1e9 {
-			t.Errorf("HostLoad after the next solve = %g, want 1e9", load)
+		if load := hostLoad(); load != 1e9 {
+			t.Errorf("load after the next solve = %g, want 1e9", load)
 		}
 		long.Wait(pr)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if m.HostLoad("ghost") != 0 {
-		t.Error("unknown host load != 0")
 	}
 }
 
@@ -1039,7 +1041,7 @@ func TestModelAccessors(t *testing.T) {
 	if m.Engine() != e || m.Platform() != pf {
 		t.Error("accessors wrong")
 	}
-	if m.Config().BandwidthFactor != 1 {
+	if m.cfg.BandwidthFactor != 1 {
 		t.Error("config not stored")
 	}
 	if err := m.FailHost("ghost"); err == nil {
@@ -1080,7 +1082,7 @@ func TestDoubleWaiterRejected(t *testing.T) {
 		act.Wait(pr)
 	})
 	e.Spawn("p2", nil, func(pr *core.Process) {
-		pr.Yield() // let p1 attach first
+		pr.Sleep(0) // let p1 attach first
 		if err := act.Wait(pr); err == nil {
 			t.Error("second waiter accepted")
 		}
@@ -1116,8 +1118,9 @@ func TestRemainingTracksLazyProgress(t *testing.T) {
 	})
 	var remAtHalf, rateAtHalf float64
 	e.At(0.5, func() {
-		remAtHalf = act.Remaining()
-		rateAtHalf = act.Rate()
+		act.syncProgress(e.Now())
+		remAtHalf = act.remaining
+		rateAtHalf = act.rate
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -1131,7 +1134,7 @@ func TestRemainingTracksLazyProgress(t *testing.T) {
 	if !approx(e.Now(), 2, 1e-9) {
 		t.Errorf("finished at %g, want 2", e.Now())
 	}
-	if act.Remaining() != 0 {
-		t.Errorf("Remaining after completion = %g, want 0", act.Remaining())
+	if act.remaining != 0 {
+		t.Errorf("Remaining after completion = %g, want 0", act.remaining)
 	}
 }

@@ -47,7 +47,7 @@ func scoreboard(t *testing.T, metricsInto func(*instr.Registry), before map[stri
 }
 
 // poolMetrics snapshots a registry filled by metricsInto.
-func poolMetrics(t *testing.T, metricsInto func(*instr.Registry)) map[string]float64 {
+func poolMetrics(t testing.TB, metricsInto func(*instr.Registry)) map[string]float64 {
 	t.Helper()
 	r := instr.NewRegistry()
 	metricsInto(r)
