@@ -3,6 +3,7 @@ package platform_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,10 +13,11 @@ import (
 
 // FuzzLoad feeds Load arbitrary bytes: every input is rejected with an
 // error or yields a platform on which a route lookup between any two
-// hosts returns a route or an error, surf resolves every route the
-// platform hands out (a split-duplex hop it cannot orient would fail
-// here), and whose Save output loads back, routes every host pair over
-// the same links and saves to the same bytes.
+// hosts returns a route or an error, a pair's hop route crosses its
+// route's links in order, surf resolves every route the platform hands
+// out (a split-duplex hop it cannot orient would fail here), and whose
+// Save output loads back, routes every host pair over the same links
+// and saves to the same bytes.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"hosts": [{"name": "a", "power": 1}, {"name": "b", "power": 1}],
 	  "routers": ["r"], "links": [{"name": "l", "bandwidth": 1000, "latency": 0.5, "policy": "fatpipe"}],
@@ -32,9 +34,13 @@ func FuzzLoad(f *testing.F) {
 		m := surf.New(core.New(), p, surf.DefaultConfig())
 		for _, a := range p.Hosts() {
 			for _, b := range p.Hosts() {
-				p.HopRoute(a.Name, b.Name)
-				if _, err := p.Route(a.Name, b.Name); err != nil {
+				hops, herr := p.HopRoute(a.Name, b.Name)
+				r, err := p.Route(a.Name, b.Name)
+				if err != nil {
 					continue
+				}
+				if herr == nil && !slices.EqualFunc(hops, r.Links, func(h platform.Hop, l *platform.Link) bool { return h.Link == l }) {
+					t.Fatalf("%s -> %s: hops %v cross other links than the route's %s", a.Name, b.Name, hops, routeNames(p, a.Name, b.Name))
 				}
 				if _, err := m.RouteHandle(a.Name, b.Name); err != nil {
 					t.Fatalf("surf cannot resolve the route %s -> %s: %v", a.Name, b.Name, err)

@@ -193,12 +193,12 @@ func (p *Platform) Save(w io.Writer) error {
 	}
 	// AddRoute stores both directions; one of them (src < dst) reloads
 	// both. A host's route to itself is always empty, whatever it names.
-	for key, links := range p.routes {
+	for key, r := range p.routes {
 		if key[0] >= key[1] || !p.explicit(key) {
 			continue
 		}
-		names := make([]string, len(links))
-		for i, l := range links {
+		names := make([]string, len(r.Links))
+		for i, l := range r.Links {
 			names[i] = l.Name
 		}
 		jp.Routes = append(jp.Routes, jsonRoute{Src: key[0], Dst: key[1], Links: names})

@@ -10,12 +10,13 @@
 // link latency so traffic follows lowest-latency paths, mirroring the
 // static routing tables of SimGrid platform files.
 //
-// Key invariant: route lookups are memoized behind a topology
-// generation counter (Generation) — every mutation bumps it, so the
-// shared *Route values handed out by Route, and any state derived from
-// them by upper layers (surf's resolved resource lists), are valid
-// exactly as long as the generation matches and must be treated
-// read-only.
+// Key invariant: the routing table holds one shared *Route per ordered
+// host pair, built where the route is declared (AddRoute) or computed
+// (ComputeRoutes) and replaced only when one of them rewrites that
+// pair. Route hands the record itself out, so callers treat it as
+// read-only. Every topology mutation bumps a generation counter
+// (Generation), so state derived from routes by upper layers (surf's
+// resolved resource lists) is valid exactly as long as it matches.
 package platform
 
 import (
@@ -104,13 +105,13 @@ type Link struct {
 func (l *Link) Ends() (a, b string, ok bool) { return l.ends[0], l.ends[1], l.joined }
 
 // Route is an ordered list of links joining two hosts. Routes returned
-// by Platform.Route are cached and shared between callers: treat them
-// as immutable.
+// by Platform.Route are the platform's own records, shared between
+// callers: treat them as immutable.
 type Route struct {
 	Src, Dst string
 	Links    []*Link
 
-	hops []Hop // the links' crossing nodes, for ComputeRoutes routes
+	hops []Hop // the links' crossing nodes; nil for an explicit route
 }
 
 // Latency returns the sum of link latencies along the route.
@@ -166,18 +167,12 @@ type Platform struct {
 	routers map[string]bool
 	links   map[string]*Link
 	edges   []edge
-	routes  map[[2]string][]*Link
-	hops    map[[2]string][]Hop
 
-	// routeCache memoizes the *Route values handed out by Route: route
-	// and mailbox map lookups are ~10% of a million-activity profile,
-	// and every comm re-allocated its Route before the cache. The cache
-	// is valid for generation cacheGen only; any topology mutation bumps
-	// gen, so the next lookup rebuilds lazily.
-	routeCache map[[2]string]*Route
-	cacheGen   uint64
-	gen        uint64
-	routeSlab  pool.Slab[Route] // the cached Routes
+	// routes is the routing table: one record per ordered host pair,
+	// keyed by host names only, so a hit needs no host check.
+	routes    map[[2]string]*Route
+	gen       uint64
+	routeSlab pool.Slab[Route] // the records of routes
 }
 
 // New returns an empty platform.
@@ -186,8 +181,7 @@ func New() *Platform {
 		hosts:   make(map[string]*Host),
 		routers: make(map[string]bool),
 		links:   make(map[string]*Link),
-		routes:  make(map[[2]string][]*Link),
-		hops:    make(map[[2]string][]Hop),
+		routes:  make(map[[2]string]*Route),
 	}
 }
 
@@ -306,7 +300,8 @@ func (p *Platform) nodeExists(name string) bool {
 // AddRoute declares an explicit (symmetric) route between two hosts.
 // Links are registered as in Connect. An explicit route names no nodes
 // between its hosts, so it cannot say which way it crosses a
-// split-duplex link and may not use one.
+// split-duplex link and may not use one. A host's route to itself stays
+// empty whatever it names.
 func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 	if _, ok := p.hosts[src]; !ok {
 		return fmt.Errorf("%w: host %q", ErrUnknown, src)
@@ -322,17 +317,21 @@ func (p *Platform) AddRoute(src, dst string, links []*Link) error {
 			return err
 		}
 	}
-	ls := make([]*Link, len(links))
-	copy(ls, links)
-	p.routes[[2]string{src, dst}] = ls
-	rev := make([]*Link, len(links))
-	for i, l := range links {
-		rev[len(links)-1-i] = l
-	}
-	p.routes[[2]string{dst, src}] = rev
-	delete(p.hops, [2]string{src, dst})
-	delete(p.hops, [2]string{dst, src})
 	p.gen++
+	if src == dst {
+		return nil
+	}
+	n := len(links)
+	ls := make([]*Link, 2*n) // this way, then the reverse
+	copy(ls, links)
+	for i, l := range links {
+		ls[2*n-1-i] = l
+	}
+	rs := p.routeSlab.Make(2)
+	rs[0] = Route{Src: src, Dst: dst, Links: ls[:n:n]}
+	rs[1] = Route{Src: dst, Dst: src, Links: ls[n:]}
+	p.routes[[2]string{src, dst}] = &rs[0]
+	p.routes[[2]string{dst, src}] = &rs[1]
 	return nil
 }
 
@@ -375,26 +374,20 @@ func (p *Platform) Routers() []string {
 // Generation returns the topology generation counter: it is bumped by
 // every topology mutation (AddRoute, Connect, ComputeRoutes, …), so
 // layers that memoize derived routing state (surf's resolved resource
-// lists) can drop their caches exactly when the platform's own route
-// cache does.
+// lists) can drop their caches whenever a route may have changed.
 func (p *Platform) Generation() uint64 { return p.gen }
 
 // Route returns the route between two hosts. A host communicates with
 // itself over an empty route (intra-host messaging costs only latency 0).
-// Results are memoized per ordered pair behind a generation counter:
-// repeated lookups — every transfer between the same hosts — return the
-// same *Route with no allocation, and any topology mutation (AddRoute,
-// Connect, ComputeRoutes, …) invalidates the whole cache at once. The
-// returned route is shared: callers must not mutate it.
+// The answer is the pair's record in the routing table: every lookup of
+// a pair — every transfer between the same hosts — gets the same *Route
+// with one map hit and no allocation, until AddRoute or ComputeRoutes
+// rewrites the pair. The returned route is shared: callers must not
+// mutate it.
 func (p *Platform) Route(src, dst string) (*Route, error) {
-	if p.routeCache == nil || p.cacheGen != p.gen {
-		p.routeCache = make(map[[2]string]*Route)
-		p.cacheGen = p.gen
-	}
 	key := [2]string{src, dst}
-	if r, ok := p.routeCache[key]; ok {
-		// Cached under this generation, so both hosts were checked then
-		// and still exist: hosts are only ever added.
+	if r, ok := p.routes[key]; ok {
+		// Only hosts have records, and hosts are never removed.
 		return r, nil
 	}
 	if _, ok := p.hosts[src]; !ok {
@@ -403,19 +396,13 @@ func (p *Platform) Route(src, dst string) (*Route, error) {
 	if _, ok := p.hosts[dst]; !ok {
 		return nil, fmt.Errorf("%w: host %q", ErrUnknown, dst)
 	}
-	r := Route{Src: src, Dst: dst}
 	if src != dst {
-		links, ok := p.routes[key]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q -> %q", ErrNoRoute, src, dst)
-		}
-		r.Links = links
-		r.hops = p.hops[key]
+		return nil, fmt.Errorf("%w: %q -> %q", ErrNoRoute, src, dst)
 	}
-	cached := p.routeSlab.New() // carved once the route is known to exist
-	*cached = r
-	p.routeCache[key] = cached
-	return cached, nil
+	self := p.routeSlab.New() // the first lookup of a self route records it
+	*self = Route{Src: src, Dst: dst}
+	p.routes[key] = self
+	return self, nil
 }
 
 // ComputeRoutes fills the routing table for every host pair using
@@ -495,16 +482,19 @@ func (p *Platform) ComputeRoutes() error {
 			if next[i][j] == -1 {
 				continue // disconnected; Route() will report ErrNoRoute
 			}
-			var links []*Link
-			var hops []Hop
-			for u := i; u != j; {
+			n := 0
+			for u := i; u != j; u = next[u][j] {
+				n++
+			}
+			r := p.routeSlab.New()
+			*r = Route{Src: a, Dst: b, Links: make([]*Link, n), hops: make([]Hop, n)}
+			for u, k := i, 0; u != j; k++ {
 				v := next[u][j]
-				links = append(links, via[u][j])
-				hops = append(hops, Hop{A: names[u], B: names[v], Link: via[u][j]})
+				r.Links[k] = via[u][j]
+				r.hops[k] = Hop{A: names[u], B: names[v], Link: via[u][j]}
 				u = v
 			}
-			p.routes[key] = links
-			p.hops[key] = hops
+			p.routes[key] = r
 		}
 	}
 	p.gen++
@@ -512,10 +502,11 @@ func (p *Platform) ComputeRoutes() error {
 }
 
 // explicit reports whether key's route was declared by AddRoute: it has
-// links but, unlike a computed route, no hops.
+// a record but, unlike a computed route, no hops. A self route counts,
+// and it is skipped wherever explicit is asked.
 func (p *Platform) explicit(key [2]string) bool {
-	_, ok := p.routes[key]
-	return ok && p.hops[key] == nil
+	r, ok := p.routes[key]
+	return ok && r.hops == nil
 }
 
 // HopRoute returns the directed hop-level route between two hosts.
@@ -531,18 +522,18 @@ func (p *Platform) HopRoute(src, dst string) ([]Hop, error) {
 	if src == dst {
 		return nil, nil
 	}
-	hops, ok := p.hops[[2]string{src, dst}]
-	if !ok {
+	r, ok := p.routes[[2]string{src, dst}]
+	if !ok || r.hops == nil {
 		return nil, fmt.Errorf("%w: no hop route %q -> %q", ErrNoRoute, src, dst)
 	}
-	return hops, nil
+	return r.hops, nil
 }
 
 // Validate checks platform consistency: every declared route references
 // known links and every host pair is connected (when strict).
 func (p *Platform) Validate(strict bool) error {
-	for key, links := range p.routes {
-		for _, l := range links {
+	for key, r := range p.routes {
+		for _, l := range r.Links {
 			if p.links[l.Name] != l {
 				return fmt.Errorf("platform: route %v uses unregistered link %q", key, l.Name)
 			}

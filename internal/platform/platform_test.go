@@ -103,18 +103,37 @@ func TestExplicitRoute(t *testing.T) {
 	}
 }
 
+// TestSelfRouteIsEmpty: a host's route to itself is empty, also after
+// AddRoute declared one, which registers its links but is not saved.
 func TestSelfRouteIsEmpty(t *testing.T) {
 	p := New()
 	p.AddHost(mkHost("a"))
-	r, err := p.Route("a", "a")
-	if err != nil {
-		t.Fatalf("Route(a,a): %v", err)
+	for _, declared := range []bool{false, true} {
+		if declared {
+			if err := p.AddRoute("a", "a", []*Link{mkLink("self", 1e6, 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := p.Route("a", "a")
+		if err != nil {
+			t.Fatalf("Route(a,a): %v", err)
+		}
+		if len(r.Links) != 0 {
+			t.Errorf("self route (declared %v) has %d links, want 0", declared, len(r.Links))
+		}
+		if r.Latency() != 0 || !math.IsInf(r.Bottleneck(), 1) {
+			t.Errorf("self route latency/bottleneck = %g/%g", r.Latency(), r.Bottleneck())
+		}
 	}
-	if len(r.Links) != 0 {
-		t.Errorf("self route has %d links, want 0", len(r.Links))
+	if p.Link("self") == nil {
+		t.Error("a self route's link was not registered")
 	}
-	if r.Latency() != 0 || !math.IsInf(r.Bottleneck(), 1) {
-		t.Errorf("self route latency/bottleneck = %g/%g", r.Latency(), r.Bottleneck())
+	var saved bytes.Buffer
+	if err := p.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(saved.String(), `"routes"`) {
+		t.Errorf("Save wrote a self route:\n%s", saved.String())
 	}
 }
 
@@ -197,9 +216,9 @@ func TestComputeRoutesKeepsExplicit(t *testing.T) {
 	}
 }
 
-// TestComputeRoutesAgain: a second ComputeRoutes recomputes the routes
-// the first one made, so a link connected in between is used; explicit
-// routes still stay.
+// TestComputeRoutesAgain: a link connected after ComputeRoutes is not
+// used until a second ComputeRoutes recomputes the routes the first one
+// made; explicit routes still stay.
 func TestComputeRoutesAgain(t *testing.T) {
 	p := New()
 	for _, h := range []string{"a", "b", "c"} {
@@ -219,6 +238,12 @@ func TestComputeRoutesAgain(t *testing.T) {
 	}
 	direct := mkLink("direct", 1e6, 1)
 	p.Connect("a", "b", direct)
+	if r, _ := p.Route("a", "b"); len(r.Links) != 2 || r.Latency() != 10 {
+		t.Fatalf("a->b before the recompute = %v, want [ar rb] at 10 s", names(r.Links))
+	}
+	if hops, err := p.HopRoute("b", "a"); err != nil || len(hops) != 2 {
+		t.Fatalf("hop route b->a before the recompute = %v (%v), want two hops", hops, err)
+	}
 	if err := p.ComputeRoutes(); err != nil {
 		t.Fatalf("ComputeRoutes: %v", err)
 	}

@@ -2,12 +2,12 @@ package platform
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 )
 
-// TestRouteCache pins the per-pair memoization contract: repeated
-// lookups share one *Route, and any topology mutation invalidates the
-// cache through the generation counter.
+// TestRouteCache pins the per-pair record contract: repeated lookups
+// share one *Route, and a rewrite of the pair hands out a new one.
 func TestRouteCache(t *testing.T) {
 	p := New()
 	if err := p.AddHost(&Host{Name: "a", Power: 1}); err != nil {
@@ -30,21 +30,21 @@ func TestRouteCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Error("repeated Route lookups did not share the cached *Route")
+		t.Error("repeated Route lookups did not share the pair's *Route")
 	}
 	if got := r1.Latency(); got != 0.25 {
 		t.Errorf("Latency() = %g, want 0.25", got)
 	}
 
-	// Self-routes are cached too (empty link list).
+	// Self-routes are shared too (empty link list).
 	s1, _ := p.Route("a", "a")
 	s2, _ := p.Route("a", "a")
 	if s1 != s2 || len(s1.Links) != 0 {
-		t.Error("self-route not cached as an empty shared route")
+		t.Error("self-route not shared as an empty route")
 	}
 
-	// A topology mutation bumps the generation: the next lookup sees the
-	// new route, not the stale cached one.
+	// Redeclaring the pair replaces its record: the next lookup sees the
+	// new route, not the old one.
 	l2 := &Link{Name: "l2", Bandwidth: 1e6, Latency: 0.5}
 	if err := p.AddRoute("a", "b", []*Link{l2, l}); err != nil {
 		t.Fatal(err)
@@ -54,15 +54,15 @@ func TestRouteCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r3 == r1 {
-		t.Error("Route returned the stale cached route after AddRoute")
+		t.Error("Route returned the replaced route after AddRoute")
 	}
 	if len(r3.Links) != 2 || r3.Latency() != 0.75 {
 		t.Errorf("post-mutation route has %d links latency %g, want 2 links latency 0.75", len(r3.Links), r3.Latency())
 	}
 }
 
-// TestRouteCacheMissStaysUncached checks that a failed lookup is not
-// cached: declaring the missing route afterwards makes it resolvable.
+// TestRouteCacheMissStaysUncached checks that a failed lookup records
+// nothing: declaring the missing route afterwards makes it resolvable.
 func TestRouteCacheMissStaysUncached(t *testing.T) {
 	p := New()
 	for _, h := range []string{"x", "y"} {
@@ -82,11 +82,11 @@ func TestRouteCacheMissStaysUncached(t *testing.T) {
 }
 
 // TestRouteLookupOutcomes pins what Route answers, hit or miss: the
-// cache is consulted before the endpoints are validated, so every
-// outcome is asked for cold, again warm (after hits filled the cache),
-// and after a topology mutation bumped the generation. A miss reports
-// the unknown source before the unknown destination, and ErrNoRoute
-// only for two known hosts.
+// table is consulted before the endpoints are validated, so every
+// outcome is asked for cold, again warm (after the first self lookup
+// recorded its route), and after a topology mutation bumped the
+// generation. A miss reports the unknown source before the unknown
+// destination, and ErrNoRoute only for two known hosts.
 func TestRouteLookupOutcomes(t *testing.T) {
 	p := New()
 	for _, h := range []string{"a", "b", "c"} {
@@ -125,9 +125,72 @@ func TestRouteLookupOutcomes(t *testing.T) {
 	}
 	ask("cold")
 	ask("warm")
-	if err := p.AddRouter("r"); err != nil { // any mutation: the cache is dropped whole
+	if err := p.AddRouter("r"); err != nil { // a mutation that rewrites no pair
 		t.Fatal(err)
 	}
 	ask("after a generation bump")
 	ask("warm again")
+}
+
+// TestFirstLookupAllocatesNothing: a route is built where it is
+// declared, so even the first Route or HopRoute of each pair after
+// AddRoute or ComputeRoutes allocates nothing. AllocsPerRun's warm-up
+// call asks every pair of one platform; the measured call asks every
+// pair of a second, identical one, which nothing has looked up yet.
+func TestFirstLookupAllocatesNothing(t *testing.T) {
+	const n = 40
+	hosts := make([]string, n)
+	for i := range hosts {
+		hosts[i] = "h" + strconv.Itoa(i)
+	}
+	build := func(computed bool) *Platform {
+		p := New()
+		for _, h := range hosts {
+			if err := p.AddHost(mkHost(h)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.AddRouter("r"); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hosts {
+			var err error
+			if computed {
+				err = p.Connect(h, "r", mkLink("up"+strconv.Itoa(i), 1e6, 1))
+			} else if i%2 == 0 {
+				err = p.AddRoute(h, hosts[i+1], []*Link{mkLink("x"+strconv.Itoa(i), 1e6, 1)})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if computed {
+			if err := p.ComputeRoutes(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	for _, computed := range []bool{false, true} {
+		pfs := []*Platform{build(computed), build(computed)}
+		allocs := testing.AllocsPerRun(1, func() {
+			p := pfs[0]
+			pfs = pfs[1:]
+			for i := 0; i < n; i += 2 {
+				src, dst := hosts[i], hosts[i+1]
+				if _, err := p.Route(src, dst); err != nil {
+					t.Fatal(err)
+				}
+				if !computed {
+					continue
+				}
+				if _, err := p.HopRoute(dst, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("first lookups of %d pairs (computed %v): %v allocs, want 0", n/2, computed, allocs)
+		}
+	}
 }

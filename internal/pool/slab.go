@@ -42,6 +42,24 @@ func (s *Slab[E]) Make(n int) []E {
 	return x
 }
 
+// Join returns the parts concatenated in bytes carved from s. A carved
+// byte is never written again, so the string shares them: names built
+// this way cost one allocation a chunk instead of one a string.
+func Join(s *Slab[byte], parts ...string) string {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return ""
+	}
+	b := s.Make(n)[:0]
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return unsafe.String(&b[0], n)
+}
+
 // chunkLen is how many values of E one chunk holds: as many as fit in
 // chunkBytes, and at least one.
 func chunkLen[E any]() int {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -176,5 +178,31 @@ func TestSlabIgnoresEnabled(t *testing.T) {
 	}
 	if !slices.Equal(onStarts, offStarts) {
 		t.Errorf("chunks start at carves %v with pooling on, %v with it off", onStarts, offStarts)
+	}
+}
+
+// TestJoin: joined strings read their parts, later joins (across a
+// chunk boundary too) leave earlier strings alone, and joining into a
+// warm chunk allocates nothing.
+func TestJoin(t *testing.T) {
+	var s Slab[byte]
+	if got := Join(&s, "", ""); got != "" {
+		t.Fatalf("empty Join = %q", got)
+	}
+	var got, want []string
+	for i := 0; len(want) == 0 || len(s.free) > 100; i++ {
+		n := strconv.Itoa(i)
+		got = append(got, Join(&s, "comm h", n, "->h", n))
+		want = append(want, "comm h"+n+"->h"+n)
+	}
+	got = append(got, Join(&s, strings.Repeat("x", 200)), Join(&s, strings.Repeat("y", 2*chunkBytes)))
+	want = append(want, strings.Repeat("x", 200), strings.Repeat("y", 2*chunkBytes))
+	if !slices.Equal(got, want) {
+		t.Fatal("a joined string changed after later joins")
+	}
+	s = Slab[byte]{}
+	Join(&s, "warm")
+	if a := testing.AllocsPerRun(20, func() { Join(&s, "comm ", "src", "->", "dst") }); a != 0 {
+		t.Errorf("Join into a warm chunk: %v allocs, want 0", a)
 	}
 }

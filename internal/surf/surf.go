@@ -361,12 +361,11 @@ type Model struct {
 	actSlab    pool.Slab[Action]
 	handleSlab pool.Slab[RouteHandle]
 	resSlab    pool.Slab[*resource] // actions' first arrays, handles' exact ones
+	nameSlab   pool.Slab[byte]      // handles' names (pool.Join)
 
 	// routes is the one cache of resolved routes (RouteHandle), keyed by
-	// the shared *platform.Route the platform's own cache hands out: a
-	// topology mutation bumps the platform generation, Route returns a
-	// fresh pointer, and the stale entries are dropped wholesale at the
-	// generation change.
+	// the pair's shared *platform.Route and dropped wholesale when the
+	// platform generation changes.
 	routes    map[*platform.Route]*RouteHandle
 	routesGen uint64
 
@@ -559,9 +558,8 @@ type RouteHandle struct {
 
 // RouteHandle resolves an ordered host pair to its shared transfer
 // handle: unknown hosts or a missing route are reported immediately.
-// The platform's Route cache hands out one shared *Route per pair and
-// generation, so a repeat lookup costs two map hits (the platform's pair
-// cache, this model's handle by *Route) and no allocation; a caller that
+// A repeat lookup costs two map hits (the platform's route table, this
+// model's handle by the pair's *Route) and no allocation; a caller that
 // keeps the handle (CommunicateHandle) pays neither.
 func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 	route, err := m.pf.Route(src, dst)
@@ -581,7 +579,7 @@ func (m *Model) RouteHandle(src, dst string) (*RouteHandle, error) {
 		return nil, err
 	}
 	h := m.handleSlab.New()
-	*h = RouteHandle{route: route, rs: rs, name: "comm " + src + "->" + dst, lat: route.Latency(), gen: gen}
+	*h = RouteHandle{route: route, rs: rs, name: pool.Join(&m.nameSlab, "comm ", src, "->", dst), lat: route.Latency(), gen: gen}
 	m.routes[route] = h
 	return h, nil
 }

@@ -455,6 +455,34 @@ func TestRouteHandleOneCache(t *testing.T) {
 	}
 }
 
+// TestRouteHandleFirstResolutionAllocs bounds what resolving pairs for
+// the first time allocates: the handle, its resources and its name are
+// carved from the model's slabs, so 100 first resolutions cost a few
+// chunks and the handle map's growth, not an object per pair.
+// AllocsPerRun's warm-up call resolves every pair on one model; the
+// measured call does so on a second model of the same platform.
+func TestRouteHandleFirstResolutionAllocs(t *testing.T) {
+	const pairs = 100
+	pf := lockstepPlatform(t, pairs)
+	models := []*Model{New(core.New(), pf, exactCfg()), New(core.New(), pf, exactCfg())}
+	src, dst := make([]string, pairs), make([]string, pairs)
+	for i := range src {
+		src[i], dst[i] = fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		m := models[0]
+		models = models[1:]
+		for i := range src {
+			if _, err := m.RouteHandle(src[i], dst[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs >= pairs/4 {
+		t.Errorf("%d first RouteHandle resolutions: %v allocs, want fewer than %d", pairs, allocs, pairs/4)
+	}
+}
+
 func TestIntraHostCommIsInstant(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
