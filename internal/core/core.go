@@ -375,9 +375,7 @@ func (e *Engine) Spawn(name string, host any, fn func(*Process)) *Process {
 	e.procs[p.pid] = p
 	e.live++
 	e.liveAll++
-	if e.liveAll > e.goPeak {
-		e.goPeak = e.liveAll
-	}
+	e.goPeak = max(e.goPeak, e.liveAll)
 
 	w := grabWorker()
 	if w == nil {
@@ -659,9 +657,7 @@ func (e *Engine) kernelTurn() bool {
 		e.timers.check()
 	}
 	next := modelAt
-	if len(e.timers) > e.timerPeak {
-		e.timerPeak = len(e.timers)
-	}
+	e.timerPeak = max(e.timerPeak, len(e.timers))
 	if len(e.timers) > 0 && e.timers[0].at < next && (e.model == nil || !e.model.Quiet()) {
 		next = e.timers[0].at
 	}

@@ -56,9 +56,7 @@ func (env *Environment) Trace() *instr.Trace { return env.model.Trace() }
 // emitted as a root-container variable.
 func (env *Environment) noteQueued(d dir, delta int) {
 	env.queued[d] += delta
-	if env.queued[d] > env.queuedPeak {
-		env.queuedPeak = env.queued[d]
-	}
+	env.queuedPeak = max(env.queuedPeak, env.queued[d])
 	if mt := env.trace; mt != nil {
 		mt.Trace.SetVariable(env.eng.Now(), mt.qVar[d], mt.Root, float64(env.queued[d]))
 	}

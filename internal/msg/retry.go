@@ -18,10 +18,7 @@ type RetryPolicy struct {
 // operation, and a host failure surfaces as its error, returned as-is —
 // Retry never retries past its own process dying.
 func Retry(p *Process, pol RetryPolicy, fn func() error) error {
-	attempts := pol.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	attempts := max(pol.Attempts, 1)
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {

@@ -14,7 +14,9 @@
 // host pair, built where the route is declared (AddRoute) or computed
 // (ComputeRoutes) and replaced only when one of them rewrites that
 // pair. Route hands the record itself out, so callers treat it as
-// read-only. Every topology mutation bumps a generation counter
+// read-only. One ComputeRoutes call backs all its pairs' Links and hops
+// with one link array and one hop array, each pair a window capped at
+// its own length. Every topology mutation bumps a generation counter
 // (Generation), so state derived from routes by upper layers (surf's
 // resolved resource lists) is valid exactly as long as it matches.
 package platform
@@ -468,37 +470,45 @@ func (p *Platform) ComputeRoutes() error {
 			}
 		}
 	}
-	// Extract host-pair routes.
+	// Extract host-pair routes: count every computed pair's hops, then
+	// give each pair a window of one link array and one hop array.
+	total := 0
+	p.eachComputed(idx, next, func(_, _ string, _, _, n int) { total += n })
+	links, hops := make([]*Link, total), make([]Hop, total)
+	p.eachComputed(idx, next, func(a, b string, i, j, n int) {
+		r := p.routeSlab.New()
+		*r = Route{Src: a, Dst: b, Links: links[:n:n], hops: hops[:n:n]} // cap == len: an append cannot overrun the next pair
+		links, hops = links[n:], hops[n:]
+		for u, k := i, 0; u != j; k++ {
+			v := next[u][j]
+			r.Links[k] = via[u][j]
+			r.hops[k] = Hop{A: names[u], B: names[v], Link: via[u][j]}
+			u = v
+		}
+		p.routes[[2]string{a, b}] = r
+	})
+	p.gen++
+	return nil
+}
+
+// eachComputed calls f for every ordered host pair ComputeRoutes
+// fills — distinct, not explicit, connected — with the pair's node
+// indices and hop count. ComputeRoutes' two walks see the same pairs:
+// a record the second one stores has hops, so it is not explicit.
+func (p *Platform) eachComputed(idx map[string]int, next [][]int, f func(a, b string, i, j, n int)) {
 	for a := range p.hosts {
 		for b := range p.hosts {
-			if a == b {
-				continue
-			}
-			key := [2]string{a, b}
-			if p.explicit(key) {
-				continue
-			}
 			i, j := idx[a], idx[b]
-			if next[i][j] == -1 {
-				continue // disconnected; Route() will report ErrNoRoute
+			if a == b || p.explicit([2]string{a, b}) || next[i][j] == -1 {
+				continue // next -1: disconnected, Route reports ErrNoRoute
 			}
 			n := 0
 			for u := i; u != j; u = next[u][j] {
 				n++
 			}
-			r := p.routeSlab.New()
-			*r = Route{Src: a, Dst: b, Links: make([]*Link, n), hops: make([]Hop, n)}
-			for u, k := i, 0; u != j; k++ {
-				v := next[u][j]
-				r.Links[k] = via[u][j]
-				r.hops[k] = Hop{A: names[u], B: names[v], Link: via[u][j]}
-				u = v
-			}
-			p.routes[key] = r
+			f(a, b, i, j, n)
 		}
 	}
-	p.gen++
-	return nil
 }
 
 // explicit reports whether key's route was declared by AddRoute: it has

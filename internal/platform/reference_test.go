@@ -154,6 +154,12 @@ func checkAgainstRef(t *testing.T, p *Platform, ref *refTable) {
 				t.Errorf("%v: Route = %v (%v), reference %v", key, r, err, names(links))
 				continue
 			}
+			// Pairs share backing arrays: a window with spare capacity
+			// would let an append overwrite the next pair's route.
+			if cap(r.Links) != len(r.Links) || cap(hops) != len(hops) {
+				t.Errorf("%v: Links cap %d len %d, hops cap %d len %d; want cap == len",
+					key, cap(r.Links), len(r.Links), cap(hops), len(hops))
+			}
 			if want, ok := ref.hops[key]; ok {
 				computed++
 				if herr != nil || !slices.Equal(hops, want) {

@@ -194,3 +194,28 @@ func TestFirstLookupAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeRoutesAllocsGrowWithNodes: a recompute on a Waxman graph of
+// 24 and of 48 hosts allocates in proportion to the nodes (the
+// Floyd–Warshall rows), not to the host pairs, whose links and hops are
+// windows of one array each. Doubling the hosts doubles the nodes and
+// quadruples the pairs.
+func TestComputeRoutesAllocsGrowWithNodes(t *testing.T) {
+	allocs := func(hosts int) float64 {
+		p, err := GenerateWaxman(DefaultWaxmanConfig(hosts, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := p.ComputeRoutes(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(24), allocs(48)
+	t.Logf("ComputeRoutes allocations: %v at 24 hosts, %v at 48", small, large)
+	if large > 2.5*small {
+		t.Errorf("ComputeRoutes allocations grew %v -> %v (x%.2f) from 24 to 48 hosts, want at most x2.5",
+			small, large, large/small)
+	}
+}

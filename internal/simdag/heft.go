@@ -67,10 +67,6 @@ type HEFTStats struct {
 	MeanParallelism float64
 	// Plan lists the placed units in scheduling order.
 	Plan []PlannedTask
-
-	// ranks holds every task's upward rank by creation index, NaN when
-	// unranked.
-	ranks []float64
 }
 
 // nans returns n NaNs: "no value yet" in the by-creation-index tables.
@@ -146,7 +142,7 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 	})
 
 	p := &heftPlanner{o: o, slots: make([][]heftSpan, ct.n), aft: nans(len(s.tasks))}
-	st := &HEFTStats{CriticalPath: cp, ranks: ranks}
+	st := &HEFTStats{CriticalPath: cp}
 	for _, t := range units {
 		var pl PlannedTask
 		if t.kind == Parallel {
@@ -273,13 +269,10 @@ func unitLevels(topo []*Task, ntasks int) []int {
 		d := 0 // deepest unit-ancestor level + 1, carried through comm/seq
 		for it, p := t.preds(); p != nil; p = it.next() {
 			pd := depth[p.seq]
-			switch p.kind {
-			case Compute, Parallel:
+			if p.kind == Compute || p.kind == Parallel {
 				pd++
 			}
-			if pd > d {
-				d = pd
-			}
+			d = max(d, pd)
 		}
 		depth[t.seq] = d
 		if t.kind == Compute || t.kind == Parallel {

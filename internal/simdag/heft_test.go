@@ -161,8 +161,9 @@ func checkTopcuoglu(t *testing.T) []byte {
 	}
 
 	// Upward ranks match the paper's published values.
+	rank := rankOf(s, hosts, topcuogluOptions(hosts))
 	for i, want := range topcuogluRanks {
-		got := rankOf(st, tasks[i])
+		got := rank(tasks[i])
 		if math.Abs(got-want) > 0.05 {
 			t.Errorf("rank(n%d) = %.3f, want %.3f", i+1, got, want)
 		}
@@ -336,10 +337,11 @@ func TestHEFTvsMinMinProperty(t *testing.T) {
 				}
 			}
 		}
+		rank := rankOf(s1, hosts, nil)
 		for _, task := range s1.Tasks() {
-			r := rankOf(st, task)
+			r := rank(task)
 			for _, succ := range task.Dependents() {
-				if rs := rankOf(st, succ); rs > r+1e-9 {
+				if rs := rank(succ); rs > r+1e-9 {
 					t.Fatalf("seed %d: rank(%s)=%g < rank of successor %s=%g",
 						seed, task.Name(), r, succ.Name(), rs)
 				}
@@ -426,11 +428,38 @@ func TestHEFTBeatsRoundRobinOnDAX(t *testing.T) {
 	t.Logf("makespans: heft %.4f, rr %.4f (%.1f%%)", heft, rr, 100*heft/rr)
 }
 
-// rankOf reads a task's upward rank from a HEFT analysis, NaN when the
-// task was not ranked (created after the schedule).
-func rankOf(st *HEFTStats, t *Task) float64 {
-	if int(t.seq) >= len(st.ranks) {
-		return math.NaN()
+// rankOf recomputes the upward ranks a HEFT pass over hosts with opts
+// sorts by: rank(t) = weight(t) + the largest successor rank. A
+// terminal task, or one created after rankOf is called, is unranked
+// (NaN) and never wins a successor max, as in ScheduleHEFTStats. Call
+// it right after the pass, before the DAG runs: a ptask weighs its
+// placement.
+func rankOf(s *Simulation, hosts []string, opts *HEFTOptions) func(*Task) float64 {
+	ct := &costTable{pf: s.pf, rows: make(map[string][]wire)}
+	ct.names, ct.id = internHosts(hosts)
+	ct.n = len(ct.names)
+	for _, h := range ct.names {
+		ct.power = append(ct.power, s.pf.Host(h).Power)
 	}
-	return st.ranks[t.seq]
+	o := resolveHEFTOptions(ct, opts)
+	n, memo := len(s.tasks), make(map[*Task]float64)
+	var rank func(*Task) float64
+	rank = func(t *Task) float64 {
+		if r, ok := memo[t]; ok {
+			return r
+		}
+		r := math.NaN()
+		if !t.terminal() && int(t.seq) < n {
+			best := 0.0
+			for it, succ := t.succs(); succ != nil; succ = it.next() {
+				if rs := rank(succ); rs > best {
+					best = rs
+				}
+			}
+			r = o.weight(t) + best
+		}
+		memo[t] = r
+		return r
+	}
+	return rank
 }

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -30,7 +31,8 @@ func arenaBlocks(s *Simulation) int {
 // TestCampaignDAGFitsOneBlock: a campaign-shaped DAG (20 layers of 40,
 // a tenth of them two-slot ptasks, as sweep_campaign draws them) fits
 // in one 320 KiB arena block whatever its seed, and one task past a
-// block opens a second.
+// block opens a second. The generated names are pinned too: l<L>t<W>
+// for a compute, l<L>p<W> for a ptask, <from>-><to> for a comm.
 func TestCampaignDAGFitsOneBlock(t *testing.T) {
 	if got := uintptr(taskBlockSize) * unsafe.Sizeof(Task{}); got > 320<<10 || got+unsafe.Sizeof(Task{}) <= 320<<10 {
 		t.Fatalf("a block of %d tasks holds %d bytes, want the most that fit in 320 KiB", taskBlockSize, got)
@@ -39,8 +41,23 @@ func TestCampaignDAGFitsOneBlock(t *testing.T) {
 		s := New(starPlatform(t, 4), exactConfig())
 		cfg := DefaultRandomConfig(20, 40, seed)
 		cfg.PtaskProb, cfg.PtaskSlots = 0.1, 2
-		if _, err := RandomLayered(s, cfg); err != nil {
+		tasks, err := RandomLayered(s, cfg)
+		if err != nil {
 			t.Fatal(err)
+		}
+		member := 0 // computes and ptasks, layer by layer
+		for _, x := range tasks {
+			var want string
+			if x.kind == Comm {
+				want = x.pred0.name + "->" + x.succ0.name
+			} else {
+				l, w := strconv.Itoa(member/cfg.Width), strconv.Itoa(member%cfg.Width)
+				want = "l" + l + map[Kind]string{Compute: "t", Parallel: "p"}[x.kind] + w
+				member++
+			}
+			if x.name != want {
+				t.Fatalf("seed %d: %s task named %q, want %q", seed, x.kind, x.name, want)
+			}
 		}
 		if got := arenaBlocks(s); got != 1 {
 			t.Errorf("seed %d: %d tasks span %d arena blocks, want 1", seed, len(s.tasks), got)

@@ -112,6 +112,9 @@ func (t *Task) ScheduleParallel(hosts []string) error {
 			}
 		}
 	}
+	if cap(t.par.hosts) < len(hosts) { // a re-placement reuses the old set
+		t.par.hosts = t.sim.hostSets.Make(len(hosts))
+	}
 	t.par.hosts = append(t.par.hosts[:0], hosts...)
 	t.state = Schedulable
 	return nil

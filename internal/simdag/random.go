@@ -8,10 +8,11 @@
 package simdag
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
+
+	"repro/internal/pool"
 )
 
 // RandomConfig parameterizes RandomLayered.
@@ -80,22 +81,23 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 	}
 
 	var tasks []*Task
+	var cells pool.Slab[float64] // ptask payloads, many to a chunk
+	var rows pool.Slab[[]float64]
 	prev := make([]*Task, 0, cfg.Width)
 	cur := make([]*Task, 0, cfg.Width)
 	link := func(from, to *Task) error {
 		if cfg.CommProb > 0 && rng.Float64() < cfg.CommProb {
-			c := s.NewCommTask(from.name+"->"+to.name, uniform(cfg.MinBytes, cfg.MaxBytes))
+			c := s.NewCommTask(pool.Join(&s.names, from.name, "->", to.name), uniform(cfg.MinBytes, cfg.MaxBytes))
 			tasks = append(tasks, c)
 			if err := s.AddDependency(from, c); err != nil {
 				return err
 			}
 			return s.AddDependency(c, to)
 		}
-		err := s.AddDependency(from, to)
-		if err != nil && errors.Is(err, ErrDuplicate) {
+		if to.dependsOn(from) { // a duplicate draw adds nothing
 			return nil
 		}
-		return err
+		return s.AddDependency(from, to)
 	}
 	slots := cfg.PtaskSlots
 	if slots < 2 {
@@ -106,22 +108,21 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 		for w := 0; w < cfg.Width; w++ {
 			var t *Task
 			if cfg.PtaskProb > 0 && rng.Float64() < cfg.PtaskProb {
-				flops := make([]float64, slots)
-				bytes, cells := make([][]float64, slots), make([]float64, slots*slots)
+				flops, bytes := cells.Make(slots), rows.Make(slots)
 				for i := range flops {
 					flops[i] = uniform(cfg.MinFlops, cfg.MaxFlops)
-					bytes[i] = cells[i*slots : (i+1)*slots : (i+1)*slots] // full-slice: rows cannot append into each other
+					bytes[i] = cells.Make(slots) // cap == len: rows cannot append into each other
 				}
 				for i := range flops {
 					bytes[i][(i+1)%slots] = uniform(cfg.MinBytes, cfg.MaxBytes)
 				}
 				var err error
-				t, err = s.NewParallelTask("l"+strconv.Itoa(l)+"p"+strconv.Itoa(w), flops, bytes)
+				t, err = s.NewParallelTask(pool.Join(&s.names, "l", strconv.Itoa(l), "p", strconv.Itoa(w)), flops, bytes)
 				if err != nil {
 					return nil, err
 				}
 			} else {
-				t = s.NewTask("l"+strconv.Itoa(l)+"t"+strconv.Itoa(w), uniform(cfg.MinFlops, cfg.MaxFlops))
+				t = s.NewTask(pool.Join(&s.names, "l", strconv.Itoa(l), "t", strconv.Itoa(w)), uniform(cfg.MinFlops, cfg.MaxFlops))
 			}
 			tasks = append(tasks, t)
 			cur = append(cur, t)

@@ -503,8 +503,9 @@ func snapshot(s *Simulation) []string {
 }
 
 // planLines renders a HEFT analysis bit-exactly: scalars, levels, the
-// plan in order, and every task's rank.
-func planLines(s *Simulation, st *HEFTStats) []string {
+// plan in order, and every task's rank, recomputed right after the pass
+// over hosts with opts.
+func planLines(s *Simulation, st *HEFTStats, hosts []string, opts *HEFTOptions) []string {
 	if st == nil {
 		return []string{"no stats"}
 	}
@@ -515,8 +516,9 @@ func planLines(s *Simulation, st *HEFTStats) []string {
 		out = append(out, fmt.Sprintf("plan %s on %s [%x,%x]", pl.Task.name, pl.Host,
 			math.Float64bits(pl.Start), math.Float64bits(pl.Finish)))
 	}
+	rank := rankOf(s, hosts, opts)
 	for _, t := range s.tasks {
-		out = append(out, fmt.Sprintf("rank %s %x", t.name, math.Float64bits(rankOf(st, t))))
+		out = append(out, fmt.Sprintf("rank %s %x", t.name, math.Float64bits(rank(t))))
 	}
 	return out
 }
@@ -571,8 +573,9 @@ func runHEFTCase(t *testing.T, c refCase, opts func(*Simulation, []string) *HEFT
 	t.Helper()
 	var out []string
 	sched := func(s *Simulation, hosts []string) error {
-		st, err := ScheduleHEFTStats(s, hosts, opts(s, hosts))
-		out = append(out, planLines(s, st)...)
+		o := opts(s, hosts)
+		st, err := ScheduleHEFTStats(s, hosts, o)
+		out = append(out, planLines(s, st, hosts, o)...)
 		return err
 	}
 	res := runCase(t, c, sched)

@@ -290,9 +290,12 @@ type Simulation struct {
 	// simulation, so block allocation keeps a 100k-task DAG to a few
 	// dozen allocations and lays tasks out contiguously for the state
 	// sweeps. The returned pointers are stable. ptasks carves the ptask
-	// payloads the same way.
+	// payloads the same way, hostSets their host sets and names the
+	// generated task names (pool.Join).
 	taskArena []Task
 	ptasks    pool.Slab[ptask]
+	hostSets  pool.Slab[string]
+	names     pool.Slab[byte]
 
 	watchHits []*Task
 	nDone     int
@@ -479,10 +482,8 @@ func (s *Simulation) AddDependency(before, after *Task) error {
 		}
 		return nil // depending on a Done task is vacuously satisfied
 	}
-	for it, p := after.preds(); p != nil; p = it.next() {
-		if p == before {
-			return fmt.Errorf("%w: %q -> %q", ErrDuplicate, before.name, after.name)
-		}
+	if after.dependsOn(before) {
+		return fmt.Errorf("%w: %q -> %q", ErrDuplicate, before.name, after.name)
 	}
 	s.pushEdge(&before.succ0, &before.succHead, &before.succTail, after)
 	s.pushEdge(&after.pred0, &after.predHead, &after.predTail, before)
@@ -490,6 +491,15 @@ func (s *Simulation) AddDependency(before, after *Task) error {
 	s.depsDirty = true
 	s.backEdge = s.backEdge || before.seq > after.seq
 	return nil
+}
+
+// dependsOn reports whether p is already one of t's predecessors.
+func (t *Task) dependsOn(p *Task) bool {
+	it, q := t.preds()
+	for q != nil && q != p {
+		q = it.next()
+	}
+	return q != nil
 }
 
 // Simulate runs the DAG until nothing can progress further: every

@@ -68,10 +68,7 @@ func (h actionHeap) down(i int) {
 			break
 		}
 		m := l
-		hi := l + heapArity
-		if hi > n {
-			hi = n
-		}
+		hi := min(l+heapArity, n)
 		for c := l + 1; c < hi; c++ {
 			if h.less(c, m) {
 				m = c
@@ -163,10 +160,7 @@ func (h actionHeap) collectDue(maxKey float64, buf []*Action, stack []int) ([]*A
 		stack = stack[:len(stack)-1]
 		buf = append(buf, h[i].a)
 		l := heapArity*i + 1
-		hi := l + heapArity
-		if hi > len(h) {
-			hi = len(h)
-		}
+		hi := min(l+heapArity, len(h))
 		for c := l; c < hi; c++ {
 			if h[c].key <= maxKey {
 				stack = append(stack, c)

@@ -361,7 +361,7 @@ type Model struct {
 	actSlab    pool.Slab[Action]
 	handleSlab pool.Slab[RouteHandle]
 	resSlab    pool.Slab[*resource] // actions' first arrays, handles' exact ones
-	nameSlab   pool.Slab[byte]      // handles' names (pool.Join)
+	nameSlab   pool.Slab[byte]      // resource, handle and ptask names (pool.Join)
 
 	// routes is the one cache of resolved routes (RouteHandle), keyed by
 	// the pair's shared *platform.Route and dropped wholesale when the
@@ -418,7 +418,7 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 	for _, h := range pf.Hosts() {
 		r := &resource{
 			name:     h.Name,
-			execName: "exec@" + h.Name,
+			execName: pool.Join(&m.nameSlab, "exec@", h.Name),
 			nominal:  h.Power,
 			avail:    1,
 			on:       true,
@@ -452,8 +452,8 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		if a, b, ok := l.Ends(); ok {
 			// One independent constraint per direction, named after
 			// the node it heads to.
-			r := mk(l.Name + "->" + a)
-			r.twin = mk(l.Name + "->" + b)
+			r := mk(pool.Join(&m.nameSlab, l.Name, "->", a))
+			r.twin = mk(pool.Join(&m.nameSlab, l.Name, "->", b))
 			m.links[l.Name] = r
 		} else {
 			m.links[l.Name] = mk(l.Name)
@@ -655,7 +655,7 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 	if bytes != nil && len(bytes) != len(hosts) {
 		return nil, fmt.Errorf("surf: ExecuteParallel: bad bytes matrix")
 	}
-	a := m.newAction(ActionParallel, "ptask("+strconv.Itoa(len(hosts))+" hosts)")
+	a := m.newAction(ActionParallel, pool.Join(&m.nameSlab, "ptask(", strconv.Itoa(len(hosts)), " hosts)"))
 	a.remaining = 1
 	a.priority = 1
 	a.v = m.sys.NewVariable(1, 0)
@@ -808,9 +808,7 @@ func (m *Model) refresh() {
 // incremental refresh.
 func (m *Model) NextEventTime(now float64) float64 {
 	m.refresh()
-	if len(m.heap) > m.heapPeak {
-		m.heapPeak = len(m.heap)
-	}
+	m.heapPeak = max(m.heapPeak, len(m.heap))
 	if len(m.heap) == 0 {
 		return math.Inf(1)
 	}
