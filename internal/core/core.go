@@ -83,7 +83,7 @@ type DeadlockError struct {
 	Blocked []string
 	// Calls lists the typed simcall each blocked process is stuck in,
 	// aligned with Blocked.
-	Calls []SimcallKind
+	Calls []SimcallKind //lint:allow api-rent core TestDeadlockReportsSimcalls; msg TestChainDeadlockReport
 }
 
 func (e *DeadlockError) Error() string {
@@ -97,15 +97,15 @@ type killedSignal struct{}
 // PanicError records a panic: the process that crashed, the panic
 // value, and the stack at the point of the panic. A process panic is
 // caught on the process's coroutine; with Engine.ContainPanics set it
-// becomes the process's termination cause (Process.Err) and is
-// collected in Engine.Panics, otherwise it aborts the whole run through
-// Run's error. A panic escaping a kernel phase (PID 0, no name) is
-// always fatal.
+// becomes the process's termination cause, the error its OnExit
+// callbacks receive, and is counted in the core.fault_panics metric;
+// otherwise it aborts the whole run through Run's error. A panic
+// escaping a kernel phase (PID 0, no name) is always fatal.
 type PanicError struct {
 	PID   int
 	Name  string
 	Value any
-	Stack []byte
+	Stack []byte //lint:allow api-rent msg TestProcessPanicContained
 }
 
 func (e *PanicError) Error() string {
@@ -136,7 +136,9 @@ type Model interface {
 type Process struct {
 	pid  int
 	name string
-	host any // opaque to the kernel; upper layers store their host here
+	// host is opaque to the kernel; upper layers store their host here.
+	//lint:allow api-rent Spawn's host parameter, which bench/probes.go passes (ROADMAP item 21)
+	host any
 
 	engine *Engine
 	fn     func(*Process)

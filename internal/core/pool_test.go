@@ -1,5 +1,5 @@
 // Tests for the worker pool: scrub-on-recycle, pooled-vs-fresh
-// equivalence, and the Spawned / GoroutineSpawns / GoroutinesPeak
+// equivalence, and the Spawned / GoroutineSpawns / core.goroutines_peak
 // accounting split (logical process starts vs real stacks).
 package core
 
@@ -97,8 +97,8 @@ func TestWorkerPoolingEquivalence(t *testing.T) {
 
 // TestSpawnedVsGoroutineAccounting pins the accounting split: Spawned
 // counts logical process starts, GoroutineSpawns counts fresh stacks
-// (zero on a warm pool), GoroutinesPeak the concurrent stack
-// high-water mark.
+// (zero on a warm pool), goPeak (the core.goroutines_peak metric) the
+// concurrent stack high-water mark.
 func TestSpawnedVsGoroutineAccounting(t *testing.T) {
 	sleeper := func(p *Process) { _ = p.Sleep(0.1) }
 

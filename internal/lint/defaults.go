@@ -94,8 +94,9 @@ func DefaultConfig() *Config {
 		CompletionIfaces: []string{"repro/internal/surf.Completion"},
 
 		// The fenced packages (CI's line budget): their exports must be
-		// used by non-test code in the module, bench and examples
-		// included, or be deleted.
+		// used, and their stored fields read, by non-test code in the
+		// module (examples included; bench is a module of its own), or
+		// be deleted.
 		RentPkgs: internal("core", "surf", "msg", "simdag", "maxmin", "smpi"),
 	}
 }

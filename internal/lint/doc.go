@@ -15,7 +15,7 @@
 //	pool-use-after-release  no reads of an object after it was released
 //	simcall-in-handler      Completion handlers cannot reach blocking simcalls
 //	hot-sprintf             no fmt.Sprintf in concat-converted hot packages
-//	api-rent                every export of a fenced package has a non-test use
+//	api-rent                every export of a fenced package has a non-test use, every stored field a read
 //
 // api-rent needs every use in the module, so it runs only when the
 // linted set is a whole module (see wholeModule), as `./...` is.

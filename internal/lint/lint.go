@@ -53,7 +53,8 @@ type Config struct {
 	// roots.
 	CompletionIfaces []string
 	// RentPkgs scopes api-rent: packages whose every exported func,
-	// method and package-level var needs a non-test use in the module.
+	// method and package-level var needs a non-test use in the module,
+	// and whose every struct field stored by name needs a non-test read.
 	RentPkgs map[string]bool
 }
 
@@ -81,7 +82,7 @@ func Rules() []Rule {
 		{"pool-use-after-release", "no reads of a pooled object after it was released", runUseAfterRelease, nil},
 		{"simcall-in-handler", "Completion handlers must not reach a blocking simcall entry point", runSimcallInHandler, nil},
 		{"hot-sprintf", "no fmt.Sprintf in concat-converted hot-path packages", runHotSprintf, nil},
-		{"api-rent", "every export of a fenced package has a non-test use in the module", nil, runAPIRent},
+		{"api-rent", "every export of a fenced package has a non-test use in the module, every stored field a read", nil, runAPIRent},
 	}
 }
 

@@ -105,10 +105,12 @@ func TestHotSprintfFixture(t *testing.T) {
 }
 
 // TestAPIRentFixture pins api-rent over a two-package module: unused
-// exports of the fenced package (a func, a method, a var) are flagged;
-// one used from the other package, methods reached through another
-// package's interface or fmt.Stringer, and an export carrying an allow
-// are clean; an allow on an export that found a caller is stale.
+// exports of the fenced package (a func, a method, a var) and a field
+// stored but never read are flagged; one used from the other package,
+// methods reached through another package's interface or fmt.Stringer,
+// a read field, a field only `+=` touches after its store, a map key's
+// positionally set fields, and an export or field carrying an allow are
+// clean; an allow on an export or field that is used is stale.
 func TestAPIRentFixture(t *testing.T) {
 	pkgs, err := testLoader(t).LoadPatterns("internal/lint/testdata/src/apirent/...")
 	if err != nil {

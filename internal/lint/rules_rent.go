@@ -7,25 +7,32 @@ import (
 	"go/types"
 )
 
-// runAPIRent makes the fenced packages' public surface pay rent: every
-// exported func, method and package-level var there needs a use in
-// some non-test file of the linted module (the loader reads no test
-// files). A method that satisfies an interface — declared in the
+// runAPIRent makes the fenced packages' state and public surface pay
+// rent: every exported func, method and package-level var there needs
+// a use in some non-test file of the linted module (the loader reads
+// no test files), and every struct field stored there by name needs a
+// read. A method that satisfies an interface — declared in the
 // module, in the standard library or the universe's error — is used
-// through it and is exempt. The paper's API calls and accessors read
-// only by another package's tests stay through an allow naming that
-// call or test.
+// through it and is exempt. The paper's API calls and what only
+// another package's tests read stay through an allow naming that call
+// or test.
 func runAPIRent(pkgs []*Package, cfg *Config) []Finding {
+	stores := storeSites(pkgs)
 	used := make(map[types.Object]bool)
+	stored := make(map[types.Object]bool)
 	for _, p := range pkgs {
-		for _, obj := range p.Info.Uses {
+		for id, obj := range p.Info.Uses {
 			switch o := obj.(type) {
 			case *types.Func:
 				obj = o.Origin()
 			case *types.Var:
 				obj = o.Origin()
 			}
-			used[obj] = true
+			if stores[id] {
+				stored[obj] = true
+			} else {
+				used[obj] = true
+			}
 		}
 	}
 	ifaces := allInterfaces(pkgs)
@@ -44,6 +51,22 @@ func runAPIRent(pkgs []*Package, cfg *Config) []Finding {
 			continue
 		}
 		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok {
+					for _, fd := range st.Fields.List {
+						for _, id := range fd.Names {
+							if obj := p.Info.Defs[id]; stored[obj] && !used[obj] {
+								out = append(out, Finding{
+									Pos:  p.Fset.Position(id.Pos()),
+									Rule: "api-rent",
+									Msg:  "field " + id.Name + " is stored but never read by non-test code in the module: delete it, or allow it naming the test that reads it",
+								})
+							}
+						}
+					}
+				}
+				return true
+			})
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -72,6 +95,41 @@ func runAPIRent(pkgs []*Package, cfg *Config) []Finding {
 		}
 	}
 	return out
+}
+
+// storeSites returns the identifiers at which a struct field is stored
+// by name: the selector on the left of a plain `=` and the key of a
+// keyed composite literal. Every other use of a field — `op=`, `++`,
+// `&x.f`, `x.f[i] = v` — reads it.
+func storeSites(pkgs []*Package) map[*ast.Ident]bool {
+	sites := make(map[*ast.Ident]bool)
+	for _, p := range pkgs {
+		isField := func(id *ast.Ident) bool {
+			v, ok := p.Info.Uses[id].(*types.Var)
+			return ok && v.IsField()
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.ASSIGN {
+						break
+					}
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && isField(sel.Sel) {
+							sites[sel.Sel] = true
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && isField(id) {
+						sites[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return sites
 }
 
 // allInterfaces returns the universe's error and every non-generic

@@ -1,6 +1,7 @@
 // Fixture for api-rent, fenced side: every export needs a use in a
-// non-test file of the linted module (the user package below), or an
-// allow naming the paper call or the test that needs it.
+// non-test file of the linted module (the user package below), and
+// every field stored by name a read, or an allow naming the paper call
+// or the test that needs it.
 package apirent
 
 import "fmt"
@@ -37,3 +38,27 @@ func Watch() {} //lint:allow api-rent SD_task_watch; apirent TestWatch
 
 // Renewed found a caller, so its allow is stale.
 func Renewed() {} //lint:allow api-rent MSG_process_resume; apirent TestResume // want "stale //lint:allow api-rent"
+
+// Record covers the field half of the rule: a field stored by name —
+// on the left of a plain `=` or as a keyed literal's key — needs a read.
+type Record struct {
+	Kept    int // want "field Kept is stored but never read"
+	Read    int
+	Summed  int
+	Allowed int //lint:allow api-rent apirent TestRecordAllowed
+	Renewed int //lint:allow api-rent apirent TestRecordRenewed // want "stale //lint:allow api-rent"
+}
+
+// route is a map key set only positionally: its fields are never
+// stored by name, so they are not reported.
+type route struct{ src, dst string }
+
+func fill(r *Record, seen map[route]int) int {
+	r.Kept = 1
+	*r = Record{Read: 2, Allowed: 3}
+	r.Summed = 0
+	r.Summed += r.Read // `op=` reads its field
+	r.Renewed = 4
+	seen[route{"a", "b"}]++
+	return r.Renewed
+}

@@ -86,8 +86,7 @@ type elem struct {
 
 // Constraint is one capacity-limited resource.
 type Constraint struct {
-	id       int
-	idx      int // position in sys.cnsts, maintained under index-swap removal
+	id       int // position in sys.cnsts: constraints are never removed
 	capacity float64
 	elems    []*elem
 	elem0    [1]*elem // elems' first array
@@ -118,7 +117,6 @@ type System struct {
 	vars    []*Variable
 	cnsts   []*Constraint
 	nextVID int
-	nextCID int
 
 	// Dirty tracking: mutated elements since the last Solve. allDirty
 	// forces the next Solve to recompute every component from scratch.
@@ -197,12 +195,11 @@ func (s *System) NewConstraint(capacity float64) *Constraint {
 	if capacity < 0 {
 		capacity = 0
 	}
-	c := &Constraint{id: s.nextCID, idx: len(s.cnsts), capacity: capacity, shared: true, sys: s}
+	c := &Constraint{id: len(s.cnsts), capacity: capacity, shared: true, sys: s}
 	c.elems = c.elem0[:0]
 	if capacity <= eps {
 		s.zeroCaps++
 	}
-	s.nextCID++
 	s.cnsts = append(s.cnsts, c)
 	s.touchCnst(c)
 	return c

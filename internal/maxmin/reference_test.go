@@ -33,7 +33,7 @@ type refComp struct {
 // loads being accumulated in it), the per-component loop over the whole
 // collected scope, the multi-pass round (referenceSolveComponent) and
 // the Updated rule. The scope and its side arrays (loads by
-// Constraint.idx, fixed by Variable.idx) are local, so the reference
+// Constraint.id, fixed by Variable.idx) are local, so the reference
 // depends on no scratch field the production kernel may drop.
 func referenceSolve(s *System) refScope {
 	if !s.Dirty() {
@@ -215,13 +215,13 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 	}
 
 	for len(active) > 0 {
-		// loads[c.idx] = sum over active vars on c of weight*factor.
+		// loads[c.id] = sum over active vars on c of weight*factor.
 		for _, c := range sc {
-			loads[c.idx] = 0
+			loads[c.id] = 0
 		}
 		for _, v := range active {
 			for _, e := range v.cnsts {
-				loads[e.c.idx] += v.weight * e.factor
+				loads[e.c.id] += v.weight * e.factor
 			}
 		}
 
@@ -234,7 +234,7 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 				// capacity/(weight*factor); handled below per variable.
 				continue
 			}
-			if wl := loads[c.idx]; wl > eps {
+			if wl := loads[c.id]; wl > eps {
 				if r := c.remCap / wl; r < minR {
 					minR = r
 				}
@@ -282,7 +282,7 @@ func referenceSolveComponent(sv []*Variable, sc []*Constraint, loads []float64, 
 			atCnst := false
 			for _, e := range v.cnsts {
 				if e.c.shared {
-					wl := loads[e.c.idx]
+					wl := loads[e.c.id]
 					if wl > eps && math.Abs(e.c.remCap/wl-minR) <= 1e-9*math.Max(1, minR) {
 						atCnst = true
 						break

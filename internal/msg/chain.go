@@ -228,7 +228,6 @@ type ChainProc struct {
 	pc        int
 	counters  []int
 	task      *Task // the task register: last Get result / SetTask value
-	err       error
 	done      bool
 	blockedOn core.SimcallKind
 
@@ -390,7 +389,6 @@ func (c *ChainProc) finish(err error) {
 
 // teardown is the shared termination tail: deregister, report, recycle.
 func (c *ChainProc) teardown(err error) {
-	c.err = err
 	env := c.env
 	c.leave(err)
 	if !c.daemon {
@@ -436,7 +434,6 @@ func (c *ChainProc) kill(err error) {
 func (c *ChainProc) rearm() {
 	c.restartPending = false
 	c.done = false
-	c.err = nil
 	c.pc = 0
 	c.task = nil
 	c.blockedOn = core.SimcallNone

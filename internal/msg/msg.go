@@ -334,8 +334,8 @@ func (mb *mailbox) index(r *pending) int {
 func NewEnvironment(pf *platform.Platform, cfg surf.Config) *Environment {
 	eng := core.New()
 	// MSG processes are user code: a panic in one is that process's
-	// failure (recorded with its stack in Engine.Panics), never the
-	// simulation's.
+	// failure (a *core.PanicError with its stack, the error its OnExit
+	// receives, counted in core.fault_panics), never the simulation's.
 	eng.ContainPanics = true
 	env := &Environment{
 		eng:   eng,

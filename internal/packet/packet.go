@@ -202,7 +202,9 @@ type Network struct {
 	active int
 }
 
-// ErrNoHopRoute reports that the platform lacks hop-level routes.
+// ErrNoHopRoute reports that a flow's route names no node between its
+// hosts: an explicit (AddRoute) route, which cannot say which way it
+// crosses each link.
 var ErrNoHopRoute = errors.New("packet: platform has no hop-level route (build it with Connect/ComputeRoutes)")
 
 // New builds a packet network over a platform's connection graph. The
@@ -240,16 +242,16 @@ type dlinkKey struct {
 }
 
 // dlinkFor returns (creating on demand) the directed link for crossing
-// `hop` — flows crossing the same physical link in the same direction
-// share the queue.
-func (n *Network) dlinkFor(hop platform.Hop) *dlink {
-	key := dlinkKey{hop.Link, hop.B}
+// l toward node head — flows crossing the same physical link in the
+// same direction share the queue.
+func (n *Network) dlinkFor(l *platform.Link, head string) *dlink {
+	key := dlinkKey{l, head}
 	dl := n.dlinks[key]
 	if dl == nil {
 		dl = &dlink{
-			name:  hop.Link.Name + "->" + hop.B,
-			rate:  hop.Link.Bandwidth,
-			delay: hop.Link.Latency,
+			name:  l.Name + "->" + head,
+			rate:  l.Bandwidth,
+			delay: l.Latency,
 			limit: n.cfg.QueueLimit,
 		}
 		n.dlinks[key] = dl
@@ -257,15 +259,33 @@ func (n *Network) dlinkFor(hop platform.Hop) *dlink {
 	return dl
 }
 
-// AddFlow registers a TCP transfer of `bytes` bytes from src to dst,
-// starting at time `start`. Returns an error if the platform has no
-// hop-level route between the hosts.
-func (n *Network) AddFlow(src, dst string, bytes float64, start float64) (*Flow, error) {
-	hops, err := n.pf.HopRoute(src, dst)
+// routeLinks returns the directed links of the platform's route from src
+// to dst, which must name the node each link leads to (ComputeRoutes
+// routes do; explicit ones fail with ErrNoHopRoute).
+func (n *Network) routeLinks(src, dst string) ([]*dlink, error) {
+	r, err := n.pf.Route(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	if len(hops) == 0 {
+	if src != dst && r.Head(0) == "" {
+		return nil, fmt.Errorf("%w: %s -> %s is an explicit route", ErrNoHopRoute, src, dst)
+	}
+	out := make([]*dlink, len(r.Links))
+	for i, l := range r.Links {
+		out[i] = n.dlinkFor(l, r.Head(i))
+	}
+	return out, nil
+}
+
+// AddFlow registers a TCP transfer of `bytes` bytes from src to dst,
+// starting at time `start`. Returns an error if the platform has no
+// route between the hosts, or only an explicit one (ErrNoHopRoute).
+func (n *Network) AddFlow(src, dst string, bytes float64, start float64) (*Flow, error) {
+	fwd, err := n.routeLinks(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	if len(fwd) == 0 {
 		return nil, fmt.Errorf("packet: %s -> %s is intra-host", src, dst)
 	}
 	f := &Flow{
@@ -278,16 +298,10 @@ func (n *Network) AddFlow(src, dst string, bytes float64, start float64) (*Flow,
 		cwnd:     n.cfg.InitCwnd,
 		ssthresh: n.cfg.SSThresh,
 		received: make(map[int]bool),
+		fwd:      fwd,
 	}
-	for _, h := range hops {
-		f.fwd = append(f.fwd, n.dlinkFor(h))
-	}
-	rev, err := n.pf.HopRoute(dst, src)
-	if err != nil {
+	if f.rev, err = n.routeLinks(dst, src); err != nil {
 		return nil, err
-	}
-	for _, h := range rev {
-		f.rev = append(f.rev, n.dlinkFor(h))
 	}
 	f.nPkts = int(math.Ceil(bytes / float64(n.cfg.MSS)))
 	if f.nPkts == 0 {

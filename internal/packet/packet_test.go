@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -211,8 +212,8 @@ func TestAddFlowErrors(t *testing.T) {
 	p2.AddHost(&platform.Host{Name: "y", Power: 1})
 	p2.AddRoute("x", "y", []*platform.Link{{Name: "l", Bandwidth: 1, Latency: 0}})
 	n2 := New(p2, DefaultConfig(VariantNS2))
-	if _, err := n2.AddFlow("x", "y", 1, 0); err == nil {
-		t.Error("flow without hop route accepted")
+	if _, err := n2.AddFlow("x", "y", 1, 0); !errors.Is(err, ErrNoHopRoute) {
+		t.Errorf("flow over an explicit route: err %v, want ErrNoHopRoute", err)
 	}
 }
 

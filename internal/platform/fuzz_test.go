@@ -3,7 +3,6 @@ package platform_test
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,8 +12,9 @@ import (
 
 // FuzzLoad feeds Load arbitrary bytes: every input is rejected with an
 // error or yields a platform on which a route lookup between any two
-// hosts returns a route or an error, a pair's hop route crosses its
-// route's links in order, surf resolves every route the platform hands
+// hosts returns a route or an error, a computed route names the node
+// each link leads to and ends at the destination while an explicit one
+// names none, surf resolves every route the platform hands
 // out (a split-duplex hop it cannot orient would fail here), and whose
 // Save output loads back, routes every host pair over the same links
 // and saves to the same bytes.
@@ -34,13 +34,20 @@ func FuzzLoad(f *testing.F) {
 		m := surf.New(core.New(), p, surf.DefaultConfig())
 		for _, a := range p.Hosts() {
 			for _, b := range p.Hosts() {
-				hops, herr := p.HopRoute(a.Name, b.Name)
 				r, err := p.Route(a.Name, b.Name)
 				if err != nil {
 					continue
 				}
-				if herr == nil && !slices.EqualFunc(hops, r.Links, func(h platform.Hop, l *platform.Link) bool { return h.Link == l }) {
-					t.Fatalf("%s -> %s: hops %v cross other links than the route's %s", a.Name, b.Name, hops, routeNames(p, a.Name, b.Name))
+				// A computed route names the node every link leads to,
+				// ending at Dst; an explicit one names none.
+				explicit := r.Head(0) == ""
+				for i := range r.Links {
+					if (r.Head(i) == "") != explicit {
+						t.Fatalf("%s -> %s: head %d is %q but head 0 is %q", a.Name, b.Name, i, r.Head(i), r.Head(0))
+					}
+				}
+				if !explicit && r.Head(len(r.Links)-1) != b.Name {
+					t.Fatalf("%s -> %s: last head %q, want the destination", a.Name, b.Name, r.Head(len(r.Links)-1))
 				}
 				if _, err := m.RouteHandle(a.Name, b.Name); err != nil {
 					t.Fatalf("surf cannot resolve the route %s -> %s: %v", a.Name, b.Name, err)

@@ -14,9 +14,9 @@
 // host pair, built where the route is declared (AddRoute) or computed
 // (ComputeRoutes) and replaced only when one of them rewrites that
 // pair. Route hands the record itself out, so callers treat it as
-// read-only. One ComputeRoutes call backs all its pairs' Links and hops
-// with one link array and one hop array, each pair a window capped at
-// its own length. Every topology mutation bumps a generation counter
+// read-only. One ComputeRoutes call backs all its pairs' Links and
+// heads with one link array and one node-name array, each pair a window
+// capped at its own length. Every topology mutation bumps a generation counter
 // (Generation), so state derived from routes by upper layers (surf's
 // resolved resource lists) is valid exactly as long as it matches.
 package platform
@@ -113,7 +113,7 @@ type Route struct {
 	Src, Dst string
 	Links    []*Link
 
-	hops []Hop // the links' crossing nodes; nil for an explicit route
+	heads []string // the node each link leads to; nil for an explicit route
 }
 
 // Latency returns the sum of link latencies along the route.
@@ -130,10 +130,21 @@ func (r *Route) Latency() float64 {
 // It is 0 for every link that is not split-duplex, since those have one
 // capacity for both ways.
 func (r *Route) Dir(i int) int {
-	if l := r.Links[i]; l.joined && r.hops[i].B == l.ends[1] {
+	if l := r.Links[i]; l.joined && r.heads[i] == l.ends[1] {
 		return 1
 	}
 	return 0
+}
+
+// Head returns the node the route's i-th link leads to, or "" on an
+// explicit route, which names no nodes between its hosts. Packet-level
+// simulators key a link's queue by it, so flows crossing the link the
+// same way share one.
+func (r *Route) Head(i int) string {
+	if r.heads == nil {
+		return ""
+	}
+	return r.heads[i]
 }
 
 // Bottleneck returns the smallest link bandwidth along the route.
@@ -151,15 +162,6 @@ func (r *Route) Bottleneck() float64 {
 type edge struct {
 	a, b string // node names (hosts or routers)
 	link *Link
-}
-
-// Hop is one directed step of a route: traversing Link from node A to
-// node B. Hop-level routes are available for platforms built from a
-// Connect graph (ComputeRoutes); packet-level simulators need them to
-// share queues between flows crossing a link in the same direction.
-type Hop struct {
-	A, B string
-	Link *Link
 }
 
 // Platform is a set of hosts, routers, links and routes.
@@ -213,8 +215,12 @@ func (p *Platform) AddHost(h *Host) error {
 	return nil
 }
 
-// AddRouter registers a routing-only node (no compute capacity).
+// AddRouter registers a routing-only node (no compute capacity). Like
+// a host, it needs a name: Route.Head answers "" for no node.
 func (p *Platform) AddRouter(name string) error {
+	if name == "" {
+		return fmt.Errorf("%w: router with empty name", ErrUnknown)
+	}
 	if _, dup := p.hosts[name]; dup {
 		return fmt.Errorf("%w: node %q already a host", ErrDuplicate, name)
 	}
@@ -471,18 +477,18 @@ func (p *Platform) ComputeRoutes() error {
 		}
 	}
 	// Extract host-pair routes: count every computed pair's hops, then
-	// give each pair a window of one link array and one hop array.
+	// give each pair a window of one link array and one head array.
 	total := 0
 	p.eachComputed(idx, next, func(_, _ string, _, _, n int) { total += n })
-	links, hops := make([]*Link, total), make([]Hop, total)
+	links, heads := make([]*Link, total), make([]string, total)
 	p.eachComputed(idx, next, func(a, b string, i, j, n int) {
 		r := p.routeSlab.New()
-		*r = Route{Src: a, Dst: b, Links: links[:n:n], hops: hops[:n:n]} // cap == len: an append cannot overrun the next pair
-		links, hops = links[n:], hops[n:]
+		*r = Route{Src: a, Dst: b, Links: links[:n:n], heads: heads[:n:n]} // cap == len: an append cannot overrun the next pair
+		links, heads = links[n:], heads[n:]
 		for u, k := i, 0; u != j; k++ {
 			v := next[u][j]
 			r.Links[k] = via[u][j]
-			r.hops[k] = Hop{A: names[u], B: names[v], Link: via[u][j]}
+			r.heads[k] = names[v]
 			u = v
 		}
 		p.routes[[2]string{a, b}] = r
@@ -494,7 +500,7 @@ func (p *Platform) ComputeRoutes() error {
 // eachComputed calls f for every ordered host pair ComputeRoutes
 // fills — distinct, not explicit, connected — with the pair's node
 // indices and hop count. ComputeRoutes' two walks see the same pairs:
-// a record the second one stores has hops, so it is not explicit.
+// a record the second one stores has heads, so it is not explicit.
 func (p *Platform) eachComputed(idx map[string]int, next [][]int, f func(a, b string, i, j, n int)) {
 	for a := range p.hosts {
 		for b := range p.hosts {
@@ -512,31 +518,11 @@ func (p *Platform) eachComputed(idx map[string]int, next [][]int, f func(a, b st
 }
 
 // explicit reports whether key's route was declared by AddRoute: it has
-// a record but, unlike a computed route, no hops. A self route counts,
+// a record but, unlike a computed route, no heads. A self route counts,
 // and it is skipped wherever explicit is asked.
 func (p *Platform) explicit(key [2]string) bool {
 	r, ok := p.routes[key]
-	return ok && r.hops == nil
-}
-
-// HopRoute returns the directed hop-level route between two hosts.
-// Only available for routes computed by ComputeRoutes (explicit
-// AddRoute entries carry no endpoint information).
-func (p *Platform) HopRoute(src, dst string) ([]Hop, error) {
-	if _, ok := p.hosts[src]; !ok {
-		return nil, fmt.Errorf("%w: host %q", ErrUnknown, src)
-	}
-	if _, ok := p.hosts[dst]; !ok {
-		return nil, fmt.Errorf("%w: host %q", ErrUnknown, dst)
-	}
-	if src == dst {
-		return nil, nil
-	}
-	r, ok := p.routes[[2]string{src, dst}]
-	if !ok || r.hops == nil {
-		return nil, fmt.Errorf("%w: no hop route %q -> %q", ErrNoRoute, src, dst)
-	}
-	return r.hops, nil
+	return ok && r.heads == nil
 }
 
 // Validate checks platform consistency: every declared route references

@@ -37,6 +37,9 @@ func TestAddHostValidation(t *testing.T) {
 	if err := p.AddRouter("a"); err == nil {
 		t.Error("router with host name accepted")
 	}
+	if err := p.AddRouter(""); err == nil {
+		t.Error("empty-name router accepted") // Route.Head's "" means no node
+	}
 }
 
 func TestAddLinkValidation(t *testing.T) {
@@ -241,19 +244,16 @@ func TestComputeRoutesAgain(t *testing.T) {
 	if r, _ := p.Route("a", "b"); len(r.Links) != 2 || r.Latency() != 10 {
 		t.Fatalf("a->b before the recompute = %v, want [ar rb] at 10 s", names(r.Links))
 	}
-	if hops, err := p.HopRoute("b", "a"); err != nil || len(hops) != 2 {
-		t.Fatalf("hop route b->a before the recompute = %v (%v), want two hops", hops, err)
+	if r, err := p.Route("b", "a"); err != nil || len(r.Links) != 2 || r.Head(0) != "r" || r.Head(1) != "a" {
+		t.Fatalf("route b->a before the recompute = %v (%v), want two hops via r", names(r.Links), err)
 	}
 	if err := p.ComputeRoutes(); err != nil {
 		t.Fatalf("ComputeRoutes: %v", err)
 	}
 	for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
 		r, err := p.Route(pair[0], pair[1])
-		if err != nil || len(r.Links) != 1 || r.Links[0] != direct || r.Latency() != 1 {
+		if err != nil || len(r.Links) != 1 || r.Links[0] != direct || r.Latency() != 1 || r.Head(0) != pair[1] {
 			t.Errorf("route %s->%s = %v (%v), want [direct] at 1 s", pair[0], pair[1], names(r.Links), err)
-		}
-		if hops, err := p.HopRoute(pair[0], pair[1]); err != nil || len(hops) != 1 {
-			t.Errorf("hop route %s->%s = %v (%v), want one hop", pair[0], pair[1], hops, err)
 		}
 	}
 	if r, _ := p.Route("c", "a"); len(r.Links) != 1 || r.Links[0] != forced {

@@ -9,15 +9,16 @@ import (
 )
 
 // refTable is the route table as two maps filled by append: explicit
-// routes in routes alone, computed ones in routes and hops. It is kept
-// as the reference the shared per-pair records must reproduce.
+// routes in routes alone, computed ones in routes and heads (the node
+// each link leads to). It is kept as the reference the shared per-pair
+// records must reproduce.
 type refTable struct {
 	routes map[[2]string][]*Link
-	hops   map[[2]string][]Hop
+	heads  map[[2]string][]string
 }
 
 func newRefTable() *refTable {
-	return &refTable{routes: map[[2]string][]*Link{}, hops: map[[2]string][]Hop{}}
+	return &refTable{routes: map[[2]string][]*Link{}, heads: map[[2]string][]string{}}
 }
 
 // addRoute is AddRoute's write of both directions.
@@ -30,8 +31,8 @@ func (t *refTable) addRoute(src, dst string, links []*Link) {
 		rev[len(links)-1-i] = l
 	}
 	t.routes[[2]string{dst, src}] = rev
-	delete(t.hops, [2]string{src, dst})
-	delete(t.hops, [2]string{dst, src})
+	delete(t.heads, [2]string{src, dst})
+	delete(t.heads, [2]string{dst, src})
 }
 
 // compute is ComputeRoutes over p's nodes and edges: Floyd–Warshall on
@@ -98,7 +99,7 @@ func (t *refTable) compute(p *Platform) {
 				continue
 			}
 			key := [2]string{a, b}
-			if _, ok := t.routes[key]; ok && t.hops[key] == nil {
+			if _, ok := t.routes[key]; ok && t.heads[key] == nil {
 				continue
 			}
 			i, j := idx[a], idx[b]
@@ -106,29 +107,37 @@ func (t *refTable) compute(p *Platform) {
 				continue
 			}
 			var links []*Link
-			var hops []Hop
+			var heads []string
 			for u := i; u != j; {
 				v := next[u][j]
 				links = append(links, via[u][j])
-				hops = append(hops, Hop{A: names[u], B: names[v], Link: via[u][j]})
+				heads = append(heads, names[v])
 				u = v
 			}
 			t.routes[key] = links
-			t.hops[key] = hops
+			t.heads[key] = heads
 		}
 	}
 }
 
-// dir is Route.Dir read off the reference's links and hops.
+// dir is Route.Dir read off the reference's links and heads.
 func (t *refTable) dir(key [2]string, i int) int {
-	if l := t.routes[key][i]; l.joined && t.hops[key][i].B == l.ends[1] {
+	if l := t.routes[key][i]; l.joined && t.heads[key][i] == l.ends[1] {
 		return 1
 	}
 	return 0
 }
 
-// checkAgainstRef compares Route, HopRoute and Dir with the reference
-// for every ordered host pair of p.
+// head is Route.Head read off the reference: "" on an explicit route.
+func (t *refTable) head(key [2]string, i int) string {
+	if hs := t.heads[key]; hs != nil {
+		return hs[i]
+	}
+	return ""
+}
+
+// checkAgainstRef compares Route, Head and Dir with the reference for
+// every ordered host pair of p.
 func checkAgainstRef(t *testing.T, p *Platform, ref *refTable) {
 	t.Helper()
 	computed := 0
@@ -136,17 +145,16 @@ func checkAgainstRef(t *testing.T, p *Platform, ref *refTable) {
 		for _, b := range p.Hosts() {
 			key := [2]string{a.Name, b.Name}
 			r, err := p.Route(a.Name, b.Name)
-			hops, herr := p.HopRoute(a.Name, b.Name)
 			if a == b {
-				if err != nil || len(r.Links) != 0 || herr != nil || hops != nil {
-					t.Errorf("self route %s: %v (%v), hops %v (%v); want empty", a.Name, r, err, hops, herr)
+				if err != nil || len(r.Links) != 0 || r.heads != nil {
+					t.Errorf("self route %s: %v (%v), heads %v; want empty", a.Name, r, err, r.heads)
 				}
 				continue
 			}
 			links, ok := ref.routes[key]
 			if !ok {
-				if !errors.Is(err, ErrNoRoute) || !errors.Is(herr, ErrNoRoute) {
-					t.Errorf("%v: Route err %v, HopRoute err %v; want ErrNoRoute", key, err, herr)
+				if !errors.Is(err, ErrNoRoute) {
+					t.Errorf("%v: Route err %v; want ErrNoRoute", key, err)
 				}
 				continue
 			}
@@ -156,19 +164,21 @@ func checkAgainstRef(t *testing.T, p *Platform, ref *refTable) {
 			}
 			// Pairs share backing arrays: a window with spare capacity
 			// would let an append overwrite the next pair's route.
-			if cap(r.Links) != len(r.Links) || cap(hops) != len(hops) {
-				t.Errorf("%v: Links cap %d len %d, hops cap %d len %d; want cap == len",
-					key, cap(r.Links), len(r.Links), cap(hops), len(hops))
+			if cap(r.Links) != len(r.Links) || cap(r.heads) != len(r.heads) {
+				t.Errorf("%v: Links cap %d len %d, heads cap %d len %d; want cap == len",
+					key, cap(r.Links), len(r.Links), cap(r.heads), len(r.heads))
 			}
-			if want, ok := ref.hops[key]; ok {
+			if r.heads != nil {
 				computed++
-				if herr != nil || !slices.Equal(hops, want) {
-					t.Errorf("%v: HopRoute = %v (%v), reference %v", key, hops, herr, want)
+				if len(r.heads) != len(links) {
+					t.Errorf("%v: %d heads for %d links", key, len(r.heads), len(links))
+					continue
 				}
-			} else if !errors.Is(herr, ErrNoRoute) {
-				t.Errorf("%v: HopRoute of an explicit route = %v (%v), want ErrNoRoute", key, hops, herr)
 			}
 			for i := range links {
+				if got, want := r.Head(i), ref.head(key, i); got != want {
+					t.Errorf("%v: Head(%d) = %q, reference %q", key, i, got, want)
+				}
 				if got, want := r.Dir(i), ref.dir(key, i); got != want {
 					t.Errorf("%v: Dir(%d) = %d, reference %d", key, i, got, want)
 				}
@@ -180,7 +190,7 @@ func checkAgainstRef(t *testing.T, p *Platform, ref *refTable) {
 	}
 }
 
-// TestRoutesMatchReference holds every route, hop list and crossing
+// TestRoutesMatchReference holds every route, head list and crossing
 // direction to the two-map reference on three platforms: the bench's
 // Waxman graph, a cluster behind a backbone, and a JSON platform with
 // split-duplex links where explicit routes lie over computed pairs.

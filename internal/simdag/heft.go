@@ -43,9 +43,9 @@ type HEFTOptions struct {
 // PlannedTask is one entry of HEFT's placement plan: the task, its
 // chosen host, and the planned (estimated) execution interval.
 type PlannedTask struct {
-	Task          *Task
-	Host          string
-	Start, Finish float64
+	Task          *Task   //lint:allow api-rent simdag TestHEFTReference, TestSchedReferenceHEFT, TestSchedReferenceDigest
+	Host          string  //lint:allow api-rent simdag TestHEFTReference, TestSchedReferenceHEFT, TestSchedReferenceDigest
+	Start, Finish float64 //lint:allow api-rent simdag TestHEFTReference, TestSchedReferenceHEFT, TestSchedReferenceDigest
 }
 
 // HEFTStats reports the scheduling-analysis byproducts of a HEFT pass:

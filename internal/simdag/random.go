@@ -80,7 +80,7 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 		return lo + rng.Float64()*(hi-lo)
 	}
 
-	var tasks []*Task
+	n0 := len(s.tasks)
 	var cells pool.Slab[float64] // ptask payloads, many to a chunk
 	var rows pool.Slab[[]float64]
 	prev := make([]*Task, 0, cfg.Width)
@@ -88,7 +88,6 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 	link := func(from, to *Task) error {
 		if cfg.CommProb > 0 && rng.Float64() < cfg.CommProb {
 			c := s.NewCommTask(pool.Join(&s.names, from.name, "->", to.name), uniform(cfg.MinBytes, cfg.MaxBytes))
-			tasks = append(tasks, c)
 			if err := s.AddDependency(from, c); err != nil {
 				return err
 			}
@@ -124,7 +123,6 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 			} else {
 				t = s.NewTask(pool.Join(&s.names, "l", strconv.Itoa(l), "t", strconv.Itoa(w)), uniform(cfg.MinFlops, cfg.MaxFlops))
 			}
-			tasks = append(tasks, t)
 			cur = append(cur, t)
 			if l == 0 {
 				continue
@@ -149,5 +147,7 @@ func RandomLayered(s *Simulation, cfg RandomConfig) ([]*Task, error) {
 		}
 		prev, cur = cur, prev
 	}
-	return tasks, nil
+	// Every task created above went through s.add, in creation order;
+	// the full slice expression keeps a caller's append off s.tasks.
+	return s.tasks[n0:len(s.tasks):len(s.tasks)], nil
 }

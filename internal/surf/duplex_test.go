@@ -53,24 +53,21 @@ func TestSplitDuplexDirections(t *testing.T) {
 			e := core.New()
 			m := New(e, duplexLine(t), exactCfg())
 			var acts []*Action
+			fin := finishLog{}
 			for _, pr := range tc.pairs {
 				a, err := communicate(m, pr[0], pr[1], 1e6)
 				if err != nil {
 					t.Fatal(err)
 				}
+				a.SetCompletion(fin)
 				acts = append(acts, a)
 			}
-			e.Spawn("waiter", nil, func(p *core.Process) {
-				for _, a := range acts {
-					a.Wait(p)
-				}
-			})
-			if err := e.Run(); err != nil {
+			if err := e.RunUntilIdle(); err != nil {
 				t.Fatal(err)
 			}
 			for i, a := range acts {
-				if a.Err() != nil || !approx(a.finish, tc.want[i], 1e-9) {
-					t.Errorf("%s->%s: finish %g err %v, want %g", tc.pairs[i][0], tc.pairs[i][1], a.finish, a.Err(), tc.want[i])
+				if a.Err() != nil || !approx(fin[a], tc.want[i], 1e-9) {
+					t.Errorf("%s->%s: finish %g err %v, want %g", tc.pairs[i][0], tc.pairs[i][1], fin[a], a.Err(), tc.want[i])
 				}
 			}
 		})

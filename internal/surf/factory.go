@@ -7,13 +7,12 @@ package surf
 
 // newAction returns a blank action (recycled from the free list when
 // possible, else carved) with the shared creation bookkeeping filled in.
-func (m *Model) newAction(kind ActionKind, name string) *Action {
+func (m *Model) newAction(name string) *Action {
 	a, ok := m.actPool.Get()
 	if !ok {
 		a = m.actSlab.New()
 	}
 	a.model = m
-	a.kind = kind
 	a.name = name
 	a.heapIdx = -1
 	a.start = m.eng.Now()

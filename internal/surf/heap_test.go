@@ -201,6 +201,7 @@ func heapEquivalenceRun(t *testing.T) []string {
 	links := pf.Links()
 	rng := rand.New(rand.NewSource(42))
 	var live, started []*Action
+	fin := finishLog{}
 	completions := 0
 	bigBursts, smallBursts := 0, 0
 	failedLinks := map[string]bool{}
@@ -230,6 +231,7 @@ func heapEquivalenceRun(t *testing.T) []string {
 				a, err := communicate(m, src, dst, bytes)
 				if err == nil {
 					started = append(started, a)
+					a.SetCompletion(fin)
 				}
 				if err == nil && !a.Done() {
 					live = append(live, a)
@@ -240,6 +242,7 @@ func heapEquivalenceRun(t *testing.T) []string {
 				a, err := execute(m, h, flops, 1+rng.Float64()*3)
 				if err == nil {
 					started = append(started, a)
+					a.SetCompletion(fin)
 				}
 				if err == nil && !a.Done() {
 					live = append(live, a)
@@ -265,6 +268,7 @@ func heapEquivalenceRun(t *testing.T) []string {
 					if a, err := execute(m, h, math.Pow(10, 7+rng.Float64()*2), 1+rng.Float64()*3); err == nil {
 						live = append(live, a)
 						started = append(started, a)
+						a.SetCompletion(fin)
 					}
 				}
 				n := len(live)
@@ -325,7 +329,7 @@ func heapEquivalenceRun(t *testing.T) []string {
 	// link's two directions failed in another order, moves the sum.
 	log := make([]string, len(started))
 	for i, a := range started {
-		log[i] = fmt.Sprintf("%016x %v", math.Float64bits(a.finish), a.Err())
+		log[i] = fmt.Sprintf("%016x %v", math.Float64bits(fin[a]), a.Err())
 	}
 	return log
 }

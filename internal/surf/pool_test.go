@@ -107,6 +107,7 @@ func TestActionPoolingEquivalence(t *testing.T) {
 		m := New(eng, pf, DefaultConfig())
 		hosts := []string{"a", "b", "c", "d", "e"}
 		var out []float64
+		fin := finishLog{}
 		for round := 0; round < 25; round++ {
 			var acts []*Action
 			for i := 0; i < 15; i++ {
@@ -120,13 +121,14 @@ func TestActionPoolingEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				a.SetCompletion(fin)
 				acts = append(acts, a)
 			}
 			if err := eng.RunUntilIdle(); err != nil {
 				t.Fatal(err)
 			}
 			for _, a := range acts {
-				out = append(out, a.finish)
+				out = append(out, fin[a])
 				a.Release()
 			}
 		}
@@ -197,7 +199,7 @@ type churnRelay struct {
 }
 
 func (r *churnRelay) ActionDone(a *Action, err error) {
-	fmt.Fprintf(r.log, "%s %d %016x %v\n", r.name, r.rounds, math.Float64bits(a.finish), err)
+	fmt.Fprintf(r.log, "%s %d %016x %v\n", r.name, r.rounds, math.Float64bits(r.m.eng.Now()), err)
 	a.Release()
 	if r.rounds == 0 {
 		return
@@ -219,7 +221,7 @@ type logDone struct {
 }
 
 func (d logDone) ActionDone(a *Action, err error) {
-	fmt.Fprintf(d.log, "%s %016x %v\n", d.name, math.Float64bits(a.finish), err)
+	fmt.Fprintf(d.log, "%s %016x %v\n", d.name, math.Float64bits(a.model.eng.Now()), err)
 	a.Release()
 }
 

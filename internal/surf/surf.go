@@ -85,35 +85,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// ActionKind distinguishes computations from communications.
-type ActionKind int
-
-// Action kinds.
-const (
-	ActionCompute ActionKind = iota
-	ActionComm
-	ActionParallel
-)
-
-func (k ActionKind) String() string {
-	switch k {
-	case ActionCompute:
-		return "compute"
-	case ActionComm:
-		return "comm"
-	case ActionParallel:
-		return "parallel"
-	default:
-		return "unknown"
-	}
-}
-
 // Action is a unit of resource consumption in flight: a running
 // computation (remaining work in flops), a transfer (remaining bytes),
 // or a parallel task (remaining fraction).
 type Action struct {
 	model *Model
-	kind  ActionKind
 	name  string
 
 	v         *maxmin.Variable
@@ -135,9 +111,8 @@ type Action struct {
 	weightMul float64 // RTT-derived weight multiplier (1 for compute)
 	bound     float64
 
-	start  float64
-	finish float64
-	seq    int64 // creation order, the final completion-sort tie-break
+	start float64
+	seq   int64 // creation order, the final completion-sort tie-break
 
 	// An action has one observer: the Completion an upper layer
 	// registered, or the process blocked in Wait.
@@ -300,7 +275,6 @@ type resource struct {
 	on       bool
 	isHost   bool
 	host     *platform.Host
-	link     *platform.Link
 	failErr  error
 
 	// twin is a split-duplex link's second direction: Model.links holds
@@ -438,7 +412,6 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 				nominal: l.Bandwidth * cfg.BandwidthFactor,
 				avail:   1,
 				on:      true,
-				link:    l,
 				failErr: ErrLinkFailed,
 			}
 			r.cnst = m.sys.NewConstraint(r.nominal)
@@ -510,7 +483,7 @@ func (m *Model) ExecuteHandle(h *HostHandle, flops, priority float64) (*Action, 
 	if !(priority > 0) { // NaN too
 		priority = 1
 	}
-	a := m.newAction(ActionCompute, r.execName)
+	a := m.newAction(r.execName)
 	a.remaining = flops
 	a.priority = priority
 	if !r.on {
@@ -605,7 +578,7 @@ func (m *Model) CommunicateHandle(h *RouteHandle, bytes float64) (*Action, error
 		*h = *cur
 	}
 	lat := h.lat * m.cfg.LatencyFactor
-	a := m.newAction(ActionComm, h.name)
+	a := m.newAction(h.name)
 	a.remaining = bytes
 	a.priority = 1
 	a.latUntil = a.start + lat
@@ -655,7 +628,7 @@ func (m *Model) ExecuteParallel(hosts []string, flops []float64, bytes [][]float
 	if bytes != nil && len(bytes) != len(hosts) {
 		return nil, fmt.Errorf("surf: ExecuteParallel: bad bytes matrix")
 	}
-	a := m.newAction(ActionParallel, pool.Join(&m.nameSlab, "ptask(", strconv.Itoa(len(hosts)), " hosts)"))
+	a := m.newAction(pool.Join(&m.nameSlab, "ptask(", strconv.Itoa(len(hosts)), " hosts)"))
 	a.remaining = 1
 	a.priority = 1
 	a.v = m.sys.NewVariable(1, 0)
@@ -917,7 +890,6 @@ func (m *Model) complete(a *Action, err error) {
 	a.syncProgress(m.eng.Now()) // freeze Remaining at the failure point
 	a.done = true
 	a.err = err
-	a.finish = m.eng.Now()
 	if a.v != nil {
 		m.sys.RemoveVariable(a.v)
 		a.v = nil

@@ -53,6 +53,12 @@ func communicate(m *Model, src, dst string, bytes float64) (*Action, error) {
 	return m.CommunicateHandle(h, bytes)
 }
 
+// finishLog is a Completion that keeps the instant each action it
+// observes finished: the engine's Now() when ActionDone fires.
+type finishLog map[*Action]float64
+
+func (f finishLog) ActionDone(a *Action, err error) { f[a] = a.model.eng.Now() }
+
 func TestExecuteDuration(t *testing.T) {
 	e := core.New()
 	m := New(e, testPlatform(t), exactCfg())
@@ -70,8 +76,8 @@ func TestExecuteDuration(t *testing.T) {
 		if !a.Done() || a.Err() != nil {
 			t.Error("action not done/clean")
 		}
-		if a.start != 0 || !approx(a.finish, 2, 1e-9) {
-			t.Errorf("start/finish = %g/%g", a.start, a.finish)
+		if a.start != 0 || a.name != "exec@h1" {
+			t.Errorf("start = %g, name = %q", a.start, a.name)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -227,8 +233,8 @@ func TestCommunicateLatencyPlusBandwidth(t *testing.T) {
 			t.Errorf("Communicate: %v", err)
 			return
 		}
-		if a.kind != ActionComm {
-			t.Errorf("kind = %v", a.kind)
+		if a.name != "comm h1->h2" {
+			t.Errorf("name = %q", a.name)
 		}
 		a.Wait(p)
 	})
@@ -809,14 +815,15 @@ func TestFailedAtCreation(t *testing.T) {
 		name  string
 		down  func(m *Model) error
 		start func(m *Model) (*Action, error)
+		at    float64 // the pending action's finish on an intact platform
 		want  error
 	}{
 		{"execute", func(m *Model) error { return m.FailHost("h1") },
-			func(m *Model) (*Action, error) { return execute(m, "h1", 1e9, 1) }, ErrHostFailed},
+			func(m *Model) (*Action, error) { return execute(m, "h1", 1e9, 1) }, 1, ErrHostFailed},
 		{"communicate", func(m *Model) error { return m.FailLink("l1") },
-			func(m *Model) (*Action, error) { return communicate(m, "h1", "h2", 1e8) }, ErrLinkFailed},
-		{"parallel/host", func(m *Model) error { return m.FailHost("h2") }, ptask, ErrHostFailed},
-		{"parallel/link", func(m *Model) error { return m.FailLink("l1") }, ptask, ErrLinkFailed},
+			func(m *Model) (*Action, error) { return communicate(m, "h1", "h2", 1e8) }, 1.01, ErrLinkFailed},
+		{"parallel/host", func(m *Model) error { return m.FailHost("h2") }, ptask, 1, ErrHostFailed},
+		{"parallel/link", func(m *Model) error { return m.FailLink("l1") }, ptask, 1, ErrLinkFailed},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -837,8 +844,8 @@ func TestFailedAtCreation(t *testing.T) {
 				if err := pending.Wait(p); err != nil {
 					t.Errorf("Wait on the pending action: %v", err)
 				}
-				if _, after := simcalls(t, e); after-slow != 1 || e.Now() != pending.finish {
-					t.Errorf("pending Wait: %g slow simcalls, woke at %g, want 1 at %g", after-slow, e.Now(), pending.finish)
+				if _, after := simcalls(t, e); after-slow != 1 || !approx(e.Now(), c.at, 1e-9) {
+					t.Errorf("pending Wait: %g slow simcalls, woke at %g, want 1 at %g", after-slow, e.Now(), c.at)
 				}
 				if err := c.down(m); err != nil {
 					t.Errorf("down: %v", err)
@@ -849,9 +856,11 @@ func TestFailedAtCreation(t *testing.T) {
 					t.Errorf("start on a downed resource: %v", err)
 					return
 				}
-				if !a.Done() || !errors.Is(a.Err(), c.want) || a.finish != a.start {
+				fin := finishLog{}
+				a.SetCompletion(fin)
+				if at, ok := fin[a]; !ok || !errors.Is(a.Err(), c.want) || at != a.start {
 					t.Errorf("done=%v err=%v start=%g finish=%g, want done with %v at start",
-						a.Done(), a.Err(), a.start, a.finish, c.want)
+						ok, a.Err(), a.start, at, c.want)
 				}
 				if vars := metric(t, m.MetricsInto, "maxmin.vars"); a.v != nil || len(m.heap) != 0 || vars != 0 {
 					t.Errorf("failed action left v=%v, heap=%d, %g solver variables", a.v, len(m.heap), vars)
@@ -936,8 +945,8 @@ func TestParallelTaskSpansResources(t *testing.T) {
 			t.Errorf("ExecuteParallel: %v", err)
 			return
 		}
-		if a.kind != ActionParallel {
-			t.Errorf("kind = %v", a.kind)
+		if a.name != "ptask(2 hosts)" {
+			t.Errorf("name = %q", a.name)
 		}
 		a.Wait(pr)
 	})
@@ -1052,13 +1061,6 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if cfg.TCPGamma <= 0 {
 		t.Errorf("TCPGamma = %g", cfg.TCPGamma)
-	}
-}
-
-func TestActionKindStrings(t *testing.T) {
-	if ActionCompute.String() != "compute" || ActionComm.String() != "comm" ||
-		ActionParallel.String() != "parallel" || ActionKind(9).String() != "unknown" {
-		t.Error("kind strings wrong")
 	}
 }
 
